@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +40,32 @@ class RunConfig:
     runs: int = 1
     out: Path | None = None
     fmt: str = "json"
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
 
+def _required(spec: dict, key: str, where: str):
+    """``spec[key]``, or a config error naming the missing key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object")
+    if key not in spec:
+        raise ConfigError(f"{where} missing {key!r}")
+    return spec[key]
+
+
+def _real_param(value, name: str) -> float:
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ConfigError(f"{name} must be a real number")
+
+
 def _complex_param(value, name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real_param(value[0], name), _real_param(value[1], name))
     raise ConfigError(f"{name} must be a number or an [re, im] pair")
 
 
@@ -70,16 +84,13 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
     if "mixture" in spec:
         comps = []
         for item in spec["mixture"]:
-            comp = build_state(item["state"])
+            comp = build_state(_required(item, "state", "mixture item"))
             if not isinstance(comp, fock.FockState):
                 raise ConfigError("mixture components must be pure states")
-            comps.append((float(item["weight"]), comp))
+            comps.append((_real_param(_required(item, "weight", "mixture item"), "weight"), comp))
         return fock.MixedEnsemble(tuple(comps))
-    try:
-        kind = spec["kind"]
-        cutoff = _cutoff_param(spec["cutoff"])
-    except KeyError as exc:
-        raise ConfigError(f"state spec missing {exc}") from exc
+    kind = _required(spec, "kind", "state spec")
+    cutoff = _cutoff_param(_required(spec, "cutoff", "state spec"))
     if kind == "vacuum":
         return fock.prepare("vacuum", cutoff)
     if kind == "coherent":
@@ -87,21 +98,22 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
     if kind == "squeezed":
         return fock.prepare("squeezed", cutoff, z=_complex_param(spec.get("z", 0), "z"))
     if kind == "tmss":
-        return fock.prepare("tmss", cutoff, r=float(spec.get("r", 0.0)))
+        return fock.prepare("tmss", cutoff, r=_real_param(spec.get("r", 0.0), "r"))
     if kind == "basis":
-        return fock.basis_state(tuple(spec["pattern"]), cutoff)
+        return fock.basis_state(tuple(_required(spec, "pattern", "state spec")), cutoff)
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
 _GATE_BUILDERS = {
     "displacement": lambda g: fock.Displacement(_complex_param(g["alpha"], "alpha"), int(g["mode"])),
     "squeeze": lambda g: fock.Squeeze(_complex_param(g["z"], "z"), int(g["mode"])),
-    "phase": lambda g: fock.PhaseRotation(float(g["phi"]), int(g["mode"])),
+    "phase": lambda g: fock.PhaseRotation(_real_param(g["phi"], "phi"), int(g["mode"])),
     "beamsplitter": lambda g: fock.Beamsplitter(
-        float(g["theta"]), float(g["phi"]), int(g["modes"][0]), int(g["modes"][1])
+        _real_param(g["theta"], "theta"), _real_param(g["phi"], "phi"),
+        int(g["modes"][0]), int(g["modes"][1]),
     ),
     "two_mode_squeeze": lambda g: fock.TwoModeSqueeze(
-        float(g["r"]), int(g["modes"][0]), int(g["modes"][1])
+        _real_param(g["r"], "r"), int(g["modes"][0]), int(g["modes"][1])
     ),
     "mode_swap": lambda g: fock.ModeSwap(int(g["modes"][0]), int(g["modes"][1])),
 }
@@ -218,16 +230,13 @@ def _full_threshold(states) -> int:
 def cmd_overlap(cfg: RunConfig) -> None:
     payload = cfg.payload
     if "pairs" in payload:
-        states = [build_state(s) for s in payload["states"]]
+        states = [build_state(s) for s in _required(payload, "states", "overlap config")]
         pairs = [tuple(int(v) for v in p) for p in payload["pairs"]]
         m = payload.get("M")
         run_fn = lambda shots, seed: est.parity_overlap_estimate(states, pairs, m, shots, seed)
     else:
-        try:
-            state_a = build_state(payload["state_a"])
-            state_b = build_state(payload["state_b"])
-        except KeyError as exc:
-            raise ConfigError(f"overlap config missing {exc}") from exc
+        state_a = build_state(_required(payload, "state_a", "overlap config"))
+        state_b = build_state(_required(payload, "state_b", "overlap config"))
         m = payload.get("M")
         if m is None:
             m = _full_threshold([state_a, state_b])
@@ -239,12 +248,12 @@ def cmd_overlap(cfg: RunConfig) -> None:
 def cmd_cutoff_plan(cfg: RunConfig) -> None:
     payload = cfg.payload
     family = payload.get("family")
-    eps = float(payload.get("eps", 1e-2))
+    eps = _real_param(payload.get("eps", 1e-2), "eps")
     method = payload.get("method")
     if family == "squeezed":
-        plan = est.cutoff_for_squeezed(float(payload["r"]), eps)
+        plan = est.cutoff_for_squeezed(_real_param(_required(payload, "r", "squeezed plan"), "r"), eps)
     elif family == "coherent":
-        energy = float(payload["energy"])
+        energy = _real_param(_required(payload, "energy", "coherent plan"), "energy")
         method = method or "chernoff"
         if method == "chernoff":
             plan = est.cutoff_for_coherent_chernoff(energy, eps)
@@ -263,7 +272,7 @@ def cmd_fig2(cfg: RunConfig) -> None:
     """Convergence table: closed-form finite-threshold values next to the
     simulated expectation of the circuit-prepared two-mode squeezed state."""
     payload = cfg.payload
-    r_list = [float(r) for r in payload.get("r_list", [0.8, 1.0, 1.2])]
+    r_list = [_real_param(r, "r_list entry") for r in payload.get("r_list", [0.8, 1.0, 1.2])]
     m_lo = int(payload.get("m_min", 4))
     m_hi = int(payload.get("m_max", 20))
     cap = int(payload.get("prep_cutoff", 40))
@@ -290,7 +299,7 @@ def cmd_fig2(cfg: RunConfig) -> None:
 
 
 def cmd_perm(cfg: RunConfig) -> None:
-    states = [build_state(s) for s in cfg.payload["states"]]
+    states = [build_state(s) for s in _required(cfg.payload, "states", "perm config")]
     results, rows = _estimator_document(
         cfg, lambda shots, seed: proto.perm_test(states, shots, seed)
     )
@@ -302,7 +311,7 @@ def cmd_perm(cfg: RunConfig) -> None:
 
 def cmd_two_copy(cfg: RunConfig) -> None:
     payload = cfg.payload
-    base = build_state(payload["purification"])
+    base = build_state(_required(payload, "purification", "two-copy config"))
     if not isinstance(base, fock.FockState):
         raise ConfigError("purification must be a pure state")
     if base.modes != 2:
@@ -323,7 +332,7 @@ def cmd_two_copy(cfg: RunConfig) -> None:
 
 def cmd_compile_cost(cfg: RunConfig) -> None:
     payload = cfg.payload
-    training = [build_state(s) for s in payload["training"]]
+    training = [build_state(s) for s in _required(payload, "training", "compile-cost config")]
     u_gates = build_circuit(payload.get("u_gates", []))
     v_gates = build_circuit(payload.get("v_gates", []))
     m_totals = payload.get("m_totals")
@@ -354,8 +363,8 @@ def _build_hybrid(spec) -> fock.FockState | fock.MixedEnsemble:
 
 def cmd_hybrid(cfg: RunConfig) -> None:
     payload = cfg.payload
-    state_a = _build_hybrid(payload["state_a"])
-    state_b = _build_hybrid(payload["state_b"])
+    state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"))
+    state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"))
     m = payload.get("M")
     if m is None:
         m = state_a.cutoff.per_mode_max[1]

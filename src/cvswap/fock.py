@@ -38,6 +38,8 @@ __all__ = [
     "gate_matrix",
     "apply_gate",
     "apply_circuit",
+    "simplex_patterns",
+    "apply_passive",
     "dagger",
     "invert_circuit",
     "prepare",
@@ -610,6 +612,78 @@ def apply_circuit(state: FockState, gates) -> FockState:
     for gate in gates:
         state = apply_gate(state, gate)
     return state
+
+
+# ---------------------------------------------------------------------------
+# passive circuits on the photon-number simplex
+
+
+def simplex_patterns(modes: int, total: int) -> np.ndarray:
+    """Every pattern over ``modes`` modes with at most ``total`` photons,
+    one per row, in row-major (lexicographic) order.
+
+    Passive gates conserve the total photon number, so a state supported
+    on this set stays on it, with no truncation.  The count is
+    comb(total + modes, modes).
+    """
+    patterns = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(modes):
+        room = total - patterns.sum(axis=1) + 1
+        starts = np.repeat(np.cumsum(room) - room, room)
+        values = np.arange(starts.size) - starts
+        patterns = np.column_stack([np.repeat(patterns, room, axis=0), values])
+    return patterns
+
+
+def _pair_sectors(patterns: np.ndarray, mi: int, mj: int) -> list[np.ndarray]:
+    """Per total t of modes (mi, mj), the (t+1, R_t) row indices of the
+    patterns with n_mi = a, n_mj = t - a, one column per configuration of
+    the other modes."""
+    t = patterns[:, mi] + patterns[:, mj]
+    others = np.delete(patterns, [mi, mj], axis=1)
+    # sort by t, then the other modes, then n_mi: each (t, others) group
+    # is one column holding n_mi = 0..t
+    order = np.lexsort((patterns[:, mi], *others.T[::-1], t))
+    sectors, start = [], 0
+    for tot, size in enumerate(np.bincount(t)):
+        idx = order[start:start + size]
+        if size % (tot + 1) or not (patterns[idx, mi] == np.arange(size) % (tot + 1)).all():
+            raise ValueError("pattern set is not closed under the circuit's gates")
+        sectors.append(idx.reshape(-1, tot + 1).T)
+        start += size
+    return sectors
+
+
+def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.ndarray:
+    """Apply a passive circuit to amplitudes listed by photon pattern.
+
+    ``amplitudes[k]`` (with any trailing batch axes) belongs to
+    ``patterns[k]``.  The set must hold every pattern a gate reaches from
+    one of its members, as ``simplex_patterns`` does; then no weight is
+    truncated.  A beamsplitter multiplies each total-photon block B_t of
+    its mode pair into the gathered (t+1, R_t) sector and scatters the
+    result back; a phase rotation is a diagonal multiply.
+    """
+    patterns = np.asarray(patterns)
+    n_modes = patterns.shape[1]
+    out = np.array(amplitudes, dtype=np.complex128)
+    sectors = {}
+    for gate in gates:
+        if not isinstance(gate, (Beamsplitter, PhaseRotation)):
+            raise TypeError(f"{gate!r} is not a beamsplitter or phase rotation")
+        modes = (gate.mode,) if isinstance(gate, PhaseRotation) else (gate.mode_i, gate.mode_j)
+        if not all(0 <= m < n_modes for m in modes):
+            raise ValueError(f"gate modes {modes} outside 0..{n_modes - 1}")
+        if isinstance(gate, PhaseRotation):
+            phase = np.exp(-1j * gate.phi * patterns[:, gate.mode])
+            out *= phase.reshape((-1,) + (1,) * (out.ndim - 1))
+            continue
+        if modes not in sectors:
+            sectors[modes] = _pair_sectors(patterns, *modes)
+        blocks = _beamsplitter_blocks(gate.theta, gate.phi, len(sectors[modes]) - 1)
+        for idx, (_, block) in zip(sectors[modes], blocks):
+            out[idx] = np.tensordot(block, out[idx], axes=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

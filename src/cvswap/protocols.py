@@ -25,7 +25,6 @@ from .sampling import BlockSpec, _as_root, blocks_estimate, derive_seed, estimat
 
 __all__ = [
     "PermOutcomeWeight",
-    "HybridOutcome",
     "perm_weight",
     "perm_test",
     "perm_expectation",
@@ -62,20 +61,6 @@ class PermOutcomeWeight:
         return cls(pat, perm_weight(pat, n_registers))
 
 
-@dataclass(frozen=True)
-class HybridOutcome:
-    """Joint qubit Bell outcome and CV photon pattern for one shot."""
-
-    bell: tuple[int, int]
-    photons: fock.PhotonPattern
-
-    def __post_init__(self):
-        i, j = (int(v) for v in self.bell)
-        if not (0 <= i <= 1 and 0 <= j <= 1):
-            raise ValueError("bell labels must be bits")
-        object.__setattr__(self, "bell", (i, j))
-
-
 # ---------------------------------------------------------------------------
 # PERM test
 
@@ -103,38 +88,47 @@ def dft_matrix(n: int) -> np.ndarray:
 def _perm_block(states) -> BlockSpec:
     n, cap = _check_perm_inputs(states)
     total = n * cap
-    caps = (total,) * n
-    shape = tuple(c + 1 for c in caps)
-    est._guard_elements(shape)
+    comps = [components_of(s) for s in states]
+    n_combos = math.prod(len(c) for c in comps)
+    size = math.comb(total + n, n) * n_combos
+    if size > est.MAX_WORKING_ELEMENTS:
+        raise ValueError(
+            f"PERM working space of {size} amplitudes exceeds the desk-scale limit; "
+            "reduce the cutoff, register count or ensemble rank"
+        )
+    # joint amplitudes of every ensemble combination, register 0 outermost
+    # on both the pattern axis and the combination axis
+    comp_w = np.ones(1)
+    joint = np.ones((1, 1), dtype=np.complex128)
+    for c in comps:
+        amps = np.stack([s.amplitudes for _, s in c], axis=1)
+        comp_w = np.multiply.outer(comp_w, [w for w, _ in c]).ravel()
+        outer = np.multiply.outer(joint, amps).transpose(0, 2, 1, 3)
+        joint = outer.reshape(len(joint) * len(amps), -1)
+
+    patterns = fock.simplex_patterns(n, total)
+    amps = np.zeros((len(patterns), n_combos), dtype=np.complex128)
+    # the patterns with every count <= cap are the input box, in row-major order
+    amps[(patterns <= cap).all(axis=1)] = joint
     gates = fock.invert_circuit(fock.rectangular_decompose(dft_matrix(n)))
+    p = np.abs(fock.apply_passive(amps, patterns, gates).T) ** 2
+    dists = np.ascontiguousarray(p / p.sum(axis=1, keepdims=True))
 
-    comp_w, dists = [], []
-    combos = [(1.0, [])]
-    for s in states:
-        combos = [(w * cw, parts + [cs]) for w, parts in combos for cw, cs in components_of(s)]
-    for w, parts in combos:
-        joint = parts[0]
-        for p in parts[1:]:
-            joint = fock.tensor(joint, p)
-        state = fock.apply_circuit(fock.pad(joint, caps), gates)
-        p = np.abs(state.amplitudes.ravel()) ** 2
-        comp_w.append(w)
-        dists.append(p / p.sum())
-
-    counts = np.indices(shape).reshape(n, -1)
-    phases = (np.arange(n)[:, None] * counts).sum(axis=0)
+    phases = patterns @ np.arange(n)
     weights = np.exp(2j * math.pi * phases / n)
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
+    return BlockSpec(comp_w, tuple(dists), weights)
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult:
     """Estimate tr(rho^(0) ... rho^(L-1)) by measuring the DFT-mixed
     registers and weighting shots by prod_j e^{2 pi i j n_j / L}.
 
-    The mixer is applied through its rectangular decomposition on a
-    working space padded to the joint photon capacity, so the pattern
-    distribution is exact.  L = 2 runs the CV SWAP path directly (the
-    weights reduce to (-1)^n there).
+    The mixer is applied through its rectangular decomposition to the
+    amplitudes of every pattern with at most L * cap photons in total (the
+    photon-number simplex).  The mesh conserves photon number, so no
+    weight leaves that set and the pattern distribution is exact; the
+    ensemble combinations ride along as a batch axis.  L = 2 runs the CV
+    SWAP path directly (the weights reduce to (-1)^n there).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -149,26 +143,20 @@ def perm_test(states, shots: int, seed) -> EstimatorResult:
 
 
 def perm_expectation(states) -> complex:
-    """Exact PERM-test expectation (no sampling)."""
+    """Exact PERM-test expectation tr(rho^(0) rho^(1) ... rho^(L-1)).
+
+    The shot estimator loses no weight to truncation, so its expectation
+    is this trace; each ensemble component is normalised by its norm_sq,
+    as the sampler normalises its distributions.
+    """
     states = list(states)
-    n, cap = _check_perm_inputs(states)
-    if n == 2:
-        return complex(est.swap2m_expectation(_pair_joint(states[0], states[1]), cap))
-    block = _perm_block(states)
-    value = 0.0 + 0.0j
-    for cw, dist in zip(block.component_weights, block.distributions):
-        value += cw * complex(np.dot(dist, block.weights))
-    return value
-
-
-def _pair_joint(state_a, state_b):
-    comps = []
-    for wa, sa in components_of(state_a):
-        for wb, sb in components_of(state_b):
-            comps.append((wa * wb, fock.tensor(sa, sb)))
-    if len(comps) == 1:
-        return comps[0][1]
-    return MixedEnsemble(tuple(comps))
+    _, cap = _check_perm_inputs(states)
+    product = np.eye(cap + 1)
+    for s in states:
+        comps = components_of(s)
+        vecs = np.stack([c.amplitudes / math.sqrt(c.norm_sq) for _, c in comps], axis=1)
+        product = product @ (vecs * [w for w, _ in comps]) @ vecs.conj().T
+    return complex(np.trace(product))
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,73 @@ def test_csv_estimator_rows(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "run,mean_re,mean_im,stderr,shots,discarded,seed"
     assert len(lines) == 4
+
+
+HYBRID_SPEC = {"qubit": [1, 0], "cv": {"kind": "vacuum", "cutoff": [2]}}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("overlap", {}, "state_a"),
+    ("overlap", {"pairs": [[0, 1]]}, "states"),
+    ("cutoff-plan", {"family": "squeezed"}, "r"),
+    ("cutoff-plan", {"family": "coherent"}, "energy"),
+    ("perm", {}, "states"),
+    ("perm", {"states": [{"cutoff": [2]}] * 3}, "kind"),
+    ("perm", {"states": [{"mixture": [{"weight": 1.0}]}] * 3}, "state"),
+    ("two-copy", {}, "purification"),
+    ("compile-cost", {}, "training"),
+    ("hybrid", {"state_a": HYBRID_SPEC}, "state_b"),
+])
+def test_missing_key_is_config_error(tmp_path, capsys, command, config, key):
+    # fig2 and qudit-basis have a default for every key
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("overlap", {"state_a": {"kind": "tmss", "r": "x", "cutoff": [2, 2]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2, 2]}}, "r"),
+    ("overlap", {"state_a": {"kind": "coherent", "alpha": ["x", 0], "cutoff": [2]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2]}}, "alpha"),
+    ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
+                      "u_gates": [{"gate": "phase", "phi": "x", "mode": 0}]}, "phi"),
+    ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
+                      "u_gates": [{"gate": "beamsplitter", "theta": "x", "phi": 0,
+                                   "modes": [0, 1]}]}, "theta"),
+    ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
+                      "u_gates": [{"gate": "two_mode_squeeze", "r": [1], "modes": [0, 1]}]}, "r"),
+    ("cutoff-plan", {"family": "squeezed", "r": "x"}, "r"),
+    ("cutoff-plan", {"family": "coherent", "energy": 4.0, "eps": "small"}, "eps"),
+])
+def test_non_numeric_real_is_config_error(tmp_path, capsys, command, config, name):
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be") and err.count("\n") == 1
+
+
+def test_perm_six_registers_runs(tmp_path):
+    alphas = [0.0, 0.3, 0.2, -0.25, 0.1, 0.15]
+    states = [{"kind": "coherent", "alpha": a, "cutoff": [3]} for a in alphas]
+    code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 20_000, "seed": 8})
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    exact = complex(results["exact_expectation_re"], results["exact_expectation_im"])
+    # pure registers: tr(rho_0 ... rho_5) is the cyclic product of overlaps
+    vecs = [cli.build_state(s).amplitudes for s in states]
+    vecs = [v / np.linalg.norm(v) for v in vecs]
+    want = np.prod([np.vdot(vecs[k], vecs[(k + 1) % 6]) for k in range(6)])
+    assert abs(exact - want) < 1e-12
+    (row,) = results["runs"]
+    assert abs(complex(row["mean_re"], row["mean_im"]) - exact) < 5 * row["stderr"]
+
+
+def test_perm_oversized_working_space_refused(tmp_path, capsys):
+    states = [{"kind": "vacuum", "cutoff": [5]}] * 8  # C(48, 8) = 3.8e8 amplitudes
+    code, _ = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "desk-scale limit" in err and err.count("\n") == 1

@@ -537,6 +537,56 @@ def test_decompose_fock_consistency(rng):
 
 
 # ---------------------------------------------------------------------------
+# passive circuits on the photon-number simplex
+
+
+@pytest.mark.parametrize("modes, total", [(1, 4), (2, 0), (3, 3), (4, 5)])
+def test_simplex_patterns_row_major(modes, total):
+    pats = fock.simplex_patterns(modes, total)
+    box = np.indices((total + 1,) * modes).reshape(modes, -1).T
+    want = box[box.sum(axis=1) <= total]
+    assert np.array_equal(pats, want)
+    assert len(pats) == math.comb(total + modes, modes)
+
+
+def _dense_on_simplex(amps, pats, total, gates):
+    """The dense padded oracle: embed, run apply_circuit, read back."""
+    modes = pats.shape[1]
+    dense = np.zeros((total + 1,) * modes, dtype=np.complex128)
+    dense[tuple(pats.T)] = amps
+    state = fock.apply_circuit(FockState(CutoffSpec.uniform(total, modes), dense), gates)
+    return state.amplitudes[tuple(pats.T)]
+
+
+def test_apply_passive_matches_dense(rng):
+    modes, total = 4, 4
+    pats = fock.simplex_patterns(modes, total)
+    z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    gates = fock.rectangular_decompose(np.linalg.qr(z)[0]) + [Beamsplitter(0.7, 1.1, 3, 1), PhaseRotation(0.4, 2)]
+    amps = rng.normal(size=(len(pats), 3)) + 1j * rng.normal(size=(len(pats), 3))
+    got = fock.apply_passive(amps, pats, gates)
+    for k in range(3):
+        want = _dense_on_simplex(amps[:, k], pats, total, gates)
+        assert np.max(np.abs(got[:, k] - want)) < 1e-12
+    # unitary on the simplex, and the input is left alone
+    assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
+    assert np.array_equal(fock.apply_passive(amps, pats, []), amps)
+
+
+def test_apply_passive_rejects_bad_input():
+    pats = fock.simplex_patterns(3, 2)
+    amps = np.ones(len(pats))
+    with pytest.raises(TypeError):
+        fock.apply_passive(amps, pats, [ModeSwap(0, 1)])
+    with pytest.raises(ValueError):
+        fock.apply_passive(amps, pats, [Beamsplitter(0.3, 0.0, 0, 3)])
+    box = np.indices((3, 3, 3)).reshape(3, -1).T
+    with pytest.raises(ValueError):
+        # a per-mode box is not closed under a beamsplitter
+        fock.apply_passive(np.ones(len(box)), box, [Beamsplitter(0.3, 0.0, 0, 1)])
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec, MixedEnsemble
+from cvswap.sampling import BlockSpec, blocks_estimate, blocks_expectation
 
 from conftest import density_matrix, purification_of, random_ensemble, random_pure
 
@@ -86,6 +88,64 @@ def test_perm_rejects_bad_inputs(rng):
         proto.perm_test([random_pure(rng, 3)], 10, 0)
     with pytest.raises(ValueError):
         proto.perm_test([random_pure(rng, 3), random_pure(rng, 4)], 10, 0)
+
+
+def _dense_perm_block(states) -> BlockSpec:
+    """Oracle: every ensemble combination tensored, padded per mode to the
+    joint photon capacity and run through the dense mesh."""
+    n, cap = len(states), states[0].cutoff.per_mode_max[0]
+    caps = (n * cap,) * n
+    gates = fock.invert_circuit(fock.rectangular_decompose(proto.dft_matrix(n)))
+    combos = [(1.0, [])]
+    for s in states:
+        combos = [(w * cw, parts + [cs]) for w, parts in combos for cw, cs in fock.components_of(s)]
+    comp_w, dists = [], []
+    for w, parts in combos:
+        joint = parts[0]
+        for part in parts[1:]:
+            joint = fock.tensor(joint, part)
+        p = np.abs(fock.apply_circuit(fock.pad(joint, caps), gates).amplitudes.ravel()) ** 2
+        comp_w.append(w)
+        dists.append(p / p.sum())
+    counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
+    weights = np.exp(2j * math.pi * (np.arange(n)[:, None] * counts).sum(axis=0) / n)
+    return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 4), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_ensemble(rng, cap, rank) for _ in range(n_registers)]
+    block = proto._perm_block(states)
+    dense = _dense_perm_block(states)
+    # the simplex patterns, located in the dense row-major flattening
+    pats = fock.simplex_patterns(n_registers, n_registers * cap)
+    flat = np.ravel_multi_index(tuple(pats.T), (n_registers * cap + 1,) * n_registers)
+    assert np.array_equal(block.component_weights, dense.component_weights)
+    assert np.array_equal(block.weights, dense.weights[flat])
+    for got, want in zip(block.distributions, dense.distributions):
+        assert np.max(np.abs(got - want[flat])) < 1e-12
+        assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
+    exact = proto.perm_expectation(states)
+    assert abs(exact - blocks_expectation([block])) < 1e-10
+    shot_seed = int(rng.integers(2**32))
+    got_w, got_d = blocks_estimate([block], 5000, shot_seed)
+    want_w, want_d = blocks_estimate([dense], 5000, shot_seed)
+    assert np.array_equal(got_w, want_w) and got_d == want_d
+
+
+def test_perm_six_registers_at_cap_three(rng):
+    # C(24, 6) = 134,596 simplex amplitudes; the dense padding would need 19^6
+    cut = CutoffSpec((3,))
+    states = [fock.prepare("vacuum", cut)] + [
+        fock.prepare("coherent", cut, alpha=complex(a)) for a in (0.3, 0.2j, -0.25, 0.1 + 0.1j, 0.15)
+    ]
+    exact = proto.perm_expectation(states)
+    mats = [density_matrix(s) for s in states]
+    want = np.trace(np.linalg.multi_dot(mats))
+    assert exact == pytest.approx(want, abs=1e-12)
+    assert abs(blocks_expectation([proto._perm_block(states)]) - exact) < 1e-10
 
 
 # ---------------------------------------------------------------------------
