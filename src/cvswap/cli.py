@@ -55,6 +55,36 @@ def _required(spec: dict, key: str, where: str):
     return spec[key]
 
 
+def _int_param(value, name: str) -> int:
+    """An integer; an integral float such as 3.0 is accepted as one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer")
+
+
+def _list_param(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list")
+    return value
+
+
+def _pair_param(value, name: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name} must be a pair of integers")
+    return _int_param(value[0], name), _int_param(value[1], name)
+
+
+def _threshold_param(value):
+    """M: None, one integer, or a list of integers and nulls (one per pair)."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple)):
+        return [None if v is None else _int_param(v, "M") for v in value]
+    return _int_param(value, "M")
+
+
 def _real_param(value, name: str) -> float:
     if isinstance(value, (int, float)):
         return float(value)
@@ -70,11 +100,9 @@ def _complex_param(value, name: str) -> complex:
 
 
 def _cutoff_param(value) -> fock.CutoffSpec:
-    if isinstance(value, int):
-        return fock.CutoffSpec((value,))
     if isinstance(value, (list, tuple)):
-        return fock.CutoffSpec(tuple(int(v) for v in value))
-    raise ConfigError("cutoff must be an int or a list of ints")
+        return fock.CutoffSpec(tuple(_int_param(v, "cutoff") for v in value))
+    return fock.CutoffSpec((_int_param(value, "cutoff"),))
 
 
 def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
@@ -83,7 +111,7 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
         raise ConfigError("state spec must be an object")
     if "mixture" in spec:
         comps = []
-        for item in spec["mixture"]:
+        for item in _list_param(spec["mixture"], "mixture"):
             comp = build_state(_required(item, "state", "mixture item"))
             if not isinstance(comp, fock.FockState):
                 raise ConfigError("mixture components must be pure states")
@@ -100,22 +128,24 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
     if kind == "tmss":
         return fock.prepare("tmss", cutoff, r=_real_param(spec.get("r", 0.0), "r"))
     if kind == "basis":
-        return fock.basis_state(tuple(_required(spec, "pattern", "state spec")), cutoff)
+        pattern = _list_param(_required(spec, "pattern", "state spec"), "pattern")
+        return fock.basis_state(tuple(_int_param(n, "pattern") for n in pattern), cutoff)
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
 _GATE_BUILDERS = {
-    "displacement": lambda g: fock.Displacement(_complex_param(g["alpha"], "alpha"), int(g["mode"])),
-    "squeeze": lambda g: fock.Squeeze(_complex_param(g["z"], "z"), int(g["mode"])),
-    "phase": lambda g: fock.PhaseRotation(_real_param(g["phi"], "phi"), int(g["mode"])),
+    "displacement": lambda g: fock.Displacement(
+        _complex_param(g["alpha"], "alpha"), _int_param(g["mode"], "mode")),
+    "squeeze": lambda g: fock.Squeeze(_complex_param(g["z"], "z"), _int_param(g["mode"], "mode")),
+    "phase": lambda g: fock.PhaseRotation(_real_param(g["phi"], "phi"), _int_param(g["mode"], "mode")),
     "beamsplitter": lambda g: fock.Beamsplitter(
         _real_param(g["theta"], "theta"), _real_param(g["phi"], "phi"),
-        int(g["modes"][0]), int(g["modes"][1]),
+        *_pair_param(g["modes"], "modes"),
     ),
     "two_mode_squeeze": lambda g: fock.TwoModeSqueeze(
-        _real_param(g["r"], "r"), int(g["modes"][0]), int(g["modes"][1])
+        _real_param(g["r"], "r"), *_pair_param(g["modes"], "modes")
     ),
-    "mode_swap": lambda g: fock.ModeSwap(int(g["modes"][0]), int(g["modes"][1])),
+    "mode_swap": lambda g: fock.ModeSwap(*_pair_param(g["modes"], "modes")),
 }
 
 
@@ -123,7 +153,7 @@ def build_circuit(specs) -> list[fock.GateSpec]:
     gates = []
     for g in specs:
         try:
-            gates.append(_GATE_BUILDERS[g["gate"]](g))
+            gates.append(_GATE_BUILDERS[_required(g, "gate", "gate spec")](g))
         except KeyError as exc:
             raise ConfigError(f"bad gate spec {g!r}: missing {exc}") from exc
     return gates
@@ -141,9 +171,9 @@ def _load_config(args) -> RunConfig:
     declared = raw.get("protocol")
     if declared is not None and declared != args.command:
         raise ConfigError(f"config is for protocol {declared!r}, not {args.command!r}")
-    seed = int(args.seed) if args.seed is not None else int(raw.get("seed", 0))
-    shots = int(raw.get("shots", 1))
-    runs = int(raw.get("runs", 1))
+    seed = int(args.seed) if args.seed is not None else _int_param(raw.get("seed", 0), "seed")
+    shots = _int_param(raw.get("shots", 1), "shots")
+    runs = _int_param(raw.get("runs", 1), "runs")
     if shots < 1 or runs < 1:
         raise ConfigError("shots and runs must be >= 1")
     # output location and format may live in the config; flags win
@@ -230,17 +260,17 @@ def _full_threshold(states) -> int:
 def cmd_overlap(cfg: RunConfig) -> None:
     payload = cfg.payload
     if "pairs" in payload:
-        states = [build_state(s) for s in _required(payload, "states", "overlap config")]
-        pairs = [tuple(int(v) for v in p) for p in payload["pairs"]]
-        m = payload.get("M")
+        states = [build_state(s) for s in _list_param(
+            _required(payload, "states", "overlap config"), "states")]
+        pairs = [_pair_param(p, "pairs entry") for p in _list_param(payload["pairs"], "pairs")]
+        m = _threshold_param(payload.get("M"))
         run_fn = lambda shots, seed: est.parity_overlap_estimate(states, pairs, m, shots, seed)
     else:
         state_a = build_state(_required(payload, "state_a", "overlap config"))
         state_b = build_state(_required(payload, "state_b", "overlap config"))
         m = payload.get("M")
-        if m is None:
-            m = _full_threshold([state_a, state_b])
-        run_fn = lambda shots, seed: est.cv_swap_estimate(state_a, state_b, int(m), shots, seed)
+        m = _full_threshold([state_a, state_b]) if m is None else _int_param(m, "M")
+        run_fn = lambda shots, seed: est.cv_swap_estimate(state_a, state_b, m, shots, seed)
     results, rows = _estimator_document(cfg, run_fn)
     _emit(cfg, results, rows)
 
@@ -272,10 +302,11 @@ def cmd_fig2(cfg: RunConfig) -> None:
     """Convergence table: closed-form finite-threshold values next to the
     simulated expectation of the circuit-prepared two-mode squeezed state."""
     payload = cfg.payload
-    r_list = [_real_param(r, "r_list entry") for r in payload.get("r_list", [0.8, 1.0, 1.2])]
-    m_lo = int(payload.get("m_min", 4))
-    m_hi = int(payload.get("m_max", 20))
-    cap = int(payload.get("prep_cutoff", 40))
+    r_list = [_real_param(r, "r_list entry")
+              for r in _list_param(payload.get("r_list", [0.8, 1.0, 1.2]), "r_list")]
+    m_lo = _int_param(payload.get("m_min", 4), "m_min")
+    m_hi = _int_param(payload.get("m_max", 20), "m_max")
+    cap = _int_param(payload.get("prep_cutoff", 40), "prep_cutoff")
     if m_lo < 0 or m_hi < m_lo:
         raise ConfigError("need 0 <= m_min <= m_max")
     rows = []
@@ -299,7 +330,8 @@ def cmd_fig2(cfg: RunConfig) -> None:
 
 
 def cmd_perm(cfg: RunConfig) -> None:
-    states = [build_state(s) for s in _required(cfg.payload, "states", "perm config")]
+    states = [build_state(s) for s in _list_param(
+        _required(cfg.payload, "states", "perm config"), "states")]
     results, rows = _estimator_document(
         cfg, lambda shots, seed: proto.perm_test(states, shots, seed)
     )
@@ -316,13 +348,13 @@ def cmd_two_copy(cfg: RunConfig) -> None:
         raise ConfigError("purification must be a pure state")
     if base.modes != 2:
         raise ConfigError("purification spec must cover one (A, B) pair")
-    copies = int(payload.get("copies", 2))
+    copies = _int_param(payload.get("copies", 2), "copies")
     if copies < 2:
         raise ConfigError("two-copy test needs copies >= 2")
     stack = base
     for _ in range(copies - 1):
         stack = fock.tensor(stack, base)
-    m = payload.get("M")
+    m = _threshold_param(payload.get("M"))
     results, rows = _estimator_document(
         cfg, lambda shots, seed: proto.two_copy_test(stack, shots, seed, m)
     )
@@ -332,11 +364,15 @@ def cmd_two_copy(cfg: RunConfig) -> None:
 
 def cmd_compile_cost(cfg: RunConfig) -> None:
     payload = cfg.payload
-    training = [build_state(s) for s in _required(payload, "training", "compile-cost config")]
-    u_gates = build_circuit(payload.get("u_gates", []))
-    v_gates = build_circuit(payload.get("v_gates", []))
+    training = [build_state(s) for s in _list_param(
+        _required(payload, "training", "compile-cost config"), "training")]
+    u_gates = build_circuit(_list_param(payload.get("u_gates", []), "u_gates"))
+    v_gates = build_circuit(_list_param(payload.get("v_gates", []), "v_gates"))
     m_totals = payload.get("m_totals")
-    shots = int(payload.get("shots_per_term", cfg.shots))
+    if m_totals is not None:
+        m_totals = [None if m is None else _int_param(m, "m_totals entry")
+                    for m in _list_param(m_totals, "m_totals")]
+    shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term")
     cost = proto.compile_cost(training, u_gates, v_gates, shots, cfg.seed, m_totals)
     results = {
         "cost": cost,
@@ -346,10 +382,12 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
     _emit(cfg, results, [results])
 
 
-def _build_hybrid(spec) -> fock.FockState | fock.MixedEnsemble:
+def _build_hybrid(spec, name: str) -> fock.FockState | fock.MixedEnsemble:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object")
     if "qubit" not in spec or "cv" not in spec:
         raise ConfigError("hybrid state needs 'qubit' amplitudes and a 'cv' state spec")
-    q = np.array([_complex_param(a, "qubit amplitude") for a in spec["qubit"]])
+    q = np.array([_complex_param(a, "qubit amplitude") for a in _list_param(spec["qubit"], "qubit")])
     if q.shape != (2,):
         raise ConfigError("qubit amplitudes must be a 2-vector")
     q = q / np.linalg.norm(q)
@@ -363,21 +401,20 @@ def _build_hybrid(spec) -> fock.FockState | fock.MixedEnsemble:
 
 def cmd_hybrid(cfg: RunConfig) -> None:
     payload = cfg.payload
-    state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"))
-    state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"))
+    state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"), "state_a")
+    state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"), "state_b")
     m = payload.get("M")
-    if m is None:
-        m = state_a.cutoff.per_mode_max[1]
+    m = state_a.cutoff.per_mode_max[1] if m is None else _int_param(m, "M")
     results, rows = _estimator_document(
-        cfg, lambda shots, seed: proto.hybrid_swap_estimate(state_a, state_b, int(m), shots, seed)
+        cfg, lambda shots, seed: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seed)
     )
-    results["exact_expectation"] = proto.hybrid_swap_expectation(state_a, state_b, int(m))
+    results["exact_expectation"] = proto.hybrid_swap_expectation(state_a, state_b, m)
     _emit(cfg, results, rows)
 
 
 def cmd_qudit_basis(cfg: RunConfig) -> None:
     payload = cfg.payload
-    d = int(payload.get("d", 2))
+    d = _int_param(payload.get("d", 2), "d")
     basis = payload.get("basis", "w")
     mat, eig = dv.swap_eigenbasis(d, basis)
     unit_err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d * d))))

@@ -10,21 +10,20 @@ from superpositions of qudit Bell-state pairs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorResult
-from .fock import _apply_two_mode_dense
+from .estimators import EstimatorResult, estimate_blocks
+from .fock import apply_two_mode_dense
 from .sampling import (
     BlockSpec,
-    _as_root,
-    blocks_estimate,
-    categorical_cdf,
-    draw_categorical,
-    estimator_statistics,
-    shot_uniforms,
+    blocks_expectation,
+    draw_outcomes,
+    ensemble_combinations,
+    measurement_block,
 )
 
 __all__ = [
@@ -90,12 +89,6 @@ class DVEnsemble:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.components[0][1].dims
-
-
-def _dv_components(state) -> tuple[tuple[float, DVState], ...]:
-    if isinstance(state, DVEnsemble):
-        return state.components
-    return ((1.0, state),)
 
 
 @dataclass(frozen=True)
@@ -212,25 +205,20 @@ def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
     k = len(dims_a)
     bases = [swap_eigenbasis(d, basis) for d in dims_a]
 
-    comp_w, dists = [], []
-    for wa, sa in _dv_components(prep_a):
-        for wb, sb in _dv_components(prep_b):
-            joint = np.multiply.outer(sa.amplitudes, sb.amplitudes)
-            for pair, (mat, _) in enumerate(bases):
-                joint = _apply_two_mode_dense(joint, mat.conj().T, pair, k + pair)
-            comp_w.append(wa * wb)
-            dists.append((np.abs(joint.ravel()) ** 2))
+    def measured(sa, sb):
+        joint = np.multiply.outer(sa.amplitudes, sb.amplitudes)
+        for pair, (mat, _) in enumerate(bases):
+            joint = apply_two_mode_dense(joint, mat.conj().T, pair, k + pair)
+        return joint
 
-    shape = dims_a + dims_a
-    weights = np.ones(shape, dtype=np.float64)
-    for pair, (_, eig) in enumerate(bases):
-        d = dims_a[pair]
-        table = eig.reshape(d, d)
-        ax_i, ax_j = pair, k + pair
-        grid_i = np.arange(d).reshape((1,) * ax_i + (-1,) + (1,) * (2 * k - ax_i - 1))
-        grid_j = np.arange(d).reshape((1,) * ax_j + (-1,) + (1,) * (2 * k - ax_j - 1))
-        weights = weights * table[grid_i, grid_j]
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights.ravel().astype(np.complex128))
+    # a shot scores the product of its pairs' eigenvalues; the outer product
+    # has axes (i_0, j_0, i_1, j_1, ...), the outcomes (i_0, i_1, ..., j_0, j_1, ...)
+    tables = [eig.reshape(d, d) for d, (_, eig) in zip(dims_a, bases)]
+    weights = np.transpose(functools.reduce(np.multiply.outer, tables),
+                           [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+    combos = ensemble_combinations([prep_a, prep_b])
+    return measurement_block([w for w, _ in combos],
+                             np.stack([measured(*pair) for _, pair in combos]), weights)
 
 
 def dv_swap_estimate(prep_a, prep_b, shots: int, seed, basis: str = "v") -> EstimatorResult:
@@ -241,30 +229,16 @@ def dv_swap_estimate(prep_a, prep_b, shots: int, seed, basis: str = "v") -> Esti
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    block = _dv_block(prep_a, prep_b, basis)
-    weights, discarded = blocks_estimate([block], shots, seed)
-    mean, stderr = estimator_statistics(weights)
-    return EstimatorResult(mean, stderr, shots, discarded, _as_root(seed))
+    return estimate_blocks([_dv_block(prep_a, prep_b, basis)], shots, seed)
 
 
 def sample_swap_outcomes(prep_a, prep_b, shots: int, seed, basis: str = "v") -> list[BellOutcome]:
     """Raw measurement record: one (i_k, j_k) label pair per qudit pair
-    and shot, drawn from the same distribution the estimator consumes."""
+    and shot, drawn from the same distribution, with the same uniforms, as
+    the estimator consumes."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    block = _dv_block(prep_a, prep_b, basis)
-    if len(block.distributions) == 1:
-        comp_idx = np.zeros(shots, dtype=np.int64)
-    else:
-        comp_idx = draw_categorical(
-            categorical_cdf(block.component_weights), shot_uniforms(seed, 0, shots)
-        )
-    u = shot_uniforms(seed, 1, shots)
-    flat = np.empty(shots, dtype=np.int64)
-    for i, dist in enumerate(block.distributions):
-        sel = comp_idx == i
-        if np.any(sel):
-            flat[sel] = draw_categorical(categorical_cdf(dist), u[sel])
+    flat = draw_outcomes(_dv_block(prep_a, prep_b, basis), 0, shots, seed)
     dims = prep_a.dims
     k = len(dims)
     coords = np.unravel_index(flat, dims + dims)
@@ -277,8 +251,4 @@ def sample_swap_outcomes(prep_a, prep_b, shots: int, seed, basis: str = "v") -> 
 
 def dv_swap_expectation(prep_a, prep_b, basis: str = "v") -> float:
     """Exact estimator expectation (eigenvalue-weighted outcome sum)."""
-    block = _dv_block(prep_a, prep_b, basis)
-    value = 0.0
-    for cw, dist in zip(block.component_weights, block.distributions):
-        value += cw * float(np.dot(dist, block.weights.real))
-    return value
+    return blocks_expectation([_dv_block(prep_a, prep_b, basis)]).real

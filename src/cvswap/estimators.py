@@ -10,6 +10,7 @@ formulas, and detector-cutoff planners live alongside it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,11 +18,21 @@ import numpy as np
 
 from . import fock
 from .fock import Beamsplitter, FockState, MixedEnsemble, components_of
-from .sampling import BlockSpec, _as_root, blocks_estimate, estimator_statistics
+from .sampling import (
+    BlockSpec,
+    blocks_estimate,
+    check_working_size,
+    ensemble_combinations,
+    estimator_statistics,
+    measurement_block,
+    seed_root,
+)
 
 __all__ = [
     "EstimatorResult",
     "CutoffPlan",
+    "estimate_blocks",
+    "normalize_thresholds",
     "cv_swap_estimate",
     "swap2m_expectation",
     "swap2m_profile",
@@ -38,10 +49,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
 ]
-
-# dense working tensors larger than this are refused with guidance
-MAX_WORKING_ELEMENTS = 1 << 24
-
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -131,22 +138,9 @@ class CutoffPlan:
 # block assembly for parity estimators
 
 
-def _as_factors(joint) -> list:
-    if isinstance(joint, (FockState, MixedEnsemble)):
-        return [joint]
-    return list(joint)
-
-
-def _guard_elements(shape) -> None:
-    total = int(np.prod([int(s) for s in shape], dtype=np.int64))
-    if total > MAX_WORKING_ELEMENTS:
-        raise ValueError(
-            f"working tensor of {total} amplitudes exceeds the desk-scale limit; "
-            "reduce cutoffs or mode count"
-        )
-
-
-def _normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
+def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
+    """One detector threshold (or None) per pair from None, one int for
+    every pair, or a per-pair sequence."""
     if m_per_pair is None:
         return [None] * n_pairs
     if isinstance(m_per_pair, (int, np.integer)):
@@ -185,22 +179,14 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     if len(set(flat)) != len(flat):
         raise ValueError("measurement pairs must be disjoint")
 
-    parent = list(range(len(factors)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # label every factor with its group; a pair merges its two factors' groups
+    label = list(range(len(factors)))
     for a, b in pairs:
-        ra, rb = find(owner[a]), find(owner[b])
-        if ra != rb:
-            parent[ra] = rb
-
+        keep, drop = label[owner[a]], label[owner[b]]
+        label = [keep if g == drop else g for g in label]
     groups: dict[int, list[int]] = {}
-    for i in range(len(factors)):
-        groups.setdefault(find(i), []).append(i)
+    for i, g in enumerate(label):
+        groups.setdefault(g, []).append(i)
 
     out = []
     for members in groups.values():
@@ -219,40 +205,32 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return out
 
 
-def _group_combos(group: _Group):
-    """(weight, pure states) combinations across the group's factors."""
-    combos = [(1.0, [])]
-    for f in group.factors:
-        combos = [
-            (w * cw, states + [cs])
-            for w, states in combos
-            for cw, cs in components_of(f)
-        ]
-    return combos
+def _axis_counts(shape) -> list[np.ndarray]:
+    """Photon count of each axis, shaped to broadcast over ``shape``."""
+    return [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
+            for ax, d in enumerate(shape)]
 
 
-def _tensor_all(states: list[FockState]) -> FockState:
-    joint = states[0]
-    for s in states[1:]:
-        joint = fock.tensor(joint, s)
-    return joint
+def _threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
+    """1 where every pair total (and the group total) is within its
+    threshold 2M, else 0."""
+    counts = _axis_counts(shape)
+    mask = np.ones(shape, dtype=np.float64)
+    for (a, b), thr in zip(local_pairs, thresholds):
+        if thr is not None:
+            mask = mask * (counts[a] + counts[b] <= 2 * thr)
+    if total_threshold is not None:
+        mask = mask * (sum(counts) <= 2 * total_threshold)
+    return mask
 
 
 def _parity_weights(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
     """Per-pattern weight grid: parity on the first mode of every pair,
     zeroed where a pair total (or the group total) exceeds its threshold."""
-    weights = np.ones(shape, dtype=np.float64)
-    counts = [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
-              for ax, d in enumerate(shape)]
-    for (a, b), thr in zip(local_pairs, thresholds):
+    counts = _axis_counts(shape)
+    weights = _threshold_mask(shape, local_pairs, thresholds, total_threshold)
+    for a, _ in local_pairs:
         weights = weights * np.where(counts[a] % 2 == 0, 1.0, -1.0)
-        if thr is not None:
-            weights = weights * (counts[a] + counts[b] <= 2 * thr)
-    if total_threshold is not None:
-        total = np.zeros(shape, dtype=np.int64)
-        for ax in range(len(shape)):
-            total = total + counts[ax]
-        weights = weights * (total <= 2 * total_threshold)
     return weights
 
 
@@ -268,22 +246,16 @@ def _sampling_block(group: _Group, total_threshold=None) -> BlockSpec:
         caps[a] = max(caps[a], s)
         caps[b] = max(caps[b], s)
     shape = tuple(c + 1 for c in caps)
-    _guard_elements(shape)
+    combos = ensemble_combinations(group.factors)
+    check_working_size(len(combos), math.prod(shape))
 
     gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
-    combos = _group_combos(group)
-    comp_w, dists = [], []
-    for w, states in combos:
-        state = fock.pad(_tensor_all(states), caps)
-        state = fock.apply_circuit(state, gates)
-        p = np.abs(state.amplitudes.ravel()) ** 2
-        total = p.sum()
-        if total <= 0:
-            raise ValueError("zero-norm component")
-        comp_w.append(w)
-        dists.append(p / total)
+    amps = np.stack([
+        fock.apply_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
+        for _, states in combos
+    ])
     weights = _parity_weights(shape, group.local_pairs, group.thresholds, total_threshold)
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights.ravel().astype(np.complex128))
+    return measurement_block([w for w, _ in combos], amps, weights)
 
 
 def _group_expectation(group: _Group, total_threshold=None) -> float:
@@ -295,23 +267,12 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
         m = max(caps[a], caps[b])
         caps[a] = caps[b] = m
     shape = tuple(c + 1 for c in caps)
-    _guard_elements(shape)
+    check_working_size(1, math.prod(shape))
 
-    counts = [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
-              for ax, d in enumerate(shape)]
-    mask = np.ones(shape, dtype=np.float64)
-    for (a, b), thr in zip(group.local_pairs, group.thresholds):
-        if thr is not None:
-            mask = mask * (counts[a] + counts[b] <= 2 * thr)
-    if total_threshold is not None:
-        total = np.zeros(shape, dtype=np.int64)
-        for ax in range(len(shape)):
-            total = total + counts[ax]
-        mask = mask * (total <= 2 * total_threshold)
-
+    mask = _threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
     value = 0.0
-    for w, states in _group_combos(group):
-        psi = fock.pad(_tensor_all(states), caps).amplitudes
+    for w, states in ensemble_combinations(group.factors):
+        psi = fock.pad(functools.reduce(fock.tensor, states), caps).amplitudes
         norm = float(np.vdot(psi, psi).real)
         if norm <= 0:
             raise ValueError("zero-norm component")
@@ -323,11 +284,12 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
     return value
 
 
-def run_parity_blocks(groups, thresholds_total, shots, seed) -> EstimatorResult:
-    blocks = [_sampling_block(g, t) for g, t in zip(groups, thresholds_total)]
+def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult:
+    """Shot estimate from independent measurement blocks: mean and standard
+    error of the per-shot weight, with the discarded-shot count."""
     weights, discarded = blocks_estimate(blocks, shots, seed)
     mean, stderr = estimator_statistics(weights)
-    return EstimatorResult(mean, stderr, shots, discarded, _as_root(seed))
+    return EstimatorResult(mean, stderr, shots, discarded, seed_root(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -347,40 +309,37 @@ def cv_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorRes
     """
     _require_single_mode(state_a, "state_a")
     _require_single_mode(state_b, "state_b")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if m < 0:
-        raise ValueError("detector threshold must be >= 0")
-    groups = _group_factors([state_a, state_b], [(0, 1)], [m])
-    return run_parity_blocks(groups, [None] * len(groups), shots, seed)
+    return parity_overlap_estimate([state_a, state_b], [(0, 1)], [m], shots, seed)
 
 
-def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed) -> EstimatorResult:
+def _parity_groups(joint, pairs, m_per_pair) -> list[_Group]:
+    factors = [joint] if isinstance(joint, (FockState, MixedEnsemble)) else list(joint)
+    pairs = [tuple(p) for p in pairs]
+    return _group_factors(factors, pairs, normalize_thresholds(m_per_pair, len(pairs)))
+
+
+def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
+                            m_total=None) -> EstimatorResult:
     """Parallel SWAP-test estimate over disjoint mode pairs.
 
     ``joint`` is a FockState/MixedEnsemble or a sequence of them read as a
     tensor product (modes concatenated).  The shot weight is the parity of
     the summed first-of-pair counts, zeroed whenever any pair exceeds its
-    threshold.  Expectation equals tr(prod_p SWAP_2M_p . joint density).
+    threshold, or, with ``m_total``, whenever the total photon count of the
+    factors a measurement connects exceeds 2 m_total.  Expectation equals
+    tr(prod_p SWAP_2M_p . joint density).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    factors = _as_factors(joint)
-    pairs = [tuple(p) for p in pairs]
-    thresholds = _normalize_thresholds(m_per_pair, len(pairs))
-    groups = _group_factors(factors, pairs, thresholds)
-    return run_parity_blocks(groups, [None] * len(groups), shots, seed)
+    groups = _parity_groups(joint, pairs, m_per_pair)
+    return estimate_blocks([_sampling_block(g, m_total) for g in groups], shots, seed)
 
 
-def parity_overlap_expectation(joint, pairs, m_per_pair) -> float:
+def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
     """Exact expectation of the parity estimator (no sampling)."""
-    factors = _as_factors(joint)
-    pairs = [tuple(p) for p in pairs]
-    thresholds = _normalize_thresholds(m_per_pair, len(pairs))
-    groups = _group_factors(factors, pairs, thresholds)
     value = 1.0
-    for g in groups:
-        value *= _group_expectation(g)
+    for g in _parity_groups(joint, pairs, m_per_pair):
+        value *= _group_expectation(g, m_total)
     return value
 
 
@@ -393,7 +352,7 @@ def _signed_total_mass(joint) -> np.ndarray:
     c1, c2 = joint.cutoff.per_mode_max
     caps = (c1 + c2, c1 + c2)
     shape = tuple(c + 1 for c in caps)
-    _guard_elements(shape)
+    check_working_size(1, math.prod(shape))
     signs = np.where(np.arange(shape[0]) % 2 == 0, 1.0, -1.0)[:, None]
     totals = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
     g = np.zeros(2 * (c1 + c2) + 1)

@@ -38,6 +38,7 @@ __all__ = [
     "gate_matrix",
     "apply_gate",
     "apply_circuit",
+    "apply_two_mode_dense",
     "simplex_patterns",
     "apply_passive",
     "dagger",
@@ -183,11 +184,10 @@ class MixedEnsemble:
         return self.cutoff.modes
 
 
-def components_of(state) -> tuple[tuple[float, FockState], ...]:
-    """Uniform (weight, pure state) view of a FockState or MixedEnsemble."""
-    if isinstance(state, MixedEnsemble):
-        return state.components
-    return ((1.0, state),)
+def components_of(state) -> tuple[tuple[float, object], ...]:
+    """Uniform (weight, pure state) view of a pure state or of an ensemble,
+    that is anything with ``components`` (MixedEnsemble, dv.DVEnsemble)."""
+    return getattr(state, "components", ((1.0, state),))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +566,9 @@ def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarr
     return np.moveaxis(out, 0, mode)
 
 
-def _apply_two_mode_dense(amps: np.ndarray, mat: np.ndarray, mi: int, mj: int) -> np.ndarray:
+def apply_two_mode_dense(amps: np.ndarray, mat: np.ndarray, mi: int, mj: int) -> np.ndarray:
+    """Contract a (d_i d_j) x (d_i d_j) matrix into axes (mi, mj) of a dense
+    amplitude tensor, the pair flattened row-major."""
     moved = np.moveaxis(amps, (mi, mj), (0, 1))
     d1, d2 = moved.shape[0], moved.shape[1]
     work = moved.reshape(d1 * d2, -1)
@@ -602,7 +604,7 @@ def apply_gate(state: FockState, gate: GateSpec) -> FockState:
         out = _apply_mode_swap(amps, gate.mode_i, gate.mode_j)
     elif isinstance(gate, TwoModeSqueeze):
         mat = gate_matrix(gate, state.cutoff)
-        out = _apply_two_mode_dense(amps, mat, gate.mode_i, gate.mode_j)
+        out = apply_two_mode_dense(amps, mat, gate.mode_i, gate.mode_j)
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)

@@ -11,6 +11,7 @@ photon-parity measurement.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,18 @@ import numpy as np
 from . import estimators as est
 from . import fock
 from .dv import qudit_bell_state
-from .estimators import EstimatorResult
+from .estimators import EstimatorResult, estimate_blocks
 from .fock import FockState, MixedEnsemble, components_of
-from .sampling import BlockSpec, _as_root, blocks_estimate, derive_seed, estimator_statistics
+# blocks_estimate is not called here; bench/test_bench.py checks that the
+# benchmark tracer also wraps this module's binding of it
+from .sampling import (  # noqa: F401
+    BlockSpec,
+    blocks_estimate,
+    check_working_size,
+    derive_seed,
+    ensemble_combinations,
+    measurement_block,
+)
 
 __all__ = [
     "PermOutcomeWeight",
@@ -88,35 +98,21 @@ def dft_matrix(n: int) -> np.ndarray:
 def _perm_block(states) -> BlockSpec:
     n, cap = _check_perm_inputs(states)
     total = n * cap
-    comps = [components_of(s) for s in states]
-    n_combos = math.prod(len(c) for c in comps)
-    size = math.comb(total + n, n) * n_combos
-    if size > est.MAX_WORKING_ELEMENTS:
-        raise ValueError(
-            f"PERM working space of {size} amplitudes exceeds the desk-scale limit; "
-            "reduce the cutoff, register count or ensemble rank"
-        )
-    # joint amplitudes of every ensemble combination, register 0 outermost
-    # on both the pattern axis and the combination axis
-    comp_w = np.ones(1)
-    joint = np.ones((1, 1), dtype=np.complex128)
-    for c in comps:
-        amps = np.stack([s.amplitudes for _, s in c], axis=1)
-        comp_w = np.multiply.outer(comp_w, [w for w, _ in c]).ravel()
-        outer = np.multiply.outer(joint, amps).transpose(0, 2, 1, 3)
-        joint = outer.reshape(len(joint) * len(amps), -1)
-
+    combos = ensemble_combinations(states)
+    check_working_size(len(combos), math.comb(total + n, n))
     patterns = fock.simplex_patterns(n, total)
-    amps = np.zeros((len(patterns), n_combos), dtype=np.complex128)
-    # the patterns with every count <= cap are the input box, in row-major order
-    amps[(patterns <= cap).all(axis=1)] = joint
+    amps = np.zeros((len(patterns), len(combos)), dtype=np.complex128)
+    # the patterns with every count <= cap are the input box, in row-major
+    # order; the joint amplitudes of one combination fill one column
+    amps[(patterns <= cap).all(axis=1)] = np.stack([
+        functools.reduce(np.multiply.outer, [s.amplitudes for s in comb]).ravel()
+        for _, comb in combos
+    ], axis=1)
     gates = fock.invert_circuit(fock.rectangular_decompose(dft_matrix(n)))
-    p = np.abs(fock.apply_passive(amps, patterns, gates).T) ** 2
-    dists = np.ascontiguousarray(p / p.sum(axis=1, keepdims=True))
-
     phases = patterns @ np.arange(n)
     weights = np.exp(2j * math.pi * phases / n)
-    return BlockSpec(comp_w, tuple(dists), weights)
+    return measurement_block([w for w, _ in combos], fock.apply_passive(amps, patterns, gates).T,
+                             weights)
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult:
@@ -136,10 +132,7 @@ def perm_test(states, shots: int, seed) -> EstimatorResult:
     n, cap = _check_perm_inputs(states)
     if n == 2:
         return est.cv_swap_estimate(states[0], states[1], cap, shots, seed)
-    block = _perm_block(states)
-    weights, discarded = blocks_estimate([block], shots, seed)
-    mean, stderr = estimator_statistics(weights)
-    return EstimatorResult(mean, stderr, shots, discarded, _as_root(seed))
+    return estimate_blocks([_perm_block(states)], shots, seed)
 
 
 def perm_expectation(states) -> complex:
@@ -154,6 +147,8 @@ def perm_expectation(states) -> complex:
     product = np.eye(cap + 1)
     for s in states:
         comps = components_of(s)
+        if any(c.norm_sq <= 0.0 for _, c in comps):
+            raise ValueError("zero-norm component")
         vecs = np.stack([c.amplitudes / math.sqrt(c.norm_sq) for _, c in comps], axis=1)
         product = product @ (vecs * [w for w, _ in comps]) @ vecs.conj().T
     return complex(np.trace(product))
@@ -207,7 +202,7 @@ def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
     """
     n = _split_copies(purification)
     relabeled = _perm_relabel(purification, n)
-    thresholds = est._normalize_thresholds(m_per_pair, 2 * n)
+    thresholds = est.normalize_thresholds(m_per_pair, 2 * n)
     u = purification.amplitudes * np.conj(relabeled.amplitudes)
     norm = purification.norm_sq * relabeled.norm_sq
     if all(t is None for t in thresholds):
@@ -233,29 +228,35 @@ def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
 def _check_compile_circuit(gates, label: str) -> list[fock.GateSpec]:
     gates = list(gates)
     for g in gates:
-        if isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)):
-            if g.mode != 0:
-                raise ValueError(f"{label} circuit must act on register A only (mode 0)")
-        else:
+        if not isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) or g.mode != 0:
             raise ValueError(f"{label} circuit must act on register A only (mode 0)")
     return gates
 
 
-def _map_circuit(state, gates):
-    comps = tuple(
-        (w, fock.apply_circuit(s, gates)) for w, s in components_of(state)
-    )
-    if len(comps) == 1:
-        return comps[0][1]
-    return MixedEnsemble(comps)
+def _map_circuit(state, gates) -> MixedEnsemble:
+    return MixedEnsemble(tuple((w, fock.apply_circuit(s, gates)) for w, s in components_of(state)))
 
 
-def _compile_term_groups(psi, u_gates, v_gates):
-    if psi.modes != 2:
-        raise ValueError("training states live on two modes (A, R)")
-    prepared_u = _map_circuit(psi, u_gates)
-    prepared_v = _map_circuit(psi, v_gates)
-    return est._group_factors([prepared_u, prepared_v], [(0, 2), (1, 3)], [None, None])
+# a term's SWAP tests pair register A with A' and R with R'
+_COMPILE_PAIRS = [(0, 2), (1, 3)]
+
+
+def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int | None]]:
+    """([U|psi_j>, V|psi_j>], total threshold) for each training state."""
+    training = list(training)
+    if not training:
+        raise ValueError("training set is empty")
+    u_gates = _check_compile_circuit(u_gates, "U")
+    v_gates = _check_compile_circuit(v_gates, "V")
+    totals = list(m_totals) if m_totals is not None else [None] * len(training)
+    if len(totals) != len(training):
+        raise ValueError("one total threshold per training state required")
+    terms = []
+    for psi, total in zip(training, totals):
+        if psi.modes != 2:
+            raise ValueError("training states live on two modes (A, R)")
+        terms.append(([_map_circuit(psi, u_gates), _map_circuit(psi, v_gates)], total))
+    return terms
 
 
 def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
@@ -267,49 +268,35 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     optional per-term threshold applies the detector condition to the
     four-mode total photon count.
     """
-    training = list(training)
-    if not training:
-        raise ValueError("training set is empty")
-    u_gates = _check_compile_circuit(u_gates, "U")
-    v_gates = _check_compile_circuit(v_gates, "V")
-    totals = list(m_totals) if m_totals is not None else [None] * len(training)
-    if len(totals) != len(training):
-        raise ValueError("one total threshold per training state required")
+    terms = _compile_terms(training, u_gates, v_gates, m_totals)
     acc = 0.0
-    for j, psi in enumerate(training):
-        groups = _compile_term_groups(psi, u_gates, v_gates)
-        result = est.run_parity_blocks(
-            groups, [totals[j]] * len(groups), shots_per_term, derive_seed(seed, j)
+    for j, (prepared, total) in enumerate(terms):
+        result = est.parity_overlap_estimate(
+            prepared, _COMPILE_PAIRS, None, shots_per_term, derive_seed(seed, j), total
         )
         acc += result.mean.real
-    return 1.0 - acc / len(training)
+    return 1.0 - acc / len(terms)
 
 
 def compile_cost_expectation(training, u_gates, v_gates, m_totals=None) -> float:
     """Exact-expectation counterpart of ``compile_cost``."""
-    training = list(training)
-    if not training:
-        raise ValueError("training set is empty")
-    u_gates = _check_compile_circuit(u_gates, "U")
-    v_gates = _check_compile_circuit(v_gates, "V")
-    totals = list(m_totals) if m_totals is not None else [None] * len(training)
+    terms = _compile_terms(training, u_gates, v_gates, m_totals)
     acc = 0.0
-    for j, psi in enumerate(training):
-        groups = _compile_term_groups(psi, u_gates, v_gates)
-        term = 1.0
-        for g in groups:
-            term *= est._group_expectation(g, totals[j])
-        acc += term
-    return 1.0 - acc / len(training)
+    for prepared, total in terms:
+        acc += est.parity_overlap_expectation(prepared, _COMPILE_PAIRS, None, total)
+    return 1.0 - acc / len(terms)
 
 
 # ---------------------------------------------------------------------------
 # hybrid DV-CV SWAP test
 
 
-def _check_hybrid(state, name: str) -> None:
-    if state.modes != 2 or state.cutoff.per_mode_max[0] != 1:
-        raise ValueError(f"{name} must be qubit (cutoff 1) tensor one CV mode")
+def _check_hybrid(state_a, state_b) -> None:
+    for state, name in ((state_a, "state_a"), (state_b, "state_b")):
+        if state.modes != 2 or state.cutoff.per_mode_max[0] != 1:
+            raise ValueError(f"{name} must be qubit (cutoff 1) tensor one CV mode")
+    if state_a.cutoff != state_b.cutoff:
+        raise ValueError("hybrid inputs must share the CV cutoff")
 
 
 def _bell_change() -> np.ndarray:
@@ -318,34 +305,28 @@ def _bell_change() -> np.ndarray:
 
 
 def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
-    _check_hybrid(state_a, "state_a")
-    _check_hybrid(state_b, "state_b")
-    if state_a.cutoff != state_b.cutoff:
-        raise ValueError("hybrid inputs must share the CV cutoff")
+    _check_hybrid(state_a, state_b)
     cv_cap = state_a.cutoff.per_mode_max[1]
     caps = (1, 2 * cv_cap, 1, 2 * cv_cap)
     shape = tuple(c + 1 for c in caps)
-    est._guard_elements(shape)
+    combos = ensemble_combinations([state_a, state_b])
+    check_working_size(len(combos), math.prod(shape))
     bell_dag = _bell_change().conj().T
     bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
 
-    comp_w, dists = [], []
-    for wa, sa in components_of(state_a):
-        for wb, sb in components_of(state_b):
-            joint = fock.pad(fock.tensor(sa, sb), caps)
-            amps = fock._apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
-            amps = fock.apply_gate(FockState(joint.cutoff, amps), bs).amplitudes
-            p = np.abs(amps.ravel()) ** 2
-            comp_w.append(wa * wb)
-            dists.append(p / p.sum())
+    def measured(sa, sb):
+        joint = fock.pad(fock.tensor(sa, sb), caps)
+        amps = fock.apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
+        return fock.apply_gate(FockState(joint.cutoff, amps), bs).amplitudes
 
     z = np.arange(2).reshape(2, 1, 1, 1)
     n_b = np.arange(shape[1]).reshape(1, -1, 1, 1)
     x = np.arange(2).reshape(1, 1, 2, 1)
     m_b = np.arange(shape[3]).reshape(1, 1, 1, -1)
     weights = np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)
-    weights = np.broadcast_to(weights, shape)
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights.ravel().astype(np.complex128))
+    return measurement_block([w for w, _ in combos],
+                             np.stack([measured(*pair) for _, pair in combos]),
+                             np.broadcast_to(weights, shape))
 
 
 def hybrid_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorResult:
@@ -359,28 +340,11 @@ def hybrid_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> Estimato
         raise ValueError("shots must be >= 1")
     if m < 0:
         raise ValueError("detector threshold must be >= 0")
-    block = _hybrid_block(state_a, state_b, m)
-    weights, discarded = blocks_estimate([block], shots, seed)
-    mean, stderr = estimator_statistics(weights)
-    return EstimatorResult(mean, stderr, shots, discarded, _as_root(seed))
+    return estimate_blocks([_hybrid_block(state_a, state_b, m)], shots, seed)
 
 
 def hybrid_swap_expectation(state_a, state_b, m: int) -> float:
     """Exact hybrid estimator expectation: the qubit SWAP joined with the
     threshold-truncated CV SWAP observable."""
-    _check_hybrid(state_a, "state_a")
-    _check_hybrid(state_b, "state_b")
-    if state_a.cutoff != state_b.cutoff:
-        raise ValueError("hybrid inputs must share the CV cutoff")
-    cv_dim = state_a.cutoff.shape[1]
-    grid = np.add.outer(np.arange(cv_dim), np.arange(cv_dim))
-    mask = (grid <= 2 * m).astype(float)  # over (n_B, m_B')
-    value = 0.0
-    for wa, sa in components_of(state_a):
-        for wb, sb in components_of(state_b):
-            joint = np.multiply.outer(sa.amplitudes, sb.amplitudes)
-            masked = joint * mask[None, :, None, :]
-            swapped = np.swapaxes(np.swapaxes(masked, 0, 2), 1, 3)
-            norm = float(np.vdot(joint, joint).real)
-            value += wa * wb * float(np.vdot(masked, swapped).real) / norm
-    return value
+    _check_hybrid(state_a, state_b)
+    return est.parity_overlap_expectation([state_a, state_b], [(0, 2), (1, 3)], [None, m])

@@ -13,19 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import components_of
+
 __all__ = [
     "Seed",
     "ShotOutcome",
     "BlockSpec",
+    "check_working_size",
+    "ensemble_combinations",
+    "measurement_block",
     "probability_vector",
     "sample_patterns",
     "estimator_statistics",
     "blocks_expectation",
+    "draw_outcomes",
     "blocks_estimate",
     "shot_uniforms",
     "categorical_cdf",
     "draw_categorical",
     "derive_seed",
+    "seed_root",
 ]
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -33,6 +40,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
+
+# working spaces (ensemble combinations x outcomes) larger than this are
+# refused with guidance
+MAX_WORKING_ELEMENTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,8 @@ class Seed:
         object.__setattr__(self, "root", int(self.root) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _as_root(seed) -> int:
+def seed_root(seed) -> int:
+    """The 64-bit root of a Seed or an integer seed."""
     if isinstance(seed, Seed):
         return seed.root
     return int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -75,7 +87,7 @@ def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
     shot indices.  The draw for a given address is the same no matter how
     the call is batched.
     """
-    root = _as_root(seed)
+    root = seed_root(seed)
     if np.isscalar(indices):
         idx = np.arange(int(indices), dtype=np.uint64)
     else:
@@ -90,23 +102,25 @@ def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
 def derive_seed(seed, label: int) -> int:
     """Child seed for an independent run/stream (e.g. repeated runs)."""
     with np.errstate(over="ignore"):
-        out = _splitmix64(np.uint64(_as_root(seed)) ^ (_GOLDEN * np.uint64(label)))
+        out = _splitmix64(np.uint64(seed_root(seed)) ^ (_GOLDEN * np.uint64(label)))
     return int(out)
 
 
-def probability_vector(state) -> np.ndarray:
-    """Born-rule distribution over the truncated pattern basis (row-major).
-
-    Probabilities below TINY_PROBABILITY are clamped to zero before
-    normalization to avoid denormal-float pathologies.
-    """
-    amps = np.asarray(state.amplitudes)
-    p = np.abs(amps.ravel()) ** 2
+def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
+    """Row-wise |amplitude|^2, normalised; probabilities below
+    TINY_PROBABILITY are clamped to zero first to avoid denormal-float
+    pathologies, and a row of zero norm is refused."""
+    p = np.abs(amplitudes) ** 2
     p[p < TINY_PROBABILITY] = 0.0
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
         raise ValueError("cannot sample from a zero-norm state")
-    return p / total
+    return np.ascontiguousarray(p / total)
+
+
+def probability_vector(state) -> np.ndarray:
+    """Born-rule distribution over the truncated pattern basis (row-major)."""
+    return _born_distributions(np.asarray(state.amplitudes).reshape(1, -1))[0]
 
 
 def categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
@@ -129,12 +143,9 @@ def sample_patterns(state, shots: int, seed) -> list[ShotOutcome]:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = probability_vector(state)
-    cdf = categorical_cdf(p)
-    u = shot_uniforms(seed, 0, shots)
-    flat = draw_categorical(cdf, u)
-    shape = tuple(n + 1 for n in state.cutoff.per_mode_max)
-    patterns = np.unravel_index(flat, shape)
+    cdf = categorical_cdf(probability_vector(state))
+    flat = draw_categorical(cdf, shot_uniforms(seed, 0, shots))
+    patterns = np.unravel_index(flat, state.cutoff.shape)
     return [
         ShotOutcome(tuple(int(axis[s]) for axis in patterns), s)
         for s in range(shots)
@@ -164,6 +175,50 @@ class BlockSpec:
         object.__setattr__(self, "component_weights", w)
 
 
+def check_working_size(combinations: int, outcomes: int) -> None:
+    """Refuse a working space of ``combinations`` x ``outcomes`` amplitudes
+    beyond MAX_WORKING_ELEMENTS; call before allocating it."""
+    size = int(combinations) * int(outcomes)
+    if size > MAX_WORKING_ELEMENTS:
+        raise ValueError(
+            f"working space of {size} amplitudes ({combinations} ensemble combinations x "
+            f"{outcomes} outcomes) exceeds the desk-scale limit; "
+            "reduce cutoffs, mode count or ensemble rank"
+        )
+
+
+def ensemble_combinations(factors) -> list[tuple[float, list]]:
+    """(weight, pure states) for every choice of one ensemble component per
+    factor; the first factor varies slowest, and each weight is the product
+    of the chosen component weights taken left to right from 1.0."""
+    combos = [(1.0, [])]
+    for factor in factors:
+        combos = [
+            (w * cw, states + [cs])
+            for w, states in combos
+            for cw, cs in components_of(factor)
+        ]
+    return combos
+
+
+def measurement_block(component_weights, amplitudes, weights) -> BlockSpec:
+    """Sampling block from measured amplitudes.
+
+    ``amplitudes`` holds one row (or tensor) per ensemble combination, the
+    amplitudes of the outcomes after the measurement transform, flattened
+    in the order of ``weights``, the shot weight of each outcome.  Each row
+    becomes its normalised outcome distribution.
+    """
+    weights = np.asarray(weights, dtype=np.complex128).ravel()
+    amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
+    if amps.shape[1] != weights.size:
+        raise ValueError(
+            f"{amps.shape[1]} outcome amplitudes per combination, {weights.size} weights"
+        )
+    return BlockSpec(np.asarray(component_weights, dtype=np.float64),
+                     tuple(_born_distributions(amps)), weights)
+
+
 def blocks_expectation(blocks) -> complex:
     """Exact estimator expectation: product over blocks of the
     component-weighted mean of (distribution . weights)."""
@@ -176,30 +231,35 @@ def blocks_expectation(blocks) -> complex:
     return total
 
 
+def draw_outcomes(block: BlockSpec, b: int, shots: int, seed) -> np.ndarray:
+    """Outcome index of each of ``shots`` shots of the block at position
+    ``b`` of a run.
+
+    The ensemble component of shot s comes from stream 2b (not drawn for a
+    single component) and its outcome from stream 2b+1, so the result is
+    independent of batching and thread count.
+    """
+    u = shot_uniforms(seed, 2 * b + 1, shots)
+    if len(block.distributions) == 1:
+        return draw_categorical(categorical_cdf(block.distributions[0]), u)
+    comp_cdf = categorical_cdf(block.component_weights)
+    comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, shots))
+    out_idx = np.empty(shots, dtype=np.int64)
+    for i, dist in enumerate(block.distributions):
+        sel = comp_idx == i
+        if np.any(sel):
+            out_idx[sel] = draw_categorical(categorical_cdf(dist), u[sel])
+    return out_idx
+
+
 def blocks_estimate(blocks, shots: int, seed) -> tuple[np.ndarray, int]:
     """Per-shot weights for ``shots`` runs, plus the count of shots whose
-    weight was forced to exactly zero by a detector threshold.
-
-    Shot s of block b consumes uniforms addressed by streams (2b, 2b+1),
-    so the result is independent of batching and thread count.
-    """
+    weight was forced to exactly zero by a detector threshold."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     weights = np.ones(shots, dtype=np.complex128)
     for b, block in enumerate(blocks):
-        n_comp = len(block.distributions)
-        if n_comp == 1:
-            comp_idx = np.zeros(shots, dtype=np.int64)
-        else:
-            comp_cdf = categorical_cdf(block.component_weights)
-            comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, shots))
-        u = shot_uniforms(seed, 2 * b + 1, shots)
-        out_idx = np.empty(shots, dtype=np.int64)
-        for i, dist in enumerate(block.distributions):
-            sel = comp_idx == i
-            if np.any(sel):
-                out_idx[sel] = draw_categorical(categorical_cdf(dist), u[sel])
-        weights *= block.weights[out_idx]
+        weights *= block.weights[draw_outcomes(block, b, shots, seed)]
     discarded = int(np.count_nonzero(weights == 0))
     return weights, discarded
 

@@ -340,3 +340,65 @@ def test_perm_oversized_working_space_refused(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "desk-scale limit" in err and err.count("\n") == 1
+
+
+TWO_VACUA = {"state_a": {"kind": "vacuum", "cutoff": [2]}, "state_b": {"kind": "vacuum", "cutoff": [2]}}
+TRAINING = [{"kind": "vacuum", "cutoff": [2, 2]}]
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # integer fields
+    ("perm", {"states": [{"kind": "vacuum", "cutoff": [2]}] * 3, "shots": "x"}, "shots must be an integer"),
+    ("overlap", {**TWO_VACUA, "runs": 2.5}, "runs must be an integer"),
+    ("overlap", {**TWO_VACUA, "seed": "7"}, "seed must be an integer"),
+    ("overlap", {**TWO_VACUA, "M": 1.7}, "M must be an integer"),
+    ("overlap", {"state_a": {"kind": "vacuum", "cutoff": ["x"]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2]}}, "cutoff must be an integer"),
+    ("overlap", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}], "pairs": [[0, 1]], "M": [0.5]},
+     "M must be an integer"),
+    ("overlap", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}], "pairs": [[0, "1"]]},
+     "pairs entry must be"),
+    ("compile-cost", {"training": TRAINING, "u_gates": [{"gate": "phase", "phi": 0.1, "mode": 0.5}]},
+     "mode must be an integer"),
+    ("compile-cost", {"training": TRAINING, "u_gates": [{"gate": "mode_swap", "modes": [0, "x"]}]},
+     "modes must be"),
+    ("compile-cost", {"training": TRAINING, "m_totals": ["x"]}, "m_totals entry must be an integer"),
+    ("compile-cost", {"training": TRAINING, "shots_per_term": "many"}, "shots_per_term must be an integer"),
+    ("two-copy", {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [2, 2]}, "copies": 2.5},
+     "copies must be an integer"),
+    ("fig2", {"m_min": "x"}, "m_min must be an integer"),
+    ("fig2", {"m_max": 4.5}, "m_max must be an integer"),
+    ("fig2", {"prep_cutoff": None}, "prep_cutoff must be an integer"),
+    ("qudit-basis", {"d": True}, "d must be an integer"),
+    # container fields
+    ("perm", {"states": 5}, "states must be a list"),
+    ("overlap", {"states": {"kind": "vacuum"}, "pairs": [[0, 1]]}, "states must be a list"),
+    ("overlap", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}], "pairs": 3}, "pairs must be a list"),
+    ("overlap", {"states": [{"kind": "vacuum", "cutoff": [2, 2, 2]}], "pairs": [[0, 1, 2]]},
+     "pairs entry must be a pair of integers"),
+    ("compile-cost", {"training": "psi"}, "training must be a list"),
+    ("perm", {"states": [{"mixture": {"weight": 1.0}}] * 3}, "mixture must be a list"),
+    ("compile-cost", {"training": TRAINING, "u_gates": {"gate": "phase"}}, "u_gates must be a list"),
+    ("compile-cost", {"training": TRAINING, "v_gates": 1}, "v_gates must be a list"),
+    ("compile-cost", {"training": TRAINING, "m_totals": 3}, "m_totals must be a list"),
+    ("fig2", {"r_list": 1.0}, "r_list must be a list"),
+    ("hybrid", {"state_a": 5, "state_b": HYBRID_SPEC}, "state_a must be an object"),
+    ("hybrid", {"state_a": HYBRID_SPEC, "state_b": [1, 0]}, "state_b must be an object"),
+])
+def test_malformed_integer_or_container_is_config_error(tmp_path, capsys, command, config, message):
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_integral_floats_are_integers(tmp_path):
+    config = {**TWO_VACUA, "M": 2, "shots": 100, "runs": 2, "seed": 5}
+    _, out_int = run_cli(tmp_path, "overlap", config, name="int.json")
+    text = out_int.read_text()
+    floats = {**config, "M": 2.0, "shots": 100.0, "runs": 2.0, "seed": 5.0,
+              "state_a": {"kind": "vacuum", "cutoff": [2.0]}}
+    code, out_float = run_cli(tmp_path, "overlap", floats, name="float.json")
+    assert code == 0
+    doc, want = json.loads(out_float.read_text()), json.loads(text)
+    assert doc["results"] == want["results"]

@@ -141,3 +141,15 @@ def test_sample_swap_outcomes(rng):
     ]
     res = dv_swap_estimate(a, b, 100, 6)
     assert res.mean == pytest.approx(np.mean(weights), abs=1e-12)
+
+
+def test_sample_swap_outcomes_ensemble(rng):
+    # a mixed preparation draws its component from a stream of its own; the
+    # record still reproduces the estimator's weight stream shot by shot
+    a = DVEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
+    b = rand_dv(rng, (3,))
+    outcomes = dv.sample_swap_outcomes(a, b, 400, 12, basis="w")
+    eig = dv.swap_eigenbasis(3, "w")[1].reshape(3, 3)
+    weights = [eig[o.labels[0]] for o in outcomes]
+    res = dv_swap_estimate(a, b, 400, 12, basis="w")
+    assert res.mean == pytest.approx(np.mean(weights), abs=1e-12)

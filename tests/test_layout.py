@@ -1,0 +1,48 @@
+"""Modules of the package reach each other only through public names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cvswap"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(source: str) -> list[str]:
+    """Private names a module takes from another cvswap module, either as
+    ``from .x import _name`` or as ``x._name`` on an imported module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module in (None, "cvswap") and node.level <= 1
+            if node.level == 0 and not (node.module or "").startswith("cvswap"):
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif package:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cvswap."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = ast.unparse(node.value)
+            if owner in modules:
+                found.append(f"line {node.lineno}: uses {owner}.{node.attr}")
+    return found
+
+
+def test_no_private_names_cross_modules():
+    found = [f"{path.name} {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in private_reaches(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_layout_check_sees_both_forms():
+    source = "from . import fock as f\nfrom .sampling import _hidden\nx = f._apply(1)\ny = f.public\n"
+    assert private_reaches(source) == ["line 2: imports _hidden", "line 3: uses f._apply"]

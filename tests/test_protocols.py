@@ -148,6 +148,17 @@ def test_perm_six_registers_at_cap_three(rng):
     assert abs(blocks_expectation([proto._perm_block(states)]) - exact) < 1e-10
 
 
+
+@pytest.mark.parametrize("n_registers", [2, 3])
+def test_perm_rejects_zero_norm_register(rng, n_registers):
+    cut = CutoffSpec((2,))
+    zero = fock.FockState(cut, np.zeros(3))
+    states = [random_pure(rng, 2) for _ in range(n_registers - 1)] + [zero]
+    with pytest.raises(ValueError):
+        proto.perm_test(states, 100, 1)
+    with pytest.raises(ValueError):
+        proto.perm_expectation(states)
+
 # ---------------------------------------------------------------------------
 # two-copy test
 
@@ -380,3 +391,10 @@ def test_hybrid_threshold_truncates(rng):
     clipped = proto.hybrid_swap_expectation(a, a, 0)
     assert full == pytest.approx(1.0, abs=1e-12)
     assert clipped < full
+
+
+def test_hybrid_rejects_zero_norm_register(rng):
+    a = _rand_hybrid(rng, 3)
+    zero = fock.FockState(a.cutoff, np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        proto.hybrid_swap_estimate(a, zero, 3, 100, 1)

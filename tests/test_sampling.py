@@ -141,3 +141,15 @@ def test_blocks_estimate_counts_zero_weights():
     weights, discarded = blocks_estimate([block], 10_000, 4)
     assert discarded == int(np.count_nonzero(weights == 0))
     assert 3000 < discarded < 7000
+
+
+def test_measurement_block_normalises_and_checks_rows():
+    amps = np.array([[3.0, 4.0j], [0.0, 2.0]])
+    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0])
+    assert np.allclose(block.distributions[0], [0.36, 0.64])
+    assert np.allclose(block.distributions[1], [0.0, 1.0])
+    assert block.weights.dtype == np.complex128
+    with pytest.raises(ValueError):
+        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError):
+        sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0])
