@@ -55,13 +55,16 @@ def _required(spec: dict, key: str, where: str):
     return spec[key]
 
 
-def _int_param(value, name: str) -> int:
-    """An integer; an integral float such as 3.0 is accepted as one."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+def _int_param(value, name: str, minimum: int | None = None) -> int:
+    """An integer no smaller than ``minimum``; an integral float such as
+    3.0 is accepted as one."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return value
 
 
 def _list_param(value, name: str) -> list:
@@ -81,8 +84,8 @@ def _threshold_param(value):
     if value is None:
         return None
     if isinstance(value, (list, tuple)):
-        return [None if v is None else _int_param(v, "M") for v in value]
-    return _int_param(value, "M")
+        return [None if v is None else _int_param(v, "M", 0) for v in value]
+    return _int_param(value, "M", 0)
 
 
 def _real_param(value, name: str) -> float:
@@ -101,8 +104,8 @@ def _complex_param(value, name: str) -> complex:
 
 def _cutoff_param(value) -> fock.CutoffSpec:
     if isinstance(value, (list, tuple)):
-        return fock.CutoffSpec(tuple(_int_param(v, "cutoff") for v in value))
-    return fock.CutoffSpec((_int_param(value, "cutoff"),))
+        return fock.CutoffSpec(tuple(_int_param(v, "cutoff", 0) for v in value))
+    return fock.CutoffSpec((_int_param(value, "cutoff", 0),))
 
 
 def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
@@ -129,7 +132,7 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
         return fock.prepare("tmss", cutoff, r=_real_param(spec.get("r", 0.0), "r"))
     if kind == "basis":
         pattern = _list_param(_required(spec, "pattern", "state spec"), "pattern")
-        return fock.basis_state(tuple(_int_param(n, "pattern") for n in pattern), cutoff)
+        return fock.basis_state(tuple(_int_param(n, "pattern", 0) for n in pattern), cutoff)
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
@@ -152,8 +155,11 @@ _GATE_BUILDERS = {
 def build_circuit(specs) -> list[fock.GateSpec]:
     gates = []
     for g in specs:
+        name = _required(g, "gate", "gate spec")
+        if not isinstance(name, str) or name not in _GATE_BUILDERS:
+            raise ConfigError(f"unknown gate {name!r}")
         try:
-            gates.append(_GATE_BUILDERS[_required(g, "gate", "gate spec")](g))
+            gates.append(_GATE_BUILDERS[name](g))
         except KeyError as exc:
             raise ConfigError(f"bad gate spec {g!r}: missing {exc}") from exc
     return gates
@@ -269,7 +275,7 @@ def cmd_overlap(cfg: RunConfig) -> None:
         state_a = build_state(_required(payload, "state_a", "overlap config"))
         state_b = build_state(_required(payload, "state_b", "overlap config"))
         m = payload.get("M")
-        m = _full_threshold([state_a, state_b]) if m is None else _int_param(m, "M")
+        m = _full_threshold([state_a, state_b]) if m is None else _int_param(m, "M", 0)
         run_fn = lambda shots, seed: est.cv_swap_estimate(state_a, state_b, m, shots, seed)
     results, rows = _estimator_document(cfg, run_fn)
     _emit(cfg, results, rows)
@@ -366,11 +372,14 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
     payload = cfg.payload
     training = [build_state(s) for s in _list_param(
         _required(payload, "training", "compile-cost config"), "training")]
-    u_gates = build_circuit(_list_param(payload.get("u_gates", []), "u_gates"))
-    v_gates = build_circuit(_list_param(payload.get("v_gates", []), "v_gates"))
+    u_gates, v_gates = (build_circuit(_list_param(payload.get(key, []), key))
+                        for key in ("u_gates", "v_gates"))
+    if any(not isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) or g.mode != 0
+           for g in u_gates + v_gates):
+        raise ConfigError("compiling circuits must act on register A only (single-mode gates on mode 0)")
     m_totals = payload.get("m_totals")
     if m_totals is not None:
-        m_totals = [None if m is None else _int_param(m, "m_totals entry")
+        m_totals = [None if m is None else _int_param(m, "m_totals entry", 0)
                     for m in _list_param(m_totals, "m_totals")]
     shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term")
     cost = proto.compile_cost(training, u_gates, v_gates, shots, cfg.seed, m_totals)
@@ -404,7 +413,7 @@ def cmd_hybrid(cfg: RunConfig) -> None:
     state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"), "state_a")
     state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"), "state_b")
     m = payload.get("M")
-    m = state_a.cutoff.per_mode_max[1] if m is None else _int_param(m, "M")
+    m = state_a.cutoff.per_mode_max[1] if m is None else _int_param(m, "M", 0)
     results, rows = _estimator_document(
         cfg, lambda shots, seed: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seed)
     )
@@ -414,8 +423,10 @@ def cmd_hybrid(cfg: RunConfig) -> None:
 
 def cmd_qudit_basis(cfg: RunConfig) -> None:
     payload = cfg.payload
-    d = _int_param(payload.get("d", 2), "d")
+    d = _int_param(payload.get("d", 2), "d", 2)
     basis = payload.get("basis", "w")
+    if basis not in ("v", "w"):
+        raise ConfigError("basis must be 'v' or 'w'")
     mat, eig = dv.swap_eigenbasis(d, basis)
     unit_err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d * d))))
     perm = np.zeros((d * d, d * d))

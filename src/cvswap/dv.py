@@ -21,6 +21,7 @@ from .fock import apply_two_mode_dense
 from .sampling import (
     BlockSpec,
     blocks_expectation,
+    check_working_size,
     draw_outcomes,
     ensemble_combinations,
     measurement_block,
@@ -203,6 +204,8 @@ def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
     if prep_b.dims != dims_a:
         raise ValueError("the two preparations must have identical dims")
     k = len(dims_a)
+    combos = ensemble_combinations([prep_a, prep_b])
+    check_working_size(len(combos), math.prod(dims_a) ** 2)
     bases = [swap_eigenbasis(d, basis) for d in dims_a]
 
     def measured(sa, sb):
@@ -216,7 +219,6 @@ def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
     tables = [eig.reshape(d, d) for d, (_, eig) in zip(dims_a, bases)]
     weights = np.transpose(functools.reduce(np.multiply.outer, tables),
                            [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
-    combos = ensemble_combinations([prep_a, prep_b])
     return measurement_block([w for w, _ in combos],
                              np.stack([measured(*pair) for _, pair in combos]), weights)
 

@@ -25,6 +25,7 @@ from .sampling import (
     ensemble_combinations,
     estimator_statistics,
     measurement_block,
+    passive_measurement,
     seed_root,
 )
 
@@ -140,14 +141,15 @@ class CutoffPlan:
 
 def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
     """One detector threshold (or None) per pair from None, one int for
-    every pair, or a per-pair sequence."""
+    every pair, or a per-pair sequence; every threshold must be >= 0."""
     if m_per_pair is None:
-        return [None] * n_pairs
-    if isinstance(m_per_pair, (int, np.integer)):
-        return [int(m_per_pair)] * n_pairs
-    out = [None if m is None else int(m) for m in m_per_pair]
-    if len(out) != n_pairs:
-        raise ValueError("one threshold per pair required")
+        out = [None] * n_pairs
+    elif isinstance(m_per_pair, (int, np.integer)):
+        out = [int(m_per_pair)] * n_pairs
+    else:
+        out = [None if m is None else int(m) for m in m_per_pair]
+        if len(out) != n_pairs:
+            raise ValueError("one threshold per pair required")
     if any(m is not None and m < 0 for m in out):
         raise ValueError("thresholds must be >= 0")
     return out
@@ -205,56 +207,32 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return out
 
 
-def _axis_counts(shape) -> list[np.ndarray]:
-    """Photon count of each axis, shaped to broadcast over ``shape``."""
-    return [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
-            for ax, d in enumerate(shape)]
-
-
-def _threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
-    """1 where every pair total (and the group total) is within its
-    threshold 2M, else 0."""
-    counts = _axis_counts(shape)
-    mask = np.ones(shape, dtype=np.float64)
+def _threshold_mask(patterns, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
+    """1 for each pattern row whose pair totals (and group total) are all
+    within their threshold 2M, else 0."""
+    mask = np.ones(len(patterns), dtype=np.float64)
     for (a, b), thr in zip(local_pairs, thresholds):
         if thr is not None:
-            mask = mask * (counts[a] + counts[b] <= 2 * thr)
+            mask = mask * (patterns[:, a] + patterns[:, b] <= 2 * thr)
     if total_threshold is not None:
-        mask = mask * (sum(counts) <= 2 * total_threshold)
+        mask = mask * (patterns.sum(axis=1) <= 2 * total_threshold)
     return mask
-
-
-def _parity_weights(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
-    """Per-pattern weight grid: parity on the first mode of every pair,
-    zeroed where a pair total (or the group total) exceeds its threshold."""
-    counts = _axis_counts(shape)
-    weights = _threshold_mask(shape, local_pairs, thresholds, total_threshold)
-    for a, _ in local_pairs:
-        weights = weights * np.where(counts[a] % 2 == 0, 1.0, -1.0)
-    return weights
 
 
 def _sampling_block(group: _Group, total_threshold=None) -> BlockSpec:
     """Distribution/weight block for the shot path.
 
-    Each pair's two working cutoffs are padded to the pair total so the
-    beamsplitter acts exactly; spectator modes keep their own cutoff.
+    The beamsplitters run on the closed pattern set, where each pair keeps
+    the photon budget of its two cutoffs and spectator modes keep their
+    own.  A pattern's weight is the parity of every pair's first count,
+    zeroed where a pair total (or the group total) exceeds its threshold.
     """
-    caps = list(group.base_caps)
-    for a, b in group.local_pairs:
-        s = group.base_caps[a] + group.base_caps[b]
-        caps[a] = max(caps[a], s)
-        caps[b] = max(caps[b], s)
-    shape = tuple(c + 1 for c in caps)
     combos = ensemble_combinations(group.factors)
-    check_working_size(len(combos), math.prod(shape))
-
     gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
-    amps = np.stack([
-        fock.apply_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
-        for _, states in combos
-    ])
-    weights = _parity_weights(shape, group.local_pairs, group.thresholds, total_threshold)
+    patterns, amps = passive_measurement(combos, group.base_caps, group.local_pairs, gates)
+    weights = _threshold_mask(patterns, group.local_pairs, group.thresholds, total_threshold)
+    for a, _ in group.local_pairs:
+        weights = weights * np.where(patterns[:, a] % 2 == 0, 1.0, -1.0)
     return measurement_block([w for w, _ in combos], amps, weights)
 
 
@@ -267,9 +245,10 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
         m = max(caps[a], caps[b])
         caps[a] = caps[b] = m
     shape = tuple(c + 1 for c in caps)
-    check_working_size(1, math.prod(shape))
+    check_working_size(1 + len(shape), math.prod(shape))
 
-    mask = _threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
+    rows = np.indices(shape).reshape(len(shape), -1).T
+    mask = _threshold_mask(rows, group.local_pairs, group.thresholds, total_threshold).reshape(shape)
     value = 0.0
     for w, states in ensemble_combinations(group.factors):
         psi = fock.pad(functools.reduce(fock.tensor, states), caps).amplitudes
@@ -312,9 +291,10 @@ def cv_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorRes
     return parity_overlap_estimate([state_a, state_b], [(0, 1)], [m], shots, seed)
 
 
-def _parity_groups(joint, pairs, m_per_pair) -> list[_Group]:
+def _parity_groups(joint, pairs, m_per_pair, m_total) -> list[_Group]:
     factors = [joint] if isinstance(joint, (FockState, MixedEnsemble)) else list(joint)
     pairs = [tuple(p) for p in pairs]
+    normalize_thresholds(m_total, 1)  # the group-total threshold obeys the same rule
     return _group_factors(factors, pairs, normalize_thresholds(m_per_pair, len(pairs)))
 
 
@@ -331,38 +311,39 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    groups = _parity_groups(joint, pairs, m_per_pair)
+    groups = _parity_groups(joint, pairs, m_per_pair, m_total)
     return estimate_blocks([_sampling_block(g, m_total) for g in groups], shots, seed)
 
 
 def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
     """Exact expectation of the parity estimator (no sampling)."""
     value = 1.0
-    for g in _parity_groups(joint, pairs, m_per_pair):
+    for g in _parity_groups(joint, pairs, m_per_pair, m_total):
         value *= _group_expectation(g, m_total)
     return value
 
 
 def _signed_total_mass(joint) -> np.ndarray:
     """g[t] = sum_{n+m'=t} (-1)^n p(n, m') over the post-beamsplitter
-    pattern distribution; the pair is padded to its total photon capacity
-    first so the beamsplitter acts exactly on every in-box input."""
+    pattern distribution; the beamsplitter runs on the closed pattern set
+    of the pair, so it acts exactly on every in-box input.  Each
+    distribution is normalised by its exactly rounded sum, which does not
+    depend on how the pattern set is laid out."""
     if joint.modes != 2:
         raise ValueError("joint must be a two-mode state")
-    c1, c2 = joint.cutoff.per_mode_max
-    caps = (c1 + c2, c1 + c2)
-    shape = tuple(c + 1 for c in caps)
-    check_working_size(1, math.prod(shape))
-    signs = np.where(np.arange(shape[0]) % 2 == 0, 1.0, -1.0)[:, None]
-    totals = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
-    g = np.zeros(2 * (c1 + c2) + 1)
-    for w, pure in components_of(joint):
-        state = fock.apply_gate(fock.pad(pure, caps), Beamsplitter(math.pi / 4.0, math.pi, 0, 1))
-        p = np.abs(state.amplitudes) ** 2
-        total = p.sum()
+    caps = joint.cutoff.per_mode_max
+    combos = ensemble_combinations([joint])
+    patterns, amps = passive_measurement(combos, caps, [(0, 1)],
+                                         [Beamsplitter(math.pi / 4.0, math.pi, 0, 1)])
+    signs = np.where(patterns[:, 0] % 2 == 0, 1.0, -1.0)
+    totals = patterns.sum(axis=1)
+    g = np.zeros(2 * sum(caps) + 1)
+    for (w, _), row in zip(combos, amps):
+        p = np.abs(row) ** 2
+        total = math.fsum(p[p > 0].tolist())
         if total <= 0:
             raise ValueError("zero-norm state")
-        g += w * np.bincount(totals, weights=(p * signs).ravel(), minlength=g.size) / total
+        g += w * np.bincount(totals, weights=p * signs, minlength=g.size) / total
     return g
 
 

@@ -39,7 +39,8 @@ __all__ = [
     "apply_gate",
     "apply_circuit",
     "apply_two_mode_dense",
-    "simplex_patterns",
+    "closed_patterns",
+    "closed_pattern_count",
     "apply_passive",
     "dagger",
     "invert_circuit",
@@ -115,12 +116,6 @@ class PhotonPattern:
         if any(n < 0 for n in counts):
             raise ValueError("photon counts must be >= 0")
         object.__setattr__(self, "counts", counts)
-
-
-def _counts(pattern) -> tuple[int, ...]:
-    if isinstance(pattern, PhotonPattern):
-        return pattern.counts
-    return tuple(int(n) for n in pattern)
 
 
 @dataclass(frozen=True)
@@ -293,11 +288,11 @@ def invert_circuit(gates) -> list[GateSpec]:
 
 def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
     """Unit state with amplitude 1 on ``pattern``."""
-    counts = _counts(pattern)
+    counts = pattern.counts if isinstance(pattern, PhotonPattern) else tuple(int(n) for n in pattern)
     if len(counts) != cutoff.modes:
         raise ValueError("pattern length does not match mode count")
-    if any(n > cap for n, cap in zip(counts, cutoff.per_mode_max)):
-        raise ValueError(f"pattern {counts} exceeds cutoff {cutoff.per_mode_max}")
+    if any(not 0 <= n <= cap for n, cap in zip(counts, cutoff.per_mode_max)):
+        raise ValueError(f"pattern {counts} lies outside cutoff {cutoff.per_mode_max}")
     amps = np.zeros(cutoff.shape, dtype=np.complex128)
     amps[counts] = 1.0
     return FockState(cutoff, amps)
@@ -430,15 +425,6 @@ def _beamsplitter_blocks(theta: float, phi: float, t_max: int):
         yield t, block
 
 
-def _max_occupied_total(work: np.ndarray) -> int:
-    """Largest n_i + n_j with any weight, over a (d1, d2, rest) view."""
-    occupied = np.any(work != 0, axis=2)
-    if not occupied.any():
-        return -1
-    rows, cols = np.nonzero(occupied)
-    return int((rows + cols).max())
-
-
 def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
     """Blockwise application along axes (mode_i, mode_j); truncation drops
     any weight pushed past the per-mode cutoffs."""
@@ -446,7 +432,9 @@ def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
     d1, d2 = moved.shape[0], moved.shape[1]
     work = moved.reshape(d1, d2, -1)
     out = np.zeros_like(work)
-    t_hi = min(d1 + d2 - 2, _max_occupied_total(work))
+    # stop at the largest occupied n_i + n_j
+    n_i, n_j = np.nonzero(np.any(work != 0, axis=2))
+    t_hi = min(d1 + d2 - 2, int((n_i + n_j).max(initial=-1)))
     for t, block in _beamsplitter_blocks(gate.theta, gate.phi, t_hi):
         a_lo, a_hi = max(0, t - (d2 - 1)), min(d1 - 1, t)
         if a_lo > a_hi:
@@ -617,24 +605,38 @@ def apply_circuit(state: FockState, gates) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# passive circuits on the photon-number simplex
+# passive circuits on closed photon-number pattern sets
 
 
-def simplex_patterns(modes: int, total: int) -> np.ndarray:
-    """Every pattern over ``modes`` modes with at most ``total`` photons,
-    one per row, in row-major (lexicographic) order.
+def closed_patterns(caps, groups=()) -> np.ndarray:
+    """The photon patterns a passive circuit can reach from the per-mode
+    box ``caps``, one per row, in row-major (lexicographic) order.
 
-    Passive gates conserve the total photon number, so a state supported
-    on this set stays on it, with no truncation.  The count is
-    comb(total + modes, modes).
+    ``groups`` are the disjoint mode sets the circuit mixes.  The modes of
+    a group share its photon budget, the sum of their caps, which the
+    circuit conserves, so nothing is truncated; a mode in no group keeps
+    its cap.  The rows inside the box are the box in its row-major order.
     """
+    caps = [int(c) for c in caps]
+    group_of = {m: list(g) for g in groups for m in g}
+    if len(group_of) != sum(len(g) for g in groups) or not set(group_of) <= set(range(len(caps))):
+        raise ValueError(f"mode groups must be disjoint modes of 0..{len(caps) - 1}")
     patterns = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(modes):
-        room = total - patterns.sum(axis=1) + 1
+    for mode in range(len(caps)):
+        group = group_of.get(mode, [mode])
+        used = patterns[:, [m for m in group if m < mode]].sum(axis=1)
+        room = sum(caps[m] for m in group) - used + 1
         starts = np.repeat(np.cumsum(room) - room, room)
         values = np.arange(starts.size) - starts
         patterns = np.column_stack([np.repeat(patterns, room, axis=0), values])
     return patterns
+
+
+def closed_pattern_count(caps, groups=()) -> int:
+    """Row count of ``closed_patterns(caps, groups)``, without building it."""
+    grouped = {m for g in groups for m in g}
+    return math.prod([math.comb(sum(caps[m] for m in g) + len(g), len(g)) for g in groups]
+                     + [int(c) + 1 for m, c in enumerate(caps) if m not in grouped])
 
 
 def _pair_sectors(patterns: np.ndarray, mi: int, mj: int) -> list[np.ndarray]:
@@ -642,18 +644,21 @@ def _pair_sectors(patterns: np.ndarray, mi: int, mj: int) -> list[np.ndarray]:
     patterns with n_mi = a, n_mj = t - a, one column per configuration of
     the other modes."""
     t = patterns[:, mi] + patterns[:, mj]
+    n = patterns[:, mi]
     others = np.delete(patterns, [mi, mj], axis=1)
-    # sort by t, then the other modes, then n_mi: each (t, others) group
-    # is one column holding n_mi = 0..t
-    order = np.lexsort((patterns[:, mi], *others.T[::-1], t))
-    sectors, start = [], 0
-    for tot, size in enumerate(np.bincount(t)):
-        idx = order[start:start + size]
-        if size % (tot + 1) or not (patterns[idx, mi] == np.arange(size) % (tot + 1)).all():
-            raise ValueError("pattern set is not closed under the circuit's gates")
-        sectors.append(idx.reshape(-1, tot + 1).T)
-        start += size
-    return sectors
+    dims = (int(t.max()) + 1,) + tuple(others.max(axis=0) + 1)
+    # one sort key: t, then the other modes, then n_mi; each (t, others)
+    # run must hold n_mi = 0..t, and becomes one column of its sector
+    key = np.ravel_multi_index((t, *others.T, n), dims + (dims[0],))
+    order = np.argsort(key)
+    run, t, n = key[order] // dims[0], t[order], n[order]
+    starts = np.ones(len(t), dtype=bool)
+    starts[1:] = run[1:] != run[:-1]
+    ends = np.roll(starts, -1)
+    if not ((n == np.where(starts, 0, np.roll(n, 1) + 1)).all() and (n[ends] == t[ends]).all()):
+        raise ValueError("pattern set is not closed under the circuit's gates")
+    return [idx.reshape(-1, tot + 1).T
+            for tot, idx in enumerate(np.split(order, np.cumsum(np.bincount(t))[:-1]))]
 
 
 def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.ndarray:
@@ -661,10 +666,11 @@ def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.nda
 
     ``amplitudes[k]`` (with any trailing batch axes) belongs to
     ``patterns[k]``.  The set must hold every pattern a gate reaches from
-    one of its members, as ``simplex_patterns`` does; then no weight is
+    one of its members, as ``closed_patterns`` does; then no weight is
     truncated.  A beamsplitter multiplies each total-photon block B_t of
-    its mode pair into the gathered (t+1, R_t) sector and scatters the
-    result back; a phase rotation is a diagonal multiply.
+    its mode pair, up to the largest occupied total, into the gathered
+    (t+1, R_t) sector and scatters the result back; a phase rotation is a
+    diagonal multiply.
     """
     patterns = np.asarray(patterns)
     n_modes = patterns.shape[1]
@@ -682,9 +688,13 @@ def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.nda
             continue
         if modes not in sectors:
             sectors[modes] = _pair_sectors(patterns, *modes)
-        blocks = _beamsplitter_blocks(gate.theta, gate.phi, len(sectors[modes]) - 1)
+        occupied = out.reshape(len(patterns), -1).any(axis=1)
+        totals = patterns[occupied, gate.mode_i] + patterns[occupied, gate.mode_j]
+        t_hi = int(totals.max(initial=-1))
+        blocks = _beamsplitter_blocks(gate.theta, gate.phi, t_hi)
         for idx, (_, block) in zip(sectors[modes], blocks):
-            out[idx] = np.tensordot(block, out[idx], axes=1)
+            sector = out[idx]
+            out[idx] = (block @ sector.reshape(len(block), -1)).reshape(sector.shape)
     return out
 
 

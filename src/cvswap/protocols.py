@@ -11,7 +11,6 @@ photon-parity measurement.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,10 @@ from .fock import FockState, MixedEnsemble, components_of
 from .sampling import (  # noqa: F401
     BlockSpec,
     blocks_estimate,
-    check_working_size,
     derive_seed,
     ensemble_combinations,
     measurement_block,
+    passive_measurement,
 )
 
 __all__ = [
@@ -97,22 +96,11 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def _perm_block(states) -> BlockSpec:
     n, cap = _check_perm_inputs(states)
-    total = n * cap
     combos = ensemble_combinations(states)
-    check_working_size(len(combos), math.comb(total + n, n))
-    patterns = fock.simplex_patterns(n, total)
-    amps = np.zeros((len(patterns), len(combos)), dtype=np.complex128)
-    # the patterns with every count <= cap are the input box, in row-major
-    # order; the joint amplitudes of one combination fill one column
-    amps[(patterns <= cap).all(axis=1)] = np.stack([
-        functools.reduce(np.multiply.outer, [s.amplitudes for s in comb]).ravel()
-        for _, comb in combos
-    ], axis=1)
     gates = fock.invert_circuit(fock.rectangular_decompose(dft_matrix(n)))
-    phases = patterns @ np.arange(n)
-    weights = np.exp(2j * math.pi * phases / n)
-    return measurement_block([w for w, _ in combos], fock.apply_passive(amps, patterns, gates).T,
-                             weights)
+    patterns, amps = passive_measurement(combos, [cap] * n, [range(n)], gates)
+    weights = np.exp(2j * math.pi * (patterns @ np.arange(n)) / n)
+    return measurement_block([w for w, _ in combos], amps, weights)
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult:
@@ -206,19 +194,14 @@ def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
     u = purification.amplitudes * np.conj(relabeled.amplitudes)
     norm = purification.norm_sq * relabeled.norm_sq
     if all(t is None for t in thresholds):
-        value = abs(u.sum()) ** 2 / norm
-        return float(value)
+        return float(abs(u.sum()) ** 2 / norm)
     kernel = u
-    for ax, thr in enumerate(thresholds):
-        d = purification.cutoff.shape[ax]
-        if thr is None:
-            theta = np.ones((d, d))
-        else:
-            grid = np.add.outer(np.arange(d), np.arange(d))
-            theta = (grid <= 2 * thr).astype(float)
+    for d, thr in zip(purification.cutoff.shape, thresholds):
+        # a pair total never exceeds 2d - 2, so no threshold keeps all
+        grid = np.add.outer(np.arange(d), np.arange(d))
+        theta = (grid <= (2 * d if thr is None else 2 * thr)).astype(float)
         kernel = np.tensordot(kernel, theta, axes=([0], [0]))
-    value = complex(np.vdot(u, kernel)) / norm
-    return float(value.real)
+    return float((complex(np.vdot(u, kernel)) / norm).real)
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +290,15 @@ def _bell_change() -> np.ndarray:
 def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
     _check_hybrid(state_a, state_b)
     cv_cap = state_a.cutoff.per_mode_max[1]
-    caps = (1, 2 * cv_cap, 1, 2 * cv_cap)
-    shape = tuple(c + 1 for c in caps)
     combos = ensemble_combinations([state_a, state_b])
-    check_working_size(len(combos), math.prod(shape))
     bell_dag = _bell_change().conj().T
+    bell_box = lambda states: fock.apply_two_mode_dense(
+        np.multiply.outer(states[0].amplitudes, states[1].amplitudes), bell_dag, 0, 2)
     bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
-
-    def measured(sa, sb):
-        joint = fock.pad(fock.tensor(sa, sb), caps)
-        amps = fock.apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
-        return fock.apply_gate(FockState(joint.cutoff, amps), bs).amplitudes
-
-    z = np.arange(2).reshape(2, 1, 1, 1)
-    n_b = np.arange(shape[1]).reshape(1, -1, 1, 1)
-    x = np.arange(2).reshape(1, 1, 2, 1)
-    m_b = np.arange(shape[3]).reshape(1, 1, 1, -1)
+    patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
+    z, n_b, x, m_b = patterns.T
     weights = np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)
-    return measurement_block([w for w, _ in combos],
-                             np.stack([measured(*pair) for _, pair in combos]),
-                             np.broadcast_to(weights, shape))
+    return measurement_block([w for w, _ in combos], amps, weights)
 
 
 def hybrid_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorResult:

@@ -8,12 +8,13 @@ vectorized on uint64 arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import components_of
+from .fock import apply_passive, closed_pattern_count, closed_patterns, components_of
 
 __all__ = [
     "Seed",
@@ -22,6 +23,7 @@ __all__ = [
     "check_working_size",
     "ensemble_combinations",
     "measurement_block",
+    "passive_measurement",
     "probability_vector",
     "sample_patterns",
     "estimator_statistics",
@@ -41,8 +43,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
 
-# working spaces (ensemble combinations x outcomes) larger than this are
-# refused with guidance
+# working spaces (ensemble combinations and pattern columns x outcomes)
+# larger than this are refused with guidance
 MAX_WORKING_ELEMENTS = 1 << 24
 
 
@@ -176,13 +178,14 @@ class BlockSpec:
 
 
 def check_working_size(combinations: int, outcomes: int) -> None:
-    """Refuse a working space of ``combinations`` x ``outcomes`` amplitudes
-    beyond MAX_WORKING_ELEMENTS; call before allocating it."""
+    """Refuse a working space of ``combinations`` x ``outcomes`` entries
+    beyond MAX_WORKING_ELEMENTS; call before allocating it.  A table of
+    photon patterns counts one combination per mode."""
     size = int(combinations) * int(outcomes)
     if size > MAX_WORKING_ELEMENTS:
         raise ValueError(
-            f"working space of {size} amplitudes ({combinations} ensemble combinations x "
-            f"{outcomes} outcomes) exceeds the desk-scale limit; "
+            f"working space of {size} entries ({combinations} ensemble combinations and "
+            f"pattern columns x {outcomes} outcomes) exceeds the desk-scale limit; "
             "reduce cutoffs, mode count or ensemble rank"
         )
 
@@ -217,6 +220,26 @@ def measurement_block(component_weights, amplitudes, weights) -> BlockSpec:
         )
     return BlockSpec(np.asarray(component_weights, dtype=np.float64),
                      tuple(_born_distributions(amps)), weights)
+
+
+def passive_measurement(combos, caps, groups, gates, joint_box=None):
+    """Photon patterns and measured amplitudes, one row per ensemble
+    combination, of a passive circuit that mixes the mode ``groups``.
+
+    A combination (from ``ensemble_combinations``) has per-mode ``caps``;
+    ``joint_box`` maps its pure states to their joint amplitude box, by
+    default their tensor product.  After the size guard, every box is
+    placed on its rows of the closed pattern set and the circuit is
+    applied to all of them at once.
+    """
+    check_working_size(len(combos) + len(caps), closed_pattern_count(caps, groups))
+    patterns = closed_patterns(caps, groups)
+    joint_box = joint_box or (lambda states: functools.reduce(np.multiply.outer,
+                                                              [s.amplitudes for s in states]))
+    amps = np.zeros((len(patterns), len(combos)), dtype=np.complex128)
+    in_box = np.logical_and.reduce([patterns[:, m] <= c for m, c in enumerate(caps)])
+    amps[in_box] = np.stack([joint_box(states).ravel() for _, states in combos], axis=1)
+    return patterns, apply_passive(amps, patterns, gates).T
 
 
 def blocks_expectation(blocks) -> complex:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvswap import fock
+from cvswap.sampling import blocks_estimate
 
 
 @pytest.fixture
@@ -71,3 +72,17 @@ def two_mode_ladder_ops(dim: int):
     a, _ = ladder_ops(dim)
     eye = np.eye(dim)
     return np.kron(a, eye), np.kron(eye, a)
+
+
+def assert_same_block(block, oracle, shape, patterns, seed):
+    """Closed-set block against the padded oracle: distributions to 1e-12
+    with no oracle weight off the set, identical weights, identical shots."""
+    flat = np.ravel_multi_index(tuple(patterns.T), shape)
+    assert np.array_equal(block.component_weights, oracle.component_weights)
+    assert np.array_equal(block.weights, oracle.weights[flat])
+    for got, want in zip(block.distributions, oracle.distributions):
+        assert np.max(np.abs(got - want[flat])) < 1e-12
+        assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
+    got_w, got_d = blocks_estimate([block], 4000, seed)
+    want_w, want_d = blocks_estimate([oracle], 4000, seed)
+    assert np.array_equal(got_w, want_w) and got_d == want_d

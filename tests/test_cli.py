@@ -402,3 +402,55 @@ def test_integral_floats_are_integers(tmp_path):
     assert code == 0
     doc, want = json.loads(out_float.read_text()), json.loads(text)
     assert doc["results"] == want["results"]
+
+
+COMPILE_A = {"training": TRAINING}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # out-of-range values
+    ("overlap", {**TWO_VACUA, "M": -1}, "M must be >= 0"),
+    ("overlap", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}], "pairs": [[0, 1]], "M": [-2]},
+     "M must be >= 0"),
+    ("two-copy", {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [2, 2]}, "M": -1},
+     "M must be >= 0"),
+    ("hybrid", {"state_a": HYBRID_SPEC, "state_b": HYBRID_SPEC, "M": -3}, "M must be >= 0"),
+    ("compile-cost", {**COMPILE_A, "m_totals": [-1]}, "m_totals entry must be >= 0"),
+    ("overlap", {"state_a": {"kind": "vacuum", "cutoff": [-1]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2]}}, "cutoff must be >= 0"),
+    ("perm", {"states": [{"kind": "basis", "pattern": [-1], "cutoff": [2]}] * 3},
+     "pattern must be >= 0"),
+    ("qudit-basis", {"d": 1}, "d must be >= 2"),
+    ("qudit-basis", {"d": 3, "basis": "x"}, "basis must be 'v' or 'w'"),
+    # gate specs
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "nonsense"}]}, "unknown gate 'nonsense'"),
+    ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": ["phase"]}]}, "unknown gate ['phase']"),
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "phase", "mode": 0}]},
+     "bad gate spec {'gate': 'phase', 'mode': 0}: missing 'phi'"),
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "beamsplitter", "theta": 0.3, "phi": 0.0,
+                                                "modes": [0, 1]}]},
+     "compiling circuits must act on register A only"),
+    ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "phase", "phi": 0.3, "mode": 1}]},
+     "compiling circuits must act on register A only"),
+])
+def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
+    # cutoff 3: 28^4 closed patterns over eight modes run; cutoff 4 would
+    # hold 45^4 amplitudes under the limit, but not their pattern table
+    base = {"copies": 2, "shots": 500, "seed": 3}
+    code, out = run_cli(tmp_path, "two-copy", {**base, "purification": {
+        "kind": "tmss", "r": 0.3, "cutoff": [3, 3]}}, name="three.json")
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert abs(results["grand_mean_re"] - results["exact_expectation"]) < 5 * results["runs"][0]["stderr"]
+    code, _ = run_cli(tmp_path, "two-copy", {**base, "purification": {
+        "kind": "tmss", "r": 0.3, "cutoff": [4, 4]}}, name="four.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "desk-scale limit" in err and err.count("\n") == 1

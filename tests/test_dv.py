@@ -153,3 +153,12 @@ def test_sample_swap_outcomes_ensemble(rng):
     weights = [eig[o.labels[0]] for o in outcomes]
     res = dv_swap_estimate(a, b, 400, 12, basis="w")
     assert res.mean == pytest.approx(np.mean(weights), abs=1e-12)
+
+
+def test_oversized_registers_refused_before_allocating():
+    # five pairs of six-level qudits: 6^10 joint amplitudes exceed the limit
+    amps = np.zeros((6,) * 5)
+    amps[(0,) * 5] = 1.0
+    state = DVState((6,) * 5, amps)
+    with pytest.raises(ValueError, match="desk-scale limit"):
+        dv_swap_expectation(state, state)

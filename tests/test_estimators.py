@@ -1,14 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
-from cvswap import estimators as est, fock
+from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
-from cvswap.fock import CutoffSpec, MixedEnsemble
+from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
+from cvswap.sampling import ensemble_combinations, measurement_block
 
-from conftest import random_ensemble, random_pure
+from conftest import assert_same_block, random_ensemble, random_pure
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,115 @@ def test_shot_weights_bounded(rng):
     groups = est._group_factors([a, b], [(0, 1)], [2])
     block = est._sampling_block(groups[0])
     assert np.all(np.abs(block.weights) <= 1.0 + 1e-15)
+
+
+def _dense_sampling_block(group, total_threshold=None):
+    """Oracle: each pair's cutoffs padded to the pair total, the dense
+    beamsplitters, and weights on the padded grid."""
+    caps = list(group.base_caps)
+    for a, b in group.local_pairs:
+        s = group.base_caps[a] + group.base_caps[b]
+        caps[a] = max(caps[a], s)
+        caps[b] = max(caps[b], s)
+    shape = tuple(c + 1 for c in caps)
+    combos = ensemble_combinations(group.factors)
+    gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
+    amps = np.stack([
+        fock.apply_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
+        for _, states in combos
+    ])
+    counts = np.indices(shape).reshape(len(shape), -1)
+    weights = np.ones(counts.shape[1])
+    for (a, b), thr in zip(group.local_pairs, group.thresholds):
+        if thr is not None:
+            weights = weights * (counts[a] + counts[b] <= 2 * thr)
+    if total_threshold is not None:
+        weights = weights * (counts.sum(axis=0) <= 2 * total_threshold)
+    for a, _ in group.local_pairs:
+        weights = weights * np.where(counts[a] % 2 == 0, 1.0, -1.0)
+    return measurement_block([w for w, _ in combos], amps, weights), shape
+
+
+def _random_factor(rng, caps, rank):
+    def pure():
+        amps = rng.normal(size=[c + 1 for c in caps]) + 1j * rng.normal(size=[c + 1 for c in caps])
+        return FockState(CutoffSpec(caps), amps / np.linalg.norm(amps))
+    if rank == 1:
+        return pure()
+    w = rng.uniform(0.2, 0.8)
+    return MixedEnsemble(((w, pure()), (1.0 - w, pure())))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1))
+def test_sampling_block_matches_padded_oracle(seed):
+    # random layouts: one to three factors of one or two modes with unequal
+    # cutoffs, rank 1 or 2, one or two pairs (the rest are spectators), and
+    # per-pair and total thresholds
+    rng = np.random.default_rng(seed)
+    factors = [_random_factor(rng, tuple(int(c) for c in rng.integers(0, 4, size=rng.integers(1, 3))),
+                              int(rng.integers(1, 3)))
+               for _ in range(rng.integers(1, 4))]
+    n_modes = sum(f.modes for f in factors)
+    if n_modes < 2:
+        factors.append(_random_factor(rng, (int(rng.integers(0, 4)),), 1))
+        n_modes += 1
+    order = [int(m) for m in rng.permutation(n_modes)]
+    n_pairs = int(rng.integers(1, min(2, n_modes // 2) + 1))
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(n_pairs)]
+    thresholds = [None if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in pairs]
+    total = None if rng.random() < 0.5 else int(rng.integers(0, 7))
+    for k, group in enumerate(est._group_factors(factors, pairs, thresholds)):
+        block = est._sampling_block(group, total)
+        oracle, shape = _dense_sampling_block(group, total)
+        patterns = fock.closed_patterns(group.base_caps, group.local_pairs)
+        assert_same_block(block, oracle, shape, patterns, seed + k)
+
+
+def _dense_signed_total_mass(joint):
+    """Oracle: the pair padded to its total capacity and the dense beamsplitter."""
+    c1, c2 = joint.cutoff.per_mode_max
+    shape = (c1 + c2 + 1, c1 + c2 + 1)
+    signs = np.where(np.arange(shape[0]) % 2 == 0, 1.0, -1.0)[:, None]
+    totals = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
+    g = np.zeros(2 * (c1 + c2) + 1)
+    for w, pure in fock.components_of(joint):
+        state = fock.apply_gate(fock.pad(pure, (c1 + c2, c1 + c2)),
+                                Beamsplitter(math.pi / 4.0, math.pi, 0, 1))
+        p = np.abs(state.amplitudes) ** 2
+        g += w * np.bincount(totals, weights=(p * signs).ravel(), minlength=g.size) / p.sum()
+    return g
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_swap2m_profile_matches_padded_oracle(c1, c2, rank, seed):
+    joint = _random_factor(np.random.default_rng(seed), (c1, c2), rank)
+    m_values = list(range(c1 + c2 + 2))
+    want = np.cumsum(_dense_signed_total_mass(joint))
+    got = est.swap2m_profile(joint, m_values)
+    assert np.max(np.abs(np.array(got) - want[np.minimum(2 * np.array(m_values), want.size - 1)])) < 1e-12
+
+
+def test_negative_thresholds_refused(rng):
+    a, b = random_pure(rng, 3), random_pure(rng, 3)
+    for m, m_total in ((-1, None), ([2, -1], None), (None, -1)):
+        pairs = [(0, 1)] if not isinstance(m, list) else [(0, 2), (1, 3)]
+        states = [a, b] if len(pairs) == 1 else [a, a, b, b]
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            est.parity_overlap_estimate(states, pairs, m, 100, 1, m_total)
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            est.parity_overlap_expectation(states, pairs, m, m_total)
+    stack = random_pure(rng, 2, modes=4)
+    with pytest.raises(ValueError):
+        proto.two_copy_test(stack, 100, 1, -1)
+    with pytest.raises(ValueError):
+        proto.two_copy_expectation(stack, -1)
+    training = [random_pure(rng, 2, modes=2)]
+    with pytest.raises(ValueError):
+        proto.compile_cost(training, [], [], 100, 1, [-1])
+    with pytest.raises(ValueError):
+        proto.compile_cost_expectation(training, [], [], [-1])
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,12 @@ def test_basis_out_of_range():
         fock.basis_state((4, 0), CutoffSpec((3, 3)))
 
 
+def test_basis_negative_count_refused():
+    # a negative count would otherwise index the box from its far end
+    with pytest.raises(ValueError):
+        fock.basis_state((0, -1), CutoffSpec((3, 3)))
+
+
 def test_inner_product_trivial():
     cut = CutoffSpec((2, 2))
     vac = fock.basis_state((0, 0), cut)
@@ -542,7 +548,7 @@ def test_decompose_fock_consistency(rng):
 
 @pytest.mark.parametrize("modes, total", [(1, 4), (2, 0), (3, 3), (4, 5)])
 def test_simplex_patterns_row_major(modes, total):
-    pats = fock.simplex_patterns(modes, total)
+    pats = fock.closed_patterns([total] + [0] * (modes - 1), [range(modes)])
     box = np.indices((total + 1,) * modes).reshape(modes, -1).T
     want = box[box.sum(axis=1) <= total]
     assert np.array_equal(pats, want)
@@ -560,7 +566,7 @@ def _dense_on_simplex(amps, pats, total, gates):
 
 def test_apply_passive_matches_dense(rng):
     modes, total = 4, 4
-    pats = fock.simplex_patterns(modes, total)
+    pats = fock.closed_patterns([1] * modes, [range(modes)])
     z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     gates = fock.rectangular_decompose(np.linalg.qr(z)[0]) + [Beamsplitter(0.7, 1.1, 3, 1), PhaseRotation(0.4, 2)]
     amps = rng.normal(size=(len(pats), 3)) + 1j * rng.normal(size=(len(pats), 3))
@@ -573,8 +579,87 @@ def test_apply_passive_matches_dense(rng):
     assert np.array_equal(fock.apply_passive(amps, pats, []), amps)
 
 
+LAYOUTS = [
+    ((3, 2), [(0, 1)]),                      # one measured pair, unequal cutoffs
+    ((2, 1, 3), [(0, 2)]),                   # a pair around a spectator mode
+    ((1, 2, 1, 2), [(1, 3)]),                # the hybrid layout
+    ((2, 1, 2, 1), [(0, 2), (1, 3)]),        # two interleaved pairs
+    ((1, 1, 1, 1), [(0, 1, 2, 3)]),          # the PERM simplex
+    ((2, 0, 3), []),                         # no group: the box itself
+]
+
+
+def _budgets(caps, groups):
+    """Per-mode maximum count in the closed set: the group budget or the cap."""
+    top = list(caps)
+    for group in groups:
+        for m in group:
+            top[m] = sum(caps[k] for k in group)
+    return top
+
+
+@pytest.mark.parametrize("caps, groups", LAYOUTS)
+def test_closed_patterns_row_major(caps, groups):
+    pats = fock.closed_patterns(caps, groups)
+    top = _budgets(caps, groups)
+    box = np.indices([t + 1 for t in top]).reshape(len(caps), -1).T
+    keep = np.ones(len(box), dtype=bool)
+    for group in groups:
+        keep &= box[:, list(group)].sum(axis=1) <= sum(caps[m] for m in group)
+    assert np.array_equal(pats, box[keep])
+    assert len(pats) == fock.closed_pattern_count(caps, groups)
+    # the rows inside the input box are that box in row-major order
+    inside = pats[(pats <= np.asarray(caps)).all(axis=1)]
+    assert np.array_equal(inside, np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(LAYOUTS), st.integers(0, 2**32 - 1))
+def test_closed_patterns_closed_under_group_meshes(layout, seed):
+    caps, groups = layout
+    rng = np.random.default_rng(seed)
+    gates = []
+    for group in groups:
+        z = rng.normal(size=(len(group),) * 2) + 1j * rng.normal(size=(len(group),) * 2)
+        for g in fock.rectangular_decompose(np.linalg.qr(z)[0]):
+            if isinstance(g, Beamsplitter):
+                gates.append(Beamsplitter(g.theta, g.phi, group[g.mode_i], group[g.mode_j]))
+            else:
+                gates.append(PhaseRotation(g.phi, group[g.mode]))
+    pats = fock.closed_patterns(caps, groups)
+    amps = rng.normal(size=(len(pats), 2)) + 1j * rng.normal(size=(len(pats), 2))
+    got = fock.apply_passive(amps, pats, gates)
+    assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
+    top = _budgets(caps, groups)
+    for k in range(2):
+        dense = np.zeros([t + 1 for t in top], dtype=np.complex128)
+        dense[tuple(pats.T)] = amps[:, k]
+        state = fock.apply_circuit(FockState(CutoffSpec(tuple(top)), dense), gates)
+        assert np.max(np.abs(state.amplitudes[tuple(pats.T)] - got[:, k])) < 1e-12
+
+
+def test_closed_patterns_rejects_bad_groups():
+    with pytest.raises(ValueError):
+        fock.closed_patterns((1, 1, 1), [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        fock.closed_patterns((1, 1), [(0, 2)])
+
+
+def test_apply_passive_stops_at_occupied_total():
+    # amplitudes only on totals <= 1 of a pair with budget 8: the result
+    # equals the full run, and empty input stays empty
+    pats = fock.closed_patterns((4, 4), [(0, 1)])
+    amps = np.zeros(len(pats), dtype=np.complex128)
+    amps[(pats.sum(axis=1) <= 1)] = [0.6, 0.8j, 0.0]
+    bs = Beamsplitter(0.4, 0.3, 0, 1)
+    got = fock.apply_passive(amps, pats, [bs])
+    want = fock.apply_gate(fock.pad(FockState(CutoffSpec((1, 1)), [[0.6, 0.8j], [0.0, 0.0]]), (8, 8)), bs)
+    assert np.max(np.abs(got - want.amplitudes[tuple(pats.T)])) < 1e-15
+    assert not fock.apply_passive(np.zeros(len(pats)), pats, [bs]).any()
+
+
 def test_apply_passive_rejects_bad_input():
-    pats = fock.simplex_patterns(3, 2)
+    pats = fock.closed_patterns([2, 0, 0], [range(3)])
     amps = np.ones(len(pats))
     with pytest.raises(TypeError):
         fock.apply_passive(amps, pats, [ModeSwap(0, 1)])

@@ -1,4 +1,5 @@
-"""Modules of the package reach each other only through public names."""
+"""Modules of the package reach each other only through public names, and
+every passive measurement goes through one placement helper."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,36 @@ def test_no_private_names_cross_modules():
 def test_layout_check_sees_both_forms():
     source = "from . import fock as f\nfrom .sampling import _hidden\nx = f._apply(1)\ny = f.public\n"
     assert private_reaches(source) == ["line 2: imports _hidden", "line 3: uses f._apply"]
+
+
+def passive_callers(source: str) -> list[str]:
+    """Functions that call ``apply_passive``, by bare name or as an
+    attribute of any module."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "apply_passive":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_only_the_placement_helper_applies_passive_circuits():
+    found = [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
+             for caller in passive_callers(path.read_text(encoding="utf-8"))]
+    assert found == ["sampling.passive_measurement"]
+
+
+def test_passive_caller_check_sees_both_forms():
+    source = ("def a():\n    return fock.apply_passive(x, p, g)\n"
+              "def b():\n    def inner():\n        apply_passive(x, p, g)\n")
+    assert passive_callers(source) == ["a", "inner"]

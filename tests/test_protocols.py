@@ -6,9 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec, MixedEnsemble
-from cvswap.sampling import BlockSpec, blocks_estimate, blocks_expectation
+from cvswap.sampling import (
+    BlockSpec,
+    blocks_estimate,
+    blocks_expectation,
+    ensemble_combinations,
+    measurement_block,
+)
 
-from conftest import density_matrix, purification_of, random_ensemble, random_pure
+from conftest import assert_same_block, density_matrix, purification_of, random_ensemble, random_pure
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,7 @@ def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
     block = proto._perm_block(states)
     dense = _dense_perm_block(states)
     # the simplex patterns, located in the dense row-major flattening
-    pats = fock.simplex_patterns(n_registers, n_registers * cap)
+    pats = fock.closed_patterns([cap] * n_registers, [range(n_registers)])
     flat = np.ravel_multi_index(tuple(pats.T), (n_registers * cap + 1,) * n_registers)
     assert np.array_equal(block.component_weights, dense.component_weights)
     assert np.array_equal(block.weights, dense.weights[flat])
@@ -311,6 +317,43 @@ def _rand_hybrid(rng, cap):
     amps = rng.normal(size=(2, cap + 1)) + 1j * rng.normal(size=(2, cap + 1))
     amps /= np.linalg.norm(amps)
     return fock.FockState(CutoffSpec((1, cap)), amps)
+
+
+def _dense_hybrid_block(state_a, state_b, m):
+    """Oracle: both CV modes padded to the pair total, the Bell change and
+    the dense beamsplitter on the padded joint state."""
+    cv_cap = state_a.cutoff.per_mode_max[1]
+    caps = (1, 2 * cv_cap, 1, 2 * cv_cap)
+    shape = tuple(c + 1 for c in caps)
+    combos = ensemble_combinations([state_a, state_b])
+    bell_dag = proto._bell_change().conj().T
+    bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
+    amps = []
+    for _, (sa, sb) in combos:
+        joint = fock.pad(fock.tensor(sa, sb), caps)
+        bell = fock.apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
+        amps.append(fock.apply_gate(fock.FockState(joint.cutoff, bell), bs).amplitudes)
+    z, n_b, x, m_b = np.indices(shape)
+    weights = np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)
+    return measurement_block([w for w, _ in combos], np.stack(amps), weights), shape
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 5), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_hybrid_block_matches_padded_oracle(cap, rank_a, rank_b, seed):
+    rng = np.random.default_rng(seed)
+
+    def register(rank):
+        if rank == 1:
+            return _rand_hybrid(rng, cap)
+        w = rng.uniform(0.2, 0.8)
+        return MixedEnsemble(((w, _rand_hybrid(rng, cap)), (1.0 - w, _rand_hybrid(rng, cap))))
+
+    a, b = register(rank_a), register(rank_b)
+    m = int(rng.integers(0, cap + 2))
+    oracle, shape = _dense_hybrid_block(a, b, m)
+    patterns = fock.closed_patterns((1, cap, 1, cap), [(1, 3)])
+    assert_same_block(proto._hybrid_block(a, b, m), oracle, shape, patterns, seed)
 
 
 def test_hybrid_trivial_cases():

@@ -153,3 +153,25 @@ def test_measurement_block_normalises_and_checks_rows():
         sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0])
+
+
+def test_passive_measurement_places_each_combination(rng):
+    a = random_pure(rng, 2)
+    b = fock.MixedEnsemble(((0.5, random_pure(rng, 3)), (0.5, random_pure(rng, 3))))
+    combos = sampling.ensemble_combinations([a, b])
+    patterns, amps = sampling.passive_measurement(combos, (2, 3), [(0, 1)], [])
+    assert len(patterns) == fock.closed_pattern_count((2, 3), [(0, 1)]) == amps.shape[1]
+    inside = (patterns <= [2, 3]).all(axis=1)
+    for k, (_, (sa, sb)) in enumerate(combos):
+        assert np.array_equal(amps[k, inside], np.multiply.outer(sa.amplitudes, sb.amplitudes).ravel())
+        assert not amps[k, ~inside].any()
+    with pytest.raises(ValueError, match="desk-scale limit"):
+        sampling.passive_measurement(combos, (3000, 3000), [(0, 1)], [])
+    # a two-copy test at cutoff 4: 45^4 patterns of one combination would
+    # fit as amplitudes alone, but not with their eight-mode pattern table
+    pure = [(1.0, [a])]
+    assert 45 ** 4 < sampling.MAX_WORKING_ELEMENTS
+    with pytest.raises(ValueError, match="desk-scale limit"):
+        sampling.passive_measurement(pure, (4,) * 8, [(k, 4 + k) for k in range(4)], [])
+    # cutoff 3 fits: 28^4 patterns times one amplitude and eight pattern columns
+    sampling.check_working_size(1 + 8, 28 ** 4)
