@@ -168,9 +168,9 @@ def build_circuit(specs) -> list[fock.GateSpec]:
 def _load_config(args) -> RunConfig:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -184,6 +184,10 @@ def _load_config(args) -> RunConfig:
         raise ConfigError("shots and runs must be >= 1")
     # output location and format may live in the config; flags win
     out = args.out if args.out is not None else raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out must be a path string")
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ConfigError(f"out must name a file in an existing directory: {out}")
     fmt = args.format if args.format is not None else raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -487,14 +491,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         _COMMANDS[cfg.protocol](cfg)
-    except ConfigError as exc:
+    except (ConfigError, est.MeasurementSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except fock.ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 1
     except (fock.PreparationLeakError, ValueError, RuntimeError) as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 1

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorResult, estimate_blocks
-from .fock import apply_two_mode_dense
+from .fock import apply_two_mode_dense, check_working_size
 from .sampling import (
     BlockSpec,
     blocks_expectation,
-    check_working_size,
     draw_outcomes,
     ensemble_combinations,
     measurement_block,

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import Beamsplitter, FockState, MixedEnsemble, components_of
+from .fock import Beamsplitter, FockState, MixedEnsemble, check_working_size
 from .sampling import (
     BlockSpec,
     blocks_estimate,
-    check_working_size,
     ensemble_combinations,
     estimator_statistics,
     measurement_block,
@@ -32,6 +31,7 @@ from .sampling import (
 __all__ = [
     "EstimatorResult",
     "CutoffPlan",
+    "MeasurementSpecError",
     "estimate_blocks",
     "normalize_thresholds",
     "cv_swap_estimate",
@@ -139,6 +139,11 @@ class CutoffPlan:
 # block assembly for parity estimators
 
 
+class MeasurementSpecError(ValueError):
+    """Measurement pairs or detector thresholds that do not fit the
+    register they measure: a malformed request, not a numerical failure."""
+
+
 def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
     """One detector threshold (or None) per pair from None, one int for
     every pair, or a per-pair sequence; every threshold must be >= 0."""
@@ -149,9 +154,9 @@ def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
     else:
         out = [None if m is None else int(m) for m in m_per_pair]
         if len(out) != n_pairs:
-            raise ValueError("one threshold per pair required")
+            raise MeasurementSpecError("one threshold per pair required")
     if any(m is not None and m < 0 for m in out):
-        raise ValueError("thresholds must be >= 0")
+        raise MeasurementSpecError("thresholds must be >= 0")
     return out
 
 
@@ -176,10 +181,10 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     for a, b in pairs:
         for m in (a, b):
             if not 0 <= m < total:
-                raise ValueError(f"pair mode {m} outside the joint register")
+                raise MeasurementSpecError(f"pair mode {m} outside the joint register")
     flat = [m for p in pairs for m in p]
     if len(set(flat)) != len(flat):
-        raise ValueError("measurement pairs must be disjoint")
+        raise MeasurementSpecError("measurement pairs must be disjoint")
 
     # label every factor with its group; a pair merges its two factors' groups
     label = list(range(len(factors)))
@@ -323,44 +328,24 @@ def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
     return value
 
 
-def _signed_total_mass(joint) -> np.ndarray:
-    """g[t] = sum_{n+m'=t} (-1)^n p(n, m') over the post-beamsplitter
-    pattern distribution; the beamsplitter runs on the closed pattern set
-    of the pair, so it acts exactly on every in-box input.  Each
-    distribution is normalised by its exactly rounded sum, which does not
-    depend on how the pattern set is laid out."""
-    if joint.modes != 2:
-        raise ValueError("joint must be a two-mode state")
-    caps = joint.cutoff.per_mode_max
-    combos = ensemble_combinations([joint])
-    patterns, amps = passive_measurement(combos, caps, [(0, 1)],
-                                         [Beamsplitter(math.pi / 4.0, math.pi, 0, 1)])
-    signs = np.where(patterns[:, 0] % 2 == 0, 1.0, -1.0)
-    totals = patterns.sum(axis=1)
-    g = np.zeros(2 * sum(caps) + 1)
-    for (w, _), row in zip(combos, amps):
-        p = np.abs(row) ** 2
-        total = math.fsum(p[p > 0].tolist())
-        if total <= 0:
-            raise ValueError("zero-norm state")
-        g += w * np.bincount(totals, weights=p * signs, minlength=g.size) / total
-    return g
-
-
 def swap2m_expectation(joint, m: int) -> float:
-    """Exact sum_{n+m'<=2m} (-1)^n p(n, m') over the post-beamsplitter
-    pattern distribution of the two-mode input."""
+    """Exact tr(SWAP_2M rho) of a two-mode input: the SWAP observable kept
+    on pair totals n + m' <= 2m, which equals sum_{n+m'<=2m} (-1)^n p(n, m')
+    over the pattern distribution after the measurement beamsplitter."""
     return swap2m_profile(joint, [m])[0]
 
 
 def swap2m_profile(joint, m_values) -> list[float]:
-    """swap2m_expectation for several thresholds at the cost of one
-    beamsplitter application."""
+    """swap2m_expectation for several thresholds.  Every threshold with 2m
+    at or above the pair's photon budget keeps the whole box, so their
+    shared value is computed once."""
+    if joint.modes != 2:
+        raise ValueError("joint must be a two-mode state")
     if any(m < 0 for m in m_values):
         raise ValueError("detector threshold must be >= 0")
-    cumulative = np.cumsum(_signed_total_mass(joint))
-    top = cumulative.size - 1
-    return [float(cumulative[min(2 * m, top)]) for m in m_values]
+    keys = [min(m, (sum(joint.cutoff.per_mode_max) + 1) // 2) for m in m_values]
+    values = {k: parity_overlap_expectation(joint, [(0, 1)], k) for k in set(keys)}
+    return [values[k] for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ __all__ = [
     "ModeSwap",
     "GateSpec",
     "PreparationLeakError",
+    "ResourceLimitError",
+    "MAX_WORKING_ELEMENTS",
+    "check_working_size",
     "basis_state",
     "inner_product",
     "tensor",
@@ -62,12 +65,29 @@ TWO_PI = 2.0 * math.pi
 LEAK_SOFT = 1e-6
 LEAK_HARD = 1e-3
 
-# refuse to materialize two-mode gate matrices beyond this joint dimension
-_MAX_TWO_MODE_DIM = 4096
+# working spaces larger than this many entries are refused with guidance
+MAX_WORKING_ELEMENTS = 1 << 24
 
 
 class PreparationLeakError(ValueError):
     """Raised when a state preparation loses too much weight to truncation."""
+
+
+class ResourceLimitError(ValueError):
+    """Raised when a working space would exceed MAX_WORKING_ELEMENTS."""
+
+
+def check_working_size(rows: int, columns: int) -> None:
+    """Refuse a working space of ``rows`` x ``columns`` entries beyond
+    MAX_WORKING_ELEMENTS; call before allocating it.  A measurement counts
+    its ensemble combinations plus one int64 pattern column per mode as
+    rows and its outcomes as columns; a two-mode gate matrix is square."""
+    size = int(rows) * int(columns)
+    if size > MAX_WORKING_ELEMENTS:
+        raise ResourceLimitError(
+            f"working space of {size} entries ({rows} x {columns}) exceeds the desk-scale "
+            "limit; reduce cutoffs, mode count or ensemble rank"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +422,31 @@ def phase_matrix(phi: float, dim: int) -> np.ndarray:
 def _beamsplitter_blocks(theta: float, phi: float, t_max: int):
     """Yield (t, B_t) where B_t[j, a] = <j, t-j|U_BS|a, t-a>.
 
-    Exact per-block recurrence: block t is obtained from block t-1 through
-    the Heisenberg action on creation operators, so no element ever refers
-    outside the total-photon sector.
+    Block t follows from block t-1 through t|a, t-a> = sqrt(a) a^dag|a-1,
+    t-a> + sqrt(t-a) b^dag|a, t-a-1>, a weighted mean of two predecessor
+    columns (Risbo, J. Geodesy 70, 383 (1996)) that stays unitary to
+    rounding where a step from one column alone amplifies it.  B_t[j, a]
+    is e^{i phi (j-a)} times the real block of phi = 0.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    eip, eim = cmath.exp(1j * phi), cmath.exp(-1j * phi)
-    block = np.ones((1, 1), dtype=np.complex128)
-    yield 0, block
+    sq = np.sqrt(np.arange(t_max + 1))
+    ckk = np.multiply.outer(sq, sq)
+    skk = math.sin(theta) * ckk
+    ckk *= math.cos(theta)
+    phase = np.exp(1j * phi * np.arange(t_max + 1))
+    phases = np.multiply.outer(phase, phase.conj())
+    prev = np.ones((1, 1))
+    yield 0, prev.astype(np.complex128)
     for t in range(1, t_max + 1):
-        prev = block
-        block = np.empty((t + 1, t + 1), dtype=np.complex128)
-        sq = np.sqrt(np.arange(t + 1))
-        up = np.zeros((t + 1, t), dtype=np.complex128)
-        up[1:, :] = sq[1:, None] * prev
-        down = np.zeros((t + 1, t), dtype=np.complex128)
-        down[:-1, :] = sq[::-1][:-1, None] * prev
-        # a = 0 descends from U b^dag = (e^{i phi} s a^dag + c b^dag) U,
-        # a >= 1 from U a^dag = (c a^dag - e^{-i phi} s b^dag) U
-        block[:, 0] = (eip * s * up[:, 0] + c * down[:, 0]) / sq[t]
-        block[:, 1:] = (c * up - eim * s * down) / sq[1:][None, :]
-        yield t, block
+        # U a^dag U^dag = c a^dag - s b^dag and U b^dag U^dag = s a^dag + c b^dag;
+        # a^dag takes row j-1 to row j with sqrt(j), b^dag keeps row j with sqrt(t-j)
+        real = np.zeros((t + 1, t + 1))
+        real[1:, 1:] = ckk[1:t + 1, 1:t + 1] * prev   # c sqrt(j) sqrt(a) prev[j-1, a-1]
+        real[1:, :t] += skk[1:t + 1, t:0:-1] * prev   # s sqrt(j) sqrt(t-a) prev[j-1, a]
+        real[:t, :t] += ckk[t:0:-1, t:0:-1] * prev    # c sqrt(t-j) sqrt(t-a) prev[j, a]
+        real[:t, 1:] -= skk[t:0:-1, 1:t + 1] * prev   # s sqrt(t-j) sqrt(a) prev[j, a-1]
+        real /= t
+        prev = real
+        yield t, real * phases[:t + 1, :t + 1]
 
 
 def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
@@ -448,8 +472,7 @@ def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
 def beamsplitter_matrix(theta: float, phi: float, dims: tuple[int, int]) -> np.ndarray:
     """Dense (d1*d2 x d1*d2) matrix, row-major over (n_i, n_j)."""
     d1, d2 = dims
-    if d1 * d2 > _MAX_TWO_MODE_DIM:
-        raise ValueError("two-mode matrix too large to materialize; apply the gate instead")
+    check_working_size(d1 * d2, d1 * d2)
     mat = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
     for t, block in _beamsplitter_blocks(theta, phi, d1 + d2 - 2):
         a_lo, a_hi = max(0, t - (d2 - 1)), min(d1 - 1, t)
@@ -469,8 +492,7 @@ def two_mode_squeeze_matrix(r: float, dims: tuple[int, int]) -> np.ndarray:
     action, preserving the photon-number difference sector.
     """
     d1, d2 = dims
-    if d1 * d2 > _MAX_TWO_MODE_DIM:
-        raise ValueError("two-mode matrix too large to materialize; reduce the cutoff")
+    check_working_size(d1 * d2, d1 * d2)
     r = float(r)
     if r == 0.0:
         return np.eye(d1 * d2, dtype=np.complex128)
@@ -500,8 +522,7 @@ def mode_swap_matrix(dims: tuple[int, int]) -> np.ndarray:
     """Fock-index swap permutation; entries whose image leaves the box are
     dropped (sub-unitary when the two cutoffs differ)."""
     d1, d2 = dims
-    if d1 * d2 > _MAX_TWO_MODE_DIM:
-        raise ValueError("two-mode matrix too large to materialize; apply the gate instead")
+    check_working_size(d1 * d2, d1 * d2)
     mat = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
     for n in range(d1):
         for m in range(d2):

@@ -233,7 +233,7 @@ def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int
     v_gates = _check_compile_circuit(v_gates, "V")
     totals = list(m_totals) if m_totals is not None else [None] * len(training)
     if len(totals) != len(training):
-        raise ValueError("one total threshold per training state required")
+        raise est.MeasurementSpecError("one total threshold per training state required")
     terms = []
     for psi, total in zip(training, totals):
         if psi.modes != 2:

@@ -14,12 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import apply_passive, closed_pattern_count, closed_patterns, components_of
+from .fock import (
+    MAX_WORKING_ELEMENTS,
+    apply_passive,
+    check_working_size,
+    closed_pattern_count,
+    closed_patterns,
+    components_of,
+)
 
 __all__ = [
     "Seed",
     "ShotOutcome",
     "BlockSpec",
+    "MAX_WORKING_ELEMENTS",
     "check_working_size",
     "ensemble_combinations",
     "measurement_block",
@@ -42,10 +50,6 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
-
-# working spaces (ensemble combinations and pattern columns x outcomes)
-# larger than this are refused with guidance
-MAX_WORKING_ELEMENTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -175,19 +179,6 @@ class BlockSpec:
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
         object.__setattr__(self, "component_weights", w)
-
-
-def check_working_size(combinations: int, outcomes: int) -> None:
-    """Refuse a working space of ``combinations`` x ``outcomes`` entries
-    beyond MAX_WORKING_ELEMENTS; call before allocating it.  A table of
-    photon patterns counts one combination per mode."""
-    size = int(combinations) * int(outcomes)
-    if size > MAX_WORKING_ELEMENTS:
-        raise ValueError(
-            f"working space of {size} entries ({combinations} ensemble combinations and "
-            f"pattern columns x {outcomes} outcomes) exceeds the desk-scale limit; "
-            "reduce cutoffs, mode count or ensemble rank"
-        )
 
 
 def ensemble_combinations(factors) -> list[tuple[float, list]]:

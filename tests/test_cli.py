@@ -440,6 +440,50 @@ def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, con
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
+TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # pair and threshold layouts the library refuses
+    ("overlap", {"states": TWO_MODE, "pairs": [[0, 0]]}, "measurement pairs must be disjoint"),
+    ("overlap", {"states": TWO_MODE, "pairs": [[0, 5]]}, "pair mode 5 outside the joint register"),
+    ("overlap", {"states": TWO_MODE, "pairs": [[0, 1]], "M": [1, 2]}, "one threshold per pair required"),
+    ("compile-cost", {**COMPILE_A, "m_totals": [1, 2]},
+     "one total threshold per training state required"),
+    # output location, checked before the run
+    ("overlap", {**TWO_VACUA, "out": 5}, "out must be a path string"),
+    ("overlap", {**TWO_VACUA, "out": "{tmp}/missing/result.json"},
+     "out must name a file in an existing directory"),
+    ("overlap", {**TWO_VACUA, "out": "{tmp}"}, "out must name a file in an existing directory"),
+])
+def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
+    if "out" in config and isinstance(config["out"], str):
+        config = {**config, "out": config["out"].format(tmp=tmp_path)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["overlap", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+    assert cli.main(["overlap", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}")
+
+
+def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
+    states = [{"kind": "vacuum", "cutoff": [5]}] * 8
+    code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+
+
 def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
     # cutoff 3: 28^4 closed patterns over eight modes run; cutoff 4 would
     # hold 45^4 amplitudes under the limit, but not their pattern table

@@ -9,7 +9,7 @@ from scipy.stats import norm, poisson
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
 from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
-from cvswap.sampling import ensemble_combinations, measurement_block
+from cvswap.sampling import blocks_expectation, ensemble_combinations, measurement_block
 
 from conftest import assert_same_block, random_ensemble, random_pure
 
@@ -172,8 +172,21 @@ def test_parity_dual_routes_on_entangled_joint(rng):
     for state in (joint, ens):
         for m in (1, 3, 6, 12):
             a = est.parity_overlap_expectation([state], [(0, 1)], m)
-            b = est.swap2m_expectation(state, m)
+            block = est._sampling_block(est._group_factors([state], [(0, 1)], [m])[0])
+            b = sum(cw * float(np.dot(dist, block.weights.real))
+                    for cw, dist in zip(block.component_weights, block.distributions))
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_sampling_block_exact_at_large_pair_totals():
+    # pair totals up to 200: the shot block's expectation must still be the
+    # exact value, which needs unitary beamsplitter blocks at every total
+    cut = CutoffSpec((100,))
+    a = fock.prepare("squeezed", cut, z=1.2)
+    b = fock.prepare("squeezed", cut, z=-1.2)
+    block = est._sampling_block(est._group_factors([a, b], [(0, 1)], [100])[0])
+    exact = est.parity_overlap_expectation([a, b], [(0, 1)], 100)
+    assert abs(blocks_expectation([block]) - exact) < 1e-10
 
 
 def test_parity_rejects_overlapping_pairs(rng):

@@ -293,6 +293,15 @@ def test_number_conserving_blocks_unitary():
                     assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta, phi", [(math.pi / 4, math.pi), (math.pi / 4, 0.0), (0.3, 1.1),
+                                        (2.5, 4.0)])
+def test_beamsplitter_blocks_unitary_at_large_totals(theta, phi):
+    # a recurrence that builds each column from one predecessor loses
+    # unitarity past t ~ 60 at a 50:50 split
+    for t, block in fock._beamsplitter_blocks(theta, phi, 200):
+        assert np.max(np.abs(block.conj().T @ block - np.eye(t + 1))) < 1e-12, t
+
+
 # ---------------------------------------------------------------------------
 # gate application
 

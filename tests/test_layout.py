@@ -49,9 +49,9 @@ def test_layout_check_sees_both_forms():
     assert private_reaches(source) == ["line 2: imports _hidden", "line 3: uses f._apply"]
 
 
-def passive_callers(source: str) -> list[str]:
-    """Functions that call ``apply_passive``, by bare name or as an
-    attribute of any module."""
+def passive_callers(source: str, callee: str = "apply_passive") -> list[str]:
+    """Functions that call ``callee``, by bare name or as an attribute of
+    any module."""
     callers = []
 
     def visit(node, owner):
@@ -62,7 +62,7 @@ def passive_callers(source: str) -> list[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "apply_passive":
+                if name == callee:
                     callers.append(owner)
             visit(child, owner)
 
@@ -74,6 +74,15 @@ def test_only_the_placement_helper_applies_passive_circuits():
     found = [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
              for caller in passive_callers(path.read_text(encoding="utf-8"))]
     assert found == ["sampling.passive_measurement"]
+
+
+def test_beamsplitters_run_only_where_shots_are_drawn():
+    # exact values apply no measurement beamsplitter, so none shares code
+    # with the sampler it checks
+    found = [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
+             for caller in passive_callers(path.read_text(encoding="utf-8"), "passive_measurement")]
+    assert sorted(found) == ["estimators._sampling_block", "protocols._hybrid_block",
+                             "protocols._perm_block"]
 
 
 def test_passive_caller_check_sees_both_forms():
