@@ -11,10 +11,8 @@ from .fock import (  # noqa: F401
     MixedEnsemble,
     ModeSwap,
     PhaseRotation,
-    PhotonPattern,
     PreparationLeakError,
     Squeeze,
-    TwoModeSqueeze,
     apply_circuit,
     apply_gate,
     basis_state,
@@ -22,23 +20,14 @@ from .fock import (  # noqa: F401
     gate_matrix,
     inner_product,
     invert_circuit,
-    load_state,
     pad,
     prepare,
     rectangular_decompose,
-    save_state,
-    single_particle_matrix,
     tensor,
     truncation_weight,
     local_cumulative,
 )
-from .sampling import (  # noqa: F401
-    Seed,
-    ShotOutcome,
-    estimator_statistics,
-    probability_vector,
-    sample_patterns,
-)
+from .sampling import estimator_statistics  # noqa: F401
 from .estimators import (  # noqa: F401
     CutoffPlan,
     EstimatorResult,
@@ -57,18 +46,14 @@ from .estimators import (  # noqa: F401
     swap2m_profile,
 )
 from .dv import (  # noqa: F401
-    BellOutcome,
     DVEnsemble,
     DVState,
     dv_swap_estimate,
     dv_swap_expectation,
     qudit_bell_state,
     swap_eigenbasis,
-    v_unitary,
-    w_unitary,
 )
 from .protocols import (  # noqa: F401
-    PermOutcomeWeight,
     compile_cost,
     compile_cost_expectation,
     hybrid_swap_estimate,

@@ -141,14 +141,6 @@ _GATE_BUILDERS = {
         _complex_param(g["alpha"], "alpha"), _int_param(g["mode"], "mode")),
     "squeeze": lambda g: fock.Squeeze(_complex_param(g["z"], "z"), _int_param(g["mode"], "mode")),
     "phase": lambda g: fock.PhaseRotation(_real_param(g["phi"], "phi"), _int_param(g["mode"], "mode")),
-    "beamsplitter": lambda g: fock.Beamsplitter(
-        _real_param(g["theta"], "theta"), _real_param(g["phi"], "phi"),
-        *_pair_param(g["modes"], "modes"),
-    ),
-    "two_mode_squeeze": lambda g: fock.TwoModeSqueeze(
-        _real_param(g["r"], "r"), *_pair_param(g["modes"], "modes")
-    ),
-    "mode_swap": lambda g: fock.ModeSwap(*_pair_param(g["modes"], "modes")),
 }
 
 
@@ -157,7 +149,7 @@ def build_circuit(specs) -> list[fock.GateSpec]:
     for g in specs:
         name = _required(g, "gate", "gate spec")
         if not isinstance(name, str) or name not in _GATE_BUILDERS:
-            raise ConfigError(f"unknown gate {name!r}")
+            raise ConfigError(f"unknown gate {name!r}; accepted gates: {', '.join(_GATE_BUILDERS)}")
         try:
             gates.append(_GATE_BUILDERS[name](g))
         except KeyError as exc:
@@ -186,7 +178,11 @@ def _load_config(args) -> RunConfig:
     out = args.out if args.out is not None else raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
-    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+    try:
+        misplaced = bool(out) and (Path(out).is_dir() or not Path(out).parent.is_dir())
+    except OSError as exc:
+        raise ConfigError(f"cannot write out {out}: {exc.strerror}") from exc
+    if misplaced:
         raise ConfigError(f"out must name a file in an existing directory: {out}")
     fmt = args.format if args.format is not None else raw.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -251,7 +247,10 @@ def _emit(cfg: RunConfig, results: dict, csv_rows: list[dict] | None) -> None:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     if cfg.out is not None:
-        cfg.out.write_text(text, encoding="utf-8")
+        try:
+            cfg.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write out {cfg.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -316,9 +315,13 @@ def cmd_fig2(cfg: RunConfig) -> None:
               for r in _list_param(payload.get("r_list", [0.8, 1.0, 1.2]), "r_list")]
     m_lo = _int_param(payload.get("m_min", 4), "m_min")
     m_hi = _int_param(payload.get("m_max", 20), "m_max")
-    cap = _int_param(payload.get("prep_cutoff", 40), "prep_cutoff")
+    cap = _int_param(payload.get("prep_cutoff", 40), "prep_cutoff", 0)
     if m_lo < 0 or m_hi < m_lo:
         raise ConfigError("need 0 <= m_min <= m_max")
+    # the pair is padded to (2 cap, 2 cap), so every threshold from 2 cap on
+    # keeps the whole box and repeats one value
+    if m_hi > 2 * cap:
+        raise ConfigError(f"m_max {m_hi} exceeds 2 * prep_cutoff = {2 * cap}")
     rows = []
     m_values = list(range(m_lo, m_hi + 1))
     for r in r_list:
@@ -378,8 +381,7 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
         _required(payload, "training", "compile-cost config"), "training")]
     u_gates, v_gates = (build_circuit(_list_param(payload.get(key, []), key))
                         for key in ("u_gates", "v_gates"))
-    if any(not isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) or g.mode != 0
-           for g in u_gates + v_gates):
+    if any(g.mode != 0 for g in u_gates + v_gates):
         raise ConfigError("compiling circuits must act on register A only (single-mode gates on mode 0)")
     m_totals = payload.get("m_totals")
     if m_totals is not None:

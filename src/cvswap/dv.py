@@ -21,7 +21,6 @@ from .fock import apply_two_mode_dense, check_working_size
 from .sampling import (
     BlockSpec,
     blocks_expectation,
-    draw_outcomes,
     ensemble_combinations,
     measurement_block,
 )
@@ -29,14 +28,10 @@ from .sampling import (
 __all__ = [
     "DVState",
     "DVEnsemble",
-    "BellOutcome",
     "qudit_bell_state",
-    "v_unitary",
-    "w_unitary",
     "swap_eigenbasis",
     "dv_swap_estimate",
     "dv_swap_expectation",
-    "sample_swap_outcomes",
 ]
 
 
@@ -91,19 +86,6 @@ class DVEnsemble:
         return self.components[0][1].dims
 
 
-@dataclass(frozen=True)
-class BellOutcome:
-    """Per-pair measurement labels (i_k, j_k), each within its dimension."""
-
-    labels: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        labels = tuple((int(i), int(j)) for i, j in self.labels)
-        if any(i < 0 or j < 0 for i, j in labels):
-            raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "labels", labels)
-
-
 # ---------------------------------------------------------------------------
 # bases
 
@@ -120,6 +102,9 @@ def qudit_bell_state(z: int, x: int, d: int) -> DVState:
 
 
 def _v_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns V|i>|j> are SWAP eigenvectors: |i>|i> on the diagonal and
+    (|i>|j> +/- |j>|i>)/sqrt(2) off it, with eigenvalue -1 exactly when
+    i > j."""
     mat = np.zeros((d * d, d * d), dtype=np.complex128)
     eig = np.empty(d * d)
     inv = 1.0 / math.sqrt(2.0)
@@ -138,16 +123,10 @@ def _v_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     return mat, eig
 
 
-def v_unitary(d: int) -> np.ndarray:
-    """Columns V|i>|j> are SWAP eigenvectors: |i>|i> on the diagonal and
-    (|i>|j> +/- |j>|i>)/sqrt(2) off it, with eigenvalue -1 exactly when
-    i > j."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return _v_basis(d)[0]
-
-
 def _w_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """SWAP eigenbasis assembled from qudit Bell states: the x = 0 family,
+    the extra x = d/2 families for even d, and +/- superpositions of
+    (z, x) with (z, -x) otherwise."""
     cols: list[np.ndarray] = []
     eig: list[float] = []
 
@@ -174,15 +153,6 @@ def _w_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
                 cols.append(col)
                 eig.append(sign)
     return np.column_stack(cols), np.asarray(eig)
-
-
-def w_unitary(d: int) -> np.ndarray:
-    """SWAP eigenbasis assembled from qudit Bell states: the x = 0 family,
-    the extra x = d/2 families for even d, and +/- superpositions of
-    (z, x) with (z, -x) otherwise."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return _w_basis(d)[0]
 
 
 def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
@@ -231,23 +201,6 @@ def dv_swap_estimate(prep_a, prep_b, shots: int, seed, basis: str = "v") -> Esti
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return estimate_blocks([_dv_block(prep_a, prep_b, basis)], shots, seed)
-
-
-def sample_swap_outcomes(prep_a, prep_b, shots: int, seed, basis: str = "v") -> list[BellOutcome]:
-    """Raw measurement record: one (i_k, j_k) label pair per qudit pair
-    and shot, drawn from the same distribution, with the same uniforms, as
-    the estimator consumes."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    flat = draw_outcomes(_dv_block(prep_a, prep_b, basis), 0, shots, seed)
-    dims = prep_a.dims
-    k = len(dims)
-    coords = np.unravel_index(flat, dims + dims)
-    outcomes = []
-    for s in range(shots):
-        labels = tuple((int(coords[p][s]), int(coords[k + p][s])) for p in range(k))
-        outcomes.append(BellOutcome(labels))
-    return outcomes
 
 
 def dv_swap_expectation(prep_a, prep_b, basis: str = "v") -> float:

@@ -11,23 +11,19 @@ pure functions.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "CutoffSpec",
-    "PhotonPattern",
     "FockState",
     "MixedEnsemble",
     "Displacement",
     "Squeeze",
     "Beamsplitter",
     "PhaseRotation",
-    "TwoModeSqueeze",
     "ModeSwap",
     "GateSpec",
     "PreparationLeakError",
@@ -50,12 +46,7 @@ __all__ = [
     "prepare",
     "truncation_weight",
     "local_cumulative",
-    "single_particle_matrix",
     "rectangular_decompose",
-    "state_to_document",
-    "state_from_document",
-    "save_state",
-    "load_state",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -123,19 +114,6 @@ class CutoffSpec:
     @property
     def dim(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class PhotonPattern:
-    """A photon-count outcome, one non-negative count per mode."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(n) for n in self.counts)
-        if any(n < 0 for n in counts):
-            raise ValueError("photon counts must be >= 0")
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -257,17 +235,6 @@ class PhaseRotation:
 
 
 @dataclass(frozen=True)
-class TwoModeSqueeze:
-    r: float
-    mode_i: int
-    mode_j: int
-
-    def __post_init__(self):
-        if self.mode_i == self.mode_j:
-            raise ValueError("two-mode squeeze modes must be distinct")
-
-
-@dataclass(frozen=True)
 class ModeSwap:
     mode_i: int
     mode_j: int
@@ -277,7 +244,7 @@ class ModeSwap:
             raise ValueError("mode swap modes must be distinct")
 
 
-GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation | TwoModeSqueeze | ModeSwap
+GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation | ModeSwap
 
 
 def dagger(gate: GateSpec) -> GateSpec:
@@ -290,8 +257,6 @@ def dagger(gate: GateSpec) -> GateSpec:
         return Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
     if isinstance(gate, PhaseRotation):
         return PhaseRotation(-gate.phi, gate.mode)
-    if isinstance(gate, TwoModeSqueeze):
-        return TwoModeSqueeze(-gate.r, gate.mode_i, gate.mode_j)
     if isinstance(gate, ModeSwap):
         return gate
     raise TypeError(f"unknown gate {gate!r}")
@@ -308,7 +273,7 @@ def invert_circuit(gates) -> list[GateSpec]:
 
 def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
     """Unit state with amplitude 1 on ``pattern``."""
-    counts = pattern.counts if isinstance(pattern, PhotonPattern) else tuple(int(n) for n in pattern)
+    counts = tuple(int(n) for n in pattern)
     if len(counts) != cutoff.modes:
         raise ValueError("pattern length does not match mode count")
     if any(not 0 <= n <= cap for n, cap in zip(counts, cutoff.per_mode_max)):
@@ -484,40 +449,6 @@ def beamsplitter_matrix(theta: float, phi: float, dims: tuple[int, int]) -> np.n
     return mat
 
 
-def two_mode_squeeze_matrix(r: float, dims: tuple[int, int]) -> np.ndarray:
-    """<m1 m2|exp(r(ab - a^dag b^dag))|n1 n2>, row-major over pairs.
-
-    Column (0,0) is the two-mode squeezed vacuum; the remaining columns
-    follow in-box recurrences in (n1, n2) derived from the Heisenberg
-    action, preserving the photon-number difference sector.
-    """
-    d1, d2 = dims
-    check_working_size(d1 * d2, d1 * d2)
-    r = float(r)
-    if r == 0.0:
-        return np.eye(d1 * d2, dtype=np.complex128)
-    ch, sh, th = math.cosh(r), math.sinh(r), math.tanh(r)
-    sq1 = np.sqrt(np.arange(d1))
-    sq2 = np.sqrt(np.arange(d2))
-    T = np.zeros((d1, d2, d1, d2), dtype=np.complex128)
-    n_diag = np.arange(min(d1, d2))
-    T[n_diag, n_diag, 0, 0] = (-th) ** n_diag / ch
-    for n1 in range(1, d1):
-        prev = T[:, :, n1 - 1, 0]
-        col = np.zeros((d1, d2), dtype=np.complex128)
-        col[1:, :] = sq1[1:, None] * prev[:-1, :]
-        T[:, :, n1, 0] = col / (ch * sq1[n1])
-    for n2 in range(1, d2):
-        for n1 in range(d1):
-            prev = T[:, :, n1, n2 - 1]
-            col = np.zeros((d1, d2), dtype=np.complex128)
-            col[:, 1:] = sq2[None, 1:] * prev[:, :-1]
-            if n1 > 0:
-                col += sh * sq1[n1] * T[:, :, n1 - 1, n2 - 1]
-            T[:, :, n1, n2] = col / (ch * sq2[n2])
-    return T.reshape(d1 * d2, d1 * d2)
-
-
 def mode_swap_matrix(dims: tuple[int, int]) -> np.ndarray:
     """Fock-index swap permutation; entries whose image leaves the box are
     dropped (sub-unitary when the two cutoffs differ)."""
@@ -561,9 +492,6 @@ def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
     if isinstance(gate, Beamsplitter):
         dims = _mode_dims(cutoff, (gate.mode_i, gate.mode_j))
         return beamsplitter_matrix(gate.theta, gate.phi, dims)
-    if isinstance(gate, TwoModeSqueeze):
-        dims = _mode_dims(cutoff, (gate.mode_i, gate.mode_j))
-        return two_mode_squeeze_matrix(gate.r, dims)
     if isinstance(gate, ModeSwap):
         dims = _mode_dims(cutoff, (gate.mode_i, gate.mode_j))
         return mode_swap_matrix(dims)
@@ -611,9 +539,6 @@ def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     elif isinstance(gate, ModeSwap):
         _mode_dims(state.cutoff, (gate.mode_i, gate.mode_j))
         out = _apply_mode_swap(amps, gate.mode_i, gate.mode_j)
-    elif isinstance(gate, TwoModeSqueeze):
-        mat = gate_matrix(gate, state.cutoff)
-        out = apply_two_mode_dense(amps, mat, gate.mode_i, gate.mode_j)
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)
@@ -820,35 +745,7 @@ def local_cumulative(state, mode: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-particle picture and the rectangular mesh
-
-
-def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
-    """Composed action on creation operators, a_j -> sum_l U[l, j] a_l.
-
-    Only passive gates (beamsplitters, phase rotations, mode swaps) have a
-    single-particle matrix.
-    """
-    total = np.eye(n_modes, dtype=np.complex128)
-    for gate in gates:
-        mat = np.eye(n_modes, dtype=np.complex128)
-        if isinstance(gate, Beamsplitter):
-            c, s = math.cos(gate.theta), math.sin(gate.theta)
-            i, j = gate.mode_i, gate.mode_j
-            mat[i, i] = c
-            mat[i, j] = cmath.exp(1j * gate.phi) * s
-            mat[j, i] = -cmath.exp(-1j * gate.phi) * s
-            mat[j, j] = c
-        elif isinstance(gate, PhaseRotation):
-            mat[gate.mode, gate.mode] = cmath.exp(-1j * gate.phi)
-        elif isinstance(gate, ModeSwap):
-            i, j = gate.mode_i, gate.mode_j
-            mat[i, i] = mat[j, j] = 0.0
-            mat[i, j] = mat[j, i] = 1.0
-        else:
-            raise TypeError(f"{gate!r} has no single-particle matrix")
-        total = mat @ total
-    return total
+# the rectangular mesh
 
 
 def rectangular_decompose(unitary: np.ndarray, tol: float = 1e-10) -> list[GateSpec]:
@@ -927,39 +824,3 @@ def rectangular_decompose(unitary: np.ndarray, tol: float = 1e-10) -> list[GateS
         if theta > 1e-14:
             gates.append(Beamsplitter(theta, phi + math.pi, row, row + 1))
     return gates
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def state_to_document(state: FockState) -> dict:
-    """Self-describing JSON document with interleaved re/im amplitudes."""
-    flat = state.amplitudes.ravel()
-    interleaved = np.empty(2 * flat.size, dtype=np.float64)
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    return {
-        "modes": state.modes,
-        "per_mode_max": list(state.cutoff.per_mode_max),
-        "amplitudes": interleaved.tolist(),
-    }
-
-
-def state_from_document(doc: dict) -> FockState:
-    cutoff = CutoffSpec(tuple(doc["per_mode_max"]))
-    if int(doc["modes"]) != cutoff.modes:
-        raise ValueError("mode count disagrees with per_mode_max length")
-    raw = np.asarray(doc["amplitudes"], dtype=np.float64)
-    if raw.size != 2 * cutoff.dim:
-        raise ValueError("amplitude list length does not match cutoff")
-    amps = raw[0::2] + 1j * raw[1::2]
-    return FockState(cutoff, amps.reshape(cutoff.shape))
-
-
-def save_state(state: FockState, path) -> None:
-    Path(path).write_text(json.dumps(state_to_document(state)), encoding="utf-8")
-
-
-def load_state(path) -> FockState:
-    return state_from_document(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -10,9 +10,7 @@ photon-parity measurement.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +31,6 @@ from .sampling import (  # noqa: F401
 )
 
 __all__ = [
-    "PermOutcomeWeight",
-    "perm_weight",
     "perm_test",
     "perm_expectation",
     "two_copy_test",
@@ -44,30 +40,6 @@ __all__ = [
     "hybrid_swap_estimate",
     "hybrid_swap_expectation",
 ]
-
-
-def perm_weight(pattern, n_registers: int) -> complex:
-    """prod_j e^{2 pi i j n_j / L} for one photon pattern."""
-    counts = pattern.counts if isinstance(pattern, fock.PhotonPattern) else tuple(pattern)
-    total = sum(j * n for j, n in enumerate(counts))
-    return cmath.exp(2j * math.pi * total / n_registers)
-
-
-@dataclass(frozen=True)
-class PermOutcomeWeight:
-    """A PERM-test outcome with its unit-modulus estimator weight."""
-
-    pattern: fock.PhotonPattern
-    weight: complex
-
-    def __post_init__(self):
-        if abs(abs(self.weight) - 1.0) > 1e-12:
-            raise ValueError("PERM weights must have unit modulus")
-
-    @classmethod
-    def from_pattern(cls, pattern, n_registers: int) -> "PermOutcomeWeight":
-        pat = pattern if isinstance(pattern, fock.PhotonPattern) else fock.PhotonPattern(tuple(pattern))
-        return cls(pat, perm_weight(pat, n_registers))
 
 
 # ---------------------------------------------------------------------------

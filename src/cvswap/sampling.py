@@ -24,16 +24,12 @@ from .fock import (
 )
 
 __all__ = [
-    "Seed",
-    "ShotOutcome",
     "BlockSpec",
     "MAX_WORKING_ELEMENTS",
     "check_working_size",
     "ensemble_combinations",
     "measurement_block",
     "passive_measurement",
-    "probability_vector",
-    "sample_patterns",
     "estimator_statistics",
     "blocks_expectation",
     "draw_outcomes",
@@ -52,29 +48,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 TINY_PROBABILITY = 1e-300
 
 
-@dataclass(frozen=True)
-class Seed:
-    """Root seed for a reproducible run; reduced mod 2**64."""
-
-    root: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "root", int(self.root) & 0xFFFFFFFFFFFFFFFF)
-
-
 def seed_root(seed) -> int:
-    """The 64-bit root of a Seed or an integer seed."""
-    if isinstance(seed, Seed):
-        return seed.root
+    """The 64-bit root of an integer seed."""
     return int(seed) & 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class ShotOutcome:
-    """One sampled photon pattern, tagged with its shot index."""
-
-    pattern: tuple[int, ...]
-    shot_index: int
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -124,11 +100,6 @@ def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(p / total)
 
 
-def probability_vector(state) -> np.ndarray:
-    """Born-rule distribution over the truncated pattern basis (row-major)."""
-    return _born_distributions(np.asarray(state.amplitudes).reshape(1, -1))[0]
-
-
 def categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
     """Cumulative table for inverse-CDF sampling; last entry forced to 1."""
     cdf = np.cumsum(probabilities)
@@ -139,23 +110,6 @@ def categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
 def draw_categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Map uniforms to outcome indices via binary search on the table."""
     return np.searchsorted(cdf, uniforms, side="right")
-
-
-def sample_patterns(state, shots: int, seed) -> list[ShotOutcome]:
-    """Draw ``shots`` independent photon patterns from ``state``.
-
-    Deterministic in (state, shots, seed); shot s depends only on the
-    address (seed, s).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    cdf = categorical_cdf(probability_vector(state))
-    flat = draw_categorical(cdf, shot_uniforms(seed, 0, shots))
-    patterns = np.unravel_index(flat, state.cutoff.shape)
-    return [
-        ShotOutcome(tuple(int(axis[s]) for axis in patterns), s)
-        for s in range(shots)
-    ]
 
 
 @dataclass(frozen=True)
@@ -276,15 +230,6 @@ def blocks_estimate(blocks, shots: int, seed) -> tuple[np.ndarray, int]:
         weights *= block.weights[draw_outcomes(block, b, shots, seed)]
     discarded = int(np.count_nonzero(weights == 0))
     return weights, discarded
-
-
-def shot_dump_csv(outcomes) -> str:
-    """Raw shot dump: one row per shot, the index then the comma-joined
-    photon pattern."""
-    lines = ["shot_index," + ",".join(f"n{k}" for k in range(len(outcomes[0].pattern)))]
-    for shot in outcomes:
-        lines.append(str(shot.shot_index) + "," + ",".join(str(n) for n in shot.pattern))
-    return "\n".join(lines) + "\n"
 
 
 def estimator_statistics(weights) -> tuple[complex, float]:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -86,3 +87,28 @@ def assert_same_block(block, oracle, shape, patterns, seed):
     got_w, got_d = blocks_estimate([block], 4000, seed)
     want_w, want_d = blocks_estimate([oracle], 4000, seed)
     assert np.array_equal(got_w, want_w) and got_d == want_d
+
+
+def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
+    """Composed action of passive gates (beamsplitters, phase rotations,
+    mode swaps) on creation operators, a_j -> sum_l U[l, j] a_l."""
+    total = np.eye(n_modes, dtype=np.complex128)
+    for gate in gates:
+        mat = np.eye(n_modes, dtype=np.complex128)
+        if isinstance(gate, fock.Beamsplitter):
+            c, s = math.cos(gate.theta), math.sin(gate.theta)
+            i, j = gate.mode_i, gate.mode_j
+            mat[i, i] = c
+            mat[i, j] = cmath.exp(1j * gate.phi) * s
+            mat[j, i] = -cmath.exp(-1j * gate.phi) * s
+            mat[j, j] = c
+        elif isinstance(gate, fock.PhaseRotation):
+            mat[gate.mode, gate.mode] = cmath.exp(-1j * gate.phi)
+        elif isinstance(gate, fock.ModeSwap):
+            i, j = gate.mode_i, gate.mode_j
+            mat[i, i] = mat[j, j] = 0.0
+            mat[i, j] = mat[j, i] = 1.0
+        else:
+            raise TypeError(f"{gate!r} has no single-particle matrix")
+        total = mat @ total
+    return total

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvswap import cli
+from cvswap import cli, estimators as est
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -120,12 +121,22 @@ def test_exit_code_numerical_failure(tmp_path):
     assert code == 1
 
 
-def test_cutoff_plan_json_and_csv(tmp_path):
-    config = {"family": "coherent", "energy": 4.0, "eps": 0.01, "method": "chernoff"}
+COHERENT_PLANNERS = {
+    "chernoff": est.cutoff_for_coherent_chernoff,
+    "normal_quantile": est.cutoff_for_coherent_normal,
+    "exact_tail": est.cutoff_for_coherent_exact,
+}
+
+
+@pytest.mark.parametrize("method", COHERENT_PLANNERS)
+def test_cutoff_plan_json_and_csv(tmp_path, method):
+    # energy 36 is the paper's example, inside every planner's range
+    config = {"family": "coherent", "energy": 36.0, "eps": 0.01, "method": method}
     code, out = run_cli(tmp_path, "cutoff-plan", config)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["results"]["method"] == "chernoff"
+    assert doc["results"]["method"] == method
+    assert doc["results"]["M"] == COHERENT_PLANNERS[method](36.0, 0.01).M
     assert doc["results"]["bound"] <= 0.01
     code, out = run_cli(tmp_path, "cutoff-plan", config, fmt="csv")
     assert code == 0
@@ -304,10 +315,8 @@ def test_missing_key_is_config_error(tmp_path, capsys, command, config, key):
     ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
                       "u_gates": [{"gate": "phase", "phi": "x", "mode": 0}]}, "phi"),
     ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
-                      "u_gates": [{"gate": "beamsplitter", "theta": "x", "phi": 0,
-                                   "modes": [0, 1]}]}, "theta"),
-    ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2, 2]}],
-                      "u_gates": [{"gate": "two_mode_squeeze", "r": [1], "modes": [0, 1]}]}, "r"),
+                      "u_gates": [{"gate": "displacement", "alpha": ["x", 0], "mode": 0}]}, "alpha"),
+    ("compile-cost", {"training": [{"kind": "tmss", "r": [1], "cutoff": [2, 2]}]}, "r"),
     ("cutoff-plan", {"family": "squeezed", "r": "x"}, "r"),
     ("cutoff-plan", {"family": "coherent", "energy": 4.0, "eps": "small"}, "eps"),
 ])
@@ -360,8 +369,8 @@ TRAINING = [{"kind": "vacuum", "cutoff": [2, 2]}]
      "pairs entry must be"),
     ("compile-cost", {"training": TRAINING, "u_gates": [{"gate": "phase", "phi": 0.1, "mode": 0.5}]},
      "mode must be an integer"),
-    ("compile-cost", {"training": TRAINING, "u_gates": [{"gate": "mode_swap", "modes": [0, "x"]}]},
-     "modes must be"),
+    ("compile-cost", {"training": TRAINING, "u_gates": [{"gate": "squeeze", "z": 0.1, "mode": [0]}]},
+     "mode must be an integer"),
     ("compile-cost", {"training": TRAINING, "m_totals": ["x"]}, "m_totals entry must be an integer"),
     ("compile-cost", {"training": TRAINING, "shots_per_term": "many"}, "shots_per_term must be an integer"),
     ("two-copy", {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [2, 2]}, "copies": 2.5},
@@ -427,17 +436,29 @@ COMPILE_A = {"training": TRAINING}
     ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": ["phase"]}]}, "unknown gate ['phase']"),
     ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "phase", "mode": 0}]},
      "bad gate spec {'gate': 'phase', 'mode': 0}: missing 'phi'"),
-    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "beamsplitter", "theta": 0.3, "phi": 0.0,
-                                                "modes": [0, 1]}]},
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "displacement", "alpha": 0.3, "mode": 1}]},
      "compiling circuits must act on register A only"),
     ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "phase", "phi": 0.3, "mode": 1}]},
      "compiling circuits must act on register A only"),
+    # two-mode gates have no place in a compiling circuit, so none is parsed
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "beamsplitter", "theta": 0.3, "phi": 0.0,
+                                                "modes": [0, 1]}]},
+     "unknown gate 'beamsplitter'; accepted gates: displacement, squeeze, phase"),
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "two_mode_squeeze", "r": 0.3, "modes": [0, 1]}]},
+     "unknown gate 'two_mode_squeeze'; accepted gates: displacement, squeeze, phase"),
+    ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "mode_swap", "modes": [0, 1]}]},
+     "unknown gate 'mode_swap'; accepted gates: displacement, squeeze, phase"),
+    # every threshold from 2 * prep_cutoff on repeats one value
+    ("fig2", {"r_list": [0.8], "m_min": 0, "m_max": 200000}, "m_max 200000 exceeds 2 * prep_cutoff = 80"),
+    ("fig2", {"r_list": [0.3], "m_max": 11, "prep_cutoff": 5}, "m_max 11 exceeds 2 * prep_cutoff = 10"),
+    ("fig2", {"prep_cutoff": -1}, "prep_cutoff must be >= 0"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
-    code, _ = run_cli(tmp_path, command, config)
+    code, out = run_cli(tmp_path, command, config)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
@@ -455,10 +476,15 @@ TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
     ("overlap", {**TWO_VACUA, "out": "{tmp}/missing/result.json"},
      "out must name a file in an existing directory"),
     ("overlap", {**TWO_VACUA, "out": "{tmp}"}, "out must name a file in an existing directory"),
+    ("overlap", {**TWO_VACUA, "out": "{tmp}/" + "x" * 300 + ".json"}, "cannot write out {tmp}/xxx"),
+    # a write that fails after the run is reported the same way
+    pytest.param("overlap", {**TWO_VACUA, "out": "/dev/full"}, "cannot write out /dev/full: ",
+                 marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):
         config = {**config, "out": config["out"].format(tmp=tmp_path)}
+        message = message.format(tmp=tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main([command, "--config", str(cfg_path)]) == 2

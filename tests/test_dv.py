@@ -45,7 +45,7 @@ def test_bell_state_label_range():
 
 
 def test_v_unitary_middle_case():
-    mat = dv.v_unitary(2)
+    mat = dv.swap_eigenbasis(2, "v")[0]
     col = mat[:, 0 * 2 + 1]
     assert np.allclose(col, np.array([0, 1, 1, 0]) / math.sqrt(2))
 
@@ -113,6 +113,11 @@ def test_sampled_mean_within_five_stderr(rng):
     res = dv_swap_estimate(a, b, 100_000, 31)
     assert abs(res.mean.real - exact) <= 5 * res.stderr
     assert abs(res.mean.imag) < 1e-12
+    # a mixed preparation draws its component from a stream of its own
+    ens = DVEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
+    exact = dv_swap_expectation(ens, b, "w")
+    res = dv_swap_estimate(ens, b, 100_000, 12, basis="w")
+    assert abs(res.mean.real - exact) <= 5 * res.stderr
 
 
 def test_estimate_dimension_mismatch(rng):
@@ -123,36 +128,6 @@ def test_estimate_dimension_mismatch(rng):
 def test_estimate_deterministic(rng):
     a, b = rand_dv(rng, (2, 2)), rand_dv(rng, (2, 2))
     assert dv_swap_estimate(a, b, 500, 8) == dv_swap_estimate(a, b, 500, 8)
-
-
-def test_sample_swap_outcomes(rng):
-    a, b = rand_dv(rng, (3, 2)), rand_dv(rng, (3, 2))
-    outcomes = dv.sample_swap_outcomes(a, b, 100, 6)
-    assert len(outcomes) == 100
-    for out in outcomes:
-        assert len(out.labels) == 2
-        (i0, j0), (i1, j1) = out.labels
-        assert 0 <= i0 < 3 and 0 <= j0 < 3
-        assert 0 <= i1 < 2 and 0 <= j1 < 2
-    # the outcome stream reproduces the estimator's weight stream
-    mat_eigs = [dv.swap_eigenbasis(d)[1].reshape(d, d) for d in (3, 2)]
-    weights = [
-        mat_eigs[0][o.labels[0]] * mat_eigs[1][o.labels[1]] for o in outcomes
-    ]
-    res = dv_swap_estimate(a, b, 100, 6)
-    assert res.mean == pytest.approx(np.mean(weights), abs=1e-12)
-
-
-def test_sample_swap_outcomes_ensemble(rng):
-    # a mixed preparation draws its component from a stream of its own; the
-    # record still reproduces the estimator's weight stream shot by shot
-    a = DVEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
-    b = rand_dv(rng, (3,))
-    outcomes = dv.sample_swap_outcomes(a, b, 400, 12, basis="w")
-    eig = dv.swap_eigenbasis(3, "w")[1].reshape(3, 3)
-    weights = [eig[o.labels[0]] for o in outcomes]
-    res = dv_swap_estimate(a, b, 400, 12, basis="w")
-    assert res.mean == pytest.approx(np.mean(weights), abs=1e-12)
 
 
 def test_oversized_registers_refused_before_allocating():

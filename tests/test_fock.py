@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -17,10 +16,15 @@ from cvswap.fock import (
     ModeSwap,
     PhaseRotation,
     Squeeze,
-    TwoModeSqueeze,
 )
 
-from conftest import ladder_ops, random_number_conserving, random_pure, two_mode_ladder_ops
+from conftest import (
+    ladder_ops,
+    random_number_conserving,
+    random_pure,
+    single_particle_matrix,
+    two_mode_ladder_ops,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +230,6 @@ def test_beamsplitter_expm_oracle(theta, phi):
     oracle = expm(gen)
     safe = [i * dim + j for i in range(dim) for j in range(dim) if i + j <= (dim - 1) // 2]
     assert np.max(np.abs(mine[np.ix_(safe, safe)] - oracle[np.ix_(safe, safe)])) < 1e-8
-
-
-def test_two_mode_squeeze_expm_oracle():
-    dim, oracle_dim = 8, 16
-    a1, a2 = two_mode_ladder_ops(oracle_dim)
-    r = 0.4
-    gen = r * (a1 @ a2 - a1.conj().T @ a2.conj().T)
-    mine = fock.gate_matrix(TwoModeSqueeze(r, 0, 1), CutoffSpec((dim - 1, dim - 1)))
-    oracle = expm(gen)
-    safe_small = [i * dim + j for i in range(dim) for j in range(dim) if i + j <= (dim - 1) // 2]
-    safe_big = [i * oracle_dim + j for i in range(dim) for j in range(dim) if i + j <= (dim - 1) // 2]
-    assert np.max(np.abs(mine[np.ix_(safe_small, safe_small)] - oracle[np.ix_(safe_big, safe_big)])) < 1e-8
 
 
 def test_beamsplitter_matches_combinatorial_sum():
@@ -495,7 +487,7 @@ def test_decompose_2x2_dft():
     dft = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     gates = fock.rectangular_decompose(dft)
     assert sum(isinstance(g, Beamsplitter) for g in gates) == 1
-    rebuilt = fock.single_particle_matrix(gates, 2)
+    rebuilt = single_particle_matrix(gates, 2)
     assert np.max(np.abs(rebuilt - dft)) < 1e-12
 
 
@@ -504,7 +496,7 @@ def test_decompose_random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(z)
     gates = fock.rectangular_decompose(u)
-    rebuilt = fock.single_particle_matrix(gates, n)
+    rebuilt = single_particle_matrix(gates, n)
     assert np.max(np.abs(rebuilt - u)) < 1e-10
     bs = [g for g in gates if isinstance(g, Beamsplitter)]
     assert len(bs) <= n * (n - 1) // 2
@@ -521,11 +513,11 @@ def test_decompose_degenerate_unitaries():
     # permutations and phase diagonals hit the zero-pivot Givens branches
     perm = np.eye(5)[[3, 0, 4, 1, 2]]
     gates = fock.rectangular_decompose(perm)
-    assert np.max(np.abs(fock.single_particle_matrix(gates, 5) - perm)) < 1e-10
+    assert np.max(np.abs(single_particle_matrix(gates, 5) - perm)) < 1e-10
     diag = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.9, 0.0])))
     gates = fock.rectangular_decompose(diag)
     assert all(isinstance(g, PhaseRotation) for g in gates)
-    assert np.max(np.abs(fock.single_particle_matrix(gates, 4) - diag)) < 1e-12
+    assert np.max(np.abs(single_particle_matrix(gates, 4) - diag)) < 1e-12
 
 
 def test_decompose_dft_family():
@@ -533,7 +525,7 @@ def test_decompose_dft_family():
         idx = np.arange(n)
         dft = np.exp(2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
         gates = fock.rectangular_decompose(dft)
-        assert np.max(np.abs(fock.single_particle_matrix(gates, n) - dft)) < 1e-10
+        assert np.max(np.abs(single_particle_matrix(gates, n) - dft)) < 1e-10
 
 
 def test_decompose_fock_consistency(rng):
@@ -678,26 +670,3 @@ def test_apply_passive_rejects_bad_input():
     with pytest.raises(ValueError):
         # a per-mode box is not closed under a beamsplitter
         fock.apply_passive(np.ones(len(box)), box, [Beamsplitter(0.3, 0.0, 0, 1)])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_state_roundtrip_exact(rng, tmp_path):
-    state = random_pure(rng, 7, modes=2)
-    path = tmp_path / "state.json"
-    fock.save_state(state, path)
-    back = fock.load_state(path)
-    assert back.cutoff == state.cutoff
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-
-
-def test_state_document_schema(rng):
-    state = random_pure(rng, 3)
-    doc = fock.state_to_document(state)
-    assert set(doc) == {"modes", "per_mode_max", "amplitudes"}
-    assert len(doc["amplitudes"]) == 2 * state.cutoff.dim
-    text = json.dumps(doc)
-    again = fock.state_from_document(json.loads(text))
-    assert np.array_equal(again.amplitudes, state.amplitudes)

@@ -2,6 +2,7 @@
 every passive measurement goes through one placement helper."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvswap"
@@ -89,3 +90,76 @@ def test_passive_caller_check_sees_both_forms():
     source = ("def a():\n    return fock.apply_passive(x, p, g)\n"
               "def b():\n    def inner():\n        apply_passive(x, p, g)\n")
     assert passive_callers(source) == ["a", "inner"]
+
+
+README = SRC.parents[1] / "README.md"
+
+
+def exported_names(source: str) -> list[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [ast.literal_eval(item) for item in node.value.elts]
+    return []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, bare or as an attribute, outside the bodies of
+    the functions and classes that define them; imports and string entries
+    such as those of ``__all__`` are no reference."""
+    found = set()
+
+    def visit(node, owners):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, owners | {child.name})
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name is not None and name not in owners:
+                found.add(name)
+            visit(child, owners)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def documented_names(markdown: str) -> set[str]:
+    """Identifiers inside the code spans and fenced blocks of a README."""
+    spans = re.findall(r"```.*?```|`[^`\n]+`", markdown, flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(spans)))
+
+
+def unreached_exports(sources: dict[str, str], readme: str) -> list[str]:
+    """``module.name`` for every ``__all__`` entry that no module (the
+    package ``__init__``, which only re-exports, aside) references and the
+    README does not name."""
+    reached = set().union(*(referenced_names(src) for mod, src in sources.items() if mod != "__init__"))
+    reached |= documented_names(readme)
+    return [f"{mod}.{name}" for mod, src in sorted(sources.items())
+            for name in exported_names(src) if name not in reached]
+
+
+def test_every_export_is_reached():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unreached_exports(sources, README.read_text(encoding="utf-8")) == []
+
+
+def test_export_check_sees_definitions_imports_and_docs():
+    sources = {
+        "a": ('__all__ = ["used", "recursive", "imported", "documented", "LIMIT", "Kind"]\n'
+              "LIMIT = 3\n"
+              "class Kind:\n    pass\n"
+              "def used():\n    return LIMIT\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else Kind\n"
+              "def imported():\n    pass\n"
+              "def documented():\n    pass\n"),
+        "b": "from .a import imported, used\nfrom . import a\nx = a.used()\n",
+        "__init__": "from .a import recursive  # noqa: F401\ny = recursive(1)\n",
+    }
+    readme = "Call `a.documented()`; the prose word imported is no name.\n"
+    assert unreached_exports(sources, readme) == ["a.recursive", "a.imported"]

@@ -21,25 +21,12 @@ from conftest import assert_same_block, density_matrix, purification_of, random_
 # PERM test
 
 
-def test_perm_weight_unit_modulus():
-    w = proto.PermOutcomeWeight.from_pattern((1, 0, 2), 3)
-    assert abs(abs(w.weight) - 1.0) < 1e-12
-    assert w.weight == pytest.approx(proto.perm_weight((1, 0, 2), 3), abs=1e-15)
-    with pytest.raises(ValueError):
-        proto.PermOutcomeWeight(fock.PhotonPattern((1,)), 0.5 + 0j)
-
-
 def test_perm_identical_pure_state(rng):
     psi = random_pure(rng, 4)
     for n in (2, 3):
         value = proto.perm_expectation([psi] * n)
         assert value.real == pytest.approx(1.0, abs=1e-10)
         assert abs(value.imag) < 1e-10
-
-
-def test_perm_l2_weights_are_parity():
-    for n in range(5):
-        assert proto.perm_weight((0, n), 2) == pytest.approx((-1.0) ** n, abs=1e-12)
 
 
 def test_perm_l2_bitwise_matches_cv(rng):

@@ -7,64 +7,18 @@ from hypothesis import given, settings, strategies as st
 from cvswap import fock, sampling
 from cvswap.sampling import (
     BlockSpec,
-    Seed,
     blocks_estimate,
     blocks_expectation,
     estimator_statistics,
-    probability_vector,
-    sample_patterns,
     shot_uniforms,
 )
 
 from conftest import random_pure
 
 
-def test_probability_vector_one_hot():
-    state = fock.basis_state((2,), fock.CutoffSpec((4,)))
-    p = probability_vector(state)
-    assert p[2] == 1.0 and p.sum() == 1.0
-
-
-def test_probability_vector_poisson():
-    state = fock.prepare("coherent", fock.CutoffSpec((30,)), alpha=1.0)
-    p = probability_vector(state)
-    want = np.array([math.exp(-1.0) / math.factorial(n) for n in range(31)])
-    assert np.max(np.abs(p - want)) < 1e-10
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probability_vector_half_half():
-    amps = np.zeros(5, dtype=complex)
-    amps[1] = amps[3] = 1.0 / math.sqrt(2)
-    state = fock.FockState(fock.CutoffSpec((4,)), amps)
-    p = probability_vector(state)
-    assert p[1] == pytest.approx(0.5, abs=1e-15)
-    assert p[3] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_probability_vector_zero_norm():
-    state = fock.FockState(fock.CutoffSpec((2,)), np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        probability_vector(state)
-
-
-def test_sample_patterns_one_hot():
-    state = fock.basis_state((1, 2), fock.CutoffSpec((2, 2)))
-    shots = sample_patterns(state, 50, 3)
-    assert all(s.pattern == (1, 2) for s in shots)
-    assert [s.shot_index for s in shots] == list(range(50))
-
-
-def test_sample_patterns_deterministic(rng):
-    state = random_pure(rng, 5)
-    a = sample_patterns(state, 200, Seed(99))
-    b = sample_patterns(state, 200, 99)
-    assert a == b
-
-
 def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
-    p = probability_vector(state)
+    (p,) = sampling.measurement_block([1.0], state.amplitudes, np.ones(5)).distributions
     shots = 1_000_000
     u = shot_uniforms(7, 0, shots)
     idx = sampling.draw_categorical(sampling.categorical_cdf(p), u)
@@ -85,16 +39,6 @@ def test_shot_uniforms_batch_independent():
 def test_shot_uniforms_range(seed, stream):
     u = shot_uniforms(seed, stream, 64)
     assert np.all((0.0 <= u) & (u < 1.0))
-
-
-def test_shot_dump_csv():
-    state = fock.basis_state((1, 2), fock.CutoffSpec((2, 2)))
-    shots = sample_patterns(state, 3, 0)
-    text = sampling.shot_dump_csv(shots)
-    lines = text.strip().splitlines()
-    assert lines[0] == "shot_index,n0,n1"
-    assert lines[1] == "0,1,2"
-    assert len(lines) == 4
 
 
 def test_estimator_statistics_constant():
