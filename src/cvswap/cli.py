@@ -345,6 +345,12 @@ def cmd_fig2(cfg: RunConfig) -> None:
 def cmd_perm(cfg: RunConfig) -> None:
     states = [build_state(s) for s in _list_param(
         _required(cfg.payload, "states", "perm config"), "states")]
+    if len(states) < 2:
+        raise ConfigError("PERM test needs at least two registers")
+    if any(s.modes != 1 for s in states):
+        raise ConfigError("PERM test inputs must be single-mode")
+    if len({s.cutoff for s in states}) != 1:
+        raise ConfigError("PERM test inputs must share a common cutoff")
     results, rows = _estimator_document(
         cfg, lambda shots, seed: proto.perm_test(states, shots, seed)
     )
@@ -379,6 +385,10 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
     payload = cfg.payload
     training = [build_state(s) for s in _list_param(
         _required(payload, "training", "compile-cost config"), "training")]
+    if not training:
+        raise ConfigError("training set is empty")
+    if any(s.modes != 2 for s in training):
+        raise ConfigError("training states live on two modes (A, R)")
     u_gates, v_gates = (build_circuit(_list_param(payload.get(key, []), key))
                         for key in ("u_gates", "v_gates"))
     if any(g.mode != 0 for g in u_gates + v_gates):
@@ -387,7 +397,7 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
     if m_totals is not None:
         m_totals = [None if m is None else _int_param(m, "m_totals entry", 0)
                     for m in _list_param(m_totals, "m_totals")]
-    shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term")
+    shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term", 1)
     cost = proto.compile_cost(training, u_gates, v_gates, shots, cfg.seed, m_totals)
     results = {
         "cost": cost,

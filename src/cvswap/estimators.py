@@ -83,17 +83,6 @@ class EstimatorResult:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EstimatorResult":
-        stderr = doc["stderr"]
-        return cls(
-            complex(doc["mean_re"], doc["mean_im"]),
-            math.nan if stderr is None else float(stderr),
-            int(doc["shots"]),
-            int(doc["discarded"]),
-            int(doc["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class CutoffPlan:
@@ -123,16 +112,6 @@ class CutoffPlan:
         if self.reference_m is not None:
             doc["reference_m"] = self.reference_m
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CutoffPlan":
-        return cls(
-            int(doc["M"]),
-            float(doc["bound"]),
-            str(doc["method"]),
-            float(doc["target_eps"]),
-            None if doc.get("reference_m") is None else int(doc["reference_m"]),
-        )
 
 
 # ---------------------------------------------------------------------------

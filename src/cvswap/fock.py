@@ -2,7 +2,8 @@
 
 States are dense complex tensors over a per-mode-truncated photon-number
 basis.  Gate matrices come from exact analytic Fock matrix elements
-(column recurrences seeded by closed forms), never from exponentiating
+(recurrences seeded by closed forms and swept a whole column, row or
+photon-number block at a time), never from exponentiating
 truncated generators; the matrix-exponential path exists only as a test
 oracle.  Values are immutable after construction and all operations are
 pure functions.
@@ -356,6 +357,9 @@ def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
     Seeded by the squeezed-vacuum column and row, filled by the two-term
     recurrence S[m+1, n] = (sqrt(n) S[m, n-1] - e^{i arg z} sinh|z| sqrt(m)
     S[m-1, n]) / (cosh|z| sqrt(m+1)); all references stay inside the box.
+    The sweep runs by rows: row m+1 over every column n >= 1 comes from
+    row m, shifted by one column, and row m-1, with the same arithmetic
+    per element as an element-by-element loop.
     """
     z = complex(z)
     if z == 0:
@@ -367,11 +371,16 @@ def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[:, 0] = _squeeze_edge(z, dim, -1.0)
     mat[0, :] = _squeeze_edge(z, dim, +1.0)
-    for n in range(1, dim):
-        for m in range(0, dim - 1):
-            upper = sqrt[n] * mat[m, n - 1]
-            lower = phase * sh * sqrt[m] * mat[m - 1, n] if m > 0 else 0.0
-            mat[m + 1, n] = (upper - lower) / (ch * sqrt[m + 1])
+    for m in range(0, dim - 1):
+        row = sqrt[1:dim] * mat[m, : dim - 1]
+        if m > 0:
+            # the complex product in real parts, one rounding per operation:
+            # numpy's vector complex multiply may fuse multiply-adds, which
+            # round differently from the element loop and between machines
+            coef, prev = phase * sh * sqrt[m], mat[m - 1, 1:]
+            row.real -= coef.real * prev.real - coef.imag * prev.imag
+            row.imag -= coef.real * prev.imag + coef.imag * prev.real
+        mat[m + 1, 1:] = row / (ch * sqrt[m + 1])
     return mat
 
 

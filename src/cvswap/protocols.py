@@ -188,8 +188,19 @@ def _check_compile_circuit(gates, label: str) -> list[fock.GateSpec]:
     return gates
 
 
-def _map_circuit(state, gates) -> MixedEnsemble:
-    return MixedEnsemble(tuple((w, fock.apply_circuit(s, gates)) for w, s in components_of(state)))
+def _circuit_matrix(gates, dim: int) -> np.ndarray:
+    """The (dim x dim) matrix of a register-A circuit: the circuit run on
+    the identity, whose columns are the basis states of mode 0."""
+    identity = FockState(fock.CutoffSpec((dim - 1, dim - 1)), np.eye(dim))
+    return fock.apply_circuit(identity, gates).amplitudes
+
+
+def _map_circuit(state, mat: np.ndarray) -> MixedEnsemble:
+    """Every component of a two-mode (A, R) state with ``mat`` contracted
+    into mode A."""
+    return MixedEnsemble(tuple(
+        (w, FockState(s.cutoff, mat @ s.amplitudes, leak=s.leak, leak_warning=s.leak_warning))
+        for w, s in components_of(state)))
 
 
 # a term's SWAP tests pair register A with A' and R with R'
@@ -206,12 +217,13 @@ def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int
     totals = list(m_totals) if m_totals is not None else [None] * len(training)
     if len(totals) != len(training):
         raise est.MeasurementSpecError("one total threshold per training state required")
-    terms = []
-    for psi, total in zip(training, totals):
-        if psi.modes != 2:
-            raise ValueError("training states live on two modes (A, R)")
-        terms.append(([_map_circuit(psi, u_gates), _map_circuit(psi, v_gates)], total))
-    return terms
+    if any(psi.modes != 2 for psi in training):
+        raise ValueError("training states live on two modes (A, R)")
+    # U and V are built once per A-mode dimension, not once per state
+    mats = {d: [_circuit_matrix(gates, d) for gates in (u_gates, v_gates)]
+            for d in {psi.cutoff.shape[0] for psi in training}}
+    return [([_map_circuit(psi, mat) for mat in mats[psi.cutoff.shape[0]]], total)
+            for psi, total in zip(training, totals)]
 
 
 def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
@@ -221,7 +233,9 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     Each term prepares U|psi_j> beside V|psi_j> and runs the parallel
     SWAP test on the (A, A') and (R, R') pairs with derived seeds.  An
     optional per-term threshold applies the detector condition to the
-    four-mode total photon count.
+    four-mode total photon count.  U and V are built once per call as a
+    d x d matrix for each distinct A-mode dimension d, and each matrix is
+    contracted into mode A of every training component.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
     acc = 0.0

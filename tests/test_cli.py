@@ -452,6 +452,17 @@ COMPILE_A = {"training": TRAINING}
     ("fig2", {"r_list": [0.8], "m_min": 0, "m_max": 200000}, "m_max 200000 exceeds 2 * prep_cutoff = 80"),
     ("fig2", {"r_list": [0.3], "m_max": 11, "prep_cutoff": 5}, "m_max 11 exceeds 2 * prep_cutoff = 10"),
     ("fig2", {"prep_cutoff": -1}, "prep_cutoff must be >= 0"),
+    # shot counts and input shapes the protocols cannot take
+    ("compile-cost", {**COMPILE_A, "shots_per_term": 0}, "shots_per_term must be >= 1"),
+    ("compile-cost", {**COMPILE_A, "shots_per_term": -3}, "shots_per_term must be >= 1"),
+    ("compile-cost", {"training": []}, "training set is empty"),
+    ("compile-cost", {"training": [{"kind": "vacuum", "cutoff": [2]}]},
+     "training states live on two modes (A, R)"),
+    ("perm", {"states": [{"kind": "vacuum", "cutoff": [2]}]}, "PERM test needs at least two registers"),
+    ("perm", {"states": []}, "PERM test needs at least two registers"),
+    ("perm", {"states": [{"kind": "vacuum", "cutoff": [2]}, {"kind": "vacuum", "cutoff": [3]}]},
+     "PERM test inputs must share a common cutoff"),
+    ("perm", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}] * 3}, "PERM test inputs must be single-mode"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
     code, out = run_cli(tmp_path, command, config)

@@ -206,6 +206,14 @@ def test_single_mode_expm_oracle(gate):
     # cutoff because its own boundary contamination only decays below the
     # tolerance once the compared block sits well inside the truncation.
     dim, oracle_dim = 13, 26
+    mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
+    oracle = _expm_oracle(gate, oracle_dim)
+    safe = _safe_indices(dim, (dim - 1) // 2)
+    assert np.max(np.abs(mine[np.ix_(safe, safe)] - oracle[np.ix_(safe, safe)])) < 1e-8
+
+
+def _expm_oracle(gate, oracle_dim: int) -> np.ndarray:
+    """expm of the single-mode gate's generator truncated at oracle_dim."""
     a, ad = ladder_ops(oracle_dim)
     if isinstance(gate, Displacement):
         gen = gate.alpha * ad - np.conj(gate.alpha) * a
@@ -213,10 +221,53 @@ def test_single_mode_expm_oracle(gate):
         gen = (np.conj(gate.z) * a @ a - gate.z * ad @ ad) / 2
     else:
         gen = -1j * gate.phi * ad @ a
+    return expm(gen)
+
+
+@pytest.mark.parametrize(
+    "gate, tol",
+    [
+        (Squeeze(0.25, 0), 1e-9),
+        (Squeeze(-0.25j, 0), 1e-9),
+        (Squeeze(cmath.rect(0.25, 2.2), 0), 1e-9),
+        (Squeeze(cmath.rect(0.18, -0.7), 0), 1e-9),
+        (Displacement(0.35, 0), 1e-12),
+        (Displacement(0.35j, 0), 1e-12),
+        (Displacement(cmath.rect(0.35, 2.5), 0), 1e-12),
+        (Displacement(cmath.rect(0.2, -1.1), 0), 1e-12),
+    ],
+)
+def test_single_mode_full_matrix_at_bench_scale(gate, tol):
+    # every element at the compile-cost cutoff 80 (d = 81) and gate sizes
+    # up to the benchmark's (|z| <= 0.25, |alpha| <= 0.35); padding the
+    # exponential by another d levels leaves its own truncation error far
+    # below the tolerance
+    dim = 81
     mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
-    oracle = expm(gen)
-    safe = _safe_indices(dim, (dim - 1) // 2)
-    assert np.max(np.abs(mine[np.ix_(safe, safe)] - oracle[np.ix_(safe, safe)])) < 1e-8
+    oracle = _expm_oracle(gate, 2 * dim)[:dim, :dim]
+    assert np.max(np.abs(mine - oracle)) < tol
+
+
+@pytest.mark.parametrize("z", [0.25, cmath.rect(0.3, 2.2), -0.8j, 1.5])
+def test_squeeze_row_sweep_matches_element_loop(z):
+    # the recurrence element by element on the matrix's own seeds (row 0
+    # and column 0), each product and quotient rounded as in the row sweep:
+    # the two must agree bit for bit
+    dim = 24
+    mine = fock.squeeze_matrix(z, dim)
+    r = abs(z)
+    coef, ch = z / r * math.sinh(r), math.cosh(r)
+    ref = np.zeros_like(mine)
+    ref[:, 0], ref[0, :] = mine[:, 0], mine[0, :]
+    for n in range(1, dim):
+        for m in range(dim - 1):
+            up = math.sqrt(n) * ref[m, n - 1]
+            c, prev = coef * math.sqrt(m), ref[m - 1, n]
+            low_re = c.real * prev.real - c.imag * prev.imag if m else 0.0
+            low_im = c.real * prev.imag + c.imag * prev.real if m else 0.0
+            diff = np.complex128(complex(up.real - low_re, up.imag - low_im))
+            ref[m + 1, n] = diff / np.float64(ch * math.sqrt(m + 1))
+    assert np.array_equal(mine, ref)
 
 
 @pytest.mark.parametrize("theta,phi", [(math.pi / 4, 0.0), (0.61, 1.13), (math.pi / 2, -math.pi / 2)])

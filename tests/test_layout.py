@@ -103,29 +103,24 @@ def exported_names(source: str) -> list[str]:
     return []
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names a module reads, bare or as an attribute, outside the bodies of
-    the functions and classes that define them; imports and string entries
-    such as those of ``__all__`` are no reference."""
-    found = set()
-
-    def visit(node, owners):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, owners | {child.name})
-                continue
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                name = child.id
-            elif isinstance(child, ast.Attribute):
-                name = child.attr
-            else:
-                name = None
-            if name is not None and name not in owners:
-                found.add(name)
-            visit(child, owners)
-
-    visit(ast.parse(source), frozenset())
-    return found
+def definitions_and_roots(source: str) -> tuple[dict[str, set[str]], set[str]]:
+    """The names each top-level ``def`` and ``class`` reads, by definition,
+    and the names the rest of the module-level code reads.  A name is read
+    bare or as an attribute; imports and string entries such as those of
+    ``__all__`` are no reference."""
+    definitions, roots = {}, set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {child.id if isinstance(child, ast.Name) else child.attr
+                 for child in ast.walk(node)
+                 if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load))
+                 or isinstance(child, ast.Attribute)}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions[node.name] = names
+        else:
+            roots |= names
+    return definitions, roots
 
 
 def documented_names(markdown: str) -> set[str]:
@@ -134,12 +129,29 @@ def documented_names(markdown: str) -> set[str]:
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(spans)))
 
 
+# the console script ``cvswap = "cvswap.cli:main"``
+ENTRY_POINT = "main"
+
+
 def unreached_exports(sources: dict[str, str], readme: str) -> list[str]:
-    """``module.name`` for every ``__all__`` entry that no module (the
-    package ``__init__``, which only re-exports, aside) references and the
-    README does not name."""
-    reached = set().union(*(referenced_names(src) for mod, src in sources.items() if mod != "__init__"))
-    reached |= documented_names(readme)
+    """``module.name`` for every ``__all__`` entry outside the fixed point
+    of reach.  Reach starts from the module-level code, the entry point and
+    the names in the README's code spans, and grows by the names each
+    reached top-level definition reads.  The package ``__init__`` only
+    re-exports, so it reaches nothing."""
+    definitions, reached = [], documented_names(readme) | {ENTRY_POINT}
+    for mod, src in sources.items():
+        if mod != "__init__":
+            defs, roots = definitions_and_roots(src)
+            definitions += defs.items()
+            reached |= roots
+    grown = True
+    while grown:
+        grown = False
+        for name, names in definitions:
+            if name in reached and not names <= reached:
+                reached |= names
+                grown = True
     return [f"{mod}.{name}" for mod, src in sorted(sources.items())
             for name in exported_names(src) if name not in reached]
 
@@ -151,15 +163,25 @@ def test_every_export_is_reached():
 
 def test_export_check_sees_definitions_imports_and_docs():
     sources = {
-        "a": ('__all__ = ["used", "recursive", "imported", "documented", "LIMIT", "Kind"]\n'
+        "a": ('__all__ = ["used", "recursive", "imported", "documented", "LIMIT", "Kind", "served",\n'
+              '           "from_docs", "dropped", "chained", "deeper"]\n'
               "LIMIT = 3\n"
               "class Kind:\n    pass\n"
               "def used():\n    return LIMIT\n"
               "def recursive(n):\n    return recursive(n - 1) if n else Kind\n"
               "def imported():\n    pass\n"
-              "def documented():\n    pass\n"),
+              "def documented():\n    return from_docs()\n"
+              "def from_docs():\n    pass\n"
+              "def served():\n    pass\n"
+              "def dropped():\n    return chained()\n"
+              "def chained():\n    return deeper()\n"
+              "def deeper():\n    pass\n"),
         "b": "from .a import imported, used\nfrom . import a\nx = a.used()\n",
+        "cli": "from . import a\ndef main():\n    return a.served()\n",
         "__init__": "from .a import recursive  # noqa: F401\ny = recursive(1)\n",
     }
     readme = "Call `a.documented()`; the prose word imported is no name.\n"
-    assert unreached_exports(sources, readme) == ["a.recursive", "a.imported"]
+    # Kind, chained and deeper are read only from inside definitions that
+    # nothing reaches
+    assert unreached_exports(sources, readme) == ["a.recursive", "a.imported", "a.Kind", "a.dropped",
+                                                  "a.chained", "a.deeper"]

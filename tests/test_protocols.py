@@ -268,6 +268,39 @@ def test_compile_cost_sampled_near_exact(rng):
     assert 0.0 <= exact <= 1.0
 
 
+def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
+    # a mixture and two A cutoffs; the state with R cutoff 3 shares its A
+    # dimension with the mixture
+    mix = MixedEnsemble(((0.3, random_pure(rng, 5, 2)), (0.7, random_pure(rng, 5, 2))))
+    training = [mix, random_pure(rng, 8, 2), fock.basis_state((2, 1), CutoffSpec((5, 3)))]
+    u_gates = [fock.Displacement(0.3 - 0.1j, 0), fock.Squeeze(0.2 + 0.1j, 0), fock.PhaseRotation(0.7, 0)]
+    v_gates = [fock.Squeeze(0.15, 0), fock.Displacement(0.25j, 0)]
+
+    # oracle: every component run through each circuit gate by gate
+    def mapped(state, gates):
+        return MixedEnsemble(tuple((w, fock.apply_circuit(s, gates))
+                                   for w, s in fock.components_of(state)))
+
+    fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
+                                                 [(0, 2), (1, 3)], None) for psi in training]
+    want = 1.0 - sum(fidelities) / len(training)
+
+    built = []
+    gate_matrix = fock.gate_matrix
+
+    def counting(gate, cutoff):
+        built.append((gate, cutoff.shape[gate.mode]))
+        return gate_matrix(gate, cutoff)
+
+    monkeypatch.setattr(fock, "gate_matrix", counting)
+    once = sorted(((g, d) for g in u_gates + v_gates for d in (6, 9)), key=repr)
+    assert proto.compile_cost_expectation(training, u_gates, v_gates) == pytest.approx(want, abs=1e-12)
+    assert sorted(built, key=repr) == once
+    built.clear()
+    proto.compile_cost(training, u_gates, v_gates, 100, 4)
+    assert sorted(built, key=repr) == once
+
+
 def test_compile_cost_rejects_register_circuit():
     cut = CutoffSpec((3, 3))
     vac = fock.basis_state((0, 0), cut)
