@@ -16,6 +16,7 @@ import numpy as np
 
 from .fock import (
     MAX_WORKING_ELEMENTS,
+    ResourceLimitError,
     apply_passive,
     check_working_size,
     closed_pattern_count,
@@ -46,6 +47,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
+
+# shots are drawn this many shot indices at a time, so the uniforms, mixer
+# temporaries and outcome indices of one chunk stay in cache
+CHUNK_SHOTS = 1 << 16
 
 
 def seed_root(seed) -> int:
@@ -199,35 +204,91 @@ def blocks_expectation(blocks) -> complex:
     return total
 
 
-def draw_outcomes(block: BlockSpec, b: int, shots: int, seed) -> np.ndarray:
-    """Outcome index of each of ``shots`` shots of the block at position
-    ``b`` of a run.
+def _inverse_cdf(distribution: np.ndarray, draws: float):
+    """Function from uniforms to outcome indices of ``distribution``, equal
+    to ``draw_categorical`` on its cumulative table.
+
+    When the expected number of ``draws`` pays for it, a guide table
+    (Chen & Asau 1974; Devroye 1986, III.2.4) of K buckets, K the smallest
+    power of two >= 4 outcomes, holds for bucket b the counts
+    lo = #{cdf <= b/K} and hi = #{cdf < (b+1)/K}.  A uniform in bucket b
+    has outcome lo whenever lo == hi; otherwise it falls back to the binary
+    search.  Both counts are exact, since cdf * K and u * K are exact for a
+    power of two K, so the table changes no outcome.
+    """
+    cdf = categorical_cdf(distribution)
+    k = 1 << (4 * cdf.size - 1).bit_length()
+    if draws < 4 * (cdf.size + k):
+        return functools.partial(draw_categorical, cdf)
+    lo = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k)[:k])
+    hi = np.cumsum(np.bincount(np.floor(cdf * k).astype(np.intp), minlength=k)[:k])
+    guide = np.where(lo == hi, lo, -1)
+
+    def draw(uniforms: np.ndarray) -> np.ndarray:
+        idx = guide[(uniforms * k).astype(np.intp)]
+        miss = idx < 0
+        if miss.any():
+            idx[miss] = draw_categorical(cdf, uniforms[miss])
+        return idx
+
+    return draw
+
+
+def draw_outcomes(block: BlockSpec, b: int, shots: int, seed):
+    """Outcome indices of ``shots`` shots of the block at position ``b`` of
+    a run, yielded as (first shot index, indices) in chunks of CHUNK_SHOTS
+    shots, so the working set of a chunk stays cache-sized.
 
     The ensemble component of shot s comes from stream 2b (not drawn for a
     single component) and its outcome from stream 2b+1, so the result is
-    independent of batching and thread count.
+    independent of batching and thread count.  Each component draws through
+    an exact guide table once its expected draws pay for building it.
     """
-    u = shot_uniforms(seed, 2 * b + 1, shots)
-    if len(block.distributions) == 1:
-        return draw_categorical(categorical_cdf(block.distributions[0]), u)
+    inverse = [_inverse_cdf(dist, shots * cw)
+               for cw, dist in zip(block.component_weights, block.distributions)]
     comp_cdf = categorical_cdf(block.component_weights)
-    comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, shots))
-    out_idx = np.empty(shots, dtype=np.int64)
-    for i, dist in enumerate(block.distributions):
-        sel = comp_idx == i
-        if np.any(sel):
-            out_idx[sel] = draw_categorical(categorical_cdf(dist), u[sel])
-    return out_idx
+    bounds = [*range(0, shots, CHUNK_SHOTS), shots]
+    if shots > 1 and bounds[-1] - bounds[-2] == 1:
+        # blocks_estimate multiplies each chunk in place, and numpy does that
+        # for one element on a scalar path that rounds complex products
+        # unlike the vector path of a longer array; a last lone shot joins
+        # the chunk before it, so weights match a whole-array multiply
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        indices = np.arange(start, stop, dtype=np.uint64)
+        u = shot_uniforms(seed, 2 * b + 1, indices)
+        if len(inverse) == 1:
+            yield start, inverse[0](u)
+            continue
+        comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, indices))
+        out_idx = np.empty(indices.size, dtype=np.int64)
+        for i, draw in enumerate(inverse):
+            sel = comp_idx == i
+            if np.any(sel):
+                out_idx[sel] = draw(u[sel])
+        yield start, out_idx
 
 
 def blocks_estimate(blocks, shots: int, seed) -> tuple[np.ndarray, int]:
     """Per-shot weights for ``shots`` runs, plus the count of shots whose
-    weight was forced to exactly zero by a detector threshold."""
+    weight was forced to exactly zero by a detector threshold.
+
+    Memory is 16 bytes per shot for the weights plus the fixed working set
+    of one chunk of draws; weights that cannot be allocated raise
+    ``ResourceLimitError``.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    weights = np.ones(shots, dtype=np.complex128)
+    try:
+        weights = np.ones(shots, dtype=np.complex128)
+    except MemoryError as exc:
+        raise ResourceLimitError(
+            f"{shots} shots need {16 * shots} bytes of per-shot weights, more than "
+            "can be allocated; reduce shots"
+        ) from exc
     for b, block in enumerate(blocks):
-        weights *= block.weights[draw_outcomes(block, b, shots, seed)]
+        for start, idx in draw_outcomes(block, b, shots, seed):
+            weights[start:start + idx.size] *= block.weights[idx]
     discarded = int(np.count_nonzero(weights == 0))
     return weights, discarded
 

@@ -521,6 +521,17 @@ def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
     assert err.startswith("resource limit: working space of") and err.count("\n") == 1
 
 
+def test_unallocatable_shot_weights_are_a_resource_limit(tmp_path, capsys):
+    # 10^13 complex weights are 146 TiB, beyond a 128 TiB user address
+    # space, so the allocation fails at once without touching memory
+    vacuum = {"kind": "vacuum", "cutoff": [2]}
+    code, out = run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum,
+                                              "shots": 10 ** 13})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: 10000000000000 shots need") and err.count("\n") == 1
+
+
 def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
     # cutoff 3: 28^4 closed patterns over eight modes run; cutoff 4 would
     # hold 45^4 amplitudes under the limit, but not their pattern table

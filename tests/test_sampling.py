@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,3 +120,99 @@ def test_passive_measurement_places_each_combination(rng):
         sampling.passive_measurement(pure, (4,) * 8, [(k, 4 + k) for k in range(4)], [])
     # cutoff 3 fits: 28^4 patterns times one amplitude and eight pattern columns
     sampling.check_working_size(1 + 8, 28 ** 4)
+
+
+def whole_array_estimate(blocks, shots, seed):
+    """The reference draw: every shot of a block at once, each outcome by
+    binary search on the cumulative table."""
+
+    def cdf(p):
+        c = np.cumsum(p)
+        c[-1] = 1.0
+        return c
+
+    weights = np.ones(shots, dtype=np.complex128)
+    for b, block in enumerate(blocks):
+        u = shot_uniforms(seed, 2 * b + 1, shots)
+        if len(block.distributions) == 1:
+            comp = np.zeros(shots, dtype=np.int64)
+        else:
+            comp = np.searchsorted(cdf(block.component_weights), shot_uniforms(seed, 2 * b, shots),
+                                   side="right")
+        idx = np.empty(shots, dtype=np.int64)
+        for i, dist in enumerate(block.distributions):
+            sel = comp == i
+            idx[sel] = np.searchsorted(cdf(dist), u[sel], side="right")
+        weights *= block.weights[idx]
+    return weights, int(np.count_nonzero(weights == 0))
+
+
+CHUNK = sampling.CHUNK_SHOTS
+
+
+@st.composite
+def edge_blocks(draw):
+    """A sampling block whose distributions have exact zeros, entries
+    clamped below TINY_PROBABILITY, or dyadic probabilities whose
+    cumulative breakpoints lie on the guide table's bucket edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 300))
+    rank = draw(st.integers(1, 3))
+    cw = rng.random(rank) + 0.05
+    cw /= cw.sum()
+    weights = rng.normal(size=size) + 1j * rng.normal(size=size)
+    weights[rng.random(size) < 0.3] = 0.0
+    kind = draw(st.sampled_from(("zeros", "tiny", "dyadic")))
+    if kind == "dyadic":
+        k = 1 << (4 * size - 1).bit_length()
+        dists = []
+        for _ in range(rank):
+            cuts = np.sort(rng.integers(0, k + 1, size - 1))
+            dists.append(np.diff(np.concatenate(([0], cuts, [k]))) / k)
+        return BlockSpec(cw, tuple(dists), weights)
+    amps = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
+    amps[rng.random((rank, size)) < 0.4] = 0.0
+    if kind == "tiny":
+        # |a|^2 of 1e-310 is clamped to zero; 1e-298 is kept
+        amps *= np.where(rng.random((rank, size)) < 0.5, 1e-155, 1e-149)
+        amps[:, 0] += 1.0
+    amps[:, -1] += 0.1
+    return sampling.measurement_block(cw, amps, weights)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(edge_blocks(), min_size=1, max_size=2),
+       st.sampled_from((1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)),
+       st.integers(0, 2**64 - 1))
+def test_chunked_draw_equals_whole_array_search(blocks, shots, seed):
+    weights, discarded = blocks_estimate(blocks, shots, seed)
+    want_weights, want_discarded = whole_array_estimate(blocks, shots, seed)
+    assert np.array_equal(weights, want_weights)
+    assert discarded == want_discarded
+
+
+def test_guide_table_is_exact_on_bucket_edges():
+    # uniforms exactly on every bucket edge b/K and one grid step either
+    # side of it, for breakpoints on the edges and between them
+    k = 64
+    dyadic = np.array([0, 3, 0, 0, 5, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, 48]) / k
+    rng = np.random.default_rng(3)
+    for p in (dyadic, rng.random(16) ** 6 / (rng.random(16) ** 6).sum()):
+        cdf = sampling.categorical_cdf(p)
+        edges = np.arange(k) / k
+        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
+        draw = sampling._inverse_cdf(p, draws=1e9)
+        assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
+
+
+def test_draw_memory_is_weights_plus_a_fixed_working_set():
+    # 16 MB of weights for 1e6 shots, plus one chunk of draws
+    p = np.random.default_rng(8).random(3321)
+    block = BlockSpec(np.array([1.0]), (p / p.sum(),), np.ones(3321, dtype=complex))
+    tracemalloc.start()
+    try:
+        blocks_estimate([block], 1_000_000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
