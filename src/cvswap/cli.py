@@ -89,14 +89,22 @@ def _threshold_param(value):
 
 
 def _real_param(value, name: str) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{name} must be a real number")
+    """A finite real; JSON's NaN and Infinity, and integers beyond the
+    float range, are refused."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def _complex_param(value, name: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_real_param(value, name))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real_param(value[0], name), _real_param(value[1], name))
     raise ConfigError(f"{name} must be a number or an [re, im] pair")
@@ -512,6 +520,10 @@ def main(argv=None) -> int:
         return 1
     except (fock.PreparationLeakError, ValueError, RuntimeError) as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # a finite but huge parameter, such as a displacement of 1e300
+        print(f"numerical contract failure: floating-point overflow: {exc}", file=sys.stderr)
         return 1
     return 0
 

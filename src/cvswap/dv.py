@@ -53,7 +53,7 @@ class DVState:
                 raise ValueError("amplitude count does not match dims")
             amps = amps.reshape(shape)
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state norm^2 {norm} deviates from 1 beyond 1e-9")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -74,7 +74,7 @@ class DVEnsemble:
         comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
             raise ValueError("ensemble needs at least one component")
-        if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
+        if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
             raise ValueError("ensemble weights must sum to 1")
         ref = comps[0][1].dims
         if any(s.dims != ref for _, s in comps):

@@ -38,6 +38,7 @@ __all__ = [
     "swap2m_expectation",
     "swap2m_profile",
     "parity_overlap_estimate",
+    "parity_overlap_estimates",
     "parity_overlap_expectation",
     "error_bound_global",
     "error_bound_local",
@@ -203,21 +204,44 @@ def _threshold_mask(patterns, local_pairs, thresholds, total_threshold=None) -> 
     return mask
 
 
-def _sampling_block(group: _Group, total_threshold=None) -> BlockSpec:
-    """Distribution/weight block for the shot path.
+def _sampling_block(groups: list[_Group], total_thresholds) -> list[BlockSpec]:
+    """Distribution/weight blocks for the shot path, one per group; the
+    groups share one layout (base caps and local pairs).
 
     The beamsplitters run on the closed pattern set, where each pair keeps
     the photon budget of its two cutoffs and spectator modes keep their
-    own.  A pattern's weight is the parity of every pair's first count,
-    zeroed where a pair total (or the group total) exceeds its threshold.
+    own.  The ensemble combinations of all groups are batch columns of one
+    passive measurement, so the pattern set, pair sectors and beamsplitter
+    blocks are built once; a layout whose combinations exceed the working
+    space limit is measured in consecutive batches that each fit.  A
+    pattern's weight is the parity of every pair's first count, zeroed
+    where a pair total (or the group's total) exceeds its threshold.
     """
-    combos = ensemble_combinations(group.factors)
-    gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
-    patterns, amps = passive_measurement(combos, group.base_caps, group.local_pairs, gates)
-    weights = _threshold_mask(patterns, group.local_pairs, group.thresholds, total_threshold)
-    for a, _ in group.local_pairs:
-        weights = weights * np.where(patterns[:, a] % 2 == 0, 1.0, -1.0)
-    return measurement_block([w for w, _ in combos], amps, weights)
+    caps, local_pairs = groups[0].base_caps, groups[0].local_pairs
+    gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in local_pairs]
+    combos = [ensemble_combinations(g.factors) for g in groups]
+    room = fock.MAX_WORKING_ELEMENTS // fock.closed_pattern_count(caps, local_pairs) - len(caps)
+    blocks = []
+    start = 0
+    while start < len(groups):
+        stop, used = start + 1, len(combos[start])
+        while stop < len(groups) and used + len(combos[stop]) <= room:
+            used += len(combos[stop])
+            stop += 1
+        batch = [c for group_combos in combos[start:stop] for c in group_combos]
+        patterns, amps = passive_measurement(batch, caps, local_pairs, gates)
+        parity = np.ones(len(patterns))
+        for a, _ in local_pairs:
+            parity = parity * np.where(patterns[:, a] % 2 == 0, 1.0, -1.0)
+        row = 0
+        for g, group_combos, total in zip(groups[start:stop], combos[start:stop],
+                                          total_thresholds[start:stop]):
+            weights = _threshold_mask(patterns, local_pairs, g.thresholds, total) * parity
+            rows = amps[row:row + len(group_combos)]
+            blocks.append(measurement_block([w for w, _ in group_combos], rows, weights))
+            row += len(group_combos)
+        start = stop
+    return blocks
 
 
 def _group_expectation(group: _Group, total_threshold=None) -> float:
@@ -293,10 +317,36 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
     factors a measurement connects exceeds 2 m_total.  Expectation equals
     tr(prod_p SWAP_2M_p . joint density).
     """
+    return parity_overlap_estimates([joint], pairs, m_per_pair, shots, [seed], [m_total])[0]
+
+
+def parity_overlap_estimates(joints, pairs, m_per_pair, shots: int, seeds,
+                             m_totals) -> list[EstimatorResult]:
+    """``parity_overlap_estimate`` of each joint, with that joint's seed and
+    total threshold, on the same pairs and per-pair thresholds.
+
+    Every group of every joint that shares a register layout (the per-mode
+    caps and the local pairs) is measured in one passive measurement, so
+    the measurement geometry is built once per layout; each joint still
+    draws its own blocks with its own seed.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    groups = _parity_groups(joint, pairs, m_per_pair, m_total)
-    return estimate_blocks([_sampling_block(g, m_total) for g in groups], shots, seed)
+    joints, seeds, m_totals = list(joints), list(seeds), list(m_totals)
+    if not len(joints) == len(seeds) == len(m_totals):
+        raise ValueError("one seed and one total threshold per joint required")
+    grouped = [_parity_groups(joint, pairs, m_per_pair, total)
+               for joint, total in zip(joints, m_totals)]
+    layouts: dict[tuple, list[tuple[int, int]]] = {}
+    for j, groups in enumerate(grouped):
+        for k, g in enumerate(groups):
+            layouts.setdefault((tuple(g.base_caps), tuple(g.local_pairs)), []).append((j, k))
+    blocks = [[None] * len(groups) for groups in grouped]
+    for members in layouts.values():
+        built = _sampling_block([grouped[j][k] for j, k in members], [m_totals[j] for j, _ in members])
+        for (j, k), block in zip(members, built):
+            blocks[j][k] = block
+    return [estimate_blocks(b, shots, seed) for b, seed in zip(blocks, seeds)]
 
 
 def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:

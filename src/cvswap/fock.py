@@ -161,9 +161,9 @@ class MixedEnsemble:
         comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
             raise ValueError("ensemble needs at least one component")
-        if any(w <= 0.0 or w > 1.0 for w, _ in comps):
+        if not all(0.0 < w <= 1.0 for w, _ in comps):
             raise ValueError("ensemble weights must lie in (0, 1]")
-        if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
+        if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
             raise ValueError("ensemble weights must sum to 1")
         ref = comps[0][1].cutoff
         if any(s.cutoff != ref for _, s in comps):

@@ -235,16 +235,14 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     optional per-term threshold applies the detector condition to the
     four-mode total photon count.  U and V are built once per call as a
     d x d matrix for each distinct A-mode dimension d, and each matrix is
-    contracted into mode A of every training component.
+    contracted into mode A of every training component.  Terms with the
+    same register layout share one passive measurement.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
-    acc = 0.0
-    for j, (prepared, total) in enumerate(terms):
-        result = est.parity_overlap_estimate(
-            prepared, _COMPILE_PAIRS, None, shots_per_term, derive_seed(seed, j), total
-        )
-        acc += result.mean.real
-    return 1.0 - acc / len(terms)
+    results = est.parity_overlap_estimates(
+        [prepared for prepared, _ in terms], _COMPILE_PAIRS, None, shots_per_term,
+        [derive_seed(seed, j) for j in range(len(terms))], [total for _, total in terms])
+    return 1.0 - sum(result.mean.real for result in results) / len(terms)
 
 
 def compile_cost_expectation(training, u_gates, v_gates, m_totals=None) -> float:

@@ -135,7 +135,7 @@ class BlockSpec:
         w = np.asarray(self.component_weights, dtype=np.float64)
         if w.size != len(self.distributions):
             raise ValueError("one distribution per ensemble component required")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("component weights must sum to 1")
         object.__setattr__(self, "component_weights", w)
 
@@ -281,7 +281,9 @@ def blocks_estimate(blocks, shots: int, seed) -> tuple[np.ndarray, int]:
         raise ValueError("shots must be >= 1")
     try:
         weights = np.ones(shots, dtype=np.complex128)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy raises ValueError for counts whose bytes overflow its size
+        # type, from about 2^59 shots
         raise ResourceLimitError(
             f"{shots} shots need {16 * shots} bytes of per-shot weights, more than "
             "can be allocated; reduce shots"

@@ -463,6 +463,18 @@ COMPILE_A = {"training": TRAINING}
     ("perm", {"states": [{"kind": "vacuum", "cutoff": [2]}, {"kind": "vacuum", "cutoff": [3]}]},
      "PERM test inputs must share a common cutoff"),
     ("perm", {"states": [{"kind": "vacuum", "cutoff": [2, 2]}] * 3}, "PERM test inputs must be single-mode"),
+    # JSON's NaN and Infinity, and integers beyond the float range, are no
+    # finite real
+    ("fig2", {"r_list": [math.nan]}, "r_list entry must be finite"),
+    ("cutoff-plan", {"family": "coherent", "energy": math.inf}, "energy must be finite"),
+    ("cutoff-plan", {"family": "squeezed", "r": 0.5, "eps": -math.inf}, "eps must be finite"),
+    ("perm", {"states": [{"mixture": [{"weight": math.nan, "state": {"kind": "vacuum", "cutoff": [2]}}]},
+                         {"kind": "vacuum", "cutoff": [2]}, {"kind": "vacuum", "cutoff": [2]}]},
+     "weight must be finite"),
+    ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "displacement", "alpha": [0, math.inf], "mode": 0}]},
+     "alpha must be finite"),
+    ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "squeeze", "z": 10 ** 400, "mode": 0}]},
+     "z must be finite"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
     code, out = run_cli(tmp_path, command, config)
@@ -530,6 +542,24 @@ def test_unallocatable_shot_weights_are_a_resource_limit(tmp_path, capsys):
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("resource limit: 10000000000000 shots need") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shots", [2 ** 63 - 1, 1e30])
+def test_shot_counts_beyond_numpy_sizes_are_a_resource_limit(tmp_path, capsys, shots):
+    # numpy refuses these counts with a ValueError, not a MemoryError
+    code, out = run_cli(tmp_path, "compile-cost", {**COMPILE_A, "shots_per_term": shots})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource limit: {int(shots)} shots need") and err.count("\n") == 1
+
+
+def test_overflowing_gate_parameter_is_a_numerical_failure(tmp_path, capsys):
+    # finite in the config, but |alpha|^2 overflows a double
+    code, out = run_cli(tmp_path, "compile-cost", {
+        **COMPILE_A, "u_gates": [{"gate": "displacement", "alpha": [1e300, 0], "mode": 0}]})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical contract failure: floating-point overflow") and err.count("\n") == 1
 
 
 def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):

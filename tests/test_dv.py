@@ -24,6 +24,14 @@ def swap_permutation(d):
 def test_dvstate_requires_unit_norm():
     with pytest.raises(ValueError):
         DVState((2,), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        DVState((2,), np.array([math.nan, 0.0]))
+
+
+def test_dv_ensemble_refuses_nan_weights():
+    state = DVState((2,), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        DVEnsemble(((math.nan, state),))
 
 
 def test_bell_states_qubit_labels():

@@ -114,7 +114,7 @@ def test_unbiasedness_by_enumeration(rng):
     a, b = random_pure(rng, 7), random_pure(rng, 7)
     for m in (1, 3, 7):
         groups = est._group_factors([a, b], [(0, 1)], [m])
-        block = est._sampling_block(groups[0])
+        [block] = est._sampling_block(groups[:1], [None])
         enumerated = sum(
             cw * float(np.dot(dist, block.weights.real))
             for cw, dist in zip(block.component_weights, block.distributions)
@@ -151,7 +151,7 @@ def test_parity_with_unequal_cutoffs(rng):
         overlap_route = est.swap2m_expectation(joint, m)
         operator_route = est.parity_overlap_expectation([a, b], [(0, 1)], m)
         groups = est._group_factors([a, b], [(0, 1)], [m])
-        block = est._sampling_block(groups[0])
+        [block] = est._sampling_block(groups[:1], [None])
         enumerated = sum(
             cw * float(np.dot(dist, block.weights.real))
             for cw, dist in zip(block.component_weights, block.distributions)
@@ -171,7 +171,7 @@ def test_parity_dual_routes_on_entangled_joint(rng):
     for state in (joint, ens):
         for m in (1, 3, 6, 12):
             a = est.parity_overlap_expectation([state], [(0, 1)], m)
-            block = est._sampling_block(est._group_factors([state], [(0, 1)], [m])[0])
+            [block] = est._sampling_block(est._group_factors([state], [(0, 1)], [m]), [None])
             b = sum(cw * float(np.dot(dist, block.weights.real))
                     for cw, dist in zip(block.component_weights, block.distributions))
             assert a == pytest.approx(b, abs=1e-12)
@@ -183,7 +183,7 @@ def test_sampling_block_exact_at_large_pair_totals():
     cut = CutoffSpec((100,))
     a = fock.prepare("squeezed", cut, z=1.2)
     b = fock.prepare("squeezed", cut, z=-1.2)
-    block = est._sampling_block(est._group_factors([a, b], [(0, 1)], [100])[0])
+    [block] = est._sampling_block(est._group_factors([a, b], [(0, 1)], [100]), [None])
     exact = est.parity_overlap_expectation([a, b], [(0, 1)], 100)
     assert abs(blocks_expectation([block]) - exact) < 1e-10
 
@@ -215,7 +215,7 @@ def test_discarded_shots_counted(rng):
 def test_shot_weights_bounded(rng):
     a, b = random_pure(rng, 5), random_pure(rng, 5)
     groups = est._group_factors([a, b], [(0, 1)], [2])
-    block = est._sampling_block(groups[0])
+    [block] = est._sampling_block(groups[:1], [None])
     assert np.all(np.abs(block.weights) <= 1.0 + 1e-15)
 
 
@@ -276,7 +276,7 @@ def test_sampling_block_matches_padded_oracle(seed):
     thresholds = [None if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in pairs]
     total = None if rng.random() < 0.5 else int(rng.integers(0, 7))
     for k, group in enumerate(est._group_factors(factors, pairs, thresholds)):
-        block = est._sampling_block(group, total)
+        [block] = est._sampling_block([group], [total])
         oracle, shape = _dense_sampling_block(group, total)
         patterns = fock.closed_patterns(group.base_caps, group.local_pairs)
         assert_same_block(block, oracle, shape, patterns, seed + k)

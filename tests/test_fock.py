@@ -68,6 +68,9 @@ def test_ensemble_validation(rng):
         MixedEnsemble(((0.5, a), (0.4, b)))
     with pytest.raises(ValueError):
         MixedEnsemble(((0.5, a), (0.5, random_pure(rng, 4))))
+    for weights in ((math.nan,), (math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="weights must lie in"):
+            MixedEnsemble(tuple(zip(weights, (a, b))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvswap import estimators as est, fock, protocols as proto
+from cvswap import estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import (
     BlockSpec,
     blocks_estimate,
     blocks_expectation,
     ensemble_combinations,
+    derive_seed,
     measurement_block,
 )
 
@@ -327,6 +328,75 @@ def test_compile_cost_total_threshold_sampled():
         exact = proto.compile_cost_expectation(training, [], v_gates, m_totals=[m_total])
         sampled = proto.compile_cost(training, [], v_gates, 150_000, 13, m_totals=[m_total])
         assert sampled == pytest.approx(exact, abs=0.02)
+
+
+COMPILE_U = [fock.Displacement(0.2 - 0.1j, 0), fock.Squeeze(0.15 + 0.05j, 0), fock.PhaseRotation(0.4, 0)]
+COMPILE_V = [fock.Displacement(0.25 - 0.1j, 0), fock.PhaseRotation(0.5, 0)]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compile_cost_measures_each_layout_once(rng, monkeypatch):
+    # three terms on one register layout: one pattern set, one passive
+    # measurement, one pair-sector index per measured pair
+    training = [random_pure(rng, 6, 2), fock.basis_state((2, 1), CutoffSpec((6, 6))),
+                MixedEnsemble(((0.4, random_pure(rng, 6, 2)), (0.6, random_pure(rng, 6, 2))))]
+    patterns = _count_calls(monkeypatch, sampling, "closed_patterns")
+    measured = _count_calls(monkeypatch, est, "passive_measurement")
+    sectors = _count_calls(monkeypatch, fock, "_pair_sectors")
+    proto.compile_cost(training, COMPILE_U, COMPILE_V, 500, 6, [None, 4, 2])
+    assert (len(patterns), len(measured), len(sectors)) == (1, 1, 2)
+
+
+def _compile_training(rng):
+    """Two register layouts, a mixture, and total thresholds with None."""
+    training = [random_pure(rng, 5, 2), random_pure(rng, 3, 2),
+                MixedEnsemble(((0.3, random_pure(rng, 5, 2)), (0.7, random_pure(rng, 5, 2)))),
+                fock.basis_state((1, 2), CutoffSpec((3, 3))), random_pure(rng, 5, 2)]
+    return training, [None, 2, 3, None, 1]
+
+
+def test_compile_cost_equals_per_term_estimates(rng):
+    training, m_totals = _compile_training(rng)
+    shots, seed = 3000, 12
+    terms = proto._compile_terms(training, COMPILE_U, COMPILE_V, m_totals)
+    seeds = [derive_seed(seed, j) for j in range(len(terms))]
+    each = [est.parity_overlap_estimate(prepared, [(0, 2), (1, 3)], None, shots, s, total)
+            for (prepared, total), s in zip(terms, seeds)]
+    shared = est.parity_overlap_estimates([prepared for prepared, _ in terms], [(0, 2), (1, 3)], None,
+                                          shots, seeds, m_totals)
+    assert shared == each
+    acc = 0.0
+    for result in each:
+        acc += result.mean.real
+    assert proto.compile_cost(training, COMPILE_U, COMPILE_V, shots, seed, m_totals) == 1.0 - acc / len(each)
+
+
+def test_compile_cost_splits_a_layout_at_the_working_space_limit(rng, monkeypatch):
+    training, m_totals = _compile_training(rng)
+    want = proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals)
+    # on the cap-5 layout a pure term needs (1 + 4 modes) x rows and the
+    # mixture, rank 2 under U and under V, (4 + 4) x rows: each fits alone,
+    # no two neighbours fit together
+    rows = fock.closed_pattern_count([5, 5, 5, 5], [(0, 2), (1, 3)])
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 8 * rows)
+    measured = _count_calls(monkeypatch, est, "passive_measurement")
+    assert proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals) == want
+    # cap-5 batches [pure], [mixture], [pure]; the cap-3 terms share one
+    assert len(measured) == 4
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 8 * rows - 1)
+    with pytest.raises(fock.ResourceLimitError, match="working space"):
+        proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,19 @@ def test_blocks_estimate_counts_zero_weights():
     assert 3000 < discarded < 7000
 
 
+def test_block_spec_refuses_nan_component_weights():
+    with pytest.raises(ValueError, match="sum to 1"):
+        BlockSpec(np.array([math.nan]), (np.array([1.0]),), np.ones(1, dtype=complex))
+
+
+@pytest.mark.parametrize("shots", [2 ** 59, 2 ** 63 - 1, 10 ** 30])
+def test_blocks_estimate_refuses_counts_numpy_cannot_size(shots):
+    # numpy raises ValueError, not MemoryError, for these counts
+    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), np.ones(1, dtype=complex))
+    with pytest.raises(fock.ResourceLimitError, match=f"{shots} shots need"):
+        blocks_estimate([block], shots, 0)
+
+
 def test_measurement_block_normalises_and_checks_rows():
     amps = np.array([[3.0, 4.0j], [0.0, 2.0]])
     block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0])
