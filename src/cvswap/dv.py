@@ -183,13 +183,14 @@ def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
             joint = apply_two_mode_dense(joint, mat.conj().T, pair, k + pair)
         return joint
 
-    # a shot scores the product of its pairs' eigenvalues; the outer product
-    # has axes (i_0, j_0, i_1, j_1, ...), the outcomes (i_0, i_1, ..., j_0, j_1, ...)
-    tables = [eig.reshape(d, d) for d, (_, eig) in zip(dims_a, bases)]
-    weights = np.transpose(functools.reduce(np.multiply.outer, tables),
-                           [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+    # a shot scores the product of its pairs' +/-1 eigenvalues, level 1 of
+    # (1, -1) when an odd number of them is -1; the outer sum has axes
+    # (i_0, j_0, i_1, j_1, ...), the outcomes (i_0, i_1, ..., j_0, j_1, ...)
+    negative = [(eig < 0).astype(np.intp).reshape(d, d) for d, (_, eig) in zip(dims_a, bases)]
+    index = np.transpose(functools.reduce(np.add.outer, negative) % 2,
+                         [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
     return measurement_block([w for w, _ in combos],
-                             np.stack([measured(*pair) for _, pair in combos]), weights)
+                             np.stack([measured(*pair) for _, pair in combos]), [1.0, -1.0], index)
 
 
 def dv_swap_estimate(prep_a, prep_b, shots: int, seed, basis: str = "v") -> EstimatorResult:

@@ -31,6 +31,7 @@ from .sampling import (
 __all__ = [
     "EstimatorResult",
     "CutoffPlan",
+    "MAX_PLAN_ENERGY",
     "MeasurementSpecError",
     "estimate_blocks",
     "normalize_thresholds",
@@ -121,7 +122,8 @@ class CutoffPlan:
 
 class MeasurementSpecError(ValueError):
     """Measurement pairs or detector thresholds that do not fit the
-    register they measure: a malformed request, not a numerical failure."""
+    register they measure, or threshold-planner inputs out of range: a
+    malformed request, not a numerical failure."""
 
 
 def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
@@ -215,7 +217,8 @@ def _sampling_block(groups: list[_Group], total_thresholds) -> list[BlockSpec]:
     blocks are built once; a layout whose combinations exceed the working
     space limit is measured in consecutive batches that each fit.  A
     pattern's weight is the parity of every pair's first count, zeroed
-    where a pair total (or the group's total) exceeds its threshold.
+    where a pair total (or the group's total) exceeds its threshold: level
+    0 of (0, 1, -1) when discarded, else 1 + the parity bit.
     """
     caps, local_pairs = groups[0].base_caps, groups[0].local_pairs
     gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in local_pairs]
@@ -230,15 +233,14 @@ def _sampling_block(groups: list[_Group], total_thresholds) -> list[BlockSpec]:
             stop += 1
         batch = [c for group_combos in combos[start:stop] for c in group_combos]
         patterns, amps = passive_measurement(batch, caps, local_pairs, gates)
-        parity = np.ones(len(patterns))
-        for a, _ in local_pairs:
-            parity = parity * np.where(patterns[:, a] % 2 == 0, 1.0, -1.0)
+        level = 1 + patterns[:, [a for a, _ in local_pairs]].sum(axis=1) % 2
         row = 0
         for g, group_combos, total in zip(groups[start:stop], combos[start:stop],
                                           total_thresholds[start:stop]):
-            weights = _threshold_mask(patterns, local_pairs, g.thresholds, total) * parity
+            index = _threshold_mask(patterns, local_pairs, g.thresholds, total) * level
             rows = amps[row:row + len(group_combos)]
-            blocks.append(measurement_block([w for w, _ in group_combos], rows, weights))
+            blocks.append(measurement_block([w for w, _ in group_combos], rows,
+                                            [0.0, 1.0, -1.0], index.astype(np.intp)))
             row += len(group_combos)
         start = stop
     return blocks
@@ -273,9 +275,10 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
 
 def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult:
     """Shot estimate from independent measurement blocks: mean and standard
-    error of the per-shot weight, with the discarded-shot count."""
-    weights, discarded = blocks_estimate(blocks, shots, seed)
-    mean, stderr = estimator_statistics(weights)
+    error of the shot weight, from the tally of the draws, with the
+    discarded-shot count."""
+    (values, counts), discarded = blocks_estimate(blocks, shots, seed)
+    mean, stderr = estimator_statistics(values, counts)
     return EstimatorResult(mean, stderr, shots, discarded, seed_root(seed))
 
 
@@ -488,19 +491,42 @@ def normal_quantile(p: float) -> float:
 # detector-cutoff planners
 
 
+# the planners refuse inputs whose mean photon number per mode exceeds this:
+# a pair of modes at cutoff 4095 already fills the 2^24-entry working space,
+# so no state here holds such an energy, and the exact tail scan takes time
+# in proportion to it
+MAX_PLAN_ENERGY = 1e5
+
+
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise MeasurementSpecError("eps must lie in (0, 1)")
     return eps
+
+
+def _check_energy(energy: float) -> float:
+    energy = float(energy)
+    if not energy > 0:
+        raise MeasurementSpecError("energy must be > 0")
+    if energy > MAX_PLAN_ENERGY:
+        raise MeasurementSpecError(
+            f"energy {energy:g} exceeds MAX_PLAN_ENERGY = {MAX_PLAN_ENERGY:g} photons per mode")
+    return energy
 
 
 def cutoff_for_squeezed(r: float, eps: float) -> CutoffPlan:
     """Smallest M with tanh^{2(M+1)} r <= eps (exact tail of the
     squeezed/anti-squeezed pair); also reports the large-r sufficient
-    threshold ceil(e^{2r}/4 ln(1/eps) - 1)."""
-    if r <= 0:
-        raise ValueError("squeezing strength must be > 0")
+    threshold ceil(e^{2r}/4 ln(1/eps) - 1).  The mean photon number
+    sinh^2 r may not exceed MAX_PLAN_ENERGY."""
+    if not r > 0:
+        raise MeasurementSpecError("squeezing strength must be > 0")
+    r_max = math.asinh(math.sqrt(MAX_PLAN_ENERGY))
+    if r > r_max:
+        raise MeasurementSpecError(
+            f"squeezing strength {r:g} exceeds {r_max:.4f}, where sinh^2 r reaches "
+            f"MAX_PLAN_ENERGY = {MAX_PLAN_ENERGY:g} photons per mode")
     eps = _check_eps(eps)
     log_t2 = 2.0 * math.log(math.tanh(r))
     m = max(0, math.ceil(math.log(eps) / log_t2 - 1.0))
@@ -520,8 +546,7 @@ def _chernoff_log_bound(energy: float, m: int) -> float:
 def cutoff_for_coherent_chernoff(energy: float, eps: float) -> CutoffPlan:
     """Candidate M = ceil(1.3 E + ln(1/eps)), bumped upward until the
     Poisson Chernoff tail bound (eE/M)^{2M} e^{-2E} drops below eps."""
-    if energy <= 0:
-        raise ValueError("energy must be > 0")
+    energy = _check_energy(energy)
     eps = _check_eps(eps)
     m = math.ceil(1.3 * energy + math.log(1.0 / eps))
     while _chernoff_log_bound(energy, m) > math.log(eps):
@@ -534,8 +559,9 @@ def cutoff_for_coherent_normal(energy: float, eps: float) -> CutoffPlan:
     """M = ceil(E + sqrt(E) Phi^{-1}(sqrt(1-eps))) under the normal
     approximation to the Poisson marginals; refuses small energies where
     that approximation is not justified."""
+    energy = _check_energy(energy)
     if energy < 25.0:
-        raise ValueError(
+        raise MeasurementSpecError(
             "normal-quantile planning needs energy >= 25; use the Chernoff planner instead"
         )
     eps = _check_eps(eps)
@@ -546,9 +572,10 @@ def cutoff_for_coherent_normal(energy: float, eps: float) -> CutoffPlan:
 
 def cutoff_for_coherent_exact(energy: float, eps: float) -> CutoffPlan:
     """Smallest M with the exact Poisson(2E) tail above 2M at or below eps
-    (the total photon count of an isoenergetic coherent pair)."""
-    if energy <= 0:
-        raise ValueError("energy must be > 0")
+    (the total photon count of an isoenergetic coherent pair).  Past the
+    mode the terms only shrink, so once one no longer changes the
+    cumulative sum the tail is final, and an eps below it is refused."""
+    energy = _check_energy(energy)
     eps = _check_eps(eps)
     lam = 2.0 * energy
     log_pmf = -lam
@@ -561,7 +588,10 @@ def cutoff_for_coherent_exact(energy: float, eps: float) -> CutoffPlan:
             break
         k += 1
         log_pmf += math.log(lam) - math.log(k)
-        cdf += math.exp(log_pmf)
-        if k > 100 * lam + 1000:
-            raise RuntimeError("Poisson tail scan failed to converge")
+        term = math.exp(log_pmf)
+        if k > lam and cdf + term == cdf and 1.0 - cdf > eps:
+            raise RuntimeError(
+                f"Poisson tail scan failed to converge: the tail stops at {1.0 - cdf:.3g} "
+                f"in double precision, above eps = {eps:g}")
+        cdf += term
     return CutoffPlan(m, max(1.0 - cdf, 0.0), "exact_tail", eps)

@@ -71,8 +71,11 @@ def _perm_block(states) -> BlockSpec:
     combos = ensemble_combinations(states)
     gates = fock.invert_circuit(fock.rectangular_decompose(dft_matrix(n)))
     patterns, amps = passive_measurement(combos, [cap] * n, [range(n)], gates)
-    weights = np.exp(2j * math.pi * (patterns @ np.arange(n)) / n)
-    return measurement_block([w for w, _ in combos], amps, weights)
+    # a pattern's weight is e^{2 pi i k / n} at its phase index k, each level
+    # computed on k itself
+    k = patterns @ np.arange(n)
+    levels = np.exp(2j * math.pi * np.arange(k.max() + 1) / n)
+    return measurement_block([w for w, _ in combos], amps, levels, k)
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult:
@@ -281,8 +284,9 @@ def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
     bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
     patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
     z, n_b, x, m_b = patterns.T
-    weights = np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)
-    return measurement_block([w for w, _ in combos], amps, weights)
+    # level 0 of (0, 1, -1) when discarded, else 1 + the parity bit
+    index = (n_b + m_b <= 2 * m) * (1 + (z * x + n_b) % 2)
+    return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
 
 
 def hybrid_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorResult:

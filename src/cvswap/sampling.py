@@ -3,7 +3,9 @@
 Randomness is counter-based: every uniform draw is a pure function of
 (root seed, stream id, shot index), so results never depend on evaluation
 order, batching, or thread count.  The mixer is splitmix64, evaluated
-vectorized on uint64 arrays.
+vectorized on uint64 arrays.  Shots are tallied, never stored: a block
+scores each outcome with one of a few weight levels, and a run counts the
+shots that landed on each product of levels.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .fock import (
 
 __all__ = [
     "BlockSpec",
+    "MAX_SHOTS",
     "MAX_WORKING_ELEMENTS",
     "check_working_size",
     "ensemble_combinations",
@@ -42,7 +45,6 @@ __all__ = [
     "seed_root",
 ]
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # probabilities below this are treated as exact zeros before normalization
@@ -52,6 +54,10 @@ TINY_PROBABILITY = 1e-300
 # temporaries and outcome indices of one chunk stay in cache
 CHUNK_SHOTS = 1 << 16
 
+# shot counts stay exact in the double-precision sums of the statistics up
+# to 2^53 shots
+MAX_SHOTS = 1 << 53
+
 
 def seed_root(seed) -> int:
     """The 64-bit root of an integer seed."""
@@ -59,12 +65,17 @@ def seed_root(seed) -> int:
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalization round on a uint64 array."""
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-    return z ^ (z >> np.uint64(31))
+    """One splitmix64 finalization round, in place on a uint64 array (a
+    uint64 scalar is rebound), with one scratch array for the shifts;
+    uint64 arithmetic wraps modulo 2^64."""
+    shifted = np.empty_like(x)
+    x += _GOLDEN
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
 
 
 def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
@@ -76,14 +87,17 @@ def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
     """
     root = seed_root(seed)
     if np.isscalar(indices):
-        idx = np.arange(int(indices), dtype=np.uint64)
-    else:
-        idx = np.asarray(indices, dtype=np.uint64)
+        indices = np.arange(int(indices), dtype=np.uint64)
     with np.errstate(over="ignore"):
         key = _splitmix64(np.uint64(root) ^ (_GOLDEN * np.uint64(stream & 0xFFFFFFFFFFFFFFFF)))
-        bits = _splitmix64(key ^ (_GOLDEN * idx))
+        bits = _GOLDEN * np.asarray(indices, dtype=np.uint64)  # a new array, mixed in place
+        bits ^= key
+        _splitmix64(bits)
     # top 53 bits -> double in [0, 1)
-    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 1.0 / 9007199254740992.0
+    return u
 
 
 def derive_seed(seed, label: int) -> int:
@@ -122,14 +136,16 @@ class BlockSpec:
     """One independent factor of an estimation run.
 
     ``distributions[i]`` is the flat outcome distribution when ensemble
-    component i is prepared; ``weights`` maps outcome index to the shot
-    weight contributed by this block.  Blocks are statistically
-    independent, so per-shot weights multiply across blocks.
+    component i is prepared; outcome j contributes the shot weight
+    ``levels[index[j]]``.  A block has few weight levels, so shots are
+    tallied by level rather than stored.  Blocks are statistically
+    independent, so shot weights multiply across blocks.
     """
 
     component_weights: np.ndarray
     distributions: tuple[np.ndarray, ...]
-    weights: np.ndarray
+    levels: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.component_weights, dtype=np.float64)
@@ -137,7 +153,18 @@ class BlockSpec:
             raise ValueError("one distribution per ensemble component required")
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("component weights must sum to 1")
+        levels = np.asarray(self.levels, dtype=np.complex128).ravel()
+        index = np.asarray(self.index, dtype=np.intp).ravel()
+        if index.size and not 0 <= index.min() <= index.max() < levels.size:
+            raise ValueError("level index out of range")
         object.__setattr__(self, "component_weights", w)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "index", index)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The shot weight of each outcome."""
+        return self.levels[self.index]
 
 
 def ensemble_combinations(factors) -> list[tuple[float, list]]:
@@ -154,22 +181,23 @@ def ensemble_combinations(factors) -> list[tuple[float, list]]:
     return combos
 
 
-def measurement_block(component_weights, amplitudes, weights) -> BlockSpec:
+def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec:
     """Sampling block from measured amplitudes.
 
     ``amplitudes`` holds one row (or tensor) per ensemble combination, the
     amplitudes of the outcomes after the measurement transform, flattened
-    in the order of ``weights``, the shot weight of each outcome.  Each row
-    becomes its normalised outcome distribution.
+    in the order of ``index``, which gives each outcome's shot weight as a
+    position in ``levels``.  Each row becomes its normalised outcome
+    distribution.
     """
-    weights = np.asarray(weights, dtype=np.complex128).ravel()
+    index = np.asarray(index).ravel()
     amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
-    if amps.shape[1] != weights.size:
+    if amps.shape[1] != index.size:
         raise ValueError(
-            f"{amps.shape[1]} outcome amplitudes per combination, {weights.size} weights"
+            f"{amps.shape[1]} outcome amplitudes per combination, {index.size} level indices"
         )
     return BlockSpec(np.asarray(component_weights, dtype=np.float64),
-                     tuple(_born_distributions(amps)), weights)
+                     tuple(_born_distributions(amps)), levels, index)
 
 
 def passive_measurement(combos, caps, groups, gates, joint_box=None):
@@ -236,8 +264,8 @@ def _inverse_cdf(distribution: np.ndarray, draws: float):
 
 def draw_outcomes(block: BlockSpec, b: int, shots: int, seed):
     """Outcome indices of ``shots`` shots of the block at position ``b`` of
-    a run, yielded as (first shot index, indices) in chunks of CHUNK_SHOTS
-    shots, so the working set of a chunk stays cache-sized.
+    a run, yielded in consecutive chunks of CHUNK_SHOTS shots, so the
+    working set of a chunk stays cache-sized.
 
     The ensemble component of shot s comes from stream 2b (not drawn for a
     single component) and its outcome from stream 2b+1, so the result is
@@ -247,18 +275,11 @@ def draw_outcomes(block: BlockSpec, b: int, shots: int, seed):
     inverse = [_inverse_cdf(dist, shots * cw)
                for cw, dist in zip(block.component_weights, block.distributions)]
     comp_cdf = categorical_cdf(block.component_weights)
-    bounds = [*range(0, shots, CHUNK_SHOTS), shots]
-    if shots > 1 and bounds[-1] - bounds[-2] == 1:
-        # blocks_estimate multiplies each chunk in place, and numpy does that
-        # for one element on a scalar path that rounds complex products
-        # unlike the vector path of a longer array; a last lone shot joins
-        # the chunk before it, so weights match a whole-array multiply
-        del bounds[-2]
-    for start, stop in zip(bounds, bounds[1:]):
-        indices = np.arange(start, stop, dtype=np.uint64)
+    for start in range(0, shots, CHUNK_SHOTS):
+        indices = np.arange(start, min(start + CHUNK_SHOTS, shots), dtype=np.uint64)
         u = shot_uniforms(seed, 2 * b + 1, indices)
         if len(inverse) == 1:
-            yield start, inverse[0](u)
+            yield inverse[0](u)
             continue
         comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, indices))
         out_idx = np.empty(indices.size, dtype=np.int64)
@@ -266,49 +287,90 @@ def draw_outcomes(block: BlockSpec, b: int, shots: int, seed):
             sel = comp_idx == i
             if np.any(sel):
                 out_idx[sel] = draw(u[sel])
-        yield start, out_idx
+        yield out_idx
 
 
-def blocks_estimate(blocks, shots: int, seed) -> tuple[np.ndarray, int]:
-    """Per-shot weights for ``shots`` runs, plus the count of shots whose
-    weight was forced to exactly zero by a detector threshold.
+def blocks_estimate(blocks, shots: int, seed):
+    """Tally of the weights of ``shots`` shots, as ((values, counts),
+    discarded): ``counts[i]`` shots scored ``values[i]``, a product of one
+    weight level of each block, and ``discarded`` of them scored exactly
+    zero because a detector threshold was exceeded.
 
-    Memory is 16 bytes per shot for the weights plus the fixed working set
-    of one chunk of draws; weights that cannot be allocated raise
+    No shot weight is stored.  Before drawing, the products of the levels
+    of the blocks so far are merged to their distinct values after each
+    block, which gives every (code so far, outcome) pair its next code;
+    each chunk of draws then maps its outcome indices, block by block, to
+    one code per shot and adds their bincount to the counts.  Memory is
+    the working set of one chunk; a count beyond MAX_SHOTS raises
     ``ResourceLimitError``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    try:
-        weights = np.ones(shots, dtype=np.complex128)
-    except (MemoryError, ValueError) as exc:
-        # numpy raises ValueError for counts whose bytes overflow its size
-        # type, from about 2^59 shots
+    if shots > MAX_SHOTS:
         raise ResourceLimitError(
-            f"{shots} shots need {16 * shots} bytes of per-shot weights, more than "
-            "can be allocated; reduce shots"
-        ) from exc
-    for b, block in enumerate(blocks):
-        for start, idx in draw_outcomes(block, b, shots, seed):
-            weights[start:start + idx.size] *= block.weights[idx]
-    discarded = int(np.count_nonzero(weights == 0))
-    return weights, discarded
+            f"{shots} shots need exact counts, which double-precision sums keep only "
+            "up to MAX_SHOTS = 2^53 shots; reduce shots"
+        )
+    values = np.ones(1, dtype=np.complex128)
+    next_code = []
+    for block in blocks:
+        values, merged = np.unique(np.multiply.outer(values, block.levels).ravel(),
+                                   return_inverse=True)
+        next_code.append(merged.reshape(-1, block.levels.size)[:, block.index])
+    counts = np.zeros(values.size, dtype=np.int64)
+    draws = [draw_outcomes(block, b, shots, seed) for b, block in enumerate(blocks)]
+    for chunk in zip(*draws):
+        code = 0
+        for table, idx in zip(next_code, chunk):
+            code = table[code, idx]
+        counts += np.bincount(code, minlength=values.size)
+        del chunk, idx, code  # before the next chunk is drawn
+    return (values, counts), int(counts[values == 0].sum())
 
 
-def estimator_statistics(weights) -> tuple[complex, float]:
-    """Sample mean and standard error of a sequence of shot weights.
+def _sqrt_ratio(p: int, d: int) -> float:
+    """sqrt(p / d) for integers p >= 0 and d > 0, rounded once to the
+    nearest double.
 
-    The standard error uses the n-1 sample standard deviation, computed on
-    real and imaginary parts separately and combined as the norm.  A single
-    weight has no dispersion estimate; stderr is reported as NaN.
+    The integer root of p/d scaled by 4^s has at least 55 bits, and an
+    inexact root is rounded to odd, so converting it to a double rounds
+    as the exact root would round.
     """
-    w = np.asarray(weights, dtype=np.complex128)
-    n = w.size
+    s = max(0, (112 + d.bit_length() - p.bit_length()) // 2)
+    scaled, rem = divmod(p << (2 * s), d)
+    root = math.isqrt(scaled)
+    if rem or root * root != scaled:
+        root |= 1
+    return math.ldexp(float(root), -s)
+
+
+def estimator_statistics(values, counts) -> tuple[complex, float]:
+    """Sample mean and standard error of a tally of shot weights:
+    ``counts[i]`` shots of weight ``values[i]``.
+
+    Sums over the tally are exact: each part of a weight is an integer
+    over a power of two, so over the largest of them the sums are
+    integers.  The mean divides the sum, rounded once, by the shot count
+    as numpy's mean does, so integer weights give the bits of ``np.mean``
+    over the shots.  The standard error of the real and of the imaginary
+    part uses the n-1 sample standard deviation, each rounded once from
+    its exact value, and the two are combined as their norm.  A single
+    shot has no dispersion estimate; stderr is reported as NaN.
+    """
+    tally = [(v, int(c)) for v, c in zip(np.asarray(values, dtype=np.complex128).ravel().tolist(),
+                                         counts) if c > 0]
+    n = sum(c for _, c in tally)
     if n == 0:
-        raise ValueError("no weights")
-    mean = complex(w.mean())
+        raise ValueError("no shots")
+    moments = []
+    for part in ([v.real for v, _ in tally], [v.imag for v, _ in tally]):
+        ratios = [x.as_integer_ratio() for x in part]
+        den = max(q for _, q in ratios)
+        levels = [(p * (den // q), c) for (p, q), (_, c) in zip(ratios, tally)]
+        moments.append((sum(c * a for a, c in levels), sum(c * a * a for a, c in levels), den))
+    (re, _, re_den), (im, _, im_den) = moments
+    mean = complex(np.complex128(complex(re / re_den, im / im_den)) / n)
     if n == 1:
         return mean, math.nan
-    se_re = np.std(w.real, ddof=1) / math.sqrt(n)
-    se_im = np.std(w.imag, ddof=1) / math.sqrt(n)
-    return mean, float(math.hypot(se_re, se_im))
+    return mean, math.hypot(*(_sqrt_ratio(n * square - total * total, den * den * n * n * (n - 1))
+                              for total, square, den in moments))

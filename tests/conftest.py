@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvswap import fock
-from cvswap.sampling import blocks_estimate
+from cvswap.sampling import blocks_estimate, draw_outcomes
 
 
 @pytest.fixture
@@ -75,6 +75,23 @@ def two_mode_ladder_ops(dim: int):
     return np.kron(a, eye), np.kron(eye, a)
 
 
+def tally(values, counts) -> dict:
+    """A tally from ``blocks_estimate`` as {weight: shots}, without the
+    weights no shot scored."""
+    return {complex(v): int(c) for v, c in zip(values, counts) if c}
+
+
+def assert_same_shots(block, oracle, flat, shots, seed):
+    """Every shot of ``block`` lands on the outcome that ``flat`` maps to
+    the oracle's outcome of the same shot, and the two tallies agree."""
+    got = np.concatenate(list(draw_outcomes(block, 0, shots, seed)))
+    want = np.concatenate(list(draw_outcomes(oracle, 0, shots, seed)))
+    assert np.array_equal(flat[got], want)
+    (got_v, got_c), got_d = blocks_estimate([block], shots, seed)
+    (want_v, want_c), want_d = blocks_estimate([oracle], shots, seed)
+    assert tally(got_v, got_c) == tally(want_v, want_c) and got_d == want_d
+
+
 def assert_same_block(block, oracle, shape, patterns, seed):
     """Closed-set block against the padded oracle: distributions to 1e-12
     with no oracle weight off the set, identical weights, identical shots."""
@@ -84,9 +101,7 @@ def assert_same_block(block, oracle, shape, patterns, seed):
     for got, want in zip(block.distributions, oracle.distributions):
         assert np.max(np.abs(got - want[flat])) < 1e-12
         assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
-    got_w, got_d = blocks_estimate([block], 4000, seed)
-    want_w, want_d = blocks_estimate([oracle], 4000, seed)
-    assert np.array_equal(got_w, want_w) and got_d == want_d
+    assert_same_shots(block, oracle, flat, 4000, seed)
 
 
 def single_particle_matrix(gates, n_modes: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,15 @@ COMPILE_A = {"training": TRAINING}
      "alpha must be finite"),
     ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "squeeze", "z": 10 ** 400, "mode": 0}]},
      "z must be finite"),
+    # planner inputs out of range
+    ("cutoff-plan", {"family": "coherent", "energy": 36, "eps": 0}, "eps must lie in (0, 1)"),
+    ("cutoff-plan", {"family": "coherent", "energy": 36, "eps": 1}, "eps must lie in (0, 1)"),
+    ("cutoff-plan", {"family": "coherent", "energy": -5}, "energy must be > 0"),
+    ("cutoff-plan", {"family": "coherent", "energy": 10, "method": "normal_quantile"},
+     "normal-quantile planning needs energy >= 25"),
+    ("cutoff-plan", {"family": "squeezed", "r": -1}, "squeezing strength must be > 0"),
+    # tanh r rounds to 1 from r = 19.1 on
+    ("cutoff-plan", {"family": "squeezed", "r": 20}, "squeezing strength 20 exceeds 6.4496"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
     code, out = run_cli(tmp_path, command, config)
@@ -482,6 +492,20 @@ def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, con
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["chernoff", "normal_quantile", "exact_tail"])
+def test_huge_planner_energy_is_refused_at_once(tmp_path, capsys, method):
+    # exact_tail's cumulative sum never moved at this energy, so its scan
+    # never ended; the others printed a 301-digit M with bound 0.0
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "cutoff-plan", {"family": "coherent", "energy": 1e300,
+                                                  "method": method})
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: energy 1e+300 exceeds MAX_PLAN_ENERGY = 100000 photons per mode")
+    assert err.count("\n") == 1
 
 
 TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
@@ -533,20 +557,20 @@ def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
     assert err.startswith("resource limit: working space of") and err.count("\n") == 1
 
 
-def test_unallocatable_shot_weights_are_a_resource_limit(tmp_path, capsys):
-    # 10^13 complex weights are 146 TiB, beyond a 128 TiB user address
-    # space, so the allocation fails at once without touching memory
+def test_shot_counts_beyond_max_shots_are_a_resource_limit(tmp_path, capsys):
+    # past 2^53 shots the counts of a tally are no longer exact in double
+    # precision, so the count is refused before any shot is drawn
     vacuum = {"kind": "vacuum", "cutoff": [2]}
     code, out = run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum,
-                                              "shots": 10 ** 13})
+                                              "shots": 2 ** 53 + 1})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("resource limit: 10000000000000 shots need") and err.count("\n") == 1
+    assert err.startswith(f"resource limit: {2 ** 53 + 1} shots need") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shots", [2 ** 63 - 1, 1e30])
 def test_shot_counts_beyond_numpy_sizes_are_a_resource_limit(tmp_path, capsys, shots):
-    # numpy refuses these counts with a ValueError, not a MemoryError
+    # counts beyond any size numpy could allocate meet the same guard
     code, out = run_cli(tmp_path, "compile-cost", {**COMPILE_A, "shots_per_term": shots})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err

@@ -86,6 +86,16 @@ def test_expectation_identical_and_orthogonal():
 
 
 @pytest.mark.parametrize("basis", ["v", "w"])
+def test_block_weights_are_eigenvalue_products(rng, basis):
+    # outcome (i_0, i_1, j_0, j_1) scores eig_0[i_0 d_0 + j_0] * eig_1[i_1 d_1 + j_1]
+    dims = (2, 3)
+    block = dv._dv_block(rand_dv(rng, dims), rand_dv(rng, dims), basis)
+    eig = [dv.swap_eigenbasis(d, basis)[1].reshape(d, d) for d in dims]
+    want = np.einsum("ac,bd->abcd", *eig).ravel()
+    assert np.array_equal(block.weights, want)
+
+
+@pytest.mark.parametrize("basis", ["v", "w"])
 def test_expectation_matches_overlap_pure(rng, basis):
     for dims in [(3,), (3, 3), (2, 4)]:
         a, b = rand_dv(rng, dims), rand_dv(rng, dims)

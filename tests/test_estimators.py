@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -243,7 +244,8 @@ def _dense_sampling_block(group, total_threshold=None):
         weights = weights * (counts.sum(axis=0) <= 2 * total_threshold)
     for a, _ in group.local_pairs:
         weights = weights * np.where(counts[a] % 2 == 0, 1.0, -1.0)
-    return measurement_block([w for w, _ in combos], amps, weights), shape
+    # every outcome is its own weight level
+    return measurement_block([w for w, _ in combos], amps, weights, np.arange(weights.size)), shape
 
 
 def _random_factor(rng, caps, rank):
@@ -462,6 +464,15 @@ def test_exact_tail_planner():
     assert 1.0 - poisson.cdf(2 * plan.M, 20.0) <= 1e-3
     if plan.M > 0:
         assert 1.0 - poisson.cdf(2 * (plan.M - 1), 20.0) > 1e-3
+
+
+def test_exact_tail_planner_refuses_eps_below_its_resolution_at_once():
+    # at this energy the cumulative sum stops moving 5e-10 short of 1, and
+    # the scan used to run 100 lam more terms before it gave up
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="failed to converge: the tail stops at 4.97e-10"):
+        est.cutoff_for_coherent_exact(est.MAX_PLAN_ENERGY, 1e-14)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_weak_tail_bound_is_weaker():

@@ -8,14 +8,20 @@ from cvswap import estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import (
     BlockSpec,
-    blocks_estimate,
     blocks_expectation,
     ensemble_combinations,
     derive_seed,
     measurement_block,
 )
 
-from conftest import assert_same_block, density_matrix, purification_of, random_ensemble, random_pure
+from conftest import (
+    assert_same_block,
+    assert_same_shots,
+    density_matrix,
+    purification_of,
+    random_ensemble,
+    random_pure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,8 @@ def _dense_perm_block(states) -> BlockSpec:
         dists.append(p / p.sum())
     counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
     weights = np.exp(2j * math.pi * (np.arange(n)[:, None] * counts).sum(axis=0) / n)
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
+    # every outcome is its own weight level
+    return BlockSpec(np.asarray(comp_w), tuple(dists), weights, np.arange(weights.size))
 
 
 @settings(deadline=None, max_examples=25)
@@ -123,10 +130,7 @@ def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
         assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
     exact = proto.perm_expectation(states)
     assert abs(exact - blocks_expectation([block])) < 1e-10
-    shot_seed = int(rng.integers(2**32))
-    got_w, got_d = blocks_estimate([block], 5000, shot_seed)
-    want_w, want_d = blocks_estimate([dense], 5000, shot_seed)
-    assert np.array_equal(got_w, want_w) and got_d == want_d
+    assert_same_shots(block, dense, flat, 5000, int(rng.integers(2**32)))
 
 
 def test_perm_six_registers_at_cap_three(rng):
@@ -424,8 +428,10 @@ def _dense_hybrid_block(state_a, state_b, m):
         bell = fock.apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
         amps.append(fock.apply_gate(fock.FockState(joint.cutoff, bell), bs).amplitudes)
     z, n_b, x, m_b = np.indices(shape)
-    weights = np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)
-    return measurement_block([w for w, _ in combos], np.stack(amps), weights), shape
+    weights = (np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)).ravel()
+    # every outcome is its own weight level
+    return measurement_block([w for w, _ in combos], np.stack(amps), weights,
+                             np.arange(weights.size)), shape
 
 
 @settings(deadline=None, max_examples=25)

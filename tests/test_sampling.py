@@ -1,5 +1,7 @@
+import collections
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +12,18 @@ from cvswap.sampling import (
     BlockSpec,
     blocks_estimate,
     blocks_expectation,
+    derive_seed,
+    draw_outcomes,
     estimator_statistics,
     shot_uniforms,
 )
 
-from conftest import random_pure
+from conftest import random_pure, tally
 
 
 def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
-    (p,) = sampling.measurement_block([1.0], state.amplitudes, np.ones(5)).distributions
+    (p,) = sampling.measurement_block([1.0], state.amplitudes, [1.0], np.zeros(5, dtype=int)).distributions
     shots = 1_000_000
     u = shot_uniforms(7, 0, shots)
     idx = sampling.draw_categorical(sampling.categorical_cdf(p), u)
@@ -42,21 +46,47 @@ def test_shot_uniforms_range(seed, stream):
     assert np.all((0.0 <= u) & (u < 1.0))
 
 
+def test_counter_mixer_known_answers():
+    # values of the out-of-place mixer the in-place one replaced, at shot
+    # indices around 2^32 and up to the top of the uint64 range
+    idx = np.array([0, 1, 2**16, 2**32 - 1, 2**32, 2**32 + 5, 2**53, 2**64 - 1], dtype=np.uint64)
+    want = {
+        (0, 0): ["0x1.4e0dba5e9a32fp-1", "0x1.f647530ffa1bcp-2", "0x1.c14aef0f230e0p-5",
+                 "0x1.33c3afc532a30p-3", "0x1.60197025a89c4p-3", "0x1.a568b1e07fe32p-1",
+                 "0x1.05d90a0d4dc10p-3", "0x1.d6fadf0df8598p-1"],
+        (708, 3): ["0x1.e076f6f4ae3e0p-5", "0x1.d1da0c699a622p-2", "0x1.b245f7fd5717ap-2",
+                   "0x1.f4aae18747b87p-1", "0x1.3fe59d24df16ep-2", "0x1.84de8c8e9f750p-5",
+                   "0x1.693c21d9c41cdp-1", "0x1.0d5acbbd1ab3fp-1"],
+        (2**64 - 1, 2**40 + 7): ["0x1.2ad74f50ca4d8p-4", "0x1.efaa3f2c31d8dp-1",
+                                 "0x1.f70af2ff085eep-1", "0x1.9a3f711e690a3p-1",
+                                 "0x1.af650db7a6949p-1", "0x1.2ea0fa6a8288cp-1",
+                                 "0x1.5a24359b588f4p-3", "0x1.53ee109582822p-2"],
+    }
+    for (seed, stream), hexes in want.items():
+        assert [float(u).hex() for u in shot_uniforms(seed, stream, idx)] == hexes
+    assert idx[-1] == 2**64 - 1  # the caller's indices are not mixed in place
+    assert [float(u).hex() for u in shot_uniforms(99, 1, 3)] == [
+        "0x1.1ec2bb4b09a24p-1", "0x1.2be7be704bd14p-1", "0x1.a41c7cafde57dp-1"]
+    assert [derive_seed(0, 0), derive_seed(708, 1), derive_seed(2**64 - 1, 12345),
+            derive_seed(-5, 2**63)] == [16294208416658607535, 8895612129273590781,
+                                        2530765228333317041, 4253639109918430215]
+
+
 def test_estimator_statistics_constant():
-    mean, stderr = estimator_statistics(np.ones(40))
+    mean, stderr = estimator_statistics([1.0], [40])
     assert mean == 1.0 and stderr == 0.0
 
 
 def test_estimator_statistics_fair_signs():
     n = 40_000
-    signs = np.where(shot_uniforms(5, 0, n) < 0.5, 1.0, -1.0)
-    mean, stderr = estimator_statistics(signs)
+    heads = int(np.count_nonzero(shot_uniforms(5, 0, n) < 0.5))
+    mean, stderr = estimator_statistics([1.0, -1.0], [heads, n - heads])
     assert stderr == pytest.approx(1.0 / math.sqrt(n), rel=0.02)
     assert abs(mean) < 5 * stderr
 
 
 def test_estimator_statistics_single_element():
-    mean, stderr = estimator_statistics([0.25])
+    mean, stderr = estimator_statistics([0.25, 3.0], [1, 0])
     assert mean == 0.25
     assert math.isnan(stderr)
 
@@ -67,13 +97,14 @@ def test_blocks_expectation_and_sampling():
     block = BlockSpec(
         component_weights=np.array([0.4, 0.6]),
         distributions=(dist_a, dist_b),
-        weights=np.array([1.0, -1.0], dtype=complex),
+        levels=np.array([1.0, -1.0]),
+        index=np.array([0, 1]),
     )
     want = 0.4 * (0.25 - 0.75) + 0.6 * (0.5 - 0.5)
     assert blocks_expectation([block]) == pytest.approx(want, abs=1e-15)
-    weights, discarded = blocks_estimate([block], 200_000, 11)
-    mean, stderr = estimator_statistics(weights)
-    assert discarded == 0
+    (values, counts), discarded = blocks_estimate([block], 200_000, 11)
+    mean, stderr = estimator_statistics(values, counts)
+    assert discarded == 0 and counts.sum() == 200_000
     assert abs(mean.real - want) < 5 * stderr
 
 
@@ -81,36 +112,58 @@ def test_blocks_estimate_counts_zero_weights():
     block = BlockSpec(
         component_weights=np.array([1.0]),
         distributions=(np.array([0.5, 0.5]),),
-        weights=np.array([1.0, 0.0], dtype=complex),
+        levels=np.array([1.0, 0.0]),
+        index=np.array([0, 1]),
     )
-    weights, discarded = blocks_estimate([block], 10_000, 4)
-    assert discarded == int(np.count_nonzero(weights == 0))
+    (values, counts), discarded = blocks_estimate([block], 10_000, 4)
+    assert discarded == tally(values, counts)[0j]
     assert 3000 < discarded < 7000
 
 
 def test_block_spec_refuses_nan_component_weights():
     with pytest.raises(ValueError, match="sum to 1"):
-        BlockSpec(np.array([math.nan]), (np.array([1.0]),), np.ones(1, dtype=complex))
+        BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0], [0])
+
+
+def test_block_spec_refuses_level_indices_out_of_range():
+    for index in ([2], [-1]):
+        with pytest.raises(ValueError, match="level index out of range"):
+            BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0, -1.0], index)
 
 
 @pytest.mark.parametrize("shots", [2 ** 59, 2 ** 63 - 1, 10 ** 30])
 def test_blocks_estimate_refuses_counts_numpy_cannot_size(shots):
-    # numpy raises ValueError, not MemoryError, for these counts
-    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), np.ones(1, dtype=complex))
+    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0], [0])
     with pytest.raises(fock.ResourceLimitError, match=f"{shots} shots need"):
         blocks_estimate([block], shots, 0)
 
 
+def test_max_shots_pass_the_guard_without_a_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0], [0])
+    monkeypatch.setattr(sampling, "draw_outcomes", draw)
+    with pytest.raises(Drawn):
+        blocks_estimate([block], sampling.MAX_SHOTS, 0)
+    with pytest.raises(fock.ResourceLimitError, match=f"{2 ** 53 + 1} shots need"):
+        blocks_estimate([block], sampling.MAX_SHOTS + 1, 0)
+
+
 def test_measurement_block_normalises_and_checks_rows():
     amps = np.array([[3.0, 4.0j], [0.0, 2.0]])
-    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0])
+    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
     assert np.allclose(block.distributions[0], [0.36, 0.64])
     assert np.allclose(block.distributions[1], [0.0, 1.0])
-    assert block.weights.dtype == np.complex128
+    assert block.levels.dtype == np.complex128
+    assert np.array_equal(block.weights, [1.0, -1.0])
     with pytest.raises(ValueError):
-        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0, 1.0])
+        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
     with pytest.raises(ValueError):
-        sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0])
+        sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0], [0, 1])
 
 
 def test_passive_measurement_places_each_combination(rng):
@@ -135,16 +188,16 @@ def test_passive_measurement_places_each_combination(rng):
     sampling.check_working_size(1 + 8, 28 ** 4)
 
 
-def whole_array_estimate(blocks, shots, seed):
+def whole_array_outcomes(blocks, shots, seed):
     """The reference draw: every shot of a block at once, each outcome by
-    binary search on the cumulative table."""
+    binary search on the cumulative table; one outcome array per block."""
 
     def cdf(p):
         c = np.cumsum(p)
         c[-1] = 1.0
         return c
 
-    weights = np.ones(shots, dtype=np.complex128)
+    outcomes = []
     for b, block in enumerate(blocks):
         u = shot_uniforms(seed, 2 * b + 1, shots)
         if len(block.distributions) == 1:
@@ -156,8 +209,17 @@ def whole_array_estimate(blocks, shots, seed):
         for i, dist in enumerate(block.distributions):
             sel = comp == i
             idx[sel] = np.searchsorted(cdf(dist), u[sel], side="right")
+        outcomes.append(idx)
+    return outcomes
+
+
+def shot_weights(blocks, outcomes):
+    """Per-shot weights: the product of each block's weight of the shot's
+    outcome, multiplied block by block from 1."""
+    weights = np.ones(outcomes[0].size, dtype=np.complex128)
+    for block, idx in zip(blocks, outcomes):
         weights *= block.weights[idx]
-    return weights, int(np.count_nonzero(weights == 0))
+    return weights
 
 
 CHUNK = sampling.CHUNK_SHOTS
@@ -173,8 +235,11 @@ def edge_blocks(draw):
     rank = draw(st.integers(1, 3))
     cw = rng.random(rank) + 0.05
     cw /= cw.sum()
-    weights = rng.normal(size=size) + 1j * rng.normal(size=size)
+    # every outcome is its own weight level; quarter-integer parts keep
+    # products exact, whichever way numpy rounds a complex product
+    weights = (rng.integers(-8, 9, size) + 1j * rng.integers(-8, 9, size)) / 4
     weights[rng.random(size) < 0.3] = 0.0
+    index = np.arange(size)
     kind = draw(st.sampled_from(("zeros", "tiny", "dyadic")))
     if kind == "dyadic":
         k = 1 << (4 * size - 1).bit_length()
@@ -182,7 +247,7 @@ def edge_blocks(draw):
         for _ in range(rank):
             cuts = np.sort(rng.integers(0, k + 1, size - 1))
             dists.append(np.diff(np.concatenate(([0], cuts, [k]))) / k)
-        return BlockSpec(cw, tuple(dists), weights)
+        return BlockSpec(cw, tuple(dists), weights, index)
     amps = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
     amps[rng.random((rank, size)) < 0.4] = 0.0
     if kind == "tiny":
@@ -190,7 +255,7 @@ def edge_blocks(draw):
         amps *= np.where(rng.random((rank, size)) < 0.5, 1e-155, 1e-149)
         amps[:, 0] += 1.0
     amps[:, -1] += 0.1
-    return sampling.measurement_block(cw, amps, weights)
+    return sampling.measurement_block(cw, amps, weights, index)
 
 
 @settings(deadline=None, max_examples=40)
@@ -198,10 +263,71 @@ def edge_blocks(draw):
        st.sampled_from((1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)),
        st.integers(0, 2**64 - 1))
 def test_chunked_draw_equals_whole_array_search(blocks, shots, seed):
-    weights, discarded = blocks_estimate(blocks, shots, seed)
-    want_weights, want_discarded = whole_array_estimate(blocks, shots, seed)
-    assert np.array_equal(weights, want_weights)
-    assert discarded == want_discarded
+    want = whole_array_outcomes(blocks, shots, seed)
+    for b, block in enumerate(blocks):
+        chunks = list(draw_outcomes(block, b, shots, seed))
+        assert [c.size for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), want[b])
+    weights = shot_weights(blocks, want)
+    (values, counts), discarded = blocks_estimate(blocks, shots, seed)
+    assert tally(values, counts) == dict(collections.Counter(weights.tolist()))
+    assert discarded == int(np.count_nonzero(weights == 0))
+
+
+@st.composite
+def integer_level_blocks(draw):
+    """A block whose outcomes score small integer weight levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 40))
+    rank = draw(st.integers(1, 2))
+    levels = rng.integers(-3, 4, size=draw(st.integers(1, 4))).astype(float)
+    cw = rng.random(rank) + 0.05
+    dists = rng.random((rank, size)) ** 3
+    dists[rng.random((rank, size)) < 0.3] = 0.0
+    dists[:, 0] += 0.01
+    return BlockSpec(cw / cw.sum(), tuple(d / d.sum() for d in dists), levels,
+                     rng.integers(0, levels.size, size))
+
+
+def no_farther(x: float, y: float, square: Fraction) -> bool:
+    """|x - sqrt(square)| <= |y - sqrt(square)| for doubles x, y >= 0,
+    decided exactly: x is no farther when the midpoint of x and y lies on
+    its side of the root."""
+    mid = (Fraction(x) + Fraction(y)) / 2
+    return x == y or (mid * mid <= square if x > y else mid * mid >= square)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(integer_level_blocks(), min_size=1, max_size=3),
+       # numpy's mean multiplies by the rounded 1/n, which near a power of
+       # two rounds like a true division; 70,001 and 77,777 tell them apart
+       st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 70_001, 77_777, 2 * CHUNK + 3)),
+       st.integers(0, 2**64 - 1))
+def test_tally_statistics_match_per_shot_weights(blocks, shots, seed):
+    weights = shot_weights(blocks, [np.concatenate(list(draw_outcomes(block, b, shots, seed)))
+                                    for b, block in enumerate(blocks)])
+    (values, counts), _ = blocks_estimate(blocks, shots, seed)
+    mean, stderr = estimator_statistics(values, counts)
+    assert np.complex128(mean).tobytes() == weights.mean().tobytes()
+    # the n-1 standard error of the stored weights, and its exact square
+    per_shot = math.hypot(np.std(weights.real, ddof=1) / math.sqrt(shots),
+                          np.std(weights.imag, ddof=1) / math.sqrt(shots))
+    real = collections.Counter(weights.real.tolist())
+    mu = sum(c * Fraction(x) for x, c in real.items()) / shots
+    square = sum(c * (Fraction(x) - mu) ** 2 for x, c in real.items()) / (shots * (shots - 1))
+    assert no_farther(stderr, per_shot, square)
+
+
+def test_tally_mean_has_the_bits_of_numpy_mean():
+    # numpy's mean multiplies by the rounded 1/n, which for about a quarter
+    # of these (count, sum) pairs differs from a true division in the last bit
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 100_000))
+        plus = int(rng.integers(0, n + 1))
+        mean, _ = estimator_statistics([1.0, -1.0], [plus, n - plus])
+        weights = np.where(np.arange(n) < plus, 1.0, -1.0).astype(np.complex128)
+        assert np.complex128(mean).tobytes() == weights.mean().tobytes()
 
 
 def test_guide_table_is_exact_on_bucket_edges():
@@ -218,14 +344,21 @@ def test_guide_table_is_exact_on_bucket_edges():
         assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
 
 
-def test_draw_memory_is_weights_plus_a_fixed_working_set():
-    # 16 MB of weights for 1e6 shots, plus one chunk of draws
-    p = np.random.default_rng(8).random(3321)
-    block = BlockSpec(np.array([1.0]), (p / p.sum(),), np.ones(3321, dtype=complex))
-    tracemalloc.start()
-    try:
-        blocks_estimate([block], 1_000_000, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24e6
+def test_draw_memory_is_a_fixed_working_set():
+    # no memory grows with the shot count: the peak at 1e6 shots is the
+    # peak at 1e5 up to one chunk's working set, its uniforms and outcome
+    # indices at 8 bytes a shot each, and no peak passes eight such arrays
+    rng = np.random.default_rng(8)
+    p = rng.random(3321)
+    block = BlockSpec(np.array([1.0]), (p / p.sum(),), [0.0, 1.0, -1.0], rng.integers(0, 3, 3321))
+    peaks = []
+    for shots in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            blocks_estimate([block], shots, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunk_array = 8 * sampling.CHUNK_SHOTS
+    assert abs(peaks[1] - peaks[0]) <= 2 * chunk_array
+    assert max(peaks) <= 8 * chunk_array
