@@ -1,9 +1,10 @@
 """Command-line front end: every protocol as a subcommand driven by a
 single JSON config document, with JSON or CSV result emission.
 
-Runs are repeated ``runs`` times with seeds derived from the root seed;
-documents embed the resolved config and the tool version so a run can be
-reproduced bit-for-bit from its own output.
+Runs are repeated ``runs`` times with seeds derived from the root seed,
+all drawn from one build of the measurement blocks; documents embed the
+resolved config and the tool version so a run can be reproduced
+bit-for-bit from its own output.
 """
 
 from __future__ import annotations
@@ -213,17 +214,13 @@ def _load_config(args) -> RunConfig:
 # result assembly
 
 
-def _estimator_document(cfg: RunConfig, run_fn) -> tuple[dict, list[dict]]:
-    """Repeat an estimator with derived seeds; per-run rows plus grand stats."""
-    run_rows = []
-    means = []
-    for k in range(cfg.runs):
-        seed_k = derive_seed(cfg.seed, k)
-        result = run_fn(cfg.shots, seed_k)
-        row = {"run": k, **result.to_dict()}
-        run_rows.append(row)
-        means.append(result.mean)
-    means = np.asarray(means)
+def _estimator_document(cfg: RunConfig, estimate) -> tuple[dict, list[dict]]:
+    """Every run of an estimator, from one call with the derived seeds of
+    all runs (``estimate(shots, seeds)``, which builds its blocks once);
+    per-run rows plus grand stats."""
+    results = estimate(cfg.shots, [derive_seed(cfg.seed, k) for k in range(cfg.runs)])
+    run_rows = [{"run": k, **result.to_dict()} for k, result in enumerate(results)]
+    means = np.asarray([result.mean for result in results])
     grand = complex(means.mean())
     if cfg.runs > 1:
         spread = float(math.hypot(np.std(means.real, ddof=1), np.std(means.imag, ddof=1)))
@@ -279,16 +276,18 @@ def cmd_overlap(cfg: RunConfig) -> None:
     if "pairs" in payload:
         states = [build_state(s) for s in _list_param(
             _required(payload, "states", "overlap config"), "states")]
+        if not states:
+            raise ConfigError("overlap states list is empty")
         pairs = [_pair_param(p, "pairs entry") for p in _list_param(payload["pairs"], "pairs")]
         m = _threshold_param(payload.get("M"))
-        run_fn = lambda shots, seed: est.parity_overlap_estimate(states, pairs, m, shots, seed)
+        estimate = lambda shots, seeds: est.parity_overlap_estimate(states, pairs, m, shots, seeds)
     else:
         state_a = build_state(_required(payload, "state_a", "overlap config"))
         state_b = build_state(_required(payload, "state_b", "overlap config"))
         m = payload.get("M")
         m = _full_threshold([state_a, state_b]) if m is None else _int_param(m, "M", 0)
-        run_fn = lambda shots, seed: est.cv_swap_estimate(state_a, state_b, m, shots, seed)
-    results, rows = _estimator_document(cfg, run_fn)
+        estimate = lambda shots, seeds: est.cv_swap_estimate(state_a, state_b, m, shots, seeds)
+    results, rows = _estimator_document(cfg, estimate)
     _emit(cfg, results, rows)
 
 
@@ -360,7 +359,7 @@ def cmd_perm(cfg: RunConfig) -> None:
     if len({s.cutoff for s in states}) != 1:
         raise ConfigError("PERM test inputs must share a common cutoff")
     results, rows = _estimator_document(
-        cfg, lambda shots, seed: proto.perm_test(states, shots, seed)
+        cfg, lambda shots, seeds: proto.perm_test(states, shots, seeds)
     )
     exact = proto.perm_expectation(states)
     results["exact_expectation_re"] = exact.real
@@ -383,7 +382,7 @@ def cmd_two_copy(cfg: RunConfig) -> None:
         stack = fock.tensor(stack, base)
     m = _threshold_param(payload.get("M"))
     results, rows = _estimator_document(
-        cfg, lambda shots, seed: proto.two_copy_test(stack, shots, seed, m)
+        cfg, lambda shots, seeds: proto.two_copy_test(stack, shots, seeds, m)
     )
     results["exact_expectation"] = proto.two_copy_expectation(stack, m)
     _emit(cfg, results, rows)
@@ -423,9 +422,13 @@ def _build_hybrid(spec, name: str) -> fock.FockState | fock.MixedEnsemble:
     q = np.array([_complex_param(a, "qubit amplitude") for a in _list_param(spec["qubit"], "qubit")])
     if q.shape != (2,):
         raise ConfigError("qubit amplitudes must be a 2-vector")
-    q = q / np.linalg.norm(q)
-    qubit = fock.FockState(fock.CutoffSpec((1,)), q)
+    norm = np.linalg.norm(q)
+    if norm == 0:
+        raise ConfigError(f"{name} qubit amplitudes are all zero")
+    qubit = fock.FockState(fock.CutoffSpec((1,)), q / norm)
     cv = build_state(spec["cv"])
+    if cv.modes != 1:
+        raise ConfigError(f"{name} cv state must be single-mode")
     if isinstance(cv, fock.MixedEnsemble):
         comps = tuple((w, fock.tensor(qubit, s)) for w, s in cv.components)
         return fock.MixedEnsemble(comps)
@@ -436,10 +439,12 @@ def cmd_hybrid(cfg: RunConfig) -> None:
     payload = cfg.payload
     state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"), "state_a")
     state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"), "state_b")
+    if state_a.cutoff != state_b.cutoff:
+        raise ConfigError("hybrid inputs must share the CV cutoff")
     m = payload.get("M")
     m = state_a.cutoff.per_mode_max[1] if m is None else _int_param(m, "M", 0)
     results, rows = _estimator_document(
-        cfg, lambda shots, seed: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seed)
+        cfg, lambda shots, seeds: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seeds)
     )
     results["exact_expectation"] = proto.hybrid_swap_expectation(state_a, state_b, m)
     _emit(cfg, results, rows)

@@ -193,7 +193,8 @@ def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
                              np.stack([measured(*pair) for _, pair in combos]), [1.0, -1.0], index)
 
 
-def dv_swap_estimate(prep_a, prep_b, shots: int, seed, basis: str = "v") -> EstimatorResult:
+def dv_swap_estimate(prep_a, prep_b, shots: int, seed,
+                     basis: str = "v") -> EstimatorResult | list[EstimatorResult]:
     """Destructive SWAP-test estimate of tr(rho sigma) for qudit registers.
 
     Each pair (k-th qudit of A, k-th qudit of B) is measured in the chosen

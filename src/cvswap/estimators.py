@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "swap2m_expectation",
     "swap2m_profile",
     "parity_overlap_estimate",
-    "parity_overlap_estimates",
+    "parity_blocks",
     "parity_overlap_expectation",
     "error_bound_global",
     "error_bound_local",
@@ -273,10 +274,17 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
     return value
 
 
-def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult:
+def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
     """Shot estimate from independent measurement blocks: mean and standard
     error of the shot weight, from the tally of the draws, with the
-    discarded-shot count."""
+    discarded-shot count.
+
+    An integer ``seed`` gives one ``EstimatorResult``.  A sequence of
+    seeds gives a list with one result per seed, in order, each equal to
+    the single-seed call: several runs drawn from one block build.
+    """
+    if isinstance(seed, Iterable):
+        return [estimate_blocks(blocks, shots, s) for s in seed]
     (values, counts), discarded = blocks_estimate(blocks, shots, seed)
     mean, stderr = estimator_statistics(values, counts)
     return EstimatorResult(mean, stderr, shots, discarded, seed_root(seed))
@@ -291,7 +299,8 @@ def _require_single_mode(state, name: str) -> None:
         raise ValueError(f"{name} must be a single-mode state")
 
 
-def cv_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorResult:
+def cv_swap_estimate(state_a, state_b, m: int, shots: int,
+                     seed) -> EstimatorResult | list[EstimatorResult]:
     """Shot estimate of tr(rho sigma) with detector threshold 2m.
 
     Applies the inverse 50:50 beamsplitter to the pair, samples a pattern
@@ -310,7 +319,7 @@ def _parity_groups(joint, pairs, m_per_pair, m_total) -> list[_Group]:
 
 
 def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
-                            m_total=None) -> EstimatorResult:
+                            m_total=None) -> EstimatorResult | list[EstimatorResult]:
     """Parallel SWAP-test estimate over disjoint mode pairs.
 
     ``joint`` is a FockState/MixedEnsemble or a sequence of them read as a
@@ -320,24 +329,24 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
     factors a measurement connects exceeds 2 m_total.  Expectation equals
     tr(prod_p SWAP_2M_p . joint density).
     """
-    return parity_overlap_estimates([joint], pairs, m_per_pair, shots, [seed], [m_total])[0]
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return estimate_blocks(parity_blocks([joint], pairs, m_per_pair, [m_total])[0], shots, seed)
 
 
-def parity_overlap_estimates(joints, pairs, m_per_pair, shots: int, seeds,
-                             m_totals) -> list[EstimatorResult]:
-    """``parity_overlap_estimate`` of each joint, with that joint's seed and
-    total threshold, on the same pairs and per-pair thresholds.
+def parity_blocks(joints, pairs, m_per_pair, m_totals) -> list[list[BlockSpec]]:
+    """The sampling blocks of ``parity_overlap_estimate`` for each joint,
+    with that joint's total threshold, on the same pairs and per-pair
+    thresholds.
 
     Every group of every joint that shares a register layout (the per-mode
     caps and the local pairs) is measured in one passive measurement, so
-    the measurement geometry is built once per layout; each joint still
-    draws its own blocks with its own seed.
+    the measurement geometry is built once per layout; each joint's
+    blocks are drawn on their own.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    joints, seeds, m_totals = list(joints), list(seeds), list(m_totals)
-    if not len(joints) == len(seeds) == len(m_totals):
-        raise ValueError("one seed and one total threshold per joint required")
+    joints, m_totals = list(joints), list(m_totals)
+    if len(joints) != len(m_totals):
+        raise ValueError("one total threshold per joint required")
     grouped = [_parity_groups(joint, pairs, m_per_pair, total)
                for joint, total in zip(joints, m_totals)]
     layouts: dict[tuple, list[tuple[int, int]]] = {}
@@ -349,7 +358,7 @@ def parity_overlap_estimates(joints, pairs, m_per_pair, shots: int, seeds,
         built = _sampling_block([grouped[j][k] for j, k in members], [m_totals[j] for j, _ in members])
         for (j, k), block in zip(members, built):
             blocks[j][k] = block
-    return [estimate_blocks(b, shots, seed) for b, seed in zip(blocks, seeds)]
+    return blocks
 
 
 def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:

@@ -115,7 +115,7 @@ class CutoffSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,10 @@ def inner_product(a: FockState, b: FockState) -> complex:
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product; modes of ``b`` are appended after those of ``a``."""
+    """Tensor product; modes of ``b`` are appended after those of ``a``.
+    A product beyond the working-space limit is refused before it is
+    allocated."""
+    check_working_size(1, a.cutoff.dim * b.cutoff.dim)
     cutoff = CutoffSpec(a.cutoff.per_mode_max + b.cutoff.per_mode_max)
     amps = np.multiply.outer(a.amplitudes, b.amplitudes)
     return FockState(cutoff, amps)

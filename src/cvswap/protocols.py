@@ -78,7 +78,7 @@ def _perm_block(states) -> BlockSpec:
     return measurement_block([w for w, _ in combos], amps, levels, k)
 
 
-def perm_test(states, shots: int, seed) -> EstimatorResult:
+def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
     """Estimate tr(rho^(0) ... rho^(L-1)) by measuring the DFT-mixed
     registers and weighting shots by prod_j e^{2 pi i j n_j / L}.
 
@@ -141,7 +141,8 @@ def _perm_relabel(state: FockState, n: int) -> FockState:
     return FockState(fock.CutoffSpec(caps), amps)
 
 
-def two_copy_test(purification: FockState, shots: int, seed, m_per_pair=None) -> EstimatorResult:
+def two_copy_test(purification: FockState, shots: int, seed,
+                  m_per_pair=None) -> EstimatorResult | list[EstimatorResult]:
     """Parallel SWAP tests between a purified register stack and its
     cyclically relabeled copy; expectation equals (tr rho^n)^2.
 
@@ -242,9 +243,12 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     same register layout share one passive measurement.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
-    results = est.parity_overlap_estimates(
-        [prepared for prepared, _ in terms], _COMPILE_PAIRS, None, shots_per_term,
-        [derive_seed(seed, j) for j in range(len(terms))], [total for _, total in terms])
+    if shots_per_term < 1:
+        raise ValueError("shots must be >= 1")
+    blocks = est.parity_blocks([prepared for prepared, _ in terms], _COMPILE_PAIRS, None,
+                               [total for _, total in terms])
+    results = [estimate_blocks(term_blocks, shots_per_term, derive_seed(seed, j))
+               for j, term_blocks in enumerate(blocks)]
     return 1.0 - sum(result.mean.real for result in results) / len(terms)
 
 
@@ -289,7 +293,8 @@ def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
     return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
 
 
-def hybrid_swap_estimate(state_a, state_b, m: int, shots: int, seed) -> EstimatorResult:
+def hybrid_swap_estimate(state_a, state_b, m: int, shots: int,
+                         seed) -> EstimatorResult | list[EstimatorResult]:
     """Ancilla-free SWAP test for qubit (x) CV-mode states.
 
     Samples a qubit Bell outcome (z, x) jointly with a photon pattern

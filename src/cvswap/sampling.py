@@ -302,8 +302,10 @@ def blocks_estimate(blocks, shots: int, seed):
     each chunk of draws then maps its outcome indices, block by block, to
     one code per shot and adds their bincount to the counts.  Memory is
     the working set of one chunk; a count beyond MAX_SHOTS raises
-    ``ResourceLimitError``.
+    ``ResourceLimitError``; an empty block list is refused.
     """
+    if not blocks:
+        raise ValueError("blocks_estimate needs at least one block; the block list is empty")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots > MAX_SHOTS:

@@ -127,3 +127,17 @@ def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
             raise TypeError(f"{gate!r} has no single-particle matrix")
         total = mat @ total
     return total
+
+
+def count_calls(monkeypatch, module, name, calls=None) -> list:
+    """Patch ``module.name`` to append ``name`` to ``calls`` (a new list
+    unless given) on every call; returns the list."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

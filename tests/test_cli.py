@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvswap import cli, estimators as est
+from cvswap import cli, estimators as est, protocols as proto
+
+from conftest import count_calls
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -509,6 +511,8 @@ def test_huge_planner_energy_is_refused_at_once(tmp_path, capsys, method):
 
 
 TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
+HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, "cutoff": [4]}},
+          "state_b": {"qubit": [0, 1], "cv": {"kind": "vacuum", "cutoff": [4]}}}
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -527,6 +531,14 @@ TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
     # a write that fails after the run is reported the same way
     pytest.param("overlap", {**TWO_VACUA, "out": "/dev/full"}, "cannot write out /dev/full: ",
                  marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")),
+    # inputs of a shape the protocol cannot take, refused before any build
+    ("overlap", {"states": [], "pairs": []}, "overlap states list is empty"),
+    ("hybrid", {**HYBRID, "state_b": {**HYBRID["state_b"], "cv": {"kind": "vacuum", "cutoff": [3]}}},
+     "hybrid inputs must share the CV cutoff"),
+    ("hybrid", {**HYBRID, "state_a": {**HYBRID["state_a"], "cv": {"kind": "tmss", "cutoff": [2, 2]}}},
+     "state_a cv state must be single-mode"),
+    ("hybrid", {**HYBRID, "state_b": {**HYBRID["state_b"], "qubit": [0, [0, 0]]}},
+     "state_b qubit amplitudes are all zero"),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):
@@ -600,3 +612,44 @@ def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "desk-scale limit" in err and err.count("\n") == 1
+
+
+def test_oversized_tensor_product_is_a_resource_limit(tmp_path, capsys):
+    # three copies at cutoff [20, 20] hold 441^3 amplitudes, past the limit;
+    # the refusal comes before the product is allocated (the largest array
+    # made is the two-copy stack, about 3 MB)
+    code, out = run_cli(tmp_path, "two-copy", {
+        "purification": {"kind": "tmss", "r": 0.3, "cutoff": [20, 20]}, "copies": 3, "shots": 10})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+
+
+MIXED_SINGLE = {"mixture": [{"weight": 0.4, "state": {"kind": "coherent", "alpha": 0.3, "cutoff": [3]}},
+                            {"weight": 0.6, "state": {"kind": "squeezed", "z": 0.2, "cutoff": [3]}}]}
+
+
+@pytest.mark.parametrize("command, config, module, estimator", [
+    ("overlap", {"state_a": MIXED_SINGLE, "state_b": {"kind": "vacuum", "cutoff": [3]}, "M": 2},
+     est, "cv_swap_estimate"),
+    ("overlap", {"states": [{"kind": "tmss", "r": 0.3, "cutoff": [3, 3]}, {"kind": "vacuum", "cutoff": [0]},
+                            {"kind": "vacuum", "cutoff": [0]}], "pairs": [[0, 2], [1, 3]]},
+     est, "parity_overlap_estimate"),
+    ("perm", {"states": [MIXED_SINGLE, {"kind": "vacuum", "cutoff": [3]}, MIXED_SINGLE]},
+     proto, "perm_test"),
+    ("two-copy", {"purification": {"kind": "tmss", "r": 0.2, "cutoff": [2, 2]}, "M": 1},
+     proto, "two_copy_test"),
+    ("hybrid", HYBRID, proto, "hybrid_swap_estimate"),
+])
+def test_every_run_draws_from_one_block_build(tmp_path, monkeypatch, command, config, module,
+                                              estimator):
+    calls = []
+    for owner in (est, proto):  # the modules whose block builders measure
+        count_calls(monkeypatch, owner, "passive_measurement", calls)
+    count_calls(monkeypatch, module, estimator, calls)
+    code, out = run_cli(tmp_path, command, {**config, "shots": 200, "runs": 3, "seed": 4})
+    assert code == 0
+    runs = json.loads(out.read_text())["results"]["runs"]
+    assert [row["run"] for row in runs] == [0, 1, 2]
+    assert len({row["seed"] for row in runs}) == 3
+    assert calls == [estimator, "passive_measurement"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvswap import estimators as est, fock, protocols as proto, sampling
+from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import (
     BlockSpec,
@@ -17,6 +17,7 @@ from cvswap.sampling import (
 from conftest import (
     assert_same_block,
     assert_same_shots,
+    count_calls,
     density_matrix,
     purification_of,
     random_ensemble,
@@ -338,26 +339,14 @@ COMPILE_U = [fock.Displacement(0.2 - 0.1j, 0), fock.Squeeze(0.15 + 0.05j, 0), fo
 COMPILE_V = [fock.Displacement(0.25 - 0.1j, 0), fock.PhaseRotation(0.5, 0)]
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_compile_cost_measures_each_layout_once(rng, monkeypatch):
     # three terms on one register layout: one pattern set, one passive
     # measurement, one pair-sector index per measured pair
     training = [random_pure(rng, 6, 2), fock.basis_state((2, 1), CutoffSpec((6, 6))),
                 MixedEnsemble(((0.4, random_pure(rng, 6, 2)), (0.6, random_pure(rng, 6, 2))))]
-    patterns = _count_calls(monkeypatch, sampling, "closed_patterns")
-    measured = _count_calls(monkeypatch, est, "passive_measurement")
-    sectors = _count_calls(monkeypatch, fock, "_pair_sectors")
+    patterns = count_calls(monkeypatch, sampling, "closed_patterns")
+    measured = count_calls(monkeypatch, est, "passive_measurement")
+    sectors = count_calls(monkeypatch, fock, "_pair_sectors")
     proto.compile_cost(training, COMPILE_U, COMPILE_V, 500, 6, [None, 4, 2])
     assert (len(patterns), len(measured), len(sectors)) == (1, 1, 2)
 
@@ -377,8 +366,8 @@ def test_compile_cost_equals_per_term_estimates(rng):
     seeds = [derive_seed(seed, j) for j in range(len(terms))]
     each = [est.parity_overlap_estimate(prepared, [(0, 2), (1, 3)], None, shots, s, total)
             for (prepared, total), s in zip(terms, seeds)]
-    shared = est.parity_overlap_estimates([prepared for prepared, _ in terms], [(0, 2), (1, 3)], None,
-                                          shots, seeds, m_totals)
+    blocks = est.parity_blocks([prepared for prepared, _ in terms], [(0, 2), (1, 3)], None, m_totals)
+    shared = [est.estimate_blocks(term_blocks, shots, s) for term_blocks, s in zip(blocks, seeds)]
     assert shared == each
     acc = 0.0
     for result in each:
@@ -394,7 +383,7 @@ def test_compile_cost_splits_a_layout_at_the_working_space_limit(rng, monkeypatc
     # no two neighbours fit together
     rows = fock.closed_pattern_count([5, 5, 5, 5], [(0, 2), (1, 3)])
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 8 * rows)
-    measured = _count_calls(monkeypatch, est, "passive_measurement")
+    measured = count_calls(monkeypatch, est, "passive_measurement")
     assert proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals) == want
     # cap-5 batches [pure], [mixture], [pure]; the cap-3 terms share one
     assert len(measured) == 4
@@ -537,3 +526,43 @@ def test_hybrid_rejects_zero_norm_register(rng):
     zero = fock.FockState(a.cutoff, np.zeros((2, 4)))
     with pytest.raises(ValueError):
         proto.hybrid_swap_estimate(a, zero, 3, 100, 1)
+
+
+# ---------------------------------------------------------------------------
+# several runs from one block build
+
+
+def _dv_state(rng, dims):
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    return dv.DVState(dims, amps / np.linalg.norm(amps))
+
+
+def _shot_estimators(rng) -> dict:
+    """Every public shot estimator as a function of its seed, on small
+    inputs with an ensemble wherever the estimator takes one."""
+    a, b, pair = random_ensemble(rng, 4, 2), random_pure(rng, 4), random_pure(rng, 3, modes=2)
+    stack = fock.tensor(random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2))
+    ha, hb = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
+    qa = dv.DVEnsemble(((0.3, _dv_state(rng, (3, 2))), (0.7, _dv_state(rng, (3, 2)))))
+    qb = _dv_state(rng, (3, 2))
+    return {
+        "cv_swap_estimate": lambda seed: est.cv_swap_estimate(a, b, 3, 500, seed),
+        "parity_overlap_estimate": lambda seed: est.parity_overlap_estimate(
+            [a, pair, b], [(0, 1), (2, 3)], [2, None], 500, seed),
+        "perm_test": lambda seed: proto.perm_test([a, b, a], 500, seed),
+        "two_copy_test": lambda seed: proto.two_copy_test(stack, 500, seed, 2),
+        "hybrid_swap_estimate": lambda seed: proto.hybrid_swap_estimate(ha, hb, 3, 500, seed),
+        "dv_swap_estimate": lambda seed: dv.dv_swap_estimate(qa, qb, 500, seed, "w"),
+    }
+
+
+@pytest.mark.parametrize("name", ["cv_swap_estimate", "parity_overlap_estimate", "perm_test",
+                                  "two_copy_test", "hybrid_swap_estimate", "dv_swap_estimate"])
+def test_a_sequence_of_seeds_gives_the_single_seed_results(rng, name):
+    estimate = _shot_estimators(rng)[name]
+    seeds = [derive_seed(11, k) for k in range(3)] + [5]
+    single = [estimate(seed) for seed in seeds]
+    assert all(isinstance(result, est.EstimatorResult) for result in single)
+    assert estimate(seeds) == single
+    assert estimate(tuple(seeds)) == single
+    assert len({result.mean for result in single}) > 1  # the runs are not one draw repeated

@@ -120,6 +120,12 @@ def test_blocks_estimate_counts_zero_weights():
     assert 3000 < discarded < 7000
 
 
+def test_blocks_estimate_refuses_an_empty_block_list():
+    # no block means no draw; all-zero counts would surface later as "no shots"
+    with pytest.raises(ValueError, match="the block list is empty"):
+        blocks_estimate([], 100, 4)
+
+
 def test_block_spec_refuses_nan_component_weights():
     with pytest.raises(ValueError, match="sum to 1"):
         BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0], [0])
