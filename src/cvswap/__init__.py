@@ -9,11 +9,9 @@ from .fock import (  # noqa: F401
     FockState,
     GateSpec,
     MixedEnsemble,
-    ModeSwap,
     PhaseRotation,
     PreparationLeakError,
     Squeeze,
-    apply_circuit,
     apply_gate,
     basis_state,
     dagger,
@@ -25,7 +23,6 @@ from .fock import (  # noqa: F401
     rectangular_decompose,
     tensor,
     truncation_weight,
-    local_cumulative,
 )
 from .sampling import estimator_statistics  # noqa: F401
 from .estimators import (  # noqa: F401

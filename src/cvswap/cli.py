@@ -284,6 +284,9 @@ def cmd_overlap(cfg: RunConfig) -> None:
     else:
         state_a = build_state(_required(payload, "state_a", "overlap config"))
         state_b = build_state(_required(payload, "state_b", "overlap config"))
+        for name, state in (("state_a", state_a), ("state_b", state_b)):
+            if state.modes != 1:
+                raise ConfigError(f"{name} must be a single-mode state")
         m = payload.get("M")
         m = _full_threshold([state_a, state_b]) if m is None else _int_param(m, "M", 0)
         estimate = lambda shots, seeds: est.cv_swap_estimate(state_a, state_b, m, shots, seeds)
@@ -422,7 +425,13 @@ def _build_hybrid(spec, name: str) -> fock.FockState | fock.MixedEnsemble:
     q = np.array([_complex_param(a, "qubit amplitude") for a in _list_param(spec["qubit"], "qubit")])
     if q.shape != (2,):
         raise ConfigError("qubit amplitudes must be a 2-vector")
-    norm = np.linalg.norm(q)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q)
+    if not 0 < norm < np.inf and q.any():
+        # a huge or tiny but valid direction: scale by its largest real or
+        # imaginary part, which cannot overflow, before the norm
+        q = q / np.abs(q.view(np.float64)).max()
+        norm = np.linalg.norm(q)
     if norm == 0:
         raise ConfigError(f"{name} qubit amplitudes are all zero")
     qubit = fock.FockState(fock.CutoffSpec((1,)), q / norm)

@@ -59,10 +59,6 @@ class DVState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def qudits(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True)
 class DVEnsemble:

@@ -406,7 +406,7 @@ def error_bound_local(rho, sigma, m: int) -> float:
     dominates the global bound of the product state."""
     _require_single_mode(rho, "rho")
     _require_single_mode(sigma, "sigma")
-    return 1.0 - fock.local_cumulative(rho, 0, m) * fock.local_cumulative(sigma, 0, m)
+    return 1.0 - fock.truncation_weight(rho, (0,), m) * fock.truncation_weight(sigma, (0,), m)
 
 
 # ---------------------------------------------------------------------------

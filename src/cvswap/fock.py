@@ -1,12 +1,14 @@
 """Truncated multimode Fock-space states and exact linear-optical gates.
 
 States are dense complex tensors over a per-mode-truncated photon-number
-basis.  Gate matrices come from exact analytic Fock matrix elements
-(recurrences seeded by closed forms and swept a whole column, row or
-photon-number block at a time), never from exponentiating
-truncated generators; the matrix-exponential path exists only as a test
-oracle.  Values are immutable after construction and all operations are
-pure functions.
+basis.  Single-mode gate matrices come from exact analytic Fock matrix
+elements (recurrences seeded by closed forms and swept a whole column or
+row at a time), never from exponentiating truncated generators; the
+matrix-exponential path exists only as a test oracle.  A beamsplitter
+has no dense matrix: it is applied one total-photon-number block at a
+time, to a box by ``apply_gate`` and to a closed pattern set by
+``apply_passive``.  Values are immutable after construction and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "Squeeze",
     "Beamsplitter",
     "PhaseRotation",
-    "ModeSwap",
     "GateSpec",
     "PreparationLeakError",
     "ResourceLimitError",
@@ -37,7 +38,6 @@ __all__ = [
     "pad",
     "gate_matrix",
     "apply_gate",
-    "apply_circuit",
     "apply_two_mode_dense",
     "closed_patterns",
     "closed_pattern_count",
@@ -46,7 +46,6 @@ __all__ = [
     "invert_circuit",
     "prepare",
     "truncation_weight",
-    "local_cumulative",
     "rectangular_decompose",
 ]
 
@@ -74,7 +73,7 @@ def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
     MAX_WORKING_ELEMENTS; call before allocating it.  A measurement counts
     its ensemble combinations plus one int64 pattern column per mode as
-    rows and its outcomes as columns; a two-mode gate matrix is square."""
+    rows and its outcomes as columns."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
         raise ResourceLimitError(
@@ -236,17 +235,7 @@ class PhaseRotation:
         object.__setattr__(self, "phi", _canonical_phase(self.phi))
 
 
-@dataclass(frozen=True)
-class ModeSwap:
-    mode_i: int
-    mode_j: int
-
-    def __post_init__(self):
-        if self.mode_i == self.mode_j:
-            raise ValueError("mode swap modes must be distinct")
-
-
-GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation | ModeSwap
+GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation
 
 
 def dagger(gate: GateSpec) -> GateSpec:
@@ -259,8 +248,6 @@ def dagger(gate: GateSpec) -> GateSpec:
         return Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
     if isinstance(gate, PhaseRotation):
         return PhaseRotation(-gate.phi, gate.mode)
-    if isinstance(gate, ModeSwap):
-        return gate
     raise TypeError(f"unknown gate {gate!r}")
 
 
@@ -331,11 +318,7 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     alpha = complex(alpha)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     sqrt = np.sqrt(np.arange(dim))
-    col = np.empty(dim, dtype=np.complex128)
-    col[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for m in range(1, dim):
-        col[m] = col[m - 1] * alpha / sqrt[m]
-    mat[:, 0] = col
+    mat[:, 0] = _coherent_amps(alpha, dim)
     for n in range(dim - 1):
         shifted = np.zeros(dim, dtype=np.complex128)
         shifted[1:] = sqrt[1:] * mat[: dim - 1, n]
@@ -447,34 +430,6 @@ def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
     return np.moveaxis(out.reshape(moved.shape), (0, 1), (gate.mode_i, gate.mode_j))
 
 
-def beamsplitter_matrix(theta: float, phi: float, dims: tuple[int, int]) -> np.ndarray:
-    """Dense (d1*d2 x d1*d2) matrix, row-major over (n_i, n_j)."""
-    d1, d2 = dims
-    check_working_size(d1 * d2, d1 * d2)
-    mat = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-    for t, block in _beamsplitter_blocks(theta, phi, d1 + d2 - 2):
-        a_lo, a_hi = max(0, t - (d2 - 1)), min(d1 - 1, t)
-        if a_lo > a_hi:
-            continue
-        rows = np.arange(a_lo, a_hi + 1)
-        flat = rows * d2 + (t - rows)
-        mat[np.ix_(flat, flat)] = block[np.ix_(rows, rows)]
-    return mat
-
-
-def mode_swap_matrix(dims: tuple[int, int]) -> np.ndarray:
-    """Fock-index swap permutation; entries whose image leaves the box are
-    dropped (sub-unitary when the two cutoffs differ)."""
-    d1, d2 = dims
-    check_working_size(d1 * d2, d1 * d2)
-    mat = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-    for n in range(d1):
-        for m in range(d2):
-            if m < d1 and n < d2:
-                mat[m * d2 + n, n * d2 + m] = 1.0
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # gate dispatch
 
@@ -487,11 +442,12 @@ def _mode_dims(cutoff: CutoffSpec, modes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
-    """Truncated Fock matrix of the gate on its affected mode(s).
+    """Truncated Fock matrix of a single-mode gate on its mode.
 
-    Two-mode matrices are row-major over (n_i, n_j).  Number-conserving
-    gates are unitary on every complete total-photon block; displacement
-    and squeeze columns are sub-unitary by exactly the leaked weight.
+    A phase rotation is unitary; displacement and squeeze columns are
+    sub-unitary by exactly the weight they push past the cutoff.  A
+    beamsplitter has no dense matrix: ``apply_gate`` and ``apply_passive``
+    apply it block by block.
     """
     if isinstance(gate, Displacement):
         (d,) = _mode_dims(cutoff, (gate.mode,))
@@ -502,13 +458,7 @@ def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
     if isinstance(gate, PhaseRotation):
         (d,) = _mode_dims(cutoff, (gate.mode,))
         return phase_matrix(gate.phi, d)
-    if isinstance(gate, Beamsplitter):
-        dims = _mode_dims(cutoff, (gate.mode_i, gate.mode_j))
-        return beamsplitter_matrix(gate.theta, gate.phi, dims)
-    if isinstance(gate, ModeSwap):
-        dims = _mode_dims(cutoff, (gate.mode_i, gate.mode_j))
-        return mode_swap_matrix(dims)
-    raise TypeError(f"unknown gate {gate!r}")
+    raise TypeError(f"{gate!r} is not a single-mode gate")
 
 
 def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
@@ -526,20 +476,6 @@ def apply_two_mode_dense(amps: np.ndarray, mat: np.ndarray, mi: int, mj: int) ->
     return np.moveaxis(out, (0, 1), (mi, mj))
 
 
-def _apply_mode_swap(amps: np.ndarray, mi: int, mj: int) -> np.ndarray:
-    d1, d2 = amps.shape[mi], amps.shape[mj]
-    if d1 == d2:
-        return np.swapaxes(amps, mi, mj)
-    out = np.zeros_like(amps)
-    k = min(d1, d2)
-    src = [slice(None)] * amps.ndim
-    dst = [slice(None)] * amps.ndim
-    src[mi] = dst[mj] = slice(0, k)
-    src[mj] = dst[mi] = slice(0, k)
-    out[tuple(dst)] = np.swapaxes(amps[tuple(src)], mi, mj)
-    return out
-
-
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     """New state with the gate contracted in; no renormalization."""
     amps = state.amplitudes
@@ -549,18 +485,9 @@ def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     elif isinstance(gate, Beamsplitter):
         _mode_dims(state.cutoff, (gate.mode_i, gate.mode_j))
         out = _apply_beamsplitter(amps, gate)
-    elif isinstance(gate, ModeSwap):
-        _mode_dims(state.cutoff, (gate.mode_i, gate.mode_j))
-        out = _apply_mode_swap(amps, gate.mode_i, gate.mode_j)
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)
-
-
-def apply_circuit(state: FockState, gates) -> FockState:
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +670,6 @@ def truncation_weight(state, modes_subset, threshold: int) -> float:
             counts = np.arange(marginal.shape[ax])
             totals += counts.reshape((1,) * ax + (-1,) + (1,) * (marginal.ndim - ax - 1))
         value += w * float(marginal[totals <= threshold].sum())
-    return min(value, 1.0)
-
-
-def local_cumulative(state, mode: int, m: int) -> float:
-    """Marginal photon-count CDF of one mode, evaluated at m."""
-    value = 0.0
-    for w, pure in components_of(state):
-        p = _pattern_probabilities(pure)
-        other = tuple(ax for ax in range(pure.modes) if ax != mode)
-        marginal = p.sum(axis=other) if other else p
-        value += w * float(marginal[: max(m, -1) + 1].sum())
     return min(value, 1.0)
 
 

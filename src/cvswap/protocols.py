@@ -132,7 +132,8 @@ def _split_copies(purification: FockState) -> int:
 
 def _perm_relabel(state: FockState, n: int) -> FockState:
     """Cyclic left shift of the A registers (axes 0, 2, ..., 2n-2),
-    equivalent to the nearest-neighbor SWAP chain applied as gates."""
+    equivalent to swapping registers A_j and A_{j+1} for j = 0, ..., n-2
+    in turn."""
     axes = list(range(state.modes))
     for j in range(n):
         axes[2 * j] = 2 * ((j + 1) % n)
@@ -193,10 +194,13 @@ def _check_compile_circuit(gates, label: str) -> list[fock.GateSpec]:
 
 
 def _circuit_matrix(gates, dim: int) -> np.ndarray:
-    """The (dim x dim) matrix of a register-A circuit: the circuit run on
-    the identity, whose columns are the basis states of mode 0."""
-    identity = FockState(fock.CutoffSpec((dim - 1, dim - 1)), np.eye(dim))
-    return fock.apply_circuit(identity, gates).amplitudes
+    """The (dim x dim) matrix of a register-A circuit: the product of its
+    gate matrices, the first gate rightmost."""
+    cutoff = fock.CutoffSpec((dim - 1,))
+    mat = np.eye(dim, dtype=np.complex128)
+    for gate in gates:
+        mat = fock.gate_matrix(gate, cutoff) @ mat
+    return mat
 
 
 def _map_circuit(state, mat: np.ndarray) -> MixedEnsemble:

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -104,9 +105,28 @@ def assert_same_block(block, oracle, shape, patterns, seed):
     assert_same_shots(block, oracle, flat, 4000, seed)
 
 
+def run_circuit(state: fock.FockState, gates) -> fock.FockState:
+    """Dense circuit oracle: ``fock.apply_gate`` folded over the gates."""
+    return functools.reduce(fock.apply_gate, gates, state)
+
+
+def swap_modes(state: fock.FockState, i: int, j: int) -> fock.FockState:
+    """The state with modes i and j exchanged; the two cutoffs must agree."""
+    return fock.FockState(state.cutoff, np.swapaxes(state.amplitudes, i, j))
+
+
+def dense_matrix(op, cutoff: fock.CutoffSpec) -> np.ndarray:
+    """Dense matrix of a gate, or of a map from state to state, on the box
+    ``cutoff``, row-major over the photon patterns: column k is the image
+    of basis state k."""
+    image = op if callable(op) else (lambda state: fock.apply_gate(state, op))
+    return np.stack([image(fock.basis_state(pattern, cutoff)).amplitudes.ravel()
+                     for pattern in np.ndindex(cutoff.shape)], axis=1)
+
+
 def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
-    """Composed action of passive gates (beamsplitters, phase rotations,
-    mode swaps) on creation operators, a_j -> sum_l U[l, j] a_l."""
+    """Composed action of passive gates (beamsplitters and phase rotations)
+    on creation operators, a_j -> sum_l U[l, j] a_l."""
     total = np.eye(n_modes, dtype=np.complex128)
     for gate in gates:
         mat = np.eye(n_modes, dtype=np.complex128)
@@ -119,10 +139,6 @@ def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
             mat[j, j] = c
         elif isinstance(gate, fock.PhaseRotation):
             mat[gate.mode, gate.mode] = cmath.exp(-1j * gate.phi)
-        elif isinstance(gate, fock.ModeSwap):
-            i, j = gate.mode_i, gate.mode_j
-            mat[i, i] = mat[j, j] = 0.0
-            mat[i, j] = mat[j, i] = 1.0
         else:
             raise TypeError(f"{gate!r} has no single-particle matrix")
         total = mat @ total

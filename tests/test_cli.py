@@ -533,6 +533,9 @@ HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, 
                  marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")),
     # inputs of a shape the protocol cannot take, refused before any build
     ("overlap", {"states": [], "pairs": []}, "overlap states list is empty"),
+    ("overlap", {**TWO_VACUA, "state_a": {"kind": "tmss", "r": 0.1, "cutoff": [2, 2]}},
+     "state_a must be a single-mode state"),
+    ("overlap", {**TWO_VACUA, "state_b": TWO_MODE[0]}, "state_b must be a single-mode state"),
     ("hybrid", {**HYBRID, "state_b": {**HYBRID["state_b"], "cv": {"kind": "vacuum", "cutoff": [3]}}},
      "hybrid inputs must share the CV cutoff"),
     ("hybrid", {**HYBRID, "state_a": {**HYBRID["state_a"], "cv": {"kind": "tmss", "cutoff": [2, 2]}}},
@@ -550,6 +553,18 @@ def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_huge_or_tiny_qubit_amplitudes_give_the_unit_vector_results(tmp_path, capsys):
+    # the norm of [1e300, 1e300] overflows and that of [1e-170, 1e-170]
+    # underflows; both have the direction of [1, 1]
+    results = []
+    for qubit in ([1e300, 1e300], [1e-170, 1e-170], [1, 1]):
+        config = {**HYBRID, "state_a": {**HYBRID["state_a"], "qubit": qubit}, "shots": 500, "seed": 4}
+        code, out = run_cli(tmp_path, "hybrid", config)
+        assert code == 0 and capsys.readouterr().err == ""
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1] == results[2]
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):

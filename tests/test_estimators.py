@@ -12,7 +12,7 @@ from cvswap.estimators import CutoffPlan, EstimatorResult
 from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
 from cvswap.sampling import blocks_expectation, ensemble_combinations, measurement_block
 
-from conftest import assert_same_block, random_ensemble, random_pure
+from conftest import assert_same_block, random_ensemble, random_pure, run_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _dense_sampling_block(group, total_threshold=None):
     combos = ensemble_combinations(group.factors)
     gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
     amps = np.stack([
-        fock.apply_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
+        run_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
         for _, states in combos
     ])
     counts = np.indices(shape).reshape(len(shape), -1)

@@ -13,16 +13,18 @@ from cvswap.fock import (
     Displacement,
     FockState,
     MixedEnsemble,
-    ModeSwap,
     PhaseRotation,
     Squeeze,
 )
 
 from conftest import (
+    dense_matrix,
     ladder_ops,
     random_number_conserving,
     random_pure,
+    run_circuit,
     single_particle_matrix,
+    swap_modes,
     two_mode_ladder_ops,
 )
 
@@ -172,6 +174,12 @@ def test_phase_rotation_diagonal():
     assert np.allclose(mat, want, atol=1e-15)
 
 
+def test_gate_matrix_is_single_mode():
+    # a beamsplitter is applied block by block and has no dense matrix
+    with pytest.raises(TypeError):
+        fock.gate_matrix(Beamsplitter(0.3, 0.0, 0, 1), CutoffSpec((3, 3)))
+
+
 def test_hong_ou_mandel():
     cut = CutoffSpec((2, 2))
     state = fock.apply_gate(fock.basis_state((1, 1), cut), Beamsplitter(math.pi / 4, 0.0, 0, 1))
@@ -182,8 +190,8 @@ def test_hong_ou_mandel():
 
 def test_mode_swap_identity_eq8():
     cut = CutoffSpec((5, 5))
-    perm = fock.gate_matrix(ModeSwap(0, 1), cut)
-    bs = fock.gate_matrix(Beamsplitter(math.pi / 2, -math.pi / 2, 0, 1), cut)
+    perm = dense_matrix(lambda state: swap_modes(state, 0, 1), cut)
+    bs = dense_matrix(Beamsplitter(math.pi / 2, -math.pi / 2, 0, 1), cut)
     phase = np.kron(
         fock.gate_matrix(PhaseRotation(-math.pi / 2, 0), CutoffSpec((5,))),
         fock.gate_matrix(PhaseRotation(-math.pi / 2, 0), CutoffSpec((5,))),
@@ -280,7 +288,7 @@ def test_beamsplitter_expm_oracle(theta, phi):
     dim = 7
     a1, a2 = two_mode_ladder_ops(dim)
     gen = theta * (cmath.exp(1j * phi) * a1.conj().T @ a2 - cmath.exp(-1j * phi) * a1 @ a2.conj().T)
-    mine = fock.gate_matrix(Beamsplitter(theta, phi, 0, 1), CutoffSpec((dim - 1, dim - 1)))
+    mine = dense_matrix(Beamsplitter(theta, phi, 0, 1), CutoffSpec((dim - 1, dim - 1)))
     oracle = expm(gen)
     safe = [i * dim + j for i in range(dim) for j in range(dim) if i + j <= (dim - 1) // 2]
     assert np.max(np.abs(mine[np.ix_(safe, safe)] - oracle[np.ix_(safe, safe)])) < 1e-8
@@ -292,7 +300,7 @@ def test_beamsplitter_matches_combinatorial_sum():
     theta, phi = 0.83, 2.4
     c, s = math.cos(theta), math.sin(theta)
     dim = 5
-    mine = fock.gate_matrix(Beamsplitter(theta, phi, 0, 1), CutoffSpec((dim - 1, dim - 1)))
+    mine = dense_matrix(Beamsplitter(theta, phi, 0, 1), CutoffSpec((dim - 1, dim - 1)))
     fact = [math.factorial(k) for k in range(2 * dim)]
     for n1 in range(dim):
         for n2 in range(dim):
@@ -329,8 +337,8 @@ def test_displacement_column_norm_defect():
 
 def test_number_conserving_blocks_unitary():
     cut = CutoffSpec((6, 6))
-    for gate in (Beamsplitter(0.7, 0.3, 0, 1), ModeSwap(0, 1)):
-        mat = fock.gate_matrix(gate, cut)
+    for op in (Beamsplitter(0.7, 0.3, 0, 1), lambda state: swap_modes(state, 0, 1)):
+        mat = dense_matrix(op, cut)
         # columns with full blocks (total <= 6) have unit norm
         for n1 in range(7):
             for n2 in range(7):
@@ -384,9 +392,9 @@ def test_number_conserving_preserves_total_pmf(rng):
         return np.bincount(totals.ravel(), weights=p.ravel(), minlength=11)
 
     before = total_pmf(state)
-    for gate in (Beamsplitter(0.9, 0.4, 0, 1), PhaseRotation(1.3, 1), ModeSwap(0, 1)):
-        after = total_pmf(fock.apply_gate(state, gate))
-        assert np.max(np.abs(after - before)) < 1e-12
+    for out in (fock.apply_gate(state, Beamsplitter(0.9, 0.4, 0, 1)),
+                fock.apply_gate(state, PhaseRotation(1.3, 1)), swap_modes(state, 0, 1)):
+        assert np.max(np.abs(total_pmf(out) - before)) < 1e-12
 
 
 def test_bs_columns_are_swap_eigenvectors():
@@ -396,20 +404,15 @@ def test_bs_columns_are_swap_eigenvectors():
     for n in range(cap + 1):
         for m in range(cap + 1 - n):
             vec = fock.apply_gate(fock.basis_state((n, m), cut), gate)
-            swapped = fock.apply_gate(vec, ModeSwap(0, 1))
+            swapped = swap_modes(vec, 0, 1)
             assert np.max(np.abs(swapped.amplitudes - (-1) ** n * vec.amplitudes)) < 1e-12
-
-
-def test_apply_circuit_empty(rng):
-    state = random_pure(rng, 4)
-    assert np.array_equal(fock.apply_circuit(state, []).amplitudes, state.amplitudes)
 
 
 def test_tmss_circuit_amplitudes():
     # S(r) (x) S(-r) then the pi-phase 50:50 beamsplitter on vacuum
     r, cap = 1.0, 30
     cut = CutoffSpec((cap, cap))
-    state = fock.apply_circuit(
+    state = run_circuit(
         fock.basis_state((0, 0), cut),
         [Squeeze(r, 0), Squeeze(-r, 1), Beamsplitter(math.pi / 4, math.pi, 0, 1)],
     )
@@ -428,9 +431,9 @@ def test_circuit_then_inverse(rng):
         Beamsplitter(0.4, 1.0, 0, 1),
         PhaseRotation(0.9, 2),
         Beamsplitter(1.1, 5.0, 1, 2),
-        ModeSwap(0, 2),
+        Beamsplitter(0.8, 2.0, 2, 0),
     ]
-    roundtrip = fock.apply_circuit(fock.apply_circuit(state, gates), fock.invert_circuit(gates))
+    roundtrip = run_circuit(run_circuit(state, gates), fock.invert_circuit(gates))
     assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) < 1e-10
 
 
@@ -515,18 +518,24 @@ def test_truncation_weight_monotone(seed):
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_local_cumulative():
+def test_truncation_weight_one_mode():
     cut = CutoffSpec((5,))
     three = fock.basis_state((3,), cut)
-    assert fock.local_cumulative(three, 0, 2) == 0.0
-    assert fock.local_cumulative(three, 0, 3) == 1.0
+    assert fock.truncation_weight(three, (0,), 2) == 0.0
+    assert fock.truncation_weight(three, (0,), 3) == 1.0
     energy = 1.3
     coh = fock.prepare("coherent", CutoffSpec((30,)), alpha=math.sqrt(energy))
     for m in (0, 2, 4):
         want = sum(math.exp(-energy) * energy ** k / math.factorial(k) for k in range(m + 1))
-        assert fock.local_cumulative(coh, 0, m) == pytest.approx(want, abs=1e-10)
+        assert fock.truncation_weight(coh, (0,), m) == pytest.approx(want, abs=1e-10)
     mix = MixedEnsemble(((0.5, fock.basis_state((0,), cut)), (0.5, fock.basis_state((1,), cut))))
-    assert fock.local_cumulative(mix, 0, 0) == pytest.approx(0.5, abs=1e-15)
+    assert fock.truncation_weight(mix, (0,), 0) == pytest.approx(0.5, abs=1e-15)
+    # one mode of a joint state: the other modes are summed out
+    joint = fock.tensor(three, fock.basis_state((1,), cut))
+    assert fock.truncation_weight(joint, (0,), 3) == 1.0
+    assert fock.truncation_weight(joint, (1,), 0) == 0.0
+    with pytest.raises(ValueError):
+        fock.truncation_weight(three, (0,), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +600,7 @@ def test_decompose_fock_consistency(rng):
     cut = CutoffSpec.uniform(1, n)
     for j in range(n):
         pattern = tuple(1 if k == j else 0 for k in range(n))
-        out = fock.apply_circuit(fock.basis_state(pattern, cut), gates)
+        out = run_circuit(fock.basis_state(pattern, cut), gates)
         for l in range(n):
             pattern_l = tuple(1 if k == l else 0 for k in range(n))
             assert out.amplitudes[pattern_l] == pytest.approx(u[l, j], abs=1e-10)
@@ -611,11 +620,12 @@ def test_simplex_patterns_row_major(modes, total):
 
 
 def _dense_on_simplex(amps, pats, total, gates):
-    """The dense padded oracle: embed, run apply_circuit, read back."""
+    """The dense padded oracle: embed, run the circuit gate by gate, read
+    back."""
     modes = pats.shape[1]
     dense = np.zeros((total + 1,) * modes, dtype=np.complex128)
     dense[tuple(pats.T)] = amps
-    state = fock.apply_circuit(FockState(CutoffSpec.uniform(total, modes), dense), gates)
+    state = run_circuit(FockState(CutoffSpec.uniform(total, modes), dense), gates)
     return state.amplitudes[tuple(pats.T)]
 
 
@@ -689,7 +699,7 @@ def test_closed_patterns_closed_under_group_meshes(layout, seed):
     for k in range(2):
         dense = np.zeros([t + 1 for t in top], dtype=np.complex128)
         dense[tuple(pats.T)] = amps[:, k]
-        state = fock.apply_circuit(FockState(CutoffSpec(tuple(top)), dense), gates)
+        state = run_circuit(FockState(CutoffSpec(tuple(top)), dense), gates)
         assert np.max(np.abs(state.amplitudes[tuple(pats.T)] - got[:, k])) < 1e-12
 
 
@@ -717,7 +727,7 @@ def test_apply_passive_rejects_bad_input():
     pats = fock.closed_patterns([2, 0, 0], [range(3)])
     amps = np.ones(len(pats))
     with pytest.raises(TypeError):
-        fock.apply_passive(amps, pats, [ModeSwap(0, 1)])
+        fock.apply_passive(amps, pats, [Squeeze(0.1, 0)])
     with pytest.raises(ValueError):
         fock.apply_passive(amps, pats, [Beamsplitter(0.3, 0.0, 0, 3)])
     box = np.indices((3, 3, 3)).reshape(3, -1).T

@@ -103,24 +103,40 @@ def exported_names(source: str) -> list[str]:
     return []
 
 
-def definitions_and_roots(source: str) -> tuple[dict[str, set[str]], set[str]]:
-    """The names each top-level ``def`` and ``class`` reads, by definition,
-    and the names the rest of the module-level code reads.  A name is read
-    bare or as an attribute; imports and string entries such as those of
-    ``__all__`` are no reference."""
-    definitions, roots = {}, set()
+def _reads(node) -> set[str]:
+    """The names a node reads, bare or as an attribute."""
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load))
+            or isinstance(child, ast.Attribute)}
+
+
+def definitions_and_roots(source: str) -> tuple[list, set[str], dict[str, list[str]]]:
+    """The (name, names it reads) of each top-level ``def`` and ``class``
+    and of each public method or property of a class, the names the rest of
+    the module-level code reads, and the public methods of each class.  A
+    name is read bare or as an attribute; imports and string entries such
+    as those of ``__all__`` are no reference.  A class reads the names of
+    its body outside its public methods, so reaching a class does not reach
+    its methods."""
+    definitions, roots, methods = [], set(), {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        names = {child.id if isinstance(child, ast.Name) else child.attr
-                 for child in ast.walk(node)
-                 if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load))
-                 or isinstance(child, ast.Attribute)}
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            definitions[node.name] = names
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            definitions.append((node.name, _reads(node)))
+        elif isinstance(node, ast.ClassDef):
+            public = [child for child in node.body
+                      if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not child.name.startswith("_")]
+            methods[node.name] = [m.name for m in public]
+            definitions += [(m.name, _reads(m)) for m in public]
+            rest = [child for child in node.body if child not in public]
+            definitions.append((node.name, set().union(
+                *map(_reads, rest + node.bases + node.decorator_list + node.keywords))))
         else:
-            roots |= names
-    return definitions, roots
+            roots |= _reads(node)
+    return definitions, roots, methods
 
 
 def documented_names(markdown: str) -> set[str]:
@@ -134,16 +150,18 @@ ENTRY_POINT = "main"
 
 
 def unreached_exports(sources: dict[str, str], readme: str) -> list[str]:
-    """``module.name`` for every ``__all__`` entry outside the fixed point
-    of reach.  Reach starts from the module-level code, the entry point and
-    the names in the README's code spans, and grows by the names each
-    reached top-level definition reads.  The package ``__init__`` only
+    """``module.name`` for every ``__all__`` entry, and ``module.Class.name``
+    for every public method or property of a reached class, outside the
+    fixed point of reach.  Reach starts from the module-level code, the
+    entry point and the names in the README's code spans, and grows by the
+    names each reached definition reads.  The package ``__init__`` only
     re-exports, so it reaches nothing."""
-    definitions, reached = [], documented_names(readme) | {ENTRY_POINT}
+    definitions, classes, reached = [], {}, documented_names(readme) | {ENTRY_POINT}
     for mod, src in sources.items():
         if mod != "__init__":
-            defs, roots = definitions_and_roots(src)
-            definitions += defs.items()
+            defs, roots, methods = definitions_and_roots(src)
+            definitions += defs
+            classes[mod] = methods
             reached |= roots
     grown = True
     while grown:
@@ -152,8 +170,11 @@ def unreached_exports(sources: dict[str, str], readme: str) -> list[str]:
             if name in reached and not names <= reached:
                 reached |= names
                 grown = True
-    return [f"{mod}.{name}" for mod, src in sorted(sources.items())
-            for name in exported_names(src) if name not in reached]
+    return ([f"{mod}.{name}" for mod, src in sorted(sources.items())
+             for name in exported_names(src) if name not in reached]
+            + [f"{mod}.{cls}.{name}" for mod, methods in sorted(classes.items())
+               for cls, names in methods.items() if cls in reached
+               for name in names if name not in reached])
 
 
 def test_every_export_is_reached():
@@ -164,9 +185,16 @@ def test_every_export_is_reached():
 def test_export_check_sees_definitions_imports_and_docs():
     sources = {
         "a": ('__all__ = ["used", "recursive", "imported", "documented", "LIMIT", "Kind", "served",\n'
-              '           "from_docs", "dropped", "chained", "deeper"]\n'
+              '           "from_docs", "dropped", "chained", "deeper", "Shape"]\n'
               "LIMIT = 3\n"
-              "class Kind:\n    pass\n"
+              "class Kind:\n    def kind_only(self):\n        pass\n"
+              "class Shape:\n"
+              "    def __init__(self):\n        self.k = 1\n"
+              "    @property\n    def area(self):\n        return self.side()\n"
+              "    def side(self):\n        return 2\n"
+              "    def unused(self):\n        return self.hidden()\n"
+              "    def hidden(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
               "def used():\n    return LIMIT\n"
               "def recursive(n):\n    return recursive(n - 1) if n else Kind\n"
               "def imported():\n    pass\n"
@@ -176,12 +204,14 @@ def test_export_check_sees_definitions_imports_and_docs():
               "def dropped():\n    return chained()\n"
               "def chained():\n    return deeper()\n"
               "def deeper():\n    pass\n"),
-        "b": "from .a import imported, used\nfrom . import a\nx = a.used()\n",
+        "b": "from .a import imported, used\nfrom . import a\nx = a.used()\nz = a.Shape().area\n",
         "cli": "from . import a\ndef main():\n    return a.served()\n",
         "__init__": "from .a import recursive  # noqa: F401\ny = recursive(1)\n",
     }
     readme = "Call `a.documented()`; the prose word imported is no name.\n"
     # Kind, chained and deeper are read only from inside definitions that
-    # nothing reaches
+    # nothing reaches; so is the method hidden, and the methods of the
+    # unreached Kind are not listed
     assert unreached_exports(sources, readme) == ["a.recursive", "a.imported", "a.Kind", "a.dropped",
-                                                  "a.chained", "a.deeper"]
+                                                  "a.chained", "a.deeper", "a.Shape.unused",
+                                                  "a.Shape.hidden"]

@@ -22,6 +22,8 @@ from conftest import (
     purification_of,
     random_ensemble,
     random_pure,
+    run_circuit,
+    swap_modes,
 )
 
 
@@ -105,7 +107,7 @@ def _dense_perm_block(states) -> BlockSpec:
         joint = parts[0]
         for part in parts[1:]:
             joint = fock.tensor(joint, part)
-        p = np.abs(fock.apply_circuit(fock.pad(joint, caps), gates).amplitudes.ravel()) ** 2
+        p = np.abs(run_circuit(fock.pad(joint, caps), gates).amplitudes.ravel()) ** 2
         comp_w.append(w)
         dists.append(p / p.sum())
     counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
@@ -218,9 +220,10 @@ def test_two_copy_relabeling_equals_swap_chain(rng):
     for copies in (2, 3):
         stack = _stack(psi, copies)
         relabeled = proto._perm_relabel(stack, copies)
-        gates = [fock.ModeSwap(2 * j, 2 * (j + 1)) for j in range(copies - 1)]
-        via_gates = fock.apply_circuit(stack, gates)
-        assert np.array_equal(relabeled.amplitudes, via_gates.amplitudes)
+        via_swaps = stack
+        for j in range(copies - 1):
+            via_swaps = swap_modes(via_swaps, 2 * j, 2 * (j + 1))
+        assert np.array_equal(relabeled.amplitudes, via_swaps.amplitudes)
 
 
 def test_two_copy_rejects_odd_structure(rng):
@@ -255,14 +258,14 @@ def test_compile_cost_displacement_oracle():
     cut = CutoffSpec((25, 25))
     vac = fock.basis_state((0, 0), cut)
     got = proto.compile_cost_expectation([vac], [], [fock.Displacement(alpha, 0)])
-    displaced = fock.apply_circuit(vac, [fock.Displacement(alpha, 0)])
+    displaced = fock.apply_gate(vac, fock.Displacement(alpha, 0))
     fidelity = abs(fock.inner_product(vac, displaced)) ** 2 / displaced.norm_sq
     assert got == pytest.approx(1.0 - fidelity, abs=1e-9)
 
 
 def test_compile_cost_sampled_near_exact(rng):
     cut = CutoffSpec((12, 12))
-    psi = fock.apply_circuit(
+    psi = run_circuit(
         fock.basis_state((0, 0), cut),
         [fock.Squeeze(0.3, 0), fock.Squeeze(0.2, 1)],
     )
@@ -284,7 +287,7 @@ def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
 
     # oracle: every component run through each circuit gate by gate
     def mapped(state, gates):
-        return MixedEnsemble(tuple((w, fock.apply_circuit(s, gates))
+        return MixedEnsemble(tuple((w, run_circuit(s, gates))
                                    for w, s in fock.components_of(state)))
 
     fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
