@@ -533,15 +533,15 @@ HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, 
                  marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")),
     # inputs of a shape the protocol cannot take, refused before any build
     ("overlap", {"states": [], "pairs": []}, "overlap states list is empty"),
-    ("overlap", {**TWO_VACUA, "state_a": {"kind": "tmss", "r": 0.1, "cutoff": [2, 2]}},
-     "state_a must be a single-mode state"),
-    ("overlap", {**TWO_VACUA, "state_b": TWO_MODE[0]}, "state_b must be a single-mode state"),
     ("hybrid", {**HYBRID, "state_b": {**HYBRID["state_b"], "cv": {"kind": "vacuum", "cutoff": [3]}}},
      "hybrid inputs must share the CV cutoff"),
     ("hybrid", {**HYBRID, "state_a": {**HYBRID["state_a"], "cv": {"kind": "tmss", "cutoff": [2, 2]}}},
      "state_a cv state must be single-mode"),
     ("hybrid", {**HYBRID, "state_b": {**HYBRID["state_b"], "qubit": [0, [0, 0]]}},
      "state_b qubit amplitudes are all zero"),
+    ("overlap", {**TWO_VACUA, "state_a": {"kind": "tmss", "r": 0.1, "cutoff": [2, 2]}},
+     "state_a must be a single-mode state"),
+    ("overlap", {**TWO_VACUA, "state_b": TWO_MODE[0]}, "state_b must be a single-mode state"),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):
