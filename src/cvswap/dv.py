@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorResult, estimate_blocks
+from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
 from .fock import apply_two_mode_dense, check_working_size
 from .sampling import (
     BlockSpec,
@@ -72,6 +72,8 @@ class DVEnsemble:
             raise ValueError("ensemble needs at least one component")
         if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
             raise ValueError("ensemble weights must sum to 1")
+        if not all(0.0 < w <= 1.0 for w, _ in comps):
+            raise ValueError("ensemble weights must lie in (0, 1]")
         ref = comps[0][1].dims
         if any(s.dims != ref for _, s in comps):
             raise ValueError("ensemble components must share dims")
@@ -157,7 +159,7 @@ def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
         return _v_basis(d)
     if basis == "w":
         return _w_basis(d)
-    raise ValueError("basis must be 'v' or 'w'")
+    raise MeasurementSpecError("basis must be 'v' or 'w'")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
 def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
     dims_a = prep_a.dims
     if prep_b.dims != dims_a:
-        raise ValueError("the two preparations must have identical dims")
+        raise MeasurementSpecError("the two preparations must have identical dims")
     k = len(dims_a)
     combos = ensemble_combinations([prep_a, prep_b])
     check_working_size(len(combos), math.prod(dims_a) ** 2)
@@ -196,8 +198,6 @@ def dv_swap_estimate(prep_a, prep_b, shots: int, seed,
     Each pair (k-th qudit of A, k-th qudit of B) is measured in the chosen
     SWAP eigenbasis; a shot scores the product of the outcome eigenvalues.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     return estimate_blocks([_dv_block(prep_a, prep_b, basis)], shots, seed)
 
 

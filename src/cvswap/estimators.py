@@ -122,9 +122,10 @@ class CutoffPlan:
 
 
 class MeasurementSpecError(ValueError):
-    """Measurement pairs or detector thresholds that do not fit the
-    register they measure, or threshold-planner inputs out of range: a
-    malformed request, not a numerical failure."""
+    """A malformed request, not a numerical failure: inputs of a shape the
+    protocol cannot take, measurement pairs or detector thresholds that do
+    not fit the register they measure, a shot count below 1, or
+    threshold-planner inputs out of range."""
 
 
 def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
@@ -283,6 +284,8 @@ def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult | list[Estimato
     seeds gives a list with one result per seed, in order, each equal to
     the single-seed call: several runs drawn from one block build.
     """
+    if shots < 1:
+        raise MeasurementSpecError("shots must be >= 1")
     if isinstance(seed, Iterable):
         return [estimate_blocks(blocks, shots, s) for s in seed]
     (values, counts), discarded = blocks_estimate(blocks, shots, seed)
@@ -296,15 +299,16 @@ def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult | list[Estimato
 
 def _require_single_mode(state, name: str) -> None:
     if state.modes != 1:
-        raise ValueError(f"{name} must be a single-mode state")
+        raise MeasurementSpecError(f"{name} must be a single-mode state")
 
 
-def cv_swap_estimate(state_a, state_b, m: int, shots: int,
+def cv_swap_estimate(state_a, state_b, m: int | None, shots: int,
                      seed) -> EstimatorResult | list[EstimatorResult]:
     """Shot estimate of tr(rho sigma) with detector threshold 2m.
 
     Applies the inverse 50:50 beamsplitter to the pair, samples a pattern
-    (n, m'), and scores (-1)^n when n + m' <= 2m, else 0.
+    (n, m'), and scores (-1)^n when n + m' <= 2m, else 0.  ``m`` None
+    means no threshold: every shot scores its parity.
     """
     _require_single_mode(state_a, "state_a")
     _require_single_mode(state_b, "state_b")
@@ -313,6 +317,8 @@ def cv_swap_estimate(state_a, state_b, m: int, shots: int,
 
 def _parity_groups(joint, pairs, m_per_pair, m_total) -> list[_Group]:
     factors = [joint] if isinstance(joint, (FockState, MixedEnsemble)) else list(joint)
+    if not factors:
+        raise MeasurementSpecError("overlap states list is empty")
     pairs = [tuple(p) for p in pairs]
     normalize_thresholds(m_total, 1)  # the group-total threshold obeys the same rule
     return _group_factors(factors, pairs, normalize_thresholds(m_per_pair, len(pairs)))
@@ -329,8 +335,6 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
     factors a measurement connects exceeds 2 m_total.  Expectation equals
     tr(prod_p SWAP_2M_p . joint density).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     return estimate_blocks(parity_blocks([joint], pairs, m_per_pair, [m_total])[0], shots, seed)
 
 
@@ -381,9 +385,7 @@ def swap2m_profile(joint, m_values) -> list[float]:
     at or above the pair's photon budget keeps the whole box, so their
     shared value is computed once."""
     if joint.modes != 2:
-        raise ValueError("joint must be a two-mode state")
-    if any(m < 0 for m in m_values):
-        raise ValueError("detector threshold must be >= 0")
+        raise MeasurementSpecError("joint must be a two-mode state")
     keys = [min(m, (sum(joint.cutoff.per_mode_max) + 1) // 2) for m in m_values]
     values = {k: parity_overlap_expectation(joint, [(0, 1)], k) for k in set(keys)}
     return [values[k] for k in keys]
@@ -397,7 +399,7 @@ def error_bound_global(joint, m: int) -> float:
     """1 - q_2M: weight of the joint input outside the total-photon <= 2M
     subspace; upper bound on the cutoff-induced systematic error."""
     if joint.modes != 2:
-        raise ValueError("joint must be a two-mode state")
+        raise MeasurementSpecError("joint must be a two-mode state")
     return 1.0 - fock.truncation_weight(joint, (0, 1), 2 * m)
 
 
@@ -543,7 +545,7 @@ def cutoff_for_squeezed(r: float, eps: float) -> CutoffPlan:
         m -= 1
     while math.tanh(r) ** (2 * (m + 1)) > eps:
         m += 1
-    reference = max(0, math.ceil(math.exp(2.0 * r) / 4.0 * math.log(1.0 / eps) - 1.0))
+    reference = max(0, math.ceil(math.exp(2.0 * r) / 4.0 * -math.log(eps) - 1.0))
     return CutoffPlan(m, math.tanh(r) ** (2 * (m + 1)), "squeezed_closed_form", eps, reference)
 
 
@@ -557,7 +559,7 @@ def cutoff_for_coherent_chernoff(energy: float, eps: float) -> CutoffPlan:
     Poisson Chernoff tail bound (eE/M)^{2M} e^{-2E} drops below eps."""
     energy = _check_energy(energy)
     eps = _check_eps(eps)
-    m = math.ceil(1.3 * energy + math.log(1.0 / eps))
+    m = math.ceil(1.3 * energy - math.log(eps))
     while _chernoff_log_bound(energy, m) > math.log(eps):
         m += 1
     bound = math.exp(min(_chernoff_log_bound(energy, m), 0.0))
@@ -574,7 +576,11 @@ def cutoff_for_coherent_normal(energy: float, eps: float) -> CutoffPlan:
             "normal-quantile planning needs energy >= 25; use the Chernoff planner instead"
         )
     eps = _check_eps(eps)
-    m = max(0, math.ceil(energy + math.sqrt(energy) * normal_quantile(math.sqrt(1.0 - eps))))
+    level = math.sqrt(1.0 - eps)
+    if level == 1.0:
+        raise RuntimeError(f"normal-quantile planning cannot resolve eps = {eps:g}: "
+                           "sqrt(1 - eps) rounds to 1 in double precision")
+    m = max(0, math.ceil(energy + math.sqrt(energy) * normal_quantile(level)))
     bound = 1.0 - normal_cdf((m - energy) / math.sqrt(energy)) ** 2
     return CutoffPlan(m, min(max(bound, 0.0), 1.0), "normal_quantile", eps)
 

@@ -66,7 +66,7 @@ class PreparationLeakError(ValueError):
 
 class ResourceLimitError(ValueError):
     """Raised when a working space would exceed MAX_WORKING_ELEMENTS, or
-    when the per-shot weights of a run cannot be allocated."""
+    when a run asks for more shots than sampling.MAX_SHOTS."""
 
 
 def check_working_size(rows: int, columns: int) -> None:

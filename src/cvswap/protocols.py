@@ -17,7 +17,7 @@ import numpy as np
 from . import estimators as est
 from . import fock
 from .dv import qudit_bell_state
-from .estimators import EstimatorResult, estimate_blocks
+from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
 from .fock import FockState, MixedEnsemble, components_of
 # blocks_estimate is not called here; bench/test_bench.py checks that the
 # benchmark tracer also wraps this module's binding of it
@@ -49,14 +49,14 @@ __all__ = [
 def _check_perm_inputs(states) -> tuple[int, int]:
     states = list(states)
     if len(states) < 2:
-        raise ValueError("PERM test needs at least two registers")
+        raise MeasurementSpecError("PERM test needs at least two registers")
     caps = set()
     for s in states:
         if s.modes != 1:
-            raise ValueError("PERM test inputs must be single-mode")
+            raise MeasurementSpecError("PERM test inputs must be single-mode")
         caps.add(s.cutoff.per_mode_max[0])
     if len(caps) != 1:
-        raise ValueError("PERM test inputs must share a common cutoff")
+        raise MeasurementSpecError("PERM test inputs must share a common cutoff")
     return len(states), caps.pop()
 
 
@@ -89,8 +89,6 @@ def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResul
     ensemble combinations ride along as a batch axis.  L = 2 runs the CV
     SWAP path directly (the weights reduce to (-1)^n there).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     states = list(states)
     n, cap = _check_perm_inputs(states)
     if n == 2:
@@ -123,10 +121,10 @@ def perm_expectation(states) -> complex:
 
 def _split_copies(purification: FockState) -> int:
     if purification.modes % 2 != 0:
-        raise ValueError("purification must carry mode pairs A_j B_j")
+        raise MeasurementSpecError("purification must carry mode pairs A_j B_j")
     n = purification.modes // 2
     if n < 2:
-        raise ValueError("two-copy test needs at least two copies")
+        raise MeasurementSpecError("two-copy test needs at least two copies")
     return n
 
 
@@ -185,11 +183,12 @@ def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
 # variational-compiling cost
 
 
-def _check_compile_circuit(gates, label: str) -> list[fock.GateSpec]:
+def _check_compile_circuit(gates) -> list[fock.GateSpec]:
     gates = list(gates)
     for g in gates:
         if not isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) or g.mode != 0:
-            raise ValueError(f"{label} circuit must act on register A only (mode 0)")
+            raise MeasurementSpecError(
+                "compiling circuits must act on register A only (single-mode gates on mode 0)")
     return gates
 
 
@@ -219,14 +218,14 @@ def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int
     """([U|psi_j>, V|psi_j>], total threshold) for each training state."""
     training = list(training)
     if not training:
-        raise ValueError("training set is empty")
-    u_gates = _check_compile_circuit(u_gates, "U")
-    v_gates = _check_compile_circuit(v_gates, "V")
+        raise MeasurementSpecError("training set is empty")
+    if any(psi.modes != 2 for psi in training):
+        raise MeasurementSpecError("training states live on two modes (A, R)")
+    u_gates = _check_compile_circuit(u_gates)
+    v_gates = _check_compile_circuit(v_gates)
     totals = list(m_totals) if m_totals is not None else [None] * len(training)
     if len(totals) != len(training):
-        raise est.MeasurementSpecError("one total threshold per training state required")
-    if any(psi.modes != 2 for psi in training):
-        raise ValueError("training states live on two modes (A, R)")
+        raise MeasurementSpecError("one total threshold per training state required")
     # U and V are built once per A-mode dimension, not once per state
     mats = {d: [_circuit_matrix(gates, d) for gates in (u_gates, v_gates)]
             for d in {psi.cutoff.shape[0] for psi in training}}
@@ -247,8 +246,6 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     same register layout share one passive measurement.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
-    if shots_per_term < 1:
-        raise ValueError("shots must be >= 1")
     blocks = est.parity_blocks([prepared for prepared, _ in terms], _COMPILE_PAIRS, None,
                                [total for _, total in terms])
     results = [estimate_blocks(term_blocks, shots_per_term, derive_seed(seed, j))
@@ -272,9 +269,9 @@ def compile_cost_expectation(training, u_gates, v_gates, m_totals=None) -> float
 def _check_hybrid(state_a, state_b) -> None:
     for state, name in ((state_a, "state_a"), (state_b, "state_b")):
         if state.modes != 2 or state.cutoff.per_mode_max[0] != 1:
-            raise ValueError(f"{name} must be qubit (cutoff 1) tensor one CV mode")
+            raise MeasurementSpecError(f"{name} must be qubit (cutoff 1) tensor one CV mode")
     if state_a.cutoff != state_b.cutoff:
-        raise ValueError("hybrid inputs must share the CV cutoff")
+        raise MeasurementSpecError("hybrid inputs must share the CV cutoff")
 
 
 def _bell_change() -> np.ndarray:
@@ -305,8 +302,6 @@ def hybrid_swap_estimate(state_a, state_b, m: int, shots: int,
     after the inverse 50:50 beamsplitter and scores
     (-1)^{z x + n_B} Theta[2m - n_B - m_B'].
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     if m < 0:
         raise ValueError("detector threshold must be >= 0")
     return estimate_blocks([_hybrid_block(state_a, state_b, m)], shots, seed)

@@ -151,6 +151,8 @@ class BlockSpec:
         w = np.asarray(self.component_weights, dtype=np.float64)
         if w.size != len(self.distributions):
             raise ValueError("one distribution per ensemble component required")
+        if np.any(w < 0):
+            raise ValueError("component weights must be >= 0")
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("component weights must sum to 1")
         levels = np.asarray(self.levels, dtype=np.complex128).ravel()

@@ -510,6 +510,28 @@ def test_huge_planner_energy_is_refused_at_once(tmp_path, capsys, method):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"family": "squeezed", "r": 0.5, "eps": 1e-320},
+    {"family": "coherent", "energy": 36, "eps": 1e-320, "method": "chernoff"},
+])
+def test_subnormal_eps_is_planned(tmp_path, capsys, config):
+    # ln(1 / eps) overflowed, since 1 / eps is past the float range
+    code, out = run_cli(tmp_path, "cutoff-plan", config)
+    assert code == 0 and capsys.readouterr().err == ""
+    plan = json.loads(out.read_text())["results"]
+    assert 0 < plan["M"] and plan["bound"] <= 1e-320
+
+
+def test_normal_quantile_refuses_an_eps_below_its_resolution(tmp_path, capsys):
+    # sqrt(1 - eps) rounds to 1, whose quantile is infinite
+    code, out = run_cli(tmp_path, "cutoff-plan", {"family": "coherent", "energy": 36, "eps": 1e-17,
+                                                  "method": "normal_quantile"})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("numerical contract failure: normal-quantile planning cannot resolve eps = 1e-17: "
+                   "sqrt(1 - eps) rounds to 1 in double precision\n")
+
+
 TWO_MODE = [{"kind": "vacuum", "cutoff": [2, 2]}]
 HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, "cutoff": [4]}},
           "state_b": {"qubit": [0, 1], "cv": {"kind": "vacuum", "cutoff": [4]}}}

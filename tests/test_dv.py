@@ -34,6 +34,14 @@ def test_dv_ensemble_refuses_nan_weights():
         DVEnsemble(((math.nan, state),))
 
 
+def test_dv_ensemble_refuses_weights_outside_the_unit_interval():
+    # 1.5 |0><0| - 0.5 |1><1| has trace 1, but no shot can draw a negative
+    # weight: against |0> its estimate read 1.0 where its exact value is 1.5
+    zero, one = DVState((2,), np.array([1.0, 0.0])), DVState((2,), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="weights must lie in"):
+        DVEnsemble(((1.5, zero), (-0.5, one)))
+
+
 def test_bell_states_qubit_labels():
     b00 = dv.qudit_bell_state(0, 0, 2).amplitudes.ravel()
     assert np.allclose(b00, np.array([1, 0, 0, 1]) / math.sqrt(2))

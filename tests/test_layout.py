@@ -1,5 +1,6 @@
-"""Modules of the package reach each other only through public names, and
-every passive measurement goes through one placement helper."""
+"""Modules of the package reach each other only through public names,
+every passive measurement goes through one placement helper, and no input
+rule is written in both the CLI and the library."""
 
 import ast
 import re
@@ -90,6 +91,37 @@ def test_passive_caller_check_sees_both_forms():
     source = ("def a():\n    return fock.apply_passive(x, p, g)\n"
               "def b():\n    def inner():\n        apply_passive(x, p, g)\n")
     assert passive_callers(source) == ["a", "inner"]
+
+
+def raised_messages(source: str, exception: str | None = None) -> set[str]:
+    """The message expressions (``ast.unparse`` of the first argument) of
+    the ``raise`` statements in ``source``; with ``exception``, only those
+    of the raises of that class, by bare name or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            func = node.exc.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if exception is None or name == exception:
+                found.add(ast.unparse(node.exc.args[0]))
+    return found
+
+
+def test_cli_repeats_no_library_refusal():
+    # the library refuses every input of a shape a protocol cannot take,
+    # and cli.main reports its MeasurementSpecError as a config error
+    library = set().union(*(raised_messages(path.read_text(encoding="utf-8"))
+                            for path in SRC.glob("*.py") if path.stem != "cli"))
+    cli = raised_messages((SRC / "cli.py").read_text(encoding="utf-8"), "ConfigError")
+    assert sorted(cli & library) == []
+
+
+def test_raised_message_check_sees_plain_and_formatted_messages():
+    source = ('raise ConfigError("empty")\nraise ConfigError(f"{name} bad")\n'
+              'raise ValueError("other")\nraise est.MeasurementSpecError(f"{name} bad")\n'
+              'raise\nraise ConfigError\n')
+    assert raised_messages(source, "ConfigError") == {"'empty'", "f'{name} bad'"}
+    assert raised_messages(source) == {"'empty'", "f'{name} bad'", "'other'"}
 
 
 README = SRC.parents[1] / "README.md"

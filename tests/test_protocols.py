@@ -569,3 +569,42 @@ def test_a_sequence_of_seeds_gives_the_single_seed_results(rng, name):
     assert estimate(seeds) == single
     assert estimate(tuple(seeds)) == single
     assert len({result.mean for result in single}) > 1  # the runs are not one draw repeated
+
+
+VAC2, VAC3 = fock.prepare("vacuum", CutoffSpec((2,))), fock.prepare("vacuum", CutoffSpec((3,)))
+PAIR = fock.prepare("vacuum", CutoffSpec((2, 2)))
+QUBIT = fock.FockState(CutoffSpec((1,)), np.array([1.0, 0.0]))
+QUBIT_CV2, QUBIT_CV3 = fock.tensor(QUBIT, VAC2), fock.tensor(QUBIT, VAC3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: proto.perm_test([VAC2], 10, 1), "PERM test needs at least two registers"),
+    (lambda: proto.perm_test([VAC2, PAIR, VAC2], 10, 1), "PERM test inputs must be single-mode"),
+    (lambda: proto.perm_test([VAC2, VAC3, VAC2], 10, 1), "PERM test inputs must share a common cutoff"),
+    (lambda: proto.compile_cost([], [], [], 10, 1), "training set is empty"),
+    (lambda: proto.compile_cost([VAC2], [], [], 10, 1), "training states live on two modes (A, R)"),
+    (lambda: proto.compile_cost([PAIR], [fock.Displacement(0.1, 1)], [], 10, 1),
+     "compiling circuits must act on register A only (single-mode gates on mode 0)"),
+    (lambda: proto.hybrid_swap_estimate(QUBIT_CV2, QUBIT_CV3, 1, 10, 1),
+     "hybrid inputs must share the CV cutoff"),
+    (lambda: proto.hybrid_swap_estimate(VAC2, QUBIT_CV2, 1, 10, 1),
+     "state_a must be qubit (cutoff 1) tensor one CV mode"),
+    (lambda: est.cv_swap_estimate(VAC2, PAIR, None, 10, 1), "state_b must be a single-mode state"),
+    (lambda: est.parity_overlap_estimate([], [], None, 10, 1), "overlap states list is empty"),
+    (lambda: proto.two_copy_test(PAIR, 10, 1), "two-copy test needs at least two copies"),
+    (lambda: dv.swap_eigenbasis(2, "x"), "basis must be 'v' or 'w'"),
+    (lambda: dv.dv_swap_estimate(dv.DVState((2,), [1, 0]), dv.DVState((3,), [1, 0, 0]), 10, 1),
+     "the two preparations must have identical dims"),
+])
+def test_input_shapes_a_protocol_cannot_take_are_spec_errors(call, message):
+    # cli.main maps MeasurementSpecError to a config error (exit 2)
+    with pytest.raises(est.MeasurementSpecError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_a_shot_count_below_one_is_refused_before_any_seed():
+    block = measurement_block([1.0], VAC2.amplitudes, [1.0], np.zeros(3, dtype=int))
+    for seeds in (4, [], [4, 5]):
+        with pytest.raises(est.MeasurementSpecError, match="shots must be >= 1"):
+            est.estimate_blocks([block], 0, seeds)

@@ -131,6 +131,12 @@ def test_block_spec_refuses_nan_component_weights():
         BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0], [0])
 
 
+def test_block_spec_refuses_negative_component_weights():
+    # the component draw inverts a cumulative table, which must not decrease
+    with pytest.raises(ValueError, match="component weights must be >= 0"):
+        BlockSpec(np.array([1.5, -0.5]), (np.array([1.0]), np.array([1.0])), [1.0], [0])
+
+
 def test_block_spec_refuses_level_indices_out_of_range():
     for index in ([2], [-1]):
         with pytest.raises(ValueError, match="level index out of range"):
