@@ -423,7 +423,7 @@ def cmd_hybrid(cfg: RunConfig) -> None:
     state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"), "state_a")
     state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"), "state_b")
     m = payload.get("M")
-    m = state_a.cutoff.per_mode_max[1] if m is None else _int_param(m, "M", 0)
+    m = None if m is None else _int_param(m, "M", 0)
     results, rows = _estimator_document(
         cfg, lambda shots, seeds: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seeds)
     )

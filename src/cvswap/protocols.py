@@ -279,8 +279,9 @@ def _bell_change() -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
+def _hybrid_block(state_a, state_b, m: int | None) -> BlockSpec:
     _check_hybrid(state_a, state_b)
+    [m] = est.normalize_thresholds(m, 1)
     cv_cap = state_a.cutoff.per_mode_max[1]
     combos = ensemble_combinations([state_a, state_b])
     bell_dag = _bell_change().conj().T
@@ -290,24 +291,24 @@ def _hybrid_block(state_a, state_b, m: int) -> BlockSpec:
     patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
     z, n_b, x, m_b = patterns.T
     # level 0 of (0, 1, -1) when discarded, else 1 + the parity bit
-    index = (n_b + m_b <= 2 * m) * (1 + (z * x + n_b) % 2)
+    index = 1 + (z * x + n_b) % 2
+    if m is not None:
+        index[n_b + m_b > 2 * m] = 0
     return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
 
 
-def hybrid_swap_estimate(state_a, state_b, m: int, shots: int,
+def hybrid_swap_estimate(state_a, state_b, m: int | None, shots: int,
                          seed) -> EstimatorResult | list[EstimatorResult]:
     """Ancilla-free SWAP test for qubit (x) CV-mode states.
 
     Samples a qubit Bell outcome (z, x) jointly with a photon pattern
     after the inverse 50:50 beamsplitter and scores
-    (-1)^{z x + n_B} Theta[2m - n_B - m_B'].
+    (-1)^{z x + n_B} Theta[2m - n_B - m_B']; ``m`` None means no threshold.
     """
-    if m < 0:
-        raise ValueError("detector threshold must be >= 0")
     return estimate_blocks([_hybrid_block(state_a, state_b, m)], shots, seed)
 
 
-def hybrid_swap_expectation(state_a, state_b, m: int) -> float:
+def hybrid_swap_expectation(state_a, state_b, m: int | None) -> float:
     """Exact hybrid estimator expectation: the qubit SWAP joined with the
     threshold-truncated CV SWAP observable."""
     _check_hybrid(state_a, state_b)

@@ -1,11 +1,12 @@
 """Seeded, reproducible shot sampling and estimator statistics.
 
 Randomness is counter-based: every uniform draw is a pure function of
-(root seed, stream id, shot index), so results never depend on evaluation
+(root seed, stream id, index), so results never depend on evaluation
 order, batching, or thread count.  The mixer is splitmix64, evaluated
-vectorized on uint64 arrays.  Shots are tallied, never stored: a block
-scores each outcome with one of a few weight levels, and a run counts the
-shots that landed on each product of levels.
+vectorized on uint64 arrays.  Shots are tallied, never drawn one by one:
+a block scores each outcome with one of a few weight levels, and a run
+draws how many shots land on each product of levels from the exact law of
+that product, one binomial per product.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ __all__ = [
     "passive_measurement",
     "estimator_statistics",
     "blocks_expectation",
-    "draw_outcomes",
+    "level_law",
+    "binomial",
     "blocks_estimate",
     "shot_uniforms",
-    "categorical_cdf",
-    "draw_categorical",
     "derive_seed",
     "seed_root",
 ]
@@ -49,10 +49,6 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
-
-# shots are drawn this many shot indices at a time, so the uniforms, mixer
-# temporaries and outcome indices of one chunk stay in cache
-CHUNK_SHOTS = 1 << 16
 
 # shot counts stay exact in the double-precision sums of the statistics up
 # to 2^53 shots
@@ -79,10 +75,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
-    """Uniforms in [0, 1) addressed by (seed, stream, shot index).
+    """Uniforms in [0, 1) addressed by (seed, stream, index).
 
     ``indices`` may be an int (count, meaning 0..count-1) or an array of
-    shot indices.  The draw for a given address is the same no matter how
+    indices.  The draw for a given address is the same no matter how
     the call is batched.
     """
     root = seed_root(seed)
@@ -117,18 +113,6 @@ def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
     if not np.all(total > 0.0):
         raise ValueError("cannot sample from a zero-norm state")
     return np.ascontiguousarray(p / total)
-
-
-def categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
-    """Cumulative table for inverse-CDF sampling; last entry forced to 1."""
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0
-    return cdf
-
-
-def draw_categorical(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniforms to outcome indices via binary search on the table."""
-    return np.searchsorted(cdf, uniforms, side="right")
 
 
 @dataclass(frozen=True)
@@ -234,62 +218,156 @@ def blocks_expectation(blocks) -> complex:
     return total
 
 
-def _inverse_cdf(distribution: np.ndarray, draws: float):
-    """Function from uniforms to outcome indices of ``distribution``, equal
-    to ``draw_categorical`` on its cumulative table.
+def level_law(blocks):
+    """The law of a shot's weight, as (values, q): a shot scores the
+    distinct product ``values[i]`` of one weight level of each block with
+    probability ``q[i]``.
 
-    When the expected number of ``draws`` pays for it, a guide table
-    (Chen & Asau 1974; Devroye 1986, III.2.4) of K buckets, K the smallest
-    power of two >= 4 outcomes, holds for bucket b the counts
-    lo = #{cdf <= b/K} and hi = #{cdf < (b+1)/K}.  A uniform in bucket b
-    has outcome lo whenever lo == hi; otherwise it falls back to the binary
-    search.  Both counts are exact, since cdf * K and u * K are exact for a
-    power of two K, so the table changes no outcome.
+    Block b scores level l with probability q_b[l], the component-weighted
+    mass of the outcomes whose index is l; blocks are independent, so the
+    outer product of the q_b, summed onto the distinct products of the
+    levels (in ``np.unique`` order), is the law of the product.
     """
-    cdf = categorical_cdf(distribution)
-    k = 1 << (4 * cdf.size - 1).bit_length()
-    if draws < 4 * (cdf.size + k):
-        return functools.partial(draw_categorical, cdf)
-    lo = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k)[:k])
-    hi = np.cumsum(np.bincount(np.floor(cdf * k).astype(np.intp), minlength=k)[:k])
-    guide = np.where(lo == hi, lo, -1)
-
-    def draw(uniforms: np.ndarray) -> np.ndarray:
-        idx = guide[(uniforms * k).astype(np.intp)]
-        miss = idx < 0
-        if miss.any():
-            idx[miss] = draw_categorical(cdf, uniforms[miss])
-        return idx
-
-    return draw
+    values = np.ones(1, dtype=np.complex128)
+    law = np.ones(1)
+    for block in blocks:
+        q = sum(cw * np.bincount(block.index, dist, minlength=block.levels.size)
+                for cw, dist in zip(block.component_weights, block.distributions))
+        values, merged = np.unique(np.multiply.outer(values, block.levels).ravel(),
+                                   return_inverse=True)
+        law = np.bincount(merged, np.multiply.outer(law, q).ravel(), minlength=values.size)
+    return values, law
 
 
-def draw_outcomes(block: BlockSpec, b: int, shots: int, seed):
-    """Outcome indices of ``shots`` shots of the block at position ``b`` of
-    a run, yielded in consecutive chunks of CHUNK_SHOTS shots, so the
-    working set of a chunk stays cache-sized.
+# uniforms fetched per counter call; most draws need one or two
+_ATTEMPTS_PER_FETCH = 4
 
-    The ensemble component of shot s comes from stream 2b (not drawn for a
-    single component) and its outcome from stream 2b+1, so the result is
-    independent of batching and thread count.  Each component draws through
-    an exact guide table once its expected draws pay for building it.
+# a binomial with mean n p below this is drawn by inversion, else by BTRD,
+# which needs n p >= 10
+INVERSION_MEAN = 10.0
+
+# fc(k) = ln k! - ((k + 1/2) ln(k + 1) - (k + 1) + ln(2 pi) / 2), k = 0..9
+_STIRLING_TAIL = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+                  0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+                  0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+                  0.00833056343336287)
+
+
+def _stirling_tail(k: int) -> float:
+    """fc(k), the error of Stirling's series for ln k!: tabled below 10,
+    else its first three terms."""
+    if k < len(_STIRLING_TAIL):
+        return _STIRLING_TAIL[k]
+    s = 1.0 / ((k + 1.0) * (k + 1.0))
+    return (1.0 / 12.0 - (1.0 / 360.0 - s / 1260.0) * s) / (k + 1.0)
+
+
+def _attempts(seed, stream: int):
+    """Uniform pairs in (0, 1]: attempt a of ``stream`` reads the counter
+    addresses (seed, stream, 2a) and (seed, stream, 2a + 1)."""
+    start = 0
+    while True:
+        u = shot_uniforms(seed, stream, np.arange(start, start + 2 * _ATTEMPTS_PER_FETCH,
+                                                  dtype=np.uint64))
+        flat = (1.0 - u).tolist()
+        yield from zip(flat[::2], flat[1::2])
+        start += 2 * _ATTEMPTS_PER_FETCH
+
+
+def _binomial_inversion(n: int, p: float, attempts) -> int:
+    """Sequential search up the pmf from 0 for n p < INVERSION_MEAN; an
+    attempt whose uniform rounding leaves above the whole mass is redrawn."""
+    r = p / (1.0 - p)
+    first = math.exp(n * math.log1p(-p))
+    for u, _ in attempts:
+        k, f = 0, first
+        while u > f and f > 0.0:
+            u -= f
+            k += 1
+            f *= r * (n - k + 1) / k
+        if f > 0.0:
+            return k
+
+
+def _binomial_btrd(n: int, p: float, attempts) -> int:
+    """Transformed rejection with decomposition (BTRD; Hormann, J. Statist.
+    Comput. Simul. 46, 101, 1993) for n p >= 10 and p <= 1/2.
+
+    The final acceptance compares ln f(k)/f(m), f the pmf and m its mode,
+    with the large logarithms of the paper regrouped through ``log1p`` of
+    the offset d = k - m, so the test keeps its accuracy for n up to 2^53.
     """
-    inverse = [_inverse_cdf(dist, shots * cw)
-               for cw, dist in zip(block.component_weights, block.distributions)]
-    comp_cdf = categorical_cdf(block.component_weights)
-    for start in range(0, shots, CHUNK_SHOTS):
-        indices = np.arange(start, min(start + CHUNK_SHOTS, shots), dtype=np.uint64)
-        u = shot_uniforms(seed, 2 * b + 1, indices)
-        if len(inverse) == 1:
-            yield inverse[0](u)
+    q = 1.0 - p
+    npq = n * p * q
+    spq = math.sqrt(npq)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    num, den = p.as_integer_ratio()
+    m = (n + 1) * num // den  # floor((n + 1) p), exactly
+    r = p / q
+    nr = (n + 1) * r
+    for v, w in attempts:
+        if v <= 0.86 * v_r:
+            u = v / v_r - 0.43
+            return math.floor((2.0 * a / (0.5 - abs(u)) + b) * u + c)
+        if v >= v_r:
+            u = w - 0.5
+        else:
+            u = v / v_r - 0.93
+            u = math.copysign(0.5, u) - u
+            v = w * v_r
+        us = 0.5 - abs(u)
+        if us <= 0.0:
             continue
-        comp_idx = draw_categorical(comp_cdf, shot_uniforms(seed, 2 * b, indices))
-        out_idx = np.empty(indices.size, dtype=np.int64)
-        for i, draw in enumerate(inverse):
-            sel = comp_idx == i
-            if np.any(sel):
-                out_idx[sel] = draw(u[sel])
-        yield out_idx
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v *= alpha / (a / (us * us) + b)
+        d = k - m
+        if abs(d) <= 15:
+            # f(k)/f(m) by the pmf's ratio recurrence
+            f = 1.0
+            for i in range(m + 1, k + 1):
+                f *= nr / i - r
+            for i in range(k + 1, m + 1):
+                v *= nr / i - r
+            if v <= f:
+                return k
+            continue
+        # squeeze on ln f(k)/f(m) around -d^2 / (2 n p q)
+        v = math.log(v)
+        rho = (abs(d) / npq) * (((abs(d) / 3.0 + 0.625) * abs(d) + 1.0 / 6.0) / npq + 0.5)
+        t = -d * d / (2.0 * npq)
+        if v < t - rho:
+            return k
+        if v > t + rho:
+            continue
+        nm, nk = n - m + 1, n - k + 1
+        log_ratio = ((n + 1) * math.log1p(d / nk)
+                     + (m + 0.5) * (math.log1p(-d / (k + 1)) + math.log1p(-d / nm))
+                     + d * math.log(r * nk / (k + 1))
+                     + _stirling_tail(m) + _stirling_tail(n - m)
+                     - _stirling_tail(k) - _stirling_tail(n - k))
+        if v <= log_ratio:
+            return k
+
+
+def binomial(n: int, p: float, seed, stream: int) -> int:
+    """Exact Binomial(n, p) draw, a pure function of its arguments: its
+    uniforms come from ``shot_uniforms(seed, stream, .)``, two per attempt.
+
+    p > 1/2 draws n - Binomial(n, 1 - p); n p below INVERSION_MEAN
+    searches the pmf up from 0, larger means use BTRD.
+    """
+    if p > 0.5:
+        return n - binomial(n, 1.0 - p, seed, stream)
+    if n == 0 or p <= 0.0:
+        return 0
+    draw = _binomial_inversion if n * p < INVERSION_MEAN else _binomial_btrd
+    return draw(n, p, _attempts(seed, stream))
 
 
 def blocks_estimate(blocks, shots: int, seed):
@@ -298,13 +376,12 @@ def blocks_estimate(blocks, shots: int, seed):
     weight level of each block, and ``discarded`` of them scored exactly
     zero because a detector threshold was exceeded.
 
-    No shot weight is stored.  Before drawing, the products of the levels
-    of the blocks so far are merged to their distinct values after each
-    block, which gives every (code so far, outcome) pair its next code;
-    each chunk of draws then maps its outcome indices, block by block, to
-    one code per shot and adds their bincount to the counts.  Memory is
-    the working set of one chunk; a count beyond MAX_SHOTS raises
-    ``ResourceLimitError``; an empty block list is refused.
+    The counts are one Multinomial(shots, q) draw from the ``level_law``
+    of the blocks, made as conditional binomials in code order: code i
+    takes Binomial(shots left, q_i / (q_i + ... + q_last)) with uniforms
+    from stream i, and the last code takes the rest.  No shot is drawn.
+    A count beyond MAX_SHOTS raises ``ResourceLimitError``; an empty block
+    list is refused.
     """
     if not blocks:
         raise ValueError("blocks_estimate needs at least one block; the block list is empty")
@@ -315,20 +392,16 @@ def blocks_estimate(blocks, shots: int, seed):
             f"{shots} shots need exact counts, which double-precision sums keep only "
             "up to MAX_SHOTS = 2^53 shots; reduce shots"
         )
-    values = np.ones(1, dtype=np.complex128)
-    next_code = []
-    for block in blocks:
-        values, merged = np.unique(np.multiply.outer(values, block.levels).ravel(),
-                                   return_inverse=True)
-        next_code.append(merged.reshape(-1, block.levels.size)[:, block.index])
+    values, law = level_law(blocks)
+    tails = np.cumsum(law[::-1])[::-1]
     counts = np.zeros(values.size, dtype=np.int64)
-    draws = [draw_outcomes(block, b, shots, seed) for b, block in enumerate(blocks)]
-    for chunk in zip(*draws):
-        code = 0
-        for table, idx in zip(next_code, chunk):
-            code = table[code, idx]
-        counts += np.bincount(code, minlength=values.size)
-        del chunk, idx, code  # before the next chunk is drawn
+    left = shots
+    for i, (q, tail) in enumerate(zip(law[:-1].tolist(), tails[:-1].tolist())):
+        p = min(1.0, max(0.0, q / tail)) if tail > 0.0 else 0.0
+        drawn = binomial(left, p, seed, i)
+        counts[i] = drawn
+        left -= drawn
+    counts[-1] = left
     return (values, counts), int(counts[values == 0].sum())
 
 

@@ -286,6 +286,22 @@ def test_csv_estimator_rows(tmp_path):
     assert len(lines) == 4
 
 
+def test_hybrid_without_threshold_matches_the_full_cap(tmp_path):
+    # an omitted M means no threshold, which at cutoff 12 is M = 12
+    config = {
+        "state_a": {"qubit": [[1, 0], [0, 0]], "cv": {"kind": "coherent", "alpha": 0.5, "cutoff": [12]}},
+        "state_b": {"qubit": [[0.6, 0], [0.8, 0]], "cv": {"kind": "vacuum", "cutoff": [12]}},
+        "shots": 500,
+        "seed": 6,
+    }
+    results = []
+    for extra in ({}, {"M": 12}):
+        code, out = run_cli(tmp_path, "hybrid", {**config, **extra})
+        assert code == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert json.dumps(results[0]) == json.dumps(results[1])
+
+
 HYBRID_SPEC = {"qubit": [1, 0], "cv": {"kind": "vacuum", "cutoff": [2]}}
 
 

@@ -16,7 +16,7 @@ from cvswap.sampling import (
 
 from conftest import (
     assert_same_block,
-    assert_same_shots,
+    assert_same_law,
     count_calls,
     density_matrix,
     purification_of,
@@ -133,7 +133,7 @@ def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
         assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
     exact = proto.perm_expectation(states)
     assert abs(exact - blocks_expectation([block])) < 1e-10
-    assert_same_shots(block, dense, flat, 5000, int(rng.integers(2**32)))
+    assert_same_law(block, dense)
 
 
 def test_perm_six_registers_at_cap_three(rng):
@@ -441,7 +441,7 @@ def test_hybrid_block_matches_padded_oracle(cap, rank_a, rank_b, seed):
     m = int(rng.integers(0, cap + 2))
     oracle, shape = _dense_hybrid_block(a, b, m)
     patterns = fock.closed_patterns((1, cap, 1, cap), [(1, 3)])
-    assert_same_block(proto._hybrid_block(a, b, m), oracle, shape, patterns, seed)
+    assert_same_block(proto._hybrid_block(a, b, m), oracle, shape, patterns)
 
 
 def test_hybrid_trivial_cases():
@@ -500,6 +500,20 @@ def test_hybrid_ensembles(rng):
     want = sum(w * abs(fock.inner_product(s, pure)) ** 2 for w, s in comps)
     got = proto.hybrid_swap_expectation(ens, pure, cap)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_hybrid_without_threshold_is_the_full_cap_block(rng):
+    # None keeps every shot, as does 2M at the pair's photon budget 2 cap
+    cap = 3
+    a = MixedEnsemble(((0.4, _rand_hybrid(rng, cap)), (0.6, _rand_hybrid(rng, cap))))
+    b = _rand_hybrid(rng, cap)
+    free, full = proto._hybrid_block(a, b, None), proto._hybrid_block(a, b, cap)
+    assert np.array_equal(free.levels, full.levels) and np.array_equal(free.index, full.index)
+    assert all(np.array_equal(x, y) for x, y in zip(free.distributions, full.distributions, strict=True))
+    assert proto.hybrid_swap_estimate(a, b, None, 10, 1) == proto.hybrid_swap_estimate(a, b, cap, 10, 1)
+    assert proto.hybrid_swap_expectation(a, b, None) == proto.hybrid_swap_expectation(a, b, cap)
+    with pytest.raises(est.MeasurementSpecError, match="thresholds must be >= 0"):
+        proto.hybrid_swap_estimate(a, b, -1, 10, 1)
 
 
 def test_hybrid_shape_mismatch(rng):

@@ -1,20 +1,23 @@
 import collections
 import math
-import tracemalloc
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from cvswap import fock, sampling
 from cvswap.sampling import (
     BlockSpec,
+    binomial,
     blocks_estimate,
     blocks_expectation,
     derive_seed,
-    draw_outcomes,
     estimator_statistics,
+    level_law,
     shot_uniforms,
 )
 
@@ -24,10 +27,12 @@ from conftest import random_pure, tally
 def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
     (p,) = sampling.measurement_block([1.0], state.amplitudes, [1.0], np.zeros(5, dtype=int)).distributions
+    # every outcome its own weight level, so the counts are the outcome counts
+    block = BlockSpec(np.array([1.0]), (p,), np.arange(5.0), np.arange(5))
     shots = 1_000_000
-    u = shot_uniforms(7, 0, shots)
-    idx = sampling.draw_categorical(sampling.categorical_cdf(p), u)
-    freq = np.bincount(idx, minlength=5) / shots
+    (values, counts), _ = blocks_estimate([block], shots, 7)
+    assert np.array_equal(values, np.arange(5.0)) and counts.sum() == shots
+    freq = counts / shots
     bound = 5.0 * np.sqrt(p * (1 - p) / shots)
     assert np.all(np.abs(freq - p) <= bound + 1e-12)
 
@@ -150,17 +155,15 @@ def test_blocks_estimate_refuses_counts_numpy_cannot_size(shots):
         blocks_estimate([block], shots, 0)
 
 
-def test_max_shots_pass_the_guard_without_a_draw(monkeypatch):
-    class Drawn(Exception):
-        pass
-
-    def draw(*args):
-        raise Drawn
-
-    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0], [0])
-    monkeypatch.setattr(sampling, "draw_outcomes", draw)
-    with pytest.raises(Drawn):
-        blocks_estimate([block], sampling.MAX_SHOTS, 0)
+def test_max_shots_pass_the_guard_without_a_draw():
+    # 2^53 shots are drawn, through both binomial branches, in a few
+    # binomials: the count never costs time
+    block = BlockSpec(np.array([1.0]), (np.array([0.5, 0.3, 0.2 - 2.0**-53, 2.0**-53]),),
+                      [1.0, -1.0, 0.0, 2.0], [0, 1, 2, 3])
+    start = time.perf_counter()
+    (_, counts), discarded = blocks_estimate([block], sampling.MAX_SHOTS, 0)
+    assert time.perf_counter() - start < 1.0
+    assert int(counts.sum()) == 2 ** 53 and 0 < discarded < 2 ** 53
     with pytest.raises(fock.ResourceLimitError, match=f"{2 ** 53 + 1} shots need"):
         blocks_estimate([block], sampling.MAX_SHOTS + 1, 0)
 
@@ -200,92 +203,6 @@ def test_passive_measurement_places_each_combination(rng):
     sampling.check_working_size(1 + 8, 28 ** 4)
 
 
-def whole_array_outcomes(blocks, shots, seed):
-    """The reference draw: every shot of a block at once, each outcome by
-    binary search on the cumulative table; one outcome array per block."""
-
-    def cdf(p):
-        c = np.cumsum(p)
-        c[-1] = 1.0
-        return c
-
-    outcomes = []
-    for b, block in enumerate(blocks):
-        u = shot_uniforms(seed, 2 * b + 1, shots)
-        if len(block.distributions) == 1:
-            comp = np.zeros(shots, dtype=np.int64)
-        else:
-            comp = np.searchsorted(cdf(block.component_weights), shot_uniforms(seed, 2 * b, shots),
-                                   side="right")
-        idx = np.empty(shots, dtype=np.int64)
-        for i, dist in enumerate(block.distributions):
-            sel = comp == i
-            idx[sel] = np.searchsorted(cdf(dist), u[sel], side="right")
-        outcomes.append(idx)
-    return outcomes
-
-
-def shot_weights(blocks, outcomes):
-    """Per-shot weights: the product of each block's weight of the shot's
-    outcome, multiplied block by block from 1."""
-    weights = np.ones(outcomes[0].size, dtype=np.complex128)
-    for block, idx in zip(blocks, outcomes):
-        weights *= block.weights[idx]
-    return weights
-
-
-CHUNK = sampling.CHUNK_SHOTS
-
-
-@st.composite
-def edge_blocks(draw):
-    """A sampling block whose distributions have exact zeros, entries
-    clamped below TINY_PROBABILITY, or dyadic probabilities whose
-    cumulative breakpoints lie on the guide table's bucket edges."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = draw(st.integers(1, 300))
-    rank = draw(st.integers(1, 3))
-    cw = rng.random(rank) + 0.05
-    cw /= cw.sum()
-    # every outcome is its own weight level; quarter-integer parts keep
-    # products exact, whichever way numpy rounds a complex product
-    weights = (rng.integers(-8, 9, size) + 1j * rng.integers(-8, 9, size)) / 4
-    weights[rng.random(size) < 0.3] = 0.0
-    index = np.arange(size)
-    kind = draw(st.sampled_from(("zeros", "tiny", "dyadic")))
-    if kind == "dyadic":
-        k = 1 << (4 * size - 1).bit_length()
-        dists = []
-        for _ in range(rank):
-            cuts = np.sort(rng.integers(0, k + 1, size - 1))
-            dists.append(np.diff(np.concatenate(([0], cuts, [k]))) / k)
-        return BlockSpec(cw, tuple(dists), weights, index)
-    amps = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
-    amps[rng.random((rank, size)) < 0.4] = 0.0
-    if kind == "tiny":
-        # |a|^2 of 1e-310 is clamped to zero; 1e-298 is kept
-        amps *= np.where(rng.random((rank, size)) < 0.5, 1e-155, 1e-149)
-        amps[:, 0] += 1.0
-    amps[:, -1] += 0.1
-    return sampling.measurement_block(cw, amps, weights, index)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(edge_blocks(), min_size=1, max_size=2),
-       st.sampled_from((1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)),
-       st.integers(0, 2**64 - 1))
-def test_chunked_draw_equals_whole_array_search(blocks, shots, seed):
-    want = whole_array_outcomes(blocks, shots, seed)
-    for b, block in enumerate(blocks):
-        chunks = list(draw_outcomes(block, b, shots, seed))
-        assert [c.size for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), want[b])
-    weights = shot_weights(blocks, want)
-    (values, counts), discarded = blocks_estimate(blocks, shots, seed)
-    assert tally(values, counts) == dict(collections.Counter(weights.tolist()))
-    assert discarded == int(np.count_nonzero(weights == 0))
-
-
 @st.composite
 def integer_level_blocks(draw):
     """A block whose outcomes score small integer weight levels."""
@@ -313,12 +230,13 @@ def no_farther(x: float, y: float, square: Fraction) -> bool:
 @given(st.lists(integer_level_blocks(), min_size=1, max_size=3),
        # numpy's mean multiplies by the rounded 1/n, which near a power of
        # two rounds like a true division; 70,001 and 77,777 tell them apart
-       st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 70_001, 77_777, 2 * CHUNK + 3)),
+       st.sampled_from((65_535, 65_536, 65_537, 70_001, 77_777, 131_075)),
        st.integers(0, 2**64 - 1))
 def test_tally_statistics_match_per_shot_weights(blocks, shots, seed):
-    weights = shot_weights(blocks, [np.concatenate(list(draw_outcomes(block, b, shots, seed)))
-                                    for b, block in enumerate(blocks)])
     (values, counts), _ = blocks_estimate(blocks, shots, seed)
+    # the tally expanded to one weight per shot; integer weights sum
+    # exactly, so the order of the shots does not matter
+    weights = np.repeat(values, counts)
     mean, stderr = estimator_statistics(values, counts)
     assert np.complex128(mean).tobytes() == weights.mean().tobytes()
     # the n-1 standard error of the stored weights, and its exact square
@@ -342,35 +260,80 @@ def test_tally_mean_has_the_bits_of_numpy_mean():
         assert np.complex128(mean).tobytes() == weights.mean().tobytes()
 
 
-def test_guide_table_is_exact_on_bucket_edges():
-    # uniforms exactly on every bucket edge b/K and one grid step either
-    # side of it, for breakpoints on the edges and between them
-    k = 64
-    dyadic = np.array([0, 3, 0, 0, 5, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, 48]) / k
-    rng = np.random.default_rng(3)
-    for p in (dyadic, rng.random(16) ** 6 / (rng.random(16) ** 6).sum()):
-        cdf = sampling.categorical_cdf(p)
-        edges = np.arange(k) / k
-        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
-        draw = sampling._inverse_cdf(p, draws=1e9)
-        assert np.array_equal(draw(u), np.searchsorted(cdf, u, side="right"))
+# (n, p, branch): inversion for n p < 10, BTRD above, and p > 1/2 through
+# n - Binomial(n, 1 - p) into each of them
+BINOMIAL_CASES = [
+    (20, 0.1, "inversion"),
+    (2**40, 3e-12, "inversion-large-n"),
+    (1000, 0.3, "btrd"),
+    (2**40, 0.3, "btrd-large-n"),
+    (60, 0.95, "flipped-inversion"),
+    (2**40, 0.7, "flipped-btrd"),
+]
+# a sampler that draws from the right pmf fails this with probability 1e-6
+CHI_SQUARE_LEVEL = 1e-6
 
 
-def test_draw_memory_is_a_fixed_working_set():
-    # no memory grows with the shot count: the peak at 1e6 shots is the
-    # peak at 1e5 up to one chunk's working set, its uniforms and outcome
-    # indices at 8 bytes a shot each, and no peak passes eight such arrays
-    rng = np.random.default_rng(8)
-    p = rng.random(3321)
-    block = BlockSpec(np.array([1.0]), (p / p.sum(),), [0.0, 1.0, -1.0], rng.integers(0, 3, 3321))
-    peaks = []
-    for shots in (100_000, 1_000_000):
-        tracemalloc.start()
-        try:
-            blocks_estimate([block], shots, 2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    chunk_array = 8 * sampling.CHUNK_SHOTS
-    assert abs(peaks[1] - peaks[0]) <= 2 * chunk_array
-    assert max(peaks) <= 8 * chunk_array
+@pytest.mark.parametrize("n, p, branch", BINOMIAL_CASES, ids=[c[2] for c in BINOMIAL_CASES])
+def test_binomial_matches_the_exact_pmf(n, p, branch):
+    draws = 4000
+    law = stats.binom(n, p)
+    # about 20 bins of equal mass, each holding its exact binomial mass
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]).astype(np.int64))
+    mass = np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0])))
+    x = np.array([binomial(n, p, seed, 5) for seed in range(draws)])
+    assert x.min() >= 0 and x.max() <= n
+    seen = np.bincount(np.searchsorted(edges, x, side="left"), minlength=mass.size)
+    expected = draws * mass
+    chi2 = float(((seen - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(chi2, mass.size - 1) > CHI_SQUARE_LEVEL, (branch, chi2, mass.size)
+
+
+def test_binomial_edges_and_streams():
+    assert [binomial(0, 0.3, 1, 0), binomial(9, 0.0, 1, 0), binomial(9, 1.0, 1, 0)] == [0, 0, 9]
+    # a pure function of (n, p, seed, stream); streams are independent
+    assert binomial(10**6, 0.4, 3, 2) == binomial(10**6, 0.4, 3, 2)
+    assert len({binomial(10**6, 0.4, 3, stream) for stream in range(8)}) > 1
+
+
+def test_stirling_tail_matches_log_factorials():
+    for k in [*range(0, 40), 10**3, 10**6, 2**40]:
+        with mpmath.workdps(40):
+            exact = float(mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k + 1)
+                          + (k + 1) - mpmath.log(2 * mpmath.pi) / 2)
+        # the tabled values are exact to the double; the series past them
+        # drops a term below 1 / (1680 (k + 1)^7)
+        assert abs(sampling._stirling_tail(k) - exact) <= (1e-17 if k < 10 else 4e-11)
+
+
+def test_level_law_merges_products_of_levels():
+    a = BlockSpec(np.array([0.25, 0.75]), (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5])),
+                  [1.0, -1.0], [0, 1, 1])
+    b = BlockSpec(np.array([1.0]), (np.array([0.25, 0.75]),), [-1.0, 0.0], [0, 1])
+    values, q = level_law([a, b])
+    # a scores 1 with 1/8 and -1 with 7/8; b scores -1 with 1/4 and 0 with 3/4
+    assert np.array_equal(values, [-1.0, 0.0, 1.0])
+    assert np.allclose(q, [1 / 32, 3 / 4, 7 / 32], rtol=0, atol=1e-16)
+
+
+KNOWN_TALLIES = {
+    "three": [498894, 200061, 301045],
+    "three-small": [3, 2, 2],
+    "two-blocks": [44706, 24633, 54118],
+    "rare": [1006, 999998994],
+}
+
+
+def test_tally_known_answers():
+    # the counts of fixed (seed, shots, law) triples: a change of the
+    # sampler that moves any document fails here first
+    three = BlockSpec(np.array([1.0]), (np.array([0.2, 0.3, 0.5]),), [0.0, 1.0, -1.0], [0, 1, 2])
+    mixed = BlockSpec(np.array([0.3, 0.7]), (np.array([0.9, 0.1]), np.array([0.05, 0.95])),
+                      [1.0, -1.0], [0, 1])
+    rare = BlockSpec(np.array([1.0]), (np.array([1 - 1e-6, 1e-6]),), [1.0, 0.0], [0, 1])
+    got = {name: blocks_estimate(blocks, shots, seed)[0][1].tolist()
+           for name, blocks, shots, seed in (("three", [three], 1_000_000, 708),
+                                             ("three-small", [three], 7, 0),
+                                             ("two-blocks", [mixed, three], 123_457, 2**64 - 1),
+                                             ("rare", [rare], 10**9, 11))}
+    assert got == KNOWN_TALLIES
