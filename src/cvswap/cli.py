@@ -311,6 +311,8 @@ def cmd_fig2(cfg: RunConfig) -> None:
     payload = cfg.payload
     r_list = [_real_param(r, "r_list entry")
               for r in _list_param(payload.get("r_list", [0.8, 1.0, 1.2]), "r_list")]
+    if not r_list:
+        raise ConfigError("r_list must not be empty")
     m_lo = _int_param(payload.get("m_min", 4), "m_min")
     m_hi = _int_param(payload.get("m_max", 20), "m_max")
     cap = _int_param(payload.get("prep_cutoff", 40), "prep_cutoff", 0)

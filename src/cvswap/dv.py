@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
-from .fock import apply_two_mode_dense, check_working_size
-from .sampling import (
-    BlockSpec,
-    blocks_expectation,
-    ensemble_combinations,
-    measurement_block,
-)
+from .fock import apply_two_mode_dense, check_working_size, components_of
+from .sampling import BlockSpec, ensemble_combinations, measurement_block
 
 __all__ = [
     "DVState",
@@ -154,7 +149,10 @@ def _w_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, eigenvalues) for the chosen SWAP-diagonalizing basis."""
+    """(matrix, eigenvalues) for the chosen SWAP-diagonalizing basis; a
+    d^2 x d^2 matrix beyond the working-space limit is refused before it
+    is allocated."""
+    check_working_size(d * d, d * d)
     if basis == "v":
         return _v_basis(d)
     if basis == "w":
@@ -166,10 +164,14 @@ def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
 # estimator
 
 
-def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
-    dims_a = prep_a.dims
-    if prep_b.dims != dims_a:
+def _common_dims(prep_a, prep_b) -> tuple[int, ...]:
+    if prep_b.dims != prep_a.dims:
         raise MeasurementSpecError("the two preparations must have identical dims")
+    return prep_a.dims
+
+
+def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
+    dims_a = _common_dims(prep_a, prep_b)
     k = len(dims_a)
     combos = ensemble_combinations([prep_a, prep_b])
     check_working_size(len(combos), math.prod(dims_a) ** 2)
@@ -201,6 +203,10 @@ def dv_swap_estimate(prep_a, prep_b, shots: int, seed,
     return estimate_blocks([_dv_block(prep_a, prep_b, basis)], shots, seed)
 
 
-def dv_swap_expectation(prep_a, prep_b, basis: str = "v") -> float:
-    """Exact estimator expectation (eigenvalue-weighted outcome sum)."""
-    return blocks_expectation([_dv_block(prep_a, prep_b, basis)]).real
+def dv_swap_expectation(prep_a, prep_b) -> float:
+    """Exact estimator expectation tr(rho sigma) = sum_ij w_i w_j |<a_i|b_j>|^2
+    over the components of the two preparations; every SWAP eigenbasis
+    gives this value."""
+    _common_dims(prep_a, prep_b)
+    return float(sum(wa * wb * abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+                     for wa, a in components_of(prep_a) for wb, b in components_of(prep_b)))

@@ -267,6 +267,7 @@ def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
         raise ValueError("pattern length does not match mode count")
     if any(not 0 <= n <= cap for n, cap in zip(counts, cutoff.per_mode_max)):
         raise ValueError(f"pattern {counts} lies outside cutoff {cutoff.per_mode_max}")
+    check_working_size(1, cutoff.dim)
     amps = np.zeros(cutoff.shape, dtype=np.complex128)
     amps[counts] = 1.0
     return FockState(cutoff, amps)
@@ -299,6 +300,7 @@ def pad(state: FockState, per_mode_max) -> FockState:
     if caps == state.cutoff.per_mode_max:
         return state
     cutoff = CutoffSpec(caps)
+    check_working_size(1, cutoff.dim)
     amps = np.zeros(cutoff.shape, dtype=np.complex128)
     amps[tuple(slice(0, d) for d in state.cutoff.shape)] = state.amplitudes
     return FockState(cutoff, amps, leak=state.leak, leak_warning=state.leak_warning)
@@ -614,7 +616,9 @@ def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
     kinds: ``vacuum``, ``coherent`` (alpha), ``squeezed`` (z), ``tmss`` (r,
     two modes).  The pre-normalization leak is recorded on the result; a
     leak above LEAK_HARD raises, one above LEAK_SOFT sets the warning flag.
+    A box beyond the working-space limit is refused before it is allocated.
     """
+    check_working_size(1, cutoff.dim)
     if kind == "vacuum":
         return basis_state((0,) * cutoff.modes, cutoff)
     if kind == "coherent":

@@ -2,16 +2,17 @@
 
 Randomness is counter-based: every uniform draw is a pure function of
 (root seed, stream id, index), so results never depend on evaluation
-order, batching, or thread count.  The mixer is splitmix64, evaluated
-vectorized on uint64 arrays.  Shots are tallied, never drawn one by one:
-a block scores each outcome with one of a few weight levels, and a run
-draws how many shots land on each product of levels from the exact law of
-that product, one binomial per product.
+order.  The mixer is splitmix64 on Python integers masked to 64 bits.
+Shots are tallied, never drawn one by one: a block is the law of a shot's
+weight over a few levels, and a run draws how many shots land on each
+product of levels from the exact law of that product, one binomial per
+product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,16 +37,16 @@ __all__ = [
     "measurement_block",
     "passive_measurement",
     "estimator_statistics",
-    "blocks_expectation",
     "level_law",
     "binomial",
     "blocks_estimate",
-    "shot_uniforms",
+    "counter_uniform",
     "derive_seed",
     "seed_root",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 
 # probabilities below this are treated as exact zeros before normalization
 TINY_PROBABILITY = 1e-300
@@ -57,50 +58,32 @@ MAX_SHOTS = 1 << 53
 
 def seed_root(seed) -> int:
     """The 64-bit root of an integer seed."""
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
+    return int(seed) & _MASK
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalization round, in place on a uint64 array (a
-    uint64 scalar is rebound), with one scratch array for the shifts;
-    uint64 arithmetic wraps modulo 2^64."""
-    shifted = np.empty_like(x)
-    x += _GOLDEN
-    x ^= np.right_shift(x, np.uint64(30), out=shifted)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= np.right_shift(x, np.uint64(27), out=shifted)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
-    return x
-
-
-def shot_uniforms(seed, stream: int, indices) -> np.ndarray:
-    """Uniforms in [0, 1) addressed by (seed, stream, index).
-
-    ``indices`` may be an int (count, meaning 0..count-1) or an array of
-    indices.  The draw for a given address is the same no matter how
-    the call is batched.
-    """
-    root = seed_root(seed)
-    if np.isscalar(indices):
-        indices = np.arange(int(indices), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        key = _splitmix64(np.uint64(root) ^ (_GOLDEN * np.uint64(stream & 0xFFFFFFFFFFFFFFFF)))
-        bits = _GOLDEN * np.asarray(indices, dtype=np.uint64)  # a new array, mixed in place
-        bits ^= key
-        _splitmix64(bits)
-    # top 53 bits -> double in [0, 1)
-    bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u *= 1.0 / 9007199254740992.0
-    return u
+def _splitmix64(x: int) -> int:
+    """One splitmix64 finalization round of a 64-bit integer."""
+    x = (x + _GOLDEN) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
 
 
 def derive_seed(seed, label: int) -> int:
-    """Child seed for an independent run/stream (e.g. repeated runs)."""
-    with np.errstate(over="ignore"):
-        out = _splitmix64(np.uint64(seed_root(seed)) ^ (_GOLDEN * np.uint64(label)))
-    return int(out)
+    """Child seed for an independent run or stream: the mixed root of
+    ``seed`` keyed by ``label``."""
+    return _splitmix64(seed_root(seed) ^ ((_GOLDEN * label) & _MASK))
+
+
+def _keyed_uniform(key: int, index: int) -> float:
+    """The uniform in [0, 1) at ``index`` of the stream keyed ``key``: the
+    top 53 bits of the mixed index."""
+    return (_splitmix64(key ^ ((_GOLDEN * index) & _MASK)) >> 11) * (1.0 / 9007199254740992.0)
+
+
+def counter_uniform(seed, stream: int, index: int) -> float:
+    """The uniform in [0, 1) addressed by (seed, stream, index)."""
+    return _keyed_uniform(derive_seed(seed, stream), index)
 
 
 def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
@@ -119,17 +102,15 @@ def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
 class BlockSpec:
     """One independent factor of an estimation run.
 
-    ``distributions[i]`` is the flat outcome distribution when ensemble
-    component i is prepared; outcome j contributes the shot weight
-    ``levels[index[j]]``.  A block has few weight levels, so shots are
-    tallied by level rather than stored.  Blocks are statistically
-    independent, so shot weights multiply across blocks.
+    ``distributions[i]`` is the law of the shot weight over ``levels``
+    when ensemble component i is prepared: a block has few weight levels,
+    so shots are tallied by level rather than stored.  Blocks are
+    statistically independent, so shot weights multiply across blocks.
     """
 
     component_weights: np.ndarray
     distributions: tuple[np.ndarray, ...]
     levels: np.ndarray
-    index: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.component_weights, dtype=np.float64)
@@ -140,17 +121,8 @@ class BlockSpec:
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("component weights must sum to 1")
         levels = np.asarray(self.levels, dtype=np.complex128).ravel()
-        index = np.asarray(self.index, dtype=np.intp).ravel()
-        if index.size and not 0 <= index.min() <= index.max() < levels.size:
-            raise ValueError("level index out of range")
         object.__setattr__(self, "component_weights", w)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "index", index)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The shot weight of each outcome."""
-        return self.levels[self.index]
 
 
 def ensemble_combinations(factors) -> list[tuple[float, list]]:
@@ -174,16 +146,20 @@ def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec
     amplitudes of the outcomes after the measurement transform, flattened
     in the order of ``index``, which gives each outcome's shot weight as a
     position in ``levels``.  Each row becomes its normalised outcome
-    distribution.
+    distribution, summed onto the levels.
     """
-    index = np.asarray(index).ravel()
+    index = np.asarray(index, dtype=np.intp).ravel()
+    levels = np.asarray(levels, dtype=np.complex128).ravel()
     amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
     if amps.shape[1] != index.size:
         raise ValueError(
             f"{amps.shape[1]} outcome amplitudes per combination, {index.size} level indices"
         )
+    if index.size and not 0 <= index.min() <= index.max() < levels.size:
+        raise ValueError("level index out of range")
     return BlockSpec(np.asarray(component_weights, dtype=np.float64),
-                     tuple(_born_distributions(amps)), levels, index)
+                     tuple(np.bincount(index, dist, minlength=levels.size)
+                           for dist in _born_distributions(amps)), levels)
 
 
 def passive_measurement(combos, caps, groups, gates, joint_box=None):
@@ -206,41 +182,25 @@ def passive_measurement(combos, caps, groups, gates, joint_box=None):
     return patterns, apply_passive(amps, patterns, gates).T
 
 
-def blocks_expectation(blocks) -> complex:
-    """Exact estimator expectation: product over blocks of the
-    component-weighted mean of (distribution . weights)."""
-    total = 1.0 + 0.0j
-    for block in blocks:
-        value = 0.0 + 0.0j
-        for cw, dist in zip(block.component_weights, block.distributions):
-            value += cw * complex(np.dot(dist, block.weights))
-        total *= value
-    return total
-
-
 def level_law(blocks):
     """The law of a shot's weight, as (values, q): a shot scores the
     distinct product ``values[i]`` of one weight level of each block with
     probability ``q[i]``.
 
     Block b scores level l with probability q_b[l], the component-weighted
-    mass of the outcomes whose index is l; blocks are independent, so the
-    outer product of the q_b, summed onto the distinct products of the
-    levels (in ``np.unique`` order), is the law of the product.
+    mean of its components' laws; blocks are independent, so the outer
+    product of the q_b, summed onto the distinct products of the levels
+    (in ``np.unique`` order), is the law of the product.
     """
     values = np.ones(1, dtype=np.complex128)
     law = np.ones(1)
     for block in blocks:
-        q = sum(cw * np.bincount(block.index, dist, minlength=block.levels.size)
-                for cw, dist in zip(block.component_weights, block.distributions))
+        q = sum(cw * dist for cw, dist in zip(block.component_weights, block.distributions))
         values, merged = np.unique(np.multiply.outer(values, block.levels).ravel(),
                                    return_inverse=True)
         law = np.bincount(merged, np.multiply.outer(law, q).ravel(), minlength=values.size)
     return values, law
 
-
-# uniforms fetched per counter call; most draws need one or two
-_ATTEMPTS_PER_FETCH = 4
 
 # a binomial with mean n p below this is drawn by inversion, else by BTRD,
 # which needs n p >= 10
@@ -265,13 +225,9 @@ def _stirling_tail(k: int) -> float:
 def _attempts(seed, stream: int):
     """Uniform pairs in (0, 1]: attempt a of ``stream`` reads the counter
     addresses (seed, stream, 2a) and (seed, stream, 2a + 1)."""
-    start = 0
-    while True:
-        u = shot_uniforms(seed, stream, np.arange(start, start + 2 * _ATTEMPTS_PER_FETCH,
-                                                  dtype=np.uint64))
-        flat = (1.0 - u).tolist()
-        yield from zip(flat[::2], flat[1::2])
-        start += 2 * _ATTEMPTS_PER_FETCH
+    key = derive_seed(seed, stream)
+    for index in itertools.count(0, 2):
+        yield 1.0 - _keyed_uniform(key, index), 1.0 - _keyed_uniform(key, index + 1)
 
 
 def _binomial_inversion(n: int, p: float, attempts) -> int:
@@ -357,7 +313,7 @@ def _binomial_btrd(n: int, p: float, attempts) -> int:
 
 def binomial(n: int, p: float, seed, stream: int) -> int:
     """Exact Binomial(n, p) draw, a pure function of its arguments: its
-    uniforms come from ``shot_uniforms(seed, stream, .)``, two per attempt.
+    uniforms come from ``counter_uniform(seed, stream, .)``, two per attempt.
 
     p > 1/2 draws n - Binomial(n, 1 - p); n p below INVERSION_MEAN
     searches the pmf up from 0, larger means use BTRD.

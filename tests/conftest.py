@@ -1,4 +1,6 @@
 import cmath
+import collections
+import contextlib
 import functools
 import math
 
@@ -91,15 +93,51 @@ def assert_same_law(block, oracle):
         assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < 1e-12
 
 
-def assert_same_block(block, oracle, shape, patterns):
-    """Closed-set block against the padded oracle: distributions to 1e-12
-    with no oracle weight off the set, identical weights, the same law."""
+def component_laws(block) -> list[dict]:
+    """Each component's law of the shot weight, as {weight: probability},
+    summed over the levels that share a weight."""
+    laws = []
+    for dist in block.distributions:
+        law = collections.defaultdict(float)
+        for value, p in zip(block.levels.tolist(), dist.tolist()):
+            law[value] += p
+        laws.append(law)
+    return laws
+
+
+@contextlib.contextmanager
+def recorded_measurements(module):
+    """Patch ``module.passive_measurement`` for the duration of the block
+    to record each (patterns, amplitudes) it returns, in call order."""
+    measured = []
+    original = module.passive_measurement
+
+    def record(*args, **kwargs):
+        measured.append(original(*args, **kwargs))
+        return measured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "passive_measurement", record)
+        yield measured
+
+
+def assert_same_block(block, measured, oracle, shape):
+    """Closed-set block against the padded oracle, whose every outcome is
+    its own weight level: the normalised |amplitude|^2 of each pattern of
+    the passive measurement ``measured`` to 1e-12 with no oracle weight
+    off the set, each component's law over the weights to 1e-12, and the
+    same law of the block."""
+    patterns, amps = measured
     flat = np.ravel_multi_index(tuple(patterns.T), shape)
     assert np.array_equal(block.component_weights, oracle.component_weights)
-    assert np.array_equal(block.weights, oracle.weights[flat])
-    for got, want in zip(block.distributions, oracle.distributions):
+    probabilities = np.abs(amps) ** 2
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    for got, want in zip(probabilities, oracle.distributions, strict=True):
         assert np.max(np.abs(got - want[flat])) < 1e-12
         assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
+    for got, want in zip(component_laws(block), component_laws(oracle), strict=True):
+        for value in set(got) | set(want):
+            assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < 1e-12
     assert_same_law(block, oracle)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvswap import cli, estimators as est, protocols as proto
+from cvswap import cli, estimators as est, fock, protocols as proto
 
 from conftest import count_calls
 
@@ -503,6 +503,8 @@ COMPILE_A = {"training": TRAINING}
     ("cutoff-plan", {"family": "squeezed", "r": -1}, "squeezing strength must be > 0"),
     # tanh r rounds to 1 from r = 19.1 on
     ("cutoff-plan", {"family": "squeezed", "r": 20}, "squeezing strength 20 exceeds 6.4496"),
+    # an empty table is no result, in JSON or in CSV
+    ("fig2", {"r_list": []}, "r_list must not be empty"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
     code, out = run_cli(tmp_path, command, config)
@@ -620,6 +622,28 @@ def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, config, box", [
+    ("overlap", {"states": [{"kind": "tmss", "r": 0.3, "cutoff": [40, 40]}], "pairs": [[0, 1]],
+                 "shots": 10}, "(1 x 1681)"),
+    ("qudit-basis", {"d": 6}, "(36 x 36)"),
+])
+def test_dense_allocations_are_a_resource_limit(tmp_path, capsys, monkeypatch, command, config, box):
+    # the prepared state and the qudit basis are refused before they are
+    # allocated, at a limit of 1,000 entries
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+    assert box in err
+
+
+def test_empty_fig2_r_list_is_a_config_error_in_csv(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "fig2", {"r_list": []}, fmt="csv")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "config error: r_list must not be empty\n"
 
 
 def test_shot_counts_beyond_max_shots_are_a_resource_limit(tmp_path, capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cvswap import dv
+from cvswap import dv, fock
 from cvswap.dv import DVEnsemble, DVState, dv_swap_estimate, dv_swap_expectation
+from cvswap.sampling import level_law
 
 
 def rand_dv(rng, dims):
@@ -94,22 +95,31 @@ def test_expectation_identical_and_orthogonal():
 
 
 @pytest.mark.parametrize("basis", ["v", "w"])
-def test_block_weights_are_eigenvalue_products(rng, basis):
+def test_block_weights_are_eigenvalue_products(rng, monkeypatch, basis):
     # outcome (i_0, i_1, j_0, j_1) scores eig_0[i_0 d_0 + j_0] * eig_1[i_1 d_1 + j_1]
+    scored = []
+    build = dv.measurement_block
+
+    def record(component_weights, amplitudes, levels, index):
+        scored.append(np.asarray(levels)[np.ravel(index)])
+        return build(component_weights, amplitudes, levels, index)
+
+    monkeypatch.setattr(dv, "measurement_block", record)
     dims = (2, 3)
-    block = dv._dv_block(rand_dv(rng, dims), rand_dv(rng, dims), basis)
+    dv._dv_block(rand_dv(rng, dims), rand_dv(rng, dims), basis)
     eig = [dv.swap_eigenbasis(d, basis)[1].reshape(d, d) for d in dims]
     want = np.einsum("ac,bd->abcd", *eig).ravel()
-    assert np.array_equal(block.weights, want)
+    assert len(scored) == 1 and np.array_equal(scored[0], want)
 
 
 @pytest.mark.parametrize("basis", ["v", "w"])
 def test_expectation_matches_overlap_pure(rng, basis):
+    # the exact value and the mean of the basis's shot law are both |<a|b>|^2
     for dims in [(3,), (3, 3), (2, 4)]:
         a, b = rand_dv(rng, dims), rand_dv(rng, dims)
         want = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-        got = dv_swap_expectation(a, b, basis)
-        assert got == pytest.approx(want, abs=1e-10)
+        assert dv_swap_expectation(a, b) == pytest.approx(want, abs=1e-12)
+        assert np.dot(*level_law([dv._dv_block(a, b, basis)])) == pytest.approx(want, abs=1e-10)
 
 
 def test_expectation_matches_trace_mixed(rng):
@@ -123,8 +133,10 @@ def test_expectation_matches_trace_mixed(rng):
     rho = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(wa, comps_a))
     sig = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(wb, comps_b))
     want = np.trace(rho @ sig).real
+    assert dv_swap_expectation(ens_a, ens_b) == pytest.approx(want, abs=1e-12)
     for basis in ("v", "w"):
-        assert dv_swap_expectation(ens_a, ens_b, basis) == pytest.approx(want, abs=1e-10)
+        law_mean = np.dot(*level_law([dv._dv_block(ens_a, ens_b, basis)]))
+        assert law_mean == pytest.approx(want, abs=1e-10)
 
 
 def test_expectation_three_pairs(rng):
@@ -141,7 +153,7 @@ def test_sampled_mean_within_five_stderr(rng):
     assert abs(res.mean.imag) < 1e-12
     # a mixed preparation draws its component from a stream of its own
     ens = DVEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
-    exact = dv_swap_expectation(ens, b, "w")
+    exact = dv_swap_expectation(ens, b)
     res = dv_swap_estimate(ens, b, 100_000, 12, basis="w")
     assert abs(res.mean.real - exact) <= 5 * res.stderr
 
@@ -149,6 +161,8 @@ def test_sampled_mean_within_five_stderr(rng):
 def test_estimate_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         dv_swap_estimate(rand_dv(rng, (2,)), rand_dv(rng, (3,)), 10, 0)
+    with pytest.raises(ValueError, match="identical dims"):
+        dv_swap_expectation(rand_dv(rng, (2,)), rand_dv(rng, (3,)))
 
 
 def test_estimate_deterministic(rng):
@@ -162,4 +176,13 @@ def test_oversized_registers_refused_before_allocating():
     amps[(0,) * 5] = 1.0
     state = DVState((6,) * 5, amps)
     with pytest.raises(ValueError, match="desk-scale limit"):
-        dv_swap_expectation(state, state)
+        dv_swap_estimate(state, state, 10, 0)
+
+
+def test_oversized_basis_is_refused_before_allocating(monkeypatch):
+    # a 36 x 36 basis matrix exceeds a limit of 1,000 entries
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
+    for basis in ("v", "w"):
+        with pytest.raises(fock.ResourceLimitError, match="desk-scale limit"):
+            dv.swap_eigenbasis(6, basis)
+    assert dv.swap_eigenbasis(5, "w")[0].shape == (25, 25)

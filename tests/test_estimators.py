@@ -10,9 +10,9 @@ from scipy.stats import norm, poisson
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
 from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
-from cvswap.sampling import blocks_expectation, ensemble_combinations, measurement_block
+from cvswap.sampling import ensemble_combinations, level_law, measurement_block
 
-from conftest import assert_same_block, random_ensemble, random_pure, run_circuit
+from conftest import assert_same_block, random_ensemble, random_pure, recorded_measurements, run_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_unbiasedness_by_enumeration(rng):
         groups = est._group_factors([a, b], [(0, 1)], [m])
         [block] = est._sampling_block(groups[:1], [None])
         enumerated = sum(
-            cw * float(np.dot(dist, block.weights.real))
+            cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
         )
         assert enumerated == pytest.approx(est.swap2m_expectation(fock.tensor(a, b), m), abs=1e-12)
@@ -154,7 +154,7 @@ def test_parity_with_unequal_cutoffs(rng):
         groups = est._group_factors([a, b], [(0, 1)], [m])
         [block] = est._sampling_block(groups[:1], [None])
         enumerated = sum(
-            cw * float(np.dot(dist, block.weights.real))
+            cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
         )
         assert operator_route == pytest.approx(overlap_route, abs=1e-12)
@@ -173,7 +173,7 @@ def test_parity_dual_routes_on_entangled_joint(rng):
         for m in (1, 3, 6, 12):
             a = est.parity_overlap_expectation([state], [(0, 1)], m)
             [block] = est._sampling_block(est._group_factors([state], [(0, 1)], [m]), [None])
-            b = sum(cw * float(np.dot(dist, block.weights.real))
+            b = sum(cw * float(np.dot(dist, block.levels.real))
                     for cw, dist in zip(block.component_weights, block.distributions))
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -186,7 +186,7 @@ def test_sampling_block_exact_at_large_pair_totals():
     b = fock.prepare("squeezed", cut, z=-1.2)
     [block] = est._sampling_block(est._group_factors([a, b], [(0, 1)], [100]), [None])
     exact = est.parity_overlap_expectation([a, b], [(0, 1)], 100)
-    assert abs(blocks_expectation([block]) - exact) < 1e-10
+    assert abs(np.dot(*level_law([block])) - exact) < 1e-10
 
 
 def test_parity_rejects_overlapping_pairs(rng):
@@ -217,7 +217,7 @@ def test_shot_weights_bounded(rng):
     a, b = random_pure(rng, 5), random_pure(rng, 5)
     groups = est._group_factors([a, b], [(0, 1)], [2])
     [block] = est._sampling_block(groups[:1], [None])
-    assert np.all(np.abs(block.weights) <= 1.0 + 1e-15)
+    assert np.all(np.abs(block.levels) <= 1.0 + 1e-15)
 
 
 def _dense_sampling_block(group, total_threshold=None):
@@ -278,10 +278,10 @@ def test_sampling_block_matches_padded_oracle(seed):
     thresholds = [None if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in pairs]
     total = None if rng.random() < 0.5 else int(rng.integers(0, 7))
     for group in est._group_factors(factors, pairs, thresholds):
-        [block] = est._sampling_block([group], [total])
+        with recorded_measurements(est) as measured:
+            [block] = est._sampling_block([group], [total])
         oracle, shape = _dense_sampling_block(group, total)
-        patterns = fock.closed_patterns(group.base_caps, group.local_pairs)
-        assert_same_block(block, oracle, shape, patterns)
+        assert_same_block(block, *measured, oracle, shape)
 
 
 def _dense_signed_total_mass(joint):

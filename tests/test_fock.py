@@ -734,3 +734,16 @@ def test_apply_passive_rejects_bad_input():
     with pytest.raises(ValueError):
         # a per-mode box is not closed under a beamsplitter
         fock.apply_passive(np.ones(len(box)), box, [Beamsplitter(0.3, 0.0, 0, 1)])
+
+
+def test_dense_states_are_refused_before_they_are_allocated(monkeypatch):
+    # at a limit of 1,000 entries: a 41 x 41 tmss box, a basis state of
+    # that box and a padding to 2,000 levels each exceed it
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
+    box = CutoffSpec((40, 40))
+    for build in (lambda: fock.prepare("tmss", box, r=0.3),
+                  lambda: fock.basis_state((0, 0), box),
+                  lambda: fock.pad(fock.prepare("vacuum", CutoffSpec((3,))), (1999,))):
+        with pytest.raises(fock.ResourceLimitError, match="desk-scale limit"):
+            build()
+    assert fock.prepare("tmss", CutoffSpec((30, 30)), r=0.3).cutoff.dim == 961

@@ -87,6 +87,26 @@ def test_beamsplitters_run_only_where_shots_are_drawn():
                              "protocols._perm_block"]
 
 
+BLOCK_BUILDERS = ("_sampling_block", "_perm_block", "_hybrid_block", "_dv_block", "measurement_block")
+
+
+def test_block_builders_serve_only_shot_estimators():
+    # an exact value reads no sampling block, so none shares code with the
+    # sampler it checks
+    found = {builder: sorted(f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
+                             for caller in passive_callers(path.read_text(encoding="utf-8"), builder))
+             for builder in BLOCK_BUILDERS}
+    assert found == {
+        "_sampling_block": ["estimators.parity_blocks"],
+        "_perm_block": ["protocols.perm_test"],
+        "_hybrid_block": ["protocols.hybrid_swap_estimate"],
+        "_dv_block": ["dv.dv_swap_estimate"],
+        "measurement_block": ["dv._dv_block", "estimators._sampling_block",
+                              "protocols._hybrid_block", "protocols._perm_block"],
+    }
+    assert not [c for callers in found.values() for c in callers if c.endswith("_expectation")]
+
+
 def test_passive_caller_check_sees_both_forms():
     source = ("def a():\n    return fock.apply_passive(x, p, g)\n"
               "def b():\n    def inner():\n        apply_passive(x, p, g)\n")

@@ -8,20 +8,20 @@ from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import (
     BlockSpec,
-    blocks_expectation,
     ensemble_combinations,
     derive_seed,
+    level_law,
     measurement_block,
 )
 
 from conftest import (
     assert_same_block,
-    assert_same_law,
     count_calls,
     density_matrix,
     purification_of,
     random_ensemble,
     random_pure,
+    recorded_measurements,
     run_circuit,
     swap_modes,
 )
@@ -113,7 +113,7 @@ def _dense_perm_block(states) -> BlockSpec:
     counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
     weights = np.exp(2j * math.pi * (np.arange(n)[:, None] * counts).sum(axis=0) / n)
     # every outcome is its own weight level
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights, np.arange(weights.size))
+    return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
 
 
 @settings(deadline=None, max_examples=25)
@@ -121,19 +121,13 @@ def _dense_perm_block(states) -> BlockSpec:
 def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
     rng = np.random.default_rng(seed)
     states = [random_ensemble(rng, cap, rank) for _ in range(n_registers)]
-    block = proto._perm_block(states)
-    dense = _dense_perm_block(states)
+    with recorded_measurements(proto) as measured:
+        block = proto._perm_block(states)
     # the simplex patterns, located in the dense row-major flattening
-    pats = fock.closed_patterns([cap] * n_registers, [range(n_registers)])
-    flat = np.ravel_multi_index(tuple(pats.T), (n_registers * cap + 1,) * n_registers)
-    assert np.array_equal(block.component_weights, dense.component_weights)
-    assert np.array_equal(block.weights, dense.weights[flat])
-    for got, want in zip(block.distributions, dense.distributions):
-        assert np.max(np.abs(got - want[flat])) < 1e-12
-        assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
+    dense_shape = (n_registers * cap + 1,) * n_registers
+    assert_same_block(block, *measured, _dense_perm_block(states), dense_shape)
     exact = proto.perm_expectation(states)
-    assert abs(exact - blocks_expectation([block])) < 1e-10
-    assert_same_law(block, dense)
+    assert abs(exact - np.dot(*level_law([block]))) < 1e-10
 
 
 def test_perm_six_registers_at_cap_three(rng):
@@ -146,7 +140,7 @@ def test_perm_six_registers_at_cap_three(rng):
     mats = [density_matrix(s) for s in states]
     want = np.trace(np.linalg.multi_dot(mats))
     assert exact == pytest.approx(want, abs=1e-12)
-    assert abs(blocks_expectation([proto._perm_block(states)]) - exact) < 1e-10
+    assert abs(np.dot(*level_law([proto._perm_block(states)])) - exact) < 1e-10
 
 
 
@@ -440,8 +434,9 @@ def test_hybrid_block_matches_padded_oracle(cap, rank_a, rank_b, seed):
     a, b = register(rank_a), register(rank_b)
     m = int(rng.integers(0, cap + 2))
     oracle, shape = _dense_hybrid_block(a, b, m)
-    patterns = fock.closed_patterns((1, cap, 1, cap), [(1, 3)])
-    assert_same_block(proto._hybrid_block(a, b, m), oracle, shape, patterns)
+    with recorded_measurements(proto) as measured:
+        block = proto._hybrid_block(a, b, m)
+    assert_same_block(block, *measured, oracle, shape)
 
 
 def test_hybrid_trivial_cases():
@@ -478,7 +473,7 @@ def test_hybrid_dual_routes_at_finite_threshold(rng):
     for m in (0, 1, 2, 4):
         block = proto._hybrid_block(a, b, m)
         enumerated = sum(
-            cw * float(np.dot(dist, block.weights.real))
+            cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
         )
         assert enumerated == pytest.approx(proto.hybrid_swap_expectation(a, b, m), abs=1e-12)
@@ -487,9 +482,9 @@ def test_hybrid_dual_routes_at_finite_threshold(rng):
 def test_hybrid_shot_weights_are_signs_or_zero(rng):
     a, b = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
     block = proto._hybrid_block(a, b, 2)
-    values = set(np.unique(block.weights.real))
+    values = set(np.unique(block.levels.real))
     assert values <= {-1.0, 0.0, 1.0}
-    assert np.all(block.weights.imag == 0.0)
+    assert np.all(block.levels.imag == 0.0)
 
 
 def test_hybrid_ensembles(rng):
@@ -508,7 +503,7 @@ def test_hybrid_without_threshold_is_the_full_cap_block(rng):
     a = MixedEnsemble(((0.4, _rand_hybrid(rng, cap)), (0.6, _rand_hybrid(rng, cap))))
     b = _rand_hybrid(rng, cap)
     free, full = proto._hybrid_block(a, b, None), proto._hybrid_block(a, b, cap)
-    assert np.array_equal(free.levels, full.levels) and np.array_equal(free.index, full.index)
+    assert np.array_equal(free.levels, full.levels)
     assert all(np.array_equal(x, y) for x, y in zip(free.distributions, full.distributions, strict=True))
     assert proto.hybrid_swap_estimate(a, b, None, 10, 1) == proto.hybrid_swap_estimate(a, b, cap, 10, 1)
     assert proto.hybrid_swap_expectation(a, b, None) == proto.hybrid_swap_expectation(a, b, cap)

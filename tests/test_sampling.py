@@ -14,11 +14,10 @@ from cvswap.sampling import (
     BlockSpec,
     binomial,
     blocks_estimate,
-    blocks_expectation,
+    counter_uniform,
     derive_seed,
     estimator_statistics,
     level_law,
-    shot_uniforms,
 )
 
 from conftest import random_pure, tally
@@ -26,9 +25,9 @@ from conftest import random_pure, tally
 
 def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
-    (p,) = sampling.measurement_block([1.0], state.amplitudes, [1.0], np.zeros(5, dtype=int)).distributions
     # every outcome its own weight level, so the counts are the outcome counts
-    block = BlockSpec(np.array([1.0]), (p,), np.arange(5.0), np.arange(5))
+    block = sampling.measurement_block([1.0], state.amplitudes, np.arange(5.0), np.arange(5))
+    (p,) = block.distributions
     shots = 1_000_000
     (values, counts), _ = blocks_estimate([block], shots, 7)
     assert np.array_equal(values, np.arange(5.0)) and counts.sum() == shots
@@ -37,24 +36,17 @@ def test_empirical_frequencies(rng):
     assert np.all(np.abs(freq - p) <= bound + 1e-12)
 
 
-def test_shot_uniforms_batch_independent():
-    # the draw for a shot index never depends on how the batch is split
-    full = shot_uniforms(123, 5, 1000)
-    part = shot_uniforms(123, 5, np.arange(400, 700))
-    assert np.array_equal(full[400:700], part)
-
-
 @settings(deadline=None, max_examples=30)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 30))
-def test_shot_uniforms_range(seed, stream):
-    u = shot_uniforms(seed, stream, 64)
-    assert np.all((0.0 <= u) & (u < 1.0))
+@given(st.integers(0, 2**64 - 1), st.integers(0, 30), st.integers(0, 2**64 - 1))
+def test_counter_uniform_range(seed, stream, start):
+    for index in range(start, min(start + 64, 2**64)):
+        assert 0.0 <= counter_uniform(seed, stream, index) < 1.0
 
 
 def test_counter_mixer_known_answers():
-    # values of the out-of-place mixer the in-place one replaced, at shot
-    # indices around 2^32 and up to the top of the uint64 range
-    idx = np.array([0, 1, 2**16, 2**32 - 1, 2**32, 2**32 + 5, 2**53, 2**64 - 1], dtype=np.uint64)
+    # values of the earlier vectorised uint64 mixer, at indices around 2^32
+    # and up to the top of the 64-bit range
+    idx = [0, 1, 2**16, 2**32 - 1, 2**32, 2**32 + 5, 2**53, 2**64 - 1]
     want = {
         (0, 0): ["0x1.4e0dba5e9a32fp-1", "0x1.f647530ffa1bcp-2", "0x1.c14aef0f230e0p-5",
                  "0x1.33c3afc532a30p-3", "0x1.60197025a89c4p-3", "0x1.a568b1e07fe32p-1",
@@ -68,9 +60,8 @@ def test_counter_mixer_known_answers():
                                  "0x1.5a24359b588f4p-3", "0x1.53ee109582822p-2"],
     }
     for (seed, stream), hexes in want.items():
-        assert [float(u).hex() for u in shot_uniforms(seed, stream, idx)] == hexes
-    assert idx[-1] == 2**64 - 1  # the caller's indices are not mixed in place
-    assert [float(u).hex() for u in shot_uniforms(99, 1, 3)] == [
+        assert [counter_uniform(seed, stream, i).hex() for i in idx] == hexes
+    assert [counter_uniform(99, 1, i).hex() for i in range(3)] == [
         "0x1.1ec2bb4b09a24p-1", "0x1.2be7be704bd14p-1", "0x1.a41c7cafde57dp-1"]
     assert [derive_seed(0, 0), derive_seed(708, 1), derive_seed(2**64 - 1, 12345),
             derive_seed(-5, 2**63)] == [16294208416658607535, 8895612129273590781,
@@ -84,7 +75,7 @@ def test_estimator_statistics_constant():
 
 def test_estimator_statistics_fair_signs():
     n = 40_000
-    heads = int(np.count_nonzero(shot_uniforms(5, 0, n) < 0.5))
+    heads = sum(counter_uniform(5, 0, i) < 0.5 for i in range(n))
     mean, stderr = estimator_statistics([1.0, -1.0], [heads, n - heads])
     assert stderr == pytest.approx(1.0 / math.sqrt(n), rel=0.02)
     assert abs(mean) < 5 * stderr
@@ -96,17 +87,17 @@ def test_estimator_statistics_single_element():
     assert math.isnan(stderr)
 
 
-def test_blocks_expectation_and_sampling():
+def test_level_law_and_sampling():
     dist_a = np.array([0.25, 0.75])
     dist_b = np.array([0.5, 0.5])
     block = BlockSpec(
         component_weights=np.array([0.4, 0.6]),
         distributions=(dist_a, dist_b),
         levels=np.array([1.0, -1.0]),
-        index=np.array([0, 1]),
     )
     want = 0.4 * (0.25 - 0.75) + 0.6 * (0.5 - 0.5)
-    assert blocks_expectation([block]) == pytest.approx(want, abs=1e-15)
+    values, q = level_law([block])
+    assert np.dot(values, q) == pytest.approx(want, abs=1e-15)
     (values, counts), discarded = blocks_estimate([block], 200_000, 11)
     mean, stderr = estimator_statistics(values, counts)
     assert discarded == 0 and counts.sum() == 200_000
@@ -118,7 +109,6 @@ def test_blocks_estimate_counts_zero_weights():
         component_weights=np.array([1.0]),
         distributions=(np.array([0.5, 0.5]),),
         levels=np.array([1.0, 0.0]),
-        index=np.array([0, 1]),
     )
     (values, counts), discarded = blocks_estimate([block], 10_000, 4)
     assert discarded == tally(values, counts)[0j]
@@ -133,24 +123,24 @@ def test_blocks_estimate_refuses_an_empty_block_list():
 
 def test_block_spec_refuses_nan_component_weights():
     with pytest.raises(ValueError, match="sum to 1"):
-        BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0], [0])
+        BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0])
 
 
 def test_block_spec_refuses_negative_component_weights():
     # the component draw inverts a cumulative table, which must not decrease
     with pytest.raises(ValueError, match="component weights must be >= 0"):
-        BlockSpec(np.array([1.5, -0.5]), (np.array([1.0]), np.array([1.0])), [1.0], [0])
+        BlockSpec(np.array([1.5, -0.5]), (np.array([1.0]), np.array([1.0])), [1.0])
 
 
-def test_block_spec_refuses_level_indices_out_of_range():
+def test_measurement_block_refuses_level_indices_out_of_range():
     for index in ([2], [-1]):
         with pytest.raises(ValueError, match="level index out of range"):
-            BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0, -1.0], index)
+            sampling.measurement_block([1.0], [1.0], [1.0, -1.0], index)
 
 
 @pytest.mark.parametrize("shots", [2 ** 59, 2 ** 63 - 1, 10 ** 30])
 def test_blocks_estimate_refuses_counts_numpy_cannot_size(shots):
-    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0], [0])
+    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0])
     with pytest.raises(fock.ResourceLimitError, match=f"{shots} shots need"):
         blocks_estimate([block], shots, 0)
 
@@ -159,7 +149,7 @@ def test_max_shots_pass_the_guard_without_a_draw():
     # 2^53 shots are drawn, through both binomial branches, in a few
     # binomials: the count never costs time
     block = BlockSpec(np.array([1.0]), (np.array([0.5, 0.3, 0.2 - 2.0**-53, 2.0**-53]),),
-                      [1.0, -1.0, 0.0, 2.0], [0, 1, 2, 3])
+                      [1.0, -1.0, 0.0, 2.0])
     start = time.perf_counter()
     (_, counts), discarded = blocks_estimate([block], sampling.MAX_SHOTS, 0)
     assert time.perf_counter() - start < 1.0
@@ -169,15 +159,16 @@ def test_max_shots_pass_the_guard_without_a_draw():
 
 
 def test_measurement_block_normalises_and_checks_rows():
-    amps = np.array([[3.0, 4.0j], [0.0, 2.0]])
-    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
+    amps = np.array([[3.0, 4.0j, 0.0], [0.0, 2.0, 2.0]])
+    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
+    # each row's law over the levels: outcomes 0 and 2 score level 0
     assert np.allclose(block.distributions[0], [0.36, 0.64])
-    assert np.allclose(block.distributions[1], [0.0, 1.0])
+    assert np.allclose(block.distributions[1], [0.5, 0.5])
     assert block.levels.dtype == np.complex128
-    assert np.array_equal(block.weights, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
-    with pytest.raises(ValueError):
+    assert np.array_equal(block.levels, [1.0, -1.0])
+    with pytest.raises(ValueError, match="3 outcome amplitudes per combination, 2 level indices"):
+        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
+    with pytest.raises(ValueError, match="zero-norm"):
         sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0], [0, 1])
 
 
@@ -214,8 +205,8 @@ def integer_level_blocks(draw):
     dists = rng.random((rank, size)) ** 3
     dists[rng.random((rank, size)) < 0.3] = 0.0
     dists[:, 0] += 0.01
-    return BlockSpec(cw / cw.sum(), tuple(d / d.sum() for d in dists), levels,
-                     rng.integers(0, levels.size, size))
+    return sampling.measurement_block(cw / cw.sum(), np.sqrt(dists), levels,
+                                      rng.integers(0, levels.size, size))
 
 
 def no_farther(x: float, y: float, square: Fraction) -> bool:
@@ -307,9 +298,9 @@ def test_stirling_tail_matches_log_factorials():
 
 
 def test_level_law_merges_products_of_levels():
-    a = BlockSpec(np.array([0.25, 0.75]), (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5])),
-                  [1.0, -1.0], [0, 1, 1])
-    b = BlockSpec(np.array([1.0]), (np.array([0.25, 0.75]),), [-1.0, 0.0], [0, 1])
+    a = sampling.measurement_block([0.25, 0.75], np.sqrt([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+                                   [1.0, -1.0], [0, 1, 1])
+    b = BlockSpec(np.array([1.0]), (np.array([0.25, 0.75]),), [-1.0, 0.0])
     values, q = level_law([a, b])
     # a scores 1 with 1/8 and -1 with 7/8; b scores -1 with 1/4 and 0 with 3/4
     assert np.array_equal(values, [-1.0, 0.0, 1.0])
@@ -327,10 +318,10 @@ KNOWN_TALLIES = {
 def test_tally_known_answers():
     # the counts of fixed (seed, shots, law) triples: a change of the
     # sampler that moves any document fails here first
-    three = BlockSpec(np.array([1.0]), (np.array([0.2, 0.3, 0.5]),), [0.0, 1.0, -1.0], [0, 1, 2])
+    three = BlockSpec(np.array([1.0]), (np.array([0.2, 0.3, 0.5]),), [0.0, 1.0, -1.0])
     mixed = BlockSpec(np.array([0.3, 0.7]), (np.array([0.9, 0.1]), np.array([0.05, 0.95])),
-                      [1.0, -1.0], [0, 1])
-    rare = BlockSpec(np.array([1.0]), (np.array([1 - 1e-6, 1e-6]),), [1.0, 0.0], [0, 1])
+                      [1.0, -1.0])
+    rare = BlockSpec(np.array([1.0]), (np.array([1 - 1e-6, 1e-6]),), [1.0, 0.0])
     got = {name: blocks_estimate(blocks, shots, seed)[0][1].tolist()
            for name, blocks, shots, seed in (("three", [three], 1_000_000, 708),
                                              ("three-small", [three], 7, 0),
