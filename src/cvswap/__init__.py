@@ -14,13 +14,10 @@ from .fock import (  # noqa: F401
     Squeeze,
     apply_gate,
     basis_state,
-    dagger,
     gate_matrix,
     inner_product,
-    invert_circuit,
     pad,
     prepare,
-    rectangular_decompose,
     tensor,
     truncation_weight,
 )

@@ -1,24 +1,25 @@
 """Qudit state vectors and the destructive discrete-variable SWAP test.
 
-Measurement in a SWAP eigenbasis is represented as an explicit basis
-change on each qudit pair; no gate decomposition of the basis change is
-claimed (efficient circuits for the d > 2 case are not known).  Two bases
-are provided: a direct symmetric/antisymmetric construction and one built
-from superpositions of qudit Bell-state pairs.
+The test measures each qudit pair in a SWAP eigenbasis; a shot scores the
+product of the outcome eigenvalues, which is the SWAP eigenvalue of the
+whole register pair, so every eigenbasis gives the same shot law and the
+estimator draws from it directly.  No gate decomposition of the basis
+change is claimed (efficient circuits for the d > 2 case are not known).
+Two bases are provided: a direct symmetric/antisymmetric construction and
+one built from superpositions of qudit Bell-state pairs.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
-from .fock import apply_two_mode_dense, check_working_size, components_of
-from .sampling import BlockSpec, ensemble_combinations, measurement_block
+from .fock import check_working_size, components_of
+from .sampling import BlockSpec, law_block
 
 __all__ = [
     "DVState",
@@ -148,16 +149,21 @@ def _w_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack(cols), np.asarray(eig)
 
 
+_BASES = {"v": _v_basis, "w": _w_basis}
+
+
+def _check_basis(basis: str):
+    if basis not in _BASES:
+        raise MeasurementSpecError("basis must be 'v' or 'w'")
+    return _BASES[basis]
+
+
 def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
     """(matrix, eigenvalues) for the chosen SWAP-diagonalizing basis; a
     d^2 x d^2 matrix beyond the working-space limit is refused before it
     is allocated."""
     check_working_size(d * d, d * d)
-    if basis == "v":
-        return _v_basis(d)
-    if basis == "w":
-        return _w_basis(d)
-    raise MeasurementSpecError("basis must be 'v' or 'w'")
+    return _check_basis(basis)(d)
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +176,24 @@ def _common_dims(prep_a, prep_b) -> tuple[int, ...]:
     return prep_a.dims
 
 
+def _swap_mean(prep_a, prep_b) -> float:
+    """t = tr(rho sigma) = sum_ij w_i w_j |<a_i|b_j>|^2, each component
+    normalised by its norm."""
+    _common_dims(prep_a, prep_b)
+    value = 0.0
+    for wa, a in components_of(prep_a):
+        for wb, b in components_of(prep_b):
+            norms = np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real
+            value += wa * wb * abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / norms
+    return float(value)
+
+
 def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
-    dims_a = _common_dims(prep_a, prep_b)
-    k = len(dims_a)
-    combos = ensemble_combinations([prep_a, prep_b])
-    check_working_size(len(combos), math.prod(dims_a) ** 2)
-    bases = [swap_eigenbasis(d, basis) for d in dims_a]
-
-    def measured(sa, sb):
-        joint = np.multiply.outer(sa.amplitudes, sb.amplitudes)
-        for pair, (mat, _) in enumerate(bases):
-            joint = apply_two_mode_dense(joint, mat.conj().T, pair, k + pair)
-        return joint
-
-    # a shot scores the product of its pairs' +/-1 eigenvalues, level 1 of
-    # (1, -1) when an odd number of them is -1; the outer sum has axes
-    # (i_0, j_0, i_1, j_1, ...), the outcomes (i_0, i_1, ..., j_0, j_1, ...)
-    negative = [(eig < 0).astype(np.intp).reshape(d, d) for d, (_, eig) in zip(dims_a, bases)]
-    index = np.transpose(functools.reduce(np.add.outer, negative) % 2,
-                         [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
-    return measurement_block([w for w, _ in combos],
-                             np.stack([measured(*pair) for _, pair in combos]), [1.0, -1.0], index)
+    """The shot law over the levels (1, -1): a shot scores the SWAP
+    eigenvalue of the register pair, whose mean is t = tr(rho sigma)."""
+    _check_basis(basis)
+    t = _swap_mean(prep_a, prep_b)
+    return law_block([1.0, -1.0], [(1.0 + t) / 2.0, (1.0 - t) / 2.0])
 
 
 def dv_swap_estimate(prep_a, prep_b, shots: int, seed,
@@ -207,6 +210,4 @@ def dv_swap_expectation(prep_a, prep_b) -> float:
     """Exact estimator expectation tr(rho sigma) = sum_ij w_i w_j |<a_i|b_j>|^2
     over the components of the two preparations; every SWAP eigenbasis
     gives this value."""
-    _common_dims(prep_a, prep_b)
-    return float(sum(wa * wb * abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-                     for wa, a in components_of(prep_a) for wb, b in components_of(prep_b)))
+    return _swap_mean(prep_a, prep_b)

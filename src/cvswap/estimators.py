@@ -1,31 +1,34 @@
 """Cutoff-aware CV SWAP-test estimation.
 
-The shot estimator applies the 50:50 beamsplitter inverse to each mode
-pair, samples photon patterns, and weights a shot by the parity of the
-first register's count when the pair total is within the detector
-threshold 2M (weight 0 otherwise, still counted in the denominator).
-Exact expectations, certified systematic-error bounds, analytic reference
-formulas, and detector-cutoff planners live alongside it.
+The shot estimator measures each mode pair after the inverse 50:50
+beamsplitter and weights a shot by the parity of the first register's
+count when the pair total is within the detector threshold 2M (weight 0
+otherwise, still counted in the denominator).  That parity is the SWAP
+eigenvalue of the pair, and both commute with every pair total, so a
+shot's law follows from the kept weight and the masked swap of the
+prepared state; no beamsplitter is applied.  Exact expectations,
+certified systematic-error bounds, analytic reference formulas, and
+detector-cutoff planners live alongside it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .fock import Beamsplitter, FockState, MixedEnsemble, check_working_size
+from .fock import FockState, MixedEnsemble, check_working_size
 from .sampling import (
     BlockSpec,
     blocks_estimate,
     ensemble_combinations,
     estimator_statistics,
-    measurement_block,
-    passive_measurement,
+    law_block,
     seed_root,
 )
 
@@ -40,7 +43,6 @@ __all__ = [
     "swap2m_expectation",
     "swap2m_profile",
     "parity_overlap_estimate",
-    "parity_blocks",
     "parity_overlap_expectation",
     "error_bound_global",
     "error_bound_local",
@@ -208,50 +210,12 @@ def _threshold_mask(patterns, local_pairs, thresholds, total_threshold=None) -> 
     return mask
 
 
-def _sampling_block(groups: list[_Group], total_thresholds) -> list[BlockSpec]:
-    """Distribution/weight blocks for the shot path, one per group; the
-    groups share one layout (base caps and local pairs).
-
-    The beamsplitters run on the closed pattern set, where each pair keeps
-    the photon budget of its two cutoffs and spectator modes keep their
-    own.  The ensemble combinations of all groups are batch columns of one
-    passive measurement, so the pattern set, pair sectors and beamsplitter
-    blocks are built once; a layout whose combinations exceed the working
-    space limit is measured in consecutive batches that each fit.  A
-    pattern's weight is the parity of every pair's first count, zeroed
-    where a pair total (or the group's total) exceeds its threshold: level
-    0 of (0, 1, -1) when discarded, else 1 + the parity bit.
-    """
-    caps, local_pairs = groups[0].base_caps, groups[0].local_pairs
-    gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in local_pairs]
-    combos = [ensemble_combinations(g.factors) for g in groups]
-    room = fock.MAX_WORKING_ELEMENTS // fock.closed_pattern_count(caps, local_pairs) - len(caps)
-    blocks = []
-    start = 0
-    while start < len(groups):
-        stop, used = start + 1, len(combos[start])
-        while stop < len(groups) and used + len(combos[stop]) <= room:
-            used += len(combos[stop])
-            stop += 1
-        batch = [c for group_combos in combos[start:stop] for c in group_combos]
-        patterns, amps = passive_measurement(batch, caps, local_pairs, gates)
-        level = 1 + patterns[:, [a for a, _ in local_pairs]].sum(axis=1) % 2
-        row = 0
-        for g, group_combos, total in zip(groups[start:stop], combos[start:stop],
-                                          total_thresholds[start:stop]):
-            index = _threshold_mask(patterns, local_pairs, g.thresholds, total) * level
-            rows = amps[row:row + len(group_combos)]
-            blocks.append(measurement_block([w for w, _ in group_combos], rows,
-                                            [0.0, 1.0, -1.0], index.astype(np.intp)))
-            row += len(group_combos)
-        start = stop
-    return blocks
-
-
-def _group_expectation(group: _Group, total_threshold=None) -> float:
-    """Exact tr(prod_p SWAP_2M_p rho) for one group, via the masked
-    pair-swap form of the truncated SWAP observable (pairs are padded to a
-    common cutoff first, which makes the axis swap exact)."""
+def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, float]:
+    """(k, s) for one group: the kept weight k = tr(Pi rho) and the masked
+    swap s = tr(Pi SWAP rho) = tr(prod_p SWAP_2M_p rho), where Pi projects
+    onto the pair totals (and group total) within their thresholds.  Pairs
+    are padded to a common cutoff first, which makes the axis swap exact;
+    each ensemble combination is normalised by its norm."""
     caps = list(group.base_caps)
     for a, b in group.local_pairs:
         m = max(caps[a], caps[b])
@@ -261,7 +225,7 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
 
     rows = np.indices(shape).reshape(len(shape), -1).T
     mask = _threshold_mask(rows, group.local_pairs, group.thresholds, total_threshold).reshape(shape)
-    value = 0.0
+    kept = value = 0.0
     for w, states in ensemble_combinations(group.factors):
         psi = fock.pad(functools.reduce(fock.tensor, states), caps).amplitudes
         norm = float(np.vdot(psi, psi).real)
@@ -271,8 +235,17 @@ def _group_expectation(group: _Group, total_threshold=None) -> float:
         swapped = masked
         for a, b in group.local_pairs:
             swapped = np.swapaxes(swapped, a, b)
+        kept += w * float(np.vdot(masked, masked).real) / norm
         value += w * float(np.vdot(masked, swapped).real) / norm
-    return value
+    return kept, value
+
+
+def _group_block(group: _Group, total_threshold=None) -> BlockSpec:
+    """A group's shot law over the levels (0, 1, -1): a shot is discarded
+    with probability 1 - k, and a kept shot's parity is the SWAP eigenvalue,
+    +1 with probability (k + s) / 2 and -1 with (k - s) / 2."""
+    k, s = _group_expectation(group, total_threshold)
+    return law_block([0.0, 1.0, -1.0], [1.0 - k, (k + s) / 2.0, (k - s) / 2.0])
 
 
 def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
@@ -333,43 +306,18 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
     the summed first-of-pair counts, zeroed whenever any pair exceeds its
     threshold, or, with ``m_total``, whenever the total photon count of the
     factors a measurement connects exceeds 2 m_total.  Expectation equals
-    tr(prod_p SWAP_2M_p . joint density).
+    tr(prod_p SWAP_2M_p . joint density).  Each group of factors that the
+    pairs connect is one block.
     """
-    return estimate_blocks(parity_blocks([joint], pairs, m_per_pair, [m_total])[0], shots, seed)
-
-
-def parity_blocks(joints, pairs, m_per_pair, m_totals) -> list[list[BlockSpec]]:
-    """The sampling blocks of ``parity_overlap_estimate`` for each joint,
-    with that joint's total threshold, on the same pairs and per-pair
-    thresholds.
-
-    Every group of every joint that shares a register layout (the per-mode
-    caps and the local pairs) is measured in one passive measurement, so
-    the measurement geometry is built once per layout; each joint's
-    blocks are drawn on their own.
-    """
-    joints, m_totals = list(joints), list(m_totals)
-    if len(joints) != len(m_totals):
-        raise ValueError("one total threshold per joint required")
-    grouped = [_parity_groups(joint, pairs, m_per_pair, total)
-               for joint, total in zip(joints, m_totals)]
-    layouts: dict[tuple, list[tuple[int, int]]] = {}
-    for j, groups in enumerate(grouped):
-        for k, g in enumerate(groups):
-            layouts.setdefault((tuple(g.base_caps), tuple(g.local_pairs)), []).append((j, k))
-    blocks = [[None] * len(groups) for groups in grouped]
-    for members in layouts.values():
-        built = _sampling_block([grouped[j][k] for j, k in members], [m_totals[j] for j, _ in members])
-        for (j, k), block in zip(members, built):
-            blocks[j][k] = block
-    return blocks
+    blocks = [_group_block(g, m_total) for g in _parity_groups(joint, pairs, m_per_pair, m_total)]
+    return estimate_blocks(blocks, shots, seed)
 
 
 def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
     """Exact expectation of the parity estimator (no sampling)."""
     value = 1.0
     for g in _parity_groups(joint, pairs, m_per_pair, m_total):
-        value *= _group_expectation(g, m_total)
+        value *= _group_expectation(g, m_total)[1]
     return value
 
 
@@ -587,26 +535,41 @@ def cutoff_for_coherent_normal(energy: float, eps: float) -> CutoffPlan:
 
 def cutoff_for_coherent_exact(energy: float, eps: float) -> CutoffPlan:
     """Smallest M with the exact Poisson(2E) tail above 2M at or below eps
-    (the total photon count of an isoenergetic coherent pair).  Past the
-    mode the terms only shrink, so once one no longer changes the
-    cumulative sum the tail is final, and an eps below it is refused."""
+    (the total photon count of an isoenergetic coherent pair).
+
+    The tail is summed from its upper end down, smallest terms first, so
+    it keeps its relative precision however small it is.  The terms run up
+    from the mode to the first one below the smallest normal double; each
+    later term shrinks by a factor 2E/(j + 1) < 1, which bounds the weight
+    past them, and that bound is added to every tail.  An eps below the
+    bound cannot be certified and is refused.
+    """
     energy = _check_energy(energy)
     eps = _check_eps(eps)
     lam = 2.0 * energy
-    log_pmf = -lam
-    cdf = math.exp(log_pmf)
-    k = 0
-    m = None
-    while True:
-        if k % 2 == 0 and 1.0 - cdf <= eps:
-            m = k // 2
-            break
+    mode = math.floor(lam)
+    term = math.exp(-lam + mode * math.log(lam) - math.lgamma(mode + 1))
+    upper = [term]  # upper[i] = pmf(mode + i)
+    k = mode
+    while term >= sys.float_info.min or k % 2:
         k += 1
-        log_pmf += math.log(lam) - math.log(k)
-        term = math.exp(log_pmf)
-        if k > lam and cdf + term == cdf and 1.0 - cdf > eps:
-            raise RuntimeError(
-                f"Poisson tail scan failed to converge: the tail stops at {1.0 - cdf:.3g} "
-                f"in double precision, above eps = {eps:g}")
-        cdf += term
-    return CutoffPlan(m, max(1.0 - cdf, 0.0), "exact_tail", eps)
+        term *= lam / k
+        upper.append(term)
+    # P(X > k) <= pmf(k) sum_i (lam / (k + 1))^i, and pmf(k) is below the
+    # smallest normal double
+    tail = sys.float_info.min * lam / (k + 1 - lam)
+    if tail > eps:
+        raise RuntimeError(
+            f"Poisson tail cannot be certified below {tail:.3g} in double precision, "
+            f"above eps = {eps:g}")
+    m, bound = k // 2, tail
+    pmf = 0.0
+    for j in range(k, 0, -1):
+        # adding pmf(j) gives the tail above j - 1
+        pmf = upper[j - mode] if j >= mode else pmf * (j + 1) / lam
+        tail += pmf
+        if j % 2 == 1:
+            if tail > eps:
+                break
+            m, bound = (j - 1) // 2, tail
+    return CutoffPlan(m, bound, "exact_tail", eps)

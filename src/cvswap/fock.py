@@ -5,15 +5,13 @@ basis.  Single-mode gate matrices come from exact analytic Fock matrix
 elements (recurrences seeded by closed forms and swept a whole column or
 row at a time), never from exponentiating truncated generators; the
 matrix-exponential path exists only as a test oracle.  A beamsplitter
-has no dense matrix: it is applied one total-photon-number block at a
-time, to a box by ``apply_gate`` and to a closed pattern set by
-``apply_passive``.  Values are immutable after construction and all
-operations are pure functions.
+has no dense matrix: ``apply_gate`` applies it one total-photon-number
+block at a time, on a box that holds every block it reaches.  Values are
+immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,15 +36,8 @@ __all__ = [
     "pad",
     "gate_matrix",
     "apply_gate",
-    "apply_two_mode_dense",
-    "closed_patterns",
-    "closed_pattern_count",
-    "apply_passive",
-    "dagger",
-    "invert_circuit",
     "prepare",
     "truncation_weight",
-    "rectangular_decompose",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -71,9 +62,9 @@ class ResourceLimitError(ValueError):
 
 def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
-    MAX_WORKING_ELEMENTS; call before allocating it.  A measurement counts
-    its ensemble combinations plus one int64 pattern column per mode as
-    rows and its outcomes as columns."""
+    MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's box
+    counts its amplitudes plus one int64 pattern column per mode as rows
+    and its entries as columns."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
         raise ResourceLimitError(
@@ -238,24 +229,6 @@ class PhaseRotation:
 GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation
 
 
-def dagger(gate: GateSpec) -> GateSpec:
-    """Inverse gate within the same gate family."""
-    if isinstance(gate, Displacement):
-        return Displacement(-gate.alpha, gate.mode)
-    if isinstance(gate, Squeeze):
-        return Squeeze(-gate.z, gate.mode)
-    if isinstance(gate, Beamsplitter):
-        return Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
-    if isinstance(gate, PhaseRotation):
-        return PhaseRotation(-gate.phi, gate.mode)
-    raise TypeError(f"unknown gate {gate!r}")
-
-
-def invert_circuit(gates) -> list[GateSpec]:
-    """Gate list implementing the inverse of the given circuit."""
-    return [dagger(g) for g in reversed(list(gates))]
-
-
 # ---------------------------------------------------------------------------
 # state constructors
 
@@ -413,22 +386,24 @@ def _beamsplitter_blocks(theta: float, phi: float, t_max: int):
 
 
 def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
-    """Blockwise application along axes (mode_i, mode_j); truncation drops
-    any weight pushed past the per-mode cutoffs."""
+    """Blockwise application along axes (mode_i, mode_j), up to the largest
+    occupied n_i + n_j.  Block t moves weight onto every |a, t - a>, so a
+    box whose cutoffs cannot both hold that total would drop weight; it is
+    refused instead."""
     moved = np.moveaxis(amps, (gate.mode_i, gate.mode_j), (0, 1))
     d1, d2 = moved.shape[0], moved.shape[1]
     work = moved.reshape(d1, d2, -1)
     out = np.zeros_like(work)
-    # stop at the largest occupied n_i + n_j
     n_i, n_j = np.nonzero(np.any(work != 0, axis=2))
-    t_hi = min(d1 + d2 - 2, int((n_i + n_j).max(initial=-1)))
+    t_hi = int((n_i + n_j).max(initial=0))
+    if t_hi > min(d1, d2) - 1:
+        raise ValueError(
+            f"beamsplitter would truncate: the largest occupied n_i + n_j is {t_hi}, beyond "
+            f"the cutoffs ({d1 - 1}, {d2 - 1}) of modes ({gate.mode_i}, {gate.mode_j}); "
+            "pad both modes to that total")
     for t, block in _beamsplitter_blocks(gate.theta, gate.phi, t_hi):
-        a_lo, a_hi = max(0, t - (d2 - 1)), min(d1 - 1, t)
-        if a_lo > a_hi:
-            continue
-        rows = np.arange(a_lo, a_hi + 1)
-        sub = block[np.ix_(rows, rows)]
-        out[rows, t - rows, :] = sub @ work[rows, t - rows, :]
+        a = np.arange(t + 1)
+        out[a, t - a, :] = block @ work[a, t - a, :]
     return np.moveaxis(out.reshape(moved.shape), (0, 1), (gate.mode_i, gate.mode_j))
 
 
@@ -448,8 +423,8 @@ def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
 
     A phase rotation is unitary; displacement and squeeze columns are
     sub-unitary by exactly the weight they push past the cutoff.  A
-    beamsplitter has no dense matrix: ``apply_gate`` and ``apply_passive``
-    apply it block by block.
+    beamsplitter has no dense matrix: ``apply_gate`` applies it block by
+    block.
     """
     if isinstance(gate, Displacement):
         (d,) = _mode_dims(cutoff, (gate.mode,))
@@ -468,16 +443,6 @@ def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarr
     return np.moveaxis(out, 0, mode)
 
 
-def apply_two_mode_dense(amps: np.ndarray, mat: np.ndarray, mi: int, mj: int) -> np.ndarray:
-    """Contract a (d_i d_j) x (d_i d_j) matrix into axes (mi, mj) of a dense
-    amplitude tensor, the pair flattened row-major."""
-    moved = np.moveaxis(amps, (mi, mj), (0, 1))
-    d1, d2 = moved.shape[0], moved.shape[1]
-    work = moved.reshape(d1 * d2, -1)
-    out = (mat @ work).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), (mi, mj))
-
-
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     """New state with the gate contracted in; no renormalization."""
     amps = state.amplitudes
@@ -490,100 +455,6 @@ def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)
-
-
-# ---------------------------------------------------------------------------
-# passive circuits on closed photon-number pattern sets
-
-
-def closed_patterns(caps, groups=()) -> np.ndarray:
-    """The photon patterns a passive circuit can reach from the per-mode
-    box ``caps``, one per row, in row-major (lexicographic) order.
-
-    ``groups`` are the disjoint mode sets the circuit mixes.  The modes of
-    a group share its photon budget, the sum of their caps, which the
-    circuit conserves, so nothing is truncated; a mode in no group keeps
-    its cap.  The rows inside the box are the box in its row-major order.
-    """
-    caps = [int(c) for c in caps]
-    group_of = {m: list(g) for g in groups for m in g}
-    if len(group_of) != sum(len(g) for g in groups) or not set(group_of) <= set(range(len(caps))):
-        raise ValueError(f"mode groups must be disjoint modes of 0..{len(caps) - 1}")
-    patterns = np.zeros((1, 0), dtype=np.int64)
-    for mode in range(len(caps)):
-        group = group_of.get(mode, [mode])
-        used = patterns[:, [m for m in group if m < mode]].sum(axis=1)
-        room = sum(caps[m] for m in group) - used + 1
-        starts = np.repeat(np.cumsum(room) - room, room)
-        values = np.arange(starts.size) - starts
-        patterns = np.column_stack([np.repeat(patterns, room, axis=0), values])
-    return patterns
-
-
-def closed_pattern_count(caps, groups=()) -> int:
-    """Row count of ``closed_patterns(caps, groups)``, without building it."""
-    grouped = {m for g in groups for m in g}
-    return math.prod([math.comb(sum(caps[m] for m in g) + len(g), len(g)) for g in groups]
-                     + [int(c) + 1 for m, c in enumerate(caps) if m not in grouped])
-
-
-def _pair_sectors(patterns: np.ndarray, mi: int, mj: int) -> list[np.ndarray]:
-    """Per total t of modes (mi, mj), the (t+1, R_t) row indices of the
-    patterns with n_mi = a, n_mj = t - a, one column per configuration of
-    the other modes."""
-    t = patterns[:, mi] + patterns[:, mj]
-    n = patterns[:, mi]
-    others = np.delete(patterns, [mi, mj], axis=1)
-    dims = (int(t.max()) + 1,) + tuple(others.max(axis=0) + 1)
-    # one sort key: t, then the other modes, then n_mi; each (t, others)
-    # run must hold n_mi = 0..t, and becomes one column of its sector
-    key = np.ravel_multi_index((t, *others.T, n), dims + (dims[0],))
-    order = np.argsort(key)
-    run, t, n = key[order] // dims[0], t[order], n[order]
-    starts = np.ones(len(t), dtype=bool)
-    starts[1:] = run[1:] != run[:-1]
-    ends = np.roll(starts, -1)
-    if not ((n == np.where(starts, 0, np.roll(n, 1) + 1)).all() and (n[ends] == t[ends]).all()):
-        raise ValueError("pattern set is not closed under the circuit's gates")
-    return [idx.reshape(-1, tot + 1).T
-            for tot, idx in enumerate(np.split(order, np.cumsum(np.bincount(t))[:-1]))]
-
-
-def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.ndarray:
-    """Apply a passive circuit to amplitudes listed by photon pattern.
-
-    ``amplitudes[k]`` (with any trailing batch axes) belongs to
-    ``patterns[k]``.  The set must hold every pattern a gate reaches from
-    one of its members, as ``closed_patterns`` does; then no weight is
-    truncated.  A beamsplitter multiplies each total-photon block B_t of
-    its mode pair, up to the largest occupied total, into the gathered
-    (t+1, R_t) sector and scatters the result back; a phase rotation is a
-    diagonal multiply.
-    """
-    patterns = np.asarray(patterns)
-    n_modes = patterns.shape[1]
-    out = np.array(amplitudes, dtype=np.complex128)
-    sectors = {}
-    for gate in gates:
-        if not isinstance(gate, (Beamsplitter, PhaseRotation)):
-            raise TypeError(f"{gate!r} is not a beamsplitter or phase rotation")
-        modes = (gate.mode,) if isinstance(gate, PhaseRotation) else (gate.mode_i, gate.mode_j)
-        if not all(0 <= m < n_modes for m in modes):
-            raise ValueError(f"gate modes {modes} outside 0..{n_modes - 1}")
-        if isinstance(gate, PhaseRotation):
-            phase = np.exp(-1j * gate.phi * patterns[:, gate.mode])
-            out *= phase.reshape((-1,) + (1,) * (out.ndim - 1))
-            continue
-        if modes not in sectors:
-            sectors[modes] = _pair_sectors(patterns, *modes)
-        occupied = out.reshape(len(patterns), -1).any(axis=1)
-        totals = patterns[occupied, gate.mode_i] + patterns[occupied, gate.mode_j]
-        t_hi = int(totals.max(initial=-1))
-        blocks = _beamsplitter_blocks(gate.theta, gate.phi, t_hi)
-        for idx, (_, block) in zip(sectors[modes], blocks):
-            sector = out[idx]
-            out[idx] = (block @ sector.reshape(len(block), -1)).reshape(sector.shape)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,85 +546,3 @@ def truncation_weight(state, modes_subset, threshold: int) -> float:
             totals += counts.reshape((1,) * ax + (-1,) + (1,) * (marginal.ndim - ax - 1))
         value += w * float(marginal[totals <= threshold].sum())
     return min(value, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# the rectangular mesh
-
-
-def rectangular_decompose(unitary: np.ndarray, tol: float = 1e-10) -> list[GateSpec]:
-    """Factor an L x L unitary into a nearest-neighbor rectangular mesh.
-
-    Givens eliminations walk anti-diagonals from the bottom-left corner,
-    alternating column operations (even diagonals) and row operations (odd
-    diagonals); the residual diagonal becomes phase rotations placed
-    between the two beamsplitter half-meshes.  Gate count is L(L-1)/2
-    beamsplitters plus at most L phases; depth is O(L).  Trivial gates
-    (angle and phase below 1e-14) are dropped, so the identity yields an
-    empty list.
-    """
-    u = np.array(unitary, dtype=np.complex128)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise ValueError("unitary must be square")
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tol:
-        raise ValueError("input is not unitary to the requested tolerance")
-
-    right_ops: list[tuple[float, float, int]] = []  # (theta, phi, col)
-    left_ops: list[tuple[float, float, int]] = []   # (theta, phi, upper row)
-    for d in range(n - 1):
-        if d % 2 == 0:
-            # column ops; walk the diagonal from its bottom-right element up
-            for j in range(d, -1, -1):
-                r, c = n - 1 - d + j, j
-                target, pivot = u[r, c], u[r, c + 1]
-                if abs(target) == 0.0:
-                    continue
-                if abs(pivot) == 0.0:
-                    theta, phi = math.pi / 2.0, 0.0
-                else:
-                    ratio = -target / pivot
-                    theta = math.atan(abs(ratio))
-                    phi = _canonical_phase(-cmath.phase(ratio))
-                ct, st = math.cos(theta), math.sin(theta)
-                cols = u[:, [c, c + 1]].copy()
-                u[:, c] = ct * cols[:, 0] + cmath.exp(-1j * phi) * st * cols[:, 1]
-                u[:, c + 1] = -cmath.exp(1j * phi) * st * cols[:, 0] + ct * cols[:, 1]
-                u[r, c] = 0.0
-                right_ops.append((theta, phi, c))
-        else:
-            # row ops; walk the diagonal from its top-left element down
-            for j in range(d + 1):
-                r, c = n - 1 - d + j, j
-                target, pivot = u[r, c], u[r - 1, c]
-                if abs(target) == 0.0:
-                    continue
-                if abs(pivot) == 0.0:
-                    theta, phi = math.pi / 2.0, 0.0
-                else:
-                    ratio = target / pivot
-                    theta = math.atan(abs(ratio))
-                    phi = _canonical_phase(-cmath.phase(ratio))
-                ct, st = math.cos(theta), math.sin(theta)
-                rows = u[[r - 1, r], :].copy()
-                u[r - 1, :] = ct * rows[0, :] + cmath.exp(1j * phi) * st * rows[1, :]
-                u[r, :] = -cmath.exp(-1j * phi) * st * rows[0, :] + ct * rows[1, :]
-                u[r, c] = 0.0
-                left_ops.append((theta, phi, r - 1))
-
-    off = u - np.diag(np.diag(u))
-    if np.max(np.abs(off)) > 1e-9:
-        raise RuntimeError("rectangular elimination failed to reach a diagonal")
-
-    gates: list[GateSpec] = []
-    for theta, phi, c in right_ops:
-        if theta > 1e-14:
-            gates.append(Beamsplitter(theta, phi, c, c + 1))
-    for m in range(n):
-        delta = cmath.phase(u[m, m])
-        if abs(u[m, m]) > 0 and abs(delta) > 1e-14:
-            gates.append(PhaseRotation(_canonical_phase(-delta), m))
-    for theta, phi, row in reversed(left_ops):
-        if theta > 1e-14:
-            gates.append(Beamsplitter(theta, phi + math.pi, row, row + 1))
-    return gates

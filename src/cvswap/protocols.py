@@ -1,11 +1,12 @@
 """Composite overlap protocols built on the pairwise SWAP-test estimator.
 
-The PERM test measures in the eigenbasis of the cyclic mode permutation
-through a discrete-Fourier mode mixer compiled to the rectangular mesh;
-the two-copy test runs parallel SWAP tests against a register-relabeled
-copy; the compiling cost evaluates fidelity terms for a fixed circuit
-pair; and the hybrid test combines a qubit Bell measurement with the CV
-photon-parity measurement.
+The PERM test measures in the eigenbasis of the cyclic register shift C
+through a discrete-Fourier mode mixer, so its shot law follows from the
+traces <C^t> of density-matrix products; the two-copy test runs parallel
+SWAP tests against a register-relabeled copy; the compiling cost
+evaluates fidelity terms for a fixed circuit pair; and the hybrid test
+joins a qubit Bell measurement, whose sign is the qubit SWAP eigenvalue,
+with the CV photon-parity measurement.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ import numpy as np
 
 from . import estimators as est
 from . import fock
-from .dv import qudit_bell_state
 from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
 from .fock import FockState, MixedEnsemble, components_of
 # blocks_estimate is not called here; bench/test_bench.py checks that the
 # benchmark tracer also wraps this module's binding of it
-from .sampling import (  # noqa: F401
-    BlockSpec,
-    blocks_estimate,
-    derive_seed,
-    ensemble_combinations,
-    measurement_block,
-    passive_measurement,
-)
+from .sampling import BlockSpec, blocks_estimate, derive_seed, law_block  # noqa: F401
 
 __all__ = [
     "perm_test",
@@ -60,34 +53,56 @@ def _check_perm_inputs(states) -> tuple[int, int]:
     return len(states), caps.pop()
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Single-particle mixer F[l, j] = e^{2 pi i l j / n} / sqrt(n)."""
-    idx = np.arange(n)
-    return np.exp(2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+def _density_matrices(states) -> list[np.ndarray]:
+    """Each register's density matrix, every ensemble component normalised
+    by its norm_sq; a matrix beyond the working-space limit is refused
+    before it is allocated."""
+    _, cap = _check_perm_inputs(states)
+    fock.check_working_size(cap + 1, cap + 1)
+    rhos = []
+    for s in states:
+        comps = components_of(s)
+        if any(c.norm_sq <= 0.0 for _, c in comps):
+            raise ValueError("zero-norm component")
+        rows = np.array([c.amplitudes / math.sqrt(c.norm_sq) for _, c in comps])
+        rhos.append((rows.T * [w for w, _ in comps]) @ rows.conj())
+    return rhos
+
+
+def _shift_expectation(rhos, t: int) -> complex:
+    """<C^t> for the cyclic register shift C with <C> = tr(rho_0 ... rho_{L-1}):
+    C^t splits into gcd(t, L) cycles a, a + t, a + 2t, ... (mod L), and each
+    cycle contributes the trace of its density matrices' product."""
+    n = len(rhos)
+    cycles = math.gcd(t, n)
+    value = 1.0 + 0.0j
+    for a in range(cycles):
+        product = rhos[a]
+        for step in range(1, n // cycles):
+            product = product @ rhos[(a + step * t) % n]
+        value *= np.trace(product)
+    return complex(value)
 
 
 def _perm_block(states) -> BlockSpec:
-    n, cap = _check_perm_inputs(states)
-    combos = ensemble_combinations(states)
-    gates = fock.invert_circuit(fock.rectangular_decompose(dft_matrix(n)))
-    patterns, amps = passive_measurement(combos, [cap] * n, [range(n)], gates)
-    # a pattern's weight is e^{2 pi i k / n} at its phase index k, each level
-    # computed on k itself
-    k = patterns @ np.arange(n)
-    levels = np.exp(2j * math.pi * np.arange(k.max() + 1) / n)
-    return measurement_block([w for w, _ in combos], amps, levels, k)
+    """The PERM shot law over the L phases w^j = e^{2 pi i j / L}: the DFT
+    mixer reads out the eigenvalue of C, so a shot scores w^j with
+    probability q_j = (1/L) sum_t w^{-jt} <C^t>."""
+    rhos = _density_matrices(states)
+    n = len(rhos)
+    shifts = [_shift_expectation(rhos, t) for t in range(n)]
+    inverse_dft = np.exp(-2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
+    return law_block(np.exp(2j * math.pi * np.arange(n) / n), inverse_dft @ shifts)
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
     """Estimate tr(rho^(0) ... rho^(L-1)) by measuring the DFT-mixed
     registers and weighting shots by prod_j e^{2 pi i j n_j / L}.
 
-    The mixer is applied through its rectangular decomposition to the
-    amplitudes of every pattern with at most L * cap photons in total (the
-    photon-number simplex).  The mesh conserves photon number, so no
-    weight leaves that set and the pattern distribution is exact; the
-    ensemble combinations ride along as a batch axis.  L = 2 runs the CV
-    SWAP path directly (the weights reduce to (-1)^n there).
+    The weight is the eigenvalue of the cyclic shift C that the mixer reads
+    out, so the shot law is drawn from the traces <C^t> (``_perm_block``);
+    no mixer is applied.  L = 2 runs the CV SWAP path directly (the
+    weights reduce to (-1)^n there).
     """
     states = list(states)
     n, cap = _check_perm_inputs(states)
@@ -97,22 +112,9 @@ def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResul
 
 
 def perm_expectation(states) -> complex:
-    """Exact PERM-test expectation tr(rho^(0) rho^(1) ... rho^(L-1)).
-
-    The shot estimator loses no weight to truncation, so its expectation
-    is this trace; each ensemble component is normalised by its norm_sq,
-    as the sampler normalises its distributions.
-    """
-    states = list(states)
-    _, cap = _check_perm_inputs(states)
-    product = np.eye(cap + 1)
-    for s in states:
-        comps = components_of(s)
-        if any(c.norm_sq <= 0.0 for _, c in comps):
-            raise ValueError("zero-norm component")
-        vecs = np.stack([c.amplitudes / math.sqrt(c.norm_sq) for _, c in comps], axis=1)
-        product = product @ (vecs * [w for w, _ in comps]) @ vecs.conj().T
-    return complex(np.trace(product))
+    """Exact PERM-test expectation tr(rho^(0) rho^(1) ... rho^(L-1)), each
+    ensemble component normalised by its norm_sq."""
+    return _shift_expectation(_density_matrices(list(states)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +244,12 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     optional per-term threshold applies the detector condition to the
     four-mode total photon count.  U and V are built once per call as a
     d x d matrix for each distinct A-mode dimension d, and each matrix is
-    contracted into mode A of every training component.  Terms with the
-    same register layout share one passive measurement.
+    contracted into mode A of every training component.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
-    blocks = est.parity_blocks([prepared for prepared, _ in terms], _COMPILE_PAIRS, None,
-                               [total for _, total in terms])
-    results = [estimate_blocks(term_blocks, shots_per_term, derive_seed(seed, j))
-               for j, term_blocks in enumerate(blocks)]
+    results = [est.parity_overlap_estimate(prepared, _COMPILE_PAIRS, None, shots_per_term,
+                                           derive_seed(seed, j), total)
+               for j, (prepared, total) in enumerate(terms)]
     return 1.0 - sum(result.mean.real for result in results) / len(terms)
 
 
@@ -274,27 +274,8 @@ def _check_hybrid(state_a, state_b) -> None:
         raise MeasurementSpecError("hybrid inputs must share the CV cutoff")
 
 
-def _bell_change() -> np.ndarray:
-    cols = [qudit_bell_state(z, x, 2).amplitudes.ravel() for z in range(2) for x in range(2)]
-    return np.column_stack(cols)
-
-
-def _hybrid_block(state_a, state_b, m: int | None) -> BlockSpec:
-    _check_hybrid(state_a, state_b)
-    [m] = est.normalize_thresholds(m, 1)
-    cv_cap = state_a.cutoff.per_mode_max[1]
-    combos = ensemble_combinations([state_a, state_b])
-    bell_dag = _bell_change().conj().T
-    bell_box = lambda states: fock.apply_two_mode_dense(
-        np.multiply.outer(states[0].amplitudes, states[1].amplitudes), bell_dag, 0, 2)
-    bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
-    patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
-    z, n_b, x, m_b = patterns.T
-    # level 0 of (0, 1, -1) when discarded, else 1 + the parity bit
-    index = 1 + (z * x + n_b) % 2
-    if m is not None:
-        index[n_b + m_b > 2 * m] = 0
-    return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
+# the qubit pair is measured without a threshold, the CV pair with one
+_HYBRID_PAIRS = [(0, 2), (1, 3)]
 
 
 def hybrid_swap_estimate(state_a, state_b, m: int | None, shots: int,
@@ -304,12 +285,15 @@ def hybrid_swap_estimate(state_a, state_b, m: int | None, shots: int,
     Samples a qubit Bell outcome (z, x) jointly with a photon pattern
     after the inverse 50:50 beamsplitter and scores
     (-1)^{z x + n_B} Theta[2m - n_B - m_B']; ``m`` None means no threshold.
+    The Bell sign is the qubit SWAP eigenvalue, so the two registers form
+    one parity group whose qubit pair is left unthresholded.
     """
-    return estimate_blocks([_hybrid_block(state_a, state_b, m)], shots, seed)
+    _check_hybrid(state_a, state_b)
+    return est.parity_overlap_estimate([state_a, state_b], _HYBRID_PAIRS, [None, m], shots, seed)
 
 
 def hybrid_swap_expectation(state_a, state_b, m: int | None) -> float:
     """Exact hybrid estimator expectation: the qubit SWAP joined with the
     threshold-truncated CV SWAP observable."""
     _check_hybrid(state_a, state_b)
-    return est.parity_overlap_expectation([state_a, state_b], [(0, 2), (1, 3)], [None, m])
+    return est.parity_overlap_expectation([state_a, state_b], _HYBRID_PAIRS, [None, m])

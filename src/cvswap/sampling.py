@@ -11,31 +11,20 @@ product.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    MAX_WORKING_ELEMENTS,
-    ResourceLimitError,
-    apply_passive,
-    check_working_size,
-    closed_pattern_count,
-    closed_patterns,
-    components_of,
-)
+from .fock import ResourceLimitError, components_of
 
 __all__ = [
     "BlockSpec",
+    "LAW_TOLERANCE",
     "MAX_SHOTS",
-    "MAX_WORKING_ELEMENTS",
-    "check_working_size",
     "ensemble_combinations",
-    "measurement_block",
-    "passive_measurement",
+    "law_block",
     "estimator_statistics",
     "level_law",
     "binomial",
@@ -48,8 +37,9 @@ __all__ = [
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# probabilities below this are treated as exact zeros before normalization
-TINY_PROBABILITY = 1e-300
+# a level law computed from traces may leave the probability simplex by
+# this much through rounding, and is clamped back; farther is refused
+LAW_TOLERANCE = 1e-12
 
 # shot counts stay exact in the double-precision sums of the statistics up
 # to 2^53 shots
@@ -86,26 +76,15 @@ def counter_uniform(seed, stream: int, index: int) -> float:
     return _keyed_uniform(derive_seed(seed, stream), index)
 
 
-def _born_distributions(amplitudes: np.ndarray) -> np.ndarray:
-    """Row-wise |amplitude|^2, normalised; probabilities below
-    TINY_PROBABILITY are clamped to zero first to avoid denormal-float
-    pathologies, and a row of zero norm is refused."""
-    p = np.abs(amplitudes) ** 2
-    p[p < TINY_PROBABILITY] = 0.0
-    total = p.sum(axis=1, keepdims=True)
-    if not np.all(total > 0.0):
-        raise ValueError("cannot sample from a zero-norm state")
-    return np.ascontiguousarray(p / total)
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     """One independent factor of an estimation run.
 
     ``distributions[i]`` is the law of the shot weight over ``levels``
     when ensemble component i is prepared: a block has few weight levels,
-    so shots are tallied by level rather than stored.  Blocks are
-    statistically independent, so shot weights multiply across blocks.
+    so shots are tallied by level rather than stored.  The estimators'
+    blocks carry their mixed law as one component (``law_block``).  Blocks
+    are statistically independent, so shot weights multiply across blocks.
     """
 
     component_weights: np.ndarray
@@ -139,47 +118,22 @@ def ensemble_combinations(factors) -> list[tuple[float, list]]:
     return combos
 
 
-def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec:
-    """Sampling block from measured amplitudes.
+def law_block(levels, law) -> BlockSpec:
+    """The block that scores ``levels[i]`` with probability ``law[i]``, as
+    one component of weight 1.
 
-    ``amplitudes`` holds one row (or tensor) per ensemble combination, the
-    amplitudes of the outcomes after the measurement transform, flattened
-    in the order of ``index``, which gives each outcome's shot weight as a
-    position in ``levels``.  Each row becomes its normalised outcome
-    distribution, summed onto the levels.
+    A law computed from traces carries rounding.  A part below zero, an
+    imaginary part or a sum off 1 by at most LAW_TOLERANCE is clamped: the
+    real parts, cut at zero, are renormalised.  A law farther off (or not
+    finite) is no probability law, and is refused with a ValueError.
     """
-    index = np.asarray(index, dtype=np.intp).ravel()
-    levels = np.asarray(levels, dtype=np.complex128).ravel()
-    amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
-    if amps.shape[1] != index.size:
-        raise ValueError(
-            f"{amps.shape[1]} outcome amplitudes per combination, {index.size} level indices"
-        )
-    if index.size and not 0 <= index.min() <= index.max() < levels.size:
-        raise ValueError("level index out of range")
-    return BlockSpec(np.asarray(component_weights, dtype=np.float64),
-                     tuple(np.bincount(index, dist, minlength=levels.size)
-                           for dist in _born_distributions(amps)), levels)
-
-
-def passive_measurement(combos, caps, groups, gates, joint_box=None):
-    """Photon patterns and measured amplitudes, one row per ensemble
-    combination, of a passive circuit that mixes the mode ``groups``.
-
-    A combination (from ``ensemble_combinations``) has per-mode ``caps``;
-    ``joint_box`` maps its pure states to their joint amplitude box, by
-    default their tensor product.  After the size guard, every box is
-    placed on its rows of the closed pattern set and the circuit is
-    applied to all of them at once.
-    """
-    check_working_size(len(combos) + len(caps), closed_pattern_count(caps, groups))
-    patterns = closed_patterns(caps, groups)
-    joint_box = joint_box or (lambda states: functools.reduce(np.multiply.outer,
-                                                              [s.amplitudes for s in states]))
-    amps = np.zeros((len(patterns), len(combos)), dtype=np.complex128)
-    in_box = np.logical_and.reduce([patterns[:, m] <= c for m, c in enumerate(caps)])
-    amps[in_box] = np.stack([joint_box(states).ravel() for _, states in combos], axis=1)
-    return patterns, apply_passive(amps, patterns, gates).T
+    law = np.asarray(law, dtype=np.complex128).ravel()
+    off = np.max([np.abs(law.imag).max(), -law.real.min(), abs(law.real.sum() - 1.0)])
+    if not off <= LAW_TOLERANCE:
+        raise ValueError(f"level law is off the probability simplex by {off:.3g}, "
+                         f"beyond LAW_TOLERANCE = {LAW_TOLERANCE:g}")
+    q = np.maximum(law.real, 0.0)
+    return BlockSpec(np.ones(1), (q / q.sum(),), levels)
 
 
 def level_law(blocks):

@@ -1,14 +1,12 @@
 import cmath
-import collections
-import contextlib
 import functools
 import math
 
 import numpy as np
 import pytest
 
-from cvswap import fock
-from cvswap.sampling import level_law
+from cvswap import dv, estimators, fock
+from cvswap.sampling import BlockSpec, ensemble_combinations, level_law
 
 
 @pytest.fixture
@@ -93,52 +91,22 @@ def assert_same_law(block, oracle):
         assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < 1e-12
 
 
-def component_laws(block) -> list[dict]:
-    """Each component's law of the shot weight, as {weight: probability},
-    summed over the levels that share a weight."""
-    laws = []
-    for dist in block.distributions:
-        law = collections.defaultdict(float)
-        for value, p in zip(block.levels.tolist(), dist.tolist()):
-            law[value] += p
-        laws.append(law)
-    return laws
+def dagger(gate):
+    """Inverse gate within the same gate family."""
+    if isinstance(gate, fock.Displacement):
+        return fock.Displacement(-gate.alpha, gate.mode)
+    if isinstance(gate, fock.Squeeze):
+        return fock.Squeeze(-gate.z, gate.mode)
+    if isinstance(gate, fock.Beamsplitter):
+        return fock.Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
+    if isinstance(gate, fock.PhaseRotation):
+        return fock.PhaseRotation(-gate.phi, gate.mode)
+    raise TypeError(f"unknown gate {gate!r}")
 
 
-@contextlib.contextmanager
-def recorded_measurements(module):
-    """Patch ``module.passive_measurement`` for the duration of the block
-    to record each (patterns, amplitudes) it returns, in call order."""
-    measured = []
-    original = module.passive_measurement
-
-    def record(*args, **kwargs):
-        measured.append(original(*args, **kwargs))
-        return measured[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "passive_measurement", record)
-        yield measured
-
-
-def assert_same_block(block, measured, oracle, shape):
-    """Closed-set block against the padded oracle, whose every outcome is
-    its own weight level: the normalised |amplitude|^2 of each pattern of
-    the passive measurement ``measured`` to 1e-12 with no oracle weight
-    off the set, each component's law over the weights to 1e-12, and the
-    same law of the block."""
-    patterns, amps = measured
-    flat = np.ravel_multi_index(tuple(patterns.T), shape)
-    assert np.array_equal(block.component_weights, oracle.component_weights)
-    probabilities = np.abs(amps) ** 2
-    probabilities /= probabilities.sum(axis=1, keepdims=True)
-    for got, want in zip(probabilities, oracle.distributions, strict=True):
-        assert np.max(np.abs(got - want[flat])) < 1e-12
-        assert want[flat].sum() == pytest.approx(1.0, abs=1e-12)
-    for got, want in zip(component_laws(block), component_laws(oracle), strict=True):
-        for value in set(got) | set(want):
-            assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < 1e-12
-    assert_same_law(block, oracle)
+def invert_circuit(gates) -> list:
+    """Gate list implementing the inverse of the given circuit."""
+    return [dagger(g) for g in reversed(list(gates))]
 
 
 def run_circuit(state: fock.FockState, gates) -> fock.FockState:
@@ -151,11 +119,24 @@ def swap_modes(state: fock.FockState, i: int, j: int) -> fock.FockState:
     return fock.FockState(state.cutoff, np.swapaxes(state.amplitudes, i, j))
 
 
+def truncated_gate(state: fock.FockState, gate) -> fock.FockState:
+    """``gate`` applied to ``state`` and truncated back to its box; a
+    beamsplitter, which refuses a box that cannot hold the photons it
+    moves, runs on the state padded to its pair's photon budget."""
+    if not isinstance(gate, fock.Beamsplitter):
+        return fock.apply_gate(state, gate)
+    caps = list(state.cutoff.per_mode_max)
+    budget = caps[gate.mode_i] + caps[gate.mode_j]
+    caps[gate.mode_i] = caps[gate.mode_j] = budget
+    out = fock.apply_gate(fock.pad(state, caps), gate).amplitudes
+    return fock.FockState(state.cutoff, out[tuple(slice(0, d) for d in state.cutoff.shape)])
+
+
 def dense_matrix(op, cutoff: fock.CutoffSpec) -> np.ndarray:
-    """Dense matrix of a gate, or of a map from state to state, on the box
-    ``cutoff``, row-major over the photon patterns: column k is the image
-    of basis state k."""
-    image = op if callable(op) else (lambda state: fock.apply_gate(state, op))
+    """Dense matrix of a gate truncated to the box ``cutoff``, or of a map
+    from state to state, row-major over the photon patterns: column k is
+    the image of basis state k."""
+    image = op if callable(op) else (lambda state: truncated_gate(state, op))
     return np.stack([image(fock.basis_state(pattern, cutoff)).amplitudes.ravel()
                      for pattern in np.ndindex(cutoff.shape)], axis=1)
 
@@ -181,6 +162,21 @@ def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
     return total
 
 
+def drawn_blocks(run) -> list[list]:
+    """The block list of every draw ``run()`` makes, in order."""
+    drawn = []
+    draw = estimators.blocks_estimate
+
+    def record(blocks, shots, seed):
+        drawn.append(list(blocks))
+        return draw(blocks, shots, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "blocks_estimate", record)
+        run()
+    return drawn
+
+
 def count_calls(monkeypatch, module, name, calls=None) -> list:
     """Patch ``module.name`` to append ``name`` to ``calls`` (a new list
     unless given) on every call; returns the list."""
@@ -193,3 +189,309 @@ def count_calls(monkeypatch, module, name, calls=None) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# mesh oracles: every shot block's law from a simulation of its measurement
+# circuit on the closed photon-number pattern set, as the estimators built
+# their blocks before they took the law from the SWAP and cyclic-shift
+# symmetry
+
+
+def closed_patterns(caps, groups=()) -> np.ndarray:
+    """The photon patterns a passive circuit can reach from the per-mode
+    box ``caps``, one per row, in row-major (lexicographic) order.
+
+    ``groups`` are the disjoint mode sets the circuit mixes.  The modes of
+    a group share its photon budget, the sum of their caps, which the
+    circuit conserves, so nothing is truncated; a mode in no group keeps
+    its cap.  The rows inside the box are the box in its row-major order.
+    """
+    caps = [int(c) for c in caps]
+    group_of = {m: list(g) for g in groups for m in g}
+    if len(group_of) != sum(len(g) for g in groups) or not set(group_of) <= set(range(len(caps))):
+        raise ValueError(f"mode groups must be disjoint modes of 0..{len(caps) - 1}")
+    patterns = np.zeros((1, 0), dtype=np.int64)
+    for mode in range(len(caps)):
+        group = group_of.get(mode, [mode])
+        used = patterns[:, [m for m in group if m < mode]].sum(axis=1)
+        room = sum(caps[m] for m in group) - used + 1
+        starts = np.repeat(np.cumsum(room) - room, room)
+        values = np.arange(starts.size) - starts
+        patterns = np.column_stack([np.repeat(patterns, room, axis=0), values])
+    return patterns
+
+
+def closed_pattern_count(caps, groups=()) -> int:
+    """Row count of ``closed_patterns(caps, groups)``, without building it."""
+    grouped = {m for g in groups for m in g}
+    return math.prod([math.comb(sum(caps[m] for m in g) + len(g), len(g)) for g in groups]
+                     + [int(c) + 1 for m, c in enumerate(caps) if m not in grouped])
+
+
+def pair_sectors(patterns: np.ndarray, mi: int, mj: int) -> list[np.ndarray]:
+    """Per total t of modes (mi, mj), the (t+1, R_t) row indices of the
+    patterns with n_mi = a, n_mj = t - a, one column per configuration of
+    the other modes."""
+    t = patterns[:, mi] + patterns[:, mj]
+    n = patterns[:, mi]
+    others = np.delete(patterns, [mi, mj], axis=1)
+    dims = (int(t.max()) + 1,) + tuple(others.max(axis=0) + 1)
+    # one sort key: t, then the other modes, then n_mi; each (t, others)
+    # run must hold n_mi = 0..t, and becomes one column of its sector
+    key = np.ravel_multi_index((t, *others.T, n), dims + (dims[0],))
+    order = np.argsort(key)
+    run, t, n = key[order] // dims[0], t[order], n[order]
+    starts = np.ones(len(t), dtype=bool)
+    starts[1:] = run[1:] != run[:-1]
+    ends = np.roll(starts, -1)
+    if not ((n == np.where(starts, 0, np.roll(n, 1) + 1)).all() and (n[ends] == t[ends]).all()):
+        raise ValueError("pattern set is not closed under the circuit's gates")
+    return [idx.reshape(-1, tot + 1).T
+            for tot, idx in enumerate(np.split(order, np.cumsum(np.bincount(t))[:-1]))]
+
+
+def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.ndarray:
+    """Apply a passive circuit to amplitudes listed by photon pattern.
+
+    ``amplitudes[k]`` (with any trailing batch axes) belongs to
+    ``patterns[k]``.  The set must hold every pattern a gate reaches from
+    one of its members, as ``closed_patterns`` does; then no weight is
+    truncated.  A beamsplitter multiplies each total-photon block B_t of
+    its mode pair, up to the largest occupied total, into the gathered
+    (t+1, R_t) sector and scatters the result back; a phase rotation is a
+    diagonal multiply.
+    """
+    patterns = np.asarray(patterns)
+    n_modes = patterns.shape[1]
+    out = np.array(amplitudes, dtype=np.complex128)
+    sectors = {}
+    for gate in gates:
+        if not isinstance(gate, (fock.Beamsplitter, fock.PhaseRotation)):
+            raise TypeError(f"{gate!r} is not a beamsplitter or phase rotation")
+        modes = (gate.mode,) if isinstance(gate, fock.PhaseRotation) else (gate.mode_i, gate.mode_j)
+        if not all(0 <= m < n_modes for m in modes):
+            raise ValueError(f"gate modes {modes} outside 0..{n_modes - 1}")
+        if isinstance(gate, fock.PhaseRotation):
+            phase = np.exp(-1j * gate.phi * patterns[:, gate.mode])
+            out *= phase.reshape((-1,) + (1,) * (out.ndim - 1))
+            continue
+        if modes not in sectors:
+            sectors[modes] = pair_sectors(patterns, *modes)
+        occupied = out.reshape(len(patterns), -1).any(axis=1)
+        totals = patterns[occupied, gate.mode_i] + patterns[occupied, gate.mode_j]
+        t_hi = int(totals.max(initial=-1))
+        blocks = fock._beamsplitter_blocks(gate.theta, gate.phi, t_hi)
+        for idx, (_, block) in zip(sectors[modes], blocks):
+            sector = out[idx]
+            out[idx] = (block @ sector.reshape(len(block), -1)).reshape(sector.shape)
+    return out
+
+
+def rectangular_decompose(unitary: np.ndarray, tol: float = 1e-10) -> list:
+    """Factor an L x L unitary into a nearest-neighbor rectangular mesh.
+
+    Givens eliminations walk anti-diagonals from the bottom-left corner,
+    alternating column operations (even diagonals) and row operations (odd
+    diagonals); the residual diagonal becomes phase rotations placed
+    between the two beamsplitter half-meshes.  Gate count is L(L-1)/2
+    beamsplitters plus at most L phases; depth is O(L).  Trivial gates
+    (angle and phase below 1e-14) are dropped, so the identity yields an
+    empty list.
+    """
+    u = np.array(unitary, dtype=np.complex128)
+    n = u.shape[0]
+    if u.shape != (n, n):
+        raise ValueError("unitary must be square")
+    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > tol:
+        raise ValueError("input is not unitary to the requested tolerance")
+
+    right_ops: list[tuple[float, float, int]] = []  # (theta, phi, col)
+    left_ops: list[tuple[float, float, int]] = []   # (theta, phi, upper row)
+    for d in range(n - 1):
+        if d % 2 == 0:
+            # column ops; walk the diagonal from its bottom-right element up
+            for j in range(d, -1, -1):
+                r, c = n - 1 - d + j, j
+                target, pivot = u[r, c], u[r, c + 1]
+                if abs(target) == 0.0:
+                    continue
+                if abs(pivot) == 0.0:
+                    theta, phi = math.pi / 2.0, 0.0
+                else:
+                    ratio = -target / pivot
+                    theta = math.atan(abs(ratio))
+                    phi = fock._canonical_phase(-cmath.phase(ratio))
+                ct, st = math.cos(theta), math.sin(theta)
+                cols = u[:, [c, c + 1]].copy()
+                u[:, c] = ct * cols[:, 0] + cmath.exp(-1j * phi) * st * cols[:, 1]
+                u[:, c + 1] = -cmath.exp(1j * phi) * st * cols[:, 0] + ct * cols[:, 1]
+                u[r, c] = 0.0
+                right_ops.append((theta, phi, c))
+        else:
+            # row ops; walk the diagonal from its top-left element down
+            for j in range(d + 1):
+                r, c = n - 1 - d + j, j
+                target, pivot = u[r, c], u[r - 1, c]
+                if abs(target) == 0.0:
+                    continue
+                if abs(pivot) == 0.0:
+                    theta, phi = math.pi / 2.0, 0.0
+                else:
+                    ratio = target / pivot
+                    theta = math.atan(abs(ratio))
+                    phi = fock._canonical_phase(-cmath.phase(ratio))
+                ct, st = math.cos(theta), math.sin(theta)
+                rows = u[[r - 1, r], :].copy()
+                u[r - 1, :] = ct * rows[0, :] + cmath.exp(1j * phi) * st * rows[1, :]
+                u[r, :] = -cmath.exp(-1j * phi) * st * rows[0, :] + ct * rows[1, :]
+                u[r, c] = 0.0
+                left_ops.append((theta, phi, r - 1))
+
+    off = u - np.diag(np.diag(u))
+    if np.max(np.abs(off)) > 1e-9:
+        raise RuntimeError("rectangular elimination failed to reach a diagonal")
+
+    gates = []
+    for theta, phi, c in right_ops:
+        if theta > 1e-14:
+            gates.append(fock.Beamsplitter(theta, phi, c, c + 1))
+    for m in range(n):
+        delta = cmath.phase(u[m, m])
+        if abs(u[m, m]) > 0 and abs(delta) > 1e-14:
+            gates.append(fock.PhaseRotation(fock._canonical_phase(-delta), m))
+    for theta, phi, row in reversed(left_ops):
+        if theta > 1e-14:
+            gates.append(fock.Beamsplitter(theta, phi + math.pi, row, row + 1))
+    return gates
+
+
+def apply_two_mode_dense(amps: np.ndarray, mat: np.ndarray, mi: int, mj: int) -> np.ndarray:
+    """Contract a (d_i d_j) x (d_i d_j) matrix into axes (mi, mj) of a dense
+    amplitude tensor, the pair flattened row-major."""
+    moved = np.moveaxis(amps, (mi, mj), (0, 1))
+    d1, d2 = moved.shape[0], moved.shape[1]
+    work = moved.reshape(d1 * d2, -1)
+    out = (mat @ work).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), (mi, mj))
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Single-particle mixer F[l, j] = e^{2 pi i l j / n} / sqrt(n)."""
+    idx = np.arange(n)
+    return np.exp(2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+
+
+def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec:
+    """Sampling block from measured amplitudes: one row per ensemble
+    combination, each squared, normalised and summed onto ``levels`` at
+    the level positions ``index`` of its outcomes (flattened)."""
+    index = np.asarray(index, dtype=np.intp).ravel()
+    levels = np.asarray(levels, dtype=np.complex128).ravel()
+    amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
+    if amps.shape[1] != index.size:
+        raise ValueError(
+            f"{amps.shape[1]} outcome amplitudes per combination, {index.size} level indices"
+        )
+    if index.size and not 0 <= index.min() <= index.max() < levels.size:
+        raise ValueError("level index out of range")
+    p = np.abs(amps) ** 2
+    total = p.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise ValueError("cannot sample from a zero-norm state")
+    return BlockSpec(np.asarray(component_weights, dtype=np.float64),
+                     tuple(np.bincount(index, dist, minlength=levels.size) for dist in p / total),
+                     levels)
+
+
+def passive_measurement(combos, caps, groups, gates, joint_box=None):
+    """Photon patterns and measured amplitudes, one row per ensemble
+    combination (from ``ensemble_combinations``), of a passive circuit that
+    mixes the mode ``groups``; ``joint_box`` maps a combination's pure
+    states to their joint amplitude box, by default their tensor product."""
+    fock.check_working_size(len(combos) + len(caps), closed_pattern_count(caps, groups))
+    patterns = closed_patterns(caps, groups)
+    joint_box = joint_box or (lambda states: functools.reduce(np.multiply.outer,
+                                                              [s.amplitudes for s in states]))
+    amps = np.zeros((len(patterns), len(combos)), dtype=np.complex128)
+    in_box = np.logical_and.reduce([patterns[:, m] <= c for m, c in enumerate(caps)])
+    amps[in_box] = np.stack([joint_box(states).ravel() for _, states in combos], axis=1)
+    return patterns, apply_passive(amps, patterns, gates).T
+
+
+def mesh_group_block(group, total_threshold=None) -> BlockSpec:
+    """One parity group measured: the inverse 50:50 beamsplitter on every
+    pair, a pattern scoring the parity of the pairs' first counts, zeroed
+    past a pair threshold or the group total (levels 0, 1, -1)."""
+    caps, pairs = group.base_caps, group.local_pairs
+    combos = ensemble_combinations(group.factors)
+    gates = [fock.Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in pairs]
+    patterns, amps = passive_measurement(combos, caps, pairs, gates)
+    keep = np.ones(len(patterns), dtype=bool)
+    for (a, b), thr in zip(pairs, group.thresholds):
+        if thr is not None:
+            keep &= patterns[:, a] + patterns[:, b] <= 2 * thr
+    if total_threshold is not None:
+        keep &= patterns.sum(axis=1) <= 2 * total_threshold
+    index = keep * (1 + patterns[:, [a for a, _ in pairs]].sum(axis=1) % 2)
+    return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
+
+
+def mesh_perm_block(states) -> BlockSpec:
+    """The PERM registers through the DFT mesh on the photon-number
+    simplex, a pattern scoring e^{2 pi i k / L} at its phase index
+    k = sum_j j n_j."""
+    n, cap = len(states), states[0].cutoff.per_mode_max[0]
+    combos = ensemble_combinations(states)
+    gates = invert_circuit(rectangular_decompose(dft_matrix(n)))
+    patterns, amps = passive_measurement(combos, [cap] * n, [range(n)], gates)
+    k = patterns @ np.arange(n)
+    return measurement_block([w for w, _ in combos], amps, np.exp(2j * math.pi * np.arange(n) / n),
+                             k % n)
+
+
+def bell_change() -> np.ndarray:
+    """Columns: the qubit Bell states (z, x) in the order 2 z + x."""
+    cols = [dv.qudit_bell_state(z, x, 2).amplitudes.ravel() for z in range(2) for x in range(2)]
+    return np.column_stack(cols)
+
+
+def mesh_hybrid_block(state_a, state_b, m) -> BlockSpec:
+    """The qubit pair measured in the Bell basis, the CV pair after the
+    inverse 50:50 beamsplitter; a pattern (z, n_B, x, m_B) scores
+    (-1)^{z x + n_B}, zeroed when n_B + m_B exceeds 2m."""
+    cv_cap = state_a.cutoff.per_mode_max[1]
+    combos = ensemble_combinations([state_a, state_b])
+    bell_dag = bell_change().conj().T
+    bell_box = lambda states: apply_two_mode_dense(
+        np.multiply.outer(states[0].amplitudes, states[1].amplitudes), bell_dag, 0, 2)
+    bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
+    patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
+    z, n_b, x, m_b = patterns.T
+    index = 1 + (z * x + n_b) % 2
+    if m is not None:
+        index[n_b + m_b > 2 * m] = 0
+    return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
+
+
+def mesh_dv_block(prep_a, prep_b, basis) -> BlockSpec:
+    """Every qudit pair measured in the SWAP eigenbasis ``basis``; an
+    outcome scores the product of its pairs' eigenvalues (levels 1, -1)."""
+    dims = prep_a.dims
+    k = len(dims)
+    combos = ensemble_combinations([prep_a, prep_b])
+    bases = [dv.swap_eigenbasis(d, basis) for d in dims]
+
+    def measured(sa, sb):
+        joint = np.multiply.outer(sa.amplitudes, sb.amplitudes)
+        for pair, (mat, _) in enumerate(bases):
+            joint = apply_two_mode_dense(joint, mat.conj().T, pair, k + pair)
+        return joint
+
+    # the outer sum has axes (i_0, j_0, i_1, j_1, ...), the outcomes
+    # (i_0, i_1, ..., j_0, j_1, ...)
+    negative = [(eig < 0).astype(np.intp).reshape(d, d) for d, (_, eig) in zip(dims, bases)]
+    index = np.transpose(functools.reduce(np.add.outer, negative) % 2,
+                         [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+    return measurement_block([w for w, _ in combos],
+                             np.stack([measured(*pair) for _, pair in combos]), [1.0, -1.0], index)

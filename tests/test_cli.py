@@ -363,7 +363,12 @@ def test_perm_six_registers_runs(tmp_path):
 
 
 def test_perm_oversized_working_space_refused(tmp_path, capsys):
-    states = [{"kind": "vacuum", "cutoff": [5]}] * 8  # C(48, 8) = 3.8e8 amplitudes
+    # eight registers at cutoff 5 run; a register at cutoff 5000 has a
+    # 5001 x 5001 density matrix, past the limit
+    states = [{"kind": "vacuum", "cutoff": [5]}] * 8
+    code, _ = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
+    assert code == 0
+    states = [{"kind": "vacuum", "cutoff": [5000]}] * 3
     code, _ = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
     assert code == 1
     err = capsys.readouterr().err
@@ -617,7 +622,7 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
 
 
 def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
-    states = [{"kind": "vacuum", "cutoff": [5]}] * 8
+    states = [{"kind": "vacuum", "cutoff": [5000]}] * 3
     code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
@@ -676,16 +681,17 @@ def test_overflowing_gate_parameter_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
-    # cutoff 3: 28^4 closed patterns over eight modes run; cutoff 4 would
-    # hold 45^4 amplitudes under the limit, but not their pattern table
+    # cutoff 4: the eight-mode box of 5^8 amplitudes runs with its pattern
+    # table; cutoff 6 would hold 7^8 amplitudes under the limit, but not
+    # with their eight pattern columns
     base = {"copies": 2, "shots": 500, "seed": 3}
     code, out = run_cli(tmp_path, "two-copy", {**base, "purification": {
-        "kind": "tmss", "r": 0.3, "cutoff": [3, 3]}}, name="three.json")
+        "kind": "tmss", "r": 0.3, "cutoff": [4, 4]}}, name="four.json")
     assert code == 0
     results = json.loads(out.read_text())["results"]
     assert abs(results["grand_mean_re"] - results["exact_expectation"]) < 5 * results["runs"][0]["stderr"]
     code, _ = run_cli(tmp_path, "two-copy", {**base, "purification": {
-        "kind": "tmss", "r": 0.3, "cutoff": [4, 4]}}, name="four.json")
+        "kind": "tmss", "r": 0.3, "cutoff": [6, 6]}}, name="six.json")
     assert code == 1
     err = capsys.readouterr().err
     assert "desk-scale limit" in err and err.count("\n") == 1
@@ -721,12 +727,12 @@ MIXED_SINGLE = {"mixture": [{"weight": 0.4, "state": {"kind": "coherent", "alpha
 def test_every_run_draws_from_one_block_build(tmp_path, monkeypatch, command, config, module,
                                               estimator):
     calls = []
-    for owner in (est, proto):  # the modules whose block builders measure
-        count_calls(monkeypatch, owner, "passive_measurement", calls)
+    for owner, builder in ((est, "_group_block"), (proto, "_perm_block")):
+        count_calls(monkeypatch, owner, builder, calls)
     count_calls(monkeypatch, module, estimator, calls)
     code, out = run_cli(tmp_path, command, {**config, "shots": 200, "runs": 3, "seed": 4})
     assert code == 0
     runs = json.loads(out.read_text())["results"]["runs"]
     assert [row["run"] for row in runs] == [0, 1, 2]
     assert len({row["seed"] for row in runs}) == 3
-    assert calls == [estimator, "passive_measurement"]
+    assert calls == [estimator, "_perm_block" if command == "perm" else "_group_block"]

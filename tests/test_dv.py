@@ -7,6 +7,8 @@ from cvswap import dv, fock
 from cvswap.dv import DVEnsemble, DVState, dv_swap_estimate, dv_swap_expectation
 from cvswap.sampling import level_law
 
+from conftest import assert_same_law, mesh_dv_block
+
 
 def rand_dv(rng, dims):
     amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
@@ -95,21 +97,15 @@ def test_expectation_identical_and_orthogonal():
 
 
 @pytest.mark.parametrize("basis", ["v", "w"])
-def test_block_weights_are_eigenvalue_products(rng, monkeypatch, basis):
-    # outcome (i_0, i_1, j_0, j_1) scores eig_0[i_0 d_0 + j_0] * eig_1[i_1 d_1 + j_1]
-    scored = []
-    build = dv.measurement_block
-
-    def record(component_weights, amplitudes, levels, index):
-        scored.append(np.asarray(levels)[np.ravel(index)])
-        return build(component_weights, amplitudes, levels, index)
-
-    monkeypatch.setattr(dv, "measurement_block", record)
+def test_block_weights_are_eigenvalue_products(rng, basis):
+    # the block's law over (1, -1) is that of measuring every pair in the
+    # basis and scoring the product of the outcome eigenvalues
     dims = (2, 3)
-    dv._dv_block(rand_dv(rng, dims), rand_dv(rng, dims), basis)
-    eig = [dv.swap_eigenbasis(d, basis)[1].reshape(d, d) for d in dims]
-    want = np.einsum("ac,bd->abcd", *eig).ravel()
-    assert len(scored) == 1 and np.array_equal(scored[0], want)
+    a = rand_dv(rng, dims)
+    b = DVEnsemble(((0.3, rand_dv(rng, dims)), (0.7, rand_dv(rng, dims))))
+    block = dv._dv_block(a, b, basis)
+    assert np.array_equal(block.levels, [1.0, -1.0])
+    assert_same_law(block, mesh_dv_block(a, b, basis))
 
 
 @pytest.mark.parametrize("basis", ["v", "w"])
@@ -170,13 +166,14 @@ def test_estimate_deterministic(rng):
     assert dv_swap_estimate(a, b, 500, 8) == dv_swap_estimate(a, b, 500, 8)
 
 
-def test_oversized_registers_refused_before_allocating():
-    # five pairs of six-level qudits: 6^10 joint amplitudes exceed the limit
+def test_large_registers_need_no_joint_space():
+    # five pairs of six-level qudits: the 6^10 joint amplitudes of the
+    # measured pair are never formed, since the law needs only <a|b>
     amps = np.zeros((6,) * 5)
     amps[(0,) * 5] = 1.0
     state = DVState((6,) * 5, amps)
-    with pytest.raises(ValueError, match="desk-scale limit"):
-        dv_swap_estimate(state, state, 10, 0)
+    res = dv_swap_estimate(state, state, 10, 0)
+    assert res.mean == 1.0 and res.discarded == 0
 
 
 def test_oversized_basis_is_refused_before_allocating(monkeypatch):

@@ -10,9 +10,9 @@ from scipy.stats import norm, poisson
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
 from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
-from cvswap.sampling import ensemble_combinations, level_law, measurement_block
+from cvswap.sampling import ensemble_combinations, level_law
 
-from conftest import assert_same_block, random_ensemble, random_pure, recorded_measurements, run_circuit
+from conftest import assert_same_law, measurement_block, random_ensemble, random_pure, run_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_unbiasedness_by_enumeration(rng):
     a, b = random_pure(rng, 7), random_pure(rng, 7)
     for m in (1, 3, 7):
         groups = est._group_factors([a, b], [(0, 1)], [m])
-        [block] = est._sampling_block(groups[:1], [None])
+        block = est._group_block(groups[0])
         enumerated = sum(
             cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
@@ -152,7 +152,7 @@ def test_parity_with_unequal_cutoffs(rng):
         overlap_route = est.swap2m_expectation(joint, m)
         operator_route = est.parity_overlap_expectation([a, b], [(0, 1)], m)
         groups = est._group_factors([a, b], [(0, 1)], [m])
-        [block] = est._sampling_block(groups[:1], [None])
+        block = est._group_block(groups[0])
         enumerated = sum(
             cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
@@ -172,7 +172,8 @@ def test_parity_dual_routes_on_entangled_joint(rng):
     for state in (joint, ens):
         for m in (1, 3, 6, 12):
             a = est.parity_overlap_expectation([state], [(0, 1)], m)
-            [block] = est._sampling_block(est._group_factors([state], [(0, 1)], [m]), [None])
+            [group] = est._group_factors([state], [(0, 1)], [m])
+            block = est._group_block(group)
             b = sum(cw * float(np.dot(dist, block.levels.real))
                     for cw, dist in zip(block.component_weights, block.distributions))
             assert a == pytest.approx(b, abs=1e-12)
@@ -184,7 +185,8 @@ def test_sampling_block_exact_at_large_pair_totals():
     cut = CutoffSpec((100,))
     a = fock.prepare("squeezed", cut, z=1.2)
     b = fock.prepare("squeezed", cut, z=-1.2)
-    [block] = est._sampling_block(est._group_factors([a, b], [(0, 1)], [100]), [None])
+    [group] = est._group_factors([a, b], [(0, 1)], [100])
+    block = est._group_block(group)
     exact = est.parity_overlap_expectation([a, b], [(0, 1)], 100)
     assert abs(np.dot(*level_law([block])) - exact) < 1e-10
 
@@ -216,7 +218,7 @@ def test_discarded_shots_counted(rng):
 def test_shot_weights_bounded(rng):
     a, b = random_pure(rng, 5), random_pure(rng, 5)
     groups = est._group_factors([a, b], [(0, 1)], [2])
-    [block] = est._sampling_block(groups[:1], [None])
+    block = est._group_block(groups[0])
     assert np.all(np.abs(block.levels) <= 1.0 + 1e-15)
 
 
@@ -278,10 +280,8 @@ def test_sampling_block_matches_padded_oracle(seed):
     thresholds = [None if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in pairs]
     total = None if rng.random() < 0.5 else int(rng.integers(0, 7))
     for group in est._group_factors(factors, pairs, thresholds):
-        with recorded_measurements(est) as measured:
-            [block] = est._sampling_block([group], [total])
-        oracle, shape = _dense_sampling_block(group, total)
-        assert_same_block(block, *measured, oracle, shape)
+        oracle, _ = _dense_sampling_block(group, total)
+        assert_same_law(est._group_block(group, total), oracle)
 
 
 def _dense_signed_total_mass(joint):
@@ -467,12 +467,33 @@ def test_exact_tail_planner():
 
 
 def test_exact_tail_planner_refuses_eps_below_its_resolution_at_once():
-    # at this energy the cumulative sum stops moving 5e-10 short of 1, and
-    # the scan used to run 100 lam more terms before it gave up
+    # the tail is summed from its upper end, so at the largest energy it
+    # resolves 1e-14, where a cumulative sum stopped moving 5e-10 short of
+    # 1; only an eps below the weight past the last normal term is refused
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="failed to converge: the tail stops at 4.97e-10"):
-        est.cutoff_for_coherent_exact(est.MAX_PLAN_ENERGY, 1e-14)
+    plan = est.cutoff_for_coherent_exact(est.MAX_PLAN_ENERGY, 1e-14)
+    assert plan.bound <= 1e-14
+    with pytest.raises(RuntimeError, match="tail cannot be certified below 2.62e-307"):
+        est.cutoff_for_coherent_exact(est.MAX_PLAN_ENERGY, 1e-307)
     assert time.perf_counter() - start < 1.0
+
+
+def test_exact_tail_planner_matches_mpmath_tails():
+    # against the regularised incomplete gamma function at 40 digits: the
+    # smallest M whose tail P(X > 2M), X ~ Poisson(2E), is within eps, and
+    # that tail as the bound; 1 - cdf gave 1163 at eps = 1e-12 and could
+    # not resolve 1e-13 at E = 1000
+    import mpmath
+
+    with mpmath.workdps(40):
+        for energy, eps in [(1000.0, 1e-12), (1000.0, 1e-13), (0.3, 0.5), (36.0, 1e-4),
+                            (2.5, 1e-200), (500.0, 0.999)]:
+            plan = est.cutoff_for_coherent_exact(energy, eps)
+            tail = lambda m: mpmath.gammainc(2 * m + 1, 0, 2 * energy, regularized=True)
+            assert tail(plan.M) <= eps
+            assert plan.M == 0 or tail(plan.M - 1) > eps
+            assert plan.bound == pytest.approx(float(tail(plan.M)), rel=1e-10)
+        assert est.cutoff_for_coherent_exact(1000.0, 1e-12).M == 1162
 
 
 def test_weak_tail_bound_is_weaker():

@@ -18,10 +18,16 @@ from cvswap.fock import (
 )
 
 from conftest import (
+    apply_passive,
+    closed_pattern_count,
+    closed_patterns,
+    dagger,
     dense_matrix,
+    invert_circuit,
     ladder_ops,
     random_number_conserving,
     random_pure,
+    rectangular_decompose,
     run_circuit,
     single_particle_matrix,
     swap_modes,
@@ -370,8 +376,24 @@ def test_phase_on_vacuum():
 def test_beamsplitter_inverts(rng):
     state = random_number_conserving(rng, 8, modes=2, max_total=8)
     gate = Beamsplitter(math.pi / 4, 0.0, 0, 1)
-    back = fock.apply_gate(fock.apply_gate(state, gate), fock.dagger(gate))
+    back = fock.apply_gate(fock.apply_gate(state, gate), dagger(gate))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
+def test_beamsplitter_refuses_a_box_it_would_truncate():
+    # |3, 3> carries six photons, which a (3, 3) box cannot hold after the
+    # mixing; padded to (6, 6) the weight is kept
+    cut = CutoffSpec((3, 3))
+    gate = Beamsplitter(math.pi / 4, 0.0, 0, 1)
+    with pytest.raises(ValueError) as refusal:
+        fock.apply_gate(fock.basis_state((3, 3), cut), gate)
+    assert str(refusal.value) == ("beamsplitter would truncate: the largest occupied n_i + n_j is 6, "
+                                  "beyond the cutoffs (3, 3) of modes (0, 1); pad both modes to that total")
+    out = fock.apply_gate(fock.pad(fock.basis_state((3, 3), cut), (6, 6)), gate)
+    assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
+    # totals the box holds are applied as before, an empty state included
+    assert fock.apply_gate(fock.basis_state((3, 0), cut), gate).norm_sq == pytest.approx(1.0, abs=1e-12)
+    assert not fock.apply_gate(fock.FockState(cut, np.zeros((4, 4))), gate).amplitudes.any()
 
 
 def test_squeezed_vacuum_parity():
@@ -410,18 +432,19 @@ def test_bs_columns_are_swap_eigenvectors():
 
 def test_tmss_circuit_amplitudes():
     # S(r) (x) S(-r) then the pi-phase 50:50 beamsplitter on vacuum
+    # the squeezed pair fills its box, so the beamsplitter runs on the pair
+    # padded to its photon budget
     r, cap = 1.0, 30
     cut = CutoffSpec((cap, cap))
-    state = run_circuit(
-        fock.basis_state((0, 0), cut),
-        [Squeeze(r, 0), Squeeze(-r, 1), Beamsplitter(math.pi / 4, math.pi, 0, 1)],
-    )
+    squeezed = run_circuit(fock.basis_state((0, 0), cut), [Squeeze(r, 0), Squeeze(-r, 1)])
+    state = fock.apply_gate(fock.pad(squeezed, (2 * cap, 2 * cap)),
+                            Beamsplitter(math.pi / 4, math.pi, 0, 1))
     for n in range(cap // 2 + 1):
         want = (-math.tanh(r)) ** n / math.cosh(r)
         assert state.amplitudes[n, n] == pytest.approx(want, abs=1e-12)
     off = state.amplitudes.copy()
     np.fill_diagonal(off, 0.0)
-    totals = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
+    totals = np.add.outer(np.arange(2 * cap + 1), np.arange(2 * cap + 1))
     assert np.max(np.abs(off[totals <= cap])) < 1e-12
 
 
@@ -433,7 +456,7 @@ def test_circuit_then_inverse(rng):
         Beamsplitter(1.1, 5.0, 1, 2),
         Beamsplitter(0.8, 2.0, 2, 0),
     ]
-    roundtrip = run_circuit(run_circuit(state, gates), fock.invert_circuit(gates))
+    roundtrip = run_circuit(run_circuit(state, gates), invert_circuit(gates))
     assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) < 1e-10
 
 
@@ -543,12 +566,12 @@ def test_truncation_weight_one_mode():
 
 
 def test_decompose_identity_empty():
-    assert fock.rectangular_decompose(np.eye(5)) == []
+    assert rectangular_decompose(np.eye(5)) == []
 
 
 def test_decompose_2x2_dft():
     dft = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    gates = fock.rectangular_decompose(dft)
+    gates = rectangular_decompose(dft)
     assert sum(isinstance(g, Beamsplitter) for g in gates) == 1
     rebuilt = single_particle_matrix(gates, 2)
     assert np.max(np.abs(rebuilt - dft)) < 1e-12
@@ -558,7 +581,7 @@ def test_decompose_2x2_dft():
 def test_decompose_random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(z)
-    gates = fock.rectangular_decompose(u)
+    gates = rectangular_decompose(u)
     rebuilt = single_particle_matrix(gates, n)
     assert np.max(np.abs(rebuilt - u)) < 1e-10
     bs = [g for g in gates if isinstance(g, Beamsplitter)]
@@ -569,16 +592,16 @@ def test_decompose_random_unitary(rng, n):
 
 def test_decompose_rejects_non_unitary():
     with pytest.raises(ValueError):
-        fock.rectangular_decompose(np.ones((3, 3)))
+        rectangular_decompose(np.ones((3, 3)))
 
 
 def test_decompose_degenerate_unitaries():
     # permutations and phase diagonals hit the zero-pivot Givens branches
     perm = np.eye(5)[[3, 0, 4, 1, 2]]
-    gates = fock.rectangular_decompose(perm)
+    gates = rectangular_decompose(perm)
     assert np.max(np.abs(single_particle_matrix(gates, 5) - perm)) < 1e-10
     diag = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.9, 0.0])))
-    gates = fock.rectangular_decompose(diag)
+    gates = rectangular_decompose(diag)
     assert all(isinstance(g, PhaseRotation) for g in gates)
     assert np.max(np.abs(single_particle_matrix(gates, 4) - diag)) < 1e-12
 
@@ -587,7 +610,7 @@ def test_decompose_dft_family():
     for n in (3, 4, 5):
         idx = np.arange(n)
         dft = np.exp(2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-        gates = fock.rectangular_decompose(dft)
+        gates = rectangular_decompose(dft)
         assert np.max(np.abs(single_particle_matrix(gates, n) - dft)) < 1e-10
 
 
@@ -596,7 +619,7 @@ def test_decompose_fock_consistency(rng):
     n = 4
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(z)
-    gates = fock.rectangular_decompose(u)
+    gates = rectangular_decompose(u)
     cut = CutoffSpec.uniform(1, n)
     for j in range(n):
         pattern = tuple(1 if k == j else 0 for k in range(n))
@@ -612,7 +635,7 @@ def test_decompose_fock_consistency(rng):
 
 @pytest.mark.parametrize("modes, total", [(1, 4), (2, 0), (3, 3), (4, 5)])
 def test_simplex_patterns_row_major(modes, total):
-    pats = fock.closed_patterns([total] + [0] * (modes - 1), [range(modes)])
+    pats = closed_patterns([total] + [0] * (modes - 1), [range(modes)])
     box = np.indices((total + 1,) * modes).reshape(modes, -1).T
     want = box[box.sum(axis=1) <= total]
     assert np.array_equal(pats, want)
@@ -631,17 +654,17 @@ def _dense_on_simplex(amps, pats, total, gates):
 
 def test_apply_passive_matches_dense(rng):
     modes, total = 4, 4
-    pats = fock.closed_patterns([1] * modes, [range(modes)])
+    pats = closed_patterns([1] * modes, [range(modes)])
     z = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-    gates = fock.rectangular_decompose(np.linalg.qr(z)[0]) + [Beamsplitter(0.7, 1.1, 3, 1), PhaseRotation(0.4, 2)]
+    gates = rectangular_decompose(np.linalg.qr(z)[0]) + [Beamsplitter(0.7, 1.1, 3, 1), PhaseRotation(0.4, 2)]
     amps = rng.normal(size=(len(pats), 3)) + 1j * rng.normal(size=(len(pats), 3))
-    got = fock.apply_passive(amps, pats, gates)
+    got = apply_passive(amps, pats, gates)
     for k in range(3):
         want = _dense_on_simplex(amps[:, k], pats, total, gates)
         assert np.max(np.abs(got[:, k] - want)) < 1e-12
     # unitary on the simplex, and the input is left alone
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
-    assert np.array_equal(fock.apply_passive(amps, pats, []), amps)
+    assert np.array_equal(apply_passive(amps, pats, []), amps)
 
 
 LAYOUTS = [
@@ -665,14 +688,14 @@ def _budgets(caps, groups):
 
 @pytest.mark.parametrize("caps, groups", LAYOUTS)
 def test_closed_patterns_row_major(caps, groups):
-    pats = fock.closed_patterns(caps, groups)
+    pats = closed_patterns(caps, groups)
     top = _budgets(caps, groups)
     box = np.indices([t + 1 for t in top]).reshape(len(caps), -1).T
     keep = np.ones(len(box), dtype=bool)
     for group in groups:
         keep &= box[:, list(group)].sum(axis=1) <= sum(caps[m] for m in group)
     assert np.array_equal(pats, box[keep])
-    assert len(pats) == fock.closed_pattern_count(caps, groups)
+    assert len(pats) == closed_pattern_count(caps, groups)
     # the rows inside the input box are that box in row-major order
     inside = pats[(pats <= np.asarray(caps)).all(axis=1)]
     assert np.array_equal(inside, np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T)
@@ -686,14 +709,14 @@ def test_closed_patterns_closed_under_group_meshes(layout, seed):
     gates = []
     for group in groups:
         z = rng.normal(size=(len(group),) * 2) + 1j * rng.normal(size=(len(group),) * 2)
-        for g in fock.rectangular_decompose(np.linalg.qr(z)[0]):
+        for g in rectangular_decompose(np.linalg.qr(z)[0]):
             if isinstance(g, Beamsplitter):
                 gates.append(Beamsplitter(g.theta, g.phi, group[g.mode_i], group[g.mode_j]))
             else:
                 gates.append(PhaseRotation(g.phi, group[g.mode]))
-    pats = fock.closed_patterns(caps, groups)
+    pats = closed_patterns(caps, groups)
     amps = rng.normal(size=(len(pats), 2)) + 1j * rng.normal(size=(len(pats), 2))
-    got = fock.apply_passive(amps, pats, gates)
+    got = apply_passive(amps, pats, gates)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(amps), rel=1e-12)
     top = _budgets(caps, groups)
     for k in range(2):
@@ -705,35 +728,35 @@ def test_closed_patterns_closed_under_group_meshes(layout, seed):
 
 def test_closed_patterns_rejects_bad_groups():
     with pytest.raises(ValueError):
-        fock.closed_patterns((1, 1, 1), [(0, 1), (1, 2)])
+        closed_patterns((1, 1, 1), [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        fock.closed_patterns((1, 1), [(0, 2)])
+        closed_patterns((1, 1), [(0, 2)])
 
 
 def test_apply_passive_stops_at_occupied_total():
     # amplitudes only on totals <= 1 of a pair with budget 8: the result
     # equals the full run, and empty input stays empty
-    pats = fock.closed_patterns((4, 4), [(0, 1)])
+    pats = closed_patterns((4, 4), [(0, 1)])
     amps = np.zeros(len(pats), dtype=np.complex128)
     amps[(pats.sum(axis=1) <= 1)] = [0.6, 0.8j, 0.0]
     bs = Beamsplitter(0.4, 0.3, 0, 1)
-    got = fock.apply_passive(amps, pats, [bs])
+    got = apply_passive(amps, pats, [bs])
     want = fock.apply_gate(fock.pad(FockState(CutoffSpec((1, 1)), [[0.6, 0.8j], [0.0, 0.0]]), (8, 8)), bs)
     assert np.max(np.abs(got - want.amplitudes[tuple(pats.T)])) < 1e-15
-    assert not fock.apply_passive(np.zeros(len(pats)), pats, [bs]).any()
+    assert not apply_passive(np.zeros(len(pats)), pats, [bs]).any()
 
 
 def test_apply_passive_rejects_bad_input():
-    pats = fock.closed_patterns([2, 0, 0], [range(3)])
+    pats = closed_patterns([2, 0, 0], [range(3)])
     amps = np.ones(len(pats))
     with pytest.raises(TypeError):
-        fock.apply_passive(amps, pats, [Squeeze(0.1, 0)])
+        apply_passive(amps, pats, [Squeeze(0.1, 0)])
     with pytest.raises(ValueError):
-        fock.apply_passive(amps, pats, [Beamsplitter(0.3, 0.0, 0, 3)])
+        apply_passive(amps, pats, [Beamsplitter(0.3, 0.0, 0, 3)])
     box = np.indices((3, 3, 3)).reshape(3, -1).T
     with pytest.raises(ValueError):
         # a per-mode box is not closed under a beamsplitter
-        fock.apply_passive(np.ones(len(box)), box, [Beamsplitter(0.3, 0.0, 0, 1)])
+        apply_passive(np.ones(len(box)), box, [Beamsplitter(0.3, 0.0, 0, 1)])
 
 
 def test_dense_states_are_refused_before_they_are_allocated(monkeypatch):

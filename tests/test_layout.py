@@ -1,6 +1,6 @@
-"""Modules of the package reach each other only through public names,
-every passive measurement goes through one placement helper, and no input
-rule is written in both the CLI and the library."""
+"""Modules of the package reach each other only through public names, no
+shot block simulates its measurement circuit, and no input rule is
+written in both the CLI and the library."""
 
 import ast
 import re
@@ -72,39 +72,39 @@ def passive_callers(source: str, callee: str = "apply_passive") -> list[str]:
     return callers
 
 
-def test_only_the_placement_helper_applies_passive_circuits():
-    found = [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
-             for caller in passive_callers(path.read_text(encoding="utf-8"))]
-    assert found == ["sampling.passive_measurement"]
+def test_no_measurement_circuit_is_simulated():
+    # every shot law comes from the protocol's symmetry: the one gate
+    # application left is the state preparation of fig2
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = {callee: [f"{stem}.{caller}" for stem, source in sources.items()
+                      for caller in passive_callers(source, callee)]
+             for callee in ("apply_gate", "apply_passive", "passive_measurement")}
+    assert found == {"apply_gate": ["cli.cmd_fig2"], "apply_passive": [], "passive_measurement": []}
 
 
-def test_beamsplitters_run_only_where_shots_are_drawn():
-    # exact values apply no measurement beamsplitter, so none shares code
-    # with the sampler it checks
-    found = [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
-             for caller in passive_callers(path.read_text(encoding="utf-8"), "passive_measurement")]
-    assert sorted(found) == ["estimators._sampling_block", "protocols._hybrid_block",
-                             "protocols._perm_block"]
-
-
-BLOCK_BUILDERS = ("_sampling_block", "_perm_block", "_hybrid_block", "_dv_block", "measurement_block")
+BLOCK_BUILDERS = ("_group_block", "_perm_block", "_dv_block", "law_block")
 
 
 def test_block_builders_serve_only_shot_estimators():
-    # an exact value reads no sampling block, so none shares code with the
-    # sampler it checks
-    found = {builder: sorted(f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
-                             for caller in passive_callers(path.read_text(encoding="utf-8"), builder))
+    # a law is built only on a shot path, and no shot path calls a public
+    # exact entry point: laws and exact values share private helpers, so an
+    # exact value's time is never charged to an estimator
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = {builder: sorted(f"{stem}.{caller}" for stem, source in sources.items()
+                             for caller in passive_callers(source, builder))
              for builder in BLOCK_BUILDERS}
     assert found == {
-        "_sampling_block": ["estimators.parity_blocks"],
+        "_group_block": ["estimators.parity_overlap_estimate"],
         "_perm_block": ["protocols.perm_test"],
-        "_hybrid_block": ["protocols.hybrid_swap_estimate"],
         "_dv_block": ["dv.dv_swap_estimate"],
-        "measurement_block": ["dv._dv_block", "estimators._sampling_block",
-                              "protocols._hybrid_block", "protocols._perm_block"],
+        "law_block": ["dv._dv_block", "estimators._group_block", "protocols._perm_block"],
     }
-    assert not [c for callers in found.values() for c in callers if c.endswith("_expectation")]
+    shot_paths = {caller.split(".")[1] for callers in found.values() for caller in callers}
+    exact = [name for source in sources.values() for name in exported_names(source)
+             if name.endswith("_expectation")]
+    reached = {caller for source in sources.values() for name in exact
+               for caller in passive_callers(source, name)}
+    assert exact and not reached & shot_paths
 
 
 def test_passive_caller_check_sees_both_forms():

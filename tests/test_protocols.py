@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvswap import dv, estimators as est, fock, protocols as proto, sampling
+from cvswap import dv, estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec, MixedEnsemble
-from cvswap.sampling import (
-    BlockSpec,
-    ensemble_combinations,
-    derive_seed,
-    level_law,
-    measurement_block,
-)
+from cvswap.sampling import BlockSpec, derive_seed, ensemble_combinations, law_block, level_law
 
 from conftest import (
-    assert_same_block,
+    apply_two_mode_dense,
+    assert_same_law,
+    bell_change,
     count_calls,
     density_matrix,
+    dft_matrix,
+    drawn_blocks,
+    invert_circuit,
+    measurement_block,
+    mesh_perm_block,
     purification_of,
     random_ensemble,
     random_pure,
-    recorded_measurements,
+    rectangular_decompose,
     run_circuit,
     swap_modes,
 )
@@ -98,7 +99,7 @@ def _dense_perm_block(states) -> BlockSpec:
     joint photon capacity and run through the dense mesh."""
     n, cap = len(states), states[0].cutoff.per_mode_max[0]
     caps = (n * cap,) * n
-    gates = fock.invert_circuit(fock.rectangular_decompose(proto.dft_matrix(n)))
+    gates = invert_circuit(rectangular_decompose(dft_matrix(n)))
     combos = [(1.0, [])]
     for s in states:
         combos = [(w * cw, parts + [cs]) for w, parts in combos for cw, cs in fock.components_of(s)]
@@ -111,7 +112,8 @@ def _dense_perm_block(states) -> BlockSpec:
         comp_w.append(w)
         dists.append(p / p.sum())
     counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
-    weights = np.exp(2j * math.pi * (np.arange(n)[:, None] * counts).sum(axis=0) / n)
+    phase = (np.arange(n)[:, None] * counts).sum(axis=0) % n
+    weights = np.exp(2j * math.pi * np.arange(n) / n)[phase]
     # every outcome is its own weight level
     return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
 
@@ -121,11 +123,12 @@ def _dense_perm_block(states) -> BlockSpec:
 def test_perm_simplex_block_matches_dense_mesh(n_registers, cap, rank, seed):
     rng = np.random.default_rng(seed)
     states = [random_ensemble(rng, cap, rank) for _ in range(n_registers)]
-    with recorded_measurements(proto) as measured:
-        block = proto._perm_block(states)
-    # the simplex patterns, located in the dense row-major flattening
-    dense_shape = (n_registers * cap + 1,) * n_registers
-    assert_same_block(block, *measured, _dense_perm_block(states), dense_shape)
+    block = proto._perm_block(states)
+    # the symmetry law and the mesh on the photon-number simplex both
+    # match the mesh on the dense padded box
+    dense = _dense_perm_block(states)
+    assert_same_law(block, dense)
+    assert_same_law(mesh_perm_block(states), dense)
     exact = proto.perm_expectation(states)
     assert abs(exact - np.dot(*level_law([block]))) < 1e-10
 
@@ -336,16 +339,14 @@ COMPILE_U = [fock.Displacement(0.2 - 0.1j, 0), fock.Squeeze(0.15 + 0.05j, 0), fo
 COMPILE_V = [fock.Displacement(0.25 - 0.1j, 0), fock.PhaseRotation(0.5, 0)]
 
 
-def test_compile_cost_measures_each_layout_once(rng, monkeypatch):
-    # three terms on one register layout: one pattern set, one passive
-    # measurement, one pair-sector index per measured pair
+def test_compile_cost_builds_each_term_law_once(rng, monkeypatch):
+    # three terms, each one group of the four modes: one (k, s) per term,
+    # and no passive measurement
     training = [random_pure(rng, 6, 2), fock.basis_state((2, 1), CutoffSpec((6, 6))),
                 MixedEnsemble(((0.4, random_pure(rng, 6, 2)), (0.6, random_pure(rng, 6, 2))))]
-    patterns = count_calls(monkeypatch, sampling, "closed_patterns")
-    measured = count_calls(monkeypatch, est, "passive_measurement")
-    sectors = count_calls(monkeypatch, fock, "_pair_sectors")
+    built = count_calls(monkeypatch, est, "_group_expectation")
     proto.compile_cost(training, COMPILE_U, COMPILE_V, 500, 6, [None, 4, 2])
-    assert (len(patterns), len(measured), len(sectors)) == (1, 1, 2)
+    assert len(built) == 3
 
 
 def _compile_training(rng):
@@ -363,34 +364,20 @@ def test_compile_cost_equals_per_term_estimates(rng):
     seeds = [derive_seed(seed, j) for j in range(len(terms))]
     each = [est.parity_overlap_estimate(prepared, [(0, 2), (1, 3)], None, shots, s, total)
             for (prepared, total), s in zip(terms, seeds)]
-    blocks = est.parity_blocks([prepared for prepared, _ in terms], [(0, 2), (1, 3)], None, m_totals)
-    shared = [est.estimate_blocks(term_blocks, shots, s) for term_blocks, s in zip(blocks, seeds)]
-    assert shared == each
     acc = 0.0
     for result in each:
         acc += result.mean.real
     assert proto.compile_cost(training, COMPILE_U, COMPILE_V, shots, seed, m_totals) == 1.0 - acc / len(each)
 
 
-def test_compile_cost_splits_a_layout_at_the_working_space_limit(rng, monkeypatch):
-    training, m_totals = _compile_training(rng)
-    want = proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals)
-    # on the cap-5 layout a pure term needs (1 + 4 modes) x rows and the
-    # mixture, rank 2 under U and under V, (4 + 4) x rows: each fits alone,
-    # no two neighbours fit together
-    rows = fock.closed_pattern_count([5, 5, 5, 5], [(0, 2), (1, 3)])
-    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 8 * rows)
-    measured = count_calls(monkeypatch, est, "passive_measurement")
-    assert proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals) == want
-    # cap-5 batches [pure], [mixture], [pure]; the cap-3 terms share one
-    assert len(measured) == 4
-    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 8 * rows - 1)
-    with pytest.raises(fock.ResourceLimitError, match="working space"):
-        proto.compile_cost(training, COMPILE_U, COMPILE_V, 2000, 5, m_totals)
-
-
 # ---------------------------------------------------------------------------
 # hybrid test
+
+
+def _hybrid_block(state_a, state_b, m):
+    """The one block a hybrid estimate draws from."""
+    [[block]] = drawn_blocks(lambda: proto.hybrid_swap_estimate(state_a, state_b, m, 1, 0))
+    return block
 
 
 def _rand_hybrid(rng, cap):
@@ -406,12 +393,12 @@ def _dense_hybrid_block(state_a, state_b, m):
     caps = (1, 2 * cv_cap, 1, 2 * cv_cap)
     shape = tuple(c + 1 for c in caps)
     combos = ensemble_combinations([state_a, state_b])
-    bell_dag = proto._bell_change().conj().T
+    bell_dag = bell_change().conj().T
     bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
     amps = []
     for _, (sa, sb) in combos:
         joint = fock.pad(fock.tensor(sa, sb), caps)
-        bell = fock.apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
+        bell = apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
         amps.append(fock.apply_gate(fock.FockState(joint.cutoff, bell), bs).amplitudes)
     z, n_b, x, m_b = np.indices(shape)
     weights = (np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)).ravel()
@@ -433,10 +420,8 @@ def test_hybrid_block_matches_padded_oracle(cap, rank_a, rank_b, seed):
 
     a, b = register(rank_a), register(rank_b)
     m = int(rng.integers(0, cap + 2))
-    oracle, shape = _dense_hybrid_block(a, b, m)
-    with recorded_measurements(proto) as measured:
-        block = proto._hybrid_block(a, b, m)
-    assert_same_block(block, *measured, oracle, shape)
+    oracle, _ = _dense_hybrid_block(a, b, m)
+    assert_same_law(_hybrid_block(a, b, m), oracle)
 
 
 def test_hybrid_trivial_cases():
@@ -471,7 +456,7 @@ def test_hybrid_dual_routes_at_finite_threshold(rng):
     # agrees with the masked-swap operator expectation at every threshold
     a, b = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
     for m in (0, 1, 2, 4):
-        block = proto._hybrid_block(a, b, m)
+        block = _hybrid_block(a, b, m)
         enumerated = sum(
             cw * float(np.dot(dist, block.levels.real))
             for cw, dist in zip(block.component_weights, block.distributions)
@@ -481,7 +466,7 @@ def test_hybrid_dual_routes_at_finite_threshold(rng):
 
 def test_hybrid_shot_weights_are_signs_or_zero(rng):
     a, b = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
-    block = proto._hybrid_block(a, b, 2)
+    block = _hybrid_block(a, b, 2)
     values = set(np.unique(block.levels.real))
     assert values <= {-1.0, 0.0, 1.0}
     assert np.all(block.levels.imag == 0.0)
@@ -502,7 +487,7 @@ def test_hybrid_without_threshold_is_the_full_cap_block(rng):
     cap = 3
     a = MixedEnsemble(((0.4, _rand_hybrid(rng, cap)), (0.6, _rand_hybrid(rng, cap))))
     b = _rand_hybrid(rng, cap)
-    free, full = proto._hybrid_block(a, b, None), proto._hybrid_block(a, b, cap)
+    free, full = _hybrid_block(a, b, None), _hybrid_block(a, b, cap)
     assert np.array_equal(free.levels, full.levels)
     assert all(np.array_equal(x, y) for x, y in zip(free.distributions, full.distributions, strict=True))
     assert proto.hybrid_swap_estimate(a, b, None, 10, 1) == proto.hybrid_swap_estimate(a, b, cap, 10, 1)
@@ -613,7 +598,7 @@ def test_input_shapes_a_protocol_cannot_take_are_spec_errors(call, message):
 
 
 def test_a_shot_count_below_one_is_refused_before_any_seed():
-    block = measurement_block([1.0], VAC2.amplitudes, [1.0], np.zeros(3, dtype=int))
+    block = law_block([1.0], [1.0])
     for seeds in (4, [], [4, 5]):
         with pytest.raises(est.MeasurementSpecError, match="shots must be >= 1"):
             est.estimate_blocks([block], 0, seeds)

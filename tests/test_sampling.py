@@ -17,16 +17,23 @@ from cvswap.sampling import (
     counter_uniform,
     derive_seed,
     estimator_statistics,
+    law_block,
     level_law,
 )
 
-from conftest import random_pure, tally
+from conftest import (
+    closed_pattern_count,
+    measurement_block,
+    passive_measurement,
+    random_pure,
+    tally,
+)
 
 
 def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
     # every outcome its own weight level, so the counts are the outcome counts
-    block = sampling.measurement_block([1.0], state.amplitudes, np.arange(5.0), np.arange(5))
+    block = law_block(np.arange(5.0), np.abs(state.amplitudes) ** 2)
     (p,) = block.distributions
     shots = 1_000_000
     (values, counts), _ = blocks_estimate([block], shots, 7)
@@ -132,10 +139,24 @@ def test_block_spec_refuses_negative_component_weights():
         BlockSpec(np.array([1.5, -0.5]), (np.array([1.0]), np.array([1.0])), [1.0])
 
 
+def test_law_block_clamps_rounding_and_refuses_a_law_off_the_simplex():
+    # rounding within LAW_TOLERANCE is clamped and renormalised
+    block = law_block([0.0, 1.0, -1.0], [-4e-13, 0.75 + 3e-13j, 0.25 + 2e-13])
+    (q,) = block.distributions
+    assert np.array_equal(block.component_weights, [1.0])
+    assert q[0] == 0.0 and q.sum() == pytest.approx(1.0, abs=1e-16)
+    assert q[1:] == pytest.approx([0.75, 0.25], abs=1e-12)
+    # a part below zero, an imaginary part or a sum off 1 beyond it is refused
+    for law in ([-2e-12, 0.5, 0.5 + 2e-12], [0.5 + 2e-12j, 0.5], [0.5, 0.5 + 2e-12],
+                [math.nan, 1.0], [0.5, math.inf]):
+        with pytest.raises(ValueError, match="level law is off the probability simplex by"):
+            law_block([1.0, -1.0, 0.0][:len(law)], law)
+
+
 def test_measurement_block_refuses_level_indices_out_of_range():
     for index in ([2], [-1]):
         with pytest.raises(ValueError, match="level index out of range"):
-            sampling.measurement_block([1.0], [1.0], [1.0, -1.0], index)
+            measurement_block([1.0], [1.0], [1.0, -1.0], index)
 
 
 @pytest.mark.parametrize("shots", [2 ** 59, 2 ** 63 - 1, 10 ** 30])
@@ -160,38 +181,38 @@ def test_max_shots_pass_the_guard_without_a_draw():
 
 def test_measurement_block_normalises_and_checks_rows():
     amps = np.array([[3.0, 4.0j, 0.0], [0.0, 2.0, 2.0]])
-    block = sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
+    block = measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
     # each row's law over the levels: outcomes 0 and 2 score level 0
     assert np.allclose(block.distributions[0], [0.36, 0.64])
     assert np.allclose(block.distributions[1], [0.5, 0.5])
     assert block.levels.dtype == np.complex128
     assert np.array_equal(block.levels, [1.0, -1.0])
     with pytest.raises(ValueError, match="3 outcome amplitudes per combination, 2 level indices"):
-        sampling.measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
+        measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
     with pytest.raises(ValueError, match="zero-norm"):
-        sampling.measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0], [0, 1])
+        measurement_block([0.5, 0.5], np.array([[1.0, 0.0], [0.0, 0.0]]), [1.0, -1.0], [0, 1])
 
 
 def test_passive_measurement_places_each_combination(rng):
     a = random_pure(rng, 2)
     b = fock.MixedEnsemble(((0.5, random_pure(rng, 3)), (0.5, random_pure(rng, 3))))
     combos = sampling.ensemble_combinations([a, b])
-    patterns, amps = sampling.passive_measurement(combos, (2, 3), [(0, 1)], [])
-    assert len(patterns) == fock.closed_pattern_count((2, 3), [(0, 1)]) == amps.shape[1]
+    patterns, amps = passive_measurement(combos, (2, 3), [(0, 1)], [])
+    assert len(patterns) == closed_pattern_count((2, 3), [(0, 1)]) == amps.shape[1]
     inside = (patterns <= [2, 3]).all(axis=1)
     for k, (_, (sa, sb)) in enumerate(combos):
         assert np.array_equal(amps[k, inside], np.multiply.outer(sa.amplitudes, sb.amplitudes).ravel())
         assert not amps[k, ~inside].any()
     with pytest.raises(ValueError, match="desk-scale limit"):
-        sampling.passive_measurement(combos, (3000, 3000), [(0, 1)], [])
+        passive_measurement(combos, (3000, 3000), [(0, 1)], [])
     # a two-copy test at cutoff 4: 45^4 patterns of one combination would
     # fit as amplitudes alone, but not with their eight-mode pattern table
     pure = [(1.0, [a])]
-    assert 45 ** 4 < sampling.MAX_WORKING_ELEMENTS
+    assert 45 ** 4 < fock.MAX_WORKING_ELEMENTS
     with pytest.raises(ValueError, match="desk-scale limit"):
-        sampling.passive_measurement(pure, (4,) * 8, [(k, 4 + k) for k in range(4)], [])
+        passive_measurement(pure, (4,) * 8, [(k, 4 + k) for k in range(4)], [])
     # cutoff 3 fits: 28^4 patterns times one amplitude and eight pattern columns
-    sampling.check_working_size(1 + 8, 28 ** 4)
+    fock.check_working_size(1 + 8, 28 ** 4)
 
 
 @st.composite
@@ -205,7 +226,7 @@ def integer_level_blocks(draw):
     dists = rng.random((rank, size)) ** 3
     dists[rng.random((rank, size)) < 0.3] = 0.0
     dists[:, 0] += 0.01
-    return sampling.measurement_block(cw / cw.sum(), np.sqrt(dists), levels,
+    return measurement_block(cw / cw.sum(), np.sqrt(dists), levels,
                                       rng.integers(0, levels.size, size))
 
 
@@ -298,7 +319,7 @@ def test_stirling_tail_matches_log_factorials():
 
 
 def test_level_law_merges_products_of_levels():
-    a = sampling.measurement_block([0.25, 0.75], np.sqrt([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+    a = measurement_block([0.25, 0.75], np.sqrt([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
                                    [1.0, -1.0], [0, 1, 1])
     b = BlockSpec(np.array([1.0]), (np.array([0.25, 0.75]),), [-1.0, 0.0])
     values, q = level_law([a, b])
