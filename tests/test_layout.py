@@ -72,14 +72,25 @@ def passive_callers(source: str, callee: str = "apply_passive") -> list[str]:
     return callers
 
 
-def test_no_measurement_circuit_is_simulated():
-    # every shot law comes from the protocol's symmetry: the one gate
+def _callers(callee: str) -> list[str]:
+    return [f"{path.stem}.{caller}" for path in sorted(SRC.glob("*.py"))
+            for caller in passive_callers(path.read_text(encoding="utf-8"), callee)]
+
+
+def test_only_the_placement_helper_applies_passive_circuits():
+    # a beamsplitter reaches the amplitudes only through apply_gate, which
+    # places it on its pair of modes; no mesh of them is applied anywhere
+    found = {callee: _callers(callee)
+             for callee in ("_apply_beamsplitter", "apply_passive", "passive_measurement")}
+    assert found == {"_apply_beamsplitter": ["fock.apply_gate"], "apply_passive": [],
+                     "passive_measurement": []}
+
+
+def test_beamsplitters_run_only_where_shots_are_drawn():
+    # every shot law comes from the protocol's symmetry, so no estimator,
+    # block or exact value runs a measurement beamsplitter: the one gate
     # application left is the state preparation of fig2
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    found = {callee: [f"{stem}.{caller}" for stem, source in sources.items()
-                      for caller in passive_callers(source, callee)]
-             for callee in ("apply_gate", "apply_passive", "passive_measurement")}
-    assert found == {"apply_gate": ["cli.cmd_fig2"], "apply_passive": [], "passive_measurement": []}
+    assert _callers("apply_gate") == ["cli.cmd_fig2"]
 
 
 BLOCK_BUILDERS = ("_group_block", "_perm_block", "_dv_block", "law_block")
