@@ -439,11 +439,9 @@ def cmd_qudit_basis(cfg: RunConfig) -> None:
     basis = payload.get("basis", "w")
     mat, eig = dv.swap_eigenbasis(d, basis)
     unit_err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d * d))))
-    perm = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            perm[j * d + i, i * d + j] = 1.0
-    eig_err = float(np.max(np.abs(perm @ mat - mat * eig[None, :])))
+    # SWAP|i, j> = |j, i> permutes the rows of the basis matrix
+    swapped = mat.reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
+    eig_err = float(np.max(np.abs(swapped - mat * eig[None, :])))
     plus = int(np.sum(eig > 0))
     minus = int(np.sum(eig < 0))
     verified = unit_err <= 1e-12 and eig_err <= 1e-12 and (plus, minus) == (

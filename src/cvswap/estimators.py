@@ -198,15 +198,19 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return out
 
 
-def _threshold_mask(patterns, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
-    """1 for each pattern row whose pair totals (and group total) are all
-    within their threshold 2M, else 0."""
-    mask = np.ones(len(patterns), dtype=np.float64)
+def _threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
+    """True on each pattern of the box ``shape`` whose pair totals (and
+    group total) are all within their threshold 2M: broadcast sums of the
+    per-mode photon counts, full-sized only along the modes a threshold
+    reaches."""
+    counts = [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
+              for ax, d in enumerate(shape)]
+    mask = np.ones((1,) * len(shape), dtype=bool)
     for (a, b), thr in zip(local_pairs, thresholds):
         if thr is not None:
-            mask = mask * (patterns[:, a] + patterns[:, b] <= 2 * thr)
+            mask = mask & (counts[a] + counts[b] <= 2 * thr)
     if total_threshold is not None:
-        mask = mask * (patterns.sum(axis=1) <= 2 * total_threshold)
+        mask = mask & (sum(counts) <= 2 * total_threshold)
     return mask
 
 
@@ -215,16 +219,18 @@ def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, floa
     swap s = tr(Pi SWAP rho) = tr(prod_p SWAP_2M_p rho), where Pi projects
     onto the pair totals (and group total) within their thresholds.  Pairs
     are padded to a common cutoff first, which makes the axis swap exact;
-    each ensemble combination is normalised by its norm."""
+    each ensemble combination is normalised by its norm.  The guard counts
+    the amplitude arrays held at once: the state, its masked copy and the
+    contiguous copy vdot makes of the swapped view, plus one for the
+    full-box mask and running total a group-total threshold needs."""
     caps = list(group.base_caps)
     for a, b in group.local_pairs:
         m = max(caps[a], caps[b])
         caps[a] = caps[b] = m
     shape = tuple(c + 1 for c in caps)
-    check_working_size(1 + len(shape), math.prod(shape))
+    check_working_size(3 + (total_threshold is not None), math.prod(shape))
 
-    rows = np.indices(shape).reshape(len(shape), -1).T
-    mask = _threshold_mask(rows, group.local_pairs, group.thresholds, total_threshold).reshape(shape)
+    mask = _threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
     kept = value = 0.0
     for w, states in ensemble_combinations(group.factors):
         psi = fock.pad(functools.reduce(fock.tensor, states), caps).amplitudes
@@ -237,6 +243,7 @@ def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, floa
             swapped = np.swapaxes(swapped, a, b)
         kept += w * float(np.vdot(masked, masked).real) / norm
         value += w * float(np.vdot(masked, swapped).real) / norm
+        del psi, masked, swapped  # free before the next combination is built
     return kept, value
 
 

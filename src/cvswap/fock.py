@@ -2,12 +2,13 @@
 
 States are dense complex tensors over a per-mode-truncated photon-number
 basis.  Single-mode gate matrices come from exact analytic Fock matrix
-elements (recurrences seeded by closed forms and swept a whole column or
-row at a time), never from exponentiating truncated generators; the
-matrix-exponential path exists only as a test oracle.  A beamsplitter
-has no dense matrix: ``apply_gate`` applies it one total-photon-number
-block at a time, on a box that holds every block it reaches.  Values are
-immutable after construction and all operations are pure functions.
+elements (recurrences seeded by closed forms, one sweep per gate kind
+advancing a column or row of every gate at once), never from
+exponentiating truncated generators; the matrix-exponential path exists
+only as a test oracle.  A beamsplitter has no dense matrix: ``apply_gate``
+applies it one total-photon-number block at a time, on a box that holds
+every block it reaches.  Values are immutable after construction and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "tensor",
     "pad",
     "gate_matrix",
+    "gate_matrices",
     "apply_gate",
     "prepare",
     "truncation_weight",
@@ -63,8 +65,8 @@ class ResourceLimitError(ValueError):
 def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
     MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's box
-    counts its amplitudes plus one int64 pattern column per mode as rows
-    and its entries as columns."""
+    counts the amplitude arrays it holds at once as rows and its entries as
+    columns; a stack of gate matrices counts its gates and their entries."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
         raise ResourceLimitError(
@@ -283,22 +285,25 @@ def pad(state: FockState, per_mode_max) -> FockState:
 # exact single-mode gate matrices
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """<m|D(alpha)|n> on an (dim x dim) truncated space.
+def displacement_matrices(alphas, dim: int) -> np.ndarray:
+    """<m|D(alpha)|n> on a (dim x dim) truncated space, stacked over alphas.
 
     Column 0 is the coherent-state closed form; later columns follow the
     exact recurrence D[m, n+1] = (sqrt(m) D[m-1, n] - conj(alpha) D[m, n])
-    / sqrt(n+1), which never references elements above the cutoff.
+    / sqrt(n+1), which never references elements above the cutoff.  Each
+    column step advances every gate of a (dim, dim, gates) buffer.
     """
-    alpha = complex(alpha)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    alphas = [complex(a) for a in alphas]
+    buf = np.zeros((dim, dim, len(alphas)), dtype=np.complex128)
+    for k, alpha in enumerate(alphas):
+        buf[:, 0, k] = _coherent_amps(alpha, dim)
+    conj = np.conj(alphas)
     sqrt = np.sqrt(np.arange(dim))
-    mat[:, 0] = _coherent_amps(alpha, dim)
     for n in range(dim - 1):
-        shifted = np.zeros(dim, dtype=np.complex128)
-        shifted[1:] = sqrt[1:] * mat[: dim - 1, n]
-        mat[:, n + 1] = (shifted - np.conj(alpha) * mat[:, n]) / sqrt[n + 1]
-    return mat
+        # column n + 1 holds sqrt(m) D[m-1, n] (0 at m = 0) until it is replaced
+        buf[1:, n + 1] = sqrt[1:, None] * buf[: dim - 1, n]
+        buf[:, n + 1] = (buf[:, n + 1] - conj * buf[:, n]) / sqrt[n + 1]
+    return np.moveaxis(buf, 2, 0).copy()
 
 
 def _squeeze_edge(z: complex, dim: int, sign: float) -> np.ndarray:
@@ -313,42 +318,47 @@ def _squeeze_edge(z: complex, dim: int, sign: float) -> np.ndarray:
     return edge
 
 
-def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
-    """<m|S(z)|n> for S(z) = exp((conj(z) a^2 - z a^dag^2)/2).
+def squeeze_matrices(zs, dim: int) -> np.ndarray:
+    """<m|S(z)|n> for S(z) = exp((conj(z) a^2 - z a^dag^2)/2), stacked
+    over zs; S(0) is the identity.
 
     Seeded by the squeezed-vacuum column and row, filled by the two-term
     recurrence S[m+1, n] = (sqrt(n) S[m, n-1] - e^{i arg z} sinh|z| sqrt(m)
     S[m-1, n]) / (cosh|z| sqrt(m+1)); all references stay inside the box.
-    The sweep runs by rows: row m+1 over every column n >= 1 comes from
-    row m, shifted by one column, and row m-1, with the same arithmetic
-    per element as an element-by-element loop.
+    The sweep runs by rows of a (dim, dim, gates) buffer: row m+1 over
+    every column n >= 1 of every gate comes from row m, shifted by one
+    column, and row m-1, with the arithmetic of an element-by-element loop.
     """
-    z = complex(z)
-    if z == 0:
-        return np.eye(dim, dtype=np.complex128)
-    r = abs(z)
-    phase = z / r
-    ch, sh = math.cosh(r), math.sinh(r)
-    sqrt = np.sqrt(np.arange(dim + 1))
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[:, 0] = _squeeze_edge(z, dim, -1.0)
-    mat[0, :] = _squeeze_edge(z, dim, +1.0)
+    zs = [complex(z) for z in zs]
+    out = np.zeros((len(zs), dim, dim), dtype=np.complex128)
+    out[[k for k, z in enumerate(zs) if z == 0]] = np.eye(dim)
+    live = [k for k, z in enumerate(zs) if z != 0]
+    buf = np.zeros((dim, dim, len(live)), dtype=np.complex128)
+    coef, ch = np.zeros(len(live), dtype=np.complex128), np.zeros(len(live))
+    for j, k in enumerate(live):
+        # each gate's scalars in Python complex and math arithmetic
+        r = abs(zs[k])
+        coef[j], ch[j] = zs[k] / r * math.sinh(r), math.cosh(r)
+        buf[:, 0, j] = _squeeze_edge(zs[k], dim, -1.0)
+        buf[0, :, j] = _squeeze_edge(zs[k], dim, +1.0)
+    sqrt = np.sqrt(np.arange(dim))
     for m in range(0, dim - 1):
-        row = sqrt[1:dim] * mat[m, : dim - 1]
+        row = sqrt[1:, None] * buf[m, : dim - 1]
         if m > 0:
             # the complex product in real parts, one rounding per operation:
             # numpy's vector complex multiply may fuse multiply-adds, which
             # round differently from the element loop and between machines
-            coef, prev = phase * sh * sqrt[m], mat[m - 1, 1:]
-            row.real -= coef.real * prev.real - coef.imag * prev.imag
-            row.imag -= coef.real * prev.imag + coef.imag * prev.real
-        mat[m + 1, 1:] = row / (ch * sqrt[m + 1])
-    return mat
+            c_re, c_im, prev = coef.real * sqrt[m], coef.imag * sqrt[m], buf[m - 1, 1:]
+            row.real -= c_re * prev.real - c_im * prev.imag
+            row.imag -= c_re * prev.imag + c_im * prev.real
+        buf[m + 1, 1:] = row / (ch * sqrt[m + 1])
+    out[live] = np.moveaxis(buf, 2, 0)
+    return out
 
 
-def phase_matrix(phi: float, dim: int) -> np.ndarray:
-    """Diagonal e^{-i phi n}."""
-    return np.diag(np.exp(-1j * phi * np.arange(dim)))
+def phase_vectors(phis, dim: int) -> np.ndarray:
+    """The diagonal e^{-i phi n} of each phase rotation, stacked."""
+    return np.exp(-1j * np.multiply.outer(phis, np.arange(dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +428,42 @@ def _mode_dims(cutoff: CutoffSpec, modes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cutoff.shape[m] for m in modes)
 
 
+def gate_matrices(gates, dim: int) -> list[np.ndarray]:
+    """Each single-mode gate's truncated Fock matrix on a mode of dimension
+    ``dim`` (a phase rotation's diagonal), in gate order: one sweep per
+    kind, in stacks of at most MAX_WORKING_ELEMENTS entries.  Displacement
+    and squeeze columns lose exactly the weight pushed past the cutoff."""
+    for gate in gates:
+        if not isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
+            raise TypeError(f"{gate!r} is not a single-mode gate")
+    out = [None] * len(gates)
+    per_stack = max(1, MAX_WORKING_ELEMENTS // (dim * dim))
+    for kind, param, sweep in ((Displacement, "alpha", displacement_matrices),
+                               (Squeeze, "z", squeeze_matrices),
+                               (PhaseRotation, "phi", phase_vectors)):
+        picked = [k for k, gate in enumerate(gates) if isinstance(gate, kind)]
+        for lo in range(0, len(picked), per_stack):
+            part = picked[lo:lo + per_stack]
+            check_working_size(len(part), dim * dim)
+            for k, mat in zip(part, sweep([getattr(gates[k], param) for k in part], dim)):
+                out[k] = mat
+    return out
+
+
 def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
-    """Truncated Fock matrix of a single-mode gate on its mode.
-
-    A phase rotation is unitary; displacement and squeeze columns are
-    sub-unitary by exactly the weight they push past the cutoff.  A
-    beamsplitter has no dense matrix: ``apply_gate`` applies it block by
-    block.
-    """
-    if isinstance(gate, Displacement):
-        (d,) = _mode_dims(cutoff, (gate.mode,))
-        return displacement_matrix(gate.alpha, d)
-    if isinstance(gate, Squeeze):
-        (d,) = _mode_dims(cutoff, (gate.mode,))
-        return squeeze_matrix(gate.z, d)
-    if isinstance(gate, PhaseRotation):
-        (d,) = _mode_dims(cutoff, (gate.mode,))
-        return phase_matrix(gate.phi, d)
-    raise TypeError(f"{gate!r} is not a single-mode gate")
-
-
-def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
-    out = np.tensordot(mat, amps, axes=([1], [mode]))
-    return np.moveaxis(out, 0, mode)
+    """``gate_matrices`` for one gate on its mode, a phase rotation's
+    diagonal made a matrix; a beamsplitter, which ``apply_gate`` applies
+    block by block, has none."""
+    (mat,) = gate_matrices([gate], _mode_dims(cutoff, (getattr(gate, "mode", 0),))[0])
+    return np.diag(mat) if mat.ndim == 1 else mat
 
 
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
     """New state with the gate contracted in; no renormalization."""
     amps = state.amplitudes
     if isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
-        mat = gate_matrix(gate, state.cutoff)
-        out = _apply_single_mode(amps, mat, gate.mode)
+        out = np.tensordot(gate_matrix(gate, state.cutoff), amps, axes=([1], [gate.mode]))
+        out = np.moveaxis(out, 0, gate.mode)
     elif isinstance(gate, Beamsplitter):
         _mode_dims(state.cutoff, (gate.mode_i, gate.mode_j))
         out = _apply_beamsplitter(amps, gate)

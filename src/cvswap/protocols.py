@@ -194,22 +194,15 @@ def _check_compile_circuit(gates) -> list[fock.GateSpec]:
     return gates
 
 
-def _circuit_matrix(gates, dim: int) -> np.ndarray:
-    """The (dim x dim) matrix of a register-A circuit: the product of its
-    gate matrices, the first gate rightmost."""
-    cutoff = fock.CutoffSpec((dim - 1,))
-    mat = np.eye(dim, dtype=np.complex128)
-    for gate in gates:
-        mat = fock.gate_matrix(gate, cutoff) @ mat
-    return mat
-
-
-def _map_circuit(state, mat: np.ndarray) -> MixedEnsemble:
-    """Every component of a two-mode (A, R) state with ``mat`` contracted
-    into mode A."""
-    return MixedEnsemble(tuple(
-        (w, FockState(s.cutoff, mat @ s.amplitudes, leak=s.leak, leak_warning=s.leak_warning))
-        for w, s in components_of(state)))
+def _push_columns(mats, cols: np.ndarray) -> np.ndarray:
+    """``cols`` pushed through a register-A circuit's gate matrices (a phase
+    rotation's diagonal), first gate first; with more columns than rows the
+    chain runs on the identity, whose product then meets the columns once."""
+    dim, width = cols.shape
+    block = np.eye(dim, dtype=np.complex128) if width > dim else cols
+    for mat in mats:
+        block = mat[:, None] * block if mat.ndim == 1 else mat @ block
+    return block @ cols if width > dim else block
 
 
 # a term's SWAP tests pair register A with A' and R with R'
@@ -228,11 +221,21 @@ def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int
     totals = list(m_totals) if m_totals is not None else [None] * len(training)
     if len(totals) != len(training):
         raise MeasurementSpecError("one total threshold per training state required")
-    # U and V are built once per A-mode dimension, not once per state
-    mats = {d: [_circuit_matrix(gates, d) for gates in (u_gates, v_gates)]
-            for d in {psi.cutoff.shape[0] for psi in training}}
-    return [([_map_circuit(psi, mat) for mat in mats[psi.cutoff.shape[0]]], total)
-            for psi, total in zip(training, totals)]
+    # the mode-A columns of every component of A dimension d form one block,
+    # pushed through the gates of U and of V, built together
+    images = {}
+    for d in {psi.cutoff.shape[0] for psi in training}:
+        comps = [s for psi in training if psi.cutoff.shape[0] == d for _, s in components_of(psi)]
+        cols = np.concatenate([s.amplitudes for s in comps], axis=1)
+        edges = np.cumsum([s.cutoff.shape[1] for s in comps])[:-1]
+        mats = fock.gate_matrices(u_gates + v_gates, d)
+        for s, *pair in zip(comps, *(np.split(_push_columns(chain, cols), edges, axis=1)
+                                     for chain in (mats[:len(u_gates)], mats[len(u_gates):]))):
+            images[id(s)] = pair
+    return [([MixedEnsemble(tuple(
+        (w, FockState(s.cutoff, images[id(s)][side], leak=s.leak, leak_warning=s.leak_warning))
+        for w, s in components_of(psi))) for side in (0, 1)], total)
+        for psi, total in zip(training, totals)]
 
 
 def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
@@ -242,9 +245,9 @@ def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
     Each term prepares U|psi_j> beside V|psi_j> and runs the parallel
     SWAP test on the (A, A') and (R, R') pairs with derived seeds.  An
     optional per-term threshold applies the detector condition to the
-    four-mode total photon count.  U and V are built once per call as a
-    d x d matrix for each distinct A-mode dimension d, and each matrix is
-    contracted into mode A of every training component.
+    four-mode total photon count.  Per A-mode dimension d, the gates of U
+    and V are built in one sweep per gate kind, and the mode-A columns of
+    every training component go through each circuit as one block.
     """
     terms = _compile_terms(training, u_gates, v_gates, m_totals)
     results = [est.parity_overlap_estimate(prepared, _COMPILE_PAIRS, None, shots_per_term,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvswap import cli, estimators as est, fock, protocols as proto
+from cvswap import cli, dv, estimators as est, fock, protocols as proto
 
 from conftest import count_calls
 
@@ -269,6 +269,24 @@ def test_qudit_basis_command(tmp_path):
     assert doc["results"]["verified"] is True
     mat = np.array(doc["results"]["matrix_re"]) + 1j * np.array(doc["results"]["matrix_im"])
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(9))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("basis", ["v", "w"])
+def test_qudit_eigen_relation_error_is_the_dense_permutation_one(tmp_path, d, basis):
+    # swapping the row axes is the dense d^2 x d^2 SWAP product exactly, so
+    # the reported error is that product's to the bit
+    code, out = run_cli(tmp_path, "qudit-basis", {"d": d, "basis": basis})
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    mat, eig = dv.swap_eigenbasis(d, basis)
+    perm = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            perm[j * d + i, i * d + j] = 1.0
+    assert results["eigen_relation_error"] == float(np.max(np.abs(perm @ mat - mat * eig[None, :])))
+    assert results["verified"] is True
+    assert np.array_equal(np.array(results["matrix_re"]) + 1j * np.array(results["matrix_im"]), mat)
 
 
 def test_csv_estimator_rows(tmp_path):
@@ -680,13 +698,13 @@ def test_overflowing_gate_parameter_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical contract failure: floating-point overflow") and err.count("\n") == 1
 
 
-def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
-    # cutoff 4: the eight-mode box of 5^8 amplitudes runs with its pattern
-    # table; cutoff 6 would hold 7^8 amplitudes under the limit, but not
-    # with their eight pattern columns
+def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys):
+    # cutoff 5: the eight-mode box of 6^8 amplitudes runs, held three times
+    # (the state, its masked copy and the swapped copy vdot makes); cutoff 6
+    # would hold 7^8 amplitudes under the limit, but not three arrays of them
     base = {"copies": 2, "shots": 500, "seed": 3}
     code, out = run_cli(tmp_path, "two-copy", {**base, "purification": {
-        "kind": "tmss", "r": 0.3, "cutoff": [4, 4]}}, name="four.json")
+        "kind": "tmss", "r": 0.3, "cutoff": [5, 5]}}, name="five.json")
     assert code == 0
     results = json.loads(out.read_text())["results"]
     assert abs(results["grand_mean_re"] - results["exact_expectation"]) < 5 * results["runs"][0]["stderr"]
@@ -694,7 +712,25 @@ def test_two_copy_working_space_counts_the_pattern_table(tmp_path, capsys):
         "kind": "tmss", "r": 0.3, "cutoff": [6, 6]}}, name="six.json")
     assert code == 1
     err = capsys.readouterr().err
-    assert "desk-scale limit" in err and err.count("\n") == 1
+    assert "(3 x 5764801)" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, config", [
+    ("compile-cost", {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [40, 0]}],
+                      "u_gates": [{"gate": "squeeze", "z": 0.1, "mode": 0}], "shots_per_term": 10}),
+    ("fig2", {"r_list": [0.5], "prep_cutoff": 40, "m_min": 0, "m_max": 2}),
+])
+def test_one_mode_pair_beyond_the_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch,
+                                                            command, config):
+    # at a limit of 1,000 entries, one 41 x 41 gate matrix of compile-cost
+    # and fig2's 41 x 41 two-mode state are each refused before they are
+    # allocated, with one line
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: working space of 1681 entries (1 x 1681)")
+    assert err.count("\n") == 1
 
 
 def test_oversized_tensor_product_is_a_resource_limit(tmp_path, capsys):

@@ -25,6 +25,7 @@ from conftest import (
     dense_matrix,
     invert_circuit,
     ladder_ops,
+    per_gate_matrix,
     random_number_conserving,
     random_pure,
     rectangular_decompose,
@@ -271,7 +272,7 @@ def test_squeeze_row_sweep_matches_element_loop(z):
     # and column 0), each product and quotient rounded as in the row sweep:
     # the two must agree bit for bit
     dim = 24
-    mine = fock.squeeze_matrix(z, dim)
+    mine = fock.gate_matrix(Squeeze(z, 0), CutoffSpec((dim - 1,)))
     r = abs(z)
     coef, ch = z / r * math.sinh(r), math.cosh(r)
     ref = np.zeros_like(mine)
@@ -285,6 +286,50 @@ def test_squeeze_row_sweep_matches_element_loop(z):
             diff = np.complex128(complex(up.real - low_re, up.imag - low_im))
             ref[m + 1, n] = diff / np.float64(ch * math.sqrt(m + 1))
     assert np.array_equal(mine, ref)
+
+
+_SIZES = st.sampled_from([0.0, 0.25, 0.3, 1.0, 1.5, 3.0]) | st.floats(0.0, 3.0)
+_ANGLES = st.floats(-math.pi, math.pi)
+_SINGLE_MODE_GATES = st.one_of(
+    st.builds(lambda r, a: Displacement(cmath.rect(r, a), 0), _SIZES, _ANGLES),
+    st.builds(lambda r, a: Squeeze(cmath.rect(min(r, 1.5), a), 0), _SIZES, _ANGLES),
+    st.builds(lambda phi: PhaseRotation(phi, 0), st.floats(-10.0, 10.0)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_SINGLE_MODE_GATES, max_size=8), st.sampled_from([1, 2, 3, 24, 81]))
+def test_batched_gates_equal_the_per_gate_sweeps_bit_for_bit(gates, dim):
+    # mixed kinds in any order, zero squeezing and displacement included:
+    # every gate of a kind shares one sweep, and each comes back in gate
+    # order exactly as its own per-gate sweep builds it
+    mats = fock.gate_matrices(gates, dim)
+    assert len(mats) == len(gates)
+    for gate, mat in zip(gates, mats):
+        want = per_gate_matrix(gate, dim)
+        assert mat.shape == want.shape and np.array_equal(mat, want)
+        single = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
+        assert np.array_equal(single, want if want.ndim == 2 else np.diag(want))
+
+
+def test_gate_stacks_are_built_in_chunks_under_the_limit(monkeypatch):
+    # seven displacements at d = 6 under a limit of three matrices: three
+    # sweeps of at most three gates, none refused, the same matrices
+    gates = [Displacement(0.1 * k - 0.05j, 0) for k in range(7)] + [PhaseRotation(0.3, 0)]
+    want = fock.gate_matrices(gates, 6)
+    sizes = []
+    sweep = fock.displacement_matrices
+    monkeypatch.setattr(fock, "displacement_matrices",
+                        lambda alphas, dim: sizes.append(len(alphas)) or sweep(alphas, dim))
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 3 * 36 + 5)
+    got = fock.gate_matrices(gates, 6)
+    assert sizes == [3, 3, 1]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # one matrix beyond the limit is refused before it is allocated
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 35)
+    with pytest.raises(fock.ResourceLimitError, match=r"\(1 x 36\)"):
+        fock.gate_matrices(gates, 6)
+    assert sizes == [3, 3, 1]
 
 
 @pytest.mark.parametrize("theta,phi", [(math.pi / 4, 0.0), (0.61, 1.13), (math.pi / 2, -math.pi / 2)])

@@ -291,20 +291,57 @@ def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
                                                  [(0, 2), (1, 3)], None) for psi in training]
     want = 1.0 - sum(fidelities) / len(training)
 
-    built = []
-    gate_matrix = fock.gate_matrix
-
-    def counting(gate, cutoff):
-        built.append((gate, cutoff.shape[gate.mode]))
-        return gate_matrix(gate, cutoff)
-
-    monkeypatch.setattr(fock, "gate_matrix", counting)
-    once = sorted(((g, d) for g in u_gates + v_gates for d in (6, 9)), key=repr)
+    # one sweep per gate kind and A dimension on each call, holding the
+    # gates of U then V of that kind, each once
+    sweeps = []
+    for name in ("displacement_matrices", "squeeze_matrices", "phase_vectors"):
+        sweep = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda params, dim, name=name, sweep=sweep: (
+            sweeps.append((name, dim, list(params))) or sweep(params, dim)))
+    once = sorted(((name, d, params) for d in (6, 9) for name, params in (
+        ("displacement_matrices", [0.3 - 0.1j, 0.25j]),
+        ("squeeze_matrices", [0.2 + 0.1j, 0.15]),
+        ("phase_vectors", [0.7]))), key=repr)
     assert proto.compile_cost_expectation(training, u_gates, v_gates) == pytest.approx(want, abs=1e-12)
-    assert sorted(built, key=repr) == once
-    built.clear()
+    assert sorted(sweeps, key=repr) == once
+    sweeps.clear()
     proto.compile_cost(training, u_gates, v_gates, 100, 4)
-    assert sorted(built, key=repr) == once
+    assert sorted(sweeps, key=repr) == once
+
+
+_COMPILE_GATES = st.lists(st.one_of(
+    st.builds(lambda r, a: fock.Displacement(complex(r * math.cos(a), r * math.sin(a)), 0),
+              st.floats(0.0, 0.6), st.floats(-math.pi, math.pi)),
+    st.builds(lambda r, a: fock.Squeeze(complex(r * math.cos(a), r * math.sin(a)), 0),
+              st.floats(0.0, 0.4), st.floats(-math.pi, math.pi)),
+    st.builds(lambda phi: fock.PhaseRotation(phi, 0), st.floats(-7.0, 7.0)),
+), max_size=5)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), _COMPILE_GATES, _COMPILE_GATES,
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 2)),
+                min_size=1, max_size=4))
+def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v_gates, layouts):
+    # random training sets of pure states and mixtures on (A, R) cutoffs,
+    # with blocks of more columns than rows among them: the column chain
+    # against every component run through each circuit gate by gate
+    rng = np.random.default_rng(seed)
+
+    def state(a_cap, r_cap):
+        amps = rng.normal(size=(a_cap + 1, r_cap + 1)) + 1j * rng.normal(size=(a_cap + 1, r_cap + 1))
+        return fock.FockState(CutoffSpec((a_cap, r_cap)), amps / np.linalg.norm(amps))
+
+    training = [state(a, r) if rank == 1 else MixedEnsemble(((0.35, state(a, r)), (0.65, state(a, r))))
+                for a, r, rank in layouts]
+
+    def mapped(psi, gates):
+        return MixedEnsemble(tuple((w, run_circuit(s, gates)) for w, s in fock.components_of(psi)))
+
+    fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
+                                                 [(0, 2), (1, 3)], None) for psi in training]
+    want = 1.0 - sum(fidelities) / len(training)
+    assert proto.compile_cost_expectation(training, u_gates, v_gates) == pytest.approx(want, abs=1e-12)
 
 
 def test_compile_cost_rejects_register_circuit():
