@@ -50,6 +50,7 @@ from .dv import (  # noqa: F401
 from .protocols import (  # noqa: F401
     compile_cost,
     compile_cost_expectation,
+    compile_terms,
     hybrid_swap_estimate,
     hybrid_swap_expectation,
     perm_expectation,

@@ -384,10 +384,10 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
         m_totals = [None if m is None else _int_param(m, "m_totals entry", 0)
                     for m in _list_param(m_totals, "m_totals")]
     shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term", 1)
-    cost = proto.compile_cost(training, u_gates, v_gates, shots, cfg.seed, m_totals)
+    terms = proto.compile_terms(training, u_gates, v_gates, m_totals)
     results = {
-        "cost": cost,
-        "exact_cost": proto.compile_cost_expectation(training, u_gates, v_gates, m_totals),
+        "cost": proto.compile_cost(terms, shots, cfg.seed),
+        "exact_cost": proto.compile_cost_expectation(terms),
         "shots_per_term": shots,
     }
     _emit(cfg, results, [results])
@@ -475,26 +475,24 @@ _COMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvswap",
-        description="Ancilla-free overlap estimation on a truncated Fock simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run description")
-        p.add_argument("--out", default=None, help="output path (config 'out' or stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (config 'format' or json if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    return parser
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 2)
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _Parser(
+        prog="cvswap",
+        description="Ancilla-free overlap estimation on a truncated Fock simulator",
+    )
+    parser.add_argument("command", choices=_COMMANDS, help="protocol to run")
+    parser.add_argument("--config", required=True, help="JSON run description")
+    parser.add_argument("--out", default=None, help="output path (config 'out' or stdout if omitted)")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="output format (config 'format' or json if omitted)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     try:
-        cfg = _load_config(args)
+        cfg = _load_config(parser.parse_args(argv))
         _COMMANDS[cfg.protocol](cfg)
     except (ConfigError, est.MeasurementSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ __all__ = [
     "perm_expectation",
     "two_copy_test",
     "two_copy_expectation",
+    "compile_terms",
     "compile_cost",
     "compile_cost_expectation",
     "hybrid_swap_estimate",
@@ -209,8 +210,15 @@ def _push_columns(mats, cols: np.ndarray) -> np.ndarray:
 _COMPILE_PAIRS = [(0, 2), (1, 3)]
 
 
-def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int | None]]:
-    """([U|psi_j>, V|psi_j>], total threshold) for each training state."""
+def compile_terms(training, u_gates, v_gates, m_totals=None) -> list[tuple[list, int | None]]:
+    """([U|psi_j>, V|psi_j>], total threshold) for each training state, the
+    terms ``compile_cost`` and ``compile_cost_expectation`` read.
+
+    Per A-mode dimension d, the gates of U and V are built in one sweep per
+    gate kind, and the mode-A columns of every training component go through
+    each circuit as one block.  A total threshold applies the detector
+    condition to the four-mode total photon count.
+    """
     training = list(training)
     if not training:
         raise MeasurementSpecError("training set is empty")
@@ -238,27 +246,19 @@ def _compile_terms(training, u_gates, v_gates, m_totals) -> list[tuple[list, int
         for psi, total in zip(training, totals)]
 
 
-def compile_cost(training, u_gates, v_gates, shots_per_term: int, seed,
-                 m_totals=None) -> float:
-    """1 - (1/K) sum_j of the estimated fidelity |<psi_j|V^dag U|psi_j>|^2.
-
-    Each term prepares U|psi_j> beside V|psi_j> and runs the parallel
-    SWAP test on the (A, A') and (R, R') pairs with derived seeds.  An
-    optional per-term threshold applies the detector condition to the
-    four-mode total photon count.  Per A-mode dimension d, the gates of U
-    and V are built in one sweep per gate kind, and the mode-A columns of
-    every training component go through each circuit as one block.
-    """
-    terms = _compile_terms(training, u_gates, v_gates, m_totals)
+def compile_cost(terms, shots_per_term: int, seed) -> float:
+    """1 - (1/K) sum_j of the estimated fidelity |<psi_j|V^dag U|psi_j>|^2
+    over the K ``compile_terms``: each term runs the parallel SWAP test of
+    U|psi_j> against V|psi_j> on the (A, A') and (R, R') pairs with a
+    derived seed."""
     results = [est.parity_overlap_estimate(prepared, _COMPILE_PAIRS, None, shots_per_term,
                                            derive_seed(seed, j), total)
                for j, (prepared, total) in enumerate(terms)]
     return 1.0 - sum(result.mean.real for result in results) / len(terms)
 
 
-def compile_cost_expectation(training, u_gates, v_gates, m_totals=None) -> float:
-    """Exact-expectation counterpart of ``compile_cost``."""
-    terms = _compile_terms(training, u_gates, v_gates, m_totals)
+def compile_cost_expectation(terms) -> float:
+    """Exact-expectation counterpart of ``compile_cost`` on the same terms."""
     acc = 0.0
     for prepared, total in terms:
         acc += est.parity_overlap_expectation(prepared, _COMPILE_PAIRS, None, total)

@@ -639,6 +639,26 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bogus", "--config", "cfg.json"],
+     "argument command: invalid choice: 'bogus' (choose from 'overlap', 'cutoff-plan', "
+     "'fig2', 'perm', 'two-copy', 'compile-cost', 'hybrid', 'qudit-basis')"),
+    (["overlap"], "the following arguments are required: --config"),
+    (["overlap", "--config", "cfg.json", "--seed", "q"], "argument --seed: invalid int value: 'q'"),
+])
+def test_usage_errors_are_one_line_config_errors(capsys, argv, message):
+    # the command line is refused before any config file is read
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cvswap")
+
+
 def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
     states = [{"kind": "vacuum", "cutoff": [5000]}] * 3
     code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
@@ -772,3 +792,21 @@ def test_every_run_draws_from_one_block_build(tmp_path, monkeypatch, command, co
     assert [row["run"] for row in runs] == [0, 1, 2]
     assert len({row["seed"] for row in runs}) == 3
     assert calls == [estimator, "_perm_block" if command == "perm" else "_group_block"]
+
+
+def test_compile_cost_builds_each_circuit_once(tmp_path, monkeypatch):
+    # the cost and its exact value read one build of the terms: each gate
+    # sweep runs once per A dimension
+    sweeps = []
+    for name in ("displacement_matrices", "squeeze_matrices", "phase_vectors"):
+        sweep = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda params, dim, name=name, sweep=sweep: (
+            sweeps.append((name, dim)) or sweep(params, dim)))
+    gates = [{"gate": "displacement", "alpha": 0.2, "mode": 0}, {"gate": "squeeze", "z": 0.1, "mode": 0},
+             {"gate": "phase", "phi": 0.3, "mode": 0}]
+    config = {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [4, 1]},
+                           {"kind": "basis", "pattern": [2, 1], "cutoff": [6, 1]}],
+              "u_gates": gates, "v_gates": gates[::-1], "shots_per_term": 100, "seed": 3}
+    assert run_cli(tmp_path, "compile-cost", config)[0] == 0
+    assert sorted(sweeps) == sorted((name, d) for d in (5, 7) for name in (
+        "displacement_matrices", "squeeze_matrices", "phase_vectors"))

@@ -323,11 +323,11 @@ def test_negative_thresholds_refused(rng):
         proto.two_copy_test(stack, 100, 1, -1)
     with pytest.raises(ValueError):
         proto.two_copy_expectation(stack, -1)
-    training = [random_pure(rng, 2, modes=2)]
+    terms = proto.compile_terms([random_pure(rng, 2, modes=2)], [], [], [-1])
     with pytest.raises(ValueError):
-        proto.compile_cost(training, [], [], 100, 1, [-1])
+        proto.compile_cost(terms, 100, 1)
     with pytest.raises(ValueError):
-        proto.compile_cost_expectation(training, [], [], [-1])
+        proto.compile_cost_expectation(terms)
 
 
 # ---------------------------------------------------------------------------

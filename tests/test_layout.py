@@ -93,6 +93,14 @@ def test_beamsplitters_run_only_where_shots_are_drawn():
     assert _callers("apply_gate") == ["cli.cmd_fig2"]
 
 
+def test_compile_cost_functions_build_no_circuit():
+    # compile-cost builds its circuits once, in compile_terms, and both the
+    # cost and its exact value only read the terms
+    found = {callee: _callers(callee) for callee in ("compile_terms", "gate_matrices")}
+    assert found == {"compile_terms": ["cli.cmd_compile_cost"],
+                     "gate_matrices": ["fock.gate_matrix", "protocols.compile_terms"]}
+
+
 BLOCK_BUILDERS = ("_group_block", "_perm_block", "_dv_block", "law_block")
 
 

@@ -199,7 +199,8 @@ def test_compile_cost_term_laws(seed):
     training = [random_state(rng, caps, int(rng.integers(1, 3))) for _ in range(rng.integers(1, 4))]
     u_gates, v_gates = random_gates(rng), random_gates(rng)
     totals = None if rng.random() < 0.3 else [threshold(rng, 5) for _ in training]
-    got = law_expectations(lambda: proto.compile_cost(training, u_gates, v_gates, 1, seed, totals))
+    terms = proto.compile_terms(training, u_gates, v_gates, totals)
+    got = law_expectations(lambda: proto.compile_cost(terms, 1, seed))
     dims = [c + 1 for c in caps] * 2
     pairs = [(0, 2), (1, 3)]
     assert len(got) == len(training)

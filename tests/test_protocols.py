@@ -238,15 +238,17 @@ def test_compile_cost_identity():
     cut = CutoffSpec((6, 6))
     training = [fock.basis_state((1, 0), cut), fock.basis_state((0, 1), cut)]
     gates = [fock.PhaseRotation(0.4, 0), fock.Squeeze(0.2, 0)]
-    assert proto.compile_cost_expectation(training, gates, gates) == pytest.approx(0.0, abs=1e-9)
-    sampled = proto.compile_cost(training, gates, gates, 2000, 3)
+    terms = proto.compile_terms(training, gates, gates)
+    assert proto.compile_cost_expectation(terms) == pytest.approx(0.0, abs=1e-9)
+    sampled = proto.compile_cost(terms, 2000, 3)
     assert sampled == pytest.approx(0.0, abs=1e-9)
 
 
 def test_compile_cost_phase_on_fock_state():
     cut = CutoffSpec((6, 6))
     training = [fock.basis_state((1, 0), cut)]
-    cost = proto.compile_cost_expectation(training, [], [fock.PhaseRotation(math.pi, 0)])
+    cost = proto.compile_cost_expectation(
+        proto.compile_terms(training, [], [fock.PhaseRotation(math.pi, 0)]))
     assert cost == pytest.approx(0.0, abs=1e-12)
 
 
@@ -254,7 +256,7 @@ def test_compile_cost_displacement_oracle():
     alpha = 0.6
     cut = CutoffSpec((25, 25))
     vac = fock.basis_state((0, 0), cut)
-    got = proto.compile_cost_expectation([vac], [], [fock.Displacement(alpha, 0)])
+    got = proto.compile_cost_expectation(proto.compile_terms([vac], [], [fock.Displacement(alpha, 0)]))
     displaced = fock.apply_gate(vac, fock.Displacement(alpha, 0))
     fidelity = abs(fock.inner_product(vac, displaced)) ** 2 / displaced.norm_sq
     assert got == pytest.approx(1.0 - fidelity, abs=1e-9)
@@ -268,8 +270,9 @@ def test_compile_cost_sampled_near_exact(rng):
     )
     u_gates = [fock.PhaseRotation(0.3, 0)]
     v_gates = [fock.PhaseRotation(0.9, 0)]
-    exact = proto.compile_cost_expectation([psi], u_gates, v_gates)
-    sampled = proto.compile_cost([psi], u_gates, v_gates, 100_000, 8)
+    terms = proto.compile_terms([psi], u_gates, v_gates)
+    exact = proto.compile_cost_expectation(terms)
+    sampled = proto.compile_cost(terms, 100_000, 8)
     assert sampled == pytest.approx(exact, abs=0.02)
     assert 0.0 <= exact <= 1.0
 
@@ -291,8 +294,8 @@ def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
                                                  [(0, 2), (1, 3)], None) for psi in training]
     want = 1.0 - sum(fidelities) / len(training)
 
-    # one sweep per gate kind and A dimension on each call, holding the
-    # gates of U then V of that kind, each once
+    # one sweep per gate kind and A dimension, holding the gates of U then
+    # V of that kind, each once; the cost functions only read the terms
     sweeps = []
     for name in ("displacement_matrices", "squeeze_matrices", "phase_vectors"):
         sweep = getattr(fock, name)
@@ -302,11 +305,12 @@ def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
         ("displacement_matrices", [0.3 - 0.1j, 0.25j]),
         ("squeeze_matrices", [0.2 + 0.1j, 0.15]),
         ("phase_vectors", [0.7]))), key=repr)
-    assert proto.compile_cost_expectation(training, u_gates, v_gates) == pytest.approx(want, abs=1e-12)
+    terms = proto.compile_terms(training, u_gates, v_gates)
     assert sorted(sweeps, key=repr) == once
     sweeps.clear()
-    proto.compile_cost(training, u_gates, v_gates, 100, 4)
-    assert sorted(sweeps, key=repr) == once
+    assert proto.compile_cost_expectation(terms) == pytest.approx(want, abs=1e-12)
+    proto.compile_cost(terms, 100, 4)
+    assert sweeps == []
 
 
 _COMPILE_GATES = st.lists(st.one_of(
@@ -341,23 +345,24 @@ def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v
     fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
                                                  [(0, 2), (1, 3)], None) for psi in training]
     want = 1.0 - sum(fidelities) / len(training)
-    assert proto.compile_cost_expectation(training, u_gates, v_gates) == pytest.approx(want, abs=1e-12)
+    terms = proto.compile_terms(training, u_gates, v_gates)
+    assert proto.compile_cost_expectation(terms) == pytest.approx(want, abs=1e-12)
 
 
 def test_compile_cost_rejects_register_circuit():
     cut = CutoffSpec((3, 3))
     vac = fock.basis_state((0, 0), cut)
     with pytest.raises(ValueError):
-        proto.compile_cost([vac], [fock.PhaseRotation(0.1, 1)], [], 10, 0)
+        proto.compile_terms([vac], [fock.PhaseRotation(0.1, 1)], [])
     with pytest.raises(ValueError):
-        proto.compile_cost([vac], [fock.Beamsplitter(0.2, 0.0, 0, 1)], [], 10, 0)
+        proto.compile_terms([vac], [fock.Beamsplitter(0.2, 0.0, 0, 1)], [])
 
 
 def test_compile_cost_total_threshold():
     cut = CutoffSpec((6, 6))
     training = [fock.basis_state((2, 1), cut)]
-    loose = proto.compile_cost_expectation(training, [], [], m_totals=[6])
-    tight = proto.compile_cost_expectation(training, [], [], m_totals=[0])
+    loose = proto.compile_cost_expectation(proto.compile_terms(training, [], [], m_totals=[6]))
+    tight = proto.compile_cost_expectation(proto.compile_terms(training, [], [], m_totals=[0]))
     assert loose == pytest.approx(0.0, abs=1e-12)
     assert tight == pytest.approx(1.0, abs=1e-12)
 
@@ -367,8 +372,9 @@ def test_compile_cost_total_threshold_sampled():
     training = [fock.basis_state((1, 0), cut)]
     v_gates = [fock.Squeeze(0.4, 0)]
     for m_total in (1, 3):
-        exact = proto.compile_cost_expectation(training, [], v_gates, m_totals=[m_total])
-        sampled = proto.compile_cost(training, [], v_gates, 150_000, 13, m_totals=[m_total])
+        terms = proto.compile_terms(training, [], v_gates, m_totals=[m_total])
+        exact = proto.compile_cost_expectation(terms)
+        sampled = proto.compile_cost(terms, 150_000, 13)
         assert sampled == pytest.approx(exact, abs=0.02)
 
 
@@ -382,7 +388,7 @@ def test_compile_cost_builds_each_term_law_once(rng, monkeypatch):
     training = [random_pure(rng, 6, 2), fock.basis_state((2, 1), CutoffSpec((6, 6))),
                 MixedEnsemble(((0.4, random_pure(rng, 6, 2)), (0.6, random_pure(rng, 6, 2))))]
     built = count_calls(monkeypatch, est, "_group_expectation")
-    proto.compile_cost(training, COMPILE_U, COMPILE_V, 500, 6, [None, 4, 2])
+    proto.compile_cost(proto.compile_terms(training, COMPILE_U, COMPILE_V, [None, 4, 2]), 500, 6)
     assert len(built) == 3
 
 
@@ -397,14 +403,14 @@ def _compile_training(rng):
 def test_compile_cost_equals_per_term_estimates(rng):
     training, m_totals = _compile_training(rng)
     shots, seed = 3000, 12
-    terms = proto._compile_terms(training, COMPILE_U, COMPILE_V, m_totals)
+    terms = proto.compile_terms(training, COMPILE_U, COMPILE_V, m_totals)
     seeds = [derive_seed(seed, j) for j in range(len(terms))]
     each = [est.parity_overlap_estimate(prepared, [(0, 2), (1, 3)], None, shots, s, total)
             for (prepared, total), s in zip(terms, seeds)]
     acc = 0.0
     for result in each:
         acc += result.mean.real
-    assert proto.compile_cost(training, COMPILE_U, COMPILE_V, shots, seed, m_totals) == 1.0 - acc / len(each)
+    assert proto.compile_cost(terms, shots, seed) == 1.0 - acc / len(each)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +618,9 @@ QUBIT_CV2, QUBIT_CV3 = fock.tensor(QUBIT, VAC2), fock.tensor(QUBIT, VAC3)
     (lambda: proto.perm_test([VAC2], 10, 1), "PERM test needs at least two registers"),
     (lambda: proto.perm_test([VAC2, PAIR, VAC2], 10, 1), "PERM test inputs must be single-mode"),
     (lambda: proto.perm_test([VAC2, VAC3, VAC2], 10, 1), "PERM test inputs must share a common cutoff"),
-    (lambda: proto.compile_cost([], [], [], 10, 1), "training set is empty"),
-    (lambda: proto.compile_cost([VAC2], [], [], 10, 1), "training states live on two modes (A, R)"),
-    (lambda: proto.compile_cost([PAIR], [fock.Displacement(0.1, 1)], [], 10, 1),
+    (lambda: proto.compile_terms([], [], []), "training set is empty"),
+    (lambda: proto.compile_terms([VAC2], [], []), "training states live on two modes (A, R)"),
+    (lambda: proto.compile_terms([PAIR], [fock.Displacement(0.1, 1)], []),
      "compiling circuits must act on register A only (single-mode gates on mode 0)"),
     (lambda: proto.hybrid_swap_estimate(QUBIT_CV2, QUBIT_CV3, 1, 10, 1),
      "hybrid inputs must share the CV cutoff"),
