@@ -26,6 +26,10 @@ from .sampling import derive_seed
 __all__ = ["main", "RunConfig", "ConfigError"]
 
 
+# the qudit-basis document writes every entry of its d^2 x d^2 matrix
+MAX_QUDIT_ENTRIES = 1 << 16
+
+
 class ConfigError(ValueError):
     """Malformed run configuration (exit code 2)."""
 
@@ -389,6 +393,9 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
         "cost": proto.compile_cost(terms, shots, cfg.seed),
         "exact_cost": proto.compile_cost_expectation(terms),
         "shots_per_term": shots,
+        # per training state, the largest leak of its components under U and V
+        "term_leaks": [max(s.leak for side in prepared for _, s in side.components)
+                       for prepared, _ in terms],
     }
     _emit(cfg, results, [results])
 
@@ -436,6 +443,10 @@ def cmd_hybrid(cfg: RunConfig) -> None:
 def cmd_qudit_basis(cfg: RunConfig) -> None:
     payload = cfg.payload
     d = _int_param(payload.get("d", 2), "d", 2)
+    if d ** 4 > MAX_QUDIT_ENTRIES:
+        raise fock.ResourceLimitError(
+            f"a qudit basis of d = {d} emits {d ** 4} matrix entries, beyond {MAX_QUDIT_ENTRIES}; "
+            f"use d <= {math.isqrt(math.isqrt(MAX_QUDIT_ENTRIES))}")
     basis = payload.get("basis", "w")
     mat, eig = dv.swap_eigenbasis(d, basis)
     unit_err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d * d))))

@@ -220,9 +220,10 @@ def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, floa
     onto the pair totals (and group total) within their thresholds.  Pairs
     are padded to a common cutoff first, which makes the axis swap exact;
     each ensemble combination is normalised by its norm.  The guard counts
-    the amplitude arrays held at once: the state, its masked copy and the
-    contiguous copy vdot makes of the swapped view, plus one for the
-    full-box mask and running total a group-total threshold needs."""
+    the amplitude arrays held at once, which share one allocation reused by
+    every combination: the state, its masked copy and the contiguous
+    swapped copy, plus one for the full-box mask and running total a
+    group-total threshold needs."""
     caps = list(group.base_caps)
     for a, b in group.local_pairs:
         m = max(caps[a], caps[b])
@@ -231,19 +232,27 @@ def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, floa
     check_working_size(3 + (total_threshold is not None), math.prod(shape))
 
     mask = _threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
+    psi, masked, swapped = np.empty((3,) + shape, dtype=np.complex128)
+    inner = psi[tuple(slice(0, c + 1) for c in group.base_caps)]
+    if inner.shape != shape:
+        psi.fill(0.0)  # the padding stays zero
+    if mask.size == 1:  # no threshold: every pattern is kept
+        masked = psi
     kept = value = 0.0
     for w, states in ensemble_combinations(group.factors):
-        psi = fock.pad(functools.reduce(fock.tensor, states), caps).amplitudes
+        *head, last = [s.amplitudes for s in states]
+        np.multiply.outer(functools.reduce(np.multiply.outer, head, np.ones(())), last, out=inner)
         norm = float(np.vdot(psi, psi).real)
         if norm <= 0:
             raise ValueError("zero-norm component")
-        masked = psi * mask
-        swapped = masked
+        if masked is not psi:
+            np.multiply(psi, mask, out=masked)
+        view = masked
         for a, b in group.local_pairs:
-            swapped = np.swapaxes(swapped, a, b)
+            view = np.swapaxes(view, a, b)
+        np.copyto(swapped, view)
         kept += w * float(np.vdot(masked, masked).real) / norm
         value += w * float(np.vdot(masked, swapped).real) / norm
-        del psi, masked, swapped  # free before the next combination is built
     return kept, value
 
 

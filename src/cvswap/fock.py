@@ -2,13 +2,12 @@
 
 States are dense complex tensors over a per-mode-truncated photon-number
 basis.  Single-mode gate matrices come from exact analytic Fock matrix
-elements (recurrences seeded by closed forms, one sweep per gate kind
-advancing a column or row of every gate at once), never from
-exponentiating truncated generators; the matrix-exponential path exists
-only as a test oracle.  A beamsplitter has no dense matrix: ``apply_gate``
-applies it one total-photon-number block at a time, on a box that holds
-every block it reaches.  Values are immutable after construction and all
-operations are pure functions.
+elements (recurrences seeded by closed forms, one vector statement per
+column or row), never from exponentiating truncated generators; the
+matrix-exponential path exists only as a test oracle.  A beamsplitter has
+no dense matrix: ``apply_gate`` applies it one total-photon-number block
+at a time, on a box that holds every block it reaches.  Values are
+immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ __all__ = [
     "PhaseRotation",
     "GateSpec",
     "PreparationLeakError",
+    "check_leak",
     "ResourceLimitError",
     "MAX_WORKING_ELEMENTS",
     "check_working_size",
@@ -36,7 +36,6 @@ __all__ = [
     "tensor",
     "pad",
     "gate_matrix",
-    "gate_matrices",
     "apply_gate",
     "prepare",
     "truncation_weight",
@@ -66,7 +65,8 @@ def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
     MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's box
     counts the amplitude arrays it holds at once as rows and its entries as
-    columns; a stack of gate matrices counts its gates and their entries."""
+    columns; the stacked blocks of compiling circuits count the circuits
+    and each block's entries."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
         raise ResourceLimitError(
@@ -285,25 +285,21 @@ def pad(state: FockState, per_mode_max) -> FockState:
 # exact single-mode gate matrices
 
 
-def displacement_matrices(alphas, dim: int) -> np.ndarray:
-    """<m|D(alpha)|n> on a (dim x dim) truncated space, stacked over alphas.
+def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """<m|D(alpha)|n> on a (dim x dim) truncated space.
 
     Column 0 is the coherent-state closed form; later columns follow the
     exact recurrence D[m, n+1] = (sqrt(m) D[m-1, n] - conj(alpha) D[m, n])
-    / sqrt(n+1), which never references elements above the cutoff.  Each
-    column step advances every gate of a (dim, dim, gates) buffer.
+    / sqrt(n+1), which never references elements above the cutoff.
     """
-    alphas = [complex(a) for a in alphas]
-    buf = np.zeros((dim, dim, len(alphas)), dtype=np.complex128)
-    for k, alpha in enumerate(alphas):
-        buf[:, 0, k] = _coherent_amps(alpha, dim)
-    conj = np.conj(alphas)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[:, 0] = _coherent_amps(alpha, dim)
     sqrt = np.sqrt(np.arange(dim))
     for n in range(dim - 1):
         # column n + 1 holds sqrt(m) D[m-1, n] (0 at m = 0) until it is replaced
-        buf[1:, n + 1] = sqrt[1:, None] * buf[: dim - 1, n]
-        buf[:, n + 1] = (buf[:, n + 1] - conj * buf[:, n]) / sqrt[n + 1]
-    return np.moveaxis(buf, 2, 0).copy()
+        mat[1:, n + 1] = sqrt[1:] * mat[: dim - 1, n]
+        mat[:, n + 1] = (mat[:, n + 1] - np.conj(alpha) * mat[:, n]) / sqrt[n + 1]
+    return mat
 
 
 def _squeeze_edge(z: complex, dim: int, sign: float) -> np.ndarray:
@@ -318,47 +314,36 @@ def _squeeze_edge(z: complex, dim: int, sign: float) -> np.ndarray:
     return edge
 
 
-def squeeze_matrices(zs, dim: int) -> np.ndarray:
-    """<m|S(z)|n> for S(z) = exp((conj(z) a^2 - z a^dag^2)/2), stacked
-    over zs; S(0) is the identity.
+def _squeeze_matrix(z: complex, dim: int) -> np.ndarray:
+    """<m|S(z)|n> for S(z) = exp((conj(z) a^2 - z a^dag^2)/2); S(0) is the
+    identity.
 
     Seeded by the squeezed-vacuum column and row, filled by the two-term
     recurrence S[m+1, n] = (sqrt(n) S[m, n-1] - e^{i arg z} sinh|z| sqrt(m)
     S[m-1, n]) / (cosh|z| sqrt(m+1)); all references stay inside the box.
-    The sweep runs by rows of a (dim, dim, gates) buffer: row m+1 over
-    every column n >= 1 of every gate comes from row m, shifted by one
-    column, and row m-1, with the arithmetic of an element-by-element loop.
+    The sweep runs by rows: row m+1 over every column n >= 1 comes from
+    row m, shifted by one column, and row m-1, with the arithmetic of an
+    element-by-element loop.
     """
-    zs = [complex(z) for z in zs]
-    out = np.zeros((len(zs), dim, dim), dtype=np.complex128)
-    out[[k for k, z in enumerate(zs) if z == 0]] = np.eye(dim)
-    live = [k for k, z in enumerate(zs) if z != 0]
-    buf = np.zeros((dim, dim, len(live)), dtype=np.complex128)
-    coef, ch = np.zeros(len(live), dtype=np.complex128), np.zeros(len(live))
-    for j, k in enumerate(live):
-        # each gate's scalars in Python complex and math arithmetic
-        r = abs(zs[k])
-        coef[j], ch[j] = zs[k] / r * math.sinh(r), math.cosh(r)
-        buf[:, 0, j] = _squeeze_edge(zs[k], dim, -1.0)
-        buf[0, :, j] = _squeeze_edge(zs[k], dim, +1.0)
+    if z == 0:
+        return np.eye(dim, dtype=np.complex128)
+    r = abs(z)
+    coef, ch = z / r * math.sinh(r), math.cosh(r)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[:, 0] = _squeeze_edge(z, dim, -1.0)
+    mat[0, :] = _squeeze_edge(z, dim, +1.0)
     sqrt = np.sqrt(np.arange(dim))
     for m in range(0, dim - 1):
-        row = sqrt[1:, None] * buf[m, : dim - 1]
+        row = sqrt[1:] * mat[m, : dim - 1]
         if m > 0:
             # the complex product in real parts, one rounding per operation:
             # numpy's vector complex multiply may fuse multiply-adds, which
             # round differently from the element loop and between machines
-            c_re, c_im, prev = coef.real * sqrt[m], coef.imag * sqrt[m], buf[m - 1, 1:]
+            c_re, c_im, prev = coef.real * sqrt[m], coef.imag * sqrt[m], mat[m - 1, 1:]
             row.real -= c_re * prev.real - c_im * prev.imag
             row.imag -= c_re * prev.imag + c_im * prev.real
-        buf[m + 1, 1:] = row / (ch * sqrt[m + 1])
-    out[live] = np.moveaxis(buf, 2, 0)
-    return out
-
-
-def phase_vectors(phis, dim: int) -> np.ndarray:
-    """The diagonal e^{-i phi n} of each phase rotation, stacked."""
-    return np.exp(-1j * np.multiply.outer(phis, np.arange(dim)))
+        mat[m + 1, 1:] = row / (ch * sqrt[m + 1])
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -428,34 +413,20 @@ def _mode_dims(cutoff: CutoffSpec, modes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cutoff.shape[m] for m in modes)
 
 
-def gate_matrices(gates, dim: int) -> list[np.ndarray]:
-    """Each single-mode gate's truncated Fock matrix on a mode of dimension
-    ``dim`` (a phase rotation's diagonal), in gate order: one sweep per
-    kind, in stacks of at most MAX_WORKING_ELEMENTS entries.  Displacement
-    and squeeze columns lose exactly the weight pushed past the cutoff."""
-    for gate in gates:
-        if not isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
-            raise TypeError(f"{gate!r} is not a single-mode gate")
-    out = [None] * len(gates)
-    per_stack = max(1, MAX_WORKING_ELEMENTS // (dim * dim))
-    for kind, param, sweep in ((Displacement, "alpha", displacement_matrices),
-                               (Squeeze, "z", squeeze_matrices),
-                               (PhaseRotation, "phi", phase_vectors)):
-        picked = [k for k, gate in enumerate(gates) if isinstance(gate, kind)]
-        for lo in range(0, len(picked), per_stack):
-            part = picked[lo:lo + per_stack]
-            check_working_size(len(part), dim * dim)
-            for k, mat in zip(part, sweep([getattr(gates[k], param) for k in part], dim)):
-                out[k] = mat
-    return out
-
-
 def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
-    """``gate_matrices`` for one gate on its mode, a phase rotation's
-    diagonal made a matrix; a beamsplitter, which ``apply_gate`` applies
-    block by block, has none."""
-    (mat,) = gate_matrices([gate], _mode_dims(cutoff, (getattr(gate, "mode", 0),))[0])
-    return np.diag(mat) if mat.ndim == 1 else mat
+    """A single-mode gate's truncated Fock matrix on its mode, refused
+    before it is allocated beyond the working-space limit.  Displacement
+    and squeeze columns lose exactly the weight pushed past the cutoff; a
+    beamsplitter, which ``apply_gate`` applies block by block, has none."""
+    if not isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
+        raise TypeError(f"{gate!r} is not a single-mode gate")
+    (dim,) = _mode_dims(cutoff, (gate.mode,))
+    check_working_size(1, dim * dim)
+    if isinstance(gate, Displacement):
+        return _displacement_matrix(complex(gate.alpha), dim)
+    if isinstance(gate, Squeeze):
+        return _squeeze_matrix(complex(gate.z), dim)
+    return np.diag(np.exp(-1j * gate.phi * np.arange(dim)))
 
 
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
@@ -476,15 +447,13 @@ def apply_gate(state: FockState, gate: GateSpec) -> FockState:
 # preparations
 
 
-def _leak_check(raw: np.ndarray, kind: str) -> tuple[float, bool]:
-    captured = float(np.vdot(raw, raw).real)
-    leak = max(0.0, 1.0 - captured)
-    if leak > LEAK_HARD:
+def check_leak(leak: float, what: str) -> bool:
+    """The warning flag of a weight ``leak`` that ``what`` lost past the
+    cutoff: set from LEAK_SOFT on; above LEAK_HARD, or NaN, it is refused."""
+    if not leak <= LEAK_HARD:
         raise PreparationLeakError(
-            f"{kind} preparation leaks {leak:.3e} past the cutoff (limit {LEAK_HARD:.0e}); "
-            "increase the cutoff"
-        )
-    return leak, leak >= LEAK_SOFT
+            f"{what} leaks {leak:.3e} past the cutoff (limit {LEAK_HARD:.0e}); increase the cutoff")
+    return leak >= LEAK_SOFT
 
 
 def _coherent_amps(alpha: complex, dim: int) -> np.ndarray:
@@ -528,7 +497,8 @@ def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
         raw[n, n] = (-math.tanh(r)) ** n / math.cosh(r)
     else:
         raise ValueError(f"unknown preparation kind {kind!r}")
-    leak, warn = _leak_check(raw, kind)
+    leak = max(0.0, 1.0 - float(np.vdot(raw, raw).real))
+    warn = check_leak(leak, f"{kind} preparation")
     amps = raw / math.sqrt(max(1.0 - leak, np.finfo(float).tiny))
     return FockState(cutoff, amps, leak=leak, leak_warning=warn)
 

@@ -114,11 +114,31 @@ def run_circuit(state: fock.FockState, gates) -> fock.FockState:
     return functools.reduce(fock.apply_gate, gates, state)
 
 
+def padded_circuit(state: fock.FockState, gates) -> tuple[fock.FockState, float]:
+    """A register-A circuit applied exactly, then truncated once: ``gates``
+    run by ``run_circuit`` on ``state`` padded on mode A, the padding
+    doubled until no state along the way holds more than 1e-15 of its
+    weight in the top quarter of the padded register, cut back to the
+    state's box.  Returns the cut state and the share of the weight it lost
+    past the A cutoff."""
+    dim, extra = state.cutoff.shape[0], 16
+    while True:
+        mapped = fock.pad(state, (dim - 1 + extra,) + state.cutoff.per_mode_max[1:])
+        top, tail = (dim + extra) * 3 // 4, 0.0
+        for gate in gates:
+            mapped = fock.apply_gate(mapped, gate)
+            tail = max(tail, float(np.sum(np.abs(mapped.amplitudes[top:]) ** 2)))
+        if tail <= 1e-15 * state.norm_sq:
+            break
+        extra *= 2
+    cut = mapped.amplitudes[:dim]
+    return fock.FockState(state.cutoff, cut), 1.0 - float(np.vdot(cut, cut).real) / state.norm_sq
+
+
 def per_gate_matrix(gate, dim: int) -> np.ndarray:
     """One gate's truncated Fock matrix (a phase rotation's diagonal), built
-    alone by the column and row sweeps cvswap ran per gate before it swept
-    every gate of a kind at once: the bit-for-bit oracle of
-    ``fock.gate_matrices``."""
+    by the column and row sweeps written out here: the bit-for-bit oracle
+    of ``fock.gate_matrix``."""
     sqrt = np.sqrt(np.arange(dim + 1))
     if isinstance(gate, fock.PhaseRotation):
         return np.exp(-1j * gate.phi * np.arange(dim))

@@ -241,6 +241,33 @@ def test_compile_cost_command(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["results"]["cost"] == pytest.approx(0.0, abs=1e-9)
     assert doc["results"]["exact_cost"] == pytest.approx(0.0, abs=1e-12)
+    assert doc["results"]["term_leaks"] == [0.0]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+def test_compile_cost_reports_each_term_leak(tmp_path, alpha):
+    # D(alpha) on the vacuum at A cutoff 19 pushes its Poisson tail past
+    # the cutoff (1.0e-8 and 9.3e-6), more from |1>; the empty circuit V
+    # pushes nothing
+    leak = 1.0 - sum(math.exp(-alpha ** 2) * alpha ** (2 * n) / math.factorial(n) for n in range(20))
+    vacuum = {"kind": "basis", "pattern": [0, 0], "cutoff": [19, 0]}
+    code, out = run_cli(tmp_path, "compile-cost", {
+        "training": [vacuum, {**vacuum, "pattern": [1, 0]}],
+        "u_gates": [{"gate": "displacement", "alpha": alpha, "mode": 0}], "shots_per_term": 10})
+    assert code == 0
+    leaks = json.loads(out.read_text())["results"]["term_leaks"]
+    assert len(leaks) == 2 and leaks[0] == pytest.approx(leak, rel=1e-6) and leaks[1] > leaks[0]
+
+
+def test_compile_circuit_leak_beyond_the_limit_is_a_numerical_failure(tmp_path, capsys):
+    # D(4) on |2> at A cutoff 19 pushes a third of the weight past it
+    code, out = run_cli(tmp_path, "compile-cost", {
+        "training": [{"kind": "basis", "pattern": [2, 0], "cutoff": [19, 0]}],
+        "u_gates": [{"gate": "displacement", "alpha": 4, "mode": 0}], "shots_per_term": 10})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical contract failure: compiling circuit U on a training state leaks")
+    assert err.count("\n") == 1
 
 
 def test_hybrid_command(tmp_path):
@@ -269,6 +296,18 @@ def test_qudit_basis_command(tmp_path):
     assert doc["results"]["verified"] is True
     mat = np.array(doc["results"]["matrix_re"]) + 1j * np.array(doc["results"]["matrix_im"])
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(9))) < 1e-12
+
+
+def test_qudit_basis_document_beyond_the_cap_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # d = 16 emits 2^16 matrix entries, d = 17 more: refused before any
+    # basis is built, with one line
+    built = count_calls(monkeypatch, dv, "swap_eigenbasis")
+    code, out = run_cli(tmp_path, "qudit-basis", {"d": 17})
+    assert code == 1 and not out.exists() and built == []
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: a qudit basis of d = 17 emits 83521 matrix entries")
+    assert err.count("\n") == 1
+    assert cli.MAX_QUDIT_ENTRIES == 16 ** 4
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -742,14 +781,15 @@ def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys):
 ])
 def test_one_mode_pair_beyond_the_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch,
                                                             command, config):
-    # at a limit of 1,000 entries, one 41 x 41 gate matrix of compile-cost
-    # and fig2's 41 x 41 two-mode state are each refused before they are
-    # allocated, with one line
+    # at a limit of 1,000 entries, compile-cost's parity-group box of three
+    # 41 x 1 x 41 x 1 arrays and fig2's 41 x 41 two-mode state are each
+    # refused before they are allocated, with one line
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
     code, out = run_cli(tmp_path, command, config)
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("resource limit: working space of 1681 entries (1 x 1681)")
+    box = {"compile-cost": "5043 entries (3 x 1681)", "fig2": "1681 entries (1 x 1681)"}[command]
+    assert err.startswith(f"resource limit: working space of {box}")
     assert err.count("\n") == 1
 
 
@@ -795,18 +835,19 @@ def test_every_run_draws_from_one_block_build(tmp_path, monkeypatch, command, co
 
 
 def test_compile_cost_builds_each_circuit_once(tmp_path, monkeypatch):
-    # the cost and its exact value read one build of the terms: each gate
-    # sweep runs once per A dimension
-    sweeps = []
-    for name in ("displacement_matrices", "squeeze_matrices", "phase_vectors"):
-        sweep = getattr(fock, name)
-        monkeypatch.setattr(fock, name, lambda params, dim, name=name, sweep=sweep: (
-            sweeps.append((name, dim)) or sweep(params, dim)))
+    # the cost and its exact value read one build of the terms: each
+    # circuit is composed once and its occupied columns built once per A
+    # dimension, from no gate matrix
+    calls = []
+    for owner, name in ((proto, "_bogoliubov"), (proto, "_circuit_columns"), (fock, "gate_matrix")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: (
+            calls.append((name, *args[1:])) or original(*args)))
     gates = [{"gate": "displacement", "alpha": 0.2, "mode": 0}, {"gate": "squeeze", "z": 0.1, "mode": 0},
              {"gate": "phase", "phi": 0.3, "mode": 0}]
     config = {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [4, 1]},
                            {"kind": "basis", "pattern": [2, 1], "cutoff": [6, 1]}],
               "u_gates": gates, "v_gates": gates[::-1], "shots_per_term": 100, "seed": 3}
     assert run_cli(tmp_path, "compile-cost", config)[0] == 0
-    assert sorted(sweeps) == sorted((name, d) for d in (5, 7) for name in (
-        "displacement_matrices", "squeeze_matrices", "phase_vectors"))
+    assert sorted(calls) == [("_bogoliubov",), ("_bogoliubov",),
+                             ("_circuit_columns", 5, 2), ("_circuit_columns", 7, 3)]

@@ -299,37 +299,22 @@ _SINGLE_MODE_GATES = st.one_of(
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(_SINGLE_MODE_GATES, max_size=8), st.sampled_from([1, 2, 3, 24, 81]))
-def test_batched_gates_equal_the_per_gate_sweeps_bit_for_bit(gates, dim):
-    # mixed kinds in any order, zero squeezing and displacement included:
-    # every gate of a kind shares one sweep, and each comes back in gate
-    # order exactly as its own per-gate sweep builds it
-    mats = fock.gate_matrices(gates, dim)
-    assert len(mats) == len(gates)
-    for gate, mat in zip(gates, mats):
+def test_gate_matrix_equals_the_per_gate_sweeps_bit_for_bit(gates, dim):
+    # every kind, zero squeezing and displacement included: each gate's
+    # matrix is exactly what the sweeps written out in the oracle build
+    for gate in gates:
         want = per_gate_matrix(gate, dim)
-        assert mat.shape == want.shape and np.array_equal(mat, want)
-        single = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
-        assert np.array_equal(single, want if want.ndim == 2 else np.diag(want))
+        mat = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
+        assert np.array_equal(mat, want if want.ndim == 2 else np.diag(want))
 
 
-def test_gate_stacks_are_built_in_chunks_under_the_limit(monkeypatch):
-    # seven displacements at d = 6 under a limit of three matrices: three
-    # sweeps of at most three gates, none refused, the same matrices
-    gates = [Displacement(0.1 * k - 0.05j, 0) for k in range(7)] + [PhaseRotation(0.3, 0)]
-    want = fock.gate_matrices(gates, 6)
-    sizes = []
-    sweep = fock.displacement_matrices
-    monkeypatch.setattr(fock, "displacement_matrices",
-                        lambda alphas, dim: sizes.append(len(alphas)) or sweep(alphas, dim))
-    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 3 * 36 + 5)
-    got = fock.gate_matrices(gates, 6)
-    assert sizes == [3, 3, 1]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    # one matrix beyond the limit is refused before it is allocated
+def test_a_gate_matrix_beyond_the_limit_is_refused(monkeypatch):
+    # one 6 x 6 matrix under a limit of 35 entries is refused before it is
+    # allocated
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 35)
-    with pytest.raises(fock.ResourceLimitError, match=r"\(1 x 36\)"):
-        fock.gate_matrices(gates, 6)
-    assert sizes == [3, 3, 1]
+    for gate in (Displacement(0.1, 0), Squeeze(0.1, 0), PhaseRotation(0.3, 0)):
+        with pytest.raises(fock.ResourceLimitError, match=r"\(1 x 36\)"):
+            fock.gate_matrix(gate, CutoffSpec((5,)))
 
 
 @pytest.mark.parametrize("theta,phi", [(math.pi / 4, 0.0), (0.61, 1.13), (math.pi / 2, -math.pi / 2)])

@@ -94,11 +94,15 @@ def test_beamsplitters_run_only_where_shots_are_drawn():
 
 
 def test_compile_cost_functions_build_no_circuit():
-    # compile-cost builds its circuits once, in compile_terms, and both the
-    # cost and its exact value only read the terms
-    found = {callee: _callers(callee) for callee in ("compile_terms", "gate_matrices")}
+    # compile-cost composes and builds its circuits once, in compile_terms,
+    # from no gate matrix, and both the cost and its exact value only read
+    # the terms
+    found = {callee: _callers(callee)
+             for callee in ("compile_terms", "_bogoliubov", "_circuit_columns", "gate_matrix")}
     assert found == {"compile_terms": ["cli.cmd_compile_cost"],
-                     "gate_matrices": ["fock.gate_matrix", "protocols.compile_terms"]}
+                     "_bogoliubov": ["protocols.compile_terms"],
+                     "_circuit_columns": ["protocols.compile_terms"],
+                     "gate_matrix": ["fock.apply_gate"]}
 
 
 BLOCK_BUILDERS = ("_group_block", "_perm_block", "_dv_block", "law_block")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 
-from conftest import density_matrix
+from conftest import density_matrix, padded_circuit
 
 TOL = 1e-10
 
@@ -177,37 +177,45 @@ def random_gates(rng) -> list:
     return [makers[int(k)]() for k in rng.integers(0, 3, size=rng.integers(0, 3))]
 
 
-def mapped_density(state, gates) -> np.ndarray:
-    """Density matrix of every component with the gates' product matrix on
-    mode A, each mapped component normalised."""
-    d = state.cutoff.shape[0]
-    mat = np.eye(d, dtype=np.complex128)
-    for gate in gates:
-        mat = fock.gate_matrix(gate, fock.CutoffSpec((d - 1,))) @ mat
-    rho = 0
+def mapped_density(state, gates) -> tuple[np.ndarray, float]:
+    """Density matrix of every component with the circuit applied exactly
+    and truncated once on mode A (``padded_circuit``), each mapped
+    component normalised; and the largest share of weight a component lost
+    past the A cutoff."""
+    rho, worst = 0, 0.0
     for w, pure in fock.components_of(state):
-        vec = np.tensordot(mat, pure.amplitudes, axes=([1], [0])).ravel()
+        mapped, lost = padded_circuit(pure, gates)
+        vec = mapped.amplitudes.ravel()
         rho = rho + w * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
-    return rho
+        worst = max(worst, lost)
+    return rho, worst
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_compile_cost_term_laws(seed):
+    # each term's law against the dense oracle of the exactly mapped
+    # states, or the refusal where the oracle loses more than LEAK_HARD
+    # (most examples: the random states fill cutoffs of at most 2)
     rng = np.random.default_rng(seed)
     caps = [int(rng.integers(1, 3)), int(rng.integers(0, 3))]
     training = [random_state(rng, caps, int(rng.integers(1, 3))) for _ in range(rng.integers(1, 4))]
     u_gates, v_gates = random_gates(rng), random_gates(rng)
     totals = None if rng.random() < 0.3 else [threshold(rng, 5) for _ in training]
+    mapped = [(mapped_density(psi, u_gates), mapped_density(psi, v_gates)) for psi in training]
+    if max(lost for pair in mapped for _, lost in pair) > fock.LEAK_HARD:
+        with pytest.raises(fock.PreparationLeakError):
+            proto.compile_terms(training, u_gates, v_gates, totals)
+        return
     terms = proto.compile_terms(training, u_gates, v_gates, totals)
     got = law_expectations(lambda: proto.compile_cost(terms, 1, seed))
     dims = [c + 1 for c in caps] * 2
     pairs = [(0, 2), (1, 3)]
     assert len(got) == len(training)
-    for j, psi in enumerate(training):
-        rho = np.kron(mapped_density(psi, u_gates), mapped_density(psi, v_gates))
+    for j, ((rho_u, _), (rho_v, _)) in enumerate(mapped):
         total = None if totals is None else totals[j]
-        want = swap_observable_expectation(rho, dims, pairs, [None, None], [(range(4), total)])
+        want = swap_observable_expectation(np.kron(rho_u, rho_v), dims, pairs, [None, None],
+                                           [(range(4), total)])
         assert abs(got[j] - want) < TOL
 
 

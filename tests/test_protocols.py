@@ -1,8 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from cvswap import dv, estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec, MixedEnsemble
@@ -19,6 +22,7 @@ from conftest import (
     invert_circuit,
     measurement_block,
     mesh_perm_block,
+    padded_circuit,
     purification_of,
     random_ensemble,
     random_pure,
@@ -277,40 +281,44 @@ def test_compile_cost_sampled_near_exact(rng):
     assert 0.0 <= exact <= 1.0
 
 
-def test_compile_cost_builds_each_gate_once_per_a_dimension(rng, monkeypatch):
-    # a mixture and two A cutoffs; the state with R cutoff 3 shares its A
+def _exactly_mapped(state, gates):
+    """Every component of ``state`` through the circuit applied exactly and
+    truncated once (``padded_circuit``), with the largest share of weight a
+    component lost past the A cutoff."""
+    pairs = [(w, *padded_circuit(s, gates)) for w, s in fock.components_of(state)]
+    return MixedEnsemble(tuple((w, s) for w, s, _ in pairs)), max(lost for _, _, lost in pairs)
+
+
+def test_compile_cost_composes_each_circuit_once_per_a_dimension(rng, monkeypatch):
+    # a mixture and two A cutoffs, padded on mode A so that the circuits
+    # push almost nothing past them; the state with R cutoff 3 shares its A
     # dimension with the mixture
-    mix = MixedEnsemble(((0.3, random_pure(rng, 5, 2)), (0.7, random_pure(rng, 5, 2))))
-    training = [mix, random_pure(rng, 8, 2), fock.basis_state((2, 1), CutoffSpec((5, 3)))]
+    mix = MixedEnsemble(((0.3, fock.pad(random_pure(rng, 5, 2), (24, 5))),
+                         (0.7, fock.pad(random_pure(rng, 5, 2), (24, 5)))))
+    training = [mix, fock.pad(random_pure(rng, 8, 2), (27, 8)),
+                fock.basis_state((2, 1), CutoffSpec((24, 3)))]
     u_gates = [fock.Displacement(0.3 - 0.1j, 0), fock.Squeeze(0.2 + 0.1j, 0), fock.PhaseRotation(0.7, 0)]
     v_gates = [fock.Squeeze(0.15, 0), fock.Displacement(0.25j, 0)]
-
-    # oracle: every component run through each circuit gate by gate
-    def mapped(state, gates):
-        return MixedEnsemble(tuple((w, run_circuit(s, gates))
-                                   for w, s in fock.components_of(state)))
-
-    fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
-                                                 [(0, 2), (1, 3)], None) for psi in training]
+    fidelities = [est.parity_overlap_expectation(
+        [_exactly_mapped(psi, u_gates)[0], _exactly_mapped(psi, v_gates)[0]], [(0, 2), (1, 3)], None)
+        for psi in training]
     want = 1.0 - sum(fidelities) / len(training)
 
-    # one sweep per gate kind and A dimension, holding the gates of U then
-    # V of that kind, each once; the cost functions only read the terms
-    sweeps = []
-    for name in ("displacement_matrices", "squeeze_matrices", "phase_vectors"):
-        sweep = getattr(fock, name)
-        monkeypatch.setattr(fock, name, lambda params, dim, name=name, sweep=sweep: (
-            sweeps.append((name, dim, list(params))) or sweep(params, dim)))
-    once = sorted(((name, d, params) for d in (6, 9) for name, params in (
-        ("displacement_matrices", [0.3 - 0.1j, 0.25j]),
-        ("squeeze_matrices", [0.2 + 0.1j, 0.15]),
-        ("phase_vectors", [0.7]))), key=repr)
+    # each circuit composed once, its columns built once per A dimension
+    # over the rows the components occupy, no gate matrix built; the cost
+    # functions only read the terms
+    calls = []
+    for owner, name in ((proto, "_bogoliubov"), (proto, "_circuit_columns"), (fock, "gate_matrix")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: (
+            calls.append((name, *args[1:])) or original(*args)))
     terms = proto.compile_terms(training, u_gates, v_gates)
-    assert sorted(sweeps, key=repr) == once
-    sweeps.clear()
+    assert sorted(calls) == [("_bogoliubov",), ("_bogoliubov",),
+                             ("_circuit_columns", 25, 6), ("_circuit_columns", 28, 9)]
+    calls.clear()
     assert proto.compile_cost_expectation(terms) == pytest.approx(want, abs=1e-12)
     proto.compile_cost(terms, 100, 4)
-    assert sweeps == []
+    assert calls == []
 
 
 _COMPILE_GATES = st.lists(st.one_of(
@@ -326,10 +334,14 @@ _COMPILE_GATES = st.lists(st.one_of(
 @given(st.integers(0, 2**32 - 1), _COMPILE_GATES, _COMPILE_GATES,
        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 2)),
                 min_size=1, max_size=4))
+@example(5, [fock.PhaseRotation(0.3, 0), fock.Displacement(1e-3, 0)], [fock.Squeeze(2e-3j, 0)],
+         [(5, 2, 1), (3, 1, 2)])
 def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v_gates, layouts):
     # random training sets of pure states and mixtures on (A, R) cutoffs,
-    # with blocks of more columns than rows among them: the column chain
-    # against every component run through each circuit gate by gate
+    # with blocks of more columns than rows among them, against every
+    # component run through each circuit gate by gate on a padded register
+    # and truncated once: the value and each mapped component's leak, or
+    # the refusal where the oracle loses more than LEAK_HARD
     rng = np.random.default_rng(seed)
 
     def state(a_cap, r_cap):
@@ -338,15 +350,101 @@ def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v
 
     training = [state(a, r) if rank == 1 else MixedEnsemble(((0.35, state(a, r)), (0.65, state(a, r))))
                 for a, r, rank in layouts]
-
-    def mapped(psi, gates):
-        return MixedEnsemble(tuple((w, run_circuit(s, gates)) for w, s in fock.components_of(psi)))
-
-    fidelities = [est.parity_overlap_expectation([mapped(psi, u_gates), mapped(psi, v_gates)],
-                                                 [(0, 2), (1, 3)], None) for psi in training]
+    mapped = [[_exactly_mapped(psi, gates) for gates in (u_gates, v_gates)] for psi in training]
+    if max(lost for pair in mapped for _, lost in pair) > fock.LEAK_HARD:
+        with pytest.raises(fock.PreparationLeakError, match="compiling circuit"):
+            proto.compile_terms(training, u_gates, v_gates)
+        return
+    fidelities = [est.parity_overlap_expectation([u for u, _ in pair], [(0, 2), (1, 3)], None)
+                  for pair in mapped]
     want = 1.0 - sum(fidelities) / len(training)
     terms = proto.compile_terms(training, u_gates, v_gates)
     assert proto.compile_cost_expectation(terms) == pytest.approx(want, abs=1e-12)
+    for psi, (prepared, _) in zip(training, terms):
+        for gates, side in zip((u_gates, v_gates), prepared):
+            for (_, s), (_, image) in zip(fock.components_of(psi), side.components):
+                lost = padded_circuit(s, gates)[1]
+                assert image.leak == pytest.approx(max(lost, 0.0), abs=1e-12)
+                assert image.leak_warning == (image.leak >= fock.LEAK_SOFT)
+
+
+def _expm_columns(gates, dim: int, k: int) -> np.ndarray:
+    """The first k columns of the circuit, each gate the exponential of its
+    generator on a register padded by 400 levels, multiplied and cut once
+    to dim rows."""
+    size = dim + 400
+    a = sparse.diags(np.sqrt(np.arange(1, size)), 1, format="csr", dtype=np.complex128)
+    cols = np.eye(size, k, dtype=np.complex128)
+    for gate in gates:
+        if isinstance(gate, fock.PhaseRotation):
+            cols = np.exp(-1j * gate.phi * np.arange(size))[:, None] * cols
+        elif isinstance(gate, fock.Displacement):
+            cols = expm_multiply(gate.alpha * a.T - np.conj(gate.alpha) * a, cols)
+        else:
+            cols = expm_multiply(0.5 * (np.conj(gate.z) * (a @ a) - gate.z * (a.T @ a.T)), cols)
+    return cols[:dim]
+
+
+_EXPM_GATES = st.lists(st.one_of(
+    st.builds(lambda r, t: fock.Displacement(cmath.rect(r, t), 0), st.floats(0.0, 1.0),
+              st.floats(-math.pi, math.pi)),
+    st.builds(lambda r, t: fock.Squeeze(cmath.rect(r, t), 0), st.floats(0.0, 0.8),
+              st.floats(-math.pi, math.pi)),
+    st.builds(lambda phi: fock.PhaseRotation(phi, 0), st.floats(-7.0, 7.0)),
+), max_size=5)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_EXPM_GATES, st.integers(1, 120), st.integers(1, 10))
+@example([fock.Displacement(3.0, 0), fock.Squeeze(1.0, 0), fock.PhaseRotation(0.3, 0)], 120, 10)
+def test_compile_columns_match_the_padded_expm_oracle(gates, dim, k):
+    # training state sum_n |n, n> / sqrt(k) on cutoff (dim - 1, k - 1): its
+    # U image is the circuit's first k columns over sqrt(k), each component
+    # of the oracle's columns agreeing up to one global phase, and its V
+    # image, under the empty circuit, is the state itself
+    k = min(k, dim)
+    amps = np.eye(dim, k) / math.sqrt(k)
+    psi = fock.FockState(CutoffSpec((dim - 1, k - 1)), amps)
+    want = _expm_columns(gates, dim, k)
+    lost = 1.0 - float(np.vdot(want, want).real) / k
+    if lost > fock.LEAK_HARD:
+        with pytest.raises(fock.PreparationLeakError, match="compiling circuit U"):
+            proto.compile_terms([psi], gates, [])
+        return
+    [([u, v], _)] = proto.compile_terms([psi], gates, [])
+    [(_, image)], [(_, same)] = u.components, v.components
+    got = image.amplitudes * math.sqrt(k)
+    phase = np.vdot(got, want)
+    assert np.max(np.abs(got * phase / abs(phase) - want)) <= 1e-12
+    assert image.leak == pytest.approx(max(lost, 0.0), abs=1e-12)
+    assert np.array_equal(same.amplitudes, psi.amplitudes) and same.leak == 0.0
+
+
+def test_compile_cost_of_a_circuit_and_its_inverse_is_zero():
+    # D(-4) D(4) is the identity: nothing is lost at A cutoff 19, where
+    # truncating after each gate lost a third of the weight
+    training = [fock.basis_state((2, 0), CutoffSpec((19, 0)))]
+    terms = proto.compile_terms(training, [fock.Displacement(-4.0, 0), fock.Displacement(4.0, 0)], [])
+    assert proto.compile_cost_expectation(terms) == pytest.approx(0.0, abs=1e-12)
+    assert all(s.leak <= 1e-12 and not s.leak_warning
+               for side in terms[0][0] for _, s in side.components)
+
+
+@pytest.mark.parametrize("alpha, outcome", [(2.0, "clean"), (2.5, "warned"), (3.0, "refused")])
+def test_compile_circuit_leak_outcomes(alpha, outcome):
+    # D(alpha) on the vacuum at A cutoff 19 pushes the Poisson tail past
+    # the cutoff: 1.0e-8 is clean, 9.3e-6 is flagged, 1.06e-3 is refused
+    training = [fock.basis_state((0, 0), CutoffSpec((19, 0)))]
+    tail = 1.0 - sum(math.exp(-alpha ** 2) * alpha ** (2 * n) / math.factorial(n) for n in range(20))
+    if outcome == "refused":
+        with pytest.raises(fock.PreparationLeakError, match="compiling circuit U on a training state"):
+            proto.compile_terms(training, [fock.Displacement(alpha, 0)], [])
+        return
+    [([u, v], _)] = proto.compile_terms(training, [fock.Displacement(alpha, 0)], [])
+    [(_, image)] = u.components
+    assert image.leak == pytest.approx(tail, rel=1e-6)
+    assert image.leak_warning == (outcome == "warned")
+    assert v.components[0][1].leak == 0.0
 
 
 def test_compile_cost_rejects_register_circuit():
@@ -368,7 +466,8 @@ def test_compile_cost_total_threshold():
 
 
 def test_compile_cost_total_threshold_sampled():
-    cut = CutoffSpec((4, 4))
+    # A cutoff 16 holds S(0.4)|1> but for 5.9e-7 of its weight
+    cut = CutoffSpec((16, 4))
     training = [fock.basis_state((1, 0), cut)]
     v_gates = [fock.Squeeze(0.4, 0)]
     for m_total in (1, 3):
@@ -385,18 +484,26 @@ COMPILE_V = [fock.Displacement(0.25 - 0.1j, 0), fock.PhaseRotation(0.5, 0)]
 def test_compile_cost_builds_each_term_law_once(rng, monkeypatch):
     # three terms, each one group of the four modes: one (k, s) per term,
     # and no passive measurement
-    training = [random_pure(rng, 6, 2), fock.basis_state((2, 1), CutoffSpec((6, 6))),
-                MixedEnsemble(((0.4, random_pure(rng, 6, 2)), (0.6, random_pure(rng, 6, 2))))]
+    training = [_padded_a(random_pure(rng, 6, 2)), fock.basis_state((2, 1), CutoffSpec((20, 6))),
+                MixedEnsemble(((0.4, _padded_a(random_pure(rng, 6, 2))),
+                               (0.6, _padded_a(random_pure(rng, 6, 2)))))]
     built = count_calls(monkeypatch, est, "_group_expectation")
     proto.compile_cost(proto.compile_terms(training, COMPILE_U, COMPILE_V, [None, 4, 2]), 500, 6)
     assert len(built) == 3
 
 
+def _padded_a(state: fock.FockState) -> fock.FockState:
+    """``state`` with A cutoff 20, which holds COMPILE_U and COMPILE_V's
+    images of it but for less than 1e-8 of their weight."""
+    return fock.pad(state, (20, state.cutoff.per_mode_max[1]))
+
+
 def _compile_training(rng):
     """Two register layouts, a mixture, and total thresholds with None."""
-    training = [random_pure(rng, 5, 2), random_pure(rng, 3, 2),
-                MixedEnsemble(((0.3, random_pure(rng, 5, 2)), (0.7, random_pure(rng, 5, 2)))),
-                fock.basis_state((1, 2), CutoffSpec((3, 3))), random_pure(rng, 5, 2)]
+    training = [_padded_a(random_pure(rng, 5, 2)), _padded_a(random_pure(rng, 3, 2)),
+                MixedEnsemble(((0.3, _padded_a(random_pure(rng, 5, 2))),
+                               (0.7, _padded_a(random_pure(rng, 5, 2))))),
+                fock.basis_state((1, 2), CutoffSpec((20, 3))), _padded_a(random_pure(rng, 5, 2))]
     return training, [None, 2, 3, None, 1]
 
 
