@@ -153,7 +153,7 @@ _BASES = {"v": _v_basis, "w": _w_basis}
 
 
 def _check_basis(basis: str):
-    if basis not in _BASES:
+    if not isinstance(basis, str) or basis not in _BASES:
         raise MeasurementSpecError("basis must be 'v' or 'w'")
     return _BASES[basis]
 

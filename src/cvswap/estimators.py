@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockState, MixedEnsemble, check_working_size
+from .fock import FockState, MeasurementSpecError, MixedEnsemble, check_working_size
 from .sampling import (
     BlockSpec,
     blocks_estimate,
@@ -121,13 +121,6 @@ class CutoffPlan:
 
 # ---------------------------------------------------------------------------
 # block assembly for parity estimators
-
-
-class MeasurementSpecError(ValueError):
-    """A malformed request, not a numerical failure: inputs of a shape the
-    protocol cannot take, measurement pairs or detector thresholds that do
-    not fit the register they measure, a shot count below 1, or
-    threshold-planner inputs out of range."""
 
 
 def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:

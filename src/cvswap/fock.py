@@ -1,17 +1,23 @@
 """Truncated multimode Fock-space states and exact linear-optical gates.
 
 States are dense complex tensors over a per-mode-truncated photon-number
-basis.  Single-mode gate matrices come from exact analytic Fock matrix
-elements (recurrences seeded by closed forms, one vector statement per
-column or row), never from exponentiating truncated generators; the
-matrix-exponential path exists only as a test oracle.  A beamsplitter has
-no dense matrix: ``apply_gate`` applies it one total-photon-number block
-at a time, on a box that holds every block it reaches.  Values are
-immutable after construction and all operations are pure functions.
+basis.  Single-mode Gaussian gates have one builder: ``gaussian_triple``
+composes them into the Bogoliubov triple of one unitary G, and
+``gaussian_columns`` builds the columns <m|G|n> it is asked for by a row
+recurrence seeded by a closed form, one vector statement per row.
+``gate_matrix`` takes a displacement or squeeze from it and a phase
+rotation from its closed-form diagonal; no gate is ever exponentiated
+from a truncated generator, a path that exists only as a test oracle.
+Inputs of a shape that does not fit raise ``MeasurementSpecError``.  A
+beamsplitter has no dense matrix: ``apply_gate`` applies it one
+total-photon-number block at a time, on a box that holds every block it
+reaches.  Values are immutable after construction and all operations are
+pure functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +32,7 @@ __all__ = [
     "Beamsplitter",
     "PhaseRotation",
     "GateSpec",
+    "MeasurementSpecError",
     "PreparationLeakError",
     "check_leak",
     "ResourceLimitError",
@@ -35,6 +42,8 @@ __all__ = [
     "inner_product",
     "tensor",
     "pad",
+    "gaussian_triple",
+    "gaussian_columns",
     "gate_matrix",
     "apply_gate",
     "prepare",
@@ -50,6 +59,14 @@ LEAK_HARD = 1e-3
 
 # working spaces larger than this many entries are refused with guidance
 MAX_WORKING_ELEMENTS = 1 << 24
+
+
+class MeasurementSpecError(ValueError):
+    """A malformed request, not a numerical failure: inputs of a shape the
+    protocol cannot take (a state or gate that does not fit its modes and
+    cutoff, ensemble weights off the simplex), measurement pairs or
+    detector thresholds that do not fit the register they measure, a shot
+    count below 1, or threshold-planner inputs out of range."""
 
 
 class PreparationLeakError(ValueError):
@@ -88,9 +105,9 @@ class CutoffSpec:
     def __post_init__(self):
         caps = tuple(int(n) for n in self.per_mode_max)
         if not caps:
-            raise ValueError("cutoff needs at least one mode")
+            raise MeasurementSpecError("cutoff needs at least one mode")
         if any(n < 0 for n in caps):
-            raise ValueError("per-mode cutoffs must be >= 0")
+            raise MeasurementSpecError("per-mode cutoffs must be >= 0")
         object.__setattr__(self, "per_mode_max", caps)
 
     @classmethod
@@ -130,7 +147,7 @@ class FockState:
         amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
         if amps.shape != self.cutoff.shape:
             if amps.size != self.cutoff.dim:
-                raise ValueError(
+                raise MeasurementSpecError(
                     f"amplitude count {amps.size} does not match cutoff dim {self.cutoff.dim}"
                 )
             amps = amps.reshape(self.cutoff.shape)
@@ -152,14 +169,14 @@ class MixedEnsemble:
     def __post_init__(self):
         comps = tuple((float(w), s) for w, s in self.components)
         if not comps:
-            raise ValueError("ensemble needs at least one component")
+            raise MeasurementSpecError("ensemble needs at least one component")
         if not all(0.0 < w <= 1.0 for w, _ in comps):
-            raise ValueError("ensemble weights must lie in (0, 1]")
+            raise MeasurementSpecError("ensemble weights must lie in (0, 1]")
         if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
-            raise ValueError("ensemble weights must sum to 1")
+            raise MeasurementSpecError("ensemble weights must sum to 1")
         ref = comps[0][1].cutoff
         if any(s.cutoff != ref for _, s in comps):
-            raise ValueError("ensemble components must share modes and cutoff")
+            raise MeasurementSpecError("ensemble components must share modes and cutoff")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -189,7 +206,7 @@ def _canonical_phase(phi: float) -> float:
 def _check_theta(theta: float) -> float:
     theta = float(theta)
     if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"beamsplitter angle {theta} outside [0, pi]")
+        raise MeasurementSpecError(f"beamsplitter angle {theta} outside [0, pi]")
     return min(max(theta, 0.0), math.pi)
 
 
@@ -216,7 +233,7 @@ class Beamsplitter:
         object.__setattr__(self, "theta", _check_theta(self.theta))
         object.__setattr__(self, "phi", _canonical_phase(self.phi))
         if self.mode_i == self.mode_j:
-            raise ValueError("beamsplitter modes must be distinct")
+            raise MeasurementSpecError("beamsplitter modes must be distinct")
 
 
 @dataclass(frozen=True)
@@ -239,9 +256,9 @@ def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
     """Unit state with amplitude 1 on ``pattern``."""
     counts = tuple(int(n) for n in pattern)
     if len(counts) != cutoff.modes:
-        raise ValueError("pattern length does not match mode count")
+        raise MeasurementSpecError("pattern length does not match mode count")
     if any(not 0 <= n <= cap for n, cap in zip(counts, cutoff.per_mode_max)):
-        raise ValueError(f"pattern {counts} lies outside cutoff {cutoff.per_mode_max}")
+        raise MeasurementSpecError(f"pattern {counts} lies outside cutoff {cutoff.per_mode_max}")
     check_working_size(1, cutoff.dim)
     amps = np.zeros(cutoff.shape, dtype=np.complex128)
     amps[counts] = 1.0
@@ -251,7 +268,7 @@ def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
 def inner_product(a: FockState, b: FockState) -> complex:
     """<a|b> with conjugation on ``a``."""
     if a.cutoff != b.cutoff:
-        raise ValueError("inner product requires matching modes and cutoffs")
+        raise MeasurementSpecError("inner product requires matching modes and cutoffs")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -269,9 +286,9 @@ def pad(state: FockState, per_mode_max) -> FockState:
     """Embed into larger per-mode cutoffs (zero fill above the old ones)."""
     caps = tuple(int(n) for n in per_mode_max)
     if len(caps) != state.modes:
-        raise ValueError("pad spec must cover every mode")
+        raise MeasurementSpecError("pad spec must cover every mode")
     if any(new < old for new, old in zip(caps, state.cutoff.per_mode_max)):
-        raise ValueError("pad cannot shrink a cutoff")
+        raise MeasurementSpecError("pad cannot shrink a cutoff")
     if caps == state.cutoff.per_mode_max:
         return state
     cutoff = CutoffSpec(caps)
@@ -282,68 +299,72 @@ def pad(state: FockState, per_mode_max) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# exact single-mode gate matrices
+# Gaussian single-mode unitaries
 
 
-def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """<m|D(alpha)|n> on a (dim x dim) truncated space.
+def gaussian_triple(gates) -> tuple[complex, complex, complex]:
+    """(mu, nu, gamma) with G^dag a G = mu a + nu a^dag + gamma for the one
+    Gaussian unitary G that single-mode gates on one mode compose to, first
+    gate first: D(alpha) is (1, 0, alpha), S(r e^{i theta}) (cosh r,
+    -e^{i theta} sinh r, 0) and R(phi) (e^{-i phi}, 0, 0), and U_2 U_1 is
+    (mu_2 mu_1 + nu_2 conj(nu_1), mu_2 nu_1 + nu_2 conj(mu_1), mu_2 gamma_1
+    + nu_2 conj(gamma_1) + gamma_2)."""
+    mu, nu, gamma = 1 + 0j, 0j, 0j
+    for g in gates:
+        if isinstance(g, Displacement):
+            gamma += complex(g.alpha)
+        elif isinstance(g, PhaseRotation):
+            turn = cmath.exp(-1j * g.phi)
+            mu, nu, gamma = turn * mu, turn * nu, turn * gamma
+        elif not isinstance(g, Squeeze):
+            raise TypeError(f"{g!r} is not a single-mode gate")
+        elif g.z != 0:
+            r = abs(g.z)
+            ch, sh = math.cosh(r), -complex(g.z) / r * math.sinh(r)
+            mu, nu, gamma = (ch * mu + sh * nu.conjugate(), ch * nu + sh * mu.conjugate(),
+                             ch * gamma + sh * gamma.conjugate())
+    return mu, nu, gamma
 
-    Column 0 is the coherent-state closed form; later columns follow the
-    exact recurrence D[m, n+1] = (sqrt(m) D[m-1, n] - conj(alpha) D[m, n])
-    / sqrt(n+1), which never references elements above the cutoff.
-    """
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[:, 0] = _coherent_amps(alpha, dim)
-    sqrt = np.sqrt(np.arange(dim))
-    for n in range(dim - 1):
-        # column n + 1 holds sqrt(m) D[m-1, n] (0 at m = 0) until it is replaced
-        mat[1:, n + 1] = sqrt[1:] * mat[: dim - 1, n]
-        mat[:, n + 1] = (mat[:, n + 1] - np.conj(alpha) * mat[:, n]) / sqrt[n + 1]
-    return mat
+
+def gaussian_columns(triples, dim: int, k: int) -> np.ndarray:
+    """<m|G|n> for m < dim and n < k of each Gaussian unitary G given by its
+    ``gaussian_triple``, stacked, with <0|G|0> > 0, refused before it is
+    allocated beyond the working-space limit.  Row 0 is the conjugate of
+    G^dag's vacuum column, mu sqrt(n+1) x[n+1] = -gamma x[n] - nu sqrt(n)
+    x[n-1], from its closed-form norm.  As G a = (conj(mu) a - nu a^dag - c)
+    G with c = conj(mu) gamma - nu conj(gamma), row m+1 is (sqrt(n) G[m,
+    n-1] + nu sqrt(m) G[m-1, n] + c G[m, n]) / (conj(mu) sqrt(m+1)): no
+    reference leaves the block, so each column loses exactly the weight G
+    pushes past the cutoff.  (A sweep by columns is unstable.)"""
+    check_working_size(len(triples), dim * k)
+    x0 = [math.exp(0.5 * ((nu.conjugate() * gamma ** 2 / mu).real - abs(gamma) ** 2))
+          / math.sqrt(abs(mu)) for mu, nu, gamma in triples]
+    mu, nu, gamma = (np.array(v, dtype=np.complex128)[:, None] for v in zip(*triples))
+    c = mu.conj() * gamma - nu * gamma.conj()
+    sqrt = np.sqrt(np.arange(max(dim, k)))
+    # block[m + 1, :, n + 1] holds G[m, n]; row -1 and column -1 stay zero
+    block = np.zeros((dim + 1, len(triples), k + 1), dtype=np.complex128)
+    top = block[1]  # top[:, j + 1] holds x[j] until it is conjugated into row 0
+    top[:, 1] = x0
+    for j in range(1, k):
+        top[:, j + 1:j + 2] = -(gamma * top[:, j:j + 1] + nu * sqrt[j - 1] * top[:, j - 1:j]) / (
+            mu * sqrt[j])
+    top[:] = top.conj()
+    for m in range(dim - 1):
+        block[m + 2, :, 1:] = (sqrt[:k] * block[m + 1, :, :k] + nu * sqrt[m] * block[m, :, 1:]
+                               + c * block[m + 1, :, 1:]) / (mu.conj() * sqrt[m + 1])
+    return np.moveaxis(block[1:, :, 1:], 1, 0)
 
 
-def _squeeze_edge(z: complex, dim: int, sign: float) -> np.ndarray:
-    """Squeezed-vacuum closed form: column 0 (sign=-1) or row 0 (sign=+1)."""
+def _squeeze_edge(z: complex, dim: int) -> np.ndarray:
+    """Squeezed-vacuum closed form <n|S(z)|0>."""
     r = abs(z)
-    phase = z / r
     edge = np.zeros(dim, dtype=np.complex128)
     edge[0] = 1.0 / math.sqrt(math.cosh(r))
-    ratio = sign * (phase if sign < 0 else np.conj(phase)) * math.tanh(r)
+    ratio = -(z / r) * math.tanh(r)
     for k in range(1, (dim - 1) // 2 + 1):
         edge[2 * k] = edge[2 * k - 2] * ratio * math.sqrt((2 * k - 1) / (2 * k))
     return edge
-
-
-def _squeeze_matrix(z: complex, dim: int) -> np.ndarray:
-    """<m|S(z)|n> for S(z) = exp((conj(z) a^2 - z a^dag^2)/2); S(0) is the
-    identity.
-
-    Seeded by the squeezed-vacuum column and row, filled by the two-term
-    recurrence S[m+1, n] = (sqrt(n) S[m, n-1] - e^{i arg z} sinh|z| sqrt(m)
-    S[m-1, n]) / (cosh|z| sqrt(m+1)); all references stay inside the box.
-    The sweep runs by rows: row m+1 over every column n >= 1 comes from
-    row m, shifted by one column, and row m-1, with the arithmetic of an
-    element-by-element loop.
-    """
-    if z == 0:
-        return np.eye(dim, dtype=np.complex128)
-    r = abs(z)
-    coef, ch = z / r * math.sinh(r), math.cosh(r)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[:, 0] = _squeeze_edge(z, dim, -1.0)
-    mat[0, :] = _squeeze_edge(z, dim, +1.0)
-    sqrt = np.sqrt(np.arange(dim))
-    for m in range(0, dim - 1):
-        row = sqrt[1:] * mat[m, : dim - 1]
-        if m > 0:
-            # the complex product in real parts, one rounding per operation:
-            # numpy's vector complex multiply may fuse multiply-adds, which
-            # round differently from the element loop and between machines
-            c_re, c_im, prev = coef.real * sqrt[m], coef.imag * sqrt[m], mat[m - 1, 1:]
-            row.real -= c_re * prev.real - c_im * prev.imag
-            row.imag -= c_re * prev.imag + c_im * prev.real
-        mat[m + 1, 1:] = row / (ch * sqrt[m + 1])
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -409,24 +430,24 @@ def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
 def _mode_dims(cutoff: CutoffSpec, modes: tuple[int, ...]) -> tuple[int, ...]:
     for m in modes:
         if not 0 <= m < cutoff.modes:
-            raise ValueError(f"gate mode {m} outside 0..{cutoff.modes - 1}")
+            raise MeasurementSpecError(f"gate mode {m} outside 0..{cutoff.modes - 1}")
     return tuple(cutoff.shape[m] for m in modes)
 
 
 def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
     """A single-mode gate's truncated Fock matrix on its mode, refused
-    before it is allocated beyond the working-space limit.  Displacement
-    and squeeze columns lose exactly the weight pushed past the cutoff; a
-    beamsplitter, which ``apply_gate`` applies block by block, has none."""
+    before it is allocated beyond the working-space limit.  A displacement
+    or squeeze comes from ``gaussian_columns``, so its columns lose exactly
+    the weight pushed past the cutoff; a phase rotation is its closed-form
+    diagonal.  A beamsplitter, which ``apply_gate`` applies block by block,
+    has none."""
     if not isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
         raise TypeError(f"{gate!r} is not a single-mode gate")
     (dim,) = _mode_dims(cutoff, (gate.mode,))
-    check_working_size(1, dim * dim)
-    if isinstance(gate, Displacement):
-        return _displacement_matrix(complex(gate.alpha), dim)
-    if isinstance(gate, Squeeze):
-        return _squeeze_matrix(complex(gate.z), dim)
-    return np.diag(np.exp(-1j * gate.phi * np.arange(dim)))
+    if isinstance(gate, PhaseRotation):
+        check_working_size(1, dim * dim)
+        return np.diag(np.exp(-1j * gate.phi * np.arange(dim)))
+    return gaussian_columns([gaussian_triple([gate])], dim, dim)[0]
 
 
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
@@ -478,17 +499,17 @@ def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
         return basis_state((0,) * cutoff.modes, cutoff)
     if kind == "coherent":
         if cutoff.modes != 1:
-            raise ValueError("coherent preparation is single-mode")
+            raise MeasurementSpecError("coherent preparation is single-mode")
         raw = _coherent_amps(complex(alpha), cutoff.shape[0])
     elif kind == "squeezed":
         if cutoff.modes != 1:
-            raise ValueError("squeezed preparation is single-mode")
+            raise MeasurementSpecError("squeezed preparation is single-mode")
         if z == 0:
             return basis_state((0,), cutoff)
-        raw = _squeeze_edge(complex(z), cutoff.shape[0], -1.0)
+        raw = _squeeze_edge(complex(z), cutoff.shape[0])
     elif kind == "tmss":
         if cutoff.modes != 2:
-            raise ValueError("tmss preparation is two-mode")
+            raise MeasurementSpecError("tmss preparation is two-mode")
         if r == 0.0:
             return basis_state((0, 0), cutoff)
         d1, d2 = cutoff.shape
@@ -496,7 +517,7 @@ def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
         n = np.arange(min(d1, d2))
         raw[n, n] = (-math.tanh(r)) ** n / math.cosh(r)
     else:
-        raise ValueError(f"unknown preparation kind {kind!r}")
+        raise MeasurementSpecError(f"unknown preparation kind {kind!r}")
     leak = max(0.0, 1.0 - float(np.vdot(raw, raw).real))
     warn = check_leak(leak, f"{kind} preparation")
     amps = raw / math.sqrt(max(1.0 - leak, np.finfo(float).tiny))
@@ -518,7 +539,7 @@ def _pattern_probabilities(state: FockState) -> np.ndarray:
 def truncation_weight(state, modes_subset, threshold: int) -> float:
     """Probability that the summed photon count over the subset is <= threshold."""
     if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise MeasurementSpecError("threshold must be >= 0")
     subset = tuple(modes_subset)
     value = 0.0
     for w, pure in components_of(state):

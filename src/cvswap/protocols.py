@@ -11,7 +11,6 @@ with the CV photon-parity measurement.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -187,60 +186,6 @@ def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
 # variational-compiling cost
 
 
-def _bogoliubov(gates) -> tuple[complex, complex, complex]:
-    """(mu, nu, gamma) with G^dag a G = mu a + nu a^dag + gamma for the one
-    Gaussian unitary G a register-A circuit composes to, first gate first:
-    D(alpha) is (1, 0, alpha), S(r e^{i theta}) (cosh r, -e^{i theta} sinh r,
-    0) and R(phi) (e^{-i phi}, 0, 0), and U_2 U_1 is (mu_2 mu_1 + nu_2
-    conj(nu_1), mu_2 nu_1 + nu_2 conj(mu_1), mu_2 gamma_1 + nu_2 conj(gamma_1)
-    + gamma_2)."""
-    mu, nu, gamma = 1 + 0j, 0j, 0j
-    for g in gates:
-        if not isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) or g.mode != 0:
-            raise MeasurementSpecError(
-                "compiling circuits must act on register A only (single-mode gates on mode 0)")
-        if isinstance(g, fock.Displacement):
-            gamma += complex(g.alpha)
-        elif isinstance(g, fock.PhaseRotation):
-            turn = cmath.exp(-1j * g.phi)
-            mu, nu, gamma = turn * mu, turn * nu, turn * gamma
-        elif g.z != 0:
-            r = abs(g.z)
-            ch, sh = math.cosh(r), -complex(g.z) / r * math.sinh(r)
-            mu, nu, gamma = (ch * mu + sh * nu.conjugate(), ch * nu + sh * mu.conjugate(),
-                             ch * gamma + sh * gamma.conjugate())
-    return mu, nu, gamma
-
-
-def _circuit_columns(triples, dim: int, k: int) -> np.ndarray:
-    """<m|G|n> for m < dim and n < k of each Gaussian unitary G given by its
-    ``_bogoliubov`` triple, stacked, with <0|G|0> > 0.  Row 0 is the
-    conjugate of G^dag's vacuum column, mu sqrt(n+1) x[n+1] = -gamma x[n] -
-    nu sqrt(n) x[n-1], from its closed-form norm.  As G a = (conj(mu) a -
-    nu a^dag - c) G with c = conj(mu) gamma - nu conj(gamma), row m+1 is
-    (sqrt(n) G[m, n-1] + nu sqrt(m) G[m-1, n] + c G[m, n]) / (conj(mu)
-    sqrt(m+1)): no reference leaves the block, so the circuit is applied
-    exactly and truncated once.  (A sweep by columns is unstable.)"""
-    fock.check_working_size(len(triples), dim * k)
-    x0 = [math.exp(0.5 * ((nu.conjugate() * gamma ** 2 / mu).real - abs(gamma) ** 2))
-          / math.sqrt(abs(mu)) for mu, nu, gamma in triples]
-    mu, nu, gamma = (np.array(v, dtype=np.complex128)[:, None] for v in zip(*triples))
-    c = mu.conj() * gamma - nu * gamma.conj()
-    sqrt = np.sqrt(np.arange(max(dim, k)))
-    # block[m + 1, :, n + 1] holds G[m, n]; row -1 and column -1 stay zero
-    block = np.zeros((dim + 1, len(triples), k + 1), dtype=np.complex128)
-    top = block[1]  # top[:, j + 1] holds x[j] until it is conjugated into row 0
-    top[:, 1] = x0
-    for j in range(1, k):
-        top[:, j + 1:j + 2] = -(gamma * top[:, j:j + 1] + nu * sqrt[j - 1] * top[:, j - 1:j]) / (
-            mu * sqrt[j])
-    top[:] = top.conj()
-    for m in range(dim - 1):
-        block[m + 2, :, 1:] = (sqrt[:k] * block[m + 1, :, :k] + nu * sqrt[m] * block[m, :, 1:]
-                               + c * block[m + 1, :, 1:]) / (mu.conj() * sqrt[m + 1])
-    return np.moveaxis(block[1:, :, 1:], 1, 0)
-
-
 # a term's SWAP tests pair register A with A' and R with R'
 _COMPILE_PAIRS = [(0, 2), (1, 3)]
 
@@ -249,13 +194,14 @@ def compile_terms(training, u_gates, v_gates, m_totals=None) -> list[tuple[list,
     """([U|psi_j>, V|psi_j>], total threshold) for each training state, the
     terms ``compile_cost`` and ``compile_cost_expectation`` read.
 
-    Each circuit is composed once into one Gaussian unitary.  Per A-mode
-    dimension d, only the columns n < k of U and of V that the training
-    components occupy are built, d x k, and every component's mode-A
-    columns go through them as one block.  A mapped component's leak is its
-    input leak plus the weight the circuit pushes past the A cutoff; a leak
-    from LEAK_SOFT on sets its warning flag, one above LEAK_HARD is refused.
-    A total threshold applies the detector condition to the four-mode total
+    Each circuit is composed once into one Gaussian unitary
+    (``fock.gaussian_triple``).  Per A-mode dimension d, only the columns n
+    < k of U and of V that the training components occupy are built, d x k
+    (``fock.gaussian_columns``), and every component's mode-A columns go
+    through them as one block.  A mapped component's leak is its input
+    leak plus the weight the circuit pushes past the A cutoff; a leak from
+    LEAK_SOFT on sets its warning flag, one above LEAK_HARD is refused.  A
+    total threshold applies the detector condition to the four-mode total
     photon count.
     """
     training = list(training)
@@ -263,7 +209,12 @@ def compile_terms(training, u_gates, v_gates, m_totals=None) -> list[tuple[list,
         raise MeasurementSpecError("training set is empty")
     if any(psi.modes != 2 for psi in training):
         raise MeasurementSpecError("training states live on two modes (A, R)")
-    triples = [_bogoliubov(gates) for gates in (u_gates, v_gates)]
+    circuits = [list(u_gates), list(v_gates)]
+    if not all(isinstance(g, (fock.Displacement, fock.Squeeze, fock.PhaseRotation)) and g.mode == 0
+               for gates in circuits for g in gates):
+        raise MeasurementSpecError(
+            "compiling circuits must act on register A only (single-mode gates on mode 0)")
+    triples = [fock.gaussian_triple(gates) for gates in circuits]
     totals = list(m_totals) if m_totals is not None else [None] * len(training)
     if len(totals) != len(training):
         raise MeasurementSpecError("one total threshold per training state required")
@@ -274,7 +225,7 @@ def compile_terms(training, u_gates, v_gates, m_totals=None) -> list[tuple[list,
         k = 1 + int(np.flatnonzero(np.any(cols != 0, axis=1)).max(initial=0))
         edges = np.cumsum([s.cutoff.shape[1] for s in comps])[:-1]
         images = [np.split(block @ cols[:k], edges, axis=1)
-                  for block in _circuit_columns(triples, d, k)]
+                  for block in fock.gaussian_columns(triples, d, k)]
         for s, *pair in zip(comps, *images):
             mapped[id(s)] = []
             for image, side in zip(pair, "UV"):

@@ -135,44 +135,12 @@ def padded_circuit(state: fock.FockState, gates) -> tuple[fock.FockState, float]
     return fock.FockState(state.cutoff, cut), 1.0 - float(np.vdot(cut, cut).real) / state.norm_sq
 
 
-def per_gate_matrix(gate, dim: int) -> np.ndarray:
-    """One gate's truncated Fock matrix (a phase rotation's diagonal), built
-    by the column and row sweeps written out here: the bit-for-bit oracle
-    of ``fock.gate_matrix``."""
-    sqrt = np.sqrt(np.arange(dim + 1))
-    if isinstance(gate, fock.PhaseRotation):
-        return np.exp(-1j * gate.phi * np.arange(dim))
-    if isinstance(gate, fock.Displacement):
-        alpha = complex(gate.alpha)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[0, 0] = math.exp(-0.5 * abs(alpha) ** 2)
-        for n in range(1, dim):
-            mat[n, 0] = mat[n - 1, 0] * alpha / math.sqrt(n)
-        for n in range(dim - 1):
-            shifted = np.zeros(dim, dtype=np.complex128)
-            shifted[1:] = sqrt[1:dim] * mat[: dim - 1, n]
-            mat[:, n + 1] = (shifted - np.conj(alpha) * mat[:, n]) / sqrt[n + 1]
-        return mat
-    z = complex(gate.z)
-    if z == 0:
-        return np.eye(dim, dtype=np.complex128)
-    r = abs(z)
-    phase = z / r
-    ch, sh = math.cosh(r), math.sinh(r)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for sign, edge in ((-1.0, mat[:, 0]), (1.0, mat[0, :])):
-        edge[0] = 1.0 / math.sqrt(ch)
-        ratio = sign * (phase if sign < 0 else np.conj(phase)) * math.tanh(r)
-        for k in range(1, (dim - 1) // 2 + 1):
-            edge[2 * k] = edge[2 * k - 2] * ratio * math.sqrt((2 * k - 1) / (2 * k))
-    for m in range(0, dim - 1):
-        row = sqrt[1:dim] * mat[m, : dim - 1]
-        if m > 0:
-            coef, prev = phase * sh * sqrt[m], mat[m - 1, 1:]
-            row.real -= coef.real * prev.real - coef.imag * prev.imag
-            row.imag -= coef.real * prev.imag + coef.imag * prev.real
-        mat[m + 1, 1:] = row / (ch * sqrt[m + 1])
-    return mat
+def padded_on_a(state, a_cap: int):
+    """``state``, pure or an ensemble, with its mode-A cutoff raised to
+    ``a_cap``."""
+    comps = tuple((w, fock.pad(s, (a_cap,) + s.cutoff.per_mode_max[1:]))
+                  for w, s in fock.components_of(state))
+    return comps[0][1] if isinstance(state, fock.FockState) else fock.MixedEnsemble(comps)
 
 
 def swap_modes(state: fock.FockState, i: int, j: int) -> fock.FockState:

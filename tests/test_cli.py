@@ -474,12 +474,38 @@ TRAINING = [{"kind": "vacuum", "cutoff": [2, 2]}]
     ("fig2", {"r_list": 1.0}, "r_list must be a list"),
     ("hybrid", {"state_a": 5, "state_b": HYBRID_SPEC}, "state_a must be an object"),
     ("hybrid", {"state_a": HYBRID_SPEC, "state_b": [1, 0]}, "state_b must be an object"),
+    ("qudit-basis", {"basis": ["w"]}, "basis must be 'v' or 'w'"),
+    ("qudit-basis", {"basis": {"a": 1}}, "basis must be 'v' or 'w'"),
 ])
 def test_malformed_integer_or_container_is_config_error(tmp_path, capsys, command, config, message):
     code, _ = run_cli(tmp_path, command, config)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+VACUUM = {"kind": "vacuum", "cutoff": [2]}
+
+
+@pytest.mark.parametrize("state, message", [
+    ({"kind": "vacuum", "cutoff": []}, "cutoff needs at least one mode"),
+    ({"kind": "coherent", "alpha": 0.1, "cutoff": [2, 2]}, "coherent preparation is single-mode"),
+    ({"kind": "squeezed", "z": 0.1, "cutoff": [2, 2]}, "squeezed preparation is single-mode"),
+    ({"kind": "tmss", "r": 0.1, "cutoff": [2]}, "tmss preparation is two-mode"),
+    ({"kind": "basis", "pattern": [3], "cutoff": [2]}, "pattern (3,) lies outside cutoff (2,)"),
+    ({"kind": "basis", "pattern": [0, 0], "cutoff": [2]}, "pattern length does not match mode count"),
+    ({"mixture": []}, "ensemble needs at least one component"),
+    ({"mixture": [{"weight": 1.5, "state": VACUUM}]}, "ensemble weights must lie in (0, 1]"),
+    ({"mixture": [{"weight": 0.3, "state": VACUUM}] * 2}, "ensemble weights must sum to 1"),
+    ({"mixture": [{"weight": 0.5, "state": VACUUM}, {"weight": 0.5, "state": {**VACUUM, "cutoff": [3]}}]},
+     "ensemble components must share modes and cutoff"),
+])
+def test_malformed_state_spec_is_config_error(tmp_path, capsys, state, message):
+    # a state spec that does not fit its own cutoff or weights is a config
+    # error (exit 2), not a numerical failure, with one line
+    code, out = run_cli(tmp_path, "overlap", {"state_a": state, "state_b": VACUUM})
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_integral_floats_are_integers(tmp_path):
@@ -839,9 +865,9 @@ def test_compile_cost_builds_each_circuit_once(tmp_path, monkeypatch):
     # circuit is composed once and its occupied columns built once per A
     # dimension, from no gate matrix
     calls = []
-    for owner, name in ((proto, "_bogoliubov"), (proto, "_circuit_columns"), (fock, "gate_matrix")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: (
+    for name in ("gaussian_triple", "gaussian_columns", "gate_matrix"):
+        original = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda *args, name=name, original=original: (
             calls.append((name, *args[1:])) or original(*args)))
     gates = [{"gate": "displacement", "alpha": 0.2, "mode": 0}, {"gate": "squeeze", "z": 0.1, "mode": 0},
              {"gate": "phase", "phi": 0.3, "mode": 0}]
@@ -849,5 +875,5 @@ def test_compile_cost_builds_each_circuit_once(tmp_path, monkeypatch):
                            {"kind": "basis", "pattern": [2, 1], "cutoff": [6, 1]}],
               "u_gates": gates, "v_gates": gates[::-1], "shots_per_term": 100, "seed": 3}
     assert run_cli(tmp_path, "compile-cost", config)[0] == 0
-    assert sorted(calls) == [("_bogoliubov",), ("_bogoliubov",),
-                             ("_circuit_columns", 5, 2), ("_circuit_columns", 7, 3)]
+    assert sorted(calls) == [("gaussian_columns", 5, 2), ("gaussian_columns", 7, 3),
+                             ("gaussian_triple",), ("gaussian_triple",)]

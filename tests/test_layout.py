@@ -96,12 +96,12 @@ def test_beamsplitters_run_only_where_shots_are_drawn():
 def test_compile_cost_functions_build_no_circuit():
     # compile-cost composes and builds its circuits once, in compile_terms,
     # from no gate matrix, and both the cost and its exact value only read
-    # the terms
+    # the terms; the one Gaussian builder also serves gate_matrix
     found = {callee: _callers(callee)
-             for callee in ("compile_terms", "_bogoliubov", "_circuit_columns", "gate_matrix")}
+             for callee in ("compile_terms", "gaussian_triple", "gaussian_columns", "gate_matrix")}
     assert found == {"compile_terms": ["cli.cmd_compile_cost"],
-                     "_bogoliubov": ["protocols.compile_terms"],
-                     "_circuit_columns": ["protocols.compile_terms"],
+                     "gaussian_triple": ["fock.gate_matrix", "protocols.compile_terms"],
+                     "gaussian_columns": ["fock.gate_matrix", "protocols.compile_terms"],
                      "gate_matrix": ["fock.apply_gate"]}
 
 

@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 
-from conftest import density_matrix, padded_circuit
+from conftest import density_matrix, padded_circuit, padded_on_a
 
 TOL = 1e-10
 
@@ -193,13 +193,17 @@ def mapped_density(state, gates) -> tuple[np.ndarray, float]:
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
+@example(416)  # the refusal branch
 def test_compile_cost_term_laws(seed):
     # each term's law against the dense oracle of the exactly mapped
-    # states, or the refusal where the oracle loses more than LEAK_HARD
-    # (most examples: the random states fill cutoffs of at most 2)
+    # states, or the refusal where the oracle loses more than LEAK_HARD;
+    # the random states fill A cutoffs of at most 2 and are padded on A by
+    # 10 levels, so that most circuits keep their images inside the box
     rng = np.random.default_rng(seed)
     caps = [int(rng.integers(1, 3)), int(rng.integers(0, 3))]
-    training = [random_state(rng, caps, int(rng.integers(1, 3))) for _ in range(rng.integers(1, 4))]
+    training = [padded_on_a(random_state(rng, caps, int(rng.integers(1, 3))), caps[0] + 10)
+                for _ in range(rng.integers(1, 4))]
+    caps[0] += 10
     u_gates, v_gates = random_gates(rng), random_gates(rng)
     totals = None if rng.random() < 0.3 else [threshold(rng, 5) for _ in training]
     mapped = [(mapped_density(psi, u_gates), mapped_density(psi, v_gates)) for psi in training]

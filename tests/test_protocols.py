@@ -23,6 +23,7 @@ from conftest import (
     measurement_block,
     mesh_perm_block,
     padded_circuit,
+    padded_on_a,
     purification_of,
     random_ensemble,
     random_pure,
@@ -308,13 +309,13 @@ def test_compile_cost_composes_each_circuit_once_per_a_dimension(rng, monkeypatc
     # over the rows the components occupy, no gate matrix built; the cost
     # functions only read the terms
     calls = []
-    for owner, name in ((proto, "_bogoliubov"), (proto, "_circuit_columns"), (fock, "gate_matrix")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: (
+    for name in ("gaussian_triple", "gaussian_columns", "gate_matrix"):
+        original = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda *args, name=name, original=original: (
             calls.append((name, *args[1:])) or original(*args)))
     terms = proto.compile_terms(training, u_gates, v_gates)
-    assert sorted(calls) == [("_bogoliubov",), ("_bogoliubov",),
-                             ("_circuit_columns", 25, 6), ("_circuit_columns", 28, 9)]
+    assert sorted(calls) == [("gaussian_columns", 25, 6), ("gaussian_columns", 28, 9),
+                             ("gaussian_triple",), ("gaussian_triple",)]
     calls.clear()
     assert proto.compile_cost_expectation(terms) == pytest.approx(want, abs=1e-12)
     proto.compile_cost(terms, 100, 4)
@@ -336,12 +337,15 @@ _COMPILE_GATES = st.lists(st.one_of(
                 min_size=1, max_size=4))
 @example(5, [fock.PhaseRotation(0.3, 0), fock.Displacement(1e-3, 0)], [fock.Squeeze(2e-3j, 0)],
          [(5, 2, 1), (3, 1, 2)])
+@example(5, [fock.Displacement(0.6, 0)] * 5, [], [(2, 1, 1)])  # the refusal branch
 def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v_gates, layouts):
     # random training sets of pure states and mixtures on (A, R) cutoffs,
     # with blocks of more columns than rows among them, against every
     # component run through each circuit gate by gate on a padded register
     # and truncated once: the value and each mapped component's leak, or
-    # the refusal where the oracle loses more than LEAK_HARD
+    # the refusal where the oracle loses more than LEAK_HARD.  Each state's
+    # A cutoff is raised by 10 after it is drawn, so that most circuits
+    # keep their images inside the box
     rng = np.random.default_rng(seed)
 
     def state(a_cap, r_cap):
@@ -350,6 +354,7 @@ def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v
 
     training = [state(a, r) if rank == 1 else MixedEnsemble(((0.35, state(a, r)), (0.65, state(a, r))))
                 for a, r, rank in layouts]
+    training = [padded_on_a(psi, psi.cutoff.per_mode_max[0] + 10) for psi in training]
     mapped = [[_exactly_mapped(psi, gates) for gates in (u_gates, v_gates)] for psi in training]
     if max(lost for pair in mapped for _, lost in pair) > fock.LEAK_HARD:
         with pytest.raises(fock.PreparationLeakError, match="compiling circuit"):
