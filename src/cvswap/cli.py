@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +28,28 @@ __all__ = ["main", "RunConfig", "ConfigError"]
 # the qudit-basis document writes every entry of its d^2 x d^2 matrix
 MAX_QUDIT_ENTRIES = 1 << 16
 
+# an estimator document writes one row per run
+MAX_RUNS = 1 << 16
+
 
 class ConfigError(ValueError):
     """Malformed run configuration (exit code 2)."""
 
 
-@dataclass
 class RunConfig:
     """Resolved run description as consumed by a subcommand."""
 
-    protocol: str
-    payload: dict
-    seed: int = 0
-    shots: int = 1
-    runs: int = 1
-    out: Path | None = None
-    fmt: str = "json"
+    __slots__ = ("protocol", "payload", "seed", "shots", "runs", "out", "fmt")
+
+    def __init__(self, protocol: str, payload: dict, seed: int, shots: int, runs: int,
+                 out: Path | None, fmt: str):
+        self.protocol = protocol
+        self.payload = payload
+        self.seed = seed
+        self.shots = shots
+        self.runs = runs
+        self.out = out
+        self.fmt = fmt
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,8 @@ def _load_config(args) -> RunConfig:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # a RecursionError is nesting deeper than the decoder's limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -200,6 +206,10 @@ def _load_config(args) -> RunConfig:
     fmt = args.format if args.format is not None else raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    if runs > MAX_RUNS:
+        raise fock.ResourceLimitError(
+            f"a config of {runs} runs emits one document row per run, beyond {MAX_RUNS}; "
+            f"use runs <= {MAX_RUNS}")
     resolved = dict(raw)
     resolved["protocol"] = args.command
     resolved["seed"] = seed
@@ -246,7 +256,10 @@ def _emit(cfg: RunConfig, results: dict, csv_rows: list[dict] | None) -> None:
         "results": results,
     }
     if cfg.fmt == "json":
-        text = json.dumps(document, indent=2)
+        try:
+            text = json.dumps(document, indent=2)
+        except RecursionError as exc:  # a config just within the decoder's nesting limit
+            raise ConfigError(f"config nests too deeply to embed in the document: {exc}") from exc
     else:
         if not csv_rows:
             raise ConfigError("this command has no CSV representation")

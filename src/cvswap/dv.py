@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DVState:
     """Dense state over a register of qudits with the given local dims."""
 
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
+    __slots__ = ("dims", "amplitudes")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims, amplitudes):
+        dims = tuple(int(d) for d in dims)
         if any(d < 2 for d in dims):
             raise ValueError("local dimensions must be >= 2")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         shape = dims
         if amps.shape != shape:
             if amps.size != int(np.prod(dims)):
@@ -52,18 +49,17 @@ class DVState:
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state norm^2 {norm} deviates from 1 beyond 1e-9")
         amps.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
+        self.dims = dims
+        self.amplitudes = amps
 
 
-@dataclass(frozen=True)
 class DVEnsemble:
     """Mixed qudit state as a convex ensemble of pure preparations."""
 
-    components: tuple[tuple[float, DVState], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple((float(w), s) for w, s in self.components)
+    def __init__(self, components):
+        comps = tuple((float(w), s) for w, s in components)
         if not comps:
             raise ValueError("ensemble needs at least one component")
         if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
@@ -73,7 +69,7 @@ class DVEnsemble:
         ref = comps[0][1].dims
         if any(s.dims != ref for _, s in comps):
             raise ValueError("ensemble components must share dims")
-        object.__setattr__(self, "components", comps)
+        self.components = comps
 
     @property
     def dims(self) -> tuple[int, ...]:

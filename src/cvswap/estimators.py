@@ -17,7 +17,6 @@ import functools
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "normal_quantile",
 ]
 
-@dataclass(frozen=True)
 class EstimatorResult:
     """Shot-estimator summary.
 
@@ -64,17 +62,24 @@ class EstimatorResult:
     threshold; they contribute weight 0 but remain in the denominator.
     """
 
-    mean: complex
-    stderr: float
-    shots: int
-    discarded: int
-    seed: int
+    __slots__ = ("mean", "stderr", "shots", "discarded", "seed")
 
-    def __post_init__(self):
-        if self.discarded > self.shots:
+    def __init__(self, mean: complex, stderr: float, shots: int, discarded: int, seed: int):
+        if discarded > shots:
             raise ValueError("discarded shots cannot exceed total shots")
-        if not math.isnan(self.stderr) and self.stderr < 0:
+        if not math.isnan(stderr) and stderr < 0:
             raise ValueError("stderr must be >= 0")
+        self.mean = mean
+        self.stderr = stderr
+        self.shots = shots
+        self.discarded = discarded
+        self.seed = seed
+
+    def __eq__(self, other):
+        if type(other) is not EstimatorResult:
+            return NotImplemented
+        return ((self.mean, self.stderr, self.shots, self.discarded, self.seed)
+                == (other.mean, other.stderr, other.shots, other.discarded, other.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +94,6 @@ class EstimatorResult:
         }
 
 
-@dataclass(frozen=True)
 class CutoffPlan:
     """Chosen detector threshold with its certified systematic-error bound.
 
@@ -97,15 +101,17 @@ class CutoffPlan:
     alongside the squeezed-family plan.
     """
 
-    M: int
-    bound: float
-    method: str
-    target_eps: float
-    reference_m: int | None = None
+    __slots__ = ("M", "bound", "method", "target_eps", "reference_m")
 
-    def __post_init__(self):
-        if self.M < 0:
+    def __init__(self, M: int, bound: float, method: str, target_eps: float,
+                 reference_m: int | None = None):
+        if M < 0:
             raise ValueError("threshold must be >= 0")
+        self.M = M
+        self.bound = bound
+        self.method = method
+        self.target_eps = target_eps
+        self.reference_m = reference_m
 
     def to_dict(self) -> dict:
         doc = {
@@ -139,12 +145,15 @@ def normalize_thresholds(m_per_pair, n_pairs: int) -> list[int | None]:
     return out
 
 
-@dataclass
 class _Group:
-    factors: list          # FockState | MixedEnsemble, modes concatenated
-    local_pairs: list[tuple[int, int]]
-    thresholds: list[int | None]
-    base_caps: list[int]
+    __slots__ = ("factors", "local_pairs", "thresholds", "base_caps")
+
+    def __init__(self, factors: list, local_pairs: list[tuple[int, int]],
+                 thresholds: list[int | None], base_caps: list[int]):
+        self.factors = factors  # FockState | MixedEnsemble, modes concatenated
+        self.local_pairs = local_pairs
+        self.thresholds = thresholds
+        self.base_caps = base_caps
 
 
 def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:

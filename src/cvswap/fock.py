@@ -11,15 +11,15 @@ from a truncated generator, a path that exists only as a test oracle.
 Inputs of a shape that does not fit raise ``MeasurementSpecError``.  A
 beamsplitter has no dense matrix: ``apply_gate`` applies it one
 total-photon-number block at a time, on a box that holds every block it
-reaches.  Values are immutable after construction and all operations are
-pure functions.
+reaches.  The value types are plain slotted classes that no operation
+modifies after construction (a state's amplitudes are read-only), and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,19 +96,23 @@ def check_working_size(rows: int, columns: int) -> None:
 # domain types
 
 
-@dataclass(frozen=True)
 class CutoffSpec:
     """Per-mode maximum photon numbers; local dimension is N_max + 1."""
 
-    per_mode_max: tuple[int, ...]
+    __slots__ = ("per_mode_max",)
 
-    def __post_init__(self):
-        caps = tuple(int(n) for n in self.per_mode_max)
+    def __init__(self, per_mode_max):
+        caps = tuple(int(n) for n in per_mode_max)
         if not caps:
             raise MeasurementSpecError("cutoff needs at least one mode")
         if any(n < 0 for n in caps):
             raise MeasurementSpecError("per-mode cutoffs must be >= 0")
-        object.__setattr__(self, "per_mode_max", caps)
+        self.per_mode_max = caps
+
+    def __eq__(self, other):
+        if type(other) is not CutoffSpec:
+            return NotImplemented
+        return self.per_mode_max == other.per_mode_max
 
     @classmethod
     def uniform(cls, n_max: int, modes: int) -> "CutoffSpec":
@@ -127,47 +131,46 @@ class CutoffSpec:
         return math.prod(self.shape)
 
 
-@dataclass(frozen=True)
 class FockState:
     """Dense state over the truncated multimode Fock basis.
 
-    ``amplitudes`` is shaped per mode; its row-major flattening matches
-    the pattern ordering used everywhere else.  ``leak`` records weight
-    lost to truncation by the preparation that produced the state.
+    ``amplitudes`` is a read-only copy shaped per mode; its row-major
+    flattening matches the pattern ordering used everywhere else, and
+    ``norm_sq`` is computed from it.  ``leak`` records weight lost to
+    truncation by the preparation that produced the state.
     """
 
-    cutoff: CutoffSpec
-    amplitudes: np.ndarray
-    norm_sq: float = field(init=False)
-    leak: float = 0.0
-    leak_warning: bool = False
+    __slots__ = ("cutoff", "amplitudes", "norm_sq", "leak", "leak_warning")
 
-    def __post_init__(self):
+    def __init__(self, cutoff: CutoffSpec, amplitudes, leak: float = 0.0,
+                 leak_warning: bool = False):
         # own a copy so freezing never touches a caller's array
-        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
-        if amps.shape != self.cutoff.shape:
-            if amps.size != self.cutoff.dim:
+        amps = np.array(amplitudes, dtype=np.complex128, order="C")
+        if amps.shape != cutoff.shape:
+            if amps.size != cutoff.dim:
                 raise MeasurementSpecError(
-                    f"amplitude count {amps.size} does not match cutoff dim {self.cutoff.dim}"
+                    f"amplitude count {amps.size} does not match cutoff dim {cutoff.dim}"
                 )
-            amps = amps.reshape(self.cutoff.shape)
+            amps = amps.reshape(cutoff.shape)
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm_sq", float(np.vdot(amps, amps).real))
+        self.cutoff = cutoff
+        self.amplitudes = amps
+        self.norm_sq = float(np.vdot(amps, amps).real)
+        self.leak = leak
+        self.leak_warning = leak_warning
 
     @property
     def modes(self) -> int:
         return self.cutoff.modes
 
 
-@dataclass(frozen=True)
 class MixedEnsemble:
     """Mixed state as a convex ensemble of pure-state preparations."""
 
-    components: tuple[tuple[float, FockState], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple((float(w), s) for w, s in self.components)
+    def __init__(self, components):
+        comps = tuple((float(w), s) for w, s in components)
         if not comps:
             raise MeasurementSpecError("ensemble needs at least one component")
         if not all(0.0 < w <= 1.0 for w, _ in comps):
@@ -177,7 +180,7 @@ class MixedEnsemble:
         ref = comps[0][1].cutoff
         if any(s.cutoff != ref for _, s in comps):
             raise MeasurementSpecError("ensemble components must share modes and cutoff")
-        object.__setattr__(self, "components", comps)
+        self.components = comps
 
     @property
     def cutoff(self) -> CutoffSpec:
@@ -210,39 +213,50 @@ def _check_theta(theta: float) -> float:
     return min(max(theta, 0.0), math.pi)
 
 
-@dataclass(frozen=True)
-class Displacement:
-    alpha: complex
-    mode: int
+class _Gate:
+    """Gate parameters; the repr names the gate and its parameters."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class Squeeze:
-    z: complex
-    mode: int
+class Displacement(_Gate):
+    __slots__ = ("alpha", "mode")
+
+    def __init__(self, alpha: complex, mode: int):
+        self.alpha = alpha
+        self.mode = mode
 
 
-@dataclass(frozen=True)
-class Beamsplitter:
-    theta: float
-    phi: float
-    mode_i: int
-    mode_j: int
+class Squeeze(_Gate):
+    __slots__ = ("z", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _check_theta(self.theta))
-        object.__setattr__(self, "phi", _canonical_phase(self.phi))
-        if self.mode_i == self.mode_j:
+    def __init__(self, z: complex, mode: int):
+        self.z = z
+        self.mode = mode
+
+
+class Beamsplitter(_Gate):
+    __slots__ = ("theta", "phi", "mode_i", "mode_j")
+
+    def __init__(self, theta: float, phi: float, mode_i: int, mode_j: int):
+        self.theta = _check_theta(theta)
+        self.phi = _canonical_phase(phi)
+        if mode_i == mode_j:
             raise MeasurementSpecError("beamsplitter modes must be distinct")
+        self.mode_i = mode_i
+        self.mode_j = mode_j
 
 
-@dataclass(frozen=True)
-class PhaseRotation:
-    phi: float
-    mode: int
+class PhaseRotation(_Gate):
+    __slots__ = ("phi", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _canonical_phase(self.phi))
+    def __init__(self, phi: float, mode: int):
+        self.phi = _canonical_phase(phi)
+        self.mode = mode
 
 
 GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation

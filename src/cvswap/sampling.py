@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +75,6 @@ def counter_uniform(seed, stream: int, index: int) -> float:
     return _keyed_uniform(derive_seed(seed, stream), index)
 
 
-@dataclass(frozen=True)
 class BlockSpec:
     """One independent factor of an estimation run.
 
@@ -87,21 +85,19 @@ class BlockSpec:
     are statistically independent, so shot weights multiply across blocks.
     """
 
-    component_weights: np.ndarray
-    distributions: tuple[np.ndarray, ...]
-    levels: np.ndarray
+    __slots__ = ("component_weights", "distributions", "levels")
 
-    def __post_init__(self):
-        w = np.asarray(self.component_weights, dtype=np.float64)
-        if w.size != len(self.distributions):
+    def __init__(self, component_weights, distributions: tuple[np.ndarray, ...], levels):
+        w = np.asarray(component_weights, dtype=np.float64)
+        if w.size != len(distributions):
             raise ValueError("one distribution per ensemble component required")
         if np.any(w < 0):
             raise ValueError("component weights must be >= 0")
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("component weights must sum to 1")
-        levels = np.asarray(self.levels, dtype=np.complex128).ravel()
-        object.__setattr__(self, "component_weights", w)
-        object.__setattr__(self, "levels", levels)
+        self.component_weights = w
+        self.distributions = distributions
+        self.levels = np.asarray(levels, dtype=np.complex128).ravel()
 
 
 def ensemble_combinations(factors) -> list[tuple[float, list]]:

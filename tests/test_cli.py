@@ -704,6 +704,67 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}")
 
 
+def _nested_mixture(depth: int) -> str:
+    state = '{"kind": "vacuum", "cutoff": [2]}'
+    for _ in range(depth):
+        state = f'{{"mixture": [{{"weight": 1, "state": {state}}}]}}'
+    return state
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"state_a": ' + _nested_mixture(400) + ', "state_b": {"kind": "vacuum", "cutoff": [2]}}',
+], ids=["brackets", "mixture"])
+def test_config_deeper_than_the_decoder_is_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert cli.main(["overlap", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_no_nesting_depth_is_a_numerical_failure(tmp_path, capsys):
+    # from the deepest nesting down to the first that runs: a config the
+    # decoder refuses, or one just within its limit that is too deep to
+    # write back into the document, is a config error
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.json"
+    vacuum = '{"kind": "vacuum", "cutoff": [2]}'
+    outcomes = []
+    for depth in range(1000, 0, -1):
+        cfg_path.write_text(f'{{"state_a": {vacuum}, "state_b": {vacuum}, '
+                            f'"note": {"[" * depth}{"]" * depth}}}', encoding="utf-8")
+        code = cli.main(["overlap", "--config", str(cfg_path), "--out", str(out_path)])
+        outcomes.append((depth, code, capsys.readouterr().err))
+        if code == 0:
+            break
+    assert outcomes[-1][1] == 0
+    refused = [(code, err.startswith("config error: config "), err.count("\n"))
+               for _, code, err in outcomes[:-1]]
+    assert refused and set(refused) == {(2, True, 1)}
+
+
+def test_runs_beyond_max_runs_are_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # a document writes one row per run; more runs than MAX_RUNS are
+    # refused before any state is built, with one line
+    vacuum = {"kind": "vacuum", "cutoff": [2]}
+    built = count_calls(monkeypatch, cli, "build_state")
+    code, out = run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum,
+                                              "runs": 2 ** 16 + 1})
+    assert code == 1 and not out.exists() and built == []
+    err = capsys.readouterr().err
+    assert err == ("resource limit: a config of 65537 runs emits one document row per run, "
+                   "beyond 65536; use runs <= 65536\n")
+    assert cli.MAX_RUNS == 2 ** 16
+    # a run count at the limit runs
+    monkeypatch.setattr(cli, "MAX_RUNS", 3)
+    code, out = run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum, "runs": 3})
+    assert code == 0 and len(json.loads(out.read_text())["results"]["runs"]) == 3
+    code, out = run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum, "runs": 4},
+                        name="four.json")
+    assert code == 1 and capsys.readouterr().err.startswith("resource limit: a config of 4 runs")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bogus", "--config", "cfg.json"],
      "argument command: invalid choice: 'bogus' (choose from 'overlap', 'cutoff-plan', "

@@ -27,6 +27,13 @@ def test_estimator_result_validation():
         EstimatorResult(0.5 + 0j, 0.1, 100, 101, 7)
 
 
+def test_estimator_results_compare_by_value():
+    res = EstimatorResult(0.5 + 0.25j, 0.01, 100, 3, 7)
+    assert res == EstimatorResult(0.5 + 0.25j, 0.01, 100, 3, 7)
+    assert res != EstimatorResult(0.5 + 0.25j, 0.01, 100, 3, 8)
+    assert res != (0.5 + 0.25j, 0.01, 100, 3, 7)
+
+
 def test_cutoff_plan_validation():
     with pytest.raises(ValueError):
         CutoffPlan(-1, 0.1, "chernoff", 0.5)

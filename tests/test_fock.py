@@ -54,6 +54,38 @@ def test_state_norm_cached(rng):
     assert state.norm_sq == pytest.approx(1.0, abs=1e-12)
     scaled = FockState(state.cutoff, state.amplitudes * 2.0)
     assert scaled.norm_sq == pytest.approx(4.0, rel=1e-12)
+    with pytest.raises(TypeError):  # computed, never passed in
+        FockState(state.cutoff, state.amplitudes, norm_sq=1.0)
+
+
+def test_cutoff_equality_compares_the_caps():
+    assert CutoffSpec((3, 2)) == CutoffSpec([3.0, 2])
+    assert not CutoffSpec((3, 2)) != CutoffSpec((3, 2))
+    assert CutoffSpec((3, 2)) != CutoffSpec((3, 3))
+    assert CutoffSpec((3,)) != (3,) and (3,) != CutoffSpec((3,))
+
+
+@pytest.mark.parametrize("value", [
+    CutoffSpec((2,)),
+    FockState(CutoffSpec((1,)), [1.0, 0.0]),
+    Displacement(0.5, 0),
+    Beamsplitter(0.3, 0.1, 0, 1),
+])
+def test_value_types_take_no_undeclared_attribute(value):
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_angles_are_canonical():
+    assert PhaseRotation(-0.5, 0).phi == pytest.approx(2 * math.pi - 0.5, abs=1e-15)
+    assert PhaseRotation(2 * math.pi, 0).phi == 0.0
+    bs = Beamsplitter(math.pi + 1e-13, 7.0, 0, 1)
+    assert bs.theta == math.pi and bs.phi == pytest.approx(7.0 - 2 * math.pi, abs=1e-15)
+    assert Beamsplitter(-1e-13, -0.25, 1, 0).theta == 0.0
+    with pytest.raises(ValueError, match="outside"):
+        Beamsplitter(-0.1, 0.0, 0, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        Beamsplitter(0.3, 0.0, 1, 1)
 
 
 def test_state_immutable(rng):
@@ -65,8 +97,9 @@ def test_state_immutable(rng):
 def test_state_does_not_freeze_caller_array():
     raw = np.zeros(4, dtype=complex)
     raw[0] = 1.0
-    FockState(CutoffSpec((3,)), raw)
+    state = FockState(CutoffSpec((3,)), raw)
     raw[1] = 0.5  # the caller's buffer stays writable
+    assert state.amplitudes[1] == 0.0  # and the state holds its own copy
 
 
 def test_ensemble_validation(rng):
@@ -184,6 +217,13 @@ def test_gate_matrix_is_single_mode():
     # a beamsplitter is applied block by block and has no dense matrix
     with pytest.raises(TypeError):
         fock.gate_matrix(Beamsplitter(0.3, 0.0, 0, 1), CutoffSpec((3, 3)))
+
+
+def test_gaussian_triple_names_the_gate_it_refuses():
+    with pytest.raises(TypeError) as refused:
+        fock.gaussian_triple([Displacement(0.1, 0), Beamsplitter(0.3, 0.5, 0, 1)])
+    assert str(refused.value) == (
+        "Beamsplitter(theta=0.3, phi=0.5, mode_i=0, mode_j=1) is not a single-mode gate")
 
 
 def test_hong_ou_mandel():

@@ -1,6 +1,7 @@
 """Modules of the package reach each other only through public names, no
-shot block simulates its measurement circuit, and no input rule is
-written in both the CLI and the library."""
+shot block simulates its measurement circuit, no input rule is written in
+both the CLI and the library, and importing the package runs no generated
+code."""
 
 import ast
 import re
@@ -49,6 +50,42 @@ def test_no_private_names_cross_modules():
 def test_layout_check_sees_both_forms():
     source = "from . import fock as f\nfrom .sampling import _hidden\nx = f._apply(1)\ny = f.public\n"
     assert private_reaches(source) == ["line 2: imports _hidden", "line 3: uses f._apply"]
+
+
+def generated_code(source: str) -> list[str]:
+    """Imports of ``dataclasses``, whose decorators build their methods
+    through ``exec`` when a module is imported, and calls to ``exec`` or
+    ``eval``, by bare name or as an attribute of any module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("exec", "eval"):
+                found.append(f"line {node.lineno}: calls {name}")
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: imports {m}" for m in modules
+                  if m.partition(".")[0] == "dataclasses"]
+    return found
+
+
+def test_import_runs_no_generated_code():
+    found = [f"{path.name} {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in generated_code(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_generated_code_check_sees_imports_and_calls():
+    source = ("import dataclasses as dc\nfrom dataclasses import field\nx = eval('1')\n"
+              "def f():\n    builtins.exec('y = 2')\nimport numpy\n")
+    assert generated_code(source) == ["line 1: imports dataclasses", "line 2: imports dataclasses",
+                                      "line 3: calls eval", "line 5: calls exec"]
 
 
 def passive_callers(source: str, callee: str = "apply_passive") -> list[str]:
