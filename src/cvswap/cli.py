@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, dv, estimators as est, fock, protocols as proto
 from .sampling import derive_seed
 
-__all__ = ["main", "RunConfig", "ConfigError"]
+__all__ = ["main", "ConfigError"]
 
 
 # the qudit-basis document writes every entry of its d^2 x d^2 matrix

@@ -6,9 +6,11 @@ count when the pair total is within the detector threshold 2M (weight 0
 otherwise, still counted in the denominator).  That parity is the SWAP
 eigenvalue of the pair, and both commute with every pair total, so a
 shot's law follows from the kept weight and the masked swap of the
-prepared state; no beamsplitter is applied.  Exact expectations,
-certified systematic-error bounds, analytic reference formulas, and
-detector-cutoff planners live alongside it.
+prepared state; no beamsplitter is applied.  Both come from one tensor
+contraction per group of registers the pairs connect, which builds no
+padded box and no combination of ensemble components.  Exact
+expectations, certified systematic-error bounds, analytic reference
+formulas, and detector-cutoff planners live alongside it.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ import functools
 import math
 import sys
 from collections.abc import Iterable
+from operator import itemgetter
 
 import numpy as np
 
 from . import fock
-from .fock import FockState, MeasurementSpecError, MixedEnsemble, check_working_size
+from .fock import (FockState, MeasurementSpecError, MixedEnsemble, check_working_size,
+                   components_of)
 from .sampling import (
     BlockSpec,
     blocks_estimate,
-    ensemble_combinations,
     estimator_statistics,
     law_block,
     seed_root,
@@ -200,62 +203,90 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return out
 
 
-def _threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
-    """True on each pattern of the box ``shape`` whose pair totals (and
-    group total) are all within their threshold 2M: broadcast sums of the
-    per-mode photon counts, full-sized only along the modes a threshold
-    reaches."""
-    counts = [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
-              for ax, d in enumerate(shape)]
-    mask = np.ones((1,) * len(shape), dtype=bool)
-    for (a, b), thr in zip(local_pairs, thresholds):
-        if thr is not None:
-            mask = mask & (counts[a] + counts[b] <= 2 * thr)
-    if total_threshold is not None:
-        mask = mask & (sum(counts) <= 2 * total_threshold)
+@functools.lru_cache(maxsize=16)
+def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
+    """The read-only 0/1 matrix of n_a + n_b <= 2 thr, built once per shape."""
+    check_working_size(1, rows * columns)
+    mask = np.less_equal.outer(np.arange(rows), np.arange(2 * thr, 2 * thr - columns, -1))
+    mask.flags.writeable = False
     return mask
 
 
-def _group_expectation(group: _Group, total_threshold=None) -> tuple[float, float]:
-    """(k, s) for one group: the kept weight k = tr(Pi rho) and the masked
-    swap s = tr(Pi SWAP rho) = tr(prod_p SWAP_2M_p rho), where Pi projects
-    onto the pair totals (and group total) within their thresholds.  Pairs
-    are padded to a common cutoff first, which makes the axis swap exact;
-    each ensemble combination is normalised by its norm.  The guard counts
-    the amplitude arrays held at once, which share one allocation reused by
-    every combination: the state, its masked copy and the contiguous
-    swapped copy, plus one for the full-box mask and running total a
-    group-total threshold needs."""
-    caps = list(group.base_caps)
-    for a, b in group.local_pairs:
-        m = max(caps[a], caps[b])
-        caps[a] = caps[b] = m
-    shape = tuple(c + 1 for c in caps)
-    check_working_size(3 + (total_threshold is not None), math.prod(shape))
+def _contract(ops, size) -> float:
+    """The value of a network of (order key, array, labels) operands, label
+    l taking size[l] values: folded into one accumulator in key order, each
+    label summed once no later operand carries it, and each intermediate
+    checked against the working-space limit before it is allocated."""
+    ops.sort(key=itemgetter(0))
+    needs, later = [], set()
+    for _, _, labels in reversed(ops):
+        needs.append(later)
+        later = later.union(labels)
+    (_, acc, held), *rest = ops
+    for (_, array, labels), later in zip(rest, needs[-2::-1]):
+        keep = [label for label in dict.fromkeys(held + labels) if label in later]
+        check_working_size(1, math.prod(map(size.__getitem__, keep)))
+        acc = np.einsum(acc, held, array, labels, keep)
+        held = keep
+    return float(acc.sum().real)
 
-    mask = _threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
-    psi, masked, swapped = np.empty((3,) + shape, dtype=np.complex128)
-    inner = psi[tuple(slice(0, c + 1) for c in group.base_caps)]
-    if inner.shape != shape:
-        psi.fill(0.0)  # the padding stays zero
-    if mask.size == 1:  # no threshold: every pattern is kept
-        masked = psi
-    kept = value = 0.0
-    for w, states in ensemble_combinations(group.factors):
-        *head, last = [s.amplitudes for s in states]
-        np.multiply.outer(functools.reduce(np.multiply.outer, head, np.ones(())), last, out=inner)
-        norm = float(np.vdot(psi, psi).real)
-        if norm <= 0:
+
+def _group_expectation(group: _Group, total_threshold=None,
+                       kept=True) -> tuple[float | None, float]:
+    """(k, s) for one group: the kept weight k = tr(Pi rho) and the masked
+    swap s = tr(Pi SWAP rho) = tr(prod_p SWAP_2M_p rho), where Pi keeps the
+    patterns whose pair totals (and group total) are within their
+    thresholds; ``kept`` False skips k, which no exact value needs.
+
+    Each is one network with a label per mode (``_contract``).  For s a
+    factor enters as its ket on the SWAP-relabelled labels and its bra on
+    the plain ones, both carrying its component index scaled by
+    sqrt(w_i / |psi_i|^2); for k as its diagonal.  A pair threshold cuts
+    its modes to 2M + 1 levels and enters as the 0/1 matrix of
+    n_a + n_b <= 2M unless it keeps every pattern; a group total cuts every
+    mode to 2 m_total + 1 levels and enters as a running total that a step
+    tensor per mode advances.  For s each paired mode is cut to the shorter
+    of its pair, outside which rho[SWAP n; n] vanishes.  einsum takes at
+    most 52 labels: the modes, one per factor, one total per mode.
+    """
+    caps, pairs = group.base_caps, group.local_pairs
+    top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
+    partner = list(range(len(caps)))
+    for (a, b), thr in zip(pairs, group.thresholds):
+        partner[a], partner[b] = b, a
+        if thr is not None:
+            top[a], top[b] = min(top[a], 2 * thr + 1), min(top[b], 2 * thr + 1)
+    cut = [min(d, top[p]) for d, p in zip(top, partner)]
+    diagonals, swapped, hi = [], [], 0
+    for f, factor in enumerate(group.factors):
+        comps = components_of(factor)
+        if any(s.norm_sq <= 0 for _, s in comps):
             raise ValueError("zero-norm component")
-        if masked is not psi:
-            np.multiply(psi, mask, out=masked)
-        view = masked
-        for a, b in group.local_pairs:
-            view = np.swapaxes(view, a, b)
-        np.copyto(swapped, view)
-        kept += w * float(np.vdot(masked, masked).real) / norm
-        value += w * float(np.vdot(masked, swapped).real) / norm
-    return kept, value
+        lo, hi = hi, hi + factor.modes  # the factor's modes
+        check_working_size(2 * len(comps), math.prod(top[lo:hi]))  # its ket and bra
+        if kept:
+            box = tuple(map(slice, top[lo:hi]))
+            diagonal = sum(w / s.norm_sq * abs(s.amplitudes[box]) ** 2 for w, s in comps)
+            diagonals.append(((lo, 0), diagonal, [*range(lo, hi)]))
+        box = tuple(map(slice, cut[lo:hi]))
+        ket = np.array([s.amplitudes[box] * math.sqrt(w / s.norm_sq) for w, s in comps])
+        swapped.append(((lo, 0), ket.conj(), [len(caps) + f, *range(lo, hi)]))
+        swapped.append(((min(partner[lo:hi]), 1), ket, [len(caps) + f, *partner[lo:hi]]))
+    for (a, b), thr in zip(pairs, group.thresholds):
+        if thr is not None and 2 * thr < top[a] + top[b] - 2:  # else every pattern is kept
+            mask = _pair_mask(top[a], top[b], thr)
+            for ops, dims in ((diagonals, top), (swapped, cut)):
+                ops.append(((min(a, b), 2), mask[:dims[a], :dims[b]], [a, b]))
+    if total_threshold is not None and 2 * total_threshold < sum(top) - len(top):
+        t = np.arange(2 * total_threshold + 1)
+        running = len(caps) + len(group.factors) - 1  # running + m: the total of modes below m
+        for m, d in enumerate(top):
+            step = (t[:, None, None] + np.arange(d)[:, None] == t) * 1.0
+            for ops, dims in ((diagonals, top), (swapped, cut)):
+                ops.append(((m, 3), step[0, :dims[m]], [m, running + 1]) if m == 0 else
+                           ((m, 3), step[:, :dims[m]], [running + m, m, running + m + 1]))
+    size = [len(components_of(f)) for f in group.factors] + [2 * (total_threshold or 0) + 1] * len(caps)
+    return (_contract(diagonals, top + size) if kept else None), _contract(swapped, cut + size)
 
 
 def _group_block(group: _Group, total_threshold=None) -> BlockSpec:
@@ -332,10 +363,11 @@ def parity_overlap_estimate(joint, pairs, m_per_pair, shots: int, seed,
 
 
 def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
-    """Exact expectation of the parity estimator (no sampling)."""
+    """Exact expectation of the parity estimator (no sampling): the product
+    over groups of the masked swap s that the group's shot law reads."""
     value = 1.0
     for g in _parity_groups(joint, pairs, m_per_pair, m_total):
-        value *= _group_expectation(g, m_total)[1]
+        value *= _group_expectation(g, m_total, kept=False)[1]
     return value
 
 
@@ -347,14 +379,11 @@ def swap2m_expectation(joint, m: int) -> float:
 
 
 def swap2m_profile(joint, m_values) -> list[float]:
-    """swap2m_expectation for several thresholds.  Every threshold with 2m
-    at or above the pair's photon budget keeps the whole box, so their
-    shared value is computed once."""
+    """swap2m_expectation for several thresholds; one with 2m at or above
+    the pair's photon budget keeps every pattern and adds no mask."""
     if joint.modes != 2:
         raise MeasurementSpecError("joint must be a two-mode state")
-    keys = [min(m, (sum(joint.cutoff.per_mode_max) + 1) // 2) for m in m_values]
-    values = {k: parity_overlap_expectation(joint, [(0, 1)], k) for k in set(keys)}
-    return [values[k] for k in keys]
+    return [parity_overlap_expectation(joint, [(0, 1)], m) for m in m_values]
 
 
 # ---------------------------------------------------------------------------

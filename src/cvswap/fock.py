@@ -80,10 +80,11 @@ class ResourceLimitError(ValueError):
 
 def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
-    MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's box
-    counts the amplitude arrays it holds at once as rows and its entries as
-    columns; the stacked blocks of compiling circuits count the circuits
-    and each block's entries."""
+    MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's ket
+    and bra copies of a register count two rows per ensemble component, a
+    pair's 0/1 threshold matrix and each contraction intermediate one; the
+    stacked blocks of compiling circuits count the circuits and each
+    block's entries."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
         raise ResourceLimitError(

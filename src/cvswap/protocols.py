@@ -122,13 +122,15 @@ def perm_expectation(states) -> complex:
 # two-copy test
 
 
-def _split_copies(purification: FockState) -> int:
+def _two_copy_layout(purification: FockState) -> tuple[list, list[tuple[int, int]]]:
+    """The purification and its relabeled copy, with the pairs that join
+    register j of one to register j of the other."""
     if purification.modes % 2 != 0:
         raise MeasurementSpecError("purification must carry mode pairs A_j B_j")
     n = purification.modes // 2
     if n < 2:
         raise MeasurementSpecError("two-copy test needs at least two copies")
-    return n
+    return [purification, _perm_relabel(purification, n)], [(j, 2 * n + j) for j in range(2 * n)]
 
 
 def _perm_relabel(state: FockState, n: int) -> FockState:
@@ -152,34 +154,16 @@ def two_copy_test(purification: FockState, shots: int, seed,
     gate.  ``purification`` holds the n copies interleaved as
     A_1 B_1 ... A_n B_n.
     """
-    n = _split_copies(purification)
-    relabeled = _perm_relabel(purification, n)
-    pairs = [(j, 2 * n + j) for j in range(2 * n)]
-    return est.parity_overlap_estimate([purification, relabeled], pairs, m_per_pair, shots, seed)
+    copies, pairs = _two_copy_layout(purification)
+    return est.parity_overlap_estimate(copies, pairs, m_per_pair, shots, seed)
 
 
 def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
-    """Exact two-copy expectation via the factorized overlap contraction.
-
-    With u = Psi . conj(PERM Psi') elementwise, the expectation is
-    sum_{a,b} u_a conj(u_b) prod_p theta_p(a_p, b_p) where theta_p masks
-    pair totals above the detector threshold; without thresholds this is
-    |<Psi|PERM Psi>|^2.
-    """
-    n = _split_copies(purification)
-    relabeled = _perm_relabel(purification, n)
-    thresholds = est.normalize_thresholds(m_per_pair, 2 * n)
-    u = purification.amplitudes * np.conj(relabeled.amplitudes)
-    norm = purification.norm_sq * relabeled.norm_sq
-    if all(t is None for t in thresholds):
-        return float(abs(u.sum()) ** 2 / norm)
-    kernel = u
-    for d, thr in zip(purification.cutoff.shape, thresholds):
-        # a pair total never exceeds 2d - 2, so no threshold keeps all
-        grid = np.add.outer(np.arange(d), np.arange(d))
-        theta = (grid <= (2 * d if thr is None else 2 * thr)).astype(float)
-        kernel = np.tensordot(kernel, theta, axes=([0], [0]))
-    return float((complex(np.vdot(u, kernel)) / norm).real)
+    """Exact two-copy expectation: the parity estimator's exact value on
+    the same stack, relabeled copy and pairs as ``two_copy_test``.
+    Without thresholds it is |<Psi|PERM Psi>|^2 = (tr rho^n)^2."""
+    copies, pairs = _two_copy_layout(purification)
+    return est.parity_overlap_expectation(copies, pairs, m_per_pair)
 
 
 # ---------------------------------------------------------------------------

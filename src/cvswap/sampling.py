@@ -16,13 +16,12 @@ import math
 
 import numpy as np
 
-from .fock import ResourceLimitError, components_of
+from .fock import ResourceLimitError
 
 __all__ = [
     "BlockSpec",
     "LAW_TOLERANCE",
     "MAX_SHOTS",
-    "ensemble_combinations",
     "law_block",
     "estimator_statistics",
     "level_law",
@@ -98,20 +97,6 @@ class BlockSpec:
         self.component_weights = w
         self.distributions = distributions
         self.levels = np.asarray(levels, dtype=np.complex128).ravel()
-
-
-def ensemble_combinations(factors) -> list[tuple[float, list]]:
-    """(weight, pure states) for every choice of one ensemble component per
-    factor; the first factor varies slowest, and each weight is the product
-    of the chosen component weights taken left to right from 1.0."""
-    combos = [(1.0, [])]
-    for factor in factors:
-        combos = [
-            (w * cw, states + [cs])
-            for w, states in combos
-            for cw, cs in components_of(factor)
-        ]
-    return combos
 
 
 def law_block(levels, law) -> BlockSpec:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvswap import dv, estimators, fock
-from cvswap.sampling import BlockSpec, ensemble_combinations, level_law
+from cvswap.sampling import BlockSpec, level_law
 
 
 @pytest.fixture
@@ -409,6 +409,74 @@ def dft_matrix(n: int) -> np.ndarray:
     """Single-particle mixer F[l, j] = e^{2 pi i l j / n} / sqrt(n)."""
     idx = np.arange(n)
     return np.exp(2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+
+
+def ensemble_combinations(factors) -> list[tuple[float, list]]:
+    """(weight, pure states) for every choice of one ensemble component per
+    factor; the first factor varies slowest, and each weight is the product
+    of the chosen component weights taken left to right from 1.0."""
+    combos = [(1.0, [])]
+    for factor in factors:
+        combos = [
+            (w * cw, states + [cs])
+            for w, states in combos
+            for cw, cs in fock.components_of(factor)
+        ]
+    return combos
+
+
+def threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
+    """True on each pattern of the box ``shape`` whose pair totals (and
+    group total) are all within their threshold 2M: broadcast sums of the
+    per-mode photon counts, full-sized only along the modes a threshold
+    reaches."""
+    counts = [np.arange(d).reshape((1,) * ax + (-1,) + (1,) * (len(shape) - ax - 1))
+              for ax, d in enumerate(shape)]
+    mask = np.ones((1,) * len(shape), dtype=bool)
+    for (a, b), thr in zip(local_pairs, thresholds):
+        if thr is not None:
+            mask = mask & (counts[a] + counts[b] <= 2 * thr)
+    if total_threshold is not None:
+        mask = mask & (sum(counts) <= 2 * total_threshold)
+    return mask
+
+
+def padded_group_expectation(group, total_threshold=None) -> tuple[float, float]:
+    """Oracle for a parity group's (k, s): the kept weight k = tr(Pi rho)
+    and the masked swap s = tr(Pi SWAP rho), from the whole padded box.
+    Pairs are padded to a common cutoff, which makes the axis swap exact,
+    and every ensemble combination's joint state is built, masked, swapped
+    and normalised by its norm."""
+    caps = list(group.base_caps)
+    for a, b in group.local_pairs:
+        m = max(caps[a], caps[b])
+        caps[a] = caps[b] = m
+    shape = tuple(c + 1 for c in caps)
+    fock.check_working_size(3 + (total_threshold is not None), math.prod(shape))
+
+    mask = threshold_mask(shape, group.local_pairs, group.thresholds, total_threshold)
+    psi, masked, swapped = np.empty((3,) + shape, dtype=np.complex128)
+    inner = psi[tuple(slice(0, c + 1) for c in group.base_caps)]
+    if inner.shape != shape:
+        psi.fill(0.0)  # the padding stays zero
+    if mask.size == 1:  # no threshold: every pattern is kept
+        masked = psi
+    kept = value = 0.0
+    for w, states in ensemble_combinations(group.factors):
+        *head, last = [s.amplitudes for s in states]
+        np.multiply.outer(functools.reduce(np.multiply.outer, head, np.ones(())), last, out=inner)
+        norm = float(np.vdot(psi, psi).real)
+        if norm <= 0:
+            raise ValueError("zero-norm component")
+        if masked is not psi:
+            np.multiply(psi, mask, out=masked)
+        view = masked
+        for a, b in group.local_pairs:
+            view = np.swapaxes(view, a, b)
+        np.copyto(swapped, view)
+        kept += w * float(np.vdot(masked, masked).real) / norm
+        value += w * float(np.vdot(masked, swapped).real) / norm
+    return kept, value
 
 
 def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec:

@@ -217,15 +217,25 @@ def test_two_copy_command_pure_rho(tmp_path):
     assert doc["results"]["grand_mean_re"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_two_copy_command_guard_fires(tmp_path):
+def test_two_copy_command_guard_fires(tmp_path, capsys, monkeypatch):
+    # the parity contraction holds a ket and a bra copy of each register
+    # stack, here 15^4 amplitudes each: it runs at the default limit and is
+    # refused, with one line, at a limit that holds the stack but not both
     config = {
         "purification": {"kind": "tmss", "r": 0.6, "cutoff": [14, 14]},
         "copies": 2,
         "shots": 100,
         "seed": 3,
     }
-    code, _ = run_cli(tmp_path, "two-copy", config)
-    assert code == 1
+    code, out = run_cli(tmp_path, "two-copy", config, name="default.json")
+    assert code == 0
+    out.unlink()
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 60_000)
+    code, out = run_cli(tmp_path, "two-copy", config, name="low.json")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("resource limit: working space of 101250 entries (2 x 50625) exceeds the "
+                   "desk-scale limit; reduce cutoffs, mode count or ensemble rank\n")
 
 
 def test_compile_cost_command(tmp_path):
@@ -844,40 +854,90 @@ def test_overflowing_gate_parameter_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical contract failure: floating-point overflow") and err.count("\n") == 1
 
 
-def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys):
-    # cutoff 5: the eight-mode box of 6^8 amplitudes runs, held three times
-    # (the state, its masked copy and the swapped copy vdot makes); cutoff 6
-    # would hold 7^8 amplitudes under the limit, but not three arrays of them
-    base = {"copies": 2, "shots": 500, "seed": 3}
-    code, out = run_cli(tmp_path, "two-copy", {**base, "purification": {
-        "kind": "tmss", "r": 0.3, "cutoff": [5, 5]}}, name="five.json")
+def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys, monkeypatch):
+    # cutoff 6: the eight modes of the two stacks would make a box of 7^8
+    # amplitudes, but the contraction holds only each stack's 7^4 amplitudes
+    # as a ket and a bra copy, and it runs, shot path included; the exact
+    # value is (tr rho_A^2)^2 of the purification's reduced density matrix
+    config = {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [6, 6]}, "copies": 2,
+              "shots": 500, "seed": 3}
+    code, out = run_cli(tmp_path, "two-copy", config, name="six.json")
     assert code == 0
     results = json.loads(out.read_text())["results"]
+    psi = cli.build_state(config["purification"]).amplitudes
+    rho_a = psi @ psi.conj().T / np.vdot(psi, psi).real
+    purity = np.trace(rho_a @ rho_a).real
+    assert abs(results["exact_expectation"] - purity ** 2) < 1e-12
     assert abs(results["grand_mean_re"] - results["exact_expectation"]) < 5 * results["runs"][0]["stderr"]
-    code, _ = run_cli(tmp_path, "two-copy", {**base, "purification": {
-        "kind": "tmss", "r": 0.3, "cutoff": [6, 6]}}, name="six.json")
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 4000)
+    code, _ = run_cli(tmp_path, "two-copy", config, name="low.json")
     assert code == 1
     err = capsys.readouterr().err
-    assert "(3 x 5764801)" in err and err.count("\n") == 1
+    assert "(2 x 2401)" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, config", [
-    ("compile-cost", {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [40, 0]}],
+    ("compile-cost", {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [40, 12]}],
                       "u_gates": [{"gate": "squeeze", "z": 0.1, "mode": 0}], "shots_per_term": 10}),
     ("fig2", {"r_list": [0.5], "prep_cutoff": 40, "m_min": 0, "m_max": 2}),
 ])
 def test_one_mode_pair_beyond_the_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch,
                                                             command, config):
-    # at a limit of 1,000 entries, compile-cost's parity-group box of three
-    # 41 x 1 x 41 x 1 arrays and fig2's 41 x 41 two-mode state are each
-    # refused before they are allocated, with one line
+    # at a limit of 1,000 entries, compile-cost's ket and bra copies of a
+    # 41 x 13 term state and fig2's 41 x 41 two-mode state are each refused
+    # before they are allocated, with one line
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
     code, out = run_cli(tmp_path, command, config)
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    box = {"compile-cost": "5043 entries (3 x 1681)", "fig2": "1681 entries (1 x 1681)"}[command]
+    box = {"compile-cost": "1066 entries (2 x 533)", "fig2": "1681 entries (1 x 1681)"}[command]
     assert err.startswith(f"resource limit: working space of {box}")
     assert err.count("\n") == 1
+
+
+def test_parity_contraction_intermediate_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # mode 1 of a two-mode state paired with a one-mode state: the
+    # contraction sums the spectator mode 0 out of the first state's ket
+    # and bra, which leaves a 41 x 41 intermediate on the pair's labels,
+    # larger than either input; at a limit of 1,000 entries it is refused
+    # before it is allocated
+    config = {"states": [{"kind": "basis", "pattern": [0, 3], "cutoff": [0, 40]},
+                         {"kind": "coherent", "alpha": 0.4, "cutoff": [40]}],
+              "pairs": [[1, 2]], "M": None, "shots": 10}
+    code, out = run_cli(tmp_path, "overlap", config, name="default.json")
+    assert code == 0
+    out.unlink()
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
+    code, out = run_cli(tmp_path, "overlap", config, name="low.json")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: working space of 1681 entries (1 x 1681)")
+    assert err.count("\n") == 1
+
+
+def test_overlap8_at_the_paper_squeezing_runs(tmp_path):
+    # the paper's vacuum-probability experiment at r = 1.5 needs cutoff 70
+    # for a leak of 7e-7 per register pair; the exact value is the
+    # renormalised truncation of 1/cosh^4 r
+    r = 1.5
+    tmss = {"kind": "tmss", "r": r, "cutoff": [70, 70]}
+    vacuum = {"kind": "vacuum", "cutoff": [0]}
+    config = {"states": [tmss, vacuum, vacuum, tmss, vacuum, vacuum],
+              "pairs": [[0, 2], [1, 3], [4, 6], [5, 7]], "M": None, "shots": 2000, "runs": 10,
+              "seed": 11}
+    code, out = run_cli(tmp_path, "overlap", config)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    states = [cli.build_state(spec) for spec in config["states"]]
+    leaks = [states[0].leak, states[3].leak]
+    assert 5e-7 < leaks[0] == leaks[1] < 1e-6
+    exact = est.parity_overlap_expectation(states, config["pairs"], None)
+    target = 1.0 / math.cosh(r) ** 4
+    assert target == pytest.approx(0.0326549, abs=1e-7)
+    assert abs(exact - target) <= sum(leaks)
+    assert exact == pytest.approx(target / ((1.0 - leaks[0]) * (1.0 - leaks[1])), rel=1e-12)
+    stderr = math.sqrt(sum(row["stderr"] ** 2 for row in results["runs"])) / len(results["runs"])
+    assert abs(results["grand_mean_re"] - exact) < 5 * stderr
 
 
 def test_oversized_tensor_product_is_a_resource_limit(tmp_path, capsys):

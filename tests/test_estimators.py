@@ -10,9 +10,17 @@ from scipy.stats import norm, poisson
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
 from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
-from cvswap.sampling import ensemble_combinations, level_law
+from cvswap.sampling import level_law
 
-from conftest import assert_same_law, measurement_block, random_ensemble, random_pure, run_circuit
+from conftest import (
+    assert_same_law,
+    ensemble_combinations,
+    measurement_block,
+    padded_group_expectation,
+    random_ensemble,
+    random_pure,
+    run_circuit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +322,72 @@ def test_swap2m_profile_matches_padded_oracle(c1, c2, rank, seed):
     want = np.cumsum(_dense_signed_total_mass(joint))
     got = est.swap2m_profile(joint, m_values)
     assert np.max(np.abs(np.array(got) - want[np.minimum(2 * np.array(m_values), want.size - 1)])) < 1e-12
+
+
+def _unnormalised_factor(rng, caps, rank):
+    """A pure state on ``caps`` of random norm, or a mixture of ``rank`` of
+    them: the contraction scales each component by its own norm."""
+    def pure():
+        shape = [c + 1 for c in caps]
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return FockState(CutoffSpec(caps), amps * rng.uniform(0.2, 3.0) / np.linalg.norm(amps))
+    if rank == 1:
+        return pure()
+    w = rng.random(rank) + 0.1
+    return MixedEnsemble(tuple((float(x), pure()) for x in w / w.sum()))
+
+
+def _assert_group_expectation_is_the_padded_box(factors, pairs, thresholds, total):
+    for group in est._group_factors(factors, pairs, thresholds):
+        k, s = est._group_expectation(group, total)
+        want_k, want_s = padded_group_expectation(group, total)
+        assert abs(k - want_k) <= 1e-12 and abs(s - want_s) <= 1e-12
+        assert est._group_expectation(group, total, kept=False) == (None, s)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_group_expectation_matches_the_padded_box(seed):
+    # one to three factors of one or two modes with unequal cutoffs, rank 1
+    # to 3 and random norms; pairs inside one factor and across factors,
+    # the modes left over as spectators, per-pair thresholds and, half the
+    # time, a group total
+    rng = np.random.default_rng(seed)
+    factors = [_unnormalised_factor(rng, tuple(int(c) for c in rng.integers(0, 5, size=rng.integers(1, 3))),
+                                    int(rng.integers(1, 4)))
+               for _ in range(rng.integers(1, 4))]
+    while sum(f.modes for f in factors) < 2:
+        factors.append(_unnormalised_factor(rng, (int(rng.integers(0, 5)),), int(rng.integers(1, 3))))
+    order = [int(m) for m in rng.permutation(sum(f.modes for f in factors))]
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(int(rng.integers(1, len(order) // 2 + 1)))]
+    thresholds = [None if rng.random() < 0.3 else int(rng.integers(0, 5)) for _ in pairs]
+    total = None if rng.random() < 0.5 else int(rng.integers(0, 8))
+    _assert_group_expectation_is_the_padded_box(factors, pairs, thresholds, total)
+
+
+@pytest.mark.parametrize("caps, pairs, thresholds, total", [
+    ([(3,), (5,)], [(0, 1)], [2], None),  # across factors, unequal cutoffs
+    ([(4, 2)], [(1, 0)], [1], None),  # inside one factor
+    ([(2, 3), (4,)], [(1, 2)], [None], 2),  # a spectator and a group total
+    ([(2, 3), (3, 1)], [(0, 3), (2, 1)], [0, 3], 3),  # two factors joined twice
+    ([(2,), (3, 2), (1,)], [(0, 2), (1, 3)], [1, None], None),  # a chain of three
+])
+def test_group_expectation_matches_the_padded_box_on_each_layout_kind(rng, caps, pairs, thresholds,
+                                                                       total):
+    factors = [_unnormalised_factor(rng, c, 1 + i % 3) for i, c in enumerate(caps)]
+    _assert_group_expectation_is_the_padded_box(factors, pairs, thresholds, total)
+
+
+def test_padded_box_comparison_sees_a_wrong_masked_swap(rng, monkeypatch):
+    # the comparison above fails when the masked swap leaves out the swap
+    # and the mask, though the kept weight is right
+    factors = [_unnormalised_factor(rng, (3,), 2), _unnormalised_factor(rng, (4,), 1)]
+    [group] = est._group_factors(factors, [(0, 1)], [2])
+    unswapped = est._Group(group.factors, [], [], group.base_caps)
+    monkeypatch.setattr(est, "_group_expectation", lambda g, total=None, kept=True: (
+        padded_group_expectation(g, total)[0], padded_group_expectation(unswapped, total)[1]))
+    with pytest.raises(AssertionError):
+        _assert_group_expectation_is_the_padded_box(factors, [(0, 1)], [2], None)
 
 
 def test_negative_thresholds_refused(rng):

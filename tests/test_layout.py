@@ -167,6 +167,53 @@ def test_block_builders_serve_only_shot_estimators():
     assert exact and not reached & shot_paths
 
 
+def test_one_function_computes_a_parity_groups_kept_weight_and_masked_swap():
+    # the shot law and every exact value take a parity group's (k, s) from
+    # one contraction; the padded box, its threshold mask and the ensemble
+    # combinations live on only as test oracles in conftest
+    found = {callee: sorted(set(_callers(callee))) for callee in ("_group_expectation", "_contract", "einsum")}
+    assert found == {"_group_expectation": ["estimators._group_block",
+                                            "estimators.parity_overlap_expectation"],
+                     "_contract": ["estimators._group_expectation"],
+                     "einsum": ["estimators._contract"]}
+    defined = {name for path in SRC.glob("*.py")
+               for name, _ in definitions_and_roots(path.read_text(encoding="utf-8"))[0]}
+    assert not defined & {"_threshold_mask", "ensemble_combinations"}
+
+
+def reaches_avoiding(sources: dict[str, str], start: str, target: str, avoiding: str) -> bool:
+    """Whether the definition ``start`` reads ``target``, directly or through
+    the definitions it reads, on a path that does not pass ``avoiding``."""
+    reads = {}
+    for source in sources.values():
+        for name, names in definitions_and_roots(source)[0]:
+            reads.setdefault(name, set()).update(names)
+    seen, todo = set(), [start]
+    while todo:
+        for name in reads.get(todo.pop(), ()):
+            if name != avoiding and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return target in seen
+
+
+def test_two_copy_reaches_the_contraction_only_through_the_parity_estimator():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "protocols.two_copy_expectation" in _callers("parity_overlap_expectation")
+    for target in ("_group_expectation", "_contract"):
+        assert reaches_avoiding(sources, "two_copy_expectation", target, "")
+        assert not reaches_avoiding(sources, "two_copy_expectation", target, "parity_overlap_expectation")
+
+
+def test_reach_check_sees_a_path_around_the_avoided_name():
+    rest = "def mid():\n    return goal()\ndef via():\n    return goal()\ndef goal():\n    pass\n"
+    around = {"a": "def top():\n    return mid() + via()\n" + rest}
+    through = {"a": "def top():\n    return via()\n" + rest}
+    assert reaches_avoiding(around, "top", "goal", "via")
+    assert not reaches_avoiding(through, "top", "goal", "via")
+    assert reaches_avoiding(through, "top", "goal", "")
+
+
 def test_passive_caller_check_sees_both_forms():
     source = ("def a():\n    return fock.apply_passive(x, p, g)\n"
               "def b():\n    def inner():\n        apply_passive(x, p, g)\n")

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from cvswap import dv, estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec, MixedEnsemble
-from cvswap.sampling import BlockSpec, derive_seed, ensemble_combinations, law_block, level_law
+from cvswap.sampling import BlockSpec, derive_seed, law_block, level_law
 
 from conftest import (
     apply_two_mode_dense,
@@ -19,10 +19,12 @@ from conftest import (
     density_matrix,
     dft_matrix,
     drawn_blocks,
+    ensemble_combinations,
     invert_circuit,
     measurement_block,
     mesh_perm_block,
     padded_circuit,
+    padded_group_expectation,
     padded_on_a,
     purification_of,
     random_ensemble,
@@ -206,15 +208,18 @@ def test_two_copy_sampled(rng):
 
 
 def test_two_copy_threshold_matches_parity_route(rng):
+    # two_copy_expectation is the parity estimator's exact value on the
+    # stack and its relabeled copy, so it is held to the parity route's
+    # padded box (conftest), not to the contraction it calls
     rho = random_ensemble(rng, 2, 2)
     psi = purification_of(rho, 2)
     stack = _stack(psi, 2)
     relabeled = proto._perm_relabel(stack, 2)
     pairs = [(j, 4 + j) for j in range(4)]
-    for m in (0, 1, 2):
-        via_kernel = proto.two_copy_expectation(stack, m)
-        via_parity = est.parity_overlap_expectation([stack, relabeled], pairs, m)
-        assert via_kernel == pytest.approx(via_parity, abs=1e-12)
+    for m in (None, 0, 1, 2, [0, None, 2, 1]):
+        [group] = est._group_factors([stack, relabeled], pairs, est.normalize_thresholds(m, 4))
+        want = padded_group_expectation(group)[1]
+        assert proto.two_copy_expectation(stack, m) == pytest.approx(want, abs=1e-12)
 
 
 def test_two_copy_relabeling_equals_swap_chain(rng):

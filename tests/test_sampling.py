@@ -23,6 +23,7 @@ from cvswap.sampling import (
 
 from conftest import (
     closed_pattern_count,
+    ensemble_combinations,
     measurement_block,
     passive_measurement,
     random_pure,
@@ -196,7 +197,7 @@ def test_measurement_block_normalises_and_checks_rows():
 def test_passive_measurement_places_each_combination(rng):
     a = random_pure(rng, 2)
     b = fock.MixedEnsemble(((0.5, random_pure(rng, 3)), (0.5, random_pure(rng, 3))))
-    combos = sampling.ensemble_combinations([a, b])
+    combos = ensemble_combinations([a, b])
     patterns, amps = passive_measurement(combos, (2, 3), [(0, 1)], [])
     assert len(patterns) == closed_pattern_count((2, 3), [(0, 1)]) == amps.shape[1]
     inside = (patterns <= [2, 3]).all(axis=1)
