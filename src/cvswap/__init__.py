@@ -40,7 +40,6 @@ from .estimators import (  # noqa: F401
     swap2m_profile,
 )
 from .dv import (  # noqa: F401
-    DVEnsemble,
     DVState,
     dv_swap_estimate,
     dv_swap_expectation,

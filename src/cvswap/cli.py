@@ -126,11 +126,31 @@ def _cutoff_param(value) -> fock.CutoffSpec:
     return fock.CutoffSpec((_int_param(value, "cutoff", 0),))
 
 
+# the parameters each state kind takes besides "kind" and "cutoff", with
+# their parsers; ``prepare`` reads an absent one as 0
+_STATE_PARAMS = {
+    "vacuum": {},
+    "coherent": {"alpha": _complex_param},
+    "squeezed": {"z": _complex_param},
+    "tmss": {"r": _real_param},
+    "basis": {"pattern": None},  # required, and read by build_state itself
+}
+
+
+def _check_keys(spec: dict, accepted, where: str) -> None:
+    unknown = [key for key in spec if key not in accepted]
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}; accepted keys: "
+                          f"{', '.join(accepted)}")
+
+
 def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
-    """State preparation by name and parameters."""
+    """State preparation by name and parameters; a key the kind does not
+    take is refused, so a misspelt parameter never reads as its default."""
     if not isinstance(spec, dict):
         raise ConfigError("state spec must be an object")
     if "mixture" in spec:
+        _check_keys(spec, ("mixture",), "mixture spec")
         comps = []
         for item in _list_param(spec["mixture"], "mixture"):
             comp = build_state(_required(item, "state", "mixture item"))
@@ -140,18 +160,15 @@ def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
         return fock.MixedEnsemble(tuple(comps))
     kind = _required(spec, "kind", "state spec")
     cutoff = _cutoff_param(_required(spec, "cutoff", "state spec"))
-    if kind == "vacuum":
-        return fock.prepare("vacuum", cutoff)
-    if kind == "coherent":
-        return fock.prepare("coherent", cutoff, alpha=_complex_param(spec.get("alpha", 0), "alpha"))
-    if kind == "squeezed":
-        return fock.prepare("squeezed", cutoff, z=_complex_param(spec.get("z", 0), "z"))
-    if kind == "tmss":
-        return fock.prepare("tmss", cutoff, r=_real_param(spec.get("r", 0.0), "r"))
+    if not isinstance(kind, str) or kind not in _STATE_PARAMS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    params = _STATE_PARAMS[kind]
+    _check_keys(spec, ("kind", "cutoff", *params), f"{kind} state spec")
     if kind == "basis":
         pattern = _list_param(_required(spec, "pattern", "state spec"), "pattern")
         return fock.basis_state(tuple(_int_param(n, "pattern", 0) for n in pattern), cutoff)
-    raise ConfigError(f"unknown state kind {kind!r}")
+    return fock.prepare(kind, cutoff, **{key: parse(spec.get(key, 0), key)
+                                         for key, parse in params.items()})
 
 
 _GATE_BUILDERS = {

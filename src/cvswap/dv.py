@@ -1,12 +1,15 @@
-"""Qudit state vectors and the destructive discrete-variable SWAP test.
+"""Qudit registers and the destructive discrete-variable SWAP test.
 
-The test measures each qudit pair in a SWAP eigenbasis; a shot scores the
-product of the outcome eigenvalues, which is the SWAP eigenvalue of the
-whole register pair, so every eigenbasis gives the same shot law and the
-estimator draws from it directly.  No gate decomposition of the basis
-change is claimed (efficient circuits for the d > 2 case are not known).
-Two bases are provided: a direct symmetric/antisymmetric construction and
-one built from superpositions of qudit Bell-state pairs.
+A qudit register is a Fock state whose k-th mode holds dims[k] levels.
+Measuring each qudit pair in a SWAP eigenbasis and scoring the product of
+the outcome eigenvalues reads out the SWAP eigenvalue of the register
+pair, as the CV test's photon parity does (Garcia-Escartin &
+Chamorro-Posada, PRA 87, 052330, 2013), so every eigenbasis gives the law
+of the parity group with pairs (k-th qudit of A, k-th qudit of B) and no
+threshold.  No gate decomposition of the basis change is claimed
+(efficient circuits for the d > 2 case are not known).  Two bases are
+provided: a direct symmetric/antisymmetric construction and one built
+from superpositions of qudit Bell-state pairs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ import math
 
 import numpy as np
 
-from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
-from .fock import check_working_size, components_of
-from .sampling import BlockSpec, law_block
+from .estimators import (EstimatorResult, MeasurementSpecError, parity_overlap_estimate,
+                         parity_overlap_expectation)
+from .fock import CutoffSpec, FockState, check_working_size
 
 __all__ = [
     "DVState",
-    "DVEnsemble",
     "qudit_bell_state",
     "swap_eigenbasis",
     "dv_swap_estimate",
@@ -30,50 +32,24 @@ __all__ = [
 ]
 
 
-class DVState:
-    """Dense state over a register of qudits with the given local dims."""
+class DVState(FockState):
+    """Unit state over a register of qudits with the given local dims: the
+    Fock state whose k-th mode is cut at dims[k] - 1.  A mixed register is a
+    ``MixedEnsemble`` of such states."""
 
-    __slots__ = ("dims", "amplitudes")
+    __slots__ = ()
 
     def __init__(self, dims, amplitudes):
         dims = tuple(int(d) for d in dims)
         if any(d < 2 for d in dims):
             raise ValueError("local dimensions must be >= 2")
-        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        shape = dims
-        if amps.shape != shape:
-            if amps.size != int(np.prod(dims)):
-                raise ValueError("amplitude count does not match dims")
-            amps = amps.reshape(shape)
-        norm = float(np.vdot(amps, amps).real)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise ValueError(f"state norm^2 {norm} deviates from 1 beyond 1e-9")
-        amps.flags.writeable = False
-        self.dims = dims
-        self.amplitudes = amps
-
-
-class DVEnsemble:
-    """Mixed qudit state as a convex ensemble of pure preparations."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple((float(w), s) for w, s in components)
-        if not comps:
-            raise ValueError("ensemble needs at least one component")
-        if not abs(sum(w for w, _ in comps) - 1.0) <= 1e-12:
-            raise ValueError("ensemble weights must sum to 1")
-        if not all(0.0 < w <= 1.0 for w, _ in comps):
-            raise ValueError("ensemble weights must lie in (0, 1]")
-        ref = comps[0][1].dims
-        if any(s.dims != ref for _, s in comps):
-            raise ValueError("ensemble components must share dims")
-        self.components = comps
+        super().__init__(CutoffSpec(tuple(d - 1 for d in dims)), amplitudes)
+        if not abs(self.norm_sq - 1.0) <= 1e-9:
+            raise ValueError(f"state norm^2 {self.norm_sq} deviates from 1 beyond 1e-9")
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.components[0][1].dims
+        return self.cutoff.shape
 
 
 # ---------------------------------------------------------------------------
@@ -166,44 +142,26 @@ def swap_eigenbasis(d: int, basis: str = "v") -> tuple[np.ndarray, np.ndarray]:
 # estimator
 
 
-def _common_dims(prep_a, prep_b) -> tuple[int, ...]:
-    if prep_b.dims != prep_a.dims:
+def _swap_pairs(prep_a, prep_b) -> list[tuple[int, int]]:
+    """The pairs (k, n + k) that join qudit k of A to qudit k of B."""
+    if prep_b.cutoff != prep_a.cutoff:
         raise MeasurementSpecError("the two preparations must have identical dims")
-    return prep_a.dims
+    n = prep_a.modes
+    return [(k, n + k) for k in range(n)]
 
 
-def _swap_mean(prep_a, prep_b) -> float:
-    """t = tr(rho sigma) = sum_ij w_i w_j |<a_i|b_j>|^2, each component
-    normalised by its norm."""
-    _common_dims(prep_a, prep_b)
-    value = 0.0
-    for wa, a in components_of(prep_a):
-        for wb, b in components_of(prep_b):
-            norms = np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real
-            value += wa * wb * abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / norms
-    return float(value)
+def dv_swap_estimate(prep_a, prep_b, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
+    """Destructive SWAP-test estimate of tr(rho sigma) for qudit registers
+    (``DVState`` or a ``MixedEnsemble`` of them).
 
-
-def _dv_block(prep_a, prep_b, basis: str) -> BlockSpec:
-    """The shot law over the levels (1, -1): a shot scores the SWAP
-    eigenvalue of the register pair, whose mean is t = tr(rho sigma)."""
-    _check_basis(basis)
-    t = _swap_mean(prep_a, prep_b)
-    return law_block([1.0, -1.0], [(1.0 + t) / 2.0, (1.0 - t) / 2.0])
-
-
-def dv_swap_estimate(prep_a, prep_b, shots: int, seed,
-                     basis: str = "v") -> EstimatorResult | list[EstimatorResult]:
-    """Destructive SWAP-test estimate of tr(rho sigma) for qudit registers.
-
-    Each pair (k-th qudit of A, k-th qudit of B) is measured in the chosen
-    SWAP eigenbasis; a shot scores the product of the outcome eigenvalues.
+    Each pair (k-th qudit of A, k-th qudit of B) is measured in a SWAP
+    eigenbasis; a shot scores the product of the outcome eigenvalues, the
+    parity group's sign.
     """
-    return estimate_blocks([_dv_block(prep_a, prep_b, basis)], shots, seed)
+    return parity_overlap_estimate([prep_a, prep_b], _swap_pairs(prep_a, prep_b), None, shots, seed)
 
 
 def dv_swap_expectation(prep_a, prep_b) -> float:
-    """Exact estimator expectation tr(rho sigma) = sum_ij w_i w_j |<a_i|b_j>|^2
-    over the components of the two preparations; every SWAP eigenbasis
-    gives this value."""
-    return _swap_mean(prep_a, prep_b)
+    """Exact estimator expectation tr(rho sigma): the masked swap s of the
+    register pair's parity group, which every SWAP eigenbasis gives."""
+    return parity_overlap_expectation([prep_a, prep_b], _swap_pairs(prep_a, prep_b), None)

@@ -24,8 +24,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import fock
-from .fock import (FockState, MeasurementSpecError, MixedEnsemble, check_working_size,
-                   components_of)
+from .fock import (FockState, MeasurementSpecError, MixedEnsemble, ResourceLimitError,
+                   check_working_size, components_of)
 from .sampling import (
     BlockSpec,
     blocks_estimate,
@@ -246,8 +246,10 @@ def _group_expectation(group: _Group, total_threshold=None,
     n_a + n_b <= 2M unless it keeps every pattern; a group total cuts every
     mode to 2 m_total + 1 levels and enters as a running total that a step
     tensor per mode advances.  For s each paired mode is cut to the shorter
-    of its pair, outside which rho[SWAP n; n] vanishes.  einsum takes at
-    most 52 labels: the modes, one per factor, one total per mode.
+    of its pair, outside which rho[SWAP n; n] vanishes.  The labels are the
+    modes, one per factor and, with a running total, one total per mode; a
+    group that needs more than einsum's 52 is refused before it allocates
+    anything.
     """
     caps, pairs = group.base_caps, group.local_pairs
     top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
@@ -257,6 +259,13 @@ def _group_expectation(group: _Group, total_threshold=None,
         if thr is not None:
             top[a], top[b] = min(top[a], 2 * thr + 1), min(top[b], 2 * thr + 1)
     cut = [min(d, top[p]) for d, p in zip(top, partner)]
+    totalled = total_threshold is not None and 2 * total_threshold < sum(top) - len(top)
+    labels = len(caps) * (1 + totalled) + len(group.factors)
+    if labels > 52:
+        raise ResourceLimitError(
+            f"a parity group of {len(caps)} modes and {len(group.factors)} registers"
+            f"{' with a group total' if totalled else ''} needs {labels} einsum labels, "
+            "beyond numpy's 52; measure fewer modes at once")
     diagonals, swapped, hi = [], [], 0
     for f, factor in enumerate(group.factors):
         comps = components_of(factor)
@@ -277,7 +286,7 @@ def _group_expectation(group: _Group, total_threshold=None,
             mask = _pair_mask(top[a], top[b], thr)
             for ops, dims in ((diagonals, top), (swapped, cut)):
                 ops.append(((min(a, b), 2), mask[:dims[a], :dims[b]], [a, b]))
-    if total_threshold is not None and 2 * total_threshold < sum(top) - len(top):
+    if totalled:
         t = np.arange(2 * total_threshold + 1)
         running = len(caps) + len(group.factors) - 1  # running + m: the total of modes below m
         for m, d in enumerate(top):

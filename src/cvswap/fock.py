@@ -74,8 +74,9 @@ class PreparationLeakError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """Raised when a working space would exceed MAX_WORKING_ELEMENTS, or
-    when a run asks for more shots than sampling.MAX_SHOTS."""
+    """Raised when a working space would exceed MAX_WORKING_ELEMENTS, when
+    a run asks for more shots than sampling.MAX_SHOTS, or when a register
+    or a contraction exceeds numpy's 64 array axes or 52 einsum labels."""
 
 
 def check_working_size(rows: int, columns: int) -> None:
@@ -108,6 +109,9 @@ class CutoffSpec:
             raise MeasurementSpecError("cutoff needs at least one mode")
         if any(n < 0 for n in caps):
             raise MeasurementSpecError("per-mode cutoffs must be >= 0")
+        if len(caps) > 64:
+            raise ResourceLimitError(f"{len(caps)} modes exceed numpy's 64 array axes; "
+                                     "use at most 64 modes")
         self.per_mode_max = caps
 
     def __eq__(self, other):
@@ -193,8 +197,9 @@ class MixedEnsemble:
 
 
 def components_of(state) -> tuple[tuple[float, object], ...]:
-    """Uniform (weight, pure state) view of a pure state or of an ensemble,
-    that is anything with ``components`` (MixedEnsemble, dv.DVEnsemble)."""
+    """Uniform (weight, pure state) view of a pure state or of a
+    ``MixedEnsemble``, whose components may be qudit registers
+    (``dv.DVState``)."""
     return getattr(state, "components", ((1.0, state),))
 
 

@@ -574,7 +574,7 @@ def mesh_hybrid_block(state_a, state_b, m) -> BlockSpec:
 def mesh_dv_block(prep_a, prep_b, basis) -> BlockSpec:
     """Every qudit pair measured in the SWAP eigenbasis ``basis``; an
     outcome scores the product of its pairs' eigenvalues (levels 1, -1)."""
-    dims = prep_a.dims
+    dims = prep_a.cutoff.shape
     k = len(dims)
     combos = ensemble_combinations([prep_a, prep_b])
     bases = [dv.swap_eigenbasis(d, basis) for d in dims]

@@ -509,10 +509,22 @@ VACUUM = {"kind": "vacuum", "cutoff": [2]}
     ({"mixture": [{"weight": 0.3, "state": VACUUM}] * 2}, "ensemble weights must sum to 1"),
     ({"mixture": [{"weight": 0.5, "state": VACUUM}, {"weight": 0.5, "state": {**VACUUM, "cutoff": [3]}}]},
      "ensemble components must share modes and cutoff"),
+    ({"kind": "coherent", "alpah": [1.5, 0], "cutoff": 20},
+     "coherent state spec has unknown key 'alpah'; accepted keys: kind, cutoff, alpha"),
+    ({"kind": "vacuum", "cutoff": [2], "r": 0.3},
+     "vacuum state spec has unknown key 'r'; accepted keys: kind, cutoff"),
+    ({"kind": "basis", "pattern": [0], "cutoff": [2], "alpha": 1},
+     "basis state spec has unknown key 'alpha'; accepted keys: kind, cutoff, pattern"),
+    ({"mixture": [{"weight": 1.0, "state": {"kind": "squeezed", "Z": 0.5, "cutoff": [4]}}]},
+     "squeezed state spec has unknown key 'Z'; accepted keys: kind, cutoff, z"),
+    ({"mixture": [{"weight": 1.0, "state": VACUUM}], "kind": "coherent"},
+     "mixture spec has unknown key 'kind'; accepted keys: mixture"),
 ])
 def test_malformed_state_spec_is_config_error(tmp_path, capsys, state, message):
     # a state spec that does not fit its own cutoff or weights is a config
-    # error (exit 2), not a numerical failure, with one line
+    # error (exit 2), not a numerical failure, with one line; so is a key
+    # its kind does not take, which would otherwise read as its default
+    # ("alpah" prepared the vacuum, whose overlap with the vacuum is 1)
     code, out = run_cli(tmp_path, "overlap", {"state_a": state, "state_b": VACUUM})
     assert code == 2 and not out.exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -949,6 +961,25 @@ def test_oversized_tensor_product_is_a_resource_limit(tmp_path, capsys):
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("copies, message", [
+    (13, "a parity group of 52 modes and 2 registers needs 54 einsum labels, beyond numpy's 52; "
+         "measure fewer modes at once"),
+    (33, "66 modes exceed numpy's 64 array axes; use at most 64 modes"),
+])
+def test_numpy_structural_limits_are_resource_limits(tmp_path, capsys, copies, message):
+    # the two-copy group holds two stacks of two modes a copy, one label a
+    # mode and one a stack; a stack of 33 copies has more modes than a
+    # numpy array has axes; 12 copies, 50 labels, still run
+    purification = {"kind": "basis", "pattern": [0, 0], "cutoff": [0, 0]}
+    code, out = run_cli(tmp_path, "two-copy", {"purification": purification, "copies": copies,
+                                               "shots": 10})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"resource limit: {message}\n"
+    code, out = run_cli(tmp_path, "two-copy", {"purification": purification, "copies": 12,
+                                               "shots": 10})
+    assert code == 0 and json.loads(out.read_text())["results"]["exact_expectation"] == 1.0
 
 
 MIXED_SINGLE = {"mixture": [{"weight": 0.4, "state": {"kind": "coherent", "alpha": 0.3, "cutoff": [3]}},

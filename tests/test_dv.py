@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cvswap import dv, fock
-from cvswap.dv import DVEnsemble, DVState, dv_swap_estimate, dv_swap_expectation
+from cvswap.dv import DVState, dv_swap_estimate, dv_swap_expectation
+from cvswap.fock import MixedEnsemble
 from cvswap.sampling import level_law
 
-from conftest import assert_same_law, mesh_dv_block
+from conftest import assert_same_law, drawn_blocks, mesh_dv_block
 
 
 def rand_dv(rng, dims):
@@ -24,6 +25,12 @@ def swap_permutation(d):
     return perm
 
 
+def the_law(a, b):
+    """The one block a DV SWAP-test draw builds."""
+    [[block]] = drawn_blocks(lambda: dv_swap_estimate(a, b, 1, 0))
+    return block
+
+
 def test_dvstate_requires_unit_norm():
     with pytest.raises(ValueError):
         DVState((2,), np.array([1.0, 1.0]))
@@ -31,10 +38,18 @@ def test_dvstate_requires_unit_norm():
         DVState((2,), np.array([math.nan, 0.0]))
 
 
+def test_dvstate_is_a_fock_register_of_its_dims():
+    state = DVState((2, 3), np.eye(2, 3) / math.sqrt(2))
+    assert isinstance(state, fock.FockState)
+    assert state.dims == (2, 3) and state.cutoff == fock.CutoffSpec((1, 2))
+    with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+        DVState((2, 1), np.eye(2, 1))
+
+
 def test_dv_ensemble_refuses_nan_weights():
     state = DVState((2,), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        DVEnsemble(((math.nan, state),))
+    with pytest.raises(ValueError, match="weights must lie in"):
+        MixedEnsemble(((math.nan, state),))
 
 
 def test_dv_ensemble_refuses_weights_outside_the_unit_interval():
@@ -42,7 +57,7 @@ def test_dv_ensemble_refuses_weights_outside_the_unit_interval():
     # weight: against |0> its estimate read 1.0 where its exact value is 1.5
     zero, one = DVState((2,), np.array([1.0, 0.0])), DVState((2,), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="weights must lie in"):
-        DVEnsemble(((1.5, zero), (-0.5, one)))
+        MixedEnsemble(((1.5, zero), (-0.5, one)))
 
 
 def test_bell_states_qubit_labels():
@@ -98,13 +113,14 @@ def test_expectation_identical_and_orthogonal():
 
 @pytest.mark.parametrize("basis", ["v", "w"])
 def test_block_weights_are_eigenvalue_products(rng, basis):
-    # the block's law over (1, -1) is that of measuring every pair in the
-    # basis and scoring the product of the outcome eigenvalues
+    # the parity group's law over (0, 1, -1) is that of measuring every
+    # pair in either basis and scoring the product of the outcome
+    # eigenvalues: no shot is discarded
     dims = (2, 3)
     a = rand_dv(rng, dims)
-    b = DVEnsemble(((0.3, rand_dv(rng, dims)), (0.7, rand_dv(rng, dims))))
-    block = dv._dv_block(a, b, basis)
-    assert np.array_equal(block.levels, [1.0, -1.0])
+    b = MixedEnsemble(((0.3, rand_dv(rng, dims)), (0.7, rand_dv(rng, dims))))
+    block = the_law(a, b)
+    assert np.array_equal(block.levels, [0.0, 1.0, -1.0])
     assert_same_law(block, mesh_dv_block(a, b, basis))
 
 
@@ -115,7 +131,8 @@ def test_expectation_matches_overlap_pure(rng, basis):
         a, b = rand_dv(rng, dims), rand_dv(rng, dims)
         want = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
         assert dv_swap_expectation(a, b) == pytest.approx(want, abs=1e-12)
-        assert np.dot(*level_law([dv._dv_block(a, b, basis)])) == pytest.approx(want, abs=1e-10)
+        assert np.dot(*level_law([the_law(a, b)])) == pytest.approx(want, abs=1e-10)
+        assert np.dot(*level_law([mesh_dv_block(a, b, basis)])) == pytest.approx(want, abs=1e-10)
 
 
 def test_expectation_matches_trace_mixed(rng):
@@ -124,14 +141,15 @@ def test_expectation_matches_trace_mixed(rng):
     comps_b = [rand_dv(rng, dims) for _ in range(3)]
     wa = np.array([0.3, 0.7])
     wb = np.array([0.2, 0.5, 0.3])
-    ens_a = DVEnsemble(tuple((float(w), s) for w, s in zip(wa, comps_a)))
-    ens_b = DVEnsemble(tuple((float(w), s) for w, s in zip(wb, comps_b)))
+    ens_a = MixedEnsemble(tuple((float(w), s) for w, s in zip(wa, comps_a)))
+    ens_b = MixedEnsemble(tuple((float(w), s) for w, s in zip(wb, comps_b)))
     rho = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(wa, comps_a))
     sig = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(wb, comps_b))
     want = np.trace(rho @ sig).real
     assert dv_swap_expectation(ens_a, ens_b) == pytest.approx(want, abs=1e-12)
+    assert np.dot(*level_law([the_law(ens_a, ens_b)])) == pytest.approx(want, abs=1e-10)
     for basis in ("v", "w"):
-        law_mean = np.dot(*level_law([dv._dv_block(ens_a, ens_b, basis)]))
+        law_mean = np.dot(*level_law([mesh_dv_block(ens_a, ens_b, basis)]))
         assert law_mean == pytest.approx(want, abs=1e-10)
 
 
@@ -148,9 +166,9 @@ def test_sampled_mean_within_five_stderr(rng):
     assert abs(res.mean.real - exact) <= 5 * res.stderr
     assert abs(res.mean.imag) < 1e-12
     # a mixed preparation draws its component from a stream of its own
-    ens = DVEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
+    ens = MixedEnsemble(((0.3, rand_dv(rng, (3,))), (0.7, rand_dv(rng, (3,)))))
     exact = dv_swap_expectation(ens, b)
-    res = dv_swap_estimate(ens, b, 100_000, 12, basis="w")
+    res = dv_swap_estimate(ens, b, 100_000, 12)
     assert abs(res.mean.real - exact) <= 5 * res.stderr
 
 

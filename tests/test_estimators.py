@@ -390,6 +390,24 @@ def test_padded_box_comparison_sees_a_wrong_masked_swap(rng, monkeypatch):
         _assert_group_expectation_is_the_padded_box(factors, [(0, 1)], [2], None)
 
 
+def test_a_group_beyond_einsum_labels_is_a_resource_limit():
+    # a group names one label per mode and per register and, with a group
+    # total that cuts, one running total per mode: two 13-mode registers
+    # need 28 labels, or 54 with such a total, beyond einsum's 52
+    def registers(modes):
+        vacuum = fock.basis_state((0,) * modes, CutoffSpec((1,) * modes))
+        return [vacuum, vacuum], [(k, modes + k) for k in range(modes)]
+
+    states, pairs = registers(13)
+    assert est.parity_overlap_expectation(states, pairs, None, 13) == 1.0  # the total cuts nothing
+    for run in (lambda: est.parity_overlap_expectation(states, pairs, None, 1),
+                lambda: est.parity_overlap_estimate(states, pairs, None, 10, 1, 1)):
+        with pytest.raises(fock.ResourceLimitError, match="a parity group of 26 modes and 2 "
+                                                          "registers with a group total needs 54"):
+            run()
+    assert est.parity_overlap_expectation(*registers(12), None, 1) == 1.0  # 50 labels
+
+
 def test_negative_thresholds_refused(rng):
     a, b = random_pure(rng, 3), random_pure(rng, 3)
     for m, m_total in ((-1, None), ([2, -1], None), (None, -1)):

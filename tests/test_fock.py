@@ -58,6 +58,17 @@ def test_state_norm_cached(rng):
         FockState(state.cutoff, state.amplitudes, norm_sq=1.0)
 
 
+def test_cutoff_beyond_numpy_axes_is_a_resource_limit():
+    # numpy arrays carry at most 64 axes, so a register of more modes is
+    # refused where its cutoff is built, before any amplitude exists
+    assert CutoffSpec((0,) * 64).dim == 1
+    with pytest.raises(fock.ResourceLimitError, match="65 modes exceed numpy's 64 array axes"):
+        CutoffSpec((0,) * 65)
+    with pytest.raises(fock.ResourceLimitError, match="66 modes"):
+        fock.tensor(fock.basis_state((0,) * 64, CutoffSpec((0,) * 64)),
+                    fock.basis_state((0, 0), CutoffSpec((0, 0))))
+
+
 def test_cutoff_equality_compares_the_caps():
     assert CutoffSpec((3, 2)) == CutoffSpec([3.0, 2])
     assert not CutoffSpec((3, 2)) != CutoffSpec((3, 2))

@@ -142,7 +142,7 @@ def test_compile_cost_functions_build_no_circuit():
                      "gate_matrix": ["fock.apply_gate"]}
 
 
-BLOCK_BUILDERS = ("_group_block", "_perm_block", "_dv_block", "law_block")
+BLOCK_BUILDERS = ("_group_block", "_perm_block", "law_block")
 
 
 def test_block_builders_serve_only_shot_estimators():
@@ -156,8 +156,7 @@ def test_block_builders_serve_only_shot_estimators():
     assert found == {
         "_group_block": ["estimators.parity_overlap_estimate"],
         "_perm_block": ["protocols.perm_test"],
-        "_dv_block": ["dv.dv_swap_estimate"],
-        "law_block": ["dv._dv_block", "estimators._group_block", "protocols._perm_block"],
+        "law_block": ["estimators._group_block", "protocols._perm_block"],
     }
     shot_paths = {caller.split(".")[1] for callers in found.values() for caller in callers}
     exact = [name for source in sources.values() for name in exported_names(source)
@@ -198,11 +197,17 @@ def reaches_avoiding(sources: dict[str, str], start: str, target: str, avoiding:
 
 
 def test_two_copy_reaches_the_contraction_only_through_the_parity_estimator():
+    # the two-copy and the qudit SWAP tests are parity groups: they reach
+    # the contraction only through the public parity entry points
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert "protocols.two_copy_expectation" in _callers("parity_overlap_expectation")
-    for target in ("_group_expectation", "_contract"):
-        assert reaches_avoiding(sources, "two_copy_expectation", target, "")
-        assert not reaches_avoiding(sources, "two_copy_expectation", target, "parity_overlap_expectation")
+    for start, via in (("protocols.two_copy_expectation", "parity_overlap_expectation"),
+                       ("dv.dv_swap_expectation", "parity_overlap_expectation"),
+                       ("dv.dv_swap_estimate", "parity_overlap_estimate")):
+        assert start in _callers(via)
+        name = start.split(".")[1]
+        for target in ("_group_expectation", "_contract"):
+            assert reaches_avoiding(sources, name, target, "")
+            assert not reaches_avoiding(sources, name, target, via)
 
 
 def test_reach_check_sees_a_path_around_the_avoided_name():

@@ -700,7 +700,7 @@ def _shot_estimators(rng) -> dict:
     a, b, pair = random_ensemble(rng, 4, 2), random_pure(rng, 4), random_pure(rng, 3, modes=2)
     stack = fock.tensor(random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2))
     ha, hb = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
-    qa = dv.DVEnsemble(((0.3, _dv_state(rng, (3, 2))), (0.7, _dv_state(rng, (3, 2)))))
+    qa = fock.MixedEnsemble(((0.3, _dv_state(rng, (3, 2))), (0.7, _dv_state(rng, (3, 2)))))
     qb = _dv_state(rng, (3, 2))
     return {
         "cv_swap_estimate": lambda seed: est.cv_swap_estimate(a, b, 3, 500, seed),
@@ -709,7 +709,7 @@ def _shot_estimators(rng) -> dict:
         "perm_test": lambda seed: proto.perm_test([a, b, a], 500, seed),
         "two_copy_test": lambda seed: proto.two_copy_test(stack, 500, seed, 2),
         "hybrid_swap_estimate": lambda seed: proto.hybrid_swap_estimate(ha, hb, 3, 500, seed),
-        "dv_swap_estimate": lambda seed: dv.dv_swap_estimate(qa, qb, 500, seed, "w"),
+        "dv_swap_estimate": lambda seed: dv.dv_swap_estimate(qa, qb, 500, seed),
     }
 
 
