@@ -89,19 +89,17 @@ def _pair_param(value, name: str) -> tuple[int, int]:
     return _int_param(value[0], name), _int_param(value[1], name)
 
 
-def _threshold_param(value):
-    """M: None, one integer, or a list of integers and nulls (one per pair)."""
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [None if v is None else _int_param(v, "M", 0) for v in value]
-    return _int_param(value, "M", 0)
+def _threshold_param(value, name: str = "M", per_pair: bool = False):
+    """None or an integer >= 0; with ``per_pair``, also a list of those."""
+    if per_pair and isinstance(value, (list, tuple)):
+        return [_threshold_param(v, name) for v in value]
+    return None if value is None else _int_param(value, name, 0)
 
 
 def _real_param(value, name: str) -> float:
-    """A finite real; JSON's NaN and Infinity, and integers beyond the
-    float range, are refused."""
-    if not isinstance(value, (int, float)):
+    """A finite real; booleans, JSON's NaN and Infinity, and integers
+    beyond the float range are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number")
     try:
         value = float(value)
@@ -120,76 +118,86 @@ def _complex_param(value, name: str) -> complex:
     raise ConfigError(f"{name} must be a number or an [re, im] pair")
 
 
-def _cutoff_param(value) -> fock.CutoffSpec:
-    if isinstance(value, (list, tuple)):
-        return fock.CutoffSpec(tuple(_int_param(v, "cutoff", 0) for v in value))
-    return fock.CutoffSpec((_int_param(value, "cutoff", 0),))
+def _counts_param(value, name: str) -> tuple[int, ...]:
+    return tuple(_int_param(n, name, 0) for n in _list_param(value, name))
 
 
-# the parameters each state kind takes besides "kind" and "cutoff", with
-# their parsers; ``prepare`` reads an absent one as 0
-_STATE_PARAMS = {
-    "vacuum": {},
-    "coherent": {"alpha": _complex_param},
-    "squeezed": {"z": _complex_param},
-    "tmss": {"r": _real_param},
-    "basis": {"pattern": None},  # required, and read by build_state itself
+def _cutoff_param(value, name: str) -> fock.CutoffSpec:
+    return fock.CutoffSpec(_counts_param(value if isinstance(value, (list, tuple)) else [value], name))
+
+
+def _pure_state(spec, name: str) -> fock.FockState:
+    if isinstance(spec, dict) and "mixture" in spec:  # refused unbuilt, so mixtures never nest
+        raise ConfigError(f"{name} must not be a mixture")
+    return build_state(spec)
+
+
+# Every object a config nests, by form: the keys the form takes, in the
+# order a message lists them, with their parsers.  A state spec that holds
+# "mixture" is a mixture and any other takes the form its "kind" names; a
+# gate spec takes the form its "gate" names.
+_FORMS = {
+    "vacuum": {"cutoff": _cutoff_param},
+    "coherent": {"cutoff": _cutoff_param, "alpha": _complex_param},
+    "squeezed": {"cutoff": _cutoff_param, "z": _complex_param},
+    "tmss": {"cutoff": _cutoff_param, "r": _real_param},
+    "basis": {"cutoff": _cutoff_param, "pattern": _counts_param},
+    "mixture": {"mixture": lambda value, name: [_read(item, "mixture item", "mixture item")
+                                                for item in _list_param(value, name)]},
+    "mixture item": {"weight": _real_param, "state": _pure_state},
+    "displacement": {"alpha": _complex_param, "mode": _int_param},
+    "squeeze": {"z": _complex_param, "mode": _int_param},
+    "phase": {"phi": _real_param, "mode": _int_param},
+    "hybrid state": {"qubit": lambda value, name: [_complex_param(a, "qubit amplitude")
+                                                   for a in _list_param(value, name)],
+                     "cv": lambda value, name: build_state(value)},
 }
+# a state kind's own parameter may be absent; fock.prepare reads it as 0
+_OPTIONAL = {"coherent": "alpha", "squeezed": "z", "tmss": "r"}
+_KINDS = ("vacuum", "coherent", "squeezed", "tmss", "basis")
+_GATES = {"displacement": fock.Displacement, "squeeze": fock.Squeeze, "phase": fock.PhaseRotation}
 
 
-def _check_keys(spec: dict, accepted, where: str) -> None:
-    unknown = [key for key in spec if key not in accepted]
+def _read(spec, form, where: str, tag: str | None = None) -> dict:
+    """The values of a config object of ``form``, by key, each through its
+    parser.  With ``tag``, ``form`` lists the forms the object's value of
+    ``tag`` may name, and that value is kept under its key.  A non-object,
+    an unknown form, a key the form does not take and a missing required
+    key are refused, so a misspelt key never reads as its default."""
+    values = {}
+    if tag:
+        name = values[tag] = _required(spec, tag, where)
+        if not isinstance(name, str) or name not in form:
+            raise ConfigError(f"unknown {tag} {name!r}; accepted {tag}s: {', '.join(form)}")
+        form, where = name, f"{name} {where}"
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object")
+    keys = [*values, *_FORMS[form]]
+    unknown = [key for key in spec if key not in keys]
     if unknown:
-        raise ConfigError(f"{where} has unknown key {unknown[0]!r}; accepted keys: "
-                          f"{', '.join(accepted)}")
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}; accepted keys: {', '.join(keys)}")
+    for key, parse in _FORMS[form].items():
+        if key in spec:
+            values[key] = parse(spec[key], key)
+        elif key != _OPTIONAL.get(form):
+            raise ConfigError(f"{where} missing {key!r}")
+    return values
 
 
 def build_state(spec) -> fock.FockState | fock.MixedEnsemble:
-    """State preparation by name and parameters; a key the kind does not
-    take is refused, so a misspelt parameter never reads as its default."""
-    if not isinstance(spec, dict):
-        raise ConfigError("state spec must be an object")
-    if "mixture" in spec:
-        _check_keys(spec, ("mixture",), "mixture spec")
-        comps = []
-        for item in _list_param(spec["mixture"], "mixture"):
-            comp = build_state(_required(item, "state", "mixture item"))
-            if not isinstance(comp, fock.FockState):
-                raise ConfigError("mixture components must be pure states")
-            comps.append((_real_param(_required(item, "weight", "mixture item"), "weight"), comp))
-        return fock.MixedEnsemble(tuple(comps))
-    kind = _required(spec, "kind", "state spec")
-    cutoff = _cutoff_param(_required(spec, "cutoff", "state spec"))
-    if not isinstance(kind, str) or kind not in _STATE_PARAMS:
-        raise ConfigError(f"unknown state kind {kind!r}")
-    params = _STATE_PARAMS[kind]
-    _check_keys(spec, ("kind", "cutoff", *params), f"{kind} state spec")
-    if kind == "basis":
-        pattern = _list_param(_required(spec, "pattern", "state spec"), "pattern")
-        return fock.basis_state(tuple(_int_param(n, "pattern", 0) for n in pattern), cutoff)
-    return fock.prepare(kind, cutoff, **{key: parse(spec.get(key, 0), key)
-                                         for key, parse in params.items()})
-
-
-_GATE_BUILDERS = {
-    "displacement": lambda g: fock.Displacement(
-        _complex_param(g["alpha"], "alpha"), _int_param(g["mode"], "mode")),
-    "squeeze": lambda g: fock.Squeeze(_complex_param(g["z"], "z"), _int_param(g["mode"], "mode")),
-    "phase": lambda g: fock.PhaseRotation(_real_param(g["phi"], "phi"), _int_param(g["mode"], "mode")),
-}
+    """A state from its spec: a mixture, or a kind with its parameters."""
+    if isinstance(spec, dict) and "mixture" in spec:
+        items = _read(spec, "mixture", "mixture spec")["mixture"]
+        return fock.MixedEnsemble(tuple((item["weight"], item["state"]) for item in items))
+    values = _read(spec, _KINDS, "state spec", "kind")
+    if values["kind"] == "basis":
+        return fock.basis_state(values["pattern"], values["cutoff"])
+    return fock.prepare(**values)
 
 
 def build_circuit(specs) -> list[fock.GateSpec]:
-    gates = []
-    for g in specs:
-        name = _required(g, "gate", "gate spec")
-        if not isinstance(name, str) or name not in _GATE_BUILDERS:
-            raise ConfigError(f"unknown gate {name!r}; accepted gates: {', '.join(_GATE_BUILDERS)}")
-        try:
-            gates.append(_GATE_BUILDERS[name](g))
-        except KeyError as exc:
-            raise ConfigError(f"bad gate spec {g!r}: missing {exc}") from exc
-    return gates
+    read = [_read(g, _GATES, "gate spec", "gate") for g in specs]
+    return [_GATES[values.pop("gate")](**values) for values in read]
 
 
 def _load_config(args) -> RunConfig:
@@ -304,13 +312,12 @@ def cmd_overlap(cfg: RunConfig) -> None:
         states = [build_state(s) for s in _list_param(
             _required(payload, "states", "overlap config"), "states")]
         pairs = [_pair_param(p, "pairs entry") for p in _list_param(payload["pairs"], "pairs")]
-        m = _threshold_param(payload.get("M"))
+        m = _threshold_param(payload.get("M"), per_pair=True)
         estimate = lambda shots, seeds: est.parity_overlap_estimate(states, pairs, m, shots, seeds)
     else:
         state_a = build_state(_required(payload, "state_a", "overlap config"))
         state_b = build_state(_required(payload, "state_b", "overlap config"))
-        m = payload.get("M")
-        m = None if m is None else _int_param(m, "M", 0)
+        m = _threshold_param(payload.get("M"))
         estimate = lambda shots, seeds: est.cv_swap_estimate(state_a, state_b, m, shots, seeds)
     results, rows = _estimator_document(cfg, estimate)
     _emit(cfg, results, rows)
@@ -390,16 +397,14 @@ def cmd_perm(cfg: RunConfig) -> None:
 
 def cmd_two_copy(cfg: RunConfig) -> None:
     payload = cfg.payload
-    base = build_state(_required(payload, "purification", "two-copy config"))
-    if not isinstance(base, fock.FockState):
-        raise ConfigError("purification must be a pure state")
+    base = _pure_state(_required(payload, "purification", "two-copy config"), "purification")
     if base.modes != 2:
         raise ConfigError("purification spec must cover one (A, B) pair")
     copies = _int_param(payload.get("copies", 2), "copies")
     stack = base
     for _ in range(copies - 1):
         stack = fock.tensor(stack, base)
-    m = _threshold_param(payload.get("M"))
+    m = _threshold_param(payload.get("M"), per_pair=True)
     results, rows = _estimator_document(
         cfg, lambda shots, seeds: proto.two_copy_test(stack, shots, seeds, m)
     )
@@ -415,8 +420,7 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
                         for key in ("u_gates", "v_gates"))
     m_totals = payload.get("m_totals")
     if m_totals is not None:
-        m_totals = [None if m is None else _int_param(m, "m_totals entry", 0)
-                    for m in _list_param(m_totals, "m_totals")]
+        m_totals = [_threshold_param(m, "m_totals entry") for m in _list_param(m_totals, "m_totals")]
     shots = _int_param(payload.get("shots_per_term", cfg.shots), "shots_per_term", 1)
     terms = proto.compile_terms(training, u_gates, v_gates, m_totals)
     results = {
@@ -431,11 +435,8 @@ def cmd_compile_cost(cfg: RunConfig) -> None:
 
 
 def _build_hybrid(spec, name: str) -> fock.FockState | fock.MixedEnsemble:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object")
-    if "qubit" not in spec or "cv" not in spec:
-        raise ConfigError("hybrid state needs 'qubit' amplitudes and a 'cv' state spec")
-    q = np.array([_complex_param(a, "qubit amplitude") for a in _list_param(spec["qubit"], "qubit")])
+    values = _read(spec, "hybrid state", name)
+    q = np.array(values["qubit"])
     if q.shape != (2,):
         raise ConfigError("qubit amplitudes must be a 2-vector")
     with np.errstate(over="ignore"):
@@ -448,12 +449,11 @@ def _build_hybrid(spec, name: str) -> fock.FockState | fock.MixedEnsemble:
     if norm == 0:
         raise ConfigError(f"{name} qubit amplitudes are all zero")
     qubit = fock.FockState(fock.CutoffSpec((1,)), q / norm)
-    cv = build_state(spec["cv"])
+    cv = values["cv"]
     if cv.modes != 1:
         raise ConfigError(f"{name} cv state must be single-mode")
     if isinstance(cv, fock.MixedEnsemble):
-        comps = tuple((w, fock.tensor(qubit, s)) for w, s in cv.components)
-        return fock.MixedEnsemble(comps)
+        return fock.MixedEnsemble(tuple((w, fock.tensor(qubit, s)) for w, s in cv.components))
     return fock.tensor(qubit, cv)
 
 
@@ -461,8 +461,7 @@ def cmd_hybrid(cfg: RunConfig) -> None:
     payload = cfg.payload
     state_a = _build_hybrid(_required(payload, "state_a", "hybrid config"), "state_a")
     state_b = _build_hybrid(_required(payload, "state_b", "hybrid config"), "state_b")
-    m = payload.get("M")
-    m = None if m is None else _int_param(m, "M", 0)
+    m = _threshold_param(payload.get("M"))
     results, rows = _estimator_document(
         cfg, lambda shots, seeds: proto.hybrid_swap_estimate(state_a, state_b, m, shots, seeds)
     )

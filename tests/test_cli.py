@@ -405,6 +405,13 @@ def test_missing_key_is_config_error(tmp_path, capsys, command, config, key):
     ("compile-cost", {"training": [{"kind": "tmss", "r": [1], "cutoff": [2, 2]}]}, "r"),
     ("cutoff-plan", {"family": "squeezed", "r": "x"}, "r"),
     ("cutoff-plan", {"family": "coherent", "energy": 4.0, "eps": "small"}, "eps"),
+    # a JSON boolean is no real number, though Python's bool is an int
+    ("overlap", {"state_a": {"kind": "coherent", "alpha": True, "cutoff": [2]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2]}}, "alpha"),
+    ("cutoff-plan", {"family": "coherent", "energy": True}, "energy"),
+    ("fig2", {"r_list": [True]}, "r_list entry"),
+    ("overlap", {"state_a": {"mixture": [{"weight": True, "state": {"kind": "vacuum", "cutoff": [2]}}]},
+                 "state_b": {"kind": "vacuum", "cutoff": [2]}}, "weight"),
 ])
 def test_non_numeric_real_is_config_error(tmp_path, capsys, command, config, name):
     code, _ = run_cli(tmp_path, command, config)
@@ -530,6 +537,68 @@ def test_malformed_state_spec_is_config_error(tmp_path, capsys, state, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _as_state_a(spec):
+    return {"state_a": spec, "state_b": VACUUM}
+
+
+# every form cli._FORMS reads: (command, the config that holds a spec of
+# the form, a valid spec, its required keys, a key it does not take with a
+# value, the spec's name in messages, its accepted keys as listed)
+FORM_CASES = {
+    "vacuum": ("overlap", _as_state_a, VACUUM, ("kind", "cutoff"), ("r", 0.3),
+               "vacuum state spec", "kind, cutoff"),
+    "coherent": ("overlap", _as_state_a, {"kind": "coherent", "cutoff": [2], "alpha": 0.1},
+                 ("kind", "cutoff"), ("alpah", [1.5, 0]), "coherent state spec", "kind, cutoff, alpha"),
+    "squeezed": ("overlap", _as_state_a, {"kind": "squeezed", "cutoff": [2], "z": 0.1},
+                 ("kind", "cutoff"), ("Z", 0.5), "squeezed state spec", "kind, cutoff, z"),
+    "tmss": ("overlap", lambda spec: {"states": [spec], "pairs": [[0, 1]]},
+             {"kind": "tmss", "cutoff": [2, 2], "r": 0.1}, ("kind", "cutoff"), ("R", 1.0),
+             "tmss state spec", "kind, cutoff, r"),
+    "basis": ("overlap", _as_state_a, {"kind": "basis", "cutoff": [2], "pattern": [1]},
+              ("kind", "cutoff", "pattern"), ("alpha", 1), "basis state spec", "kind, cutoff, pattern"),
+    # the one key of a mixture is what makes it one: without it the spec
+    # reads as a state kind, missing 'kind'
+    "mixture": ("overlap", _as_state_a, {"mixture": [{"weight": 1.0, "state": VACUUM}]}, (),
+                ("weight", 1.0), "mixture spec", "mixture"),
+    "mixture item": ("overlap", lambda spec: _as_state_a({"mixture": [spec]}),
+                     {"weight": 1.0, "state": VACUUM}, ("weight", "state"), ("wieght", 0.5),
+                     "mixture item", "weight, state"),
+    "displacement": ("compile-cost", lambda spec: {"training": TRAINING, "u_gates": [spec]},
+                     {"gate": "displacement", "alpha": 0.1, "mode": 0}, ("gate", "alpha", "mode"),
+                     ("z", 0.1), "displacement gate spec", "gate, alpha, mode"),
+    "squeeze": ("compile-cost", lambda spec: {"training": TRAINING, "v_gates": [spec]},
+                {"gate": "squeeze", "z": 0.1, "mode": 0}, ("gate", "z", "mode"), ("alpha", [0.5, 0]),
+                "squeeze gate spec", "gate, z, mode"),
+    "phase": ("compile-cost", lambda spec: {"training": TRAINING, "u_gates": [spec]},
+              {"gate": "phase", "phi": 0.1, "mode": 0}, ("gate", "phi", "mode"), ("theta", 0.3),
+              "phase gate spec", "gate, phi, mode"),
+    "hybrid state": ("hybrid", lambda spec: {"state_a": spec, "state_b": HYBRID_SPEC}, HYBRID_SPEC,
+                     ("qubit", "cv"), ("qbit", [0, 1]), "state_a", "qubit, cv"),
+}
+
+
+def test_form_cases_cover_every_form():
+    assert set(FORM_CASES) == set(cli._FORMS)
+
+
+@pytest.mark.parametrize("form", FORM_CASES)
+def test_every_form_refuses_an_unknown_or_missing_key(tmp_path, capsys, form):
+    # a key the form does not take would otherwise change nothing: hybrid
+    # "qbit" next to "qubit", a squeeze gate's "alpha" and a mixture item's
+    # "wieght" were each ignored, and their runs exited 0
+    command, place, spec, required, (key, value), where, keys = FORM_CASES[form]
+    assert run_cli(tmp_path, command, place(spec))[0] == 0
+    capsys.readouterr()
+    assert run_cli(tmp_path, command, place({**spec, key: value}))[0] == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {where} has unknown key {key!r}; accepted keys: {keys}\n"
+    for dropped in required:
+        code, _ = run_cli(tmp_path, command, place({k: v for k, v in spec.items() if k != dropped}))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:") and err.count("\n") == 1
+        assert repr(dropped) in err
+
+
 def test_integral_floats_are_integers(tmp_path):
     config = {**TWO_VACUA, "M": 2, "shots": 100, "runs": 2, "seed": 5}
     _, out_int = run_cli(tmp_path, "overlap", config, name="int.json")
@@ -564,7 +633,7 @@ COMPILE_A = {"training": TRAINING}
     ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "nonsense"}]}, "unknown gate 'nonsense'"),
     ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": ["phase"]}]}, "unknown gate ['phase']"),
     ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "phase", "mode": 0}]},
-     "bad gate spec {'gate': 'phase', 'mode': 0}: missing 'phi'"),
+     "phase gate spec missing 'phi'"),
     ("compile-cost", {**COMPILE_A, "u_gates": [{"gate": "displacement", "alpha": 0.3, "mode": 1}]},
      "compiling circuits must act on register A only"),
     ("compile-cost", {**COMPILE_A, "v_gates": [{"gate": "phase", "phi": 0.3, "mode": 1}]},
@@ -692,6 +761,8 @@ HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, 
     ("overlap", {**TWO_VACUA, "state_a": {"kind": "tmss", "r": 0.1, "cutoff": [2, 2]}},
      "state_a must be a single-mode state"),
     ("overlap", {**TWO_VACUA, "state_b": TWO_MODE[0]}, "state_b must be a single-mode state"),
+    ("two-copy", {"purification": {"mixture": [{"weight": 1.0, "state": TWO_MODE[0]}]}},
+     "purification must not be a mixture"),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):
@@ -744,6 +815,16 @@ def test_config_deeper_than_the_decoder_is_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: config is not valid JSON: maximum recursion depth exceeded")
     assert err.count("\n") == 1
+
+
+def test_mixture_nested_within_the_decoder_limit_is_config_error(tmp_path, capsys):
+    # a mixture's state is refused as a mixture before it is built, so no
+    # nesting the decoder accepts reaches the interpreter's recursion limit
+    cfg_path = tmp_path / "cfg.json"
+    vacuum = '{"kind": "vacuum", "cutoff": [2]}'
+    cfg_path.write_text(f'{{"state_a": {_nested_mixture(200)}, "state_b": {vacuum}}}', encoding="utf-8")
+    assert cli.main(["overlap", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: state must not be a mixture\n"
 
 
 def test_no_nesting_depth_is_a_numerical_failure(tmp_path, capsys):

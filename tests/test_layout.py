@@ -1,6 +1,7 @@
 """Modules of the package reach each other only through public names, no
 shot block simulates its measurement circuit, no input rule is written in
-both the CLI and the library, and importing the package runs no generated
+both the CLI and the library, the CLI reads every nested config object
+through its form table, and importing the package runs no generated
 code."""
 
 import ast
@@ -254,6 +255,65 @@ def test_raised_message_check_sees_plain_and_formatted_messages():
               'raise\nraise ConfigError\n')
     assert raised_messages(source, "ConfigError") == {"'empty'", "f'{name} bad'"}
     assert raised_messages(source) == {"'empty'", "f'{name} bad'", "'other'"}
+
+
+def raw_spec_reads(source: str, functions) -> list[str]:
+    """In each named function, the subscripts of, and ``.get`` calls on,
+    its raw specs: its parameters and the targets of ``for`` loops and
+    comprehensions over one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        raw = {arg.arg for arg in node.args.args}
+        for loop in ast.walk(node):  # breadth first, so an outer loop comes first
+            if isinstance(loop, (ast.For, ast.comprehension)) and getattr(loop.iter, "id", None) in raw:
+                raw |= {name.id for name in ast.walk(loop.target) if isinstance(name, ast.Name)}
+        for child in ast.walk(node):
+            if isinstance(child, ast.Subscript) and getattr(child.value, "id", None) in raw:
+                found.append((child.lineno, f"{node.name} line {child.lineno}: "
+                                            f"subscripts {child.value.id}"))
+            elif (isinstance(child, ast.Attribute) and child.attr == "get"
+                  and getattr(child.value, "id", None) in raw):
+                found.append((child.lineno, f"{node.name} line {child.lineno}: "
+                                            f"calls {child.value.id}.get"))
+    return [hit for _, hit in sorted(found)]
+
+
+def caught(source: str, exception: str) -> list[int]:
+    """The lines of the ``except`` clauses that catch ``exception``, alone
+    or in a tuple."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and exception in {getattr(n, "id", None) for n in ast.walk(node.type)}]
+
+
+SPEC_READERS = ("build_state", "build_circuit", "_build_hybrid")
+
+
+def test_cli_reads_every_nested_object_through_its_form():
+    # each nested object goes through cli._read, which refuses a key its
+    # form does not take; a builder that read its spec itself could skip
+    # that check, and a caught KeyError would stand in for a missing key
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    defined = {name for name, _ in definitions_and_roots(source)[0]}
+    assert set(SPEC_READERS) <= defined
+    assert raw_spec_reads(source, SPEC_READERS) == []
+    assert caught(source, "KeyError") == []
+
+
+def test_raw_spec_check_sees_subscripts_gets_and_handlers():
+    source = ("def build(spec, other):\n    x = spec['a']\n    for g in spec:\n        y = g.get('b')\n"
+              "    z = other[0]\n    values = read(spec)\n    w = values['c']\n"
+              "    v = [h['e'] for h in other]\n"
+              "def elsewhere(spec):\n    return spec['d']\n"
+              "try:\n    pass\nexcept (ValueError, KeyError):\n    pass\n"
+              "except KeyError as exc:\n    pass\nexcept Exception:\n    pass\n")
+    assert raw_spec_reads(source, ("build",)) == ["build line 2: subscripts spec",
+                                                  "build line 4: calls g.get",
+                                                  "build line 5: subscripts other",
+                                                  "build line 8: subscripts h"]
+    assert caught(source, "KeyError") == [13, 15]
 
 
 README = SRC.parents[1] / "README.md"
