@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Iterable
 from operator import itemgetter
 
 import numpy as np
@@ -26,13 +25,8 @@ import numpy as np
 from . import fock
 from .fock import (FockState, MeasurementSpecError, MixedEnsemble, ResourceLimitError,
                    check_working_size, components_of)
-from .sampling import (
-    BlockSpec,
-    blocks_estimate,
-    estimator_statistics,
-    law_block,
-    seed_root,
-)
+from .sampling import (BlockSpec, ShotLaw, blocks_estimate, estimator_statistics, law_block,
+                       seed_root)
 
 __all__ = [
     "EstimatorResult",
@@ -306,22 +300,38 @@ def _group_block(group: _Group, total_threshold=None) -> BlockSpec:
     return law_block([0.0, 1.0, -1.0], [1.0 - k, (k + s) / 2.0, (k - s) / 2.0])
 
 
+def _integer(value, rule: str) -> int:
+    """A Python or numpy integer (not a bool) as an int, else refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise MeasurementSpecError(f"{rule}, not {type(value).__name__}")
+
+
 def estimate_blocks(blocks, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:
     """Shot estimate from independent measurement blocks: mean and standard
     error of the shot weight, from the tally of the draws, with the
     discarded-shot count.
 
-    An integer ``seed`` gives one ``EstimatorResult``.  A sequence of
-    seeds gives a list with one result per seed, in order, each equal to
-    the single-seed call: several runs drawn from one block build.
+    An integer ``seed`` gives one ``EstimatorResult``.  A flat sequence of
+    integer seeds gives a list with one result per seed, in order, each
+    equal to the single-seed call: every run draws its tally from one
+    ``ShotLaw`` of the blocks, built once.  ``shots`` must be an integer
+    >= 1.
     """
+    shots = _integer(shots, "shots must be an integer")
     if shots < 1:
         raise MeasurementSpecError("shots must be >= 1")
-    if isinstance(seed, Iterable):
-        return [estimate_blocks(blocks, shots, s) for s in seed]
-    (values, counts), discarded = blocks_estimate(blocks, shots, seed)
-    mean, stderr = estimator_statistics(values, counts)
-    return EstimatorResult(mean, stderr, shots, discarded, seed_root(seed))
+    many = isinstance(seed, (list, tuple, range)) or (
+        isinstance(seed, np.ndarray) and seed.ndim == 1)
+    seeds = [_integer(s, "a seed must be an integer or a flat sequence of integers")
+             for s in (seed if many else [seed])]
+    law = ShotLaw(blocks)
+    results = []
+    for s in seeds:
+        (_, counts), discarded = blocks_estimate(law, shots, s)
+        mean, stderr = estimator_statistics(law, counts)
+        results.append(EstimatorResult(mean, stderr, shots, discarded, seed_root(s)))
+    return results if many else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .fock import ResourceLimitError
 
 __all__ = [
     "BlockSpec",
+    "ShotLaw",
     "LAW_TOLERANCE",
     "MAX_SHOTS",
     "law_block",
@@ -261,21 +263,43 @@ def binomial(n: int, p: float, seed, stream: int) -> int:
     return draw(n, p, _attempts(seed, stream))
 
 
+class ShotLaw:
+    """The ``level_law`` (values, q) of a block list, built once for every
+    run that draws from it.  ``conditionals[i]`` is the probability of code
+    i given none of codes 0..i-1, q_i / (q_i + ... + q_last), for every
+    code but the last; ``zero`` lists the codes of weight exactly 0, the
+    discarded shots; ``parts`` splits the values into integers for
+    ``estimator_statistics``.  An empty block list is refused.
+    """
+
+    __slots__ = ("values", "conditionals", "zero", "parts")
+
+    def __init__(self, blocks):
+        if not blocks:
+            raise ValueError("blocks_estimate needs at least one block; the block list is empty")
+        self.values, q = level_law(blocks)
+        q = q.tolist()
+        tails = list(itertools.accumulate(reversed(q)))[::-1]
+        self.conditionals = [min(1.0, max(0.0, p / tail)) if tail > 0.0 else 0.0
+                             for p, tail in zip(q[:-1], tails)]
+        values = self.values.tolist()
+        self.zero = [i for i, v in enumerate(values) if v == 0]
+        self.parts = _integer_parts(values)
+
+
 def blocks_estimate(blocks, shots: int, seed):
     """Tally of the weights of ``shots`` shots, as ((values, counts),
     discarded): ``counts[i]`` shots scored ``values[i]``, a product of one
     weight level of each block, and ``discarded`` of them scored exactly
     zero because a detector threshold was exceeded.
 
-    The counts are one Multinomial(shots, q) draw from the ``level_law``
-    of the blocks, made as conditional binomials in code order: code i
-    takes Binomial(shots left, q_i / (q_i + ... + q_last)) with uniforms
-    from stream i, and the last code takes the rest.  No shot is drawn.
-    A count beyond MAX_SHOTS raises ``ResourceLimitError``; an empty block
-    list is refused.
+    ``blocks`` is a block list or the ``ShotLaw`` built from one, which
+    several runs share.  The counts are one Multinomial(shots, q) draw from
+    the law, made as conditional binomials in code order: code i takes
+    Binomial(shots left, ``conditionals[i]``) with uniforms from stream i,
+    and the last code takes the rest.  No shot is drawn.  A count beyond
+    MAX_SHOTS raises ``ResourceLimitError``.
     """
-    if not blocks:
-        raise ValueError("blocks_estimate needs at least one block; the block list is empty")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if shots > MAX_SHOTS:
@@ -283,17 +307,14 @@ def blocks_estimate(blocks, shots: int, seed):
             f"{shots} shots need exact counts, which double-precision sums keep only "
             "up to MAX_SHOTS = 2^53 shots; reduce shots"
         )
-    values, law = level_law(blocks)
-    tails = np.cumsum(law[::-1])[::-1]
-    counts = np.zeros(values.size, dtype=np.int64)
-    left = shots
-    for i, (q, tail) in enumerate(zip(law[:-1].tolist(), tails[:-1].tolist())):
-        p = min(1.0, max(0.0, q / tail)) if tail > 0.0 else 0.0
+    law = blocks if isinstance(blocks, ShotLaw) else ShotLaw(blocks)
+    counts, left = [], shots
+    for i, p in enumerate(law.conditionals):
         drawn = binomial(left, p, seed, i)
-        counts[i] = drawn
+        counts.append(drawn)
         left -= drawn
-    counts[-1] = left
-    return (values, counts), int(counts[values == 0].sum())
+    counts.append(left)
+    return (law.values, np.array(counts, dtype=np.int64)), sum(counts[i] for i in law.zero)
 
 
 def _sqrt_ratio(p: int, d: int) -> float:
@@ -312,6 +333,20 @@ def _sqrt_ratio(p: int, d: int) -> float:
     return math.ldexp(float(root), -s)
 
 
+def _integer_parts(values: list[complex]) -> list[tuple[list[int], list[int], int]]:
+    """The real and the imaginary parts of ``values`` as integer
+    numerators over one denominator each, with the numerators' squares:
+    every part is an integer over a power of two, so over the largest of
+    them all are integers."""
+    parts = []
+    for part in ([v.real for v in values], [v.imag for v in values]):
+        ratios = [x.as_integer_ratio() for x in part]
+        den = max((q for _, q in ratios), default=1)
+        nums = [p * (den // q) for p, q in ratios]
+        parts.append((nums, [a * a for a in nums], den))
+    return parts
+
+
 def estimator_statistics(values, counts) -> tuple[complex, float]:
     """Sample mean and standard error of a tally of shot weights:
     ``counts[i]`` shots of weight ``values[i]``.
@@ -324,18 +359,18 @@ def estimator_statistics(values, counts) -> tuple[complex, float]:
     part uses the n-1 sample standard deviation, each rounded once from
     its exact value, and the two are combined as their norm.  A single
     shot has no dispersion estimate; stderr is reported as NaN.
+
+    ``values`` may also be the ``ShotLaw`` the counts were drawn from,
+    whose split of its values into integers every run reuses.
     """
-    tally = [(v, int(c)) for v, c in zip(np.asarray(values, dtype=np.complex128).ravel().tolist(),
-                                         counts) if c > 0]
-    n = sum(c for _, c in tally)
+    parts = values.parts if isinstance(values, ShotLaw) else _integer_parts(
+        np.asarray(values, dtype=np.complex128).ravel().tolist())
+    counts = [int(c) for c in counts]
+    n = sum(counts)
     if n == 0:
         raise ValueError("no shots")
-    moments = []
-    for part in ([v.real for v, _ in tally], [v.imag for v, _ in tally]):
-        ratios = [x.as_integer_ratio() for x in part]
-        den = max(q for _, q in ratios)
-        levels = [(p * (den // q), c) for (p, q), (_, c) in zip(ratios, tally)]
-        moments.append((sum(c * a for a, c in levels), sum(c * a * a for a, c in levels), den))
+    moments = [(sum(map(operator.mul, nums, counts)), sum(map(operator.mul, squares, counts)), den)
+               for nums, squares, den in parts]
     (re, _, re_den), (im, _, im_den) = moments
     mean = complex(np.complex128(complex(re / re_den, im / im_den)) / n)
     if n == 1:

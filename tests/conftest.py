@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvswap import dv, estimators, fock
+from cvswap import dv, estimators, fock, sampling
 from cvswap.sampling import BlockSpec, level_law
 
 
@@ -192,16 +192,16 @@ def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
 
 
 def drawn_blocks(run) -> list[list]:
-    """The block list of every draw ``run()`` makes, in order."""
+    """The block list of every law ``run()`` builds to draw from, in
+    order: an estimator call builds one ``ShotLaw`` for all its runs."""
     drawn = []
-    draw = estimators.blocks_estimate
 
-    def record(blocks, shots, seed):
+    def record(blocks):
         drawn.append(list(blocks))
-        return draw(blocks, shots, seed)
+        return level_law(blocks)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimators, "blocks_estimate", record)
+        patch.setattr(sampling, "level_law", record)
         run()
     return drawn
 

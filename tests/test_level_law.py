@@ -19,17 +19,18 @@ TOL = 1e-10
 
 
 def law_expectations(run) -> list[complex]:
-    """sum q . values of the blocks of every draw ``run()`` makes, in order."""
+    """sum q . values of every law ``run()`` builds to draw from, in order:
+    an estimator call builds one ``ShotLaw`` for all its runs."""
     seen = []
-    draw = est.blocks_estimate
+    build = sampling.level_law
 
-    def capture(blocks, shots, seed):
-        values, q = sampling.level_law(blocks)
+    def capture(blocks):
+        values, q = build(blocks)
         seen.append(complex(np.dot(q, values)))
-        return draw(blocks, shots, seed)
+        return values, q
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(est, "blocks_estimate", capture)
+        patch.setattr(sampling, "level_law", capture)
         run()
     return seen
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from cvswap import dv, estimators as est, fock, protocols as proto
+from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import BlockSpec, derive_seed, law_block, level_law
 
@@ -694,6 +694,19 @@ def _dv_state(rng, dims):
     return dv.DVState(dims, amps / np.linalg.norm(amps))
 
 
+def _laws(rng) -> dict:
+    """Block lists whose laws the estimators draw from: the PERM law of
+    complex levels, two blocks whose levels multiply, and a law that
+    discards shots."""
+    a, b = random_ensemble(rng, 3, 2), random_pure(rng, 3)
+    return {
+        "perm": [proto._perm_block([a, b, a])],
+        "two-block": [law_block([0.0, 1.0, -1.0], [0.1, 0.5, 0.4]),
+                      law_block([1.0, -1.0], [0.7, 0.3])],
+        "discarding": [law_block([0.0, 1.0, -1.0], [0.4, 0.35, 0.25])],
+    }
+
+
 def _shot_estimators(rng) -> dict:
     """Every public shot estimator as a function of its seed, on small
     inputs with an ensemble wherever the estimator takes one."""
@@ -710,11 +723,14 @@ def _shot_estimators(rng) -> dict:
         "two_copy_test": lambda seed: proto.two_copy_test(stack, 500, seed, 2),
         "hybrid_swap_estimate": lambda seed: proto.hybrid_swap_estimate(ha, hb, 3, 500, seed),
         "dv_swap_estimate": lambda seed: dv.dv_swap_estimate(qa, qb, 500, seed),
+        **{f"{name} law": lambda seed, blocks=blocks: est.estimate_blocks(blocks, 500, seed)
+           for name, blocks in _laws(rng).items()},
     }
 
 
 @pytest.mark.parametrize("name", ["cv_swap_estimate", "parity_overlap_estimate", "perm_test",
-                                  "two_copy_test", "hybrid_swap_estimate", "dv_swap_estimate"])
+                                  "two_copy_test", "hybrid_swap_estimate", "dv_swap_estimate",
+                                  "perm law", "two-block law", "discarding law"])
 def test_a_sequence_of_seeds_gives_the_single_seed_results(rng, name):
     estimate = _shot_estimators(rng)[name]
     seeds = [derive_seed(11, k) for k in range(3)] + [5]
@@ -723,6 +739,38 @@ def test_a_sequence_of_seeds_gives_the_single_seed_results(rng, name):
     assert estimate(seeds) == single
     assert estimate(tuple(seeds)) == single
     assert len({result.mean for result in single}) > 1  # the runs are not one draw repeated
+
+
+@pytest.mark.parametrize("name", ["perm", "two-block", "discarding"])
+def test_a_law_draws_and_sums_as_its_block_list(rng, name):
+    blocks = _laws(rng)[name]
+    law = sampling.ShotLaw(blocks)
+    for seed in [derive_seed(11, k) for k in range(3)]:
+        (values, counts), discarded = sampling.blocks_estimate(law, 500, seed)
+        (want_values, want_counts), want_discarded = sampling.blocks_estimate(blocks, 500, seed)
+        assert np.array_equal(values, want_values) and np.array_equal(counts, want_counts)
+        assert discarded == want_discarded
+        assert (sampling.estimator_statistics(law, counts)
+                == sampling.estimator_statistics(want_values, want_counts))
+    if name == "discarding":
+        assert discarded > 0
+
+
+@pytest.mark.parametrize("runs", [1, 4, 64])
+def test_an_estimator_call_builds_one_law_for_all_its_runs(rng, runs):
+    a, b = random_ensemble(rng, 3, 2), random_pure(rng, 3)
+    stack = fock.tensor(random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2))
+    seeds = [derive_seed(3, k) for k in range(runs)]
+    for call in (lambda: est.cv_swap_estimate(a, b, 2, 50, seeds),
+                 lambda: proto.perm_test([a, b, a], 50, seeds),
+                 lambda: proto.two_copy_test(stack, 50, seeds, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            laws = count_calls(patch, sampling, "level_law")
+            draws = count_calls(patch, est, "blocks_estimate")
+            entered = count_calls(patch, est, "estimate_blocks")
+            count_calls(patch, proto, "estimate_blocks", entered)
+            assert len(call()) == runs
+        assert (len(laws), len(draws), len(entered)) == (1, runs, 1)
 
 
 VAC2, VAC3 = fock.prepare("vacuum", CutoffSpec((2,))), fock.prepare("vacuum", CutoffSpec((3,)))
@@ -755,6 +803,35 @@ def test_input_shapes_a_protocol_cannot_take_are_spec_errors(call, message):
     with pytest.raises(est.MeasurementSpecError) as refusal:
         call()
     assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("shots, seed, message", [
+    (100, "42", "a seed must be an integer or a flat sequence of integers, not str"),
+    (100, b"7", "a seed must be an integer or a flat sequence of integers, not bytes"),
+    (100, [[1, 2]], "a seed must be an integer or a flat sequence of integers, not list"),
+    (100, np.array(5), "a seed must be an integer or a flat sequence of integers, not ndarray"),
+    (100, 2.9, "a seed must be an integer or a flat sequence of integers, not float"),
+    (100, [4, True], "a seed must be an integer or a flat sequence of integers, not bool"),
+    (100.5, 4, "shots must be an integer, not float"),
+    ("100", [4, 5], "shots must be an integer, not str"),
+])
+def test_seeds_and_shots_that_are_not_integers_are_spec_errors(rng, shots, seed, message):
+    pair = random_pure(rng, 3), random_pure(rng, 3)
+    for call in (lambda: est.cv_swap_estimate(*pair, 2, shots, seed),
+                 lambda: est.estimate_blocks([law_block([1.0], [1.0])], shots, seed)):
+        with pytest.raises(est.MeasurementSpecError) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+
+def test_numpy_integers_and_flat_sequences_are_seeds_and_shots(rng):
+    blocks = _laws(rng)["discarding"]
+    want = [est.estimate_blocks(blocks, 300, seed) for seed in (0, 1, 2)]
+    for seeds in (range(3), np.arange(3), [np.int64(0), np.uint8(1), 2]):
+        assert est.estimate_blocks(blocks, np.int32(300), seeds) == want
+    result = est.estimate_blocks(blocks, np.int64(300), np.uint64(2**64 - 1))
+    assert result == est.estimate_blocks(blocks, 300, -1)
+    assert type(result.shots) is int and type(result.seed) is int
 
 
 def test_a_shot_count_below_one_is_refused_before_any_seed():

@@ -334,6 +334,7 @@ KNOWN_TALLIES = {
     "three-small": [3, 2, 2],
     "two-blocks": [44706, 24633, 54118],
     "rare": [1006, 999998994],
+    "three-seeds": [[498894, 200061, 301045], [499708, 200255, 300037]],
 }
 
 
@@ -349,4 +350,8 @@ def test_tally_known_answers():
                                              ("three-small", [three], 7, 0),
                                              ("two-blocks", [mixed, three], 123_457, 2**64 - 1),
                                              ("rare", [rare], 10**9, 11))}
+    # several runs draw from one law built once, each as its single-seed draw
+    law = sampling.ShotLaw([three])
+    got["three-seeds"] = [blocks_estimate(law, 1_000_000, seed)[0][1].tolist()
+                          for seed in (708, 709)]
     assert got == KNOWN_TALLIES
