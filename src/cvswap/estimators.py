@@ -25,8 +25,7 @@ import numpy as np
 from . import fock
 from .fock import (FockState, MeasurementSpecError, MixedEnsemble, ResourceLimitError,
                    check_working_size, components_of)
-from .sampling import (BlockSpec, ShotLaw, blocks_estimate, estimator_statistics, law_block,
-                       seed_root)
+from .sampling import ShotLaw, blocks_estimate, estimator_statistics, law_block, seed_root
 
 __all__ = [
     "EstimatorResult",
@@ -292,7 +291,7 @@ def _group_expectation(group: _Group, total_threshold=None,
     return (_contract(diagonals, top + size) if kept else None), _contract(swapped, cut + size)
 
 
-def _group_block(group: _Group, total_threshold=None) -> BlockSpec:
+def _group_block(group: _Group, total_threshold=None) -> tuple[list[complex], list[float]]:
     """A group's shot law over the levels (0, 1, -1): a shot is discarded
     with probability 1 - k, and a kept shot's parity is the SWAP eigenvalue,
     +1 with probability (k + s) / 2 and -1 with (k - s) / 2."""

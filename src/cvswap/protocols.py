@@ -21,7 +21,7 @@ from .estimators import EstimatorResult, MeasurementSpecError, estimate_blocks
 from .fock import FockState, MixedEnsemble, components_of
 # blocks_estimate is not called here; bench/test_bench.py checks that the
 # benchmark tracer also wraps this module's binding of it
-from .sampling import BlockSpec, blocks_estimate, derive_seed, law_block  # noqa: F401
+from .sampling import blocks_estimate, derive_seed, law_block  # noqa: F401
 
 __all__ = [
     "perm_test",
@@ -85,7 +85,7 @@ def _shift_expectation(rhos, t: int) -> complex:
     return complex(value)
 
 
-def _perm_block(states) -> BlockSpec:
+def _perm_block(states) -> tuple[list[complex], list[float]]:
     """The PERM shot law over the L phases w^j = e^{2 pi i j / L}: the DFT
     mixer reads out the eigenvalue of C, so a shot scores w^j with
     probability q_j = (1/L) sum_t w^{-jt} <C^t>."""
@@ -93,7 +93,8 @@ def _perm_block(states) -> BlockSpec:
     n = len(rhos)
     shifts = [_shift_expectation(rhos, t) for t in range(n)]
     inverse_dft = np.exp(-2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
-    return law_block(np.exp(2j * math.pi * np.arange(n) / n), inverse_dft @ shifts)
+    phases = np.exp(2j * math.pi * np.arange(n) / n)
+    return law_block(phases.tolist(), (inverse_dft @ shifts).tolist())
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:

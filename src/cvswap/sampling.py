@@ -3,10 +3,11 @@
 Randomness is counter-based: every uniform draw is a pure function of
 (root seed, stream id, index), so results never depend on evaluation
 order.  The mixer is splitmix64 on Python integers masked to 64 bits.
-Shots are tallied, never drawn one by one: a block is the law of a shot's
-weight over a few levels, and a run draws how many shots land on each
-product of levels from the exact law of that product, one binomial per
-product.
+Shots are tallied, never drawn one by one: a block is the pair (levels, q),
+the law of a shot's weight over a few levels, kept as Python lists; the
+products of independent blocks' levels form one ``ShotLaw``, and a run
+draws how many shots land on each product from the exact law of that
+product, one binomial per product.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .fock import ResourceLimitError
 
 __all__ = [
-    "BlockSpec",
     "ShotLaw",
     "LAW_TOLERANCE",
     "MAX_SHOTS",
@@ -76,66 +76,67 @@ def counter_uniform(seed, stream: int, index: int) -> float:
     return _keyed_uniform(derive_seed(seed, stream), index)
 
 
-class BlockSpec:
-    """One independent factor of an estimation run.
-
-    ``distributions[i]`` is the law of the shot weight over ``levels``
-    when ensemble component i is prepared: a block has few weight levels,
-    so shots are tallied by level rather than stored.  The estimators'
-    blocks carry their mixed law as one component (``law_block``).  Blocks
-    are statistically independent, so shot weights multiply across blocks.
-    """
-
-    __slots__ = ("component_weights", "distributions", "levels")
-
-    def __init__(self, component_weights, distributions: tuple[np.ndarray, ...], levels):
-        w = np.asarray(component_weights, dtype=np.float64)
-        if w.size != len(distributions):
-            raise ValueError("one distribution per ensemble component required")
-        if np.any(w < 0):
-            raise ValueError("component weights must be >= 0")
-        if not abs(w.sum() - 1.0) <= 1e-9:
-            raise ValueError("component weights must sum to 1")
-        self.component_weights = w
-        self.distributions = distributions
-        self.levels = np.asarray(levels, dtype=np.complex128).ravel()
+def _sum(xs: list[float]) -> float:
+    """The sum numpy's ``sum`` gives a float array of ``xs``, bit for bit:
+    below 8 terms a running sum; up to 128 eight interleaved running sums,
+    added pairwise, then the rest; beyond, the two halves' sums."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    end = n - n % 8
+    r = xs[:8] if end else [0.0] * 8
+    for i in range(8, end):
+        r[i % 8] += xs[i]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        total += x
+    return total
 
 
-def law_block(levels, law) -> BlockSpec:
+def law_block(levels, law) -> tuple[list[complex], list[float]]:
     """The block that scores ``levels[i]`` with probability ``law[i]``, as
-    one component of weight 1.
+    the pair (levels, q) of Python complexes and floats.
 
     A law computed from traces carries rounding.  A part below zero, an
     imaginary part or a sum off 1 by at most LAW_TOLERANCE is clamped: the
     real parts, cut at zero, are renormalised.  A law farther off (or not
     finite) is no probability law, and is refused with a ValueError.
     """
-    law = np.asarray(law, dtype=np.complex128).ravel()
-    off = np.max([np.abs(law.imag).max(), -law.real.min(), abs(law.real.sum() - 1.0)])
+    law = [complex(p) for p in law]
+    real = [p.real for p in law]
+    total = _sum(real)
+    off = max(abs(total - 1.0), -min(real), *(abs(p.imag) for p in law))
+    if total != total or any(p.imag != p.imag for p in law):
+        off = math.nan  # max may pass over a NaN, wherever it sits
     if not off <= LAW_TOLERANCE:
         raise ValueError(f"level law is off the probability simplex by {off:.3g}, "
                          f"beyond LAW_TOLERANCE = {LAW_TOLERANCE:g}")
-    q = np.maximum(law.real, 0.0)
-    return BlockSpec(np.ones(1), (q / q.sum(),), levels)
+    q = [max(x, 0.0) for x in real]
+    total = _sum(q)
+    return [complex(v) for v in levels], [x / total for x in q]
 
 
-def level_law(blocks):
+def level_law(blocks) -> tuple[list[complex], list[float]]:
     """The law of a shot's weight, as (values, q): a shot scores the
     distinct product ``values[i]`` of one weight level of each block with
     probability ``q[i]``.
 
-    Block b scores level l with probability q_b[l], the component-weighted
-    mean of its components' laws; blocks are independent, so the outer
-    product of the q_b, summed onto the distinct products of the levels
-    (in ``np.unique`` order), is the law of the product.
+    Block (levels, q_b) scores level l with probability q_b[l]; blocks are
+    independent, so the products of the q_b, visited as numpy's outer
+    product would list them and summed in that order onto the distinct
+    products of the levels (sorted by real, then imaginary part, as
+    ``np.unique`` sorts), are the law of the product.
     """
-    values = np.ones(1, dtype=np.complex128)
-    law = np.ones(1)
-    for block in blocks:
-        q = sum(cw * dist for cw, dist in zip(block.component_weights, block.distributions))
-        values, merged = np.unique(np.multiply.outer(values, block.levels).ravel(),
-                                   return_inverse=True)
-        law = np.bincount(merged, np.multiply.outer(law, q).ravel(), minlength=values.size)
+    values, law = [1 + 0j], [1.0]
+    for levels, q in blocks:
+        merged = {}
+        for value, p in zip(values, law):
+            for level, r in zip(levels, q, strict=True):
+                key = value * level
+                merged[key] = merged.get(key, 0.0) + p * r
+        values = sorted(merged, key=lambda v: (v.real, v.imag))
+        law = [merged[v] for v in values]
     return values, law
 
 
@@ -264,41 +265,40 @@ def binomial(n: int, p: float, seed, stream: int) -> int:
 
 
 class ShotLaw:
-    """The ``level_law`` (values, q) of a block list, built once for every
-    run that draws from it.  ``conditionals[i]`` is the probability of code
-    i given none of codes 0..i-1, q_i / (q_i + ... + q_last), for every
-    code but the last; ``zero`` lists the codes of weight exactly 0, the
-    discarded shots; ``parts`` splits the values into integers for
-    ``estimator_statistics``.  An empty block list is refused.
+    """The ``level_law`` (values, q) of a list of (levels, q) blocks, built
+    once for every run that draws from it.  ``conditionals[i]`` is the
+    probability of code i given none of codes 0..i-1,
+    q_i / (q_i + ... + q_last), for every code but the last; ``zero`` lists
+    the codes of weight exactly 0, the discarded shots; ``parts`` splits the
+    values into integers for ``estimator_statistics``.  An empty block list
+    is refused.
     """
 
     __slots__ = ("values", "conditionals", "zero", "parts")
 
     def __init__(self, blocks):
         if not blocks:
-            raise ValueError("blocks_estimate needs at least one block; the block list is empty")
+            raise ValueError("a shot law needs at least one block; the block list is empty")
         self.values, q = level_law(blocks)
-        q = q.tolist()
         tails = list(itertools.accumulate(reversed(q)))[::-1]
         self.conditionals = [min(1.0, max(0.0, p / tail)) if tail > 0.0 else 0.0
                              for p, tail in zip(q[:-1], tails)]
-        values = self.values.tolist()
-        self.zero = [i for i, v in enumerate(values) if v == 0]
-        self.parts = _integer_parts(values)
+        self.zero = [i for i, v in enumerate(self.values) if v == 0]
+        self.parts = _integer_parts(self.values)
 
 
-def blocks_estimate(blocks, shots: int, seed):
-    """Tally of the weights of ``shots`` shots, as ((values, counts),
-    discarded): ``counts[i]`` shots scored ``values[i]``, a product of one
-    weight level of each block, and ``discarded`` of them scored exactly
-    zero because a detector threshold was exceeded.
+def blocks_estimate(law: ShotLaw, shots: int, seed):
+    """Tally of the weights of ``shots`` shots drawn from ``law``, as
+    ((values, counts), discarded): ``counts[i]`` shots scored
+    ``values[i]``, a product of one weight level of each block, and
+    ``discarded`` of them scored exactly zero because a detector threshold
+    was exceeded.
 
-    ``blocks`` is a block list or the ``ShotLaw`` built from one, which
-    several runs share.  The counts are one Multinomial(shots, q) draw from
-    the law, made as conditional binomials in code order: code i takes
-    Binomial(shots left, ``conditionals[i]``) with uniforms from stream i,
-    and the last code takes the rest.  No shot is drawn.  A count beyond
-    MAX_SHOTS raises ``ResourceLimitError``.
+    The counts are one Multinomial(shots, q) draw from the law, made as
+    conditional binomials in code order: code i takes Binomial(shots left,
+    ``conditionals[i]``) with uniforms from stream i, and the last code
+    takes the rest.  No shot is drawn.  A count beyond MAX_SHOTS raises
+    ``ResourceLimitError``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -307,7 +307,6 @@ def blocks_estimate(blocks, shots: int, seed):
             f"{shots} shots need exact counts, which double-precision sums keep only "
             "up to MAX_SHOTS = 2^53 shots; reduce shots"
         )
-    law = blocks if isinstance(blocks, ShotLaw) else ShotLaw(blocks)
     counts, left = [], shots
     for i, p in enumerate(law.conditionals):
         drawn = binomial(left, p, seed, i)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvswap import dv, estimators, fock, sampling
-from cvswap.sampling import BlockSpec, level_law
+from cvswap.sampling import level_law
 
 
 @pytest.fixture
@@ -86,9 +86,28 @@ def assert_same_law(block, oracle):
     """The block's level law equals the oracle's to 1e-12: every weight
     value carries the same probability, a value missing from one law
     counting as probability 0."""
-    got, want = (dict(zip(*(part.tolist() for part in level_law([b])))) for b in (block, oracle))
+    got, want = (dict(zip(*level_law([b]))) for b in (block, oracle))
     for value in set(got) | set(want):
         assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < 1e-12
+
+
+def numpy_law_block(levels, law) -> tuple[np.ndarray, np.ndarray]:
+    """``law_block``'s clamp and renormalisation as numpy arrays: the real
+    parts cut at zero, over their ``sum``."""
+    q = np.maximum(np.asarray(law, dtype=np.complex128).real, 0.0)
+    return np.asarray(levels, dtype=np.complex128), q / q.sum()
+
+
+def numpy_level_law(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``level_law`` as numpy arrays: the outer product of the values with
+    each block's levels, merged by ``np.unique`` and the outer product of
+    the laws summed onto the merged values by ``bincount``."""
+    values, law = np.ones(1, dtype=np.complex128), np.ones(1)
+    for levels, q in blocks:
+        products = np.multiply.outer(values, np.asarray(levels, dtype=np.complex128)).ravel()
+        values, merged = np.unique(products, return_inverse=True)
+        law = np.bincount(merged, np.multiply.outer(law, q).ravel(), minlength=values.size)
+    return values, law
 
 
 def dagger(gate):
@@ -479,10 +498,19 @@ def padded_group_expectation(group, total_threshold=None) -> tuple[float, float]
     return kept, value
 
 
-def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec:
+def component_block(component_weights, distributions, levels) -> tuple[list, list]:
+    """The block (levels, q) of an ensemble whose component c scores
+    ``levels`` with the law ``distributions[c]``: q is the component sum
+    w_0 dist_0 + w_1 dist_1 + ..., added in component order."""
+    q = sum(w * np.asarray(d, dtype=np.float64) for w, d in zip(component_weights, distributions))
+    return np.asarray(levels, dtype=np.complex128).ravel().tolist(), q.tolist()
+
+
+def measurement_block(component_weights, amplitudes, levels, index) -> tuple[list, list]:
     """Sampling block from measured amplitudes: one row per ensemble
     combination, each squared, normalised and summed onto ``levels`` at
-    the level positions ``index`` of its outcomes (flattened)."""
+    the level positions ``index`` of its outcomes (flattened), the rows'
+    laws then summed with their ``component_weights``."""
     index = np.asarray(index, dtype=np.intp).ravel()
     levels = np.asarray(levels, dtype=np.complex128).ravel()
     amps = np.asarray(amplitudes).reshape(len(component_weights), -1)
@@ -496,9 +524,9 @@ def measurement_block(component_weights, amplitudes, levels, index) -> BlockSpec
     total = p.sum(axis=1, keepdims=True)
     if not np.all(total > 0.0):
         raise ValueError("cannot sample from a zero-norm state")
-    return BlockSpec(np.asarray(component_weights, dtype=np.float64),
-                     tuple(np.bincount(index, dist, minlength=levels.size) for dist in p / total),
-                     levels)
+    return component_block(np.asarray(component_weights, dtype=np.float64),
+                           [np.bincount(index, dist, minlength=levels.size) for dist in p / total],
+                           levels)
 
 
 def passive_measurement(combos, caps, groups, gates, joint_box=None):
@@ -516,7 +544,7 @@ def passive_measurement(combos, caps, groups, gates, joint_box=None):
     return patterns, apply_passive(amps, patterns, gates).T
 
 
-def mesh_group_block(group, total_threshold=None) -> BlockSpec:
+def mesh_group_block(group, total_threshold=None) -> tuple[list, list]:
     """One parity group measured: the inverse 50:50 beamsplitter on every
     pair, a pattern scoring the parity of the pairs' first counts, zeroed
     past a pair threshold or the group total (levels 0, 1, -1)."""
@@ -534,7 +562,7 @@ def mesh_group_block(group, total_threshold=None) -> BlockSpec:
     return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
 
 
-def mesh_perm_block(states) -> BlockSpec:
+def mesh_perm_block(states) -> tuple[list, list]:
     """The PERM registers through the DFT mesh on the photon-number
     simplex, a pattern scoring e^{2 pi i k / L} at its phase index
     k = sum_j j n_j."""
@@ -553,7 +581,7 @@ def bell_change() -> np.ndarray:
     return np.column_stack(cols)
 
 
-def mesh_hybrid_block(state_a, state_b, m) -> BlockSpec:
+def mesh_hybrid_block(state_a, state_b, m) -> tuple[list, list]:
     """The qubit pair measured in the Bell basis, the CV pair after the
     inverse 50:50 beamsplitter; a pattern (z, n_B, x, m_B) scores
     (-1)^{z x + n_B}, zeroed when n_B + m_B exceeds 2m."""
@@ -571,7 +599,7 @@ def mesh_hybrid_block(state_a, state_b, m) -> BlockSpec:
     return measurement_block([w for w, _ in combos], amps, [0.0, 1.0, -1.0], index)
 
 
-def mesh_dv_block(prep_a, prep_b, basis) -> BlockSpec:
+def mesh_dv_block(prep_a, prep_b, basis) -> tuple[list, list]:
     """Every qudit pair measured in the SWAP eigenbasis ``basis``; an
     outcome scores the product of its pairs' eigenvalues (levels 1, -1)."""
     dims = prep_a.cutoff.shape

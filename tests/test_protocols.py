@@ -9,12 +9,13 @@ from scipy.sparse.linalg import expm_multiply
 
 from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
-from cvswap.sampling import BlockSpec, derive_seed, law_block, level_law
+from cvswap.sampling import derive_seed, law_block, level_law
 
 from conftest import (
     apply_two_mode_dense,
     assert_same_law,
     bell_change,
+    component_block,
     count_calls,
     density_matrix,
     dft_matrix,
@@ -101,7 +102,7 @@ def test_perm_rejects_bad_inputs(rng):
         proto.perm_test([random_pure(rng, 3), random_pure(rng, 4)], 10, 0)
 
 
-def _dense_perm_block(states) -> BlockSpec:
+def _dense_perm_block(states) -> tuple[list, list]:
     """Oracle: every ensemble combination tensored, padded per mode to the
     joint photon capacity and run through the dense mesh."""
     n, cap = len(states), states[0].cutoff.per_mode_max[0]
@@ -122,7 +123,7 @@ def _dense_perm_block(states) -> BlockSpec:
     phase = (np.arange(n)[:, None] * counts).sum(axis=0) % n
     weights = np.exp(2j * math.pi * np.arange(n) / n)[phase]
     # every outcome is its own weight level
-    return BlockSpec(np.asarray(comp_w), tuple(dists), weights)
+    return component_block(np.asarray(comp_w), dists, weights)
 
 
 @settings(deadline=None, max_examples=25)
@@ -616,20 +617,16 @@ def test_hybrid_dual_routes_at_finite_threshold(rng):
     # agrees with the masked-swap operator expectation at every threshold
     a, b = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
     for m in (0, 1, 2, 4):
-        block = _hybrid_block(a, b, m)
-        enumerated = sum(
-            cw * float(np.dot(dist, block.levels.real))
-            for cw, dist in zip(block.component_weights, block.distributions)
-        )
+        levels, q = _hybrid_block(a, b, m)
+        enumerated = float(np.dot(q, np.real(levels)))
         assert enumerated == pytest.approx(proto.hybrid_swap_expectation(a, b, m), abs=1e-12)
 
 
 def test_hybrid_shot_weights_are_signs_or_zero(rng):
     a, b = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
-    block = _hybrid_block(a, b, 2)
-    values = set(np.unique(block.levels.real))
-    assert values <= {-1.0, 0.0, 1.0}
-    assert np.all(block.levels.imag == 0.0)
+    levels, _ = _hybrid_block(a, b, 2)
+    assert set(np.real(levels)) <= {-1.0, 0.0, 1.0}
+    assert np.all(np.imag(levels) == 0.0)
 
 
 def test_hybrid_ensembles(rng):
@@ -648,8 +645,7 @@ def test_hybrid_without_threshold_is_the_full_cap_block(rng):
     a = MixedEnsemble(((0.4, _rand_hybrid(rng, cap)), (0.6, _rand_hybrid(rng, cap))))
     b = _rand_hybrid(rng, cap)
     free, full = _hybrid_block(a, b, None), _hybrid_block(a, b, cap)
-    assert np.array_equal(free.levels, full.levels)
-    assert all(np.array_equal(x, y) for x, y in zip(free.distributions, full.distributions, strict=True))
+    assert all(np.array_equal(x, y) for x, y in zip(free, full, strict=True))
     assert proto.hybrid_swap_estimate(a, b, None, 10, 1) == proto.hybrid_swap_estimate(a, b, cap, 10, 1)
     assert proto.hybrid_swap_expectation(a, b, None) == proto.hybrid_swap_expectation(a, b, cap)
     with pytest.raises(est.MeasurementSpecError, match="thresholds must be >= 0"):
@@ -743,11 +739,13 @@ def test_a_sequence_of_seeds_gives_the_single_seed_results(rng, name):
 
 @pytest.mark.parametrize("name", ["perm", "two-block", "discarding"])
 def test_a_law_draws_and_sums_as_its_block_list(rng, name):
+    # a law shared by every run draws and sums as one built afresh per run
     blocks = _laws(rng)[name]
     law = sampling.ShotLaw(blocks)
     for seed in [derive_seed(11, k) for k in range(3)]:
         (values, counts), discarded = sampling.blocks_estimate(law, 500, seed)
-        (want_values, want_counts), want_discarded = sampling.blocks_estimate(blocks, 500, seed)
+        (want_values, want_counts), want_discarded = sampling.blocks_estimate(
+            sampling.ShotLaw(blocks), 500, seed)
         assert np.array_equal(values, want_values) and np.array_equal(counts, want_counts)
         assert discarded == want_discarded
         assert (sampling.estimator_statistics(law, counts)

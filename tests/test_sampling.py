@@ -11,7 +11,7 @@ from scipy import stats
 
 from cvswap import fock, sampling
 from cvswap.sampling import (
-    BlockSpec,
+    ShotLaw,
     binomial,
     blocks_estimate,
     counter_uniform,
@@ -23,8 +23,11 @@ from cvswap.sampling import (
 
 from conftest import (
     closed_pattern_count,
+    component_block,
     ensemble_combinations,
     measurement_block,
+    numpy_law_block,
+    numpy_level_law,
     passive_measurement,
     random_pure,
     tally,
@@ -35,9 +38,9 @@ def test_empirical_frequencies(rng):
     state = random_pure(rng, 4)
     # every outcome its own weight level, so the counts are the outcome counts
     block = law_block(np.arange(5.0), np.abs(state.amplitudes) ** 2)
-    (p,) = block.distributions
+    p = np.array(block[1])
     shots = 1_000_000
-    (values, counts), _ = blocks_estimate([block], shots, 7)
+    (values, counts), _ = blocks_estimate(ShotLaw([block]), shots, 7)
     assert np.array_equal(values, np.arange(5.0)) and counts.sum() == shots
     freq = counts / shots
     bound = 5.0 * np.sqrt(p * (1 - p) / shots)
@@ -98,27 +101,19 @@ def test_estimator_statistics_single_element():
 def test_level_law_and_sampling():
     dist_a = np.array([0.25, 0.75])
     dist_b = np.array([0.5, 0.5])
-    block = BlockSpec(
-        component_weights=np.array([0.4, 0.6]),
-        distributions=(dist_a, dist_b),
-        levels=np.array([1.0, -1.0]),
-    )
+    block = component_block([0.4, 0.6], (dist_a, dist_b), [1.0, -1.0])
     want = 0.4 * (0.25 - 0.75) + 0.6 * (0.5 - 0.5)
     values, q = level_law([block])
     assert np.dot(values, q) == pytest.approx(want, abs=1e-15)
-    (values, counts), discarded = blocks_estimate([block], 200_000, 11)
+    (values, counts), discarded = blocks_estimate(ShotLaw([block]), 200_000, 11)
     mean, stderr = estimator_statistics(values, counts)
     assert discarded == 0 and counts.sum() == 200_000
     assert abs(mean.real - want) < 5 * stderr
 
 
 def test_blocks_estimate_counts_zero_weights():
-    block = BlockSpec(
-        component_weights=np.array([1.0]),
-        distributions=(np.array([0.5, 0.5]),),
-        levels=np.array([1.0, 0.0]),
-    )
-    (values, counts), discarded = blocks_estimate([block], 10_000, 4)
+    block = law_block([1.0, 0.0], [0.5, 0.5])
+    (values, counts), discarded = blocks_estimate(ShotLaw([block]), 10_000, 4)
     assert discarded == tally(values, counts)[0j]
     assert 3000 < discarded < 7000
 
@@ -126,31 +121,25 @@ def test_blocks_estimate_counts_zero_weights():
 def test_blocks_estimate_refuses_an_empty_block_list():
     # no block means no draw; all-zero counts would surface later as "no shots"
     with pytest.raises(ValueError, match="the block list is empty"):
-        blocks_estimate([], 100, 4)
-
-
-def test_block_spec_refuses_nan_component_weights():
-    with pytest.raises(ValueError, match="sum to 1"):
-        BlockSpec(np.array([math.nan]), (np.array([1.0]),), [1.0])
-
-
-def test_block_spec_refuses_negative_component_weights():
-    # the component draw inverts a cumulative table, which must not decrease
-    with pytest.raises(ValueError, match="component weights must be >= 0"):
-        BlockSpec(np.array([1.5, -0.5]), (np.array([1.0]), np.array([1.0])), [1.0])
+        ShotLaw([])
 
 
 def test_law_block_clamps_rounding_and_refuses_a_law_off_the_simplex():
     # rounding within LAW_TOLERANCE is clamped and renormalised
-    block = law_block([0.0, 1.0, -1.0], [-4e-13, 0.75 + 3e-13j, 0.25 + 2e-13])
-    (q,) = block.distributions
-    assert np.array_equal(block.component_weights, [1.0])
-    assert q[0] == 0.0 and q.sum() == pytest.approx(1.0, abs=1e-16)
+    levels, q = law_block([0.0, 1.0, -1.0], [-4e-13, 0.75 + 3e-13j, 0.25 + 2e-13])
+    assert levels == [0j, 1 + 0j, -1 + 0j]
+    assert q[0] == 0.0 and math.fsum(q) == pytest.approx(1.0, abs=1e-16)
     assert q[1:] == pytest.approx([0.75, 0.25], abs=1e-12)
-    # a part below zero, an imaginary part or a sum off 1 beyond it is refused
-    for law in ([-2e-12, 0.5, 0.5 + 2e-12], [0.5 + 2e-12j, 0.5], [0.5, 0.5 + 2e-12],
-                [math.nan, 1.0], [0.5, math.inf]):
-        with pytest.raises(ValueError, match="level law is off the probability simplex by"):
+    # a part below zero, an imaginary part or a sum off 1 beyond it is
+    # refused, and so is a law that is not finite anywhere: Python's max
+    # and min pass over a NaN or not depending on where it sits
+    for law, off in (([-2e-12, 0.5, 0.5 + 2e-12], "2e-12"), ([0.5 + 2e-12j, 0.5], "2e-12"),
+                     ([0.5, 0.5 + 2e-12], "2e-12"), ([math.nan, 1.0], "nan"),
+                     ([1.0, math.nan], "nan"), ([0.5, math.nan, 0.5], "nan"),
+                     ([0.5, math.inf], "inf"), ([1.5, -math.inf], "inf"),
+                     ([1.0, complex(0.0, math.nan)], "nan"), ([math.inf, -math.inf], "nan")):
+        with pytest.raises(ValueError, match=f"level law is off the probability simplex by {off}, "
+                                             "beyond LAW_TOLERANCE = 1e-12"):
             law_block([1.0, -1.0, 0.0][:len(law)], law)
 
 
@@ -162,32 +151,30 @@ def test_measurement_block_refuses_level_indices_out_of_range():
 
 @pytest.mark.parametrize("shots", [2 ** 59, 2 ** 63 - 1, 10 ** 30])
 def test_blocks_estimate_refuses_counts_numpy_cannot_size(shots):
-    block = BlockSpec(np.array([1.0]), (np.array([1.0]),), [1.0])
+    law = ShotLaw([law_block([1.0], [1.0])])
     with pytest.raises(fock.ResourceLimitError, match=f"{shots} shots need"):
-        blocks_estimate([block], shots, 0)
+        blocks_estimate(law, shots, 0)
 
 
 def test_max_shots_pass_the_guard_without_a_draw():
     # 2^53 shots are drawn, through both binomial branches, in a few
     # binomials: the count never costs time
-    block = BlockSpec(np.array([1.0]), (np.array([0.5, 0.3, 0.2 - 2.0**-53, 2.0**-53]),),
-                      [1.0, -1.0, 0.0, 2.0])
+    law = ShotLaw([law_block([1.0, -1.0, 0.0, 2.0], [0.5, 0.3, 0.2 - 2.0**-53, 2.0**-53])])
     start = time.perf_counter()
-    (_, counts), discarded = blocks_estimate([block], sampling.MAX_SHOTS, 0)
+    (_, counts), discarded = blocks_estimate(law, sampling.MAX_SHOTS, 0)
     assert time.perf_counter() - start < 1.0
     assert int(counts.sum()) == 2 ** 53 and 0 < discarded < 2 ** 53
     with pytest.raises(fock.ResourceLimitError, match=f"{2 ** 53 + 1} shots need"):
-        blocks_estimate([block], sampling.MAX_SHOTS + 1, 0)
+        blocks_estimate(law, sampling.MAX_SHOTS + 1, 0)
 
 
 def test_measurement_block_normalises_and_checks_rows():
     amps = np.array([[3.0, 4.0j, 0.0], [0.0, 2.0, 2.0]])
-    block = measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
-    # each row's law over the levels: outcomes 0 and 2 score level 0
-    assert np.allclose(block.distributions[0], [0.36, 0.64])
-    assert np.allclose(block.distributions[1], [0.5, 0.5])
-    assert block.levels.dtype == np.complex128
-    assert np.array_equal(block.levels, [1.0, -1.0])
+    levels, q = measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1, 0])
+    # each row's law over the levels: outcomes 0 and 2 score level 0, and
+    # the rows' laws [0.36, 0.64] and [0.5, 0.5] are mixed half and half
+    assert np.allclose(q, [0.43, 0.57])
+    assert levels == [1 + 0j, -1 + 0j] and all(type(v) is complex for v in levels)
     with pytest.raises(ValueError, match="3 outcome amplitudes per combination, 2 level indices"):
         measurement_block([0.5, 0.5], amps, [1.0, -1.0], [0, 1])
     with pytest.raises(ValueError, match="zero-norm"):
@@ -246,7 +233,7 @@ def no_farther(x: float, y: float, square: Fraction) -> bool:
        st.sampled_from((65_535, 65_536, 65_537, 70_001, 77_777, 131_075)),
        st.integers(0, 2**64 - 1))
 def test_tally_statistics_match_per_shot_weights(blocks, shots, seed):
-    (values, counts), _ = blocks_estimate(blocks, shots, seed)
+    (values, counts), _ = blocks_estimate(ShotLaw(blocks), shots, seed)
     # the tally expanded to one weight per shot; integer weights sum
     # exactly, so the order of the shots does not matter
     weights = np.repeat(values, counts)
@@ -322,11 +309,53 @@ def test_stirling_tail_matches_log_factorials():
 def test_level_law_merges_products_of_levels():
     a = measurement_block([0.25, 0.75], np.sqrt([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
                                    [1.0, -1.0], [0, 1, 1])
-    b = BlockSpec(np.array([1.0]), (np.array([0.25, 0.75]),), [-1.0, 0.0])
+    b = law_block([-1.0, 0.0], [0.25, 0.75])
     values, q = level_law([a, b])
     # a scores 1 with 1/8 and -1 with 7/8; b scores -1 with 1/4 and 0 with 3/4
     assert np.array_equal(values, [-1.0, 0.0, 1.0])
     assert np.allclose(q, [1 / 32, 3 / 4, 7 / 32], rtol=0, atol=1e-16)
+
+
+@st.composite
+def drawn_laws(draw):
+    """2-12 levels from {0, 1, -1} with a law near the simplex: exact zeros,
+    and parts that ``law_block`` clamps or renormalises."""
+    size = draw(st.integers(2, 12))
+    levels = draw(st.lists(st.sampled_from((0.0, 1.0, -1.0)), min_size=size, max_size=size))
+    weights = np.array(draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(1e-9, 1.0),
+                                     min_size=size, max_size=size)))
+    weights[draw(st.integers(0, size - 1))] += 0.5
+    jitter = draw(st.lists(st.sampled_from((0.0, 5e-14, -5e-14)), min_size=size, max_size=size))
+    return levels, (weights / weights.sum() + jitter).tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(drawn_laws(), min_size=1, max_size=3), st.integers(-1, 2))
+def test_level_law_has_the_bits_of_the_numpy_merge(laws, phased):
+    # block ``phased`` (if any) scores the PERM phases e^{2 pi i j / L}
+    # instead.  At most one block is complex, as in every estimator's law:
+    # numpy fuses the complex product's multiply and add on CPUs with FMA,
+    # so a product of two phases may differ from Python's in the last bit
+    blocks = []
+    for b, (levels, law) in enumerate(laws):
+        if b == phased:
+            levels = np.exp(2j * math.pi * np.arange(len(law)) / len(law)).tolist()
+        block = law_block(levels, law)
+        want_levels, want_q = numpy_law_block(levels, law)
+        assert np.array_equal(block[0], want_levels) and np.array_equal(block[1], want_q)
+        blocks.append(block)
+    values, q = level_law(blocks)
+    want_values, want_q = numpy_level_law(blocks)
+    assert np.array_equal(values, want_values) and np.array_equal(q, want_q)
+
+
+def test_law_sums_have_the_bits_of_numpy_sum():
+    # a running sum below 8 terms, eight interleaved ones up to 128, halves beyond
+    rng = np.random.default_rng(8)
+    for n in range(300):
+        for _ in range(4):
+            xs = (rng.random(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+            assert sampling._sum(xs) == np.sum(np.array(xs, dtype=np.float64))
 
 
 KNOWN_TALLIES = {
@@ -341,17 +370,16 @@ KNOWN_TALLIES = {
 def test_tally_known_answers():
     # the counts of fixed (seed, shots, law) triples: a change of the
     # sampler that moves any document fails here first
-    three = BlockSpec(np.array([1.0]), (np.array([0.2, 0.3, 0.5]),), [0.0, 1.0, -1.0])
-    mixed = BlockSpec(np.array([0.3, 0.7]), (np.array([0.9, 0.1]), np.array([0.05, 0.95])),
-                      [1.0, -1.0])
-    rare = BlockSpec(np.array([1.0]), (np.array([1 - 1e-6, 1e-6]),), [1.0, 0.0])
-    got = {name: blocks_estimate(blocks, shots, seed)[0][1].tolist()
+    three = law_block([0.0, 1.0, -1.0], [0.2, 0.3, 0.5])
+    mixed = component_block([0.3, 0.7], ([0.9, 0.1], [0.05, 0.95]), [1.0, -1.0])
+    rare = law_block([1.0, 0.0], [1 - 1e-6, 1e-6])
+    got = {name: blocks_estimate(ShotLaw(blocks), shots, seed)[0][1].tolist()
            for name, blocks, shots, seed in (("three", [three], 1_000_000, 708),
                                              ("three-small", [three], 7, 0),
                                              ("two-blocks", [mixed, three], 123_457, 2**64 - 1),
                                              ("rare", [rare], 10**9, 11))}
     # several runs draw from one law built once, each as its single-seed draw
-    law = sampling.ShotLaw([three])
+    law = ShotLaw([three])
     got["three-seeds"] = [blocks_estimate(law, 1_000_000, seed)[0][1].tolist()
                           for seed in (708, 709)]
     assert got == KNOWN_TALLIES

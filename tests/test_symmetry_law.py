@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvswap import cli, dv, estimators as est, fock, protocols as proto
-from cvswap.sampling import BlockSpec
 
 from conftest import (
     assert_same_law,
@@ -64,7 +63,7 @@ def test_perm_laws_match_the_dft_mesh(n_registers, cap, rank, seed):
     rng = np.random.default_rng(seed)
     states = [_factor(rng, [cap], int(rng.integers(1, rank + 1))) for _ in range(n_registers)]
     [[block]] = drawn_blocks(lambda: proto.perm_test(states, 1, 0))
-    assert block.levels.size == n_registers
+    assert len(block[0]) == n_registers
     assert_same_law(block, mesh_perm_block(states))
 
 
@@ -105,7 +104,8 @@ def test_law_comparison_sees_swapped_levels():
     rng = np.random.default_rng(3)
     [group] = est._group_factors([_pure(rng, [3]), _pure(rng, [2])], [(0, 1)], [2])
     block = est._group_block(group)
-    mutated = BlockSpec(block.component_weights, block.distributions, block.levels[[0, 2, 1]])
+    (zero, plus, minus), q = block
+    mutated = ([zero, minus, plus], q)
     assert_same_law(block, mesh_group_block(group))
     with pytest.raises(AssertionError):
         assert_same_law(mutated, mesh_group_block(group))
