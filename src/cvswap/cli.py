@@ -31,6 +31,9 @@ MAX_QUDIT_ENTRIES = 1 << 16
 # an estimator document writes one row per run
 MAX_RUNS = 1 << 16
 
+# grouping a two-copy test's factors takes time quadratic in its copies
+MAX_COPIES = 256
+
 
 class ConfigError(ValueError):
     """Malformed run configuration (exit code 2)."""
@@ -397,18 +400,18 @@ def cmd_perm(cfg: RunConfig) -> None:
 
 def cmd_two_copy(cfg: RunConfig) -> None:
     payload = cfg.payload
+    copies = _int_param(payload.get("copies", 2), "copies")
+    if copies > MAX_COPIES:
+        raise fock.ResourceLimitError(
+            f"a two-copy test of {copies} copies is beyond {MAX_COPIES}; use copies <= {MAX_COPIES}")
     base = _pure_state(_required(payload, "purification", "two-copy config"), "purification")
     if base.modes != 2:
         raise ConfigError("purification spec must cover one (A, B) pair")
-    copies = _int_param(payload.get("copies", 2), "copies")
-    stack = base
-    for _ in range(copies - 1):
-        stack = fock.tensor(stack, base)
     m = _threshold_param(payload.get("M"), per_pair=True)
     results, rows = _estimator_document(
-        cfg, lambda shots, seeds: proto.two_copy_test(stack, shots, seeds, m)
+        cfg, lambda shots, seeds: proto.two_copy_test([base] * copies, shots, seeds, m)
     )
-    results["exact_expectation"] = proto.two_copy_expectation(stack, m)
+    results["exact_expectation"] = proto.two_copy_expectation([base] * copies, m)
     _emit(cfg, results, rows)
 
 

@@ -208,18 +208,29 @@ def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
 def _contract(ops, size) -> float:
     """The value of a network of (order key, array, labels) operands, label
     l taking size[l] values: folded into one accumulator in key order, each
-    label summed once no later operand carries it, and each intermediate
-    checked against the working-space limit before it is allocated."""
+    label summed once no later operand carries it (the first operand's
+    before its first product), and each intermediate checked against the
+    working-space limit before it is allocated.  einsum takes labels below
+    52: past them each step is renumbered, and one holding more refused."""
     ops.sort(key=itemgetter(0))
-    needs, later = [], set()
-    for _, _, labels in reversed(ops):
-        needs.append(later)
-        later = later.union(labels)
+    last = {label: i for i, (_, _, labels) in enumerate(ops) for label in labels}
     (_, acc, held), *rest = ops
-    for (_, array, labels), later in zip(rest, needs[-2::-1]):
-        keep = [label for label in dict.fromkeys(held + labels) if label in later]
+    steps = [(array, labels, i) for i, (_, array, labels) in enumerate(rest, 1)]
+    if rest and any(last[label] == 0 for label in held):
+        steps.insert(0, (1.0, [], 0))
+    for array, labels, i in steps:
+        keep = [label for label in dict.fromkeys(held + labels) if last[label] > i]
         check_working_size(1, math.prod(map(size.__getitem__, keep)))
-        acc = np.einsum(acc, held, array, labels, keep)
+        if len(size) > 52:
+            ids = {label: k for k, label in enumerate(dict.fromkeys(held + labels))}
+            if len(ids) > 52:
+                raise ResourceLimitError(
+                    f"a contraction step over {len(ids)} modes, registers and running totals "
+                    "is beyond einsum's 52 labels; measure fewer modes at once")
+            acc = np.einsum(acc, [ids[label] for label in held], array,
+                            [ids[label] for label in labels], [ids[label] for label in keep])
+        else:
+            acc = np.einsum(acc, held, array, labels, keep)
         held = keep
     return float(acc.sum().real)
 
@@ -240,9 +251,8 @@ def _group_expectation(group: _Group, total_threshold=None,
     mode to 2 m_total + 1 levels and enters as a running total that a step
     tensor per mode advances.  For s each paired mode is cut to the shorter
     of its pair, outside which rho[SWAP n; n] vanishes.  The labels are the
-    modes, one per factor and, with a running total, one total per mode; a
-    group that needs more than einsum's 52 is refused before it allocates
-    anything.
+    modes, one per factor of more than one component and, with a running
+    total, one total per mode.
     """
     caps, pairs = group.base_caps, group.local_pairs
     top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
@@ -253,12 +263,6 @@ def _group_expectation(group: _Group, total_threshold=None,
             top[a], top[b] = min(top[a], 2 * thr + 1), min(top[b], 2 * thr + 1)
     cut = [min(d, top[p]) for d, p in zip(top, partner)]
     totalled = total_threshold is not None and 2 * total_threshold < sum(top) - len(top)
-    labels = len(caps) * (1 + totalled) + len(group.factors)
-    if labels > 52:
-        raise ResourceLimitError(
-            f"a parity group of {len(caps)} modes and {len(group.factors)} registers"
-            f"{' with a group total' if totalled else ''} needs {labels} einsum labels, "
-            "beyond numpy's 52; measure fewer modes at once")
     diagonals, swapped, hi = [], [], 0
     for f, factor in enumerate(group.factors):
         comps = components_of(factor)
@@ -272,8 +276,9 @@ def _group_expectation(group: _Group, total_threshold=None,
             diagonals.append(((lo, 0), diagonal, [*range(lo, hi)]))
         box = tuple(map(slice, cut[lo:hi]))
         ket = np.array([s.amplitudes[box] * math.sqrt(w / s.norm_sq) for w, s in comps])
-        swapped.append(((lo, 0), ket.conj(), [len(caps) + f, *range(lo, hi)]))
-        swapped.append(((min(partner[lo:hi]), 1), ket, [len(caps) + f, *partner[lo:hi]]))
+        ket, own = (ket, [len(caps) + f]) if len(comps) > 1 else (ket[0], [])
+        swapped.append(((lo, 0), ket.conj(), [*own, *range(lo, hi)]))
+        swapped.append(((min(partner[lo:hi]), 1), ket, [*own, *partner[lo:hi]]))
     for (a, b), thr in zip(pairs, group.thresholds):
         if thr is not None and 2 * thr < top[a] + top[b] - 2:  # else every pattern is kept
             mask = _pair_mask(top[a], top[b], thr)

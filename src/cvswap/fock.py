@@ -75,8 +75,8 @@ class PreparationLeakError(ValueError):
 
 class ResourceLimitError(ValueError):
     """Raised when a working space would exceed MAX_WORKING_ELEMENTS, when
-    a run asks for more shots than sampling.MAX_SHOTS, or when a register
-    or a contraction exceeds numpy's 64 array axes or 52 einsum labels."""
+    a run asks for more shots than sampling.MAX_SHOTS, or when a register or
+    one contraction step exceeds numpy's 64 array axes or einsum's 52 labels."""
 
 
 def check_working_size(rows: int, columns: int) -> None:

@@ -2,8 +2,8 @@
 
 The PERM test measures in the eigenbasis of the cyclic register shift C
 through a discrete-Fourier mode mixer, so its shot law follows from the
-traces <C^t> of density-matrix products; the two-copy test runs parallel
-SWAP tests against a register-relabeled copy; the compiling cost
+traces <C^t> of density-matrix products; the two-copy test pairs n copies
+with n partners, their A registers cyclically shifted; the compiling cost
 evaluates fidelity terms for a fixed circuit pair; and the hybrid test
 joins a qubit Bell measurement, whose sign is the qubit SWAP eigenvalue,
 with the CV photon-parity measurement.
@@ -123,48 +123,37 @@ def perm_expectation(states) -> complex:
 # two-copy test
 
 
-def _two_copy_layout(purification: FockState) -> tuple[list, list[tuple[int, int]]]:
-    """The purification and its relabeled copy, with the pairs that join
-    register j of one to register j of the other."""
-    if purification.modes % 2 != 0:
-        raise MeasurementSpecError("purification must carry mode pairs A_j B_j")
-    n = purification.modes // 2
+def _two_copy_layout(purifications) -> tuple[list, list[tuple[int, int]]]:
+    """Factors [psi_0, psi_0, psi_1, psi_1, ...]: copy j on modes 4j, 4j + 1
+    and its partner next to it, which keeps each fold step to a few labels.
+    Pair 2j joins A_j to A' of copy j + 1 mod n, pair 2j + 1 B_j to B'_j."""
+    copies = list(purifications)
+    if any(c.modes != 2 for c in copies):
+        raise MeasurementSpecError("each purification must be one (A_j, B_j) mode pair")
+    n = len(copies)
     if n < 2:
         raise MeasurementSpecError("two-copy test needs at least two copies")
-    return [purification, _perm_relabel(purification, n)], [(j, 2 * n + j) for j in range(2 * n)]
+    pairs = [p for j in range(n) for p in ((4 * j, 4 * ((j + 1) % n) + 2), (4 * j + 1, 4 * j + 3))]
+    return [c for c in copies for _ in (0, 1)], pairs
 
 
-def _perm_relabel(state: FockState, n: int) -> FockState:
-    """Cyclic left shift of the A registers (axes 0, 2, ..., 2n-2),
-    equivalent to swapping registers A_j and A_{j+1} for j = 0, ..., n-2
-    in turn."""
-    axes = list(range(state.modes))
-    for j in range(n):
-        axes[2 * j] = 2 * ((j + 1) % n)
-    amps = np.transpose(state.amplitudes, axes)
-    caps = tuple(state.cutoff.per_mode_max[ax] for ax in axes)
-    return FockState(fock.CutoffSpec(caps), amps)
-
-
-def two_copy_test(purification: FockState, shots: int, seed,
+def two_copy_test(purifications, shots: int, seed,
                   m_per_pair=None) -> EstimatorResult | list[EstimatorResult]:
-    """Parallel SWAP tests between a purified register stack and its
-    cyclically relabeled copy; expectation equals (tr rho^n)^2.
-
-    The permutation on the second copy is a register relabeling, never a
-    gate.  ``purification`` holds the n copies interleaved as
-    A_1 B_1 ... A_n B_n.
+    """Parallel SWAP tests between n >= 2 purified copies (A_j, B_j), which
+    may differ, and partners whose A registers the pairing shifts
+    cyclically, never a gate; expectation (tr rho^n)^2 for equal copies.
+    Per-pair thresholds read (A_0, A'_1), (B_0, B'_0), (A_1, A'_2), ...
     """
-    copies, pairs = _two_copy_layout(purification)
-    return est.parity_overlap_estimate(copies, pairs, m_per_pair, shots, seed)
+    factors, pairs = _two_copy_layout(purifications)
+    return est.parity_overlap_estimate(factors, pairs, m_per_pair, shots, seed)
 
 
-def two_copy_expectation(purification: FockState, m_per_pair=None) -> float:
+def two_copy_expectation(purifications, m_per_pair=None) -> float:
     """Exact two-copy expectation: the parity estimator's exact value on
-    the same stack, relabeled copy and pairs as ``two_copy_test``.
-    Without thresholds it is |<Psi|PERM Psi>|^2 = (tr rho^n)^2."""
-    copies, pairs = _two_copy_layout(purification)
-    return est.parity_overlap_expectation(copies, pairs, m_per_pair)
+    the same copies and pairs as ``two_copy_test``.  Without thresholds it
+    is |tr(rho_0 ... rho_{n-1})|^2, (tr rho^n)^2 for equal copies."""
+    factors, pairs = _two_copy_layout(purifications)
+    return est.parity_overlap_expectation(factors, pairs, m_per_pair)
 
 
 # ---------------------------------------------------------------------------

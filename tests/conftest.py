@@ -444,6 +444,36 @@ def ensemble_combinations(factors) -> list[tuple[float, list]]:
     return combos
 
 
+def relabeled_stack(stack: fock.FockState, n: int) -> fock.FockState:
+    """A stack of n copies A_0 B_0 ... A_{n-1} B_{n-1} with its A registers
+    (axes 0, 2, ..., 2n - 2) cyclically shifted left: axis 2j holds
+    A_{j+1 mod n}."""
+    axes = list(range(stack.modes))
+    for j in range(n):
+        axes[2 * j] = 2 * ((j + 1) % n)
+    caps = tuple(stack.cutoff.per_mode_max[ax] for ax in axes)
+    return fock.FockState(fock.CutoffSpec(caps), np.transpose(stack.amplitudes, axes))
+
+
+def dense_two_copy_expectation(copies, m_per_pair=None) -> float:
+    """Oracle for the two-copy expectation: the parity estimator's exact
+    value on one dense stack of the pure copies and its relabeled stack,
+    pair j joining mode j of the one to mode j of the other; a per-pair
+    threshold list reads (A_0, A'_1), (B_0, B'_0), (A_1, A'_2), ..."""
+    stack = functools.reduce(fock.tensor, copies)
+    n = len(copies)
+    return estimators.parity_overlap_expectation(
+        [stack, relabeled_stack(stack, n)], [(j, 2 * n + j) for j in range(2 * n)], m_per_pair)
+
+
+def squared_eigenvalue_sum(psi: fock.FockState, copies: int) -> float:
+    """(sum_k lambda_k^n)^2 over the eigenvalues of the reduced state of
+    mode A of a two-mode purification: the two-copy value of n copies."""
+    amps = psi.amplitudes
+    rho_a = amps @ amps.conj().T / np.vdot(amps, amps).real
+    return float(np.sum(np.linalg.eigvalsh(rho_a) ** copies)) ** 2
+
+
 def threshold_mask(shape, local_pairs, thresholds, total_threshold=None) -> np.ndarray:
     """True on each pattern of the box ``shape`` whose pair totals (and
     group total) are all within their threshold 2M: broadcast sums of the

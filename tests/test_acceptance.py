@@ -169,10 +169,7 @@ def test_criterion_08_two_copy_cross_check():
     rho = random_ensemble(rng, 2, 2)
     psi = purification_of(rho, 2)
     for copies in (2, 3):
-        stack = psi
-        for _ in range(copies - 1):
-            stack = fock.tensor(stack, psi)
-        two_copy = proto.two_copy_expectation(stack)
+        two_copy = proto.two_copy_expectation([psi] * copies)
         perm = proto.perm_expectation([rho] * copies)
         assert abs(two_copy - abs(perm) ** 2) <= 1e-10, (copies, abs(two_copy - abs(perm) ** 2))
     _report("criterion 8: two-copy expectation equals the squared PERM expectation for n = 2, 3")

@@ -8,7 +8,7 @@ import pytest
 
 from cvswap import cli, dv, estimators as est, fock, protocols as proto
 
-from conftest import count_calls
+from conftest import count_calls, squared_eigenvalue_sum
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -218,9 +218,9 @@ def test_two_copy_command_pure_rho(tmp_path):
 
 
 def test_two_copy_command_guard_fires(tmp_path, capsys, monkeypatch):
-    # the parity contraction holds a ket and a bra copy of each register
-    # stack, here 15^4 amplitudes each: it runs at the default limit and is
-    # refused, with one line, at a limit that holds the stack but not both
+    # the parity contraction holds each copy's ket and bra, here 15^2
+    # amplitudes each: it runs at the default limit and is refused, with
+    # one line, at a limit that holds the ket but not both
     config = {
         "purification": {"kind": "tmss", "r": 0.6, "cutoff": [14, 14]},
         "copies": 2,
@@ -230,11 +230,11 @@ def test_two_copy_command_guard_fires(tmp_path, capsys, monkeypatch):
     code, out = run_cli(tmp_path, "two-copy", config, name="default.json")
     assert code == 0
     out.unlink()
-    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 60_000)
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 400)
     code, out = run_cli(tmp_path, "two-copy", config, name="low.json")
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert err == ("resource limit: working space of 101250 entries (2 x 50625) exceeds the "
+    assert err == ("resource limit: working space of 450 entries (2 x 225) exceeds the "
                    "desk-scale limit; reduce cutoffs, mode count or ensemble rank\n")
 
 
@@ -948,10 +948,11 @@ def test_overflowing_gate_parameter_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys, monkeypatch):
-    # cutoff 6: the eight modes of the two stacks would make a box of 7^8
-    # amplitudes, but the contraction holds only each stack's 7^4 amplitudes
-    # as a ket and a bra copy, and it runs, shot path included; the exact
-    # value is (tr rho_A^2)^2 of the purification's reduced density matrix
+    # cutoff 6: the eight modes of the copies and their partners would make
+    # a box of 7^8 amplitudes, but the contraction holds only each copy's
+    # 7^2 amplitudes as a ket and a bra copy, and it runs, shot path
+    # included; the exact value is (tr rho_A^2)^2 of the purification's
+    # reduced density matrix
     config = {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [6, 6]}, "copies": 2,
               "shots": 500, "seed": 3}
     code, out = run_cli(tmp_path, "two-copy", config, name="six.json")
@@ -962,11 +963,11 @@ def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys, mo
     purity = np.trace(rho_a @ rho_a).real
     assert abs(results["exact_expectation"] - purity ** 2) < 1e-12
     assert abs(results["grand_mean_re"] - results["exact_expectation"]) < 5 * results["runs"][0]["stderr"]
-    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 4000)
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 90)
     code, _ = run_cli(tmp_path, "two-copy", config, name="low.json")
     assert code == 1
     err = capsys.readouterr().err
-    assert "(2 x 2401)" in err and err.count("\n") == 1
+    assert "(2 x 49)" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, config", [
@@ -1033,34 +1034,54 @@ def test_overlap8_at_the_paper_squeezing_runs(tmp_path):
     assert abs(results["grand_mean_re"] - exact) < 5 * stderr
 
 
-def test_oversized_tensor_product_is_a_resource_limit(tmp_path, capsys):
-    # three copies at cutoff [20, 20] hold 441^3 amplitudes, past the limit;
-    # the refusal comes before the product is allocated (the largest array
-    # made is the two-copy stack, about 3 MB)
-    code, out = run_cli(tmp_path, "two-copy", {
-        "purification": {"kind": "tmss", "r": 0.3, "cutoff": [20, 20]}, "copies": 3, "shots": 10})
-    assert code == 1 and not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit: working space of") and err.count("\n") == 1
+def test_oversized_tensor_product_is_a_resource_limit():
+    # three factors at cutoff [20, 20] hold 441^3 amplitudes, past the
+    # limit; the refusal comes before the product is allocated (the largest
+    # array made is the two-factor product, about 3 MB)
+    psi = cli.build_state({"kind": "tmss", "r": 0.3, "cutoff": [20, 20]})
+    pair = fock.tensor(psi, psi)
+    with pytest.raises(fock.ResourceLimitError, match="working space of 85766121 entries"):
+        fock.tensor(pair, psi)
 
 
-@pytest.mark.parametrize("copies, message", [
-    (13, "a parity group of 52 modes and 2 registers needs 54 einsum labels, beyond numpy's 52; "
-         "measure fewer modes at once"),
-    (33, "66 modes exceed numpy's 64 array axes; use at most 64 modes"),
-])
-def test_numpy_structural_limits_are_resource_limits(tmp_path, capsys, copies, message):
-    # the two-copy group holds two stacks of two modes a copy, one label a
-    # mode and one a stack; a stack of 33 copies has more modes than a
-    # numpy array has axes; 12 copies, 50 labels, still run
+@pytest.mark.parametrize("copies", [13, 33, cli.MAX_COPIES])
+def test_two_copy_runs_past_einsum_labels_and_array_axes(tmp_path, copies):
+    # each copy is a two-mode factor and each contraction step holds a few
+    # labels, so neither einsum's 52 labels nor numpy's 64 axes bound the
+    # copy count; a product purification leaves every reduced state pure
     purification = {"kind": "basis", "pattern": [0, 0], "cutoff": [0, 0]}
     code, out = run_cli(tmp_path, "two-copy", {"purification": purification, "copies": copies,
                                                "shots": 10})
-    assert code == 1 and not out.exists()
-    assert capsys.readouterr().err == f"resource limit: {message}\n"
-    code, out = run_cli(tmp_path, "two-copy", {"purification": purification, "copies": 12,
-                                               "shots": 10})
-    assert code == 0 and json.loads(out.read_text())["results"]["exact_expectation"] == 1.0
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["exact_expectation"] == 1.0 and results["grand_mean_re"] == 1.0
+
+
+def test_copies_beyond_the_cap_are_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # refused with one line before any state is built
+    built = count_calls(monkeypatch, cli, "build_state")
+    code, out = run_cli(tmp_path, "two-copy", {
+        "purification": {"kind": "basis", "pattern": [0, 0], "cutoff": [0, 0]},
+        "copies": cli.MAX_COPIES + 1, "shots": 10})
+    assert code == 1 and not out.exists() and built == []
+    assert capsys.readouterr().err == (
+        f"resource limit: a two-copy test of {cli.MAX_COPIES + 1} copies is beyond "
+        f"{cli.MAX_COPIES}; use copies <= {cli.MAX_COPIES}\n")
+
+
+@pytest.mark.parametrize("copies", [4, 60])
+def test_two_copy_command_holds_the_eigenvalue_oracle(tmp_path, copies):
+    # (sum_k lambda_k^n)^2 over the eigenvalues of the purification's
+    # reduced density matrix, exact value and shots both
+    config = {"purification": {"kind": "tmss", "r": 0.3, "cutoff": [6, 6]}, "copies": copies,
+              "shots": 100_000, "runs": 4, "seed": 5}
+    code, out = run_cli(tmp_path, "two-copy", config)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    want = squared_eigenvalue_sum(cli.build_state(config["purification"]), copies)
+    assert abs(results["exact_expectation"] - want) <= 1e-12
+    for row in results["runs"]:
+        assert abs(row["mean_re"] - want) < 5 * row["stderr"]
 
 
 MIXED_SINGLE = {"mixture": [{"weight": 0.4, "state": {"kind": "coherent", "alpha": 0.3, "cutoff": [3]}},

@@ -384,21 +384,39 @@ def test_padded_box_comparison_sees_a_wrong_masked_swap(rng, monkeypatch):
 
 
 def test_a_group_beyond_einsum_labels_is_a_resource_limit():
-    # a group names one label per mode and per register and, with a group
-    # total that cuts, one running total per mode: two 13-mode registers
-    # need 28 labels, or 54 with such a total, beyond einsum's 52
-    def registers(modes):
-        vacuum = fock.basis_state((0,) * modes, CutoffSpec((1,) * modes))
-        return [vacuum, vacuum], [(k, modes + k) for k in range(modes)]
-
-    states, pairs = registers(13)
-    assert est.parity_overlap_expectation(states, pairs, None, 13) == 1.0  # the total cuts nothing
-    for run in (lambda: est.parity_overlap_expectation(states, pairs, None, 1),
-                lambda: est.parity_overlap_estimate(states, pairs, None, 10, 1, 1)):
-        with pytest.raises(fock.ResourceLimitError, match="a parity group of 26 modes and 2 "
-                                                          "registers with a group total needs 54"):
+    # einsum takes 52 labels, so a contraction step that holds more is
+    # refused: a register of 53 one-level modes, 26 pairs of them measured,
+    # holds all 53 in the step that joins its bra to its ket
+    vacuum = fock.basis_state((0,) * 53, CutoffSpec((0,) * 53))
+    pairs = [(k, 26 + k) for k in range(26)]
+    for run in (lambda: est.parity_overlap_expectation(vacuum, pairs, None),
+                lambda: est.parity_overlap_estimate(vacuum, pairs, None, 10, 1)):
+        with pytest.raises(fock.ResourceLimitError, match="a contraction step over 53 modes, "
+                                                          "registers and running totals"):
             run()
-    assert est.parity_overlap_expectation(*registers(12), None, 1) == 1.0  # 50 labels
+    # two 13-mode registers with a group total that cuts name 26 modes and
+    # 26 running totals, past 52 labels, but no step holds more than a few
+    vacuum = fock.basis_state((0,) * 13, CutoffSpec((1,) * 13))
+    states, pairs = [vacuum, vacuum], [(k, 13 + k) for k in range(13)]
+    assert est.parity_overlap_expectation(states, pairs, None, 1) == 1.0
+    assert est.parity_overlap_estimate(states, pairs, None, 10, 1, 1).mean == 1.0
+
+
+def test_a_kept_weight_network_that_falls_apart_is_no_outer_product(rng, monkeypatch):
+    # with no threshold the kept weight of two paired 4-mode registers is a
+    # product of their diagonals' sums: the first register's labels are
+    # summed before its first product, so no step holds both registers'
+    # eight labels, a loop over 4^8 terms
+    states = [random_pure(rng, 3, modes=4), random_pure(rng, 3, modes=4)]
+    einsum, steps = np.einsum, []
+
+    def spy(*operands):
+        steps.append(len({label for labels in operands[1::2] for label in labels}))
+        return einsum(*operands)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    est.parity_overlap_estimate(states, [(k, 4 + k) for k in range(4)], None, 10, 1)
+    assert steps and max(steps) == 4
 
 
 def test_negative_thresholds_refused(rng):
@@ -410,11 +428,11 @@ def test_negative_thresholds_refused(rng):
             est.parity_overlap_estimate(states, pairs, m, 100, 1, m_total)
         with pytest.raises(ValueError, match="thresholds must be >= 0"):
             est.parity_overlap_expectation(states, pairs, m, m_total)
-    stack = random_pure(rng, 2, modes=4)
+    copies = [random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2)]
     with pytest.raises(ValueError):
-        proto.two_copy_test(stack, 100, 1, -1)
+        proto.two_copy_test(copies, 100, 1, -1)
     with pytest.raises(ValueError):
-        proto.two_copy_expectation(stack, -1)
+        proto.two_copy_expectation(copies, -1)
     terms = proto.compile_terms([random_pure(rng, 2, modes=2)], [], [], [-1])
     with pytest.raises(ValueError):
         proto.compile_cost(terms, 100, 1)

@@ -153,15 +153,16 @@ def test_perm_law(registers, cap, seed):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1))
 def test_two_copy_law(seed):
-    # two copies A_1 B_1 A_2 B_2; the second copy of the joint swaps A_1 and A_2
+    # two copies A_1 B_1 and A_2 B_2; the oracle's second stack swaps A_1 and A_2
     rng = np.random.default_rng(seed)
     cap_a, cap_b = int(rng.integers(0, 2)), int(rng.integers(0, 3))
-    psi = random_state(rng, [cap_a, cap_b, cap_a, cap_b])
+    copies = [random_state(rng, [cap_a, cap_b]) for _ in range(2)]
+    psi = fock.tensor(*copies)
     shifted = fock.FockState(psi.cutoff, np.transpose(psi.amplitudes, (2, 1, 0, 3)))
     kind = rng.integers(0, 3)
     m = None if kind == 0 else (int(rng.integers(0, 3)) if kind == 1 else
                                 [threshold(rng, 2) for _ in range(4)])
-    [got] = law_expectations(lambda: proto.two_copy_test(psi, 1, seed, m))
+    [got] = law_expectations(lambda: proto.two_copy_test(copies, 1, seed, m))
     pairs = [(j, 4 + j) for j in range(4)]
     dims = [cap_a + 1, cap_b + 1] * 4
     want = swap_observable_expectation(joint_density([psi, shifted], dims), dims, pairs,

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
     bell_change,
     component_block,
     count_calls,
+    dense_two_copy_expectation,
     density_matrix,
     dft_matrix,
     drawn_blocks,
@@ -31,7 +33,9 @@ from conftest import (
     random_ensemble,
     random_pure,
     rectangular_decompose,
+    relabeled_stack,
     run_circuit,
+    squared_eigenvalue_sum,
     swap_modes,
 )
 
@@ -169,22 +173,15 @@ def test_perm_rejects_zero_norm_register(rng, n_registers):
 # two-copy test
 
 
-def _stack(psi, n):
-    out = psi
-    for _ in range(n - 1):
-        out = fock.tensor(out, psi)
-    return out
-
-
 def test_two_copy_pure_product(rng):
     psi = fock.tensor(random_pure(rng, 2), random_pure(rng, 2))
-    assert proto.two_copy_expectation(_stack(psi, 2)) == pytest.approx(1.0, abs=1e-10)
+    assert proto.two_copy_expectation([psi, psi]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_copy_tmss_purification_thermal_sum():
     r, cap = 1.0, 25
     psi = fock.prepare("tmss", CutoffSpec((cap, cap)), r=r)
-    got = proto.two_copy_expectation(_stack(psi, 2))
+    got = proto.two_copy_expectation([psi, psi])
     p_n = np.array([math.tanh(r) ** (2 * n) / math.cosh(r) ** 2 for n in range(cap + 1)])
     purity = float(np.sum((p_n / p_n.sum()) ** 2))
     assert got == pytest.approx(purity ** 2, abs=1e-6)
@@ -194,7 +191,7 @@ def test_two_copy_tmss_purification_thermal_sum():
 def test_two_copy_equals_perm_squared(rng, copies):
     rho = random_ensemble(rng, 2, 2)
     psi = purification_of(rho, 2)
-    got = proto.two_copy_expectation(_stack(psi, copies))
+    got = proto.two_copy_expectation([psi] * copies)
     perm = proto.perm_expectation([rho] * copies)
     assert got == pytest.approx(abs(perm) ** 2, abs=1e-10)
 
@@ -202,32 +199,33 @@ def test_two_copy_equals_perm_squared(rng, copies):
 def test_two_copy_sampled(rng):
     rho = random_ensemble(rng, 2, 2)
     psi = purification_of(rho, 2)
-    stack = _stack(psi, 2)
-    exact = proto.two_copy_expectation(stack)
-    res = proto.two_copy_test(stack, 60_000, 19)
+    exact = proto.two_copy_expectation([psi, psi])
+    res = proto.two_copy_test([psi, psi], 60_000, 19)
     assert abs(res.mean.real - exact) <= 5 * res.stderr
 
 
 def test_two_copy_threshold_matches_parity_route(rng):
     # two_copy_expectation is the parity estimator's exact value on the
-    # stack and its relabeled copy, so it is held to the parity route's
-    # padded box (conftest), not to the contraction it calls
+    # copies and their partners, so it is held to the parity route's padded
+    # box (conftest) of the dense stack and its relabeled stack, not to the
+    # contraction it calls
     rho = random_ensemble(rng, 2, 2)
     psi = purification_of(rho, 2)
-    stack = _stack(psi, 2)
-    relabeled = proto._perm_relabel(stack, 2)
+    stack = fock.tensor(psi, psi)
     pairs = [(j, 4 + j) for j in range(4)]
     for m in (None, 0, 1, 2, [0, None, 2, 1]):
-        [group] = est._group_factors([stack, relabeled], pairs, est.normalize_thresholds(m, 4))
+        [group] = est._group_factors([stack, relabeled_stack(stack, 2)], pairs,
+                                     est.normalize_thresholds(m, 4))
         want = padded_group_expectation(group)[1]
-        assert proto.two_copy_expectation(stack, m) == pytest.approx(want, abs=1e-12)
+        assert proto.two_copy_expectation([psi, psi], m) == pytest.approx(want, abs=1e-12)
 
 
 def test_two_copy_relabeling_equals_swap_chain(rng):
+    # the dense oracle's relabeled stack is the chain of A-register swaps
     psi = random_pure(rng, 2, modes=2)
     for copies in (2, 3):
-        stack = _stack(psi, copies)
-        relabeled = proto._perm_relabel(stack, copies)
+        stack = functools.reduce(fock.tensor, [psi] * copies)
+        relabeled = relabeled_stack(stack, copies)
         via_swaps = stack
         for j in range(copies - 1):
             via_swaps = swap_modes(via_swaps, 2 * j, 2 * (j + 1))
@@ -236,9 +234,57 @@ def test_two_copy_relabeling_equals_swap_chain(rng):
 
 def test_two_copy_rejects_odd_structure(rng):
     with pytest.raises(ValueError):
-        proto.two_copy_test(random_pure(rng, 2, modes=3), 10, 0)
+        proto.two_copy_test([random_pure(rng, 2, modes=3)] * 2, 10, 0)
     with pytest.raises(ValueError):
-        proto.two_copy_test(random_pure(rng, 2, modes=2), 10, 0)
+        proto.two_copy_test([random_pure(rng, 2, modes=4)] * 2, 10, 0)  # a stack of two copies
+    with pytest.raises(ValueError):
+        proto.two_copy_test([random_pure(rng, 2, modes=2)], 10, 0)
+
+
+def _random_copy(rng, caps) -> fock.FockState:
+    amps = rng.normal(size=(caps[0] + 1, caps[1] + 1)) + 1j * rng.normal(size=(caps[0] + 1, caps[1] + 1))
+    return fock.FockState(CutoffSpec(caps), amps / np.linalg.norm(amps))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_per_copy_route_holds_the_dense_stack(seed):
+    # differing copies at cutoffs up to 3, with no threshold, one for every
+    # pair, or a per-pair list holding None
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    copies = [_random_copy(rng, tuple(int(c) for c in rng.integers(0, 4, size=2))) for _ in range(n)]
+    kind = int(rng.integers(0, 3))
+    m = [None, int(rng.integers(0, 4)),
+         [None if rng.random() < 0.3 else int(rng.integers(0, 4)) for _ in range(2 * n)]][kind]
+    assert abs(proto.two_copy_expectation(copies, m) - dense_two_copy_expectation(copies, m)) <= 1e-12
+
+
+@pytest.mark.parametrize("copies", [4, 60])
+def test_two_copy_holds_the_eigenvalue_oracle(copies):
+    psi = fock.prepare("tmss", CutoffSpec((6, 6)), r=0.3)
+    want = squared_eigenvalue_sum(psi, copies)
+    assert abs(proto.two_copy_expectation([psi] * copies) - want) <= 1e-12
+    res = proto.two_copy_test([psi] * copies, 100_000, 41)
+    assert abs(res.mean.real - want) <= 5 * res.stderr
+
+
+@pytest.mark.parametrize("m", [None, 2])
+@pytest.mark.parametrize("copies", [2, 4, 8, 60])
+def test_every_two_copy_step_holds_at_most_seven_labels(monkeypatch, copies, m):
+    # each copy sits next to its partner, so the fold keeps a few modes
+    # open at a time whatever the copy count, in the kept-weight network
+    # and the masked-swap one, with thresholds or without
+    psi = fock.prepare("tmss", CutoffSpec((3, 3)), r=0.3)
+    einsum, steps = np.einsum, []
+
+    def spy(*operands):
+        steps.append(len({label for labels in operands[1::2] for label in labels}))
+        return einsum(*operands)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    proto.two_copy_test([psi] * copies, 10, 1, m)
+    assert len(steps) >= 4 * copies and max(steps) <= 7
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +753,7 @@ def _shot_estimators(rng) -> dict:
     """Every public shot estimator as a function of its seed, on small
     inputs with an ensemble wherever the estimator takes one."""
     a, b, pair = random_ensemble(rng, 4, 2), random_pure(rng, 4), random_pure(rng, 3, modes=2)
-    stack = fock.tensor(random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2))
+    copies = [random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2)]
     ha, hb = _rand_hybrid(rng, 4), _rand_hybrid(rng, 4)
     qa = fock.MixedEnsemble(((0.3, _dv_state(rng, (3, 2))), (0.7, _dv_state(rng, (3, 2)))))
     qb = _dv_state(rng, (3, 2))
@@ -716,7 +762,7 @@ def _shot_estimators(rng) -> dict:
         "parity_overlap_estimate": lambda seed: est.parity_overlap_estimate(
             [a, pair, b], [(0, 1), (2, 3)], [2, None], 500, seed),
         "perm_test": lambda seed: proto.perm_test([a, b, a], 500, seed),
-        "two_copy_test": lambda seed: proto.two_copy_test(stack, 500, seed, 2),
+        "two_copy_test": lambda seed: proto.two_copy_test(copies, 500, seed, 2),
         "hybrid_swap_estimate": lambda seed: proto.hybrid_swap_estimate(ha, hb, 3, 500, seed),
         "dv_swap_estimate": lambda seed: dv.dv_swap_estimate(qa, qb, 500, seed),
         **{f"{name} law": lambda seed, blocks=blocks: est.estimate_blocks(blocks, 500, seed)
@@ -757,11 +803,11 @@ def test_a_law_draws_and_sums_as_its_block_list(rng, name):
 @pytest.mark.parametrize("runs", [1, 4, 64])
 def test_an_estimator_call_builds_one_law_for_all_its_runs(rng, runs):
     a, b = random_ensemble(rng, 3, 2), random_pure(rng, 3)
-    stack = fock.tensor(random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2))
+    copies = [random_pure(rng, 2, modes=2), random_pure(rng, 2, modes=2)]
     seeds = [derive_seed(3, k) for k in range(runs)]
     for call in (lambda: est.cv_swap_estimate(a, b, 2, 50, seeds),
                  lambda: proto.perm_test([a, b, a], 50, seeds),
-                 lambda: proto.two_copy_test(stack, 50, seeds, 2)):
+                 lambda: proto.two_copy_test(copies, 50, seeds, 2)):
         with pytest.MonkeyPatch.context() as patch:
             laws = count_calls(patch, sampling, "level_law")
             draws = count_calls(patch, est, "blocks_estimate")
@@ -791,7 +837,7 @@ QUBIT_CV2, QUBIT_CV3 = fock.tensor(QUBIT, VAC2), fock.tensor(QUBIT, VAC3)
      "state_a must be qubit (cutoff 1) tensor one CV mode"),
     (lambda: est.cv_swap_estimate(VAC2, PAIR, None, 10, 1), "state_b must be a single-mode state"),
     (lambda: est.parity_overlap_estimate([], [], None, 10, 1), "overlap states list is empty"),
-    (lambda: proto.two_copy_test(PAIR, 10, 1), "two-copy test needs at least two copies"),
+    (lambda: proto.two_copy_test([PAIR], 10, 1), "two-copy test needs at least two copies"),
     (lambda: dv.swap_eigenbasis(2, "x"), "basis must be 'v' or 'w'"),
     (lambda: dv.dv_swap_estimate(dv.DVState((2,), [1, 0]), dv.DVState((3,), [1, 0, 0]), 10, 1),
      "the two preparations must have identical dims"),
