@@ -170,30 +170,35 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     if len(set(flat)) != len(flat):
         raise MeasurementSpecError("measurement pairs must be disjoint")
 
-    # label every factor with its group; a pair merges its two factors' groups
-    label = list(range(len(factors)))
-    for a, b in pairs:
-        keep, drop = label[owner[a]], label[owner[b]]
-        label = [keep if g == drop else g for g in label]
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(label):
-        groups.setdefault(g, []).append(i)
+    # a pair joins its factors' trees under the lower root, so each group's
+    # root is its first factor and the groups come out in that order
+    root = list(range(len(factors)))
 
-    out = []
-    for members in groups.values():
-        local_of = {}
-        caps = []
-        for fi in members:
-            for k in range(factors[fi].modes):
-                local_of[offsets[fi] + k] = len(caps)
-                caps.append(factors[fi].cutoff.per_mode_max[k])
-        local_pairs, local_thr = [], []
-        for (a, b), thr in zip(pairs, thresholds):
-            if owner[a] in members:
-                local_pairs.append((local_of[a], local_of[b]))
-                local_thr.append(thr)
-        out.append(_Group([factors[i] for i in members], local_pairs, local_thr, caps))
-    return out
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(owner[a]), find(owner[b])
+        root[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, _Group] = {}
+    local = [0] * total
+    for i, f in enumerate(factors):
+        r = find(i)
+        g = groups.get(r)
+        if g is None:
+            g = groups[r] = _Group([], [], [], [])
+        g.factors.append(f)
+        for k, cap in enumerate(f.cutoff.per_mode_max):
+            local[offsets[i] + k] = len(g.base_caps)
+            g.base_caps.append(cap)
+    for (a, b), thr in zip(pairs, thresholds):
+        g = groups[find(owner[a])]
+        g.local_pairs.append((local[a], local[b]))
+        g.thresholds.append(thr)
+    return list(groups.values())
 
 
 @functools.lru_cache(maxsize=16)

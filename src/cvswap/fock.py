@@ -4,7 +4,8 @@ States are dense complex tensors over a per-mode-truncated photon-number
 basis.  Single-mode Gaussian gates have one builder: ``gaussian_triple``
 composes them into the Bogoliubov triple of one unitary G, and
 ``gaussian_columns`` builds the columns <m|G|n> it is asked for by a row
-recurrence seeded by a closed form, one vector statement per row.
+recurrence seeded by a closed form, run in Python scalars down each
+column in turn.
 ``gate_matrix`` takes a displacement or squeeze from it and a phase
 rotation from its closed-form diagonal; no gate is ever exponentiated
 from a truncated generator, a path that exists only as a test oracle.
@@ -59,7 +60,6 @@ LEAK_HARD = 1e-3
 
 # working spaces larger than this many entries are refused with guidance
 MAX_WORKING_ELEMENTS = 1 << 24
-
 
 class MeasurementSpecError(ValueError):
     """A malformed request, not a numerical failure: inputs of a shape the
@@ -348,32 +348,44 @@ def gaussian_triple(gates) -> tuple[complex, complex, complex]:
 
 def gaussian_columns(triples, dim: int, k: int) -> np.ndarray:
     """<m|G|n> for m < dim and n < k of each Gaussian unitary G given by its
-    ``gaussian_triple``, stacked, with <0|G|0> > 0, refused before it is
-    allocated beyond the working-space limit.  Row 0 is the conjugate of
-    G^dag's vacuum column, mu sqrt(n+1) x[n+1] = -gamma x[n] - nu sqrt(n)
-    x[n-1], from its closed-form norm.  As G a = (conj(mu) a - nu a^dag - c)
-    G with c = conj(mu) gamma - nu conj(gamma), row m+1 is (sqrt(n) G[m,
-    n-1] + nu sqrt(m) G[m-1, n] + c G[m, n]) / (conj(mu) sqrt(m+1)): no
-    reference leaves the block, so each column loses exactly the weight G
-    pushes past the cutoff.  (A sweep by columns is unstable.)"""
+    ``gaussian_triple``, stacked C-contiguous as (triples, dim, k), with
+    <0|G|0> > 0, refused before it is allocated beyond the working-space
+    limit.  Row 0 is the conjugate of G^dag's vacuum column, mu sqrt(n+1)
+    x[n+1] = -gamma x[n] - nu sqrt(n) x[n-1], from its closed-form norm.
+    As G a = (conj(mu) a - nu a^dag - c) G with c = conj(mu) gamma - nu
+    conj(gamma), row m+1 is (sqrt(n) G[m, n-1] + nu sqrt(m) G[m-1, n] + c
+    G[m, n]) / (conj(mu) sqrt(m+1)): no reference leaves the block, so each
+    column loses exactly the weight G pushes past the cutoff.
+
+    The recurrence runs in Python scalars, down each column in turn, since
+    numpy would spend more on a call per row than on the row's arithmetic
+    in the narrow blocks compiling asks for.  Taking the columns in order
+    is still the row recurrence: each element comes from the same three
+    neighbours, of which column n - 1 is already complete.  (A recurrence
+    in n, which steps along a row from its left neighbours, is unstable.)"""
     check_working_size(len(triples), dim * k)
-    x0 = [math.exp(0.5 * ((nu.conjugate() * gamma ** 2 / mu).real - abs(gamma) ** 2))
-          / math.sqrt(abs(mu)) for mu, nu, gamma in triples]
-    mu, nu, gamma = (np.array(v, dtype=np.complex128)[:, None] for v in zip(*triples))
-    c = mu.conj() * gamma - nu * gamma.conj()
-    sqrt = np.sqrt(np.arange(max(dim, k)))
-    # block[m + 1, :, n + 1] holds G[m, n]; row -1 and column -1 stay zero
-    block = np.zeros((dim + 1, len(triples), k + 1), dtype=np.complex128)
-    top = block[1]  # top[:, j + 1] holds x[j] until it is conjugated into row 0
-    top[:, 1] = x0
-    for j in range(1, k):
-        top[:, j + 1:j + 2] = -(gamma * top[:, j:j + 1] + nu * sqrt[j - 1] * top[:, j - 1:j]) / (
-            mu * sqrt[j])
-    top[:] = top.conj()
-    for m in range(dim - 1):
-        block[m + 2, :, 1:] = (sqrt[:k] * block[m + 1, :, :k] + nu * sqrt[m] * block[m, :, 1:]
-                               + c * block[m + 1, :, 1:]) / (mu.conj() * sqrt[m + 1])
-    return np.moveaxis(block[1:, :, 1:], 1, 0)
+    sqrt = [math.sqrt(j) for j in range(max(dim, k))]
+    blocks = []
+    for mu, nu, gamma in triples:
+        x = [0j, math.exp(0.5 * ((nu.conjugate() * gamma ** 2 / mu).real - abs(gamma) ** 2))
+             / math.sqrt(abs(mu))]
+        for j in range(1, k):
+            x.append(-(gamma * x[j] + nu * sqrt[j - 1] * x[j - 1]) / (mu * sqrt[j]))
+        c = mu.conjugate() * gamma - nu * gamma.conjugate()
+        across = [nu * s for s in sqrt[:dim - 1]]
+        down = [mu.conjugate() * s for s in sqrt[1:dim]]
+        left = [0j] * dim  # column -1
+        cols = []
+        for n in range(k):
+            sn, up, g = complex(sqrt[n]), 0j, x[n + 1].conjugate()
+            col = [g]
+            for p, a, d in zip(left, across, down):
+                up, g = g, (sn * p + a * up + c * g) / d
+                col.append(g)
+            cols.append(col)
+            left = col
+        blocks.append(cols)
+    return np.array(blocks, dtype=np.complex128).transpose(0, 2, 1).copy()
 
 
 def _squeeze_edge(z: complex, dim: int) -> np.ndarray:

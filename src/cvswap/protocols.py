@@ -11,6 +11,7 @@ with the CV photon-parity measurement.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -92,9 +93,9 @@ def _perm_block(states) -> tuple[list[complex], list[float]]:
     rhos = _density_matrices(states)
     n = len(rhos)
     shifts = [_shift_expectation(rhos, t) for t in range(n)]
-    inverse_dft = np.exp(-2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n) / n
-    phases = np.exp(2j * math.pi * np.arange(n) / n)
-    return law_block(phases.tolist(), (inverse_dft @ shifts).tolist())
+    phases = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
+    return law_block(phases, [sum(phases[-j * t % n] * s for t, s in enumerate(shifts)) / n
+                              for j in range(n)])
 
 
 def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResult]:

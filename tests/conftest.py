@@ -455,6 +455,60 @@ def relabeled_stack(stack: fock.FockState, n: int) -> fock.FockState:
     return fock.FockState(fock.CutoffSpec(caps), np.transpose(stack.amplitudes, axes))
 
 
+def row_recurrence_columns(triples, dim: int, k: int) -> np.ndarray:
+    """Oracle for ``fock.gaussian_columns``' loop order: the same row
+    recurrence and closed-form row 0, run one numpy statement per row."""
+    mu, nu, gamma = (np.array(v, dtype=np.complex128)[:, None] for v in zip(*triples))
+    c = mu.conj() * gamma - nu * gamma.conj()
+    sqrt = np.sqrt(np.arange(max(dim, k)))
+    # block[m + 1, :, n + 1] holds G[m, n]; row -1 and column -1 stay zero
+    block = np.zeros((dim + 1, len(triples), k + 1), dtype=np.complex128)
+    top = block[1]
+    top[:, 1] = [math.exp(0.5 * ((n.conjugate() * g ** 2 / m).real - abs(g) ** 2)) / math.sqrt(abs(m))
+                 for m, n, g in triples]
+    for j in range(1, k):
+        top[:, j + 1:j + 2] = -(gamma * top[:, j:j + 1] + nu * sqrt[j - 1] * top[:, j - 1:j]) / (
+            mu * sqrt[j])
+    top[:] = top.conj()
+    for m in range(dim - 1):
+        block[m + 2, :, 1:] = (sqrt[:k] * block[m + 1, :, :k] + nu * sqrt[m] * block[m, :, 1:]
+                               + c * block[m + 1, :, 1:]) / (mu.conj() * sqrt[m + 1])
+    return np.moveaxis(block[1:, :, 1:], 1, 0)
+
+
+def quadratic_group_factors(factors, pairs, thresholds) -> list[tuple]:
+    """Oracle for the parity estimator's grouping, as it was first written:
+    each pair relabels every factor of one group with the other's label,
+    and each group scans every pair.  Returns (member indices, local
+    pairs, thresholds, base caps) per group, in order of first factor."""
+    offsets, owner, total = [], [], 0
+    for i, f in enumerate(factors):
+        offsets.append(total)
+        owner.extend([i] * f.modes)
+        total += f.modes
+    label = list(range(len(factors)))
+    for a, b in pairs:
+        keep, drop = label[owner[a]], label[owner[b]]
+        label = [keep if g == drop else g for g in label]
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(label):
+        groups.setdefault(g, []).append(i)
+    out = []
+    for members in groups.values():
+        local_of, caps = {}, []
+        for fi in members:
+            for k in range(factors[fi].modes):
+                local_of[offsets[fi] + k] = len(caps)
+                caps.append(factors[fi].cutoff.per_mode_max[k])
+        local_pairs, local_thr = [], []
+        for (a, b), thr in zip(pairs, thresholds):
+            if owner[a] in members:
+                local_pairs.append((local_of[a], local_of[b]))
+                local_thr.append(thr)
+        out.append((members, local_pairs, local_thr, caps))
+    return out
+
+
 def dense_two_copy_expectation(copies, m_per_pair=None) -> float:
     """Oracle for the two-copy expectation: the parity estimator's exact
     value on one dense stack of the pure copies and its relabeled stack,

@@ -17,6 +17,7 @@ from conftest import (
     ensemble_combinations,
     measurement_block,
     padded_group_expectation,
+    quadratic_group_factors,
     random_ensemble,
     random_pure,
     run_circuit,
@@ -356,6 +357,27 @@ def test_group_expectation_matches_the_padded_box(seed):
     thresholds = [None if rng.random() < 0.3 else int(rng.integers(0, 5)) for _ in pairs]
     total = None if rng.random() < 0.5 else int(rng.integers(0, 8))
     _assert_group_expectation_is_the_padded_box(factors, pairs, thresholds, total)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_grouping_matches_the_quadratic_relabelling(data):
+    # random factor counts, mode counts and caps, and random disjoint pair
+    # sets: the same groups, members, local pairs, thresholds and caps, in
+    # the same order
+    modes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=14), label="modes")
+    factors = [FockState(CutoffSpec(caps), np.ones([c + 1 for c in caps]))
+               for caps in (data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+                            for m in modes)]
+    order = data.draw(st.permutations(range(sum(modes))), label="pairing")
+    n_pairs = data.draw(st.integers(0, len(order) // 2), label="pairs")
+    pairs = [(order[2 * p], order[2 * p + 1]) for p in range(n_pairs)]
+    thresholds = data.draw(st.lists(st.none() | st.integers(0, 4), min_size=n_pairs,
+                                    max_size=n_pairs), label="thresholds")
+    index = {id(f): i for i, f in enumerate(factors)}
+    got = [([index[id(f)] for f in g.factors], g.local_pairs, g.thresholds, g.base_caps)
+           for g in est._group_factors(factors, pairs, thresholds)]
+    assert got == quadratic_group_factors(factors, pairs, thresholds)
 
 
 @pytest.mark.parametrize("caps, pairs, thresholds, total", [

@@ -28,6 +28,7 @@ from conftest import (
     random_number_conserving,
     random_pure,
     rectangular_decompose,
+    row_recurrence_columns,
     run_circuit,
     single_particle_matrix,
     swap_modes,
@@ -337,6 +338,81 @@ def test_gate_matrix_matches_the_padded_expm_oracle(gate, dim):
     mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
     oracle = _expm_oracle(gate, dim + 150)[:dim, :dim]
     assert np.max(np.abs(mine - oracle)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_SINGLE_MODE_GATES, min_size=1, max_size=2), st.integers(1, 24),
+       st.sampled_from([1, 2, 3, None]))
+@example([Displacement(cmath.rect(1.0, 2.5), 0), Squeeze(cmath.rect(0.8, -2.0), 0)], 24, None)
+@example([Squeeze(0.8j, 0)], 24, 3)
+def test_gaussian_columns_match_the_padded_expm_oracle(gates, dim, k):
+    # one or two unitaries, k in {1, 2, 3, dim}, every column against the
+    # exponential of the generator truncated 150 levels above the block
+    k = k or dim
+    got = fock.gaussian_columns([fock.gaussian_triple([g]) for g in gates], dim, k)
+    for block, gate in zip(got, gates):
+        assert np.max(np.abs(block - _expm_oracle(gate, dim + 150)[:dim, :k])) < 1e-12
+
+
+def _bench_circuit(rng, layers=6):
+    """(displacement, squeeze, phase) layers of the compile-gates benchmark's sizes."""
+    gates = []
+    for _ in range(layers):
+        gates += [Displacement(cmath.rect(rng.uniform(0.05, 0.35), rng.uniform(-math.pi, math.pi)), 0),
+                  Squeeze(cmath.rect(rng.uniform(0.05, 0.25), rng.uniform(-math.pi, math.pi)), 0),
+                  PhaseRotation(rng.uniform(0.0, 6.0), 0)]
+    return gates
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_order_is_the_row_recurrence_at_the_compile_benchmark_shape(seed):
+    # two 18-gate circuits at d = 81 and k <= 4: each column within 1e-14,
+    # relative to its norm, of the same recurrence run one numpy row at a time
+    rng = np.random.default_rng(seed)
+    triples = [fock.gaussian_triple(_bench_circuit(rng)) for _ in range(2)]
+    for k in (1, 2, 3, 4):
+        rows, columns = row_recurrence_columns(triples, 81, k), fock.gaussian_columns(triples, 81, k)
+        assert np.all(np.linalg.norm(rows - columns, axis=1)
+                      <= 1e-14 * np.linalg.norm(rows, axis=1))
+
+
+def test_gaussian_columns_edge_cases():
+    # one entry: the vacuum amplitude, positive
+    for gate in (Displacement(0.4 - 0.2j, 0), Squeeze(0.3j, 0)):
+        got = fock.gaussian_columns([fock.gaussian_triple([gate])], 1, 1)
+        assert got.shape == (1, 1, 1) and got[0, 0, 0].real > 0
+        assert abs(got[0, 0, 0] - _expm_oracle(gate, 151)[0, 0]) < 1e-12
+    # the identity triple builds the identity columns exactly
+    assert np.array_equal(fock.gaussian_columns([(1 + 0j, 0j, 0j)] * 2, 9, 4),
+                          np.broadcast_to(np.eye(9, 4), (2, 9, 4)))
+    # a phase rotation stays diagonal, each step within one rounding of e^{-i phi n}
+    for phi in (0.3, 2.5, 5.9):
+        [block] = fock.gaussian_columns([fock.gaussian_triple([PhaseRotation(phi, 0)])], 30, 30)
+        n = np.arange(30)
+        assert np.all(block[~np.eye(30, dtype=bool)] == 0)
+        assert np.all(np.abs(np.diag(block) - np.exp(-1j * phi * n)) <= 1e-15 * (n + 1))
+    # C order, complex128, one block per triple
+    triples = [fock.gaussian_triple([Displacement(0.2, 0)]), fock.gaussian_triple([Squeeze(0.1, 0)])]
+    for dim, k in ((7, 3), (5, 5), (3, 6)):
+        got = fock.gaussian_columns(triples, dim, k)
+        assert got.shape == (2, dim, k) and got.dtype == np.complex128
+        assert got.flags.c_contiguous
+
+
+class _Untouchable:
+    """A triple that fails if anything reads it."""
+
+    def __iter__(self):
+        raise AssertionError("the triple was read before the size check")
+
+
+def test_gaussian_columns_refuses_before_it_allocates(monkeypatch):
+    # two 8 x 3 blocks under a limit of 47 entries: refused before any
+    # triple is read or any array is made
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 47)
+    monkeypatch.setattr(fock, "np", None)
+    with pytest.raises(fock.ResourceLimitError, match=r"\(2 x 24\)"):
+        fock.gaussian_columns([_Untouchable(), _Untouchable()], 8, 3)
 
 
 def test_a_gate_matrix_beyond_the_limit_is_refused(monkeypatch):

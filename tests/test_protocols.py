@@ -477,6 +477,32 @@ def test_compile_columns_match_the_padded_expm_oracle(gates, dim, k):
     assert np.array_equal(same.amplitudes, psi.amplitudes) and same.leak == 0.0
 
 
+@pytest.mark.parametrize("seed", [1, 708])
+def test_compile_cost_at_the_benchmark_shape_matches_the_expm_oracle(seed, monkeypatch):
+    # the compile-gates benchmark's shape: cutoff (80, 1), basis training
+    # states |n, r> with n < 4, and 18-gate U and V with V near U: one
+    # call builds both 81 x 4 blocks, and the cost holds the fidelities of
+    # the padded exponentials' columns
+    rng = np.random.default_rng(seed)
+    u_gates, v_gates = [], []
+    for _ in range(6):
+        alpha, z = cmath.rect(rng.uniform(0.05, 0.3), rng.uniform(-math.pi, math.pi)), cmath.rect(
+            rng.uniform(0.05, 0.2), rng.uniform(-math.pi, math.pi))
+        phi = rng.uniform(0.0, 6.0)
+        u_gates += [fock.Displacement(alpha, 0), fock.Squeeze(z, 0), fock.PhaseRotation(phi, 0)]
+        v_gates += [fock.Displacement(alpha + cmath.rect(rng.uniform(0.0, 0.05), rng.uniform(-3, 3)), 0),
+                    fock.Squeeze(z + cmath.rect(rng.uniform(0.0, 0.05), rng.uniform(-3, 3)), 0),
+                    fock.PhaseRotation(phi + rng.uniform(-0.05, 0.05), 0)]
+    training = [fock.basis_state((n, n % 2), CutoffSpec((80, 1))) for n in range(4)]
+    builds = count_calls(monkeypatch, fock, "gaussian_columns")
+    terms = proto.compile_terms(training, u_gates, v_gates)
+    assert builds == ["gaussian_columns"]
+    u, v = _expm_columns(u_gates, 81, 4), _expm_columns(v_gates, 81, 4)
+    fidelities = abs(np.sum(v.conj() * u, axis=0)) ** 2 / (
+        np.sum(abs(u) ** 2, axis=0) * np.sum(abs(v) ** 2, axis=0))
+    assert proto.compile_cost_expectation(terms) == pytest.approx(1.0 - fidelities.mean(), abs=1e-12)
+
+
 def test_compile_cost_of_a_circuit_and_its_inverse_is_zero():
     # D(-4) D(4) is the identity: nothing is lost at A cutoff 19, where
     # truncating after each gate lost a third of the weight
