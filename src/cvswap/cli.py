@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,65 @@ def _estimator_document(cfg: RunConfig, estimate) -> tuple[dict, list[dict]]:
     return results, run_rows
 
 
+def _json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2)``, written by one call
+    per value, where any ``indent`` sends ``json.dumps`` through the
+    stdlib's pure-Python generators, several frames per value.  Strings go
+    through the stdlib's C escaper and numbers through their types' own
+    ``__repr__`` (numpy 2's repr of an np.float64 names its type).  A
+    non-finite number, which ``json.dumps`` would write as the non-JSON
+    ``NaN`` or ``Infinity``, is refused naming the nearest object key above
+    it: only the echoed config can hold one, since parameters must be
+    finite and a result writes its undefined stderr as null.  A type no
+    document holds is a TypeError, as from ``json.dumps``."""
+    parts: list[str] = []
+    _write_json(value, parts, "\n", None)
+    return "".join(parts)
+
+
+def _write_json(value, out: list[str], indent: str, key) -> None:
+    """Append ``value`` to ``out`` at the nesting ``indent`` (a newline and
+    its spaces), under the object key ``key``."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} holds a non-finite number, which JSON cannot hold")
+        out.append(float.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner, key)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for name, item in value.items():
+            out.append(f"{sep}{_json_string(name)}: ")
+            _write_json(item, out, inner, name)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(cfg: RunConfig, results: dict, csv_rows: list[dict] | None) -> None:
     document = {
         "tool": {"name": "cvswap", "version": __version__},
@@ -285,8 +345,8 @@ def _emit(cfg: RunConfig, results: dict, csv_rows: list[dict] | None) -> None:
     }
     if cfg.fmt == "json":
         try:
-            text = json.dumps(document, indent=2)
-        except RecursionError as exc:  # a config just within the decoder's nesting limit
+            text = _json_text(document)
+        except RecursionError as exc:  # nesting deeper than the writer may recurse
             raise ConfigError(f"config nests too deeply to embed in the document: {exc}") from exc
     else:
         if not csv_rows:
@@ -523,19 +583,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# built once per process: building it costs several times what parsing does
+_PARSER = _Parser(
+    prog="cvswap",
+    description="Ancilla-free overlap estimation on a truncated Fock simulator",
+)
+_PARSER.add_argument("command", choices=_COMMANDS, help="protocol to run")
+_PARSER.add_argument("--config", required=True, help="JSON run description")
+_PARSER.add_argument("--out", default=None, help="output path (config 'out' or stdout if omitted)")
+_PARSER.add_argument("--format", choices=("json", "csv"), default=None,
+                     help="output format (config 'format' or json if omitted)")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+
+
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="cvswap",
-        description="Ancilla-free overlap estimation on a truncated Fock simulator",
-    )
-    parser.add_argument("command", choices=_COMMANDS, help="protocol to run")
-    parser.add_argument("--config", required=True, help="JSON run description")
-    parser.add_argument("--out", default=None, help="output path (config 'out' or stdout if omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (config 'format' or json if omitted)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     try:
-        cfg = _load_config(parser.parse_args(argv))
+        cfg = _load_config(_PARSER.parse_args(argv))
         _COMMANDS[cfg.protocol](cfg)
     except (ConfigError, est.MeasurementSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

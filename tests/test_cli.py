@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvswap import cli, dv, estimators as est, fock, protocols as proto
 
@@ -19,6 +20,12 @@ def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
     if seed is not None:
         argv += ["--seed", str(seed)]
     code = cli.main(argv)
+    if code == 0 and fmt == "json":
+        # every document is strict JSON in json.dumps's two-space layout
+        text = out_path.read_text(encoding="utf-8")
+        strict = json.loads(text, parse_constant=lambda name: pytest.fail(f"document holds {name}"))
+        if text != json.dumps(strict, indent=2):  # pytest's diff of a long document takes minutes
+            pytest.fail("document text is not json.dumps(document, indent=2)")
     return code, out_path
 
 
@@ -74,6 +81,35 @@ def test_cli_documents_bit_identical(tmp_path):
     (tmp_path / "out_overlap_json.txt").unlink()
     _, out3 = run_cli(tmp_path, "overlap", config, name="c.json")
     assert text1 == out2.read_text() == out3.read_text()
+
+
+_ANY_CHARACTER = st.characters(exclude_categories=())  # lone surrogates too
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200) | st.integers(-2 ** 200, -2 ** 64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, -1e300, np.float64(-0.0), np.float64(1e-310)])
+    | st.text(_ANY_CHARACTER) | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€😀\u2028", ""])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_ANY_CHARACTER), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_document_text_is_the_stdlib_indented_text(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), 1j, {1, 2}, {"runs": [{"seed": np.uint32(7)}]}])
+def test_document_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -684,6 +720,13 @@ COMPILE_A = {"training": TRAINING}
     ("cutoff-plan", {"family": "squeezed", "r": 20}, "squeezing strength 20 exceeds 6.4496"),
     # an empty table is no result, in JSON or in CSV
     ("fig2", {"r_list": []}, "r_list must not be empty"),
+    # free top-level keys are echoed into the document, which is strict
+    # JSON and so holds no NaN or Infinity
+    ("overlap", {"state_a": {"kind": "vacuum", "cutoff": [2]}, "state_b": {"kind": "vacuum", "cutoff": [2]},
+                 "shots": 10, "note": math.nan, "x": math.inf},
+     "config key 'note' holds a non-finite number, which JSON cannot hold"),
+    ("cutoff-plan", {"family": "coherent", "energy": 36, "extra": {"deep": [1, -math.inf]}},
+     "config key 'deep' holds a non-finite number"),
 ])
 def test_out_of_range_or_bad_gate_is_config_error(tmp_path, capsys, command, config, message):
     code, out = run_cli(tmp_path, command, config)
@@ -879,6 +922,14 @@ def test_usage_errors_are_one_line_config_errors(capsys, argv, message):
     # the command line is refused before any config file is read
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = count_calls(monkeypatch, cli._Parser, "__init__")
+    vacuum = {"kind": "vacuum", "cutoff": [2]}
+    for name in ("a.json", "b.json"):
+        assert run_cli(tmp_path, "overlap", {"state_a": vacuum, "state_b": vacuum}, name=name)[0] == 0
+    assert built == []
 
 
 def test_help_exits_zero(capsys):
