@@ -19,7 +19,6 @@ from .fock import (  # noqa: F401
     pad,
     prepare,
     tensor,
-    truncation_weight,
 )
 from .sampling import estimator_statistics  # noqa: F401
 from .estimators import (  # noqa: F401

@@ -22,7 +22,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import fock
 from .fock import (FockState, MeasurementSpecError, MixedEnsemble, ResourceLimitError,
                    check_working_size, components_of)
 from .sampling import ShotLaw, blocks_estimate, estimator_statistics, law_block, seed_root
@@ -48,7 +47,6 @@ __all__ = [
     "analytic_squeezed_overlap",
     "analytic_swap2m_squeezed",
     "normal_cdf",
-    "normal_quantile",
 ]
 
 class EstimatorResult:
@@ -420,18 +418,27 @@ def swap2m_profile(joint, m_values) -> list[float]:
 
 def error_bound_global(joint, m: int) -> float:
     """1 - q_2M: weight of the joint input outside the total-photon <= 2M
-    subspace; upper bound on the cutoff-induced systematic error."""
+    subspace, 1 - k of the pair's parity group; upper bound on the
+    cutoff-induced systematic error."""
     if joint.modes != 2:
         raise MeasurementSpecError("joint must be a two-mode state")
-    return 1.0 - fock.truncation_weight(joint, (0, 1), 2 * m)
+    (group,) = _parity_groups(joint, [(0, 1)], m, None)
+    return max(0.0, 1.0 - _group_expectation(group)[0])
 
 
 def error_bound_local(rho, sigma, m: int) -> float:
-    """1 - q^rho_M q^sigma_M from the per-register marginal CDFs; always
+    """1 - q^rho_M q^sigma_M from each register's weight on n <= M; always
     dominates the global bound of the product state."""
     _require_single_mode(rho, "rho")
     _require_single_mode(sigma, "sigma")
-    return 1.0 - fock.truncation_weight(rho, (0,), m) * fock.truncation_weight(sigma, (0,), m)
+    (m,) = normalize_thresholds(m, 1)
+    kept = 1.0
+    for register in (rho, sigma):
+        comps = components_of(register)
+        if any(s.norm_sq <= 0 for _, s in comps):
+            raise ValueError("zero-norm component")
+        kept *= sum(w / s.norm_sq * float(np.sum(abs(s.amplitudes[:m + 1]) ** 2)) for w, s in comps)
+    return max(0.0, 1.0 - kept)
 
 
 # ---------------------------------------------------------------------------
@@ -456,69 +463,6 @@ def analytic_swap2m_squeezed(r: float, m: int) -> float:
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-_PPND16_A = (
-    3.387132872796366608e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND16_B = (
-    1.0, 4.2313330701600911252e1, 6.871870074920579083e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.930789580009271061e4, 2.8729085735721942674e4,
-    5.226495278852545674e3,
-)
-_PPND16_C = (
-    1.42343711074968357734e0, 4.6303378461565452959e0, 5.7694972214606914055e0,
-    3.64784832476320460504e0, 1.27045825245236838258e0, 2.4178072517745061177e-1,
-    2.27238449892691845833e-2, 7.7454501427834140764e-4,
-)
-_PPND16_D = (
-    1.0, 2.05319162663775882187e0, 1.6763848301838038494e0, 6.8976733498510000455e-1,
-    1.4810397642748007459e-1, 1.51986665636164571966e-2, 5.475938084995344946e-4,
-    1.05075007164441684324e-9,
-)
-_PPND16_E = (
-    6.6579046435011037772e0, 5.4637849111641143699e0, 1.7848265399172913358e0,
-    2.9656057182850489123e-1, 2.6532189526576123093e-2, 1.2426609473880784386e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND16_F = (
-    1.0, 5.9983220655588793769e-1, 1.3692988092273580531e-1, 1.48753612908506148525e-2,
-    7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, x: float) -> float:
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (probit) via the AS 241 rational
-    approximations; absolute error well below 1e-9."""
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError("quantile argument must lie in [0, 1]")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND16_A, r) / _poly(_PPND16_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        value = _poly(_PPND16_C, r) / _poly(_PPND16_D, r)
-    else:
-        r -= 5.0
-        value = _poly(_PPND16_E, r) / _poly(_PPND16_F, r)
-    return -value if q < 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +547,9 @@ def cutoff_for_coherent_normal(energy: float, eps: float) -> CutoffPlan:
     if level == 1.0:
         raise RuntimeError(f"normal-quantile planning cannot resolve eps = {eps:g}: "
                            "sqrt(1 - eps) rounds to 1 in double precision")
-    m = max(0, math.ceil(energy + math.sqrt(energy) * normal_quantile(level)))
+    from statistics import NormalDist  # imports fractions and decimal; only this planner needs it
+
+    m = max(0, math.ceil(energy + math.sqrt(energy) * NormalDist().inv_cdf(level)))
     bound = 1.0 - normal_cdf((m - energy) / math.sqrt(energy)) ** 2
     return CutoffPlan(m, min(max(bound, 0.0), 1.0), "normal_quantile", eps)
 

@@ -7,7 +7,8 @@ composes them into the Bogoliubov triple of one unitary G, and
 recurrence seeded by a closed form, run in Python scalars down each
 column in turn.
 ``gate_matrix`` takes a displacement or squeeze from it and a phase
-rotation from its closed-form diagonal; no gate is ever exponentiated
+rotation from its closed-form diagonal, and ``prepare`` takes a coherent
+or squeezed state from its vacuum column; no gate is ever exponentiated
 from a truncated generator, a path that exists only as a test oracle.
 Inputs of a shape that does not fit raise ``MeasurementSpecError``.  A
 beamsplitter has no dense matrix: ``apply_gate`` applies it one
@@ -48,7 +49,6 @@ __all__ = [
     "gate_matrix",
     "apply_gate",
     "prepare",
-    "truncation_weight",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -388,17 +388,6 @@ def gaussian_columns(triples, dim: int, k: int) -> np.ndarray:
     return np.array(blocks, dtype=np.complex128).transpose(0, 2, 1).copy()
 
 
-def _squeeze_edge(z: complex, dim: int) -> np.ndarray:
-    """Squeezed-vacuum closed form <n|S(z)|0>."""
-    r = abs(z)
-    edge = np.zeros(dim, dtype=np.complex128)
-    edge[0] = 1.0 / math.sqrt(math.cosh(r))
-    ratio = -(z / r) * math.tanh(r)
-    for k in range(1, (dim - 1) // 2 + 1):
-        edge[2 * k] = edge[2 * k - 2] * ratio * math.sqrt((2 * k - 1) / (2 * k))
-    return edge
-
-
 # ---------------------------------------------------------------------------
 # beamsplitter blocks
 
@@ -509,36 +498,27 @@ def check_leak(leak: float, what: str) -> bool:
     return leak >= LEAK_SOFT
 
 
-def _coherent_amps(alpha: complex, dim: int) -> np.ndarray:
-    amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
-
-
 def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
             z: complex = 0j, r: float = 0.0) -> FockState:
-    """Closed-form preparation, renormalized after truncation.
+    """Preparation from the vacuum, renormalized after truncation.
 
     kinds: ``vacuum``, ``coherent`` (alpha), ``squeezed`` (z), ``tmss`` (r,
-    two modes).  The pre-normalization leak is recorded on the result; a
-    leak above LEAK_HARD raises, one above LEAK_SOFT sets the warning flag.
-    A box beyond the working-space limit is refused before it is allocated.
+    two modes).  A coherent or squeezed state is the vacuum column of its
+    gate's ``gaussian_columns``; the two-mode squeezed state is its
+    closed-form diagonal.  The pre-normalization leak is recorded on the
+    result; a leak above LEAK_HARD raises, one above LEAK_SOFT sets the
+    warning flag.  A box beyond the working-space limit is refused before
+    it is allocated.
     """
     check_working_size(1, cutoff.dim)
     if kind == "vacuum":
         return basis_state((0,) * cutoff.modes, cutoff)
-    if kind == "coherent":
+    if kind in ("coherent", "squeezed"):
         if cutoff.modes != 1:
-            raise MeasurementSpecError("coherent preparation is single-mode")
-        raw = _coherent_amps(complex(alpha), cutoff.shape[0])
-    elif kind == "squeezed":
-        if cutoff.modes != 1:
-            raise MeasurementSpecError("squeezed preparation is single-mode")
-        if z == 0:
-            return basis_state((0,), cutoff)
-        raw = _squeeze_edge(complex(z), cutoff.shape[0])
+            raise MeasurementSpecError(f"{kind} preparation is single-mode")
+        triple = ((1 + 0j, 0j, complex(alpha)) if kind == "coherent"
+                  else gaussian_triple([Squeeze(z, 0)]))
+        raw = gaussian_columns([triple], cutoff.shape[0], 1)[0, :, 0]
     elif kind == "tmss":
         if cutoff.modes != 2:
             raise MeasurementSpecError("tmss preparation is two-mode")
@@ -554,33 +534,3 @@ def prepare(kind: str, cutoff: CutoffSpec, *, alpha: complex = 0j,
     warn = check_leak(leak, f"{kind} preparation")
     amps = raw / math.sqrt(max(1.0 - leak, np.finfo(float).tiny))
     return FockState(cutoff, amps, leak=leak, leak_warning=warn)
-
-
-# ---------------------------------------------------------------------------
-# truncation weights
-
-
-def _pattern_probabilities(state: FockState) -> np.ndarray:
-    p = np.abs(state.amplitudes) ** 2
-    total = p.sum()
-    if total <= 0.0:
-        raise ValueError("zero-norm state")
-    return p / total
-
-
-def truncation_weight(state, modes_subset, threshold: int) -> float:
-    """Probability that the summed photon count over the subset is <= threshold."""
-    if threshold < 0:
-        raise MeasurementSpecError("threshold must be >= 0")
-    subset = tuple(modes_subset)
-    value = 0.0
-    for w, pure in components_of(state):
-        p = _pattern_probabilities(pure)
-        other = tuple(ax for ax in range(pure.modes) if ax not in subset)
-        marginal = p.sum(axis=other) if other else p
-        totals = np.zeros(marginal.shape, dtype=np.int64)
-        for ax, mode in enumerate(subset):
-            counts = np.arange(marginal.shape[ax])
-            totals += counts.reshape((1,) * ax + (-1,) + (1,) * (marginal.ndim - ax - 1))
-        value += w * float(marginal[totals <= threshold].sum())
-    return min(value, 1.0)

@@ -1,11 +1,12 @@
 import functools
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm, poisson
+from scipy.stats import poisson
 
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
@@ -506,6 +507,35 @@ def test_bound_sandwich(rng):
             assert g <= l + 1e-12
 
 
+def _product_ensemble(a, b):
+    """The two-mode ensemble of a (x) b for single-mode pure or mixed a, b."""
+    return MixedEnsemble(tuple((wa * wb, fock.tensor(sa, sb)) for wa, sa in fock.components_of(a)
+                               for wb, sb in fock.components_of(b)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3), st.integers(0, 8), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_global_bound_is_the_dense_kept_weight_and_never_negative(c0, c1, rank, m, product, seed):
+    # 1 - k rounds below 0 when k rounds above 1; the bound is clamped to 0
+    rng = np.random.default_rng(seed)
+    if product:
+        a, b = _unnormalised_factor(rng, (c0,), rank), _unnormalised_factor(rng, (c1,), rank)
+        joint = _product_ensemble(a, b)
+    else:
+        joint = _unnormalised_factor(rng, (c0, c1), rank)
+    p = sum(w / s.norm_sq * np.abs(s.amplitudes) ** 2 for w, s in fock.components_of(joint))
+    kept = np.add.outer(np.arange(c0 + 1), np.arange(c1 + 1)) <= 2 * m
+    bound = est.error_bound_global(joint, m)
+    assert abs(bound - (1.0 - p[kept].sum())) <= 1e-12
+    assert 0.0 <= bound <= 1.0
+    full = est.parity_overlap_expectation(joint, [(0, 1)], None)
+    assert abs(full - est.parity_overlap_expectation(joint, [(0, 1)], m)) <= bound + 1e-12
+    if product:
+        local = est.error_bound_local(a, b, m)
+        assert 0.0 <= local <= 1.0 and local >= bound - 1e-12
+
+
 def test_eq17_parity_structure():
     limit = est.analytic_squeezed_overlap(0.9)
     for m in range(3, 12):
@@ -584,7 +614,7 @@ def test_normal_planner_clamps_near_one():
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
 def test_normal_planner_asymptotic_envelope(eps):
     for energy in (25.0, 100.0, 400.0):
-        formula = energy + math.sqrt(energy) * est.normal_quantile(math.sqrt(1 - eps))
+        formula = energy + math.sqrt(energy) * NormalDist().inv_cdf(math.sqrt(1 - eps))
         envelope = energy + math.sqrt(math.pi * energy / 8.0) * math.log(2.0 / eps)
         assert formula <= envelope
 
@@ -636,24 +666,3 @@ def test_weak_tail_bound_is_weaker():
             weak = 1.0 - math.exp(-energy / m)
             exact = 1.0 - poisson.cdf(2 * m, 2 * energy)
             assert exact <= weak
-
-
-# ---------------------------------------------------------------------------
-# probit
-
-
-def test_probit_against_scipy():
-    grid = np.concatenate([
-        np.linspace(1e-12, 1 - 1e-12, 4001),
-        10.0 ** np.arange(-15.0, -1.0, 0.5),
-        1.0 - 10.0 ** np.arange(-15.0, -1.0, 0.5),
-    ])
-    for p in grid:
-        assert abs(est.normal_quantile(p) - norm.ppf(p)) < 1e-9
-
-
-def test_probit_edges():
-    assert est.normal_quantile(0.5) == 0.0
-    assert math.isinf(est.normal_quantile(0.0))
-    with pytest.raises(ValueError):
-        est.normal_quantile(1.5)

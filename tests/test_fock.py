@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from cvswap import fock
+from cvswap import estimators as est, fock
 from cvswap.fock import (
     Beamsplitter,
     CutoffSpec,
@@ -637,21 +637,61 @@ def test_prepare_squeezed_matches_gate():
     assert np.max(np.abs(prep.amplitudes * scale - gate.amplitudes)) < 1e-12
 
 
+def _closed_form(kind, value, dim):
+    """<n|D(alpha)|0> or <n|S(z)|0> for n < dim at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        value = mpmath.mpc(value.real, value.imag)
+        if kind == "coherent":
+            amps = [mpmath.exp(-abs(value) ** 2 / 2) * value ** n / mpmath.sqrt(mpmath.factorial(n))
+                    for n in range(dim)]
+        else:
+            r = abs(value)
+            ratio = -value / r * mpmath.tanh(r) if r else 0
+            amps = [0 if n % 2 else ratio ** (n // 2) * mpmath.sqrt(mpmath.factorial(n))
+                    / (2 ** (n // 2) * mpmath.factorial(n // 2) * mpmath.sqrt(mpmath.cosh(r)))
+                    for n in range(dim)]
+        return np.array([complex(a) for a in amps])
+
+
+@pytest.mark.parametrize("kind, magnitudes", [("coherent", (0.0, 0.4, 1.7, 3.1, 4.0)),
+                                              ("squeezed", (0.0, 0.3, 0.9, 1.2, 1.5))])
+@pytest.mark.parametrize("cap", [12, 45, 110, 199])
+def test_prepared_vacuum_columns_match_the_closed_forms_deeply(kind, magnitudes, cap):
+    # the vacuum column of gaussian_columns against the closed forms at 50
+    # digits: no amplitude of a deep block drifts off the recurrence
+    for size in magnitudes:
+        for phase in (0.0, 1.1, -2.7):
+            value = cmath.rect(size, phase)
+            param = {"alpha" if kind == "coherent" else "z": value}
+            try:
+                prep = fock.prepare(kind, CutoffSpec((cap,)), **param)
+            except fock.PreparationLeakError:
+                assert cap < 60  # only a shallow box loses that much
+                continue
+            got = prep.amplitudes * math.sqrt(1.0 - prep.leak)
+            assert np.max(np.abs(got - _closed_form(kind, value, cap + 1))) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
-# truncation weights
+# truncation weights, read through the error bounds: the global bound is
+# 1 - q_2M of the pair total, the local one 1 - q_M q_M of the registers
 
 
 def test_truncation_weight_vacuum():
     vac = fock.basis_state((0, 0), CutoffSpec((4, 4)))
-    for thr in (0, 3, 8):
-        assert fock.truncation_weight(vac, (0, 1), thr) == 1.0
+    vac1 = fock.basis_state((0,), CutoffSpec((4,)))
+    for m in (0, 1, 4):
+        assert est.error_bound_global(vac, m) == 0.0
+        assert est.error_bound_local(vac1, vac1, m) == 0.0
 
 
 def test_truncation_weight_tmss_closed_form():
     r, cap = 0.9, 40
     state = fock.prepare("tmss", CutoffSpec((cap, cap)), r=r)
     for m in (1, 3, 6):
-        got = 1.0 - fock.truncation_weight(state, (0, 1), 2 * m)
+        got = est.error_bound_global(state, m)
         assert got == pytest.approx(math.tanh(r) ** (2 * (m + 1)), abs=1e-9)
 
 
@@ -665,37 +705,49 @@ def test_truncation_weight_coherent_poisson():
     lam = abs(alpha) ** 2 + abs(beta) ** 2
     for m in (0, 1, 3):
         want = sum(math.exp(-lam) * lam ** k / math.factorial(k) for k in range(2 * m + 1))
-        assert fock.truncation_weight(joint, (0, 1), 2 * m) == pytest.approx(want, abs=1e-10)
+        assert est.error_bound_global(joint, m) == pytest.approx(1.0 - want, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_truncation_weight_monotone(seed):
     rng = np.random.default_rng(seed)
-    state = random_pure(rng, 5, modes=2)
-    values = [fock.truncation_weight(state, (0, 1), t) for t in range(11)]
-    assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-    assert values[-1] == pytest.approx(1.0, abs=1e-12)
+    a, b = random_pure(rng, 5), random_pure(rng, 5)
+    joint = fock.tensor(a, b)
+    for bound in ([est.error_bound_global(joint, m) for m in range(6)],
+                  [est.error_bound_local(a, b, m) for m in range(6)]):
+        assert all(0.0 <= lo <= hi + 1e-15 for lo, hi in zip(bound[1:], bound))
+        assert bound[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_truncation_weight_one_mode():
     cut = CutoffSpec((5,))
-    three = fock.basis_state((3,), cut)
-    assert fock.truncation_weight(three, (0,), 2) == 0.0
-    assert fock.truncation_weight(three, (0,), 3) == 1.0
+    vac, three = fock.basis_state((0,), cut), fock.basis_state((3,), cut)
+    assert est.error_bound_local(three, vac, 2) == 1.0
+    assert est.error_bound_local(vac, three, 3) == 0.0
     energy = 1.3
     coh = fock.prepare("coherent", CutoffSpec((30,)), alpha=math.sqrt(energy))
+    vac30 = fock.basis_state((0,), CutoffSpec((30,)))
     for m in (0, 2, 4):
         want = sum(math.exp(-energy) * energy ** k / math.factorial(k) for k in range(m + 1))
-        assert fock.truncation_weight(coh, (0,), m) == pytest.approx(want, abs=1e-10)
-    mix = MixedEnsemble(((0.5, fock.basis_state((0,), cut)), (0.5, fock.basis_state((1,), cut))))
-    assert fock.truncation_weight(mix, (0,), 0) == pytest.approx(0.5, abs=1e-15)
-    # one mode of a joint state: the other modes are summed out
+        assert est.error_bound_local(coh, vac30, m) == pytest.approx(1.0 - want, abs=1e-10)
+    mix = MixedEnsemble(((0.5, vac), (0.5, fock.basis_state((1,), cut))))
+    assert est.error_bound_local(mix, vac, 0) == pytest.approx(0.5, abs=1e-15)
+    # the global bound weighs the pair total of each pattern of a mixture
     joint = fock.tensor(three, fock.basis_state((1,), cut))
-    assert fock.truncation_weight(joint, (0,), 3) == 1.0
-    assert fock.truncation_weight(joint, (1,), 0) == 0.0
-    with pytest.raises(ValueError):
-        fock.truncation_weight(three, (0,), -1)
+    assert est.error_bound_global(joint, 1) == 1.0
+    assert est.error_bound_global(joint, 2) == 0.0
+    mix2 = MixedEnsemble(((0.5, joint), (0.5, fock.basis_state((0, 0), CutoffSpec((5, 5))))))
+    assert est.error_bound_global(mix2, 1) == pytest.approx(0.5, abs=1e-15)
+    with pytest.raises(fock.MeasurementSpecError):
+        est.error_bound_global(joint, -1)
+    with pytest.raises(fock.MeasurementSpecError):
+        est.error_bound_local(three, vac, -1)
+    empty = FockState(cut, np.zeros(6))
+    with pytest.raises(ValueError, match="zero-norm"):
+        est.error_bound_local(empty, vac, 1)
+    with pytest.raises(ValueError, match="zero-norm"):
+        est.error_bound_global(fock.tensor(empty, vac), 1)
 
 
 # ---------------------------------------------------------------------------

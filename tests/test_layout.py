@@ -134,12 +134,15 @@ def test_beamsplitters_run_only_where_shots_are_drawn():
 def test_compile_cost_functions_build_no_circuit():
     # compile-cost composes and builds its circuits once, in compile_terms,
     # from no gate matrix, and both the cost and its exact value only read
-    # the terms; the one Gaussian builder also serves gate_matrix
+    # the terms; the one Gaussian builder also serves gate_matrix and the
+    # coherent and squeezed preparations
     found = {callee: _callers(callee)
              for callee in ("compile_terms", "gaussian_triple", "gaussian_columns", "gate_matrix")}
     assert found == {"compile_terms": ["cli.cmd_compile_cost"],
-                     "gaussian_triple": ["fock.gate_matrix", "protocols.compile_terms"],
-                     "gaussian_columns": ["fock.gate_matrix", "protocols.compile_terms"],
+                     "gaussian_triple": ["fock.gate_matrix", "fock.prepare",
+                                         "protocols.compile_terms"],
+                     "gaussian_columns": ["fock.gate_matrix", "fock.prepare",
+                                          "protocols.compile_terms"],
                      "gate_matrix": ["fock.apply_gate"]}
 
 
@@ -168,17 +171,32 @@ def test_block_builders_serve_only_shot_estimators():
 
 
 def test_one_function_computes_a_parity_groups_kept_weight_and_masked_swap():
-    # the shot law and every exact value take a parity group's (k, s) from
-    # one contraction; the padded box, its threshold mask and the ensemble
-    # combinations live on only as test oracles in conftest
+    # the shot law, every exact value and the global cutoff bound take a
+    # parity group's (k, s) from one contraction; the padded box, its
+    # threshold mask and the ensemble combinations live on only as test
+    # oracles in conftest
     found = {callee: sorted(set(_callers(callee))) for callee in ("_group_expectation", "_contract", "einsum")}
     assert found == {"_group_expectation": ["estimators._group_block",
+                                            "estimators.error_bound_global",
                                             "estimators.parity_overlap_expectation"],
                      "_contract": ["estimators._group_expectation"],
                      "einsum": ["estimators._contract"]}
     defined = {name for path in SRC.glob("*.py")
                for name, _ in definitions_and_roots(path.read_text(encoding="utf-8"))[0]}
     assert not defined & {"_threshold_mask", "ensemble_combinations"}
+
+
+def test_each_quantity_has_one_computation():
+    # Gaussian amplitudes come from gaussian_columns, a threshold's kept
+    # weight from the group contraction, the probit from the standard
+    # library: none of their second implementations is defined again
+    defined = {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
+               for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert {"gaussian_columns", "MAX_WORKING_ELEMENTS"} <= defined  # sees defs and assignments
+    assert not defined & {"_coherent_amps", "_squeeze_edge", "truncation_weight",
+                          "_pattern_probabilities", "normal_quantile", "_poly", "_PPND16_A"}
 
 
 def reaches_avoiding(sources: dict[str, str], start: str, target: str, avoiding: str) -> bool:
