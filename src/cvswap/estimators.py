@@ -210,40 +210,62 @@ def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
 
 def _contract(ops, size) -> float:
     """The value of a network of (order key, array, labels) operands, label
-    l taking size[l] values: folded into one accumulator in key order, each
-    label summed once no later operand carries it (the first operand's
-    before its first product), and each intermediate checked against the
+    l taking size[l] values, folded in key order into one accumulator per
+    connected piece.  An operand joins the open pieces that hold one of its
+    labels (several, joined one after another, merge into one), or starts
+    its own piece from its array; a label is summed once no later operand
+    carries it, and a piece that holds no label left is multiplied into the
+    value as a scalar.  Each intermediate is checked against the
     working-space limit before it is allocated.  einsum takes labels below
     52: past them each step is renumbered, and one holding more refused."""
     ops.sort(key=itemgetter(0))
     last = {label: i for i, (_, _, labels) in enumerate(ops) for label in labels}
-    (_, acc, held), *rest = ops
-    steps = [(array, labels, i) for i, (_, array, labels) in enumerate(rest, 1)]
-    if rest and any(last[label] == 0 for label in held):
-        steps.insert(0, (1.0, [], 0))
-    for array, labels, i in steps:
-        keep = [label for label in dict.fromkeys(held + labels) if last[label] > i]
-        check_working_size(1, math.prod(map(size.__getitem__, keep)))
-        if len(size) > 52:
-            ids = {label: k for k, label in enumerate(dict.fromkeys(held + labels))}
-            if len(ids) > 52:
-                raise ResourceLimitError(
-                    f"a contraction step over {len(ids)} modes, registers and running totals "
-                    "is beyond einsum's 52 labels; measure fewer modes at once")
-            acc = np.einsum(acc, [ids[label] for label in held], array,
-                            [ids[label] for label in labels], [ids[label] for label in keep])
+    value, pieces, owner = 1.0, {}, {}  # owner: the piece holding each open label
+    for i, (_, array, labels) in enumerate(ops):
+        joined = []
+        for label in labels:
+            p = owner.get(label)
+            if p is not None and p not in joined:
+                joined.append(p)
+        if not joined:
+            keep = [label for label in labels if last[label] > i]
+            if len(keep) < len(labels):
+                check_working_size(1, math.prod(map(size.__getitem__, keep)))
+                array = array.sum(axis=tuple(k for k, label in enumerate(labels) if last[label] == i))
+                labels = keep
+        for n, p in enumerate(joined, 1):
+            acc, held = pieces.pop(p)
+            # what the pieces still to join share with the operand stays open
+            later = {label for q in joined[n:] for label in pieces[q][1]} if n < len(joined) else ()
+            keep = [label for label in dict.fromkeys(held + labels) if last[label] > i or label in later]
+            check_working_size(1, math.prod(map(size.__getitem__, keep)))
+            if len(size) > 52:
+                ids = {label: k for k, label in enumerate(dict.fromkeys(held + labels))}
+                if len(ids) > 52:
+                    raise ResourceLimitError(
+                        f"a contraction step over {len(ids)} modes, registers and running totals "
+                        "is beyond einsum's 52 labels; measure fewer modes at once")
+                array = np.einsum(acc, [ids[label] for label in held], array,
+                                  [ids[label] for label in labels], [ids[label] for label in keep])
+            else:
+                array = np.einsum(acc, held, array, labels, keep)
+            labels = keep
+        if labels:
+            pieces[i] = array, labels
+            for label in labels:
+                owner[label] = i
         else:
-            acc = np.einsum(acc, held, array, labels, keep)
-        held = keep
-    return float(acc.sum().real)
+            value *= complex(array)
+    return float(value.real)
 
 
-def _group_expectation(group: _Group, total_threshold=None,
-                       kept=True) -> tuple[float | None, float]:
+def _group_expectation(group: _Group, total_threshold=None, kept=True,
+                       swapped=True) -> tuple[float | None, float | None]:
     """(k, s) for one group: the kept weight k = tr(Pi rho) and the masked
     swap s = tr(Pi SWAP rho) = tr(prod_p SWAP_2M_p rho), where Pi keeps the
     patterns whose pair totals (and group total) are within their
-    thresholds; ``kept`` False skips k, which no exact value needs.
+    thresholds; ``kept`` False skips k, which no exact value needs, and
+    ``swapped`` False skips s, which the cutoff bound does not read.
 
     Each is one network with a label per mode (``_contract``).  For s a
     factor enters as its ket on the SWAP-relabelled labels and its bra on
@@ -252,51 +274,60 @@ def _group_expectation(group: _Group, total_threshold=None,
     its modes to 2M + 1 levels and enters as the 0/1 matrix of
     n_a + n_b <= 2M unless it keeps every pattern; a group total cuts every
     mode to 2 m_total + 1 levels and enters as a running total that a step
-    tensor per mode advances.  For s each paired mode is cut to the shorter
-    of its pair, outside which rho[SWAP n; n] vanishes.  The labels are the
-    modes, one per factor of more than one component and, with a running
-    total, one total per mode.
+    tensor per mode advances.  Where no threshold cuts a mode or adds a
+    matrix, each diagonal sums to its factor's ensemble weight, so k is the
+    product of those weights and builds no network.  For s each paired
+    mode is cut to the shorter of its pair, outside which rho[SWAP n; n]
+    vanishes.  The labels are the modes, one per factor of more than one
+    component and, with a running total, one total per mode.
     """
     caps, pairs = group.base_caps, group.local_pairs
     top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
-    partner = list(range(len(caps)))
+    partner, masks = list(range(len(caps))), []
     for (a, b), thr in zip(pairs, group.thresholds):
         partner[a], partner[b] = b, a
         if thr is not None:
             top[a], top[b] = min(top[a], 2 * thr + 1), min(top[b], 2 * thr + 1)
+            if 2 * thr < top[a] + top[b] - 2:  # else every pattern is kept
+                masks.append((a, b, thr))
     cut = [min(d, top[p]) for d, p in zip(top, partner)]
     totalled = total_threshold is not None and 2 * total_threshold < sum(top) - len(top)
-    diagonals, swapped, hi = [], [], 0
+    summed = kept and not masks and not totalled and all(d > c for d, c in zip(top, caps))
+    diagonals, swaps, hi = [], [], 0
     for f, factor in enumerate(group.factors):
         comps = components_of(factor)
         if any(s.norm_sq <= 0 for _, s in comps):
             raise ValueError("zero-norm component")
         lo, hi = hi, hi + factor.modes  # the factor's modes
         check_working_size(2 * len(comps), math.prod(top[lo:hi]))  # its ket and bra
-        if kept:
+        if kept and not summed:
             box = tuple(map(slice, top[lo:hi]))
             diagonal = sum(w / s.norm_sq * abs(s.amplitudes[box]) ** 2 for w, s in comps)
             diagonals.append(((lo, 0), diagonal, [*range(lo, hi)]))
-        box = tuple(map(slice, cut[lo:hi]))
-        ket = np.array([s.amplitudes[box] * math.sqrt(w / s.norm_sq) for w, s in comps])
-        ket, own = (ket, [len(caps) + f]) if len(comps) > 1 else (ket[0], [])
-        swapped.append(((lo, 0), ket.conj(), [*own, *range(lo, hi)]))
-        swapped.append(((min(partner[lo:hi]), 1), ket, [*own, *partner[lo:hi]]))
-    for (a, b), thr in zip(pairs, group.thresholds):
-        if thr is not None and 2 * thr < top[a] + top[b] - 2:  # else every pattern is kept
-            mask = _pair_mask(top[a], top[b], thr)
-            for ops, dims in ((diagonals, top), (swapped, cut)):
-                ops.append(((min(a, b), 2), mask[:dims[a], :dims[b]], [a, b]))
+        if swapped:
+            box = tuple(map(slice, cut[lo:hi]))
+            kets = [s.amplitudes[box] * math.sqrt(w / s.norm_sq) for w, s in comps]
+            ket, own = (np.array(kets), [len(caps) + f]) if len(kets) > 1 else (kets[0], [])
+            swaps.append(((lo, 0), ket.conj(), [*own, *range(lo, hi)]))
+            swaps.append(((min(partner[lo:hi]), 1), ket, [*own, *partner[lo:hi]]))
+    for a, b, thr in masks:
+        mask = _pair_mask(top[a], top[b], thr)
+        for ops, dims in ((diagonals, top), (swaps, cut)):
+            ops.append(((min(a, b), 2), mask[:dims[a], :dims[b]], [a, b]))
     if totalled:
         t = np.arange(2 * total_threshold + 1)
         running = len(caps) + len(group.factors) - 1  # running + m: the total of modes below m
         for m, d in enumerate(top):
             step = (t[:, None, None] + np.arange(d)[:, None] == t) * 1.0
-            for ops, dims in ((diagonals, top), (swapped, cut)):
+            for ops, dims in ((diagonals, top), (swaps, cut)):
                 ops.append(((m, 3), step[0, :dims[m]], [m, running + 1]) if m == 0 else
                            ((m, 3), step[:, :dims[m]], [running + m, m, running + m + 1]))
     size = [len(components_of(f)) for f in group.factors] + [2 * (total_threshold or 0) + 1] * len(caps)
-    return (_contract(diagonals, top + size) if kept else None), _contract(swapped, cut + size)
+    if summed:  # each diagonal would sum to its factor's ensemble weight
+        k = math.prod(sum(w for w, _ in components_of(f)) for f in group.factors)
+    else:
+        k = _contract(diagonals, top + size) if kept else None
+    return k, _contract(swaps, cut + size) if swapped else None
 
 
 def _group_block(group: _Group, total_threshold=None) -> tuple[list[complex], list[float]]:
@@ -423,7 +454,7 @@ def error_bound_global(joint, m: int) -> float:
     if joint.modes != 2:
         raise MeasurementSpecError("joint must be a two-mode state")
     (group,) = _parity_groups(joint, [(0, 1)], m, None)
-    return max(0.0, 1.0 - _group_expectation(group)[0])
+    return max(0.0, 1.0 - _group_expectation(group, swapped=False)[0])
 
 
 def error_bound_local(rho, sigma, m: int) -> float:

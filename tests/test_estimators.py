@@ -442,6 +442,57 @@ def test_a_kept_weight_network_that_falls_apart_is_no_outer_product(rng, monkeyp
     assert steps and max(steps) == 4
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_group_expectation_matches_the_padded_box_where_its_network_falls_apart(seed):
+    # two or three factors of up to three modes, pure or rank-2 mixtures
+    # (whose own label joins their bra and ket), paired across factors in
+    # a random order, so the fold holds pieces that interleave in key
+    # order and merge; no threshold, pair thresholds (some keeping every
+    # pattern) or a group total.  A group that nothing cuts reads k as the
+    # product of its factors' ensemble-weight sums
+    rng = np.random.default_rng(seed)
+    factors = [_unnormalised_factor(rng, tuple(int(c) for c in rng.integers(0, 3, size=rng.integers(1, 4))),
+                                    1 if rng.random() < 0.7 else 2)
+               for _ in range(rng.integers(2, 4))]
+    order = [int(m) for m in rng.permutation(sum(f.modes for f in factors))]
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(int(rng.integers(1, len(order) // 2 + 1)))]
+    kind = int(rng.integers(0, 3))
+    thresholds = [None if kind == 0 or rng.random() < 0.3 else int(rng.integers(0, 4)) for _ in pairs]
+    total = int(rng.integers(0, 7)) if kind == 2 else None
+    for group in est._group_factors(factors, pairs, thresholds):
+        k, s = est._group_expectation(group, total)
+        want_k, want_s = padded_group_expectation(group, total)
+        assert abs(k - want_k) <= 1e-12 and abs(s - want_s) <= 1e-12
+        caps = group.base_caps
+        if (all(t is None or 2 * t >= caps[a] + caps[b] for (a, b), t in zip(group.local_pairs, group.thresholds))
+                and (total is None or 2 * total >= sum(caps))):
+            assert k == math.prod(sum(w for w, _ in fock.components_of(f)) for f in group.factors)
+
+
+def test_global_bound_contracts_only_the_kept_weight_network(monkeypatch):
+    # the bound reads k alone: one network per call, and the bound the
+    # group's full (k, s) gives
+    cut = CutoffSpec((40,))
+    pure = fock.tensor(fock.prepare("squeezed", cut, z=1.0), fock.prepare("squeezed", cut, z=-1.0))
+    other = fock.tensor(fock.prepare("coherent", cut, alpha=0.8), fock.prepare("squeezed", cut, z=0.5))
+    contract, networks = est._contract, []
+
+    def spy(ops, size):
+        networks.append(ops)
+        return contract(ops, size)
+
+    for joint in (pure, MixedEnsemble(((0.3, pure), (0.7, other)))):
+        for m in (0, 3, 6, 19):
+            (group,) = est._parity_groups(joint, [(0, 1)], m, None)
+            want = max(0.0, 1.0 - est._group_expectation(group)[0])
+            networks.clear()
+            monkeypatch.setattr(est, "_contract", spy)
+            got = est.error_bound_global(joint, m)
+            monkeypatch.setattr(est, "_contract", contract)
+            assert len(networks) == 1 and abs(got - want) <= 1e-15
+
+
 def test_negative_thresholds_refused(rng):
     a, b = random_pure(rng, 3), random_pure(rng, 3)
     for m, m_total in ((-1, None), ([2, -1], None), (None, -1)):

@@ -269,22 +269,35 @@ def test_two_copy_holds_the_eigenvalue_oracle(copies):
     assert abs(res.mean.real - want) <= 5 * res.stderr
 
 
+@pytest.mark.parametrize("copies", [60, 256])
+def test_two_copy_at_scale_holds_the_eigenvalue_closed_form(copies):
+    # (sum_i lambda_i^n)^2 over the truncated reduced state's eigenvalues
+    # falls to about 2e-20 at 256 copies, so it is held to 1e-10 relative
+    psi = fock.prepare("tmss", CutoffSpec((6, 6)), r=0.3)
+    want = squared_eigenvalue_sum(psi, copies)
+    assert abs(proto.two_copy_expectation([psi] * copies) / want - 1.0) <= 1e-10
+
+
 @pytest.mark.parametrize("m", [None, 2])
 @pytest.mark.parametrize("copies", [2, 4, 8, 60])
 def test_every_two_copy_step_holds_at_most_seven_labels(monkeypatch, copies, m):
     # each copy sits next to its partner, so the fold keeps a few modes
     # open at a time whatever the copy count, in the kept-weight network
-    # and the masked-swap one, with thresholds or without
+    # and the masked-swap one, with thresholds or without (three without,
+    # where only the masked swap is a network); pieces that share no label
+    # are contracted apart, never multiplied as an outer product
     psi = fock.prepare("tmss", CutoffSpec((3, 3)), r=0.3)
-    einsum, steps = np.einsum, []
+    einsum, steps, outer = np.einsum, [], []
 
     def spy(*operands):
         steps.append(len({label for labels in operands[1::2] for label in labels}))
+        held, labels = operands[1::2] if len(operands) == 5 else ([], [])
+        outer.append(bool(held) and bool(labels) and not set(held) & set(labels))
         return einsum(*operands)
 
     monkeypatch.setattr(np, "einsum", spy)
     proto.two_copy_test([psi] * copies, 10, 1, m)
-    assert len(steps) >= 4 * copies and max(steps) <= 7
+    assert steps and max(steps) <= (3 if m is None else 7) and not any(outer)
 
 
 # ---------------------------------------------------------------------------
