@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .fock import (  # noqa: F401
-    Beamsplitter,
     CutoffSpec,
     Displacement,
     FockState,
@@ -15,8 +14,6 @@ from .fock import (  # noqa: F401
     apply_gate,
     basis_state,
     gate_matrix,
-    inner_product,
-    pad,
     prepare,
     tensor,
 )

@@ -412,7 +412,7 @@ def cmd_cutoff_plan(cfg: RunConfig) -> None:
 
 def cmd_fig2(cfg: RunConfig) -> None:
     """Convergence table: closed-form finite-threshold values next to the
-    simulated expectation of the circuit-prepared two-mode squeezed state."""
+    simulated expectation of the paper's pair S(r)|0>, S(-r)|0>."""
     payload = cfg.payload
     r_list = [_real_param(r, "r_list entry")
               for r in _list_param(payload.get("r_list", [0.8, 1.0, 1.2]), "r_list")]
@@ -423,18 +423,15 @@ def cmd_fig2(cfg: RunConfig) -> None:
     cap = _int_param(payload.get("prep_cutoff", 40), "prep_cutoff", 0)
     if m_lo < 0 or m_hi < m_lo:
         raise ConfigError("need 0 <= m_min <= m_max")
-    # the pair is padded to (2 cap, 2 cap), so every threshold from 2 cap on
-    # keeps the whole box and repeats one value
+    # each state is prepared at cutoff 2 cap, so every threshold from 2 cap
+    # on keeps the whole box and repeats one value
     if m_hi > 2 * cap:
         raise ConfigError(f"m_max {m_hi} exceeds 2 * prep_cutoff = {2 * cap}")
     rows = []
-    m_values = list(range(m_lo, m_hi + 1))
     for r in r_list:
-        tm = fock.prepare("tmss", fock.CutoffSpec.uniform(cap, 2), r=r)
-        pre = fock.apply_gate(fock.pad(tm, (2 * cap, 2 * cap)),
-                              fock.Beamsplitter(math.pi / 4.0, 0.0, 0, 1))
-        sims = est.swap2m_profile(pre, m_values)
-        for m, sim in zip(m_values, sims):
+        pair = [fock.prepare("squeezed", fock.CutoffSpec((2 * cap,)), z=z) for z in (r, -r)]
+        for m in range(m_lo, m_hi + 1):
+            sim = est.parity_overlap_expectation(pair, [(0, 1)], m)
             closed = est.analytic_swap2m_squeezed(r, m)
             rows.append({
                 "r": r,

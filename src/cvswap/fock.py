@@ -1,4 +1,4 @@
-"""Truncated multimode Fock-space states and exact linear-optical gates.
+"""Truncated multimode Fock-space states and exact single-mode Gaussian gates.
 
 States are dense complex tensors over a per-mode-truncated photon-number
 basis.  Single-mode Gaussian gates have one builder: ``gaussian_triple``
@@ -7,15 +7,17 @@ composes them into the Bogoliubov triple of one unitary G, and
 recurrence seeded by a closed form, run in Python scalars down each
 column in turn.
 ``gate_matrix`` takes a displacement or squeeze from it and a phase
-rotation from its closed-form diagonal, and ``prepare`` takes a coherent
-or squeezed state from its vacuum column; no gate is ever exponentiated
-from a truncated generator, a path that exists only as a test oracle.
-Inputs of a shape that does not fit raise ``MeasurementSpecError``.  A
-beamsplitter has no dense matrix: ``apply_gate`` applies it one
-total-photon-number block at a time, on a box that holds every block it
-reaches.  The value types are plain slotted classes that no operation
-modifies after construction (a state's amplitudes are read-only), and all
-operations are pure functions.
+rotation from its closed-form diagonal, ``apply_gate`` contracts that
+matrix into the gate's mode, and ``prepare`` takes a coherent or squeezed
+state from its vacuum column; no gate is ever exponentiated from a
+truncated generator, a path that exists only as a test oracle.  No
+multimode gate is applied here: the protocols read their measurements
+from each parity group's symmetry, and the beamsplitter lives on only
+as a test oracle.
+Inputs of a shape that does not fit raise ``MeasurementSpecError``.  The
+value types are plain slotted classes that no operation modifies after
+construction (a state's amplitudes are read-only), and all operations
+are pure functions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "MixedEnsemble",
     "Displacement",
     "Squeeze",
-    "Beamsplitter",
     "PhaseRotation",
     "GateSpec",
     "MeasurementSpecError",
@@ -41,9 +42,7 @@ __all__ = [
     "MAX_WORKING_ELEMENTS",
     "check_working_size",
     "basis_state",
-    "inner_product",
     "tensor",
-    "pad",
     "gaussian_triple",
     "gaussian_columns",
     "gate_matrix",
@@ -118,10 +117,6 @@ class CutoffSpec:
         if type(other) is not CutoffSpec:
             return NotImplemented
         return self.per_mode_max == other.per_mode_max
-
-    @classmethod
-    def uniform(cls, n_max: int, modes: int) -> "CutoffSpec":
-        return cls((int(n_max),) * modes)
 
     @property
     def modes(self) -> int:
@@ -212,13 +207,6 @@ def _canonical_phase(phi: float) -> float:
     return 0.0 if phi == TWO_PI else phi
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise MeasurementSpecError(f"beamsplitter angle {theta} outside [0, pi]")
-    return min(max(theta, 0.0), math.pi)
-
-
 class _Gate:
     """Gate parameters; the repr names the gate and its parameters."""
 
@@ -245,18 +233,6 @@ class Squeeze(_Gate):
         self.mode = mode
 
 
-class Beamsplitter(_Gate):
-    __slots__ = ("theta", "phi", "mode_i", "mode_j")
-
-    def __init__(self, theta: float, phi: float, mode_i: int, mode_j: int):
-        self.theta = _check_theta(theta)
-        self.phi = _canonical_phase(phi)
-        if mode_i == mode_j:
-            raise MeasurementSpecError("beamsplitter modes must be distinct")
-        self.mode_i = mode_i
-        self.mode_j = mode_j
-
-
 class PhaseRotation(_Gate):
     __slots__ = ("phi", "mode")
 
@@ -265,7 +241,7 @@ class PhaseRotation(_Gate):
         self.mode = mode
 
 
-GateSpec = Displacement | Squeeze | Beamsplitter | PhaseRotation
+GateSpec = Displacement | Squeeze | PhaseRotation
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +261,6 @@ def basis_state(pattern, cutoff: CutoffSpec) -> FockState:
     return FockState(cutoff, amps)
 
 
-def inner_product(a: FockState, b: FockState) -> complex:
-    """<a|b> with conjugation on ``a``."""
-    if a.cutoff != b.cutoff:
-        raise MeasurementSpecError("inner product requires matching modes and cutoffs")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; modes of ``b`` are appended after those of ``a``.
     A product beyond the working-space limit is refused before it is
@@ -300,22 +269,6 @@ def tensor(a: FockState, b: FockState) -> FockState:
     cutoff = CutoffSpec(a.cutoff.per_mode_max + b.cutoff.per_mode_max)
     amps = np.multiply.outer(a.amplitudes, b.amplitudes)
     return FockState(cutoff, amps)
-
-
-def pad(state: FockState, per_mode_max) -> FockState:
-    """Embed into larger per-mode cutoffs (zero fill above the old ones)."""
-    caps = tuple(int(n) for n in per_mode_max)
-    if len(caps) != state.modes:
-        raise MeasurementSpecError("pad spec must cover every mode")
-    if any(new < old for new, old in zip(caps, state.cutoff.per_mode_max)):
-        raise MeasurementSpecError("pad cannot shrink a cutoff")
-    if caps == state.cutoff.per_mode_max:
-        return state
-    cutoff = CutoffSpec(caps)
-    check_working_size(1, cutoff.dim)
-    amps = np.zeros(cutoff.shape, dtype=np.complex128)
-    amps[tuple(slice(0, d) for d in state.cutoff.shape)] = state.amplitudes
-    return FockState(cutoff, amps, leak=state.leak, leak_warning=state.leak_warning)
 
 
 # ---------------------------------------------------------------------------
@@ -389,70 +342,7 @@ def gaussian_columns(triples, dim: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# beamsplitter blocks
-
-
-def _beamsplitter_blocks(theta: float, phi: float, t_max: int):
-    """Yield (t, B_t) where B_t[j, a] = <j, t-j|U_BS|a, t-a>.
-
-    Block t follows from block t-1 through t|a, t-a> = sqrt(a) a^dag|a-1,
-    t-a> + sqrt(t-a) b^dag|a, t-a-1>, a weighted mean of two predecessor
-    columns (Risbo, J. Geodesy 70, 383 (1996)) that stays unitary to
-    rounding where a step from one column alone amplifies it.  B_t[j, a]
-    is e^{i phi (j-a)} times the real block of phi = 0.
-    """
-    sq = np.sqrt(np.arange(t_max + 1))
-    ckk = np.multiply.outer(sq, sq)
-    skk = math.sin(theta) * ckk
-    ckk *= math.cos(theta)
-    phase = np.exp(1j * phi * np.arange(t_max + 1))
-    phases = np.multiply.outer(phase, phase.conj())
-    prev = np.ones((1, 1))
-    yield 0, prev.astype(np.complex128)
-    for t in range(1, t_max + 1):
-        # U a^dag U^dag = c a^dag - s b^dag and U b^dag U^dag = s a^dag + c b^dag;
-        # a^dag takes row j-1 to row j with sqrt(j), b^dag keeps row j with sqrt(t-j)
-        real = np.zeros((t + 1, t + 1))
-        real[1:, 1:] = ckk[1:t + 1, 1:t + 1] * prev   # c sqrt(j) sqrt(a) prev[j-1, a-1]
-        real[1:, :t] += skk[1:t + 1, t:0:-1] * prev   # s sqrt(j) sqrt(t-a) prev[j-1, a]
-        real[:t, :t] += ckk[t:0:-1, t:0:-1] * prev    # c sqrt(t-j) sqrt(t-a) prev[j, a]
-        real[:t, 1:] -= skk[t:0:-1, 1:t + 1] * prev   # s sqrt(t-j) sqrt(a) prev[j, a-1]
-        real /= t
-        prev = real
-        yield t, real * phases[:t + 1, :t + 1]
-
-
-def _apply_beamsplitter(amps: np.ndarray, gate: Beamsplitter) -> np.ndarray:
-    """Blockwise application along axes (mode_i, mode_j), up to the largest
-    occupied n_i + n_j.  Block t moves weight onto every |a, t - a>, so a
-    box whose cutoffs cannot both hold that total would drop weight; it is
-    refused instead."""
-    moved = np.moveaxis(amps, (gate.mode_i, gate.mode_j), (0, 1))
-    d1, d2 = moved.shape[0], moved.shape[1]
-    work = moved.reshape(d1, d2, -1)
-    out = np.zeros_like(work)
-    n_i, n_j = np.nonzero(np.any(work != 0, axis=2))
-    t_hi = int((n_i + n_j).max(initial=0))
-    if t_hi > min(d1, d2) - 1:
-        raise ValueError(
-            f"beamsplitter would truncate: the largest occupied n_i + n_j is {t_hi}, beyond "
-            f"the cutoffs ({d1 - 1}, {d2 - 1}) of modes ({gate.mode_i}, {gate.mode_j}); "
-            "pad both modes to that total")
-    for t, block in _beamsplitter_blocks(gate.theta, gate.phi, t_hi):
-        a = np.arange(t + 1)
-        out[a, t - a, :] = block @ work[a, t - a, :]
-    return np.moveaxis(out.reshape(moved.shape), (0, 1), (gate.mode_i, gate.mode_j))
-
-
-# ---------------------------------------------------------------------------
 # gate dispatch
-
-
-def _mode_dims(cutoff: CutoffSpec, modes: tuple[int, ...]) -> tuple[int, ...]:
-    for m in modes:
-        if not 0 <= m < cutoff.modes:
-            raise MeasurementSpecError(f"gate mode {m} outside 0..{cutoff.modes - 1}")
-    return tuple(cutoff.shape[m] for m in modes)
 
 
 def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
@@ -460,11 +350,12 @@ def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
     before it is allocated beyond the working-space limit.  A displacement
     or squeeze comes from ``gaussian_columns``, so its columns lose exactly
     the weight pushed past the cutoff; a phase rotation is its closed-form
-    diagonal.  A beamsplitter, which ``apply_gate`` applies block by block,
-    has none."""
+    diagonal."""
     if not isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
         raise TypeError(f"{gate!r} is not a single-mode gate")
-    (dim,) = _mode_dims(cutoff, (gate.mode,))
+    if not 0 <= gate.mode < cutoff.modes:
+        raise MeasurementSpecError(f"gate mode {gate.mode} outside 0..{cutoff.modes - 1}")
+    dim = cutoff.shape[gate.mode]
     if isinstance(gate, PhaseRotation):
         check_working_size(1, dim * dim)
         return np.diag(np.exp(-1j * gate.phi * np.arange(dim)))
@@ -472,17 +363,11 @@ def gate_matrix(gate: GateSpec, cutoff: CutoffSpec) -> np.ndarray:
 
 
 def apply_gate(state: FockState, gate: GateSpec) -> FockState:
-    """New state with the gate contracted in; no renormalization."""
-    amps = state.amplitudes
-    if isinstance(gate, (Displacement, Squeeze, PhaseRotation)):
-        out = np.tensordot(gate_matrix(gate, state.cutoff), amps, axes=([1], [gate.mode]))
-        out = np.moveaxis(out, 0, gate.mode)
-    elif isinstance(gate, Beamsplitter):
-        _mode_dims(state.cutoff, (gate.mode_i, gate.mode_j))
-        out = _apply_beamsplitter(amps, gate)
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-    return FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)
+    """New state with the gate's matrix contracted into its mode; no
+    renormalization."""
+    out = np.tensordot(gate_matrix(gate, state.cutoff), state.amplitudes, axes=([1], [gate.mode]))
+    return FockState(state.cutoff, np.moveaxis(out, 0, gate.mode), leak=state.leak,
+                     leak_warning=state.leak_warning)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from cvswap import dv, estimators, fock, sampling
 from cvswap.sampling import level_law
@@ -18,7 +21,7 @@ def random_pure(rng, cap: int, modes: int = 1) -> fock.FockState:
     shape = tuple(cap + 1 for _ in range(modes))
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps /= np.linalg.norm(amps)
-    return fock.FockState(fock.CutoffSpec.uniform(cap, modes), amps)
+    return fock.FockState(fock.CutoffSpec((cap,) * modes), amps)
 
 
 def random_number_conserving(rng, cap: int, modes: int = 2, max_total=None) -> fock.FockState:
@@ -34,7 +37,7 @@ def random_number_conserving(rng, cap: int, modes: int = 2, max_total=None) -> f
         totals = totals + idx
     amps[totals > max_total] = 0.0
     amps /= np.linalg.norm(amps)
-    return fock.FockState(fock.CutoffSpec.uniform(cap, modes), amps)
+    return fock.FockState(fock.CutoffSpec((cap,) * modes), amps)
 
 
 def random_ensemble(rng, cap: int, rank: int) -> fock.MixedEnsemble:
@@ -62,7 +65,7 @@ def purification_of(ensemble, cap: int) -> fock.FockState:
     amps = np.zeros((cap + 1, cap + 1), dtype=np.complex128)
     for k, v in enumerate(vals):
         amps += math.sqrt(v) * np.multiply.outer(vecs[:, k], np.eye(cap + 1)[k])
-    return fock.FockState(fock.CutoffSpec.uniform(cap, 2), amps)
+    return fock.FockState(fock.CutoffSpec((cap, cap)), amps)
 
 
 def ladder_ops(dim: int):
@@ -110,14 +113,161 @@ def numpy_level_law(blocks) -> tuple[np.ndarray, np.ndarray]:
     return values, law
 
 
+# ---------------------------------------------------------------------------
+# reference gates: the beamsplitter, the padding and the overlap, which the
+# package does not apply, and each single-mode gate as the exponential of
+# its generator, independent of fock's Gaussian builder
+
+
+@dataclass(slots=True)
+class Beamsplitter:
+    """exp(theta (e^{i phi} a_i^dag a_j - e^{-i phi} a_i a_j^dag)) on modes
+    (mode_i, mode_j), with theta in [0, pi] and phi canonical in [0, 2 pi)."""
+
+    theta: float
+    phi: float
+    mode_i: int
+    mode_j: int
+
+    def __post_init__(self):
+        theta = float(self.theta)
+        if not -1e-12 <= theta <= math.pi + 1e-12:
+            raise ValueError(f"beamsplitter angle {theta} outside [0, pi]")
+        if self.mode_i == self.mode_j:
+            raise ValueError("beamsplitter modes must be distinct")
+        self.theta = min(max(theta, 0.0), math.pi)
+        self.phi = fock._canonical_phase(self.phi)
+
+
+def beamsplitter_blocks(theta: float, phi: float, t_max: int):
+    """Yield (t, B_t) where B_t[j, a] = <j, t-j|U_BS|a, t-a>.
+
+    Block t follows from block t-1 through t|a, t-a> = sqrt(a) a^dag|a-1,
+    t-a> + sqrt(t-a) b^dag|a, t-a-1>, a weighted mean of two predecessor
+    columns (Risbo, J. Geodesy 70, 383 (1996)) that stays unitary to
+    rounding where a step from one column alone amplifies it.  B_t[j, a]
+    is e^{i phi (j-a)} times the real block of phi = 0.
+    """
+    sq = np.sqrt(np.arange(t_max + 1))
+    ckk = np.multiply.outer(sq, sq)
+    skk = math.sin(theta) * ckk
+    ckk *= math.cos(theta)
+    phase = np.exp(1j * phi * np.arange(t_max + 1))
+    phases = np.multiply.outer(phase, phase.conj())
+    prev = np.ones((1, 1))
+    yield 0, prev.astype(np.complex128)
+    for t in range(1, t_max + 1):
+        # U a^dag U^dag = c a^dag - s b^dag and U b^dag U^dag = s a^dag + c b^dag;
+        # a^dag takes row j-1 to row j with sqrt(j), b^dag keeps row j with sqrt(t-j)
+        real = np.zeros((t + 1, t + 1))
+        real[1:, 1:] = ckk[1:t + 1, 1:t + 1] * prev   # c sqrt(j) sqrt(a) prev[j-1, a-1]
+        real[1:, :t] += skk[1:t + 1, t:0:-1] * prev   # s sqrt(j) sqrt(t-a) prev[j-1, a]
+        real[:t, :t] += ckk[t:0:-1, t:0:-1] * prev    # c sqrt(t-j) sqrt(t-a) prev[j, a]
+        real[:t, 1:] -= skk[t:0:-1, 1:t + 1] * prev   # s sqrt(t-j) sqrt(a) prev[j, a-1]
+        real /= t
+        prev = real
+        yield t, real * phases[:t + 1, :t + 1]
+
+
+def apply_beamsplitter(state: fock.FockState, gate: Beamsplitter) -> fock.FockState:
+    """The beamsplitter applied along axes (mode_i, mode_j) one total t =
+    n_i + n_j at a time, up to the largest occupied total.  Block t moves
+    weight onto every |a, t - a>, so a box whose cutoffs cannot both hold
+    that total would drop weight; it is refused instead."""
+    moved = np.moveaxis(state.amplitudes, (gate.mode_i, gate.mode_j), (0, 1))
+    d1, d2 = moved.shape[0], moved.shape[1]
+    work = moved.reshape(d1, d2, -1)
+    out = np.zeros_like(work)
+    n_i, n_j = np.nonzero(np.any(work != 0, axis=2))
+    t_hi = int((n_i + n_j).max(initial=0))
+    if t_hi > min(d1, d2) - 1:
+        raise ValueError(
+            f"beamsplitter would truncate: the largest occupied n_i + n_j is {t_hi}, beyond "
+            f"the cutoffs ({d1 - 1}, {d2 - 1}) of modes ({gate.mode_i}, {gate.mode_j}); "
+            "pad both modes to that total")
+    for t, block in beamsplitter_blocks(gate.theta, gate.phi, t_hi):
+        a = np.arange(t + 1)
+        out[a, t - a, :] = block @ work[a, t - a, :]
+    out = np.moveaxis(out.reshape(moved.shape), (0, 1), (gate.mode_i, gate.mode_j))
+    return fock.FockState(state.cutoff, out, leak=state.leak, leak_warning=state.leak_warning)
+
+
+def pad(state: fock.FockState, per_mode_max) -> fock.FockState:
+    """Embed into larger per-mode cutoffs (zero fill above the old ones)."""
+    caps = tuple(int(n) for n in per_mode_max)
+    if len(caps) != state.modes:
+        raise ValueError("pad spec must cover every mode")
+    if any(new < old for new, old in zip(caps, state.cutoff.per_mode_max)):
+        raise ValueError("pad cannot shrink a cutoff")
+    amps = np.zeros(tuple(c + 1 for c in caps), dtype=np.complex128)
+    amps[tuple(slice(0, d) for d in state.cutoff.shape)] = state.amplitudes
+    return fock.FockState(fock.CutoffSpec(caps), amps, leak=state.leak,
+                          leak_warning=state.leak_warning)
+
+
+def inner_product(a: fock.FockState, b: fock.FockState) -> complex:
+    """<a|b> with conjugation on ``a``."""
+    if a.cutoff != b.cutoff:
+        raise ValueError("inner product requires matching modes and cutoffs")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def expm_gates(amplitudes, gates, mode: int = 0) -> tuple[np.ndarray, float]:
+    """Displacements, squeezes and phase rotations applied to ``mode`` of
+    an amplitude box exactly, then truncated once: each gate is the
+    exponential of its generator (``expm_multiply`` on the amplitude
+    columns) on the register padded on that mode, the padding doubled
+    from 16 levels until no gate leaves more than 1e-15 of the weight in
+    the top quarter of the padded register, and the result is cut back to
+    the box.  The gates' own modes are not read.  Returns the cut
+    amplitudes and the share of the weight lost past the cutoff."""
+    box = np.moveaxis(np.asarray(amplitudes, dtype=np.complex128), mode, 0)
+    dim = box.shape[0]
+    cols = box.reshape(dim, -1)
+    norm, extra = float(np.vdot(cols, cols).real), 16
+    while True:
+        size = dim + extra
+        a = sparse.diags(np.sqrt(np.arange(1, size)), 1, format="csr", dtype=np.complex128)
+        out = np.zeros((size, cols.shape[1]), dtype=np.complex128)
+        out[:dim] = cols
+        top, tail = size * 3 // 4, 0.0
+        for gate in gates:
+            if isinstance(gate, fock.PhaseRotation):
+                out = np.exp(-1j * gate.phi * np.arange(size))[:, None] * out
+            elif isinstance(gate, fock.Displacement):
+                out = expm_multiply(gate.alpha * a.T - np.conj(gate.alpha) * a, out)
+            elif isinstance(gate, fock.Squeeze):
+                out = expm_multiply(0.5 * (np.conj(gate.z) * (a @ a) - gate.z * (a.T @ a.T)), out)
+            else:
+                raise TypeError(f"{gate!r} is not a single-mode gate")
+            tail = max(tail, float(np.sum(np.abs(out[top:]) ** 2)))
+        if tail <= 1e-15 * norm:
+            break
+        extra *= 2
+    cut = out[:dim]
+    lost = 1.0 - float(np.vdot(cut, cut).real) / norm if norm else 0.0
+    return np.moveaxis(cut.reshape(box.shape), 0, mode), lost
+
+
+def reference_gate(state: fock.FockState, gate) -> fock.FockState:
+    """One gate applied by the references above: a beamsplitter block by
+    block, a single-mode gate exactly and truncated to the state's box."""
+    if isinstance(gate, Beamsplitter):
+        return apply_beamsplitter(state, gate)
+    if not 0 <= gate.mode < state.modes:
+        raise ValueError(f"gate mode {gate.mode} outside 0..{state.modes - 1}")
+    amps = expm_gates(state.amplitudes, [gate], gate.mode)[0]
+    return fock.FockState(state.cutoff, amps, leak=state.leak, leak_warning=state.leak_warning)
+
+
 def dagger(gate):
     """Inverse gate within the same gate family."""
     if isinstance(gate, fock.Displacement):
         return fock.Displacement(-gate.alpha, gate.mode)
     if isinstance(gate, fock.Squeeze):
         return fock.Squeeze(-gate.z, gate.mode)
-    if isinstance(gate, fock.Beamsplitter):
-        return fock.Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
+    if isinstance(gate, Beamsplitter):
+        return Beamsplitter(gate.theta, gate.phi + math.pi, gate.mode_i, gate.mode_j)
     if isinstance(gate, fock.PhaseRotation):
         return fock.PhaseRotation(-gate.phi, gate.mode)
     raise TypeError(f"unknown gate {gate!r}")
@@ -129,35 +279,22 @@ def invert_circuit(gates) -> list:
 
 
 def run_circuit(state: fock.FockState, gates) -> fock.FockState:
-    """Dense circuit oracle: ``fock.apply_gate`` folded over the gates."""
-    return functools.reduce(fock.apply_gate, gates, state)
+    """Dense circuit oracle: ``reference_gate`` folded over the gates."""
+    return functools.reduce(reference_gate, gates, state)
 
 
 def padded_circuit(state: fock.FockState, gates) -> tuple[fock.FockState, float]:
-    """A register-A circuit applied exactly, then truncated once: ``gates``
-    run by ``run_circuit`` on ``state`` padded on mode A, the padding
-    doubled until no state along the way holds more than 1e-15 of its
-    weight in the top quarter of the padded register, cut back to the
-    state's box.  Returns the cut state and the share of the weight it lost
-    past the A cutoff."""
-    dim, extra = state.cutoff.shape[0], 16
-    while True:
-        mapped = fock.pad(state, (dim - 1 + extra,) + state.cutoff.per_mode_max[1:])
-        top, tail = (dim + extra) * 3 // 4, 0.0
-        for gate in gates:
-            mapped = fock.apply_gate(mapped, gate)
-            tail = max(tail, float(np.sum(np.abs(mapped.amplitudes[top:]) ** 2)))
-        if tail <= 1e-15 * state.norm_sq:
-            break
-        extra *= 2
-    cut = mapped.amplitudes[:dim]
-    return fock.FockState(state.cutoff, cut), 1.0 - float(np.vdot(cut, cut).real) / state.norm_sq
+    """A register-A circuit applied exactly, then truncated once, by
+    ``expm_gates``: returns the cut state and the share of the weight it
+    lost past the A cutoff."""
+    amps, lost = expm_gates(state.amplitudes, gates)
+    return fock.FockState(state.cutoff, amps), lost
 
 
 def padded_on_a(state, a_cap: int):
     """``state``, pure or an ensemble, with its mode-A cutoff raised to
     ``a_cap``."""
-    comps = tuple((w, fock.pad(s, (a_cap,) + s.cutoff.per_mode_max[1:]))
+    comps = tuple((w, pad(s, (a_cap,) + s.cutoff.per_mode_max[1:]))
                   for w, s in fock.components_of(state))
     return comps[0][1] if isinstance(state, fock.FockState) else fock.MixedEnsemble(comps)
 
@@ -171,12 +308,12 @@ def truncated_gate(state: fock.FockState, gate) -> fock.FockState:
     """``gate`` applied to ``state`` and truncated back to its box; a
     beamsplitter, which refuses a box that cannot hold the photons it
     moves, runs on the state padded to its pair's photon budget."""
-    if not isinstance(gate, fock.Beamsplitter):
-        return fock.apply_gate(state, gate)
+    if not isinstance(gate, Beamsplitter):
+        return reference_gate(state, gate)
     caps = list(state.cutoff.per_mode_max)
     budget = caps[gate.mode_i] + caps[gate.mode_j]
     caps[gate.mode_i] = caps[gate.mode_j] = budget
-    out = fock.apply_gate(fock.pad(state, caps), gate).amplitudes
+    out = apply_beamsplitter(pad(state, caps), gate).amplitudes
     return fock.FockState(state.cutoff, out[tuple(slice(0, d) for d in state.cutoff.shape)])
 
 
@@ -195,7 +332,7 @@ def single_particle_matrix(gates, n_modes: int) -> np.ndarray:
     total = np.eye(n_modes, dtype=np.complex128)
     for gate in gates:
         mat = np.eye(n_modes, dtype=np.complex128)
-        if isinstance(gate, fock.Beamsplitter):
+        if isinstance(gate, Beamsplitter):
             c, s = math.cos(gate.theta), math.sin(gate.theta)
             i, j = gate.mode_i, gate.mode_j
             mat[i, i] = c
@@ -315,7 +452,7 @@ def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.nda
     out = np.array(amplitudes, dtype=np.complex128)
     sectors = {}
     for gate in gates:
-        if not isinstance(gate, (fock.Beamsplitter, fock.PhaseRotation)):
+        if not isinstance(gate, (Beamsplitter, fock.PhaseRotation)):
             raise TypeError(f"{gate!r} is not a beamsplitter or phase rotation")
         modes = (gate.mode,) if isinstance(gate, fock.PhaseRotation) else (gate.mode_i, gate.mode_j)
         if not all(0 <= m < n_modes for m in modes):
@@ -329,7 +466,7 @@ def apply_passive(amplitudes: np.ndarray, patterns: np.ndarray, gates) -> np.nda
         occupied = out.reshape(len(patterns), -1).any(axis=1)
         totals = patterns[occupied, gate.mode_i] + patterns[occupied, gate.mode_j]
         t_hi = int(totals.max(initial=-1))
-        blocks = fock._beamsplitter_blocks(gate.theta, gate.phi, t_hi)
+        blocks = beamsplitter_blocks(gate.theta, gate.phi, t_hi)
         for idx, (_, block) in zip(sectors[modes], blocks):
             sector = out[idx]
             out[idx] = (block @ sector.reshape(len(block), -1)).reshape(sector.shape)
@@ -403,14 +540,14 @@ def rectangular_decompose(unitary: np.ndarray, tol: float = 1e-10) -> list:
     gates = []
     for theta, phi, c in right_ops:
         if theta > 1e-14:
-            gates.append(fock.Beamsplitter(theta, phi, c, c + 1))
+            gates.append(Beamsplitter(theta, phi, c, c + 1))
     for m in range(n):
         delta = cmath.phase(u[m, m])
         if abs(u[m, m]) > 0 and abs(delta) > 1e-14:
             gates.append(fock.PhaseRotation(fock._canonical_phase(-delta), m))
     for theta, phi, row in reversed(left_ops):
         if theta > 1e-14:
-            gates.append(fock.Beamsplitter(theta, phi + math.pi, row, row + 1))
+            gates.append(Beamsplitter(theta, phi + math.pi, row, row + 1))
     return gates
 
 
@@ -634,7 +771,7 @@ def mesh_group_block(group, total_threshold=None) -> tuple[list, list]:
     past a pair threshold or the group total (levels 0, 1, -1)."""
     caps, pairs = group.base_caps, group.local_pairs
     combos = ensemble_combinations(group.factors)
-    gates = [fock.Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in pairs]
+    gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in pairs]
     patterns, amps = passive_measurement(combos, caps, pairs, gates)
     keep = np.ones(len(patterns), dtype=bool)
     for (a, b), thr in zip(pairs, group.thresholds):
@@ -674,7 +811,7 @@ def mesh_hybrid_block(state_a, state_b, m) -> tuple[list, list]:
     bell_dag = bell_change().conj().T
     bell_box = lambda states: apply_two_mode_dense(
         np.multiply.outer(states[0].amplitudes, states[1].amplitudes), bell_dag, 0, 2)
-    bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
+    bs = Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
     patterns, amps = passive_measurement(combos, (1, cv_cap, 1, cv_cap), [(1, 3)], [bs], bell_box)
     z, n_b, x, m_b = patterns.T
     index = 1 + (z * x + n_b) % 2

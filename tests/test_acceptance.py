@@ -15,7 +15,7 @@ from cvswap import cli, dv, estimators as est, fock, protocols as proto
 from cvswap.fock import CutoffSpec
 from cvswap.sampling import derive_seed
 
-from conftest import density_matrix, purification_of, random_ensemble, random_pure
+from conftest import density_matrix, inner_product, purification_of, random_ensemble, random_pure
 
 
 def _report(line: str) -> None:
@@ -68,18 +68,17 @@ def test_criterion_02_eight_mode_parallel_fidelity():
 
 
 def test_criterion_03_convergence_grid():
+    # the pair cvswap fig2 computes: S(r)|0> and S(-r)|0>, each prepared at
+    # cutoff 2 cap
     cap = 40
     m_values = list(range(4, 21))
     for r in (0.8, 1.0, 1.2):
-        tmss = fock.prepare("tmss", CutoffSpec((cap, cap)), r=r)
-        pre = fock.apply_gate(
-            fock.pad(tmss, (2 * cap, 2 * cap)), fock.Beamsplitter(math.pi / 4, 0.0, 0, 1)
-        )
+        pair = [fock.prepare("squeezed", CutoffSpec((2 * cap,)), z=z) for z in (r, -r)]
         tol = 10.0 * math.tanh(r) ** (2 * (cap + 1))
         limit = est.analytic_squeezed_overlap(r)
-        sims = est.swap2m_profile(pre, m_values)
         prev_dev = None
-        for m, sim in zip(m_values, sims):
+        for m in m_values:
+            sim = est.parity_overlap_expectation(pair, [(0, 1)], m)
             closed = est.analytic_swap2m_squeezed(r, m)
             assert abs(sim - closed) <= tol, (r, m, abs(sim - closed), tol)
             dev = sim - limit
@@ -129,7 +128,7 @@ def test_criterion_06_oracle_equivalence_suite():
         cap = int(rng.integers(3, 11))
         a, b = random_pure(rng, cap), random_pure(rng, cap)
         joint = fock.tensor(a, b)
-        overlap = abs(fock.inner_product(a, b)) ** 2
+        overlap = abs(inner_product(a, b)) ** 2
         full = est.swap2m_expectation(joint, cap)
         assert abs(overlap - full) <= 1e-10, abs(overlap - full)
         for m in (1, cap // 2, cap):
@@ -201,7 +200,7 @@ def test_criterion_10_hybrid_exactness():
         amps_b = rng.normal(size=(2, cap + 1)) + 1j * rng.normal(size=(2, cap + 1))
         a = fock.FockState(cut, amps_a / np.linalg.norm(amps_a))
         b = fock.FockState(cut, amps_b / np.linalg.norm(amps_b))
-        want = abs(fock.inner_product(a, b)) ** 2
+        want = abs(inner_product(a, b)) ** 2
         got = proto.hybrid_swap_expectation(a, b, cap)
         assert abs(got - want) <= 1e-10, abs(got - want)
     _report("criterion 10: hybrid expectation equals the direct overlap to 1e-10 on 50 pairs")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvswap import cli, dv, estimators as est, fock, protocols as proto
 
-from conftest import count_calls, squared_eigenvalue_sum
+from conftest import Beamsplitter, apply_beamsplitter, count_calls, pad, squared_eigenvalue_sum
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -196,6 +196,33 @@ def test_fig2_table(tmp_path):
         assert abs(float(fields[4])) < 1e-9
         m = int(fields[1])
         assert float(fields[5]) == pytest.approx(math.tanh(1.0) ** (2 * (m + 1)), rel=1e-12)
+
+
+def test_fig2_default_rows_hold_the_two_mode_squeezed_oracle(tmp_path):
+    # the default rows (r = 0.8, 1.0, 1.2, M = 4-20, prep cutoff 40) against
+    # the same pair made the other way: a two-mode squeezed state at cutoff
+    # (40, 40), padded to (80, 80) and split by the 50:50 beamsplitter,
+    # within criterion 3's tolerance 10 tanh^{2(cap+1)} r
+    code, out = run_cli(tmp_path, "fig2", {})
+    assert code == 0
+    rows = json.loads(out.read_text())["results"]["rows"]
+    assert len(rows) == 3 * 17
+    for r in (0.8, 1.0, 1.2):
+        tmss = fock.prepare("tmss", fock.CutoffSpec((40, 40)), r=r)
+        split = apply_beamsplitter(pad(tmss, (80, 80)), Beamsplitter(math.pi / 4, 0.0, 0, 1))
+        want = est.swap2m_profile(split, range(4, 21))
+        got = [row["simulated"] for row in rows if row["r"] == r]
+        assert np.max(np.abs(np.subtract(got, want))) <= 10.0 * math.tanh(r) ** 82
+
+
+def test_fig2_pair_leaking_past_the_limit_is_a_numerical_failure(tmp_path, capsys):
+    # at prep cutoff 5 each squeezed state is prepared at cutoff 10, where
+    # S(0.8)|0> leaks 2.1e-3, above LEAK_HARD
+    code, out = run_cli(tmp_path, "fig2", {"r_list": [0.8], "m_min": 0, "m_max": 10, "prep_cutoff": 5})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical contract failure: squeezed preparation leaks 2.1")
+    assert err.count("\n") == 1
 
 
 def test_perm_command_matches_overlap(tmp_path):
@@ -1024,18 +1051,18 @@ def test_two_copy_working_space_counts_its_amplitude_arrays(tmp_path, capsys, mo
 @pytest.mark.parametrize("command, config", [
     ("compile-cost", {"training": [{"kind": "basis", "pattern": [1, 0], "cutoff": [40, 12]}],
                       "u_gates": [{"gate": "squeeze", "z": 0.1, "mode": 0}], "shots_per_term": 10}),
-    ("fig2", {"r_list": [0.5], "prep_cutoff": 40, "m_min": 0, "m_max": 2}),
+    ("fig2", {"r_list": [0.5], "prep_cutoff": 500, "m_min": 0, "m_max": 2}),
 ])
 def test_one_mode_pair_beyond_the_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch,
                                                             command, config):
     # at a limit of 1,000 entries, compile-cost's ket and bra copies of a
-    # 41 x 13 term state and fig2's 41 x 41 two-mode state are each refused
-    # before they are allocated, with one line
+    # 41 x 13 term state and a fig2 squeezed state at cutoff 1,000 (twice
+    # prep_cutoff) are each refused before they are allocated, with one line
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
     code, out = run_cli(tmp_path, command, config)
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    box = {"compile-cost": "1066 entries (2 x 533)", "fig2": "1681 entries (1 x 1681)"}[command]
+    box = {"compile-cost": "1066 entries (2 x 533)", "fig2": "1001 entries (1 x 1001)"}[command]
     assert err.startswith(f"resource limit: working space of {box}")
     assert err.count("\n") == 1
 

@@ -10,13 +10,17 @@ from scipy.stats import poisson
 
 from cvswap import estimators as est, fock, protocols as proto
 from cvswap.estimators import CutoffPlan, EstimatorResult
-from cvswap.fock import Beamsplitter, CutoffSpec, FockState, MixedEnsemble
+from cvswap.fock import CutoffSpec, FockState, MixedEnsemble
 from cvswap.sampling import level_law
 
 from conftest import (
+    Beamsplitter,
+    apply_beamsplitter,
     assert_same_law,
     ensemble_combinations,
+    inner_product,
     measurement_block,
+    pad,
     padded_group_expectation,
     quadratic_group_factors,
     random_ensemble,
@@ -121,7 +125,7 @@ def test_swap2m_equals_overlap_at_full_m(rng):
     cut = CutoffSpec((10,))
     for _ in range(15):
         a, b = random_pure(rng, 10), random_pure(rng, 10)
-        want = abs(fock.inner_product(a, b)) ** 2
+        want = abs(inner_product(a, b)) ** 2
         got = est.swap2m_expectation(fock.tensor(a, b), 10)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -161,7 +165,7 @@ def test_parity_with_unequal_cutoffs(rng):
     # and the padded-distribution route must still agree
     a = random_pure(rng, 7)
     b = random_pure(rng, 3)
-    joint = fock.tensor(a, fock.pad(b, (7,)))
+    joint = fock.tensor(a, pad(b, (7,)))
     for m in (1, 3, 5):
         overlap_route = est.swap2m_expectation(joint, m)
         operator_route = est.parity_overlap_expectation([a, b], [(0, 1)], m)
@@ -244,7 +248,7 @@ def _dense_sampling_block(group, total_threshold=None):
     combos = ensemble_combinations(group.factors)
     gates = [Beamsplitter(math.pi / 4.0, math.pi, a, b) for a, b in group.local_pairs]
     amps = np.stack([
-        run_circuit(fock.pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
+        run_circuit(pad(functools.reduce(fock.tensor, states), caps), gates).amplitudes
         for _, states in combos
     ])
     counts = np.indices(shape).reshape(len(shape), -1)
@@ -302,8 +306,8 @@ def _dense_signed_total_mass(joint):
     totals = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
     g = np.zeros(2 * (c1 + c2) + 1)
     for w, pure in fock.components_of(joint):
-        state = fock.apply_gate(fock.pad(pure, (c1 + c2, c1 + c2)),
-                                Beamsplitter(math.pi / 4.0, math.pi, 0, 1))
+        state = apply_beamsplitter(pad(pure, (c1 + c2, c1 + c2)),
+                                   Beamsplitter(math.pi / 4.0, math.pi, 0, 1))
         p = np.abs(state.amplitudes) ** 2
         g += w * np.bincount(totals, weights=(p * signs).ravel(), minlength=g.size) / p.sum()
     return g
@@ -549,7 +553,7 @@ def test_bound_sandwich(rng):
     for _ in range(20):
         a, b = random_pure(rng, 8), random_pure(rng, 8)
         joint = fock.tensor(a, b)
-        overlap = abs(fock.inner_product(a, b)) ** 2
+        overlap = abs(inner_product(a, b)) ** 2
         for m in (1, 3, 6):
             approx = est.swap2m_expectation(joint, m)
             g = est.error_bound_global(joint, m)

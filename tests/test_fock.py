@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from cvswap import estimators as est, fock
 from cvswap.fock import (
-    Beamsplitter,
     CutoffSpec,
     Displacement,
     FockState,
@@ -18,13 +17,18 @@ from cvswap.fock import (
 )
 
 from conftest import (
+    Beamsplitter,
+    apply_beamsplitter,
     apply_passive,
+    beamsplitter_blocks,
     closed_pattern_count,
     closed_patterns,
     dagger,
     dense_matrix,
+    expm_gates,
+    inner_product,
     invert_circuit,
-    ladder_ops,
+    pad,
     random_number_conserving,
     random_pure,
     rectangular_decompose,
@@ -81,7 +85,7 @@ def test_cutoff_equality_compares_the_caps():
     CutoffSpec((2,)),
     FockState(CutoffSpec((1,)), [1.0, 0.0]),
     Displacement(0.5, 0),
-    Beamsplitter(0.3, 0.1, 0, 1),
+    PhaseRotation(0.3, 0),
 ])
 def test_value_types_take_no_undeclared_attribute(value):
     with pytest.raises(AttributeError):
@@ -127,7 +131,7 @@ def test_ensemble_validation(rng):
 
 
 # ---------------------------------------------------------------------------
-# basis_state / inner_product / tensor
+# basis_state / tensor, and the test oracles' inner_product and pad
 
 
 def test_basis_vacuum():
@@ -156,17 +160,17 @@ def test_basis_negative_count_refused():
 def test_inner_product_trivial():
     cut = CutoffSpec((2, 2))
     vac = fock.basis_state((0, 0), cut)
-    assert fock.inner_product(vac, vac) == 1.0
+    assert inner_product(vac, vac) == 1.0
     e10 = fock.basis_state((1, 0), cut)
     e01 = fock.basis_state((0, 1), cut)
-    assert fock.inner_product(e10, e01) == 0.0
+    assert inner_product(e10, e01) == 0.0
 
 
 def test_inner_product_shape_mismatch():
     a = fock.basis_state((0,), CutoffSpec((2,)))
     b = fock.basis_state((0,), CutoffSpec((3,)))
     with pytest.raises(ValueError):
-        fock.inner_product(a, b)
+        inner_product(a, b)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, -0.8), (0.5 + 0.5j, 0.2 - 0.9j), (1.0, 1.0j)])
@@ -175,7 +179,7 @@ def test_coherent_overlap_closed_form(alpha, beta):
     a = fock.prepare("coherent", cut, alpha=alpha)
     b = fock.prepare("coherent", cut, alpha=beta)
     want = cmath.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2 + np.conj(alpha) * beta)
-    assert fock.inner_product(a, b) == pytest.approx(want, abs=1e-10)
+    assert inner_product(a, b) == pytest.approx(want, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=25)
@@ -186,9 +190,9 @@ def test_inner_product_sesquilinear(seed):
     vecs = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     a, b, c = (FockState(cut, v) for v in vecs)
     lam = complex(rng.normal(), rng.normal())
-    assert fock.inner_product(a, b) == pytest.approx(np.conj(fock.inner_product(b, a)), abs=1e-12)
-    lhs = fock.inner_product(a, FockState(cut, lam * vecs[1] + vecs[2]))
-    rhs = lam * fock.inner_product(a, b) + fock.inner_product(a, c)
+    assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)), abs=1e-12)
+    lhs = inner_product(a, FockState(cut, lam * vecs[1] + vecs[2]))
+    rhs = lam * inner_product(a, b) + inner_product(a, c)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -207,12 +211,12 @@ def test_tensor_basics(rng):
 
 def test_pad_embeds(rng):
     state = random_pure(rng, 3, modes=2)
-    padded = fock.pad(state, (5, 4))
+    padded = pad(state, (5, 4))
     assert padded.cutoff.per_mode_max == (5, 4)
     assert np.array_equal(padded.amplitudes[:4, :4], state.amplitudes)
     assert padded.norm_sq == pytest.approx(state.norm_sq, rel=1e-14)
     with pytest.raises(ValueError):
-        fock.pad(state, (2, 4))
+        pad(state, (2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +230,12 @@ def test_phase_rotation_diagonal():
 
 
 def test_gate_matrix_is_single_mode():
-    # a beamsplitter is applied block by block and has no dense matrix
+    # a beamsplitter is no gate of the package, and a gate's mode must be
+    # one of the box's
     with pytest.raises(TypeError):
         fock.gate_matrix(Beamsplitter(0.3, 0.0, 0, 1), CutoffSpec((3, 3)))
+    with pytest.raises(fock.MeasurementSpecError, match="gate mode 2 outside 0..1"):
+        fock.gate_matrix(Squeeze(0.1, 2), CutoffSpec((3, 3)))
 
 
 def test_gaussian_triple_names_the_gate_it_refuses():
@@ -240,7 +247,7 @@ def test_gaussian_triple_names_the_gate_it_refuses():
 
 def test_hong_ou_mandel():
     cut = CutoffSpec((2, 2))
-    state = fock.apply_gate(fock.basis_state((1, 1), cut), Beamsplitter(math.pi / 4, 0.0, 0, 1))
+    state = apply_beamsplitter(fock.basis_state((1, 1), cut), Beamsplitter(math.pi / 4, 0.0, 0, 1))
     assert abs(state.amplitudes[1, 1]) < 1e-15
     assert abs(state.amplitudes[2, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert abs(state.amplitudes[0, 2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -257,10 +264,6 @@ def test_mode_swap_identity_eq8():
     assert np.max(np.abs(phase @ bs - perm)) < 1e-12
 
 
-def _safe_indices(dim, limit):
-    return [i for i in range(dim) if i <= limit]
-
-
 @pytest.mark.parametrize(
     "gate",
     [
@@ -270,27 +273,11 @@ def _safe_indices(dim, limit):
     ],
 )
 def test_single_mode_expm_oracle(gate):
-    # convention-fixing oracle: exact matrices vs the matrix exponential of
-    # the generator.  The exponential is truncated at twice the compared
-    # cutoff because its own boundary contamination only decays below the
-    # tolerance once the compared block sits well inside the truncation.
-    dim, oracle_dim = 13, 26
+    # convention-fixing oracle: exact matrices vs the exponential of the
+    # generator on a padded register, cut back once (conftest.expm_gates)
+    dim = 13
     mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
-    oracle = _expm_oracle(gate, oracle_dim)
-    safe = _safe_indices(dim, (dim - 1) // 2)
-    assert np.max(np.abs(mine[np.ix_(safe, safe)] - oracle[np.ix_(safe, safe)])) < 1e-8
-
-
-def _expm_oracle(gate, oracle_dim: int) -> np.ndarray:
-    """expm of the single-mode gate's generator truncated at oracle_dim."""
-    a, ad = ladder_ops(oracle_dim)
-    if isinstance(gate, Displacement):
-        gen = gate.alpha * ad - np.conj(gate.alpha) * a
-    elif isinstance(gate, Squeeze):
-        gen = (np.conj(gate.z) * a @ a - gate.z * ad @ ad) / 2
-    else:
-        gen = -1j * gate.phi * ad @ a
-    return expm(gen)
+    assert np.max(np.abs(mine - expm_gates(np.eye(dim), [gate])[0])) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -308,13 +295,11 @@ def _expm_oracle(gate, oracle_dim: int) -> np.ndarray:
 )
 def test_single_mode_full_matrix_at_bench_scale(gate, tol):
     # every element at the compile-cost cutoff 80 (d = 81) and gate sizes
-    # up to the benchmark's (|z| <= 0.25, |alpha| <= 0.35); padding the
-    # exponential by another d levels leaves its own truncation error far
-    # below the tolerance
+    # up to the benchmark's (|z| <= 0.25, |alpha| <= 0.35), against the
+    # exponential of the generator on a padded register
     dim = 81
     mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
-    oracle = _expm_oracle(gate, 2 * dim)[:dim, :dim]
-    assert np.max(np.abs(mine - oracle)) < tol
+    assert np.max(np.abs(mine - expm_gates(np.eye(dim), [gate])[0])) < tol
 
 
 _ANGLES = st.floats(-math.pi, math.pi)
@@ -333,11 +318,10 @@ _SINGLE_MODE_GATES = st.one_of(
 @example(Squeeze(cmath.rect(0.8, -2.0), 0), 24)
 def test_gate_matrix_matches_the_padded_expm_oracle(gate, dim):
     # every kind, zero displacement and squeezing included, against the
-    # exponential of the generator truncated 150 levels above the compared
-    # block, whose own truncation error is then far below the tolerance
+    # exponential of the generator on a register padded until its top
+    # quarter holds no weight, cut back once
     mine = fock.gate_matrix(gate, CutoffSpec((dim - 1,)))
-    oracle = _expm_oracle(gate, dim + 150)[:dim, :dim]
-    assert np.max(np.abs(mine - oracle)) < 1e-12
+    assert np.max(np.abs(mine - expm_gates(np.eye(dim), [gate])[0])) < 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -347,11 +331,11 @@ def test_gate_matrix_matches_the_padded_expm_oracle(gate, dim):
 @example([Squeeze(0.8j, 0)], 24, 3)
 def test_gaussian_columns_match_the_padded_expm_oracle(gates, dim, k):
     # one or two unitaries, k in {1, 2, 3, dim}, every column against the
-    # exponential of the generator truncated 150 levels above the block
+    # exponential of the generator on a padded register, cut back once
     k = k or dim
     got = fock.gaussian_columns([fock.gaussian_triple([g]) for g in gates], dim, k)
     for block, gate in zip(got, gates):
-        assert np.max(np.abs(block - _expm_oracle(gate, dim + 150)[:dim, :k])) < 1e-12
+        assert np.max(np.abs(block - expm_gates(np.eye(max(dim, k), k), [gate])[0][:dim])) < 1e-12
 
 
 def _bench_circuit(rng, layers=6):
@@ -381,7 +365,7 @@ def test_gaussian_columns_edge_cases():
     for gate in (Displacement(0.4 - 0.2j, 0), Squeeze(0.3j, 0)):
         got = fock.gaussian_columns([fock.gaussian_triple([gate])], 1, 1)
         assert got.shape == (1, 1, 1) and got[0, 0, 0].real > 0
-        assert abs(got[0, 0, 0] - _expm_oracle(gate, 151)[0, 0]) < 1e-12
+        assert abs(got[0, 0, 0] - expm_gates(np.eye(1), [gate])[0][0, 0]) < 1e-12
     # the identity triple builds the identity columns exactly
     assert np.array_equal(fock.gaussian_columns([(1 + 0j, 0j, 0j)] * 2, 9, 4),
                           np.broadcast_to(np.eye(9, 4), (2, 9, 4)))
@@ -495,7 +479,7 @@ def test_number_conserving_blocks_unitary():
 def test_beamsplitter_blocks_unitary_at_large_totals(theta, phi):
     # a recurrence that builds each column from one predecessor loses
     # unitarity past t ~ 60 at a 50:50 split
-    for t, block in fock._beamsplitter_blocks(theta, phi, 200):
+    for t, block in beamsplitter_blocks(theta, phi, 200):
         assert np.max(np.abs(block.conj().T @ block - np.eye(t + 1))) < 1e-12, t
 
 
@@ -513,7 +497,7 @@ def test_phase_on_vacuum():
 def test_beamsplitter_inverts(rng):
     state = random_number_conserving(rng, 8, modes=2, max_total=8)
     gate = Beamsplitter(math.pi / 4, 0.0, 0, 1)
-    back = fock.apply_gate(fock.apply_gate(state, gate), dagger(gate))
+    back = apply_beamsplitter(apply_beamsplitter(state, gate), dagger(gate))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
@@ -523,14 +507,14 @@ def test_beamsplitter_refuses_a_box_it_would_truncate():
     cut = CutoffSpec((3, 3))
     gate = Beamsplitter(math.pi / 4, 0.0, 0, 1)
     with pytest.raises(ValueError) as refusal:
-        fock.apply_gate(fock.basis_state((3, 3), cut), gate)
+        apply_beamsplitter(fock.basis_state((3, 3), cut), gate)
     assert str(refusal.value) == ("beamsplitter would truncate: the largest occupied n_i + n_j is 6, "
                                   "beyond the cutoffs (3, 3) of modes (0, 1); pad both modes to that total")
-    out = fock.apply_gate(fock.pad(fock.basis_state((3, 3), cut), (6, 6)), gate)
+    out = apply_beamsplitter(pad(fock.basis_state((3, 3), cut), (6, 6)), gate)
     assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
     # totals the box holds are applied as before, an empty state included
-    assert fock.apply_gate(fock.basis_state((3, 0), cut), gate).norm_sq == pytest.approx(1.0, abs=1e-12)
-    assert not fock.apply_gate(fock.FockState(cut, np.zeros((4, 4))), gate).amplitudes.any()
+    assert apply_beamsplitter(fock.basis_state((3, 0), cut), gate).norm_sq == pytest.approx(1.0, abs=1e-12)
+    assert not apply_beamsplitter(fock.FockState(cut, np.zeros((4, 4))), gate).amplitudes.any()
 
 
 def test_squeezed_vacuum_parity():
@@ -551,7 +535,7 @@ def test_number_conserving_preserves_total_pmf(rng):
         return np.bincount(totals.ravel(), weights=p.ravel(), minlength=11)
 
     before = total_pmf(state)
-    for out in (fock.apply_gate(state, Beamsplitter(0.9, 0.4, 0, 1)),
+    for out in (apply_beamsplitter(state, Beamsplitter(0.9, 0.4, 0, 1)),
                 fock.apply_gate(state, PhaseRotation(1.3, 1)), swap_modes(state, 0, 1)):
         assert np.max(np.abs(total_pmf(out) - before)) < 1e-12
 
@@ -562,7 +546,7 @@ def test_bs_columns_are_swap_eigenvectors():
     gate = Beamsplitter(math.pi / 4, 0.0, 0, 1)
     for n in range(cap + 1):
         for m in range(cap + 1 - n):
-            vec = fock.apply_gate(fock.basis_state((n, m), cut), gate)
+            vec = apply_beamsplitter(fock.basis_state((n, m), cut), gate)
             swapped = swap_modes(vec, 0, 1)
             assert np.max(np.abs(swapped.amplitudes - (-1) ** n * vec.amplitudes)) < 1e-12
 
@@ -574,8 +558,8 @@ def test_tmss_circuit_amplitudes():
     r, cap = 1.0, 30
     cut = CutoffSpec((cap, cap))
     squeezed = run_circuit(fock.basis_state((0, 0), cut), [Squeeze(r, 0), Squeeze(-r, 1)])
-    state = fock.apply_gate(fock.pad(squeezed, (2 * cap, 2 * cap)),
-                            Beamsplitter(math.pi / 4, math.pi, 0, 1))
+    state = apply_beamsplitter(pad(squeezed, (2 * cap, 2 * cap)),
+                               Beamsplitter(math.pi / 4, math.pi, 0, 1))
     for n in range(cap // 2 + 1):
         want = (-math.tanh(r)) ** n / math.cosh(r)
         assert state.amplitudes[n, n] == pytest.approx(want, abs=1e-12)
@@ -629,12 +613,17 @@ def test_prepare_leak_thresholds():
 
 
 def test_prepare_squeezed_matches_gate():
+    # the prepared state, rescaled by sqrt(1 - leak), against the squeeze's
+    # generator exponentiated on the vacuum and against the closed form,
+    # neither of which comes from fock's Gaussian builder
     cut = CutoffSpec((40,))
     z = 0.8 * cmath.exp(0.5j)
     prep = fock.prepare("squeezed", cut, z=z)
-    gate = fock.apply_gate(fock.basis_state((0,), cut), Squeeze(z, 0))
-    scale = math.sqrt(max(1.0 - prep.leak, 0.0))
-    assert np.max(np.abs(prep.amplitudes * scale - gate.amplitudes)) < 1e-12
+    got = prep.amplitudes * math.sqrt(max(1.0 - prep.leak, 0.0))
+    exact, lost = expm_gates(np.eye(41, 1), [Squeeze(z, 0)])
+    assert np.max(np.abs(got - exact[:, 0])) < 1e-12
+    assert prep.leak == pytest.approx(lost, abs=1e-12)
+    assert np.max(np.abs(got - _closed_form("squeezed", z, 41))) < 1e-12
 
 
 def _closed_form(kind, value, dim):
@@ -809,7 +798,7 @@ def test_decompose_fock_consistency(rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(z)
     gates = rectangular_decompose(u)
-    cut = CutoffSpec.uniform(1, n)
+    cut = CutoffSpec((1,) * n)
     for j in range(n):
         pattern = tuple(1 if k == j else 0 for k in range(n))
         out = run_circuit(fock.basis_state(pattern, cut), gates)
@@ -837,7 +826,7 @@ def _dense_on_simplex(amps, pats, total, gates):
     modes = pats.shape[1]
     dense = np.zeros((total + 1,) * modes, dtype=np.complex128)
     dense[tuple(pats.T)] = amps
-    state = run_circuit(FockState(CutoffSpec.uniform(total, modes), dense), gates)
+    state = run_circuit(FockState(CutoffSpec((total,) * modes), dense), gates)
     return state.amplitudes[tuple(pats.T)]
 
 
@@ -930,7 +919,7 @@ def test_apply_passive_stops_at_occupied_total():
     amps[(pats.sum(axis=1) <= 1)] = [0.6, 0.8j, 0.0]
     bs = Beamsplitter(0.4, 0.3, 0, 1)
     got = apply_passive(amps, pats, [bs])
-    want = fock.apply_gate(fock.pad(FockState(CutoffSpec((1, 1)), [[0.6, 0.8j], [0.0, 0.0]]), (8, 8)), bs)
+    want = apply_beamsplitter(pad(FockState(CutoffSpec((1, 1)), [[0.6, 0.8j], [0.0, 0.0]]), (8, 8)), bs)
     assert np.max(np.abs(got - want.amplitudes[tuple(pats.T)])) < 1e-15
     assert not apply_passive(np.zeros(len(pats)), pats, [bs]).any()
 
@@ -950,12 +939,12 @@ def test_apply_passive_rejects_bad_input():
 
 def test_dense_states_are_refused_before_they_are_allocated(monkeypatch):
     # at a limit of 1,000 entries: a 41 x 41 tmss box, a basis state of
-    # that box and a padding to 2,000 levels each exceed it
+    # that box and a squeezed state at cutoff 1,999 each exceed it
     monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 1000)
     box = CutoffSpec((40, 40))
     for build in (lambda: fock.prepare("tmss", box, r=0.3),
                   lambda: fock.basis_state((0, 0), box),
-                  lambda: fock.pad(fock.prepare("vacuum", CutoffSpec((3,))), (1999,))):
+                  lambda: fock.prepare("squeezed", CutoffSpec((1999,)), z=0.3)):
         with pytest.raises(fock.ResourceLimitError, match="desk-scale limit"):
             build()
     assert fock.prepare("tmss", CutoffSpec((30, 30)), r=0.3).cutoff.dim == 961

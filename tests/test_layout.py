@@ -115,27 +115,40 @@ def _callers(callee: str) -> list[str]:
             for caller in passive_callers(path.read_text(encoding="utf-8"), callee)]
 
 
+def _defined_anywhere() -> set[str]:
+    """Every function, class and assigned name defined in the package,
+    nested ones included."""
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
+            for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
 def test_only_the_placement_helper_applies_passive_circuits():
-    # a beamsplitter reaches the amplitudes only through apply_gate, which
-    # places it on its pair of modes; no mesh of them is applied anywhere
-    found = {callee: _callers(callee)
-             for callee in ("_apply_beamsplitter", "apply_passive", "passive_measurement")}
-    assert found == {"_apply_beamsplitter": ["fock.apply_gate"], "apply_passive": [],
-                     "passive_measurement": []}
+    # no module defines a beamsplitter or applies one, alone or in a mesh:
+    # the beamsplitter, its blocks and the meshes live on only as test
+    # oracles in conftest
+    defined = _defined_anywhere()
+    assert {"apply_gate", "PhaseRotation", "GateSpec"} <= defined
+    assert not {name for name in defined if "beamsplitter" in name.lower()}
+    found = {callee: _callers(callee) for callee in (
+        "Beamsplitter", "apply_beamsplitter", "_apply_beamsplitter", "beamsplitter_blocks",
+        "_beamsplitter_blocks", "apply_passive", "passive_measurement")}
+    assert all(callers == [] for callers in found.values()), found
 
 
 def test_beamsplitters_run_only_where_shots_are_drawn():
-    # every shot law comes from the protocol's symmetry, so no estimator,
-    # block or exact value runs a measurement beamsplitter: the one gate
-    # application left is the state preparation of fig2
-    assert _callers("apply_gate") == ["cli.cmd_fig2"]
+    # every shot law and exact value comes from the protocol's symmetry and
+    # fig2 prepares its pair directly, so no module applies a gate to a
+    # state: apply_gate is kept for the package's users alone
+    assert _callers("apply_gate") == []
 
 
 def test_compile_cost_functions_build_no_circuit():
     # compile-cost composes and builds its circuits once, in compile_terms,
     # from no gate matrix, and both the cost and its exact value only read
-    # the terms; the one Gaussian builder also serves gate_matrix and the
-    # coherent and squeezed preparations
+    # the terms; the one Gaussian builder also serves gate_matrix, whose
+    # only caller is apply_gate, and the coherent and squeezed preparations
     found = {callee: _callers(callee)
              for callee in ("compile_terms", "gaussian_triple", "gaussian_columns", "gate_matrix")}
     assert found == {"compile_terms": ["cli.cmd_compile_cost"],
@@ -190,10 +203,7 @@ def test_each_quantity_has_one_computation():
     # Gaussian amplitudes come from gaussian_columns, a threshold's kept
     # weight from the group contraction, the probit from the standard
     # library: none of their second implementations is defined again
-    defined = {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
-               for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    defined = _defined_anywhere()
     assert {"gaussian_columns", "MAX_WORKING_ELEMENTS"} <= defined  # sees defs and assignments
     assert not defined & {"_coherent_amps", "_squeeze_edge", "truncation_weight",
                           "_pattern_probabilities", "normal_quantile", "_poly", "_PPND16_A"}

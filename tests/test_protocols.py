@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from cvswap import dv, estimators as est, fock, protocols as proto, sampling
 from cvswap.fock import CutoffSpec, MixedEnsemble
 from cvswap.sampling import derive_seed, law_block, level_law
 
 from conftest import (
+    Beamsplitter,
+    apply_beamsplitter,
     apply_two_mode_dense,
     assert_same_law,
     bell_change,
@@ -23,12 +23,15 @@ from conftest import (
     dft_matrix,
     drawn_blocks,
     ensemble_combinations,
+    expm_gates,
+    inner_product,
     invert_circuit,
     measurement_block,
     mesh_perm_block,
     padded_circuit,
     padded_group_expectation,
     padded_on_a,
+    pad,
     purification_of,
     random_ensemble,
     random_pure,
@@ -120,7 +123,7 @@ def _dense_perm_block(states) -> tuple[list, list]:
         joint = parts[0]
         for part in parts[1:]:
             joint = fock.tensor(joint, part)
-        p = np.abs(run_circuit(fock.pad(joint, caps), gates).amplitudes.ravel()) ** 2
+        p = np.abs(run_circuit(pad(joint, caps), gates).amplitudes.ravel()) ** 2
         comp_w.append(w)
         dists.append(p / p.sum())
     counts = np.indices(tuple(c + 1 for c in caps)).reshape(n, -1)
@@ -327,8 +330,8 @@ def test_compile_cost_displacement_oracle():
     cut = CutoffSpec((25, 25))
     vac = fock.basis_state((0, 0), cut)
     got = proto.compile_cost_expectation(proto.compile_terms([vac], [], [fock.Displacement(alpha, 0)]))
-    displaced = fock.apply_gate(vac, fock.Displacement(alpha, 0))
-    fidelity = abs(fock.inner_product(vac, displaced)) ** 2 / displaced.norm_sq
+    displaced = run_circuit(vac, [fock.Displacement(alpha, 0)])
+    fidelity = abs(inner_product(vac, displaced)) ** 2 / displaced.norm_sq
     assert got == pytest.approx(1.0 - fidelity, abs=1e-9)
 
 
@@ -359,9 +362,9 @@ def test_compile_cost_composes_each_circuit_once_per_a_dimension(rng, monkeypatc
     # a mixture and two A cutoffs, padded on mode A so that the circuits
     # push almost nothing past them; the state with R cutoff 3 shares its A
     # dimension with the mixture
-    mix = MixedEnsemble(((0.3, fock.pad(random_pure(rng, 5, 2), (24, 5))),
-                         (0.7, fock.pad(random_pure(rng, 5, 2), (24, 5)))))
-    training = [mix, fock.pad(random_pure(rng, 8, 2), (27, 8)),
+    mix = MixedEnsemble(((0.3, pad(random_pure(rng, 5, 2), (24, 5))),
+                         (0.7, pad(random_pure(rng, 5, 2), (24, 5)))))
+    training = [mix, pad(random_pure(rng, 8, 2), (27, 8)),
                 fock.basis_state((2, 1), CutoffSpec((24, 3)))]
     u_gates = [fock.Displacement(0.3 - 0.1j, 0), fock.Squeeze(0.2 + 0.1j, 0), fock.PhaseRotation(0.7, 0)]
     v_gates = [fock.Squeeze(0.15, 0), fock.Displacement(0.25j, 0)]
@@ -403,6 +406,15 @@ _COMPILE_GATES = st.lists(st.one_of(
 @example(5, [fock.PhaseRotation(0.3, 0), fock.Displacement(1e-3, 0)], [fock.Squeeze(2e-3j, 0)],
          [(5, 2, 1), (3, 1, 2)])
 @example(5, [fock.Displacement(0.6, 0)] * 5, [], [(2, 1, 1)])  # the refusal branch
+@example(1520236,  # a squeezed image whose deep rows a gate-matrix oracle got wrong
+         [fock.Displacement(-0.2531056184419266 - 0.24297318640649848j, 0),
+          fock.Displacement(0.4046121812391333 + 0.1251331636402363j, 0)],
+         [fock.Squeeze(0.016329644116868776 - 0.34987731816766476j, 0),
+          fock.Displacement(0.057912195560561215 - 0.012455370296921293j, 0),
+          fock.Squeeze(0.39990564440320825 - 1.832223590983111e-07j, 0),
+          fock.Squeeze(0.2531557478329714 - 0.13829961535941904j, 0),
+          fock.Squeeze(0.23342076876137685 + 4.7732241154057595e-17j, 0)],
+         [(5, 0, 2), (0, 0, 1), (0, 0, 2)])
 def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v_gates, layouts):
     # random training sets of pure states and mixtures on (A, R) cutoffs,
     # with blocks of more columns than rows among them, against every
@@ -438,23 +450,6 @@ def test_compile_cost_expectation_matches_gate_by_gate_circuits(seed, u_gates, v
                 assert image.leak_warning == (image.leak >= fock.LEAK_SOFT)
 
 
-def _expm_columns(gates, dim: int, k: int) -> np.ndarray:
-    """The first k columns of the circuit, each gate the exponential of its
-    generator on a register padded by 400 levels, multiplied and cut once
-    to dim rows."""
-    size = dim + 400
-    a = sparse.diags(np.sqrt(np.arange(1, size)), 1, format="csr", dtype=np.complex128)
-    cols = np.eye(size, k, dtype=np.complex128)
-    for gate in gates:
-        if isinstance(gate, fock.PhaseRotation):
-            cols = np.exp(-1j * gate.phi * np.arange(size))[:, None] * cols
-        elif isinstance(gate, fock.Displacement):
-            cols = expm_multiply(gate.alpha * a.T - np.conj(gate.alpha) * a, cols)
-        else:
-            cols = expm_multiply(0.5 * (np.conj(gate.z) * (a @ a) - gate.z * (a.T @ a.T)), cols)
-    return cols[:dim]
-
-
 _EXPM_GATES = st.lists(st.one_of(
     st.builds(lambda r, t: fock.Displacement(cmath.rect(r, t), 0), st.floats(0.0, 1.0),
               st.floats(-math.pi, math.pi)),
@@ -475,7 +470,7 @@ def test_compile_columns_match_the_padded_expm_oracle(gates, dim, k):
     k = min(k, dim)
     amps = np.eye(dim, k) / math.sqrt(k)
     psi = fock.FockState(CutoffSpec((dim - 1, k - 1)), amps)
-    want = _expm_columns(gates, dim, k)
+    want = expm_gates(np.eye(dim, k), gates)[0]
     lost = 1.0 - float(np.vdot(want, want).real) / k
     if lost > fock.LEAK_HARD:
         with pytest.raises(fock.PreparationLeakError, match="compiling circuit U"):
@@ -510,7 +505,7 @@ def test_compile_cost_at_the_benchmark_shape_matches_the_expm_oracle(seed, monke
     builds = count_calls(monkeypatch, fock, "gaussian_columns")
     terms = proto.compile_terms(training, u_gates, v_gates)
     assert builds == ["gaussian_columns"]
-    u, v = _expm_columns(u_gates, 81, 4), _expm_columns(v_gates, 81, 4)
+    u, v = (expm_gates(np.eye(81, 4), gates)[0] for gates in (u_gates, v_gates))
     fidelities = abs(np.sum(v.conj() * u, axis=0)) ** 2 / (
         np.sum(abs(u) ** 2, axis=0) * np.sum(abs(v) ** 2, axis=0))
     assert proto.compile_cost_expectation(terms) == pytest.approx(1.0 - fidelities.mean(), abs=1e-12)
@@ -549,7 +544,7 @@ def test_compile_cost_rejects_register_circuit():
     with pytest.raises(ValueError):
         proto.compile_terms([vac], [fock.PhaseRotation(0.1, 1)], [])
     with pytest.raises(ValueError):
-        proto.compile_terms([vac], [fock.Beamsplitter(0.2, 0.0, 0, 1)], [])
+        proto.compile_terms([vac], [Beamsplitter(0.2, 0.0, 0, 1)], [])
 
 
 def test_compile_cost_total_threshold():
@@ -591,7 +586,7 @@ def test_compile_cost_builds_each_term_law_once(rng, monkeypatch):
 def _padded_a(state: fock.FockState) -> fock.FockState:
     """``state`` with A cutoff 20, which holds COMPILE_U and COMPILE_V's
     images of it but for less than 1e-8 of their weight."""
-    return fock.pad(state, (20, state.cutoff.per_mode_max[1]))
+    return pad(state, (20, state.cutoff.per_mode_max[1]))
 
 
 def _compile_training(rng):
@@ -640,12 +635,12 @@ def _dense_hybrid_block(state_a, state_b, m):
     shape = tuple(c + 1 for c in caps)
     combos = ensemble_combinations([state_a, state_b])
     bell_dag = bell_change().conj().T
-    bs = fock.Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
+    bs = Beamsplitter(math.pi / 4.0, math.pi, 1, 3)
     amps = []
     for _, (sa, sb) in combos:
-        joint = fock.pad(fock.tensor(sa, sb), caps)
+        joint = pad(fock.tensor(sa, sb), caps)
         bell = apply_two_mode_dense(joint.amplitudes, bell_dag, 0, 2)
-        amps.append(fock.apply_gate(fock.FockState(joint.cutoff, bell), bs).amplitudes)
+        amps.append(apply_beamsplitter(fock.FockState(joint.cutoff, bell), bs).amplitudes)
     z, n_b, x, m_b = np.indices(shape)
     weights = (np.where((z * x + n_b) % 2 == 0, 1.0, -1.0) * (n_b + m_b <= 2 * m)).ravel()
     # every outcome is its own weight level
@@ -684,7 +679,7 @@ def test_hybrid_exact_matches_overlap(rng):
     cap = 6
     for _ in range(15):
         a, b = _rand_hybrid(rng, cap), _rand_hybrid(rng, cap)
-        want = abs(fock.inner_product(a, b)) ** 2
+        want = abs(inner_product(a, b)) ** 2
         got = proto.hybrid_swap_expectation(a, b, cap)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -719,7 +714,7 @@ def test_hybrid_ensembles(rng):
     comps = tuple((0.5, _rand_hybrid(rng, cap)) for _ in range(2))
     ens = MixedEnsemble(comps)
     pure = _rand_hybrid(rng, cap)
-    want = sum(w * abs(fock.inner_product(s, pure)) ** 2 for w, s in comps)
+    want = sum(w * abs(inner_product(s, pure)) ** 2 for w, s in comps)
     got = proto.hybrid_swap_expectation(ens, pure, cap)
     assert got == pytest.approx(want, abs=1e-10)
 
