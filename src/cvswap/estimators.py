@@ -6,19 +6,21 @@ count when the pair total is within the detector threshold 2M (weight 0
 otherwise, still counted in the denominator).  That parity is the SWAP
 eigenvalue of the pair, and both commute with every pair total, so a
 shot's law follows from the kept weight and the masked swap of the
-prepared state; no beamsplitter is applied.  Both come from one tensor
-contraction per group of registers the pairs connect, which builds no
-padded box and no combination of ensemble components.  Exact
+prepared state; no beamsplitter is applied.  Both come per group of
+registers the pairs connect: for two single-mode registers joined by one
+pair (the paper's test) from running sums over their levels in Python
+scalars, for any other group from one tensor contraction.  Neither builds
+a padded box or a combination of ensemble components.  Exact
 expectations, certified systematic-error bounds, analytic reference
 formulas, and detector-cutoff planners live alongside it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -199,13 +201,66 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return list(groups.values())
 
 
-@functools.lru_cache(maxsize=16)
 def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
-    """The read-only 0/1 matrix of n_a + n_b <= 2 thr, built once per shape."""
+    """The 0/1 matrix of n_a + n_b <= 2 thr."""
     check_working_size(1, rows * columns)
-    mask = np.less_equal.outer(np.arange(rows), np.arange(2 * thr, 2 * thr - columns, -1))
-    mask.flags.writeable = False
-    return mask
+    return np.less_equal.outer(np.arange(rows), np.arange(2 * thr, 2 * thr - columns, -1))
+
+
+def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float | None, float | None]:
+    """``_group_expectation`` for two single-mode registers joined by their
+    one pair, with no group total, from running sums in Python scalars.
+
+    The kept weight is k = sum_n p_A[n] P_B[min(2M - n, top_B - 1)], with
+    p a register's diagonal sum_i w_i |psi_i[n]|^2 / |psi_i|^2 over its top
+    levels and P its running sum.  The masked swap is s = sum_ij w_i v_j /
+    (|psi_i|^2 |phi_j|^2) Re sum_n x_ij[n] conj(X_ij[min(2M - n, cut - 1)]),
+    with x_ij[n] = conj(psi_i[n]) phi_j[n] over the shorter cut and X its
+    running sum, which is |X_ij[cut - 1]|^2 where the threshold keeps every
+    pattern of the cut.  Each row n up to h = 2M - (length - 1) of the
+    partner's sum meets all of it, and the rows past h read it in reverse.
+    The work is O(rank_A rank_B cut), with no pair matrix; where nothing is
+    cut, k is the product of the ensemble-weight sums, as in the fold.
+    """
+    (thr,) = group.thresholds
+    tops = [c + 1 if thr is None else min(c, 2 * thr) + 1 for c in group.base_caps]
+    budget = sum(tops) - 2 if thr is None else 2 * thr  # the largest pair total kept
+    registers = []
+    for factor, top in zip(group.factors, tops):
+        comps = components_of(factor)
+        if any(s.norm_sq <= 0 for _, s in comps):
+            raise ValueError("zero-norm component")
+        check_working_size(2 * len(comps) + 2, top)  # amplitudes, conjugates, diagonal, sums
+        lists = [s.amplitudes[:top].tolist() for _, s in comps]
+        registers.append([(w / s.norm_sq, amps, [z.conjugate() for z in amps])
+                          for (w, s), amps in zip(comps, lists)])
+    k = s = None
+    if kept and budget >= sum(group.base_caps):  # nothing is cut
+        k = math.prod(sum(w for w, _ in components_of(f)) for f in group.factors)
+    elif kept:
+        diagonals = []  # complex, with imaginary parts 0
+        for comps in registers:
+            rows = [map(mul, repeat(c), map(mul, amps, conj)) for c, amps, conj in comps]
+            diagonals.append(list(rows[0] if len(rows) == 1 else map(sum, zip(*rows))))
+        pa, pb = diagonals
+        h, running = budget - len(pb) + 1, list(accumulate(pb))
+        tail = sum(map(mul, pa[h + 1:], reversed(running[budget - len(pa) + 1:-1])))
+        k = (sum(pa[:h + 1]) * running[-1] + tail).real
+    if swapped:
+        cut = min(tops)
+        h, s = budget - cut + 1, 0.0
+        for wa, psi, cpsi in registers[0]:
+            cpsi, head = cpsi[:cut], psi[h + 1:cut]
+            for wb, phi, cphi in registers[1]:
+                if h >= cut - 1:  # every pattern of the cut is kept
+                    t = sum(map(mul, cpsi, phi))
+                    value = (t * t.conjugate()).real
+                else:
+                    x = list(accumulate(map(mul, cpsi, phi)))
+                    tail = sum(map(mul, map(mul, head, cphi[h + 1:cut]), reversed(x[h:-1])))
+                    value = (x[h] * x[-1].conjugate()).real + tail.real
+                s += wa * wb * value
+    return k, s
 
 
 def _contract(ops, size) -> float:
@@ -267,7 +322,9 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     thresholds; ``kept`` False skips k, which no exact value needs, and
     ``swapped`` False skips s, which the cutoff bound does not read.
 
-    Each is one network with a label per mode (``_contract``).  For s a
+    Two single-mode registers joined by their one pair, with no group
+    total, go to ``_pair_expectation``.  For any other group each is one
+    network with a label per mode (``_contract``).  For s a
     factor enters as its ket on the SWAP-relabelled labels and its bra on
     the plain ones, both carrying its component index scaled by
     sqrt(w_i / |psi_i|^2); for k as its diagonal.  A pair threshold cuts
@@ -282,6 +339,8 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     component and, with a running total, one total per mode.
     """
     caps, pairs = group.base_caps, group.local_pairs
+    if total_threshold is None and len(caps) == len(group.factors) == 2:
+        return _pair_expectation(group, kept, swapped)
     top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
     partner, masks = list(range(len(caps))), []
     for (a, b), thr in zip(pairs, group.thresholds):

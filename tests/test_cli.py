@@ -1087,6 +1087,24 @@ def test_parity_contraction_intermediate_is_a_resource_limit(tmp_path, capsys, m
     assert err.count("\n") == 1
 
 
+def test_a_single_mode_pair_holds_no_pair_matrix(tmp_path):
+    # M = 3000 cuts the pair total of two registers at cutoff 6000: a 0/1
+    # matrix of n_a + n_b <= 2M would hold 6001^2 = 36,012,001 entries, past
+    # the limit, but the pair's kernel holds a few lists of 6001 levels per
+    # register, so it runs; the exact value is 1/cosh 2r at r = 0.5, since
+    # tanh^(2(M+1)) r and the preparations' leaks are far below rounding
+    config = {"state_a": {"kind": "squeezed", "z": [0.5, 0], "cutoff": 6000},
+              "state_b": {"kind": "squeezed", "z": [-0.5, 0], "cutoff": 6000},
+              "M": 3000, "shots": 1000, "runs": 1, "seed": 1}
+    code, out = run_cli(tmp_path, "overlap", config)
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    states = [cli.build_state(config[key]) for key in ("state_a", "state_b")]
+    exact = est.parity_overlap_expectation(states, [(0, 1)], config["M"])
+    assert exact == pytest.approx(1.0 / math.cosh(1.0), abs=1e-12)
+    assert abs(results["grand_mean_re"] - exact) < 5 * results["runs"][0]["stderr"]
+
+
 def test_overlap8_at_the_paper_squeezing_runs(tmp_path):
     # the paper's vacuum-probability experiment at r = 1.5 needs cutoff 70
     # for a leak of 7e-7 per register pair; the exact value is the

@@ -497,6 +497,125 @@ def test_global_bound_contracts_only_the_kept_weight_network(monkeypatch):
             assert len(networks) == 1 and abs(got - want) <= 1e-15
 
 
+def _pair_threshold(rng, kind, caps):
+    """A pair threshold of the drawn kind for registers cut at ``caps``:
+    none, 0, one that cuts the longer register only, one at or past the
+    photon budget, or any that cuts both."""
+    low, high = sorted(caps)
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return 0
+    if kind == "one side":  # low <= 2M < high
+        return int(rng.integers((low + 1) // 2, (high + 1) // 2)) if high > low + 1 else low // 2
+    if kind == "budget":
+        return (low + high + 1) // 2 + int(rng.integers(0, 3))
+    return int(rng.integers(0, (low + 1) // 2 + 1))
+
+
+class _EinsumSpy:
+    """Counts np.einsum calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls, einsum = 0, np.einsum
+
+        def spy(*operands, **kwargs):
+            self.calls += 1
+            return einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "zero", "one side", "budget", "both"]))
+def test_two_register_kernel_matches_the_padded_box(seed, kind):
+    # pure states and rank-1 to 3 mixtures of random norms on two single
+    # modes of unequal cutoffs, paired either way round: the kernel's (k, s)
+    # is the padded box's at 1e-12, each part alone is the same number, no
+    # einsum runs, and where nothing cuts k is exactly the product of the
+    # ensemble-weight sums
+    rng = np.random.default_rng(seed)
+    caps = [int(c) for c in rng.integers(0, 12, size=2)]
+    factors = [_unnormalised_factor(rng, (c,), int(rng.integers(1, 4))) for c in caps]
+    thr = _pair_threshold(rng, kind, caps)
+    pair = (0, 1) if rng.random() < 0.5 else (1, 0)
+    [group] = est._group_factors(factors, [pair], [thr])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _EinsumSpy(monkeypatch)
+        k, s = est._group_expectation(group)
+        assert est._group_expectation(group, kept=False) == (None, s)
+        assert est._group_expectation(group, swapped=False) == (k, None)
+    assert spy.calls == 0
+    want_k, want_s = padded_group_expectation(group)
+    assert abs(k - want_k) <= 1e-12 and abs(s - want_s) <= 1e-12
+    if thr is None or 2 * thr >= sum(caps):
+        assert k == math.prod(sum(w for w, _ in fock.components_of(f)) for f in factors)
+
+
+def _product_joint(a, b):
+    """The product state of ``a`` and ``b`` as one two-mode register, with
+    a component for each pair of their components."""
+    comps = [(w * v, fock.tensor(x, y)) for w, x in fock.components_of(a) for v, y in fock.components_of(b)]
+    return comps[0][1] if len(comps) == 1 else MixedEnsemble(comps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_global_bound_and_profile_of_a_product_are_the_two_register_kernel(seed):
+    # error_bound_global and swap2m_profile contract the two-mode joint
+    # register; on a product state they read the kernel's k and s of its
+    # two registers at 1e-12, at every threshold up to past the budget
+    rng = np.random.default_rng(seed)
+    caps = [int(c) for c in rng.integers(0, 9, size=2)]
+    a, b = (_random_factor(rng, (c,), int(rng.integers(1, 3))) for c in caps)
+    joint = _product_joint(a, b)
+    m_values = list(range(sum(caps) // 2 + 2))
+    profile = est.swap2m_profile(joint, m_values)
+    for m, value in zip(m_values, profile):
+        [group] = est._group_factors([a, b], [(0, 1)], [m])
+        k, s = est._group_expectation(group)
+        assert abs(est.error_bound_global(joint, m) - max(0.0, 1.0 - k)) <= 1e-12
+        assert abs(value - s) <= 1e-12
+        assert est.parity_overlap_expectation([a, b], [(0, 1)], m) == s
+
+
+def test_two_register_kernel_refuses_a_zero_norm_component(rng):
+    zero = FockState(CutoffSpec((4,)), np.zeros(5))
+    mixed = MixedEnsemble(((0.5, random_pure(rng, 4)), (0.5, zero)))
+    for states in ([zero, random_pure(rng, 3)], [random_pure(rng, 6), mixed]):
+        for m in (None, 1, 9):
+            with pytest.raises(ValueError, match="zero-norm component"):
+                est.parity_overlap_expectation(states, [(0, 1)], m)
+            with pytest.raises(ValueError, match="zero-norm component"):
+                est.parity_overlap_estimate(states, [(0, 1)], m, 10, 1)
+
+
+def test_only_other_groups_reach_the_contraction(rng, monkeypatch):
+    # a pair of single-mode registers, on the shot path or the exact one,
+    # reaches neither _contract nor einsum; three factors, a two-mode factor
+    # or a group total still reach both
+    contract, networks = est._contract, []
+
+    def spy(ops, size):
+        networks.append(len(ops))
+        return contract(ops, size)
+
+    monkeypatch.setattr(est, "_contract", spy)
+    einsum = _EinsumSpy(monkeypatch)
+    a, b, c = random_pure(rng, 5), random_ensemble(rng, 4, 2), random_pure(rng, 3)
+    est.parity_overlap_estimate([a, b], [(0, 1)], 2, 10, 1)
+    est.parity_overlap_expectation([b, a], [(1, 0)], None)
+    assert networks == [] and einsum.calls == 0
+    for states, pairs, m_total in (([a, random_pure(rng, 2, modes=2), c], [(0, 1), (2, 3)], None),
+                                   ([fock.tensor(a, c)], [(0, 1)], None),
+                                   ([a, b], [(0, 1)], 3)):
+        calls = einsum.calls
+        networks.clear()
+        est.parity_overlap_expectation(states, pairs, 2, m_total)
+        assert networks and einsum.calls > calls
+
+
 def test_negative_thresholds_refused(rng):
     a, b = random_pure(rng, 3), random_pure(rng, 3)
     for m, m_total in ((-1, None), ([2, -1], None), (None, -1)):

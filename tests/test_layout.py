@@ -185,14 +185,18 @@ def test_block_builders_serve_only_shot_estimators():
 
 def test_one_function_computes_a_parity_groups_kept_weight_and_masked_swap():
     # the shot law, every exact value and the global cutoff bound take a
-    # parity group's (k, s) from one contraction; the padded box, its
-    # threshold mask and the ensemble combinations live on only as test
-    # oracles in conftest
-    found = {callee: sorted(set(_callers(callee))) for callee in ("_group_expectation", "_contract", "einsum")}
+    # parity group's (k, s) from one function, which sends a pair of
+    # single-mode registers to the running-sum kernel and every other group
+    # to the contraction; the padded box, its threshold mask and the
+    # ensemble combinations live on only as test oracles in conftest
+    found = {callee: sorted(set(_callers(callee)))
+             for callee in ("_group_expectation", "_pair_expectation", "_contract", "_pair_mask", "einsum")}
     assert found == {"_group_expectation": ["estimators._group_block",
                                             "estimators.error_bound_global",
                                             "estimators.parity_overlap_expectation"],
+                     "_pair_expectation": ["estimators._group_expectation"],
                      "_contract": ["estimators._group_expectation"],
+                     "_pair_mask": ["estimators._group_expectation"],
                      "einsum": ["estimators._contract"]}
     defined = {name for path in SRC.glob("*.py")
                for name, _ in definitions_and_roots(path.read_text(encoding="utf-8"))[0]}
