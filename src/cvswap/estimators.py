@@ -7,10 +7,13 @@ otherwise, still counted in the denominator).  That parity is the SWAP
 eigenvalue of the pair, and both commute with every pair total, so a
 shot's law follows from the kept weight and the masked swap of the
 prepared state; no beamsplitter is applied.  Both come per group of
-registers the pairs connect: for two single-mode registers joined by one
-pair (the paper's test) from running sums over their levels in Python
-scalars, for any other group from one tensor contraction.  Neither builds
-a padded box or a combination of ensemble components.  Exact
+registers the pairs connect: for two registers paired mode for mode with
+nothing cut (the compiling cost, the DV test, a SWAP test with no
+threshold) from one inner product per pair of ensemble components, for
+two single-mode registers under a threshold that cuts (the paper's test)
+from running sums over their levels in Python scalars, for any other
+group from one tensor contraction.  None of them builds a padded box or
+a combination of ensemble components.  Exact
 expectations, certified systematic-error bounds, analytic reference
 formulas, and detector-cutoff planners live alongside it.
 """
@@ -209,7 +212,8 @@ def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
 
 def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float | None, float | None]:
     """``_group_expectation`` for two single-mode registers joined by their
-    one pair, with no group total, from running sums in Python scalars.
+    one pair under a threshold that cuts, with no group total, from running
+    sums in Python scalars.
 
     The kept weight is k = sum_n p_A[n] P_B[min(2M - n, top_B - 1)], with
     p a register's diagonal sum_i w_i |psi_i[n]|^2 / |psi_i|^2 over its top
@@ -219,12 +223,11 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
     running sum, which is |X_ij[cut - 1]|^2 where the threshold keeps every
     pattern of the cut.  Each row n up to h = 2M - (length - 1) of the
     partner's sum meets all of it, and the rows past h read it in reverse.
-    The work is O(rank_A rank_B cut), with no pair matrix; where nothing is
-    cut, k is the product of the ensemble-weight sums, as in the fold.
+    The work is O(rank_A rank_B cut), with no pair matrix.
     """
     (thr,) = group.thresholds
-    tops = [c + 1 if thr is None else min(c, 2 * thr) + 1 for c in group.base_caps]
-    budget = sum(tops) - 2 if thr is None else 2 * thr  # the largest pair total kept
+    budget = 2 * thr  # the largest pair total kept
+    tops = [min(c, budget) + 1 for c in group.base_caps]
     registers = []
     for factor, top in zip(group.factors, tops):
         comps = components_of(factor)
@@ -235,9 +238,7 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
         registers.append([(w / s.norm_sq, amps, [z.conjugate() for z in amps])
                           for (w, s), amps in zip(comps, lists)])
     k = s = None
-    if kept and budget >= sum(group.base_caps):  # nothing is cut
-        k = math.prod(sum(w for w, _ in components_of(f)) for f in group.factors)
-    elif kept:
+    if kept:
         diagonals = []  # complex, with imaginary parts 0
         for comps in registers:
             rows = [map(mul, repeat(c), map(mul, amps, conj)) for c, amps, conj in comps]
@@ -261,6 +262,53 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
                     value = (x[h] * x[-1].conjugate()).real + tail.real
                 s += wa * wb * value
     return k, s
+
+
+def _paired_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float | None, float | None]:
+    """``_group_expectation`` for two registers paired mode for mode, where
+    no threshold cuts and there is no group total, from one inner product
+    per component pair.
+
+    The kept weight k is the product of the ensemble-weight sums.  The
+    masked swap is s = sum_ij w_i v_j |<psi_i|phi_j>|^2 / (|psi_i|^2
+    |phi_j|^2), with phi_j's axes transposed into the order of the modes
+    of A they pair with, and both registers cut to the box of the shorter
+    cutoff of each pair, outside which rho[SWAP n; n] vanishes: one
+    ``np.vdot`` per component pair, with no network and no labels.  A
+    component is copied once where the cut or the transpose leaves it
+    non-contiguous, so no pair copies it again.
+    """
+    a, b = group.factors
+    n = a.modes
+    order = [0] * n  # order[m]: the mode of B paired with mode m of A
+    for p, q in group.local_pairs:
+        if p > q:
+            p, q = q, p
+        order[p] = q - n
+    caps = group.base_caps
+    shape = tuple(min(caps[m], caps[n + j]) + 1 for m, j in enumerate(order))
+    box = tuple(map(slice, shape))
+    k, registers = 1.0, []
+    for factor, axes in ((a, None), (b, None if order == sorted(order) else order)):
+        comps = components_of(factor)
+        if any(s.norm_sq <= 0 for _, s in comps):
+            raise ValueError("zero-norm component")
+        check_working_size(2 * len(comps), math.prod(shape))  # its ket and bra
+        k *= sum(w for w, _ in comps)
+        if swapped:
+            views = []
+            for w, s in comps:
+                amps = s.amplitudes if axes is None else s.amplitudes.transpose(axes)
+                views.append((w / s.norm_sq, np.ascontiguousarray(amps if amps.shape == shape else amps[box])))
+            registers.append(views)
+    s = None
+    if swapped:
+        s = 0.0
+        for wa, psi in registers[0]:
+            for wb, phi in registers[1]:
+                t = complex(np.vdot(psi, phi))
+                s += wa * wb * (t.real * t.real + t.imag * t.imag)
+    return k if kept else None, s
 
 
 def _contract(ops, size) -> float:
@@ -322,8 +370,12 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     thresholds; ``kept`` False skips k, which no exact value needs, and
     ``swapped`` False skips s, which the cutoff bound does not read.
 
-    Two single-mode registers joined by their one pair, with no group
-    total, go to ``_pair_expectation``.  For any other group each is one
+    With no group total, two registers paired mode for mode, where no
+    pair threshold cuts (none, or 2M >= cap_a + cap_b), go to
+    ``_paired_expectation``, and two single-mode registers under a
+    threshold that cuts go to ``_pair_expectation``.  Any other group
+    (three or more factors, a threshold that cuts a multi-mode pair, a
+    spectator mode, a pair inside one factor, a group total) is one
     network with a label per mode (``_contract``).  For s a
     factor enters as its ket on the SWAP-relabelled labels and its bra on
     the plain ones, both carrying its component index scaled by
@@ -339,8 +391,16 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     component and, with a running total, one total per mode.
     """
     caps, pairs = group.base_caps, group.local_pairs
-    if total_threshold is None and len(caps) == len(group.factors) == 2:
-        return _pair_expectation(group, kept, swapped)
+    if total_threshold is None and len(group.factors) == 2:
+        for (a, b), thr in zip(pairs, group.thresholds):
+            if thr is not None and 2 * thr < caps[a] + caps[b]:
+                break
+        else:  # nothing is cut: the kernel takes the group if every mode is paired across
+            n = group.factors[0].modes
+            if 2 * len(pairs) == len(caps) and all((a < n) != (b < n) for a, b in pairs):
+                return _paired_expectation(group, kept, swapped)
+        if len(caps) == 2:
+            return _pair_expectation(group, kept, swapped)
     top = [c + 1 if total_threshold is None else min(c, 2 * total_threshold) + 1 for c in caps]
     partner, masks = list(range(len(caps))), []
     for (a, b), thr in zip(pairs, group.thresholds):
@@ -487,19 +547,30 @@ def parity_overlap_expectation(joint, pairs, m_per_pair, m_total=None) -> float:
     return value
 
 
+def _two_modes(joint) -> list:
+    """The factors of a two-mode input: one two-mode joint register, or a
+    pair [a, b] of single-mode registers read as their product."""
+    factors = [joint] if isinstance(joint, (FockState, MixedEnsemble)) else list(joint)
+    if [f.modes for f in factors] not in ([2], [1, 1]):
+        raise MeasurementSpecError("joint must be a two-mode state or a pair of single-mode states")
+    return factors
+
+
 def swap2m_expectation(joint, m: int) -> float:
-    """Exact tr(SWAP_2M rho) of a two-mode input: the SWAP observable kept
-    on pair totals n + m' <= 2m, which equals sum_{n+m'<=2m} (-1)^n p(n, m')
-    over the pattern distribution after the measurement beamsplitter."""
+    """Exact tr(SWAP_2M rho) of a two-mode input (a joint register or a
+    pair of single-mode ones): the SWAP observable kept on pair totals
+    n + m' <= 2m, which equals sum_{n+m'<=2m} (-1)^n p(n, m') over the
+    pattern distribution after the measurement beamsplitter."""
     return swap2m_profile(joint, [m])[0]
 
 
 def swap2m_profile(joint, m_values) -> list[float]:
     """swap2m_expectation for several thresholds; one with 2m at or above
-    the pair's photon budget keeps every pattern and adds no mask."""
-    if joint.modes != 2:
-        raise MeasurementSpecError("joint must be a two-mode state")
-    return [parity_overlap_expectation(joint, [(0, 1)], m) for m in m_values]
+    the pair's photon budget keeps every pattern and adds no mask.  A pair
+    of single-mode registers takes the two-register kernels and builds no
+    joint register."""
+    factors = _two_modes(joint)
+    return [parity_overlap_expectation(factors, [(0, 1)], m) for m in m_values]
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +578,11 @@ def swap2m_profile(joint, m_values) -> list[float]:
 
 
 def error_bound_global(joint, m: int) -> float:
-    """1 - q_2M: weight of the joint input outside the total-photon <= 2M
-    subspace, 1 - k of the pair's parity group; upper bound on the
-    cutoff-induced systematic error."""
-    if joint.modes != 2:
-        raise MeasurementSpecError("joint must be a two-mode state")
-    (group,) = _parity_groups(joint, [(0, 1)], m, None)
+    """1 - q_2M: weight of the two-mode input (a joint register or a pair of
+    single-mode ones) outside the total-photon <= 2M subspace, 1 - k of the
+    pair's parity group; upper bound on the cutoff-induced systematic
+    error."""
+    (group,) = _parity_groups(_two_modes(joint), [(0, 1)], m, None)
     return max(0.0, 1.0 - _group_expectation(group, swapped=False)[0])
 
 

@@ -83,9 +83,12 @@ def check_working_size(rows: int, columns: int) -> None:
     MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's ket
     and bra copies of a register count two rows per ensemble component, a
     pair's 0/1 threshold matrix and each contraction intermediate one.  A
-    group of two single-mode registers builds no matrix: each register
-    counts its amplitude and conjugate lists, two rows per component, and
-    its diagonal and running sums, two more.  The stacked blocks of
+    group of two registers paired mode for mode with nothing cut counts
+    the same ket and bra rows over the box of its shorter cutoffs and
+    builds nothing else.  A group of two single-mode registers under a
+    threshold that cuts builds no matrix: each register counts its
+    amplitude and conjugate lists, two rows per component, and its
+    diagonal and running sums, two more.  The stacked blocks of
     compiling circuits count the circuits and each block's entries."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:

@@ -429,12 +429,13 @@ def test_a_group_beyond_einsum_labels_is_a_resource_limit():
     assert est.parity_overlap_estimate(states, pairs, None, 10, 1, 1).mean == 1.0
 
 
-def test_a_kept_weight_network_that_falls_apart_is_no_outer_product(rng, monkeypatch):
-    # with no threshold the kept weight of two paired 4-mode registers is a
-    # product of their diagonals' sums: the first register's labels are
-    # summed before its first product, so no step holds both registers'
+def test_a_network_that_falls_apart_is_no_outer_product(rng, monkeypatch):
+    # with no threshold a 4-mode register paired with two 2-mode registers
+    # is a group of three factors, which the fold serves; its masked swap
+    # is a product of two inner products, and each piece sums the 4-mode
+    # register's labels as its partners join, so no step holds both sides'
     # eight labels, a loop over 4^8 terms
-    states = [random_pure(rng, 3, modes=4), random_pure(rng, 3, modes=4)]
+    states = [random_pure(rng, 3, modes=4), random_pure(rng, 3, modes=2), random_pure(rng, 3, modes=2)]
     einsum, steps = np.einsum, []
 
     def spy(*operands):
@@ -531,10 +532,11 @@ class _EinsumSpy:
        st.sampled_from(["none", "zero", "one side", "budget", "both"]))
 def test_two_register_kernel_matches_the_padded_box(seed, kind):
     # pure states and rank-1 to 3 mixtures of random norms on two single
-    # modes of unequal cutoffs, paired either way round: the kernel's (k, s)
-    # is the padded box's at 1e-12, each part alone is the same number, no
-    # einsum runs, and where nothing cuts k is exactly the product of the
-    # ensemble-weight sums
+    # modes of unequal cutoffs, paired either way round: the kernels' (k, s)
+    # (running sums where the threshold cuts, one inner product per
+    # component pair where it does not) is the padded box's at 1e-12, each
+    # part alone is the same number, no einsum runs, and where nothing cuts
+    # k is exactly the product of the ensemble-weight sums
     rng = np.random.default_rng(seed)
     caps = [int(c) for c in rng.integers(0, 12, size=2)]
     factors = [_unnormalised_factor(rng, (c,), int(rng.integers(1, 4))) for c in caps]
@@ -553,6 +555,39 @@ def test_two_register_kernel_matches_the_padded_box(seed, kind):
         assert k == math.prod(sum(w for w, _ in fock.components_of(f)) for f in factors)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_paired_kernel_matches_the_padded_box(data):
+    # two registers of one to three modes with unequal cutoffs per mode,
+    # paired mode for mode in a random order, each pair written either way
+    # round; pure states or rank-1 to 3 mixtures of random norms; no pair
+    # threshold, or one at or past its pair's budget.  The kernel's (k, s)
+    # is the padded box's at 1e-12, each part alone is the same number, no
+    # einsum runs, and k is exactly the product of the ensemble-weight sums
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    modes = data.draw(st.integers(1, 3), label="modes")
+    caps = [data.draw(st.lists(st.integers(0, 4), min_size=modes, max_size=modes), label=side)
+            for side in "AB"]
+    order = data.draw(st.permutations(range(modes)), label="pairing")
+    flips = data.draw(st.lists(st.booleans(), min_size=modes, max_size=modes), label="flips")
+    budgets = [caps[0][m] + caps[1][order[m]] for m in range(modes)]
+    thresholds = [data.draw(st.none() | st.integers((b + 1) // 2, (b + 1) // 2 + 2), label="threshold")
+                  for b in budgets]
+    rng = np.random.default_rng(seed)
+    factors = [_unnormalised_factor(rng, tuple(c), int(rng.integers(1, 4))) for c in caps]
+    pairs = [(modes + order[m], m) if flip else (m, modes + order[m]) for m, flip in enumerate(flips)]
+    [group] = est._group_factors(factors, pairs, thresholds)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _EinsumSpy(monkeypatch)
+        k, s = est._group_expectation(group)
+        assert est._group_expectation(group, kept=False) == (None, s)
+        assert est._group_expectation(group, swapped=False) == (k, None)
+    assert spy.calls == 0
+    want_k, want_s = padded_group_expectation(group)
+    assert abs(k - want_k) <= 1e-12 and abs(s - want_s) <= 1e-12
+    assert k == math.prod(sum(w for w, _ in fock.components_of(f)) for f in factors)
+
+
 def _product_joint(a, b):
     """The product state of ``a`` and ``b`` as one two-mode register, with
     a component for each pair of their components."""
@@ -563,21 +598,54 @@ def _product_joint(a, b):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1))
 def test_global_bound_and_profile_of_a_product_are_the_two_register_kernel(seed):
-    # error_bound_global and swap2m_profile contract the two-mode joint
-    # register; on a product state they read the kernel's k and s of its
-    # two registers at 1e-12, at every threshold up to past the budget
+    # error_bound_global, swap2m_profile and swap2m_expectation take a
+    # two-mode joint register or the pair [a, b] of its single-mode
+    # registers; on a product state both forms read the kernels' k and s
+    # of the two registers at 1e-12, at every threshold up to past the
+    # budget
     rng = np.random.default_rng(seed)
     caps = [int(c) for c in rng.integers(0, 9, size=2)]
     a, b = (_random_factor(rng, (c,), int(rng.integers(1, 3))) for c in caps)
     joint = _product_joint(a, b)
     m_values = list(range(sum(caps) // 2 + 2))
-    profile = est.swap2m_profile(joint, m_values)
-    for m, value in zip(m_values, profile):
+    profiles = [est.swap2m_profile(form, m_values) for form in (joint, [a, b])]
+    for n, m in enumerate(m_values):
         [group] = est._group_factors([a, b], [(0, 1)], [m])
         k, s = est._group_expectation(group)
-        assert abs(est.error_bound_global(joint, m) - max(0.0, 1.0 - k)) <= 1e-12
-        assert abs(value - s) <= 1e-12
-        assert est.parity_overlap_expectation([a, b], [(0, 1)], m) == s
+        for form, profile in zip((joint, [a, b]), profiles):
+            assert abs(est.error_bound_global(form, m) - max(0.0, 1.0 - k)) <= 1e-12
+            assert abs(profile[n] - s) <= 1e-12
+            assert abs(est.swap2m_expectation(form, m) - s) <= 1e-12
+        assert est.error_bound_global([a, b], m) == max(0.0, 1.0 - k)
+        assert est.parity_overlap_expectation([a, b], [(0, 1)], m) == s == profiles[1][n]
+
+
+def test_global_bound_of_a_large_product_pair_is_not_refused():
+    # the squeezed pair at cutoff 6000 as two registers: a joint register
+    # would hold 6001^2 entries, past the working-space limit, but the pair
+    # reaches the running-sum kernel, whose lists hold 6001 levels each
+    cut = CutoffSpec((6000,))
+    pair = [fock.prepare("squeezed", cut, z=1.0), fock.prepare("squeezed", cut, z=-1.0)]
+    with pytest.raises(fock.ResourceLimitError):
+        fock.tensor(*pair)
+    bound = est.error_bound_global(pair, 3000)
+    assert 0.0 <= bound <= 1e-12
+    for m in (2, 5, 9):
+        assert est.error_bound_global(pair, m) == pytest.approx(math.tanh(1.0) ** (2 * (m + 1)), abs=1e-12)
+
+
+def test_two_mode_inputs_refuse_other_layouts(rng):
+    # a list holding one two-mode register is that register; any other
+    # layout than two modes in one register or one mode in each of two is
+    # refused
+    one, two = random_pure(rng, 3), random_pure(rng, 3, modes=2)
+    assert est.error_bound_global([two], 1) == est.error_bound_global(two, 1)
+    assert est.swap2m_profile([two], [1]) == est.swap2m_profile(two, [1])
+    for joint in (one, [one], [one, one, one], [two, one]):
+        for run in (est.error_bound_global, est.swap2m_expectation,
+                    lambda state, m: est.swap2m_profile(state, [m])):
+            with pytest.raises(ValueError, match="a two-mode state or a pair of single-mode states"):
+                run(joint, 1)
 
 
 def test_two_register_kernel_refuses_a_zero_norm_component(rng):
@@ -592,9 +660,11 @@ def test_two_register_kernel_refuses_a_zero_norm_component(rng):
 
 
 def test_only_other_groups_reach_the_contraction(rng, monkeypatch):
-    # a pair of single-mode registers, on the shot path or the exact one,
-    # reaches neither _contract nor einsum; three factors, a two-mode factor
-    # or a group total still reach both
+    # a pair of single-mode registers, and two multi-mode registers paired
+    # mode for mode with nothing cut, on the shot path or the exact one,
+    # reach neither _contract nor einsum; three factors, a two-mode factor,
+    # a group total, a threshold that cuts a multi-mode pair or a spectator
+    # mode still reach both
     contract, networks = est._contract, []
 
     def spy(ops, size):
@@ -604,15 +674,21 @@ def test_only_other_groups_reach_the_contraction(rng, monkeypatch):
     monkeypatch.setattr(est, "_contract", spy)
     einsum = _EinsumSpy(monkeypatch)
     a, b, c = random_pure(rng, 5), random_ensemble(rng, 4, 2), random_pure(rng, 3)
+    x, y = random_pure(rng, 3, modes=2), _unnormalised_factor(rng, (2, 4), 2)
     est.parity_overlap_estimate([a, b], [(0, 1)], 2, 10, 1)
     est.parity_overlap_expectation([b, a], [(1, 0)], None)
+    est.parity_overlap_estimate([x, y], [(0, 3), (2, 1)], None, 10, 1)
+    est.parity_overlap_expectation([x, y], [(0, 2), (1, 3)], [None, 9])
     assert networks == [] and einsum.calls == 0
-    for states, pairs, m_total in (([a, random_pure(rng, 2, modes=2), c], [(0, 1), (2, 3)], None),
-                                   ([fock.tensor(a, c)], [(0, 1)], None),
-                                   ([a, b], [(0, 1)], 3)):
+    for states, pairs, m, m_total in (([a, random_pure(rng, 2, modes=2), c], [(0, 1), (2, 3)], 2, None),
+                                      ([fock.tensor(a, c)], [(0, 1)], 2, None),
+                                      ([a, b], [(0, 1)], 2, 3),
+                                      ([a, b], [(0, 1)], None, 30),
+                                      ([x, y], [(0, 2), (1, 3)], [None, 1], None),
+                                      ([x, y], [(0, 2)], None, None)):
         calls = einsum.calls
         networks.clear()
-        est.parity_overlap_expectation(states, pairs, 2, m_total)
+        est.parity_overlap_expectation(states, pairs, m, m_total)
         assert networks and einsum.calls > calls
 
 

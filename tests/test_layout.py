@@ -185,15 +185,19 @@ def test_block_builders_serve_only_shot_estimators():
 
 def test_one_function_computes_a_parity_groups_kept_weight_and_masked_swap():
     # the shot law, every exact value and the global cutoff bound take a
-    # parity group's (k, s) from one function, which sends a pair of
-    # single-mode registers to the running-sum kernel and every other group
-    # to the contraction; the padded box, its threshold mask and the
-    # ensemble combinations live on only as test oracles in conftest
+    # parity group's (k, s) from one function, which sends two registers
+    # paired mode for mode with nothing cut to the inner-product kernel, a
+    # pair of single-mode registers under a threshold that cuts to the
+    # running-sum kernel and every other group to the contraction; the
+    # padded box, its threshold mask and the ensemble combinations live on
+    # only as test oracles in conftest
     found = {callee: sorted(set(_callers(callee)))
-             for callee in ("_group_expectation", "_pair_expectation", "_contract", "_pair_mask", "einsum")}
+             for callee in ("_group_expectation", "_paired_expectation", "_pair_expectation",
+                            "_contract", "_pair_mask", "einsum")}
     assert found == {"_group_expectation": ["estimators._group_block",
                                             "estimators.error_bound_global",
                                             "estimators.parity_overlap_expectation"],
+                     "_paired_expectation": ["estimators._group_expectation"],
                      "_pair_expectation": ["estimators._group_expectation"],
                      "_contract": ["estimators._group_expectation"],
                      "_pair_mask": ["estimators._group_expectation"],
