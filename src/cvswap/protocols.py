@@ -2,16 +2,17 @@
 
 The PERM test measures in the eigenbasis of the cyclic register shift C
 through a discrete-Fourier mode mixer, so its shot law follows from the
-traces <C^t> of density-matrix products; the two-copy test pairs n copies
-with n partners, their A registers cyclically shifted; the compiling cost
-evaluates fidelity terms for a fixed circuit pair; and the hybrid test
-joins a qubit Bell measurement, whose sign is the qubit SWAP eigenvalue,
-with the CV photon-parity measurement.
+traces <C^t>, chains of overlaps of ensemble components; the two-copy
+test pairs n copies with n partners, their A registers cyclically
+shifted; the compiling cost evaluates fidelity terms for a fixed circuit
+pair; and the hybrid test joins a qubit Bell measurement, whose sign is
+the qubit SWAP eigenvalue, with the CV photon-parity measurement.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
 # PERM test
 
 
-def _check_perm_inputs(states) -> tuple[int, int]:
+def _check_perm_inputs(states) -> int:
     states = list(states)
     if len(states) < 2:
         raise MeasurementSpecError("PERM test needs at least two registers")
@@ -52,47 +53,47 @@ def _check_perm_inputs(states) -> tuple[int, int]:
         caps.add(s.cutoff.per_mode_max[0])
     if len(caps) != 1:
         raise MeasurementSpecError("PERM test inputs must share a common cutoff")
-    return len(states), caps.pop()
+    return caps.pop()
 
 
-def _density_matrices(states) -> list[np.ndarray]:
-    """Each register's density matrix, every ensemble component normalised
-    by its norm_sq; a matrix beyond the working-space limit is refused
-    before it is allocated."""
-    _, cap = _check_perm_inputs(states)
-    fock.check_working_size(cap + 1, cap + 1)
-    rhos = []
-    for s in states:
-        comps = components_of(s)
-        if any(c.norm_sq <= 0.0 for _, c in comps):
-            raise ValueError("zero-norm component")
-        rows = np.array([c.amplitudes / math.sqrt(c.norm_sq) for _, c in comps])
-        rhos.append((rows.T * [w for w, _ in comps]) @ rows.conj())
-    return rhos
-
-
-def _shift_expectation(rhos, t: int) -> complex:
-    """<C^t> for the cyclic register shift C with <C> = tr(rho_0 ... rho_{L-1}):
-    C^t splits into gcd(t, L) cycles a, a + t, a + 2t, ... (mod L), and each
-    cycle contributes the trace of its density matrices' product."""
-    n = len(rhos)
-    cycles = math.gcd(t, n)
-    value = 1.0 + 0.0j
-    for a in range(cycles):
-        product = rhos[a]
-        for step in range(1, n // cycles):
-            product = product @ rhos[(a + step * t) % n]
-        value *= np.trace(product)
-    return complex(value)
+def _shift_expectations(states, shifts) -> list[complex]:
+    """<C^t> for each 0 < t <= L/2 in ``shifts``, C the cyclic register shift.
+    Register j is rho_j = sum_a |k_ja><k_ja|, k_ja = sqrt(w_a / norm_sq_a) psi_a,
+    so each cycle c_0, c_0 + t, ... (mod L) of C^t contributes the trace of
+    B[c_0] B[c_1] ..., B[j] = [<k_ja|k_(j+t)b>]_ab.  A register of as many
+    components as levels or more enters as rho_j, with the identity for bras.
+    No array outgrows the largest register's rows, refused beyond the limit."""
+    cap = _check_perm_inputs(states)
+    registers = [components_of(s) for s in states]
+    if any(c.norm_sq <= 0.0 for comps in registers for _, c in comps):
+        raise ValueError("zero-norm component")
+    n, d = len(registers), cap + 1
+    fock.check_working_size(max(map(len, registers)), d)
+    kets = [np.array([math.sqrt(w / c.norm_sq) * c.amplitudes for w, c in comps])
+            for comps in registers]
+    bras = [None if len(k) >= d else k.conj() for k in kets]
+    kets = [k.conj().T @ k if len(k) >= d else k for k in kets]  # rho_j^T = K^dagger K
+    values = []
+    for t in shifts:
+        # a register read as rho_j has the identity for bras: its block is the next one's kets
+        blocks = [kets[(j + t) % n].T if bras[j] is None else bras[j] @ kets[(j + t) % n].T
+                  for j in range(n)]
+        cycles = math.gcd(t, n)
+        chains = [[blocks[(a + k * t) % n] for k in range(n // cycles)] for a in range(cycles)]
+        # tr(X B) = sum(X * B^T) spares each chain its last product
+        values.append(complex(math.prod((functools.reduce(np.matmul, c[:-1]) * c[-1].T).sum()
+                                        for c in chains)))
+    return values
 
 
 def _perm_block(states) -> tuple[list[complex], list[float]]:
     """The PERM shot law over the L phases w^j = e^{2 pi i j / L}: the DFT
     mixer reads out the eigenvalue of C, so a shot scores w^j with
-    probability q_j = (1/L) sum_t w^{-jt} <C^t>."""
-    rhos = _density_matrices(states)
-    n = len(rhos)
-    shifts = [_shift_expectation(rhos, t) for t in range(n)]
+    probability q_j = (1/L) sum_t w^{-jt} <C^t>, where <C^0> = 1 and, every
+    rho being Hermitian, <C^(L-t)> = conj <C^t> for the t <= L/2 traced."""
+    n = len(states)
+    shifts = [1.0] + _shift_expectations(states, range(1, n // 2 + 1))
+    shifts += [s.conjugate() for s in shifts[(n + 1) // 2 - 1:0:-1]]
     phases = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
     return law_block(phases, [sum(phases[-j * t % n] * s for t, s in enumerate(shifts)) / n
                               for j in range(n)])
@@ -108,16 +109,15 @@ def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResul
     weights reduce to (-1)^n there).
     """
     states = list(states)
-    n, cap = _check_perm_inputs(states)
-    if n == 2:
-        return est.cv_swap_estimate(states[0], states[1], cap, shots, seed)
-    return estimate_blocks([_perm_block(states)], shots, seed)
+    if len(states) != 2:
+        return estimate_blocks([_perm_block(states)], shots, seed)
+    return est.cv_swap_estimate(states[0], states[1], _check_perm_inputs(states), shots, seed)
 
 
 def perm_expectation(states) -> complex:
     """Exact PERM-test expectation tr(rho^(0) rho^(1) ... rho^(L-1)), each
     ensemble component normalised by its norm_sq."""
-    return _shift_expectation(_density_matrices(list(states)), 1)
+    return _shift_expectations(list(states), [1])[0]
 
 
 # ---------------------------------------------------------------------------

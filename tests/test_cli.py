@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import json
 import math
 import time
@@ -499,17 +501,47 @@ def test_perm_six_registers_runs(tmp_path):
     assert abs(complex(row["mean_re"], row["mean_im"]) - exact) < 5 * row["stderr"]
 
 
-def test_perm_oversized_working_space_refused(tmp_path, capsys):
-    # eight registers at cutoff 5 run; a register at cutoff 5000 has a
-    # 5001 x 5001 density matrix, past the limit
+def test_perm_low_rank_registers_at_a_large_cutoff_run(tmp_path):
+    # four rank-2 coherent mixtures at cutoff 5000: the registers' 5001 x
+    # 5001 density matrices would be past the limit, their eight components
+    # are not; tr(rho_0 ... rho_3) sums, over one component of each
+    # register, the weights times the cyclic product of coherent overlaps
+    # <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)
+    registers = [[(0.3, 0.5), (0.7, -0.4j)], [(0.6, 0.2 + 0.3j), (0.4, 0.8)],
+                 [(0.5, -0.6), (0.5, 0.1j)], [(0.25, 0.4 - 0.2j), (0.75, -0.3 + 0.5j)]]
+    states = [{"mixture": [{"weight": w, "state": {"kind": "coherent", "alpha": [a.real, a.imag],
+                                                    "cutoff": [5000]}}
+                           for w, a in register]}
+              for register in registers]
+    code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 20_000, "seed": 3})
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    exact = complex(results["exact_expectation_re"], results["exact_expectation_im"])
+    overlap = lambda a, b: cmath.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + a.conjugate() * b)
+    want = sum(math.prod(w for w, _ in chain)
+               * math.prod(overlap(a, chain[(k + 1) % 4][1]) for k, (_, a) in enumerate(chain))
+               for chain in itertools.product(*registers))
+    assert abs(exact - want) < 1e-12
+    (row,) = results["runs"]
+    assert abs(complex(row["mean_re"], row["mean_im"]) - exact) < 5 * row["stderr"]
+
+
+# at a limit of 300 entries each vacuum at cutoff 99 is prepared, but a
+# register of four of them holds 4 rows of 100 levels
+FOUR_VACUA_AT_CUTOFF_99 = [{"mixture": [{"weight": 0.25, "state": {"kind": "vacuum", "cutoff": [99]}}] * 4}] * 3
+
+
+def test_perm_oversized_working_space_refused(tmp_path, capsys, monkeypatch):
+    # eight registers at cutoff 5 run; registers of more rows than the
+    # limit allows are refused
     states = [{"kind": "vacuum", "cutoff": [5]}] * 8
     code, _ = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
     assert code == 0
-    states = [{"kind": "vacuum", "cutoff": [5000]}] * 3
-    code, _ = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 300)
+    code, _ = run_cli(tmp_path, "perm", {"states": FOUR_VACUA_AT_CUTOFF_99, "shots": 10})
     assert code == 1
     err = capsys.readouterr().err
-    assert "desk-scale limit" in err and err.count("\n") == 1
+    assert "desk-scale limit" in err and "(4 x 100)" in err and err.count("\n") == 1
 
 
 TWO_VACUA = {"state_a": {"kind": "vacuum", "cutoff": [2]}, "state_b": {"kind": "vacuum", "cutoff": [2]}}
@@ -966,9 +998,9 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: cvswap")
 
 
-def test_resource_limit_is_its_own_outcome(tmp_path, capsys):
-    states = [{"kind": "vacuum", "cutoff": [5000]}] * 3
-    code, out = run_cli(tmp_path, "perm", {"states": states, "shots": 10})
+def test_resource_limit_is_its_own_outcome(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 300)
+    code, out = run_cli(tmp_path, "perm", {"states": FOUR_VACUA_AT_CUTOFF_99, "shots": 10})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("resource limit: working space of") and err.count("\n") == 1

@@ -183,6 +183,14 @@ def test_block_builders_serve_only_shot_estimators():
     assert exact and not reached & shot_paths
 
 
+def test_perm_reads_its_shift_traces_from_one_overlap_helper():
+    # the PERM law and exact value take <C^t> from one helper over the
+    # overlaps of the registers' ensemble components; the dense builder of
+    # every register's density matrix is gone
+    assert _callers("_shift_expectations") == ["protocols._perm_block", "protocols.perm_expectation"]
+    assert not _defined_anywhere() & {"_density_matrices", "_shift_expectation"}
+
+
 def test_one_function_computes_a_parity_groups_kept_weight_and_masked_swap():
     # the shot law, every exact value and the global cutoff bound take a
     # parity group's (k, s) from one function, which sends two registers

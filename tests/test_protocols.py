@@ -161,6 +161,36 @@ def test_perm_six_registers_at_cap_three(rng):
     assert abs(np.dot(*level_law([proto._perm_block(states)])) - exact) < 1e-10
 
 
+# a common cutoff and one ensemble rank per register, up to two more than
+# the cutoff's levels, so that registers read as component rows and
+# registers read as density matrices mix
+_CAP_AND_RANKS = st.integers(0, 8).flatmap(
+    lambda cap: st.tuples(st.just(cap), st.lists(st.integers(1, cap + 3), min_size=2, max_size=6)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_CAP_AND_RANKS, st.integers(0, 2**32 - 1))
+@example((2, [1, 5, 2, 4]), 11)
+@example((0, [3, 1, 2]), 12)
+def test_perm_value_and_law_match_the_density_matrix_product(cap_and_ranks, seed):
+    cap, ranks = cap_and_ranks
+    rng = np.random.default_rng(seed)
+    states = [random_ensemble(rng, cap, rank) for rank in ranks]
+    want = np.trace(np.linalg.multi_dot([density_matrix(s) for s in states]))
+    assert abs(proto.perm_expectation(states) - want) < 1e-12
+    assert abs(np.dot(*level_law([proto._perm_block(states)])) - want) < 1e-10
+
+
+@pytest.mark.parametrize("n_registers", [3, 8])
+def test_perm_full_rank_registers_run_at_one_density_matrix_limit(rng, monkeypatch, n_registers):
+    # a limit of d x d entries, one density matrix: registers of d
+    # components at cutoff 19 still run, at any register count
+    monkeypatch.setattr(fock, "MAX_WORKING_ELEMENTS", 20 * 20)
+    states = [random_ensemble(rng, 19, 20) for _ in range(n_registers)]
+    want = np.trace(np.linalg.multi_dot([density_matrix(s) for s in states]))
+    assert abs(proto.perm_expectation(states) - want) < 1e-12
+    assert abs(np.dot(*level_law([proto._perm_block(states)])) - want) < 1e-10
+
 
 @pytest.mark.parametrize("n_registers", [2, 3])
 def test_perm_rejects_zero_norm_register(rng, n_registers):
