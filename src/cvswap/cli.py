@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dv, estimators as est, fock, protocols as proto
-from .sampling import derive_seed
+from .sampling import derive_seed, mean_and_spread
 
 __all__ = ["main", "ConfigError"]
 
@@ -264,17 +264,13 @@ def _estimator_document(cfg: RunConfig, estimate) -> tuple[dict, list[dict]]:
     per-run rows plus grand stats."""
     results = estimate(cfg.shots, [derive_seed(cfg.seed, k) for k in range(cfg.runs)])
     run_rows = [{"run": k, **result.to_dict()} for k, result in enumerate(results)]
-    means = np.asarray([result.mean for result in results])
-    grand = complex(means.mean())
-    if cfg.runs > 1:
-        spread = float(math.hypot(np.std(means.real, ddof=1), np.std(means.imag, ddof=1)))
-    else:
-        spread = None  # a single run has no between-run dispersion estimate
+    grand, spread = mean_and_spread([result.mean for result in results])
     results = {
         "runs": run_rows,
         "grand_mean_re": grand.real,
         "grand_mean_im": grand.imag,
-        "std_of_means": spread,
+        # a single run has no between-run dispersion estimate
+        "std_of_means": spread if cfg.runs > 1 else None,
     }
     return results, run_rows
 

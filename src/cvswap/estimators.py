@@ -7,15 +7,15 @@ otherwise, still counted in the denominator).  That parity is the SWAP
 eigenvalue of the pair, and both commute with every pair total, so a
 shot's law follows from the kept weight and the masked swap of the
 prepared state; no beamsplitter is applied.  Both come per group of
-registers the pairs connect: for two registers paired mode for mode with
-nothing cut (the compiling cost, the DV test, a SWAP test with no
-threshold) from one inner product per pair of ensemble components, for
-two single-mode registers under a threshold that cuts (the paper's test)
-from running sums over their levels in Python scalars, for any other
-group from one tensor contraction.  None of them builds a padded box or
-a combination of ensemble components.  Exact
-expectations, certified systematic-error bounds, analytic reference
-formulas, and detector-cutoff planners live alongside it.
+registers the pairs connect, found in one pass that reads each cutoff
+once: for two registers paired mode for mode with nothing cut (the
+compiling cost, the DV test, a SWAP test with no threshold) from one
+inner product per pair of ensemble components, for two single-mode
+registers under a threshold that cuts (the paper's test) from running
+sums over their levels in Python scalars, for any other group from one
+tensor contraction, none with a padded box or a combination of ensemble
+components.  Exact expectations, certified error bounds, reference
+formulas and cutoff planners live alongside.
 """
 
 from __future__ import annotations
@@ -157,14 +157,9 @@ class _Group:
 
 def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     """Merge product factors connected through measurement pairs."""
-    offsets = []
-    total = 0
-    for f in factors:
-        offsets.append(total)
-        total += f.modes
-    owner = []
-    for i, f in enumerate(factors):
-        owner.extend([i] * f.modes)
+    caps = [f.cutoff.per_mode_max for f in factors]
+    owner = [i for i, c in enumerate(caps) for _ in c]  # each mode's factor
+    total = len(owner)
     for a, b in pairs:
         for m in (a, b):
             if not 0 <= m < total:
@@ -173,35 +168,42 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     if len(set(flat)) != len(flat):
         raise MeasurementSpecError("measurement pairs must be disjoint")
 
-    # a pair joins its factors' trees under the lower root, so each group's
-    # root is its first factor and the groups come out in that order
+    # path-halving union-find joining trees under the lower root: links point
+    # down, and each group's root, its first factor, orders the groups
     root = list(range(len(factors)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
     for a, b in pairs:
-        ra, rb = find(owner[a]), find(owner[b])
-        root[max(ra, rb)] = min(ra, rb)
+        ra, rb = owner[a], owner[b]
+        while ra != root[ra]:
+            root[ra] = ra = root[root[ra]]
+        while rb != root[rb]:
+            root[rb] = rb = root[root[rb]]
+        if ra > rb:
+            ra, rb = rb, ra
+        root[rb] = ra
     groups: dict[int, _Group] = {}
-    local = [0] * total
-    for i, f in enumerate(factors):
-        r = find(i)
+    local = []  # each mode's index in its group
+    for i, (f, c) in enumerate(zip(factors, caps)):
+        root[i] = r = root[root[i]]  # its lower link's root is final
         g = groups.get(r)
         if g is None:
             g = groups[r] = _Group([], [], [], [])
         g.factors.append(f)
-        for k, cap in enumerate(f.cutoff.per_mode_max):
-            local[offsets[i] + k] = len(g.base_caps)
-            g.base_caps.append(cap)
+        local.extend(range(len(g.base_caps), len(g.base_caps) + len(c)))
+        g.base_caps.extend(c)
     for (a, b), thr in zip(pairs, thresholds):
-        g = groups[find(owner[a])]
+        g = groups[root[owner[a]]]
         g.local_pairs.append((local[a], local[b]))
         g.thresholds.append(thr)
     return list(groups.values())
+
+
+def _components(factor) -> tuple:
+    """``components_of(factor)``, refusing a zero-norm component."""
+    comps = components_of(factor)
+    for _, s in comps:
+        if s.norm_sq <= 0:
+            raise ValueError("zero-norm component")
+    return comps
 
 
 def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
@@ -230,12 +232,10 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
     tops = [min(c, budget) + 1 for c in group.base_caps]
     registers = []
     for factor, top in zip(group.factors, tops):
-        comps = components_of(factor)
-        if any(s.norm_sq <= 0 for _, s in comps):
-            raise ValueError("zero-norm component")
+        comps = _components(factor)
         check_working_size(2 * len(comps) + 2, top)  # amplitudes, conjugates, diagonal, sums
         lists = [s.amplitudes[:top].tolist() for _, s in comps]
-        registers.append([(w / s.norm_sq, amps, [z.conjugate() for z in amps])
+        registers.append([(w / s.norm_sq, amps, list(map(complex.conjugate, amps)))
                           for (w, s), amps in zip(comps, lists)])
     k = s = None
     if kept:
@@ -278,28 +278,27 @@ def _paired_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float
     component is copied once where the cut or the transpose leaves it
     non-contiguous, so no pair copies it again.
     """
-    a, b = group.factors
-    n = a.modes
-    order = [0] * n  # order[m]: the mode of B paired with mode m of A
+    (a, b), caps = group.factors, group.base_caps
+    n = len(caps) // 2  # modes per register
+    order, shape = [0] * n, [0] * n  # order[m]: B's mode paired with A's mode m
     for p, q in group.local_pairs:
         if p > q:
             p, q = q, p
-        order[p] = q - n
-    caps = group.base_caps
-    shape = tuple(min(caps[m], caps[n + j]) + 1 for m, j in enumerate(order))
-    box = tuple(map(slice, shape))
+        order[p], shape[p] = q - n, min(caps[p], caps[q]) + 1
+    shape = tuple(shape)
+    size, box = math.prod(shape), tuple(map(slice, shape))
     k, registers = 1.0, []
     for factor, axes in ((a, None), (b, None if order == sorted(order) else order)):
-        comps = components_of(factor)
-        if any(s.norm_sq <= 0 for _, s in comps):
-            raise ValueError("zero-norm component")
-        check_working_size(2 * len(comps), math.prod(shape))  # its ket and bra
+        comps = _components(factor)
+        check_working_size(2 * len(comps), size)  # its ket and bra
         k *= sum(w for w, _ in comps)
         if swapped:
             views = []
             for w, s in comps:
                 amps = s.amplitudes if axes is None else s.amplitudes.transpose(axes)
-                views.append((w / s.norm_sq, np.ascontiguousarray(amps if amps.shape == shape else amps[box])))
+                if axes is not None or amps.shape != shape:
+                    amps = np.ascontiguousarray(amps[box])
+                views.append((w / s.norm_sq, amps))
             registers.append(views)
     s = None
     if swapped:
@@ -396,8 +395,8 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
             if thr is not None and 2 * thr < caps[a] + caps[b]:
                 break
         else:  # nothing is cut: the kernel takes the group if every mode is paired across
-            n = group.factors[0].modes
-            if 2 * len(pairs) == len(caps) and all((a < n) != (b < n) for a, b in pairs):
+            n = len(group.factors[0].cutoff.per_mode_max)
+            if 2 * len(pairs) == len(caps) and all([(a < n) != (b < n) for a, b in pairs]):
                 return _paired_expectation(group, kept, swapped)
         if len(caps) == 2:
             return _pair_expectation(group, kept, swapped)
@@ -414,9 +413,7 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     summed = kept and not masks and not totalled and all(d > c for d, c in zip(top, caps))
     diagonals, swaps, hi = [], [], 0
     for f, factor in enumerate(group.factors):
-        comps = components_of(factor)
-        if any(s.norm_sq <= 0 for _, s in comps):
-            raise ValueError("zero-norm component")
+        comps = _components(factor)
         lo, hi = hi, hi + factor.modes  # the factor's modes
         check_working_size(2 * len(comps), math.prod(top[lo:hi]))  # its ket and bra
         if kept and not summed:
@@ -594,10 +591,8 @@ def error_bound_local(rho, sigma, m: int) -> float:
     (m,) = normalize_thresholds(m, 1)
     kept = 1.0
     for register in (rho, sigma):
-        comps = components_of(register)
-        if any(s.norm_sq <= 0 for _, s in comps):
-            raise ValueError("zero-norm component")
-        kept *= sum(w / s.norm_sq * float(np.sum(abs(s.amplitudes[:m + 1]) ** 2)) for w, s in comps)
+        kept *= sum(w / s.norm_sq * float(np.sum(abs(s.amplitudes[:m + 1]) ** 2))
+                    for w, s in _components(register))
     return max(0.0, 1.0 - kept)
 
 

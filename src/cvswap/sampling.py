@@ -12,6 +12,7 @@ product, one binomial per product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -26,6 +27,7 @@ __all__ = [
     "MAX_SHOTS",
     "law_block",
     "estimator_statistics",
+    "mean_and_spread",
     "level_law",
     "binomial",
     "blocks_estimate",
@@ -76,22 +78,47 @@ def counter_uniform(seed, stream: int, index: int) -> float:
     return _keyed_uniform(derive_seed(seed, stream), index)
 
 
-def _sum(xs: list[float]) -> float:
+def _sum(xs: list[float], lanes: int = 8) -> float:
     """The sum numpy's ``sum`` gives a float array of ``xs``, bit for bit:
     below 8 terms a running sum; up to 128 eight interleaved running sums,
-    added pairwise, then the rest; beyond, the two halves' sums."""
+    added pairwise, then the rest; beyond, the two halves' sums.  numpy
+    adds the whole to its identity 0.0, so no sum is -0.0.  With ``lanes``
+    4 it is one part of numpy's sum of a complex array, whose real and
+    imaginary parts take turns in the eight running sums."""
     n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(xs[:half]) + _sum(xs[half:])
-    end = n - n % 8
-    r = xs[:8] if end else [0.0] * 8
-    for i in range(8, end):
-        r[i % 8] += xs[i]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    if n > 16 * lanes:
+        half = n // 2 - n // 2 % lanes
+        return _sum(xs[:half], lanes) + _sum(xs[half:], lanes)
+    end = n - n % lanes
+    r = [functools.reduce(operator.add, xs[j:end:lanes]) for j in range(lanes)] if end else [0.0]
+    while len(r) > 1:
+        r = [r[k] + r[k + 1] for k in range(0, len(r), 2)]
+    total = 0.0 + r[0]
     for x in xs[end:]:
         total += x
     return total
+
+
+def _over_count(re: float, im: float, n: int) -> complex:
+    """(re + i im) / n as numpy divides a complex by a real count."""
+    rat, scl = 0.0 / n, 1.0 / n
+    return complex((re + im * rat) * scl, (im - re * rat) * scl)
+
+
+def mean_and_spread(values) -> tuple[complex, float]:
+    """The mean of complex ``values`` and the n-1 sample standard deviations
+    of their real and of their imaginary parts, combined as their norm,
+    with the bits numpy's ``mean`` and ``std(ddof=1)`` give on an array of
+    them.  A single value has no spread; it is reported as NaN."""
+    n, parts = len(values), ([v.real for v in values], [v.imag for v in values])
+    mean = _over_count(_sum(parts[0], 4), _sum(parts[1], 4), n)
+    if n == 1:
+        return mean, math.nan
+    spreads = []
+    for part in parts:
+        centre = _sum(part) / n
+        spreads.append(math.sqrt(_sum([(x - centre) * (x - centre) for x in part]) / (n - 1)))
+    return mean, math.hypot(*spreads)
 
 
 def law_block(levels, law) -> tuple[list[complex], list[float]]:
@@ -364,15 +391,18 @@ def estimator_statistics(values, counts) -> tuple[complex, float]:
     """
     parts = values.parts if isinstance(values, ShotLaw) else _integer_parts(
         np.asarray(values, dtype=np.complex128).ravel().tolist())
-    counts = [int(c) for c in counts]
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else [int(c) for c in counts]
     n = sum(counts)
     if n == 0:
         raise ValueError("no shots")
     moments = [(sum(map(operator.mul, nums, counts)), sum(map(operator.mul, squares, counts)), den)
                for nums, squares, den in parts]
     (re, _, re_den), (im, _, im_den) = moments
-    mean = complex(np.complex128(complex(re / re_den, im / im_den)) / n)
+    mean = _over_count(re / re_den, im / im_den, n)
     if n == 1:
         return mean, math.nan
-    return mean, math.hypot(*(_sqrt_ratio(n * square - total * total, den * den * n * n * (n - 1))
-                              for total, square, den in moments))
+    spreads = []
+    for total, square, den in moments:
+        excess = n * square - total * total
+        spreads.append(_sqrt_ratio(excess, den * den * n * n * (n - 1)) if excess else 0.0)
+    return mean, math.hypot(*spreads)

@@ -865,6 +865,8 @@ HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, 
     ("overlap", {**TWO_VACUA, "state_b": TWO_MODE[0]}, "state_b must be a single-mode state"),
     ("two-copy", {"purification": {"mixture": [{"weight": 1.0, "state": TWO_MODE[0]}]}},
      "purification must not be a mixture"),
+    # a repeated mode and one out of range: the range is checked first
+    ("overlap", {"states": TWO_MODE, "pairs": [[0, 1], [1, 7]]}, "pair mode 7 outside the joint register"),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):

@@ -367,13 +367,17 @@ def test_group_expectation_matches_the_padded_box(seed):
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_grouping_matches_the_quadratic_relabelling(data):
-    # random factor counts, mode counts and caps, and random disjoint pair
-    # sets: the same groups, members, local pairs, thresholds and caps, in
-    # the same order
+    # random factor counts, mode counts and caps, pure factors and mixtures
+    # of 1-3 components (whose cutoff is their first component's), and
+    # random disjoint pair sets: the same groups, members, local pairs,
+    # thresholds and caps, in the same order
     modes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=14), label="modes")
-    factors = [FockState(CutoffSpec(caps), np.ones([c + 1 for c in caps]))
-               for caps in (data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
-                            for m in modes)]
+    factors = []
+    for m in modes:
+        cutoff = CutoffSpec(data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+        ranks = data.draw(st.integers(0, 3), label="components")  # 0: a pure factor
+        pure = [FockState(cutoff, np.ones(cutoff.shape)) for _ in range(max(ranks, 1))]
+        factors.append(MixedEnsemble([(1.0 / ranks, s) for s in pure]) if ranks else pure[0])
     order = data.draw(st.permutations(range(sum(modes))), label="pairing")
     n_pairs = data.draw(st.integers(0, len(order) // 2), label="pairs")
     pairs = [(order[2 * p], order[2 * p + 1]) for p in range(n_pairs)]

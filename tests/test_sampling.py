@@ -258,6 +258,13 @@ def test_tally_mean_has_the_bits_of_numpy_mean():
         mean, _ = estimator_statistics([1.0, -1.0], [plus, n - plus])
         weights = np.where(np.arange(n) < plus, 1.0, -1.0).astype(np.complex128)
         assert np.complex128(mean).tobytes() == weights.mean().tobytes()
+    # weights with signed-zero parts: the division by the count turns a -0.0
+    # part of the sum into 0.0 exactly as numpy's complex mean does
+    signed = [complex(-0.0, 1.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(0.5, -0.0)]
+    for counts in ([1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0], [2, 5, 0, 0], [0, 0, 7, 7], [1, 1, 1, 1]):
+        mean, _ = estimator_statistics(signed, counts)
+        weights = np.repeat(np.array(signed, dtype=np.complex128), counts)
+        assert np.complex128(mean).tobytes() == weights.mean().tobytes(), counts
 
 
 # (n, p, branch): inversion for n p < 10, BTRD above, and p > 1/2 through
@@ -347,6 +354,38 @@ def test_level_law_has_the_bits_of_the_numpy_merge(laws, phased):
     values, q = level_law(blocks)
     want_values, want_q = numpy_level_law(blocks)
     assert np.array_equal(values, want_values) and np.array_equal(q, want_q)
+
+
+_RUN_SIZES = st.integers(1, 20) | st.sampled_from([127, 128, 129, 256, 1000, 8191, 8192, 8193, 9000])
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=_RUN_SIZES, kind=st.sampled_from(["random", "signed zeros", "equal", "negative zeros"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mean_and_spread_have_the_bits_of_numpy(n, kind, seed):
+    # the grand mean and ddof-1 spread of run means, against numpy's complex
+    # mean and its two real standard deviations: random means, means whose
+    # parts are +-0.0 or a few repeated values, means all equal, and -0.0
+    # real parts with parts <= 0 beside them, whose sum numpy turns to 0.0,
+    # at run counts below 8, inside one 128-float block, and past 128 and 8,192
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        means = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)).tolist()
+    elif kind == "signed zeros":
+        parts = np.array([0.0, -0.0, 0.5, -0.25])
+        means = [complex(re, im) for re, im in rng.choice(parts, (n, 2))]
+    elif kind == "equal":
+        means = [complex(rng.uniform(-1, 1), rng.choice([-0.0, 0.0, rng.uniform(-1, 1)]))] * n
+    else:
+        means = [complex(-0.0, im) for im in rng.choice([-0.0, -0.5], n)]
+    mean, spread = sampling.mean_and_spread(means)
+    array = np.asarray(means)
+    assert np.complex128(mean).tobytes() == array.mean().tobytes()
+    if n == 1:
+        assert math.isnan(spread)
+    else:
+        want = math.hypot(np.std(array.real, ddof=1), np.std(array.imag, ddof=1))
+        assert np.float64(spread).tobytes() == np.float64(want).tobytes()
 
 
 def test_law_sums_have_the_bits_of_numpy_sum():
