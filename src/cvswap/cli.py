@@ -459,8 +459,6 @@ def cmd_two_copy(cfg: RunConfig) -> None:
         raise fock.ResourceLimitError(
             f"a two-copy test of {copies} copies is beyond {MAX_COPIES}; use copies <= {MAX_COPIES}")
     base = _pure_state(_required(payload, "purification", "two-copy config"), "purification")
-    if base.modes != 2:
-        raise ConfigError("purification spec must cover one (A, B) pair")
     m = _threshold_param(payload.get("M"), per_pair=True)
     results, rows = _estimator_document(
         cfg, lambda shots, seeds: proto.two_copy_test([base] * copies, shots, seeds, m)

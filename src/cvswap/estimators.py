@@ -197,15 +197,6 @@ def _group_factors(factors: list, pairs, thresholds) -> list[_Group]:
     return list(groups.values())
 
 
-def _components(factor) -> tuple:
-    """``components_of(factor)``, refusing a zero-norm component."""
-    comps = components_of(factor)
-    for _, s in comps:
-        if s.norm_sq <= 0:
-            raise ValueError("zero-norm component")
-    return comps
-
-
 def _pair_mask(rows: int, columns: int, thr: int) -> np.ndarray:
     """The 0/1 matrix of n_a + n_b <= 2 thr."""
     check_working_size(1, rows * columns)
@@ -222,17 +213,20 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
     levels and P its running sum.  The masked swap is s = sum_ij w_i v_j /
     (|psi_i|^2 |phi_j|^2) Re sum_n x_ij[n] conj(X_ij[min(2M - n, cut - 1)]),
     with x_ij[n] = conj(psi_i[n]) phi_j[n] over the shorter cut and X its
-    running sum, which is |X_ij[cut - 1]|^2 where the threshold keeps every
-    pattern of the cut.  Each row n up to h = 2M - (length - 1) of the
-    partner's sum meets all of it, and the rows past h read it in reverse.
-    The work is O(rank_A rank_B cut), with no pair matrix.
+    running sum.  Each row n up to h = 2M - (length - 1) of the partner's
+    sum meets all of it, and the rows past h read it in reverse; for s, h
+    is clamped to cut - 1, where the threshold keeps every pattern of the
+    cut and the sum is |X_ij[cut - 1]|^2.  The work is O(rank_A rank_B
+    cut), with no pair matrix: each register counts its amplitude and
+    conjugate lists, two rows per component, and its diagonal and running
+    sums, two more, against the working-space limit.
     """
     (thr,) = group.thresholds
     budget = 2 * thr  # the largest pair total kept
     tops = [min(c, budget) + 1 for c in group.base_caps]
     registers = []
     for factor, top in zip(group.factors, tops):
-        comps = _components(factor)
+        comps = components_of(factor)
         check_working_size(2 * len(comps) + 2, top)  # amplitudes, conjugates, diagonal, sums
         lists = [s.amplitudes[:top].tolist() for _, s in comps]
         registers.append([(w / s.norm_sq, amps, list(map(complex.conjugate, amps)))
@@ -249,18 +243,13 @@ def _pair_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float |
         k = (sum(pa[:h + 1]) * running[-1] + tail).real
     if swapped:
         cut = min(tops)
-        h, s = budget - cut + 1, 0.0
+        h, s = min(budget - cut + 1, cut - 1), 0.0
         for wa, psi, cpsi in registers[0]:
             cpsi, head = cpsi[:cut], psi[h + 1:cut]
             for wb, phi, cphi in registers[1]:
-                if h >= cut - 1:  # every pattern of the cut is kept
-                    t = sum(map(mul, cpsi, phi))
-                    value = (t * t.conjugate()).real
-                else:
-                    x = list(accumulate(map(mul, cpsi, phi)))
-                    tail = sum(map(mul, map(mul, head, cphi[h + 1:cut]), reversed(x[h:-1])))
-                    value = (x[h] * x[-1].conjugate()).real + tail.real
-                s += wa * wb * value
+                x = list(accumulate(map(mul, cpsi, phi)))
+                tail = sum(map(mul, map(mul, head, cphi[h + 1:cut]), reversed(x[h:-1])))
+                s += wa * wb * ((x[h] * x[-1].conjugate()).real + tail.real)
     return k, s
 
 
@@ -276,7 +265,9 @@ def _paired_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float
     cutoff of each pair, outside which rho[SWAP n; n] vanishes: one
     ``np.vdot`` per component pair, with no network and no labels.  A
     component is copied once where the cut or the transpose leaves it
-    non-contiguous, so no pair copies it again.
+    non-contiguous, so no pair copies it again.  Each register counts its
+    ket and bra, two rows per component over the box, against the
+    working-space limit.
     """
     (a, b), caps = group.factors, group.base_caps
     n = len(caps) // 2  # modes per register
@@ -289,7 +280,7 @@ def _paired_expectation(group: _Group, kept: bool, swapped: bool) -> tuple[float
     size, box = math.prod(shape), tuple(map(slice, shape))
     k, registers = 1.0, []
     for factor, axes in ((a, None), (b, None if order == sorted(order) else order)):
-        comps = _components(factor)
+        comps = components_of(factor)
         check_working_size(2 * len(comps), size)  # its ket and bra
         k *= sum(w for w, _ in comps)
         if swapped:
@@ -317,9 +308,10 @@ def _contract(ops, size) -> float:
     labels (several, joined one after another, merge into one), or starts
     its own piece from its array; a label is summed once no later operand
     carries it, and a piece that holds no label left is multiplied into the
-    value as a scalar.  Each intermediate is checked against the
+    value as a scalar.  Each intermediate counts one row against the
     working-space limit before it is allocated.  einsum takes labels below
-    52: past them each step is renumbered, and one holding more refused."""
+    52, so each step's labels are renumbered 0, 1, ... in increasing order,
+    and a step holding more than 52 is refused."""
     ops.sort(key=itemgetter(0))
     last = {label: i for i, (_, _, labels) in enumerate(ops) for label in labels}
     value, pieces, owner = 1.0, {}, {}  # owner: the piece holding each open label
@@ -341,16 +333,13 @@ def _contract(ops, size) -> float:
             later = {label for q in joined[n:] for label in pieces[q][1]} if n < len(joined) else ()
             keep = [label for label in dict.fromkeys(held + labels) if last[label] > i or label in later]
             check_working_size(1, math.prod(map(size.__getitem__, keep)))
-            if len(size) > 52:
-                ids = {label: k for k, label in enumerate(dict.fromkeys(held + labels))}
-                if len(ids) > 52:
-                    raise ResourceLimitError(
-                        f"a contraction step over {len(ids)} modes, registers and running totals "
-                        "is beyond einsum's 52 labels; measure fewer modes at once")
-                array = np.einsum(acc, [ids[label] for label in held], array,
-                                  [ids[label] for label in labels], [ids[label] for label in keep])
-            else:
-                array = np.einsum(acc, held, array, labels, keep)
+            ids = {label: k for k, label in enumerate(sorted({*held, *labels}))}
+            if len(ids) > 52:
+                raise ResourceLimitError(
+                    f"a contraction step over {len(ids)} modes, registers and running totals "
+                    "is beyond einsum's 52 labels; measure fewer modes at once")
+            array = np.einsum(acc, [ids[label] for label in held], array,
+                              [ids[label] for label in labels], [ids[label] for label in keep])
             labels = keep
         if labels:
             pieces[i] = array, labels
@@ -387,7 +376,9 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     product of those weights and builds no network.  For s each paired
     mode is cut to the shorter of its pair, outside which rho[SWAP n; n]
     vanishes.  The labels are the modes, one per factor of more than one
-    component and, with a running total, one total per mode.
+    component and, with a running total, one total per mode.  Each factor
+    counts its ket and bra, two rows per component over its box, and each
+    pair matrix one row, against the working-space limit.
     """
     caps, pairs = group.base_caps, group.local_pairs
     if total_threshold is None and len(group.factors) == 2:
@@ -413,7 +404,7 @@ def _group_expectation(group: _Group, total_threshold=None, kept=True,
     summed = kept and not masks and not totalled and all(d > c for d, c in zip(top, caps))
     diagonals, swaps, hi = [], [], 0
     for f, factor in enumerate(group.factors):
-        comps = _components(factor)
+        comps = components_of(factor)
         lo, hi = hi, hi + factor.modes  # the factor's modes
         check_working_size(2 * len(comps), math.prod(top[lo:hi]))  # its ket and bra
         if kept and not summed:
@@ -592,7 +583,7 @@ def error_bound_local(rho, sigma, m: int) -> float:
     kept = 1.0
     for register in (rho, sigma):
         kept *= sum(w / s.norm_sq * float(np.sum(abs(s.amplitudes[:m + 1]) ** 2))
-                    for w, s in _components(register))
+                    for w, s in components_of(register))
     return max(0.0, 1.0 - kept)
 
 

@@ -80,15 +80,8 @@ class ResourceLimitError(ValueError):
 
 def check_working_size(rows: int, columns: int) -> None:
     """Refuse a working space of ``rows`` x ``columns`` entries beyond
-    MAX_WORKING_ELEMENTS; call before allocating it.  A parity group's ket
-    and bra copies of a register count two rows per ensemble component, a
-    pair's 0/1 threshold matrix and each contraction intermediate one.  A
-    group of two registers paired mode for mode with nothing cut counts
-    the same ket and bra rows over the box of its shorter cutoffs and
-    builds nothing else.  A group of two single-mode registers under a
-    threshold that cuts builds no matrix: each register counts its
-    amplitude and conjugate lists, two rows per component, and its
-    diagonal and running sums, two more.  The stacked blocks of
+    MAX_WORKING_ELEMENTS; call before allocating it.  Each parity kernel
+    in ``estimators`` says what it counts.  The stacked blocks of
     compiling circuits count the circuits and each block's entries."""
     size = int(rows) * int(columns)
     if size > MAX_WORKING_ELEMENTS:
@@ -199,8 +192,13 @@ class MixedEnsemble:
 def components_of(state) -> tuple[tuple[float, object], ...]:
     """Uniform (weight, pure state) view of a pure state or of a
     ``MixedEnsemble``, whose components may be qudit registers
-    (``dv.DVState``)."""
-    return getattr(state, "components", ((1.0, state),))
+    (``dv.DVState``).  A component of zero norm, which no estimator can
+    normalise, is refused."""
+    comps = getattr(state, "components", ((1.0, state),))
+    for _, s in comps:
+        if s.norm_sq <= 0:
+            raise ValueError("zero-norm component")
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,6 @@ def _shift_expectations(states, shifts) -> list[complex]:
     No array outgrows the largest register's rows, refused beyond the limit."""
     cap = _check_perm_inputs(states)
     registers = [components_of(s) for s in states]
-    if any(c.norm_sq <= 0.0 for comps in registers for _, c in comps):
-        raise ValueError("zero-norm component")
     n, d = len(registers), cap + 1
     fock.check_working_size(max(map(len, registers)), d)
     kets = [np.array([math.sqrt(w / c.norm_sq) * c.amplitudes for w, c in comps])
@@ -105,13 +103,14 @@ def perm_test(states, shots: int, seed) -> EstimatorResult | list[EstimatorResul
 
     The weight is the eigenvalue of the cyclic shift C that the mixer reads
     out, so the shot law is drawn from the traces <C^t> (``_perm_block``);
-    no mixer is applied.  L = 2 runs the CV SWAP path directly (the
-    weights reduce to (-1)^n there).
+    no mixer is applied.  L = 2 runs the CV SWAP path directly, with no
+    threshold (the weights reduce to (-1)^n there).
     """
     states = list(states)
     if len(states) != 2:
         return estimate_blocks([_perm_block(states)], shots, seed)
-    return est.cv_swap_estimate(states[0], states[1], _check_perm_inputs(states), shots, seed)
+    _check_perm_inputs(states)
+    return est.cv_swap_estimate(states[0], states[1], None, shots, seed)
 
 
 def perm_expectation(states) -> complex:
@@ -206,7 +205,7 @@ def compile_terms(training, u_gates, v_gates, m_totals=None) -> list[tuple[list,
             for image, side in zip(pair, "UV"):
                 # the share of weight pushed past the cutoff; NaN, from a
                 # block that is not finite, is refused
-                pushed = 1.0 - float(np.vdot(image, image).real) / s.norm_sq if s.norm_sq else 0.0
+                pushed = 1.0 - float(np.vdot(image, image).real) / s.norm_sq
                 leak = s.leak + float(np.maximum(pushed, 0.0))
                 warn = fock.check_leak(leak, f"compiling circuit {side} on a training state")
                 mapped[id(s)].append(FockState(s.cutoff, image, leak=leak,

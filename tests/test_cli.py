@@ -867,6 +867,9 @@ HYBRID = {"state_a": {"qubit": [1, 0], "cv": {"kind": "coherent", "alpha": 0.3, 
      "purification must not be a mixture"),
     # a repeated mode and one out of range: the range is checked first
     ("overlap", {"states": TWO_MODE, "pairs": [[0, 1], [1, 7]]}, "pair mode 7 outside the joint register"),
+    # a purification of the wrong shape, refused by the library alone
+    ("two-copy", {"purification": {"kind": "vacuum", "cutoff": [3]}},
+     "each purification must be one (A_j, B_j) mode pair"),
 ])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, config, message):
     if "out" in config and isinstance(config["out"], str):

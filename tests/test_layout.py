@@ -1,6 +1,7 @@
 """Modules of the package reach each other only through public names, no
 shot block simulates its measurement circuit, no input rule is written in
-both the CLI and the library, the CLI reads every nested config object
+both the CLI and the library, one function refuses a zero-norm component
+and one einsum call serves the fold, the CLI reads every nested config object
 through its form table, and importing the package runs no generated
 code."""
 
@@ -291,6 +292,23 @@ def test_cli_repeats_no_library_refusal():
                             for path in SRC.glob("*.py") if path.stem != "cli"))
     cli = raised_messages((SRC / "cli.py").read_text(encoding="utf-8"), "ConfigError")
     assert sorted(cli & library) == []
+
+
+def _functions(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_each_parity_layer_rule_has_one_owner():
+    # components_of alone refuses a zero-norm component, and the fold
+    # renumbers every einsum step's labels through one call
+    raisers = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py")) for node in _functions(path)
+               if "'zero-norm component'" in raised_messages(ast.unparse(node))]
+    assert raisers == ["fock.components_of"]
+    [contract] = [node for node in _functions(SRC / "estimators.py") if node.name == "_contract"]
+    einsums = [node for node in ast.walk(contract) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"]
+    assert len(einsums) == 1
 
 
 def test_raised_message_check_sees_plain_and_formatted_messages():
